@@ -9,8 +9,9 @@ rerunning with a burst-length cap (--x-max) restores a finite second
 moment and the curve flattens.
 
 Writes <out>/divergence.csv (one row per prefix size: median, mean,
-std, every replication) and <out>/divergence.gp for gnuplot. Run with
-and without --x-max to overlay the two regimes.
+std, every replication), <out>/divergence.gp for gnuplot, and
+<out>/divergence.manifest.json, whose digest the CSV's first line names.
+Run with and without --x-max to overlay the two regimes.
 """
 import argparse
 import sys
@@ -19,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 import trafficlab as tl
+from trafficlab.cli import RunManifest
 from trafficlab.rng import substream
+from trafficlab.traces import write_rows
 
 
 def run_sweep(tail, m, lam, sizes, reps, master_seed):
@@ -53,21 +56,25 @@ def main(argv=None):
     tail = tl.HeavyTailSpec(args.alpha, args.x_min, x_max=args.x_max)
     sizes = sorted(args.sizes)
     per_size = run_sweep(tail, args.m, args.lam, sizes, args.reps, args.seed)
+    # (median, mean, std) per size, shared by the CSV and the table below
+    stats = [(float(np.median(per_size[n])), *tl.aggregate_replications(per_size[n]))
+             for n in sizes]
 
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "divergence.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("# prefix mean queue, %d replications, alpha=%g, x_max=%s\n"
-                 % (args.reps, args.alpha, args.x_max))
-        fh.write("# cycles,median,mean,std," +
-                 ",".join(f"rep_{i + 1}" for i in range(args.reps)) + "\n")
-        for n in sizes:
-            vals = per_size[n]
-            row = [n, float(np.median(vals)), float(np.mean(vals)),
-                   float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0, *vals]
-            fh.write(",".join(repr(v) for v in row) + "\n")
-
     gp_path = args.out / "divergence.gp"
+    manifest = RunManifest(subcommand="divergence_experiment",
+                           parameters={**vars(args), "out": str(args.out)},
+                           outputs=[str(csv_path), str(gp_path)])
+    comments = (f"manifest: {manifest.digest()}",
+                "prefix mean queue, %d replications, alpha=%g, x_max=%s"
+                % (args.reps, args.alpha, args.x_max),
+                "cycles,median,mean,std," + ",".join(f"rep_{i + 1}" for i in range(args.reps)))
+    # cycles, median, mean, std, then one column per replication
+    columns = (sizes, *zip(*stats), *zip(*(per_size[n] for n in sizes)))
+    with open(csv_path, "w") as fh:
+        write_rows(fh, ",".join(["%r"] * len(columns)), columns, comments)
+
     gp_path.write_text(
         "set datafile separator ','\n"
         "set logscale xy\n"
@@ -77,12 +84,13 @@ def main(argv=None):
         f"     '{csv_path.name}' using 1:3:4 with yerrorlines title 'mean +- std'\n"
     )
 
+    manifest_path = args.out / "divergence.manifest.json"
+    manifest.write(manifest_path)
+
     print(f"{'cycles':>10} {'median':>12} {'mean':>12} {'std':>12}")
-    for n in sizes:
-        vals = per_size[n]
-        print(f"{n:>10} {np.median(vals):>12.4f} {np.mean(vals):>12.4f} "
-              f"{np.std(vals, ddof=1) if len(vals) > 1 else 0.0:>12.4f}")
-    print(f"wrote {csv_path} and {gp_path}")
+    for n, (median, mean, std) in zip(sizes, stats):
+        print(f"{n:>10} {median:>12.4f} {mean:>12.4f} {std:>12.4f}")
+    print(f"wrote {csv_path}, {gp_path} and {manifest_path}")
     return 0
 
 

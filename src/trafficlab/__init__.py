@@ -37,7 +37,6 @@ from .synth import (
     sample_heavy_tail,
 )
 from .traces import (
-    PacketRecord,
     PacketTrace,
     TraceFormatError,
     TraceSummary,
@@ -80,7 +79,6 @@ __all__ = [
     "packetize",
     "reorder_nonoverlap",
     "sample_heavy_tail",
-    "PacketRecord",
     "PacketTrace",
     "TraceFormatError",
     "TraceSummary",

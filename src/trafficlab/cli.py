@@ -12,13 +12,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .estimators import bin_counts, empirical_ccdf, fit_tail_index, hurst_aggregated_variance
-from .experiments import ReplicationPlan, blocksize_sweep, block_shuffle, sample_size_sweep
+from .experiments import ReplicationPlan, _resolve_bandwidth, block_shuffle, blocksize_sweep, sample_size_sweep
 from .queue_sim import packet_fifo
 from .rng import substream
 from .synth import (
@@ -29,7 +29,7 @@ from .synth import (
     generate_poisson,
     packetize,
 )
-from .traces import PacketTrace, bandwidth_for_utilization, load_trace, save_trace, summarize
+from .traces import PacketTrace, load_trace, save_trace, summarize, write_rows
 
 OFF_MODEL_FLAGS = {
     "iid": "iid_matched_mean",
@@ -40,7 +40,7 @@ OFF_MODEL_FLAGS = {
 
 @dataclass
 class RunManifest:
-    """Reproduction record for one command invocation."""
+    """Reproduction record for one command invocation; the digest covers every field."""
 
     subcommand: str
     parameters: dict
@@ -50,29 +50,12 @@ class RunManifest:
     version: str = __version__
 
     def digest(self) -> str:
-        body = {
-            "tool": self.tool,
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-        blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def write(self, path: str) -> None:
-        body = {
-            "tool": self.tool,
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "digest": self.digest(),
-        }
         with open(path, "w") as fh:
-            json.dump(body, fh, sort_keys=True, indent=2)
+            json.dump({**asdict(self), "digest": self.digest()}, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
 
@@ -84,11 +67,11 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest_for(args: argparse.Namespace, outputs: list[str], skip=("func",)) -> RunManifest:
+def _manifest_for(args: argparse.Namespace, outputs: list[str]) -> RunManifest:
     params = {}
     inputs = {}
     for key, value in vars(args).items():
-        if key in skip or key == "subcommand":
+        if key in ("func", "subcommand"):
             continue
         if isinstance(value, (list, tuple)):
             value = list(value)
@@ -101,17 +84,22 @@ def _manifest_for(args: argparse.Namespace, outputs: list[str], skip=("func",)) 
 
 
 def _write_row_csv(path: str, manifest: RunManifest, columns: list[str], row: list) -> None:
+    """One-row CSV; numbers are written as float reprs, anything else as text."""
+    cells = [[float(v)] if isinstance(v, (int, float, np.floating)) else [v] for v in row]
     with open(path, "w") as fh:
-        fh.write(f"# manifest: {manifest.digest()}\n")
-        fh.write("# " + ",".join(columns) + "\n")
-        fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\n")
+        write_rows(fh, ",".join(["%s"] * len(row)), cells, (f"manifest: {manifest.digest()}", ",".join(columns)))
 
 
 def _int_list(text: str) -> list[int]:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        return [int(float(part)) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+    bad = [part for part, v in zip(parts, values) if not v.is_integer()]
+    if bad:
+        raise argparse.ArgumentTypeError(f"{bad[0]!r} in {text!r} is not an integer")
+    return [int(v) for v in values]
 
 
 def _build_generator(args) -> SyntheticSource:
@@ -146,7 +134,8 @@ def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--n", type=int, default=None, help="packet count for --model poisson")
 
 
-def _gen_trace(args) -> PacketTrace:
+def _generated_source(args) -> PacketTrace | SyntheticSource:
+    """The generator flags as a Poisson trace or an on/off recipe."""
     if args.model == "poisson":
         if args.n is None or args.rate is None:
             raise ValueError("poisson model needs --rate and --n")
@@ -154,7 +143,13 @@ def _gen_trace(args) -> PacketTrace:
     for name in ("alpha", "m", "cycles", "rate"):
         if getattr(args, name) is None:
             raise ValueError(f"onoff model needs --{name}")
-    source = _build_generator(args)
+    return _build_generator(args)
+
+
+def _gen_trace(args) -> PacketTrace:
+    source = _generated_source(args)
+    if isinstance(source, PacketTrace):
+        return source
     process = generate_onoff(source.spec, substream(args.seed))
     trace, report = packetize(process, source.packet_size, source.server_rate)
     if report.silent_on_periods:
@@ -191,11 +186,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_queue(args) -> int:
     trace = load_trace(args.trace, args.format)
-    bandwidth = args.bandwidth
-    if (bandwidth is None) == (args.rho is None):
-        raise ValueError("give exactly one of --bandwidth or --rho")
-    if bandwidth is None:
-        bandwidth = bandwidth_for_utilization(trace, args.rho)
+    bandwidth = _resolve_bandwidth(trace, args.bandwidth, args.rho)
     stats, path = packet_fifo(trace, bandwidth)
     outputs = [args.output] + ([args.path_out] if args.path_out else [])
     manifest = _manifest_for(args, outputs=outputs)
@@ -219,19 +210,15 @@ def cmd_shuffle(args) -> int:
     return 0
 
 
-def _sweep_source(args):
-    """(source object, label) from either --trace or generator flags."""
+def _sweep_source(args) -> PacketTrace | SyntheticSource:
+    """The sweep's source, from either --trace or generator flags."""
     if args.trace and args.model:
         raise ValueError("give either --trace or --model, not both")
     if args.trace:
-        return load_trace(args.trace, args.format), None
+        return load_trace(args.trace, args.format)
     if not args.model:
         raise ValueError("give a --trace file or generator flags with --model")
-    if args.model == "poisson":
-        if args.n is None or args.rate is None:
-            raise ValueError("poisson model needs --rate and --n")
-        return generate_poisson(args.rate, args.packet_size, args.n, substream(args.seed)), None
-    return _build_generator(args), None
+    return _generated_source(args)
 
 
 def _write_sweep(args, sweep, xlabel: str, ylabel: str) -> int:
@@ -262,14 +249,14 @@ def _write_sweep(args, sweep, xlabel: str, ylabel: str) -> int:
 
 
 def cmd_sweep_samples(args) -> int:
-    source, _ = _sweep_source(args)
+    source = _sweep_source(args)
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
     sweep = sample_size_sweep(source, args.sizes, plan, bandwidth=args.bandwidth, rho=args.rho)
     return _write_sweep(args, sweep, "sample size (packets)", "mean queue (packets)")
 
 
 def cmd_sweep_blocks(args) -> int:
-    source, _ = _sweep_source(args)
+    source = _sweep_source(args)
     if isinstance(source, SyntheticSource):
         # materialize one trace; replications then vary only the permutation
         source = source.trace(substream(args.seed))
@@ -313,10 +300,7 @@ def cmd_tailfit(args) -> int:
     if args.ccdf_out:
         xs, cc = empirical_ccdf(samples)
         with open(args.ccdf_out, "w") as fh:
-            fh.write(f"# manifest: {manifest.digest()}\n")
-            fh.write("# x,ccdf\n")
-            for xv, cv in zip(xs, cc):
-                fh.write(f"{xv!r},{cv!r}\n")
+            write_rows(fh, "%r,%r", (xs, cc), (f"manifest: {manifest.digest()}", "x,ccdf"))
     manifest.write(args.output + ".manifest.json")
     print(f"alpha_hat = {fit.alpha_hat:.4f} over [{fit.fit_range[0]:g}, {fit.fit_range[1]:g}] (r2 {fit.fit_r2:.4f})")
     return 0

@@ -14,7 +14,7 @@ import numpy as np
 from .queue_sim import packet_fifo
 from .rng import as_generator, substream
 from .synth import SyntheticSource
-from .traces import PacketTrace, bandwidth_for_utilization, window
+from .traces import PacketTrace, bandwidth_for_utilization, window, write_rows
 
 __all__ = [
     "ReplicationPlan",
@@ -59,16 +59,12 @@ class SweepResult:
 
     def write_csv(self, fh, comments: tuple[str, ...] = ()) -> None:
         k = len(self.points[0].rep_means) if self.points else 0
-        for c in comments:
-            fh.write(f"# {c}\n")
         reps = ",".join(f"rep_{i + 1}" for i in range(k))
-        fh.write(f"# {self.x_label},mean,std,{reps}\n")
+        comments = (*comments, f"{self.x_label},mean,std,{reps}")
         if self.baseline is not None:
-            fh.write(f"# baseline_mean_queue: {float(self.baseline)!r}\n")
-        for p in self.points:
-            cells = [repr(float(p.x)), repr(float(p.mean)), repr(float(p.std))]
-            cells += [repr(float(v)) for v in p.rep_means]
-            fh.write(",".join(cells) + "\n")
+            comments += (f"baseline_mean_queue: {float(self.baseline)!r}",)
+        table = np.array([(p.x, p.mean, p.std, *p.rep_means) for p in self.points], dtype=np.float64)
+        write_rows(fh, ",".join(["%r"] * (3 + k)), table.reshape(-1, 3 + k).T, comments)
 
 
 def aggregate_replications(values) -> tuple[float, float]:
@@ -107,35 +103,41 @@ def sample_size_sweep(
     sizes = sorted(int(s) for s in sizes)
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive packet counts")
-    result = SweepResult(x_label="sample_size")
     if isinstance(source, PacketTrace):
         b = _resolve_bandwidth(source, bandwidth, rho)
         n = source.packet_count
         if sizes[-1] > n:
             raise ValueError(f"sample size {sizes[-1]} exceeds trace length {n}")
-        for j, size in enumerate(sizes):
-            means = []
-            for i in range(plan.replications):
-                rng = substream(plan.master_seed, i, j)
-                offset = int(rng.integers(0, n - size + 1))
-                stats, _ = packet_fifo(window(source, offset, size), b)
-                means.append(stats.mean_queue)
-            mean, std = aggregate_replications(means)
-            result.points.append(SweepPoint(float(size), mean, std, tuple(means)))
+
+        def make_trace(size, rng):
+            return window(source, int(rng.integers(0, n - size + 1)), size)
+
     elif isinstance(source, SyntheticSource):
         if rho is not None:
             raise ValueError("rho needs a fixed trace; synthetic sweeps take bandwidth directly")
         b = bandwidth if bandwidth is not None else source.server_rate
-        for j, size in enumerate(sizes):
-            means = []
-            for i in range(plan.replications):
-                trace = source.trace(substream(plan.master_seed, i, j), n_packets=size)
-                stats, _ = packet_fifo(trace, b)
-                means.append(stats.mean_queue)
-            mean, std = aggregate_replications(means)
-            result.points.append(SweepPoint(float(size), mean, std, tuple(means)))
+
+        def make_trace(size, rng):
+            return source.trace(rng, n_packets=size)
+
     else:
         raise TypeError("source must be a PacketTrace or SyntheticSource")
+    return _replicate(SweepResult(x_label="sample_size"), sizes, plan, b, make_trace)
+
+
+def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float, make_trace) -> SweepResult:
+    """Append one point per x to result: the mean queue of make_trace(x, rng)
+    at bandwidth, replicated with rng = substream(master_seed, i, j) for
+    replication i of the j-th x."""
+    for j, x in enumerate(xs):
+        means = []
+        for i in range(plan.replications):
+            # the last path stays bound until the next run returns: freed sooner, its
+            # pages go back to the OS and fault in again each run (7x the minor faults)
+            stats, _ = packet_fifo(make_trace(x, substream(plan.master_seed, i, j)), bandwidth)
+            means.append(stats.mean_queue)
+        mean, std = aggregate_replications(means)
+        result.points.append(SweepPoint(float(x), mean, std, tuple(means)))
     return result
 
 
@@ -186,14 +188,7 @@ def blocksize_sweep(
     if not block_sizes or block_sizes[0] < 1:
         raise ValueError("block_sizes must be positive")
     b = _resolve_bandwidth(trace, bandwidth, rho)
-    base_stats, _ = packet_fifo(trace, b)
-    result = SweepResult(x_label="block_size", baseline=base_stats.mean_queue)
-    for j, blk in enumerate(block_sizes):
-        means = []
-        for i in range(plan.replications):
-            shuffled = block_shuffle(trace, blk, substream(plan.master_seed, i, j))
-            stats, _ = packet_fifo(shuffled, b)
-            means.append(stats.mean_queue)
-        mean, std = aggregate_replications(means)
-        result.points.append(SweepPoint(float(blk), mean, std, tuple(means)))
-    return result
+    # bind only the mean, so the baseline's queue path is freed before the sweep
+    baseline = packet_fifo(trace, b)[0].mean_queue
+    result = SweepResult(x_label="block_size", baseline=baseline)
+    return _replicate(result, block_sizes, plan, b, lambda blk, rng: block_shuffle(trace, blk, rng))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .synth import FluidOnOffProcess
-from .traces import PacketTrace
+from .traces import PacketTrace, write_rows
 
 __all__ = [
     "QueueStats",
@@ -44,10 +44,6 @@ class QueueStats:
     area: float
     diagnostic: str | None = None
 
-    @property
-    def busy_time(self) -> float:
-        return self.utilization * self.horizon
-
 
 @dataclass(eq=False)
 class QueuePath:
@@ -73,11 +69,7 @@ class QueuePath:
         object.__setattr__(self, "levels", q)
 
     def write_csv(self, fh, comments: tuple[str, ...] = ()) -> None:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write("# time,level\n")
-        for t, q in zip(self.times, self.levels):
-            fh.write(f"{t:.9f},{q:.9f}\n")
+        write_rows(fh, "%.9f,%.9f", (self.times, self.levels), (*comments, "time,level"))
 
 
 def fluid_queue(process: FluidOnOffProcess) -> tuple[QueueStats, QueuePath]:

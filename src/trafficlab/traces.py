@@ -6,14 +6,12 @@ Timestamps are seconds from the start of the trace, sizes are bytes.
 """
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PacketRecord",
     "PacketTrace",
     "TraceSummary",
     "TraceFormatError",
@@ -22,11 +20,30 @@ __all__ = [
     "summarize",
     "bandwidth_for_utilization",
     "window",
+    "write_rows",
 ]
 
 # seconds are written with fixed sub-nanosecond precision so that a
 # write/read cycle reproduces the file byte for byte
 TIMESTAMP_DIGITS = 9
+
+# rows are converted to Python scalars this many at a time, so a
+# million-row write never holds a million-element list
+_WRITE_CHUNK = 65536
+
+
+def write_rows(fh, fmt: str, columns, comments=()) -> None:
+    """Write each comment as a ``# `` line, then one ``fmt % row`` line per
+    row of the parallel columns.
+
+    Cells are formatted as Python scalars, so ``%r`` prints a float's
+    repr and never a numpy wrapper.
+    """
+    fh.writelines(f"# {c}\n" for c in comments)
+    line = fmt + "\n"
+    for lo in range(0, len(columns[0]), _WRITE_CHUNK):
+        chunk = [np.asarray(c[lo : lo + _WRITE_CHUNK]).tolist() for c in columns]
+        fh.write("".join(line % row for row in zip(*chunk)))
 
 
 class TraceFormatError(ValueError):
@@ -37,14 +54,6 @@ class TraceFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One packet: arrival time in seconds and size in bytes."""
-
-    timestamp: float
-    size: int
 
 
 @dataclass(eq=False)
@@ -62,7 +71,11 @@ class PacketTrace:
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.float64)
-        sz = np.asarray(self.sizes, dtype=np.int64)
+        sz = np.asarray(self.sizes)
+        # integer input, as from packetize or a shuffle, skips the check
+        if sz.dtype.kind not in "iu" and np.any(sz != np.floor(sz)):
+            raise ValueError("packet sizes must be whole bytes")
+        sz = np.asarray(sz, dtype=np.int64)
         if ts.ndim != 1 or sz.ndim != 1 or len(ts) != len(sz):
             raise ValueError("timestamps and sizes must be 1-d and equal length")
         if len(ts) == 0:
@@ -95,11 +108,6 @@ class PacketTrace:
     @property
     def total_bytes(self) -> int:
         return int(self.sizes.sum())
-
-    @property
-    def records(self) -> list[PacketRecord]:
-        """Materialized record view; intended for small traces and tests."""
-        return [PacketRecord(float(t), int(s)) for t, s in zip(self.timestamps, self.sizes)]
 
 
 @dataclass(frozen=True)
@@ -168,27 +176,13 @@ def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
     )
 
 
-def save_trace(trace: PacketTrace, path_or_file, comments: tuple[str, ...] = ()) -> None:
+def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:
     """Write csv_ts_bytes with 9 fractional digits on timestamps.
 
     comments are emitted first, one per line, prefixed with ``# ``.
     """
-    own = isinstance(path_or_file, (str, os.PathLike))
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        for t, s in zip(trace.timestamps, trace.sizes):
-            fh.write(f"{t:.{TIMESTAMP_DIGITS}f},{s}\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def trace_csv_bytes(trace: PacketTrace, comments: tuple[str, ...] = ()) -> bytes:
-    buf = io.StringIO()
-    save_trace(trace, buf, comments)
-    return buf.getvalue().encode()
+    with open(path, "w") as fh:
+        write_rows(fh, f"%.{TIMESTAMP_DIGITS}f,%d", (trace.timestamps, trace.sizes), comments)
 
 
 def summarize(trace: PacketTrace) -> TraceSummary:

@@ -216,6 +216,23 @@ class TestSweeps:
         assert "not both" in capsys.readouterr().err
 
 
+class TestIntegerLists:
+    @pytest.mark.parametrize("argv, bad", [
+        (["sweep-blocks", "--blocks", "1.5,10", "--seed", "0", "--out-prefix", "x"], "1.5"),
+        (["sweep-samples", "--sizes", "50,2.5", "--seed", "0", "--out-prefix", "x"], "2.5"),
+        (["hurst", "t.csv", "--levels", "1,2,4.5,8", "-o", "h.csv"], "4.5"),
+    ])
+    def test_fractional_value_rejected_by_name(self, capsys, argv, bad):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert f"'{bad}'" in capsys.readouterr().err
+
+    def test_integral_forms_accepted(self):
+        args = cli.build_parser().parse_args(
+            ["sweep-blocks", "--blocks", "1e4,10.0,3", "--seed", "0", "--out-prefix", "x"])
+        assert args.blocks == [10000, 10, 3]
+
+
 class TestHurstCommand:
     def test_writes_estimate(self, tmp_path, capsys):
         trace_path = tmp_path / "p.csv"
@@ -250,6 +267,14 @@ class TestTailfitCommand:
         assert np.isfinite(alpha)
         rows = [l for l in ccdf.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) > 100
+
+    def test_ccdf_cells_are_plain_floats(self, poisson_file, tmp_path):
+        ccdf = tmp_path / "ccdf.csv"
+        assert run("tailfit", poisson_file, "-o", tmp_path / "fit.csv", "--ccdf-out", ccdf) == 0
+        rows = [l.split(",") for l in ccdf.read_text().splitlines() if not l.startswith("#")]
+        xs, cc = tl.estimators.empirical_ccdf(np.diff(tl.load_trace(poisson_file).timestamps))
+        assert [float(x) for x, _ in rows] == xs.tolist()
+        assert [float(c) for _, c in rows] == cc.tolist()
 
     def test_constant_sizes_rejected(self, poisson_file, tmp_path, capsys):
         # every packet is 1000 bytes, so the derived quantile range collapses

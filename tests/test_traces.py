@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import trafficlab as tl
-from trafficlab.traces import TraceFormatError, trace_csv_bytes, window
+from trafficlab.traces import TraceFormatError, window
 
 
 def make(ts, sizes):
@@ -24,12 +24,6 @@ class TestPacketTrace:
         assert len(tr) == 3
         assert tr.duration == 2.0
         assert tr.total_bytes == 700
-
-    def test_records_view(self):
-        tr = make([0.0, 1.0], [10, 20])
-        recs = tr.records
-        assert recs[0].timestamp == 0.0
-        assert recs[1].size == 20
 
     def test_equal_timestamps_allowed(self):
         tr = make([0.0, 1.0, 1.0], [1, 1, 1])
@@ -59,6 +53,13 @@ class TestPacketTrace:
         with pytest.raises(ValueError):
             make([0.0, 1.0], [10, 0])
 
+    def test_fractional_size_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="whole bytes"):
+            make([0.0, 1.0], [10, 1.5])
+        tr = make([0.0, 1.0], [10.0, 1e3])
+        assert tr.sizes.dtype == np.int64
+        assert tr.sizes.tolist() == [10, 1000]
+
     def test_arrays_are_frozen(self):
         tr = make([0.0, 1.0], [10, 10])
         with pytest.raises(ValueError):
@@ -79,9 +80,10 @@ class TestParsing:
     def test_second_save_is_byte_identical(self, tmp_path):
         tr = make([0.0, 0.25, 7.5], [100, 100, 9000])
         p1 = tmp_path / "a.csv"
+        p2 = tmp_path / "b.csv"
         tl.save_trace(tr, p1)
-        again = trace_csv_bytes(tl.load_trace(p1))
-        assert again == p1.read_bytes()
+        tl.save_trace(tl.load_trace(p1), p2)
+        assert p2.read_bytes() == p1.read_bytes()
 
     def test_format_autodetection(self, tmp_path):
         p = tmp_path / "t.txt"
