@@ -160,10 +160,12 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     gaps[1:] = np.diff(trace.timestamps)
     n_blocks = -(-n // block_size)
     order = rng.permutation(n_blocks)
-    rank = np.empty(n_blocks, dtype=np.int64)
-    rank[order] = np.arange(n_blocks)
-    block_of = np.arange(n) // block_size
-    perm = np.argsort(rank[block_of], kind="stable")
+    # gather the blocks in their new order: a block starting at
+    # order*B in the input starts at the running total of the lengths
+    # placed before it
+    lengths = np.minimum(block_size, n - order * block_size)
+    offsets = np.cumsum(lengths) - lengths
+    perm = np.arange(n) - np.repeat(offsets - order * block_size, lengths)
     new_ts = np.cumsum(gaps[perm])
     return PacketTrace(
         new_ts,

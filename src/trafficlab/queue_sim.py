@@ -153,20 +153,23 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> tuple[QueueStats, Queue
     busy = min(math.fsum(service), horizon)  # min() guards cumsum/fsum rounding skew
     area = math.fsum(d - a)  # sum of sojourns = integral of the level
 
+    # a and d are each sorted, so a stable sort of the departures
+    # followed by the arrivals merges two runs, and at a tie it keeps
+    # the departure first: the level never counts a packet that has
+    # already left
     n = len(a)
-    times = np.concatenate([a, d])
-    steps = np.concatenate([np.ones(n), -np.ones(n)])
-    # at a tie the departure is applied first so the level never counts
-    # a packet that has already left
-    order = np.lexsort((steps, times))
-    ev_times = times[order]
-    levels = np.cumsum(steps[order])
+    times = np.concatenate([d, a])
+    order = np.argsort(times, kind="stable")
+    path_times = np.zeros(2 * n + 1)
+    path_levels = np.zeros(2 * n + 1)
+    np.take(times, order, out=path_times[1:])
+    np.cumsum(np.where(order >= n, 1.0, -1.0), out=path_levels[1:])
 
-    peak = float(levels.max())
-    dt = np.diff(ev_times)
-    empty = math.fsum(dt[levels[:-1] == 0.0]) + float(ev_times[0])  # leading idle too
-    path_times = np.concatenate(([0.0], ev_times))
-    path_levels = np.concatenate(([0.0], levels))
+    peak = float(path_levels.max())
+    # the queue is empty before the first arrival and wherever an
+    # arrival finds every earlier packet gone
+    idle = a[1:] - d[:-1]
+    empty = math.fsum(idle[idle > 0.0]) + float(a[0])
 
     stats = QueueStats(
         mean_queue=area / horizon,

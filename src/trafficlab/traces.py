@@ -6,7 +6,9 @@ Timestamps are seconds from the start of the trace, sizes are bytes.
 """
 from __future__ import annotations
 
+import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,12 @@ TIMESTAMP_DIGITS = 9
 # rows are converted to Python scalars this many at a time, so a
 # million-row write never holds a million-element list
 _WRITE_CHUNK = 65536
+
+# one record as the vectorized loader reads it
+_RECORD = np.dtype([("t", np.float64), ("s", np.int64)])
+# the bytes a file may hold and still take the vectorized path
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+_MAX_SIZE = int(np.iinfo(np.int64).max)
 
 
 def write_rows(fh, fmt: str, columns, comments=()) -> None:
@@ -118,7 +126,12 @@ class TraceSummary:
     mean_rate: float | None  # bytes/second; None for zero-duration traces
 
 
-def _parse_lines(lines, *, comma: bool, label: str) -> PacketTrace:
+def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and sizes of the records, checked one line at a time.
+
+    This is the only code that reports a bad trace: every
+    TraceFormatError names the first offending line.
+    """
     ts: list[float] = []
     sz: list[int] = []
     prev = None
@@ -138,6 +151,8 @@ def _parse_lines(lines, *, comma: bool, label: str) -> PacketTrace:
             raise TraceFormatError(f"bad timestamp {parts[0]}", lineno)
         if s < 1:
             raise TraceFormatError(f"nonpositive packet size {s}", lineno)
+        if s > _MAX_SIZE:
+            raise TraceFormatError(f"packet size {s} exceeds {_MAX_SIZE}", lineno)
         if prev is not None and t < prev:
             raise TraceFormatError(f"timestamp {t} decreases from {prev}", lineno)
         prev = t
@@ -145,35 +160,81 @@ def _parse_lines(lines, *, comma: bool, label: str) -> PacketTrace:
         sz.append(s)
     if not ts:
         raise TraceFormatError("no packet records found")
-    arr = np.array(ts, dtype=np.float64)
-    arr -= arr[0]  # rebase so the trace starts at t=0
-    return PacketTrace(arr, np.array(sz, dtype=np.int64), origin=label)
+    return np.array(ts, dtype=np.float64), np.array(sz, dtype=np.int64)
+
+
+def _parse_plain(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns _parse_lines would return, parsed in one numpy call.
+
+    Returns None, and reports nothing, for any file outside the plain
+    subset or failing a check, so the caller reruns _parse_lines for
+    the error. The subset is what numpy and the line parser read alike:
+    printable ASCII, tabs and line ends; ``#`` only as the first byte of
+    a line, since numpy would strip a trailing note the line parser
+    rejects; and plain integer sizes, since numpy rejects ``1_000``.
+    """
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    hashes = data.count(b"#")
+    if hashes and hashes != data.count(b"\n#") + data.startswith(b"#"):
+        return None
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    try:
+        with warnings.catch_warnings():
+            # numpy only warns on an empty file, and older numpy on a
+            # size read through a float; both must fall back
+            warnings.simplefilter("error")
+            rec = np.loadtxt(text, dtype=_RECORD, delimiter="," if comma else None, comments="#", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    ts, sz = rec["t"].copy(), rec["s"].copy()
+    if not (
+        len(ts)
+        and np.isfinite(ts).all()
+        and ts[0] >= 0
+        and (ts[1:] >= ts[:-1]).all()
+        and (sz >= 1).all()
+    ):
+        return None
+    return ts, sz
+
+
+def _detect_format(lines) -> str:
+    """The format named by the first record line: a comma means CSV."""
+    for line in lines:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            return "csv_ts_bytes" if "," in stripped else "two_column_text"
+    return "two_column_text"
 
 
 def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
     """Read a trace file.
 
     fmt is "csv_ts_bytes" (comma separated ``timestamp,bytes``) or
-    "two_column_text" (whitespace separated, ``#`` comments allowed).
-    With fmt=None the first record line picks the format: a comma means
-    CSV. Timestamps are rebased to start at zero.
+    "two_column_text" (whitespace separated ``timestamp bytes``). With
+    fmt=None the first record line picks the format: a comma means CSV.
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped; any other line must hold exactly a timestamp and a plain
+    integer size. Timestamps are rebased to start at zero.
     """
     path = os.fspath(path)
-    with open(path, "r") as fh:
-        lines = fh.readlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if fmt is None:
-        fmt = "two_column_text"
-        for line in lines:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                if "," in stripped:
-                    fmt = "csv_ts_bytes"
-                break
+        with open(path, "r") as fh:
+            fmt = _detect_format(fh)
     if fmt not in ("csv_ts_bytes", "two_column_text"):
         raise ValueError(f"unknown trace format {fmt!r}")
-    return _parse_lines(
-        lines, comma=(fmt == "csv_ts_bytes"), label=f"{os.path.basename(path)} ({fmt})"
-    )
+    comma = fmt == "csv_ts_bytes"
+    columns = _parse_plain(data, comma=comma)
+    del data
+    if columns is None:
+        with open(path, "r") as fh:
+            columns = _parse_lines(fh.readlines(), comma=comma)
+    ts, sz = columns
+    ts -= ts[0]  # rebase so the trace starts at t=0
+    return PacketTrace(ts, sz, origin=f"{os.path.basename(path)} ({fmt})")
 
 
 def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:

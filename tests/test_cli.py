@@ -92,6 +92,12 @@ class TestSummarize:
         assert run("summarize", tmp_path / "nope.csv") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_oversized_packet_size_fails_naming_the_line(self, tmp_path, capsys):
+        p = tmp_path / "big.txt"
+        p.write_text("0.0 99999999999999999999\n")
+        assert run("summarize", p) == 1
+        assert "error: line 1: packet size" in capsys.readouterr().err
+
 
 class TestQueue:
     def test_stats_match_library(self, poisson_file, tmp_path):

@@ -91,6 +91,21 @@ class TestBlockShuffle:
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.sizes, b.sizes)
 
+    @given(n=st.integers(1, 300), block=st.integers(1, 320), seed=st.integers(0, 2**32 - 1))
+    def test_permutation_matches_the_argsort_reference(self, n, block, seed):
+        # reference: rank every packet by its block's new position and
+        # sort stably, which keeps the order inside each block
+        sizes = np.arange(1, n + 1)  # distinct sizes expose the permutation
+        tr = tl.PacketTrace(tl.generate_poisson(100.0, 100, n, substream(3)).timestamps, sizes)
+        order = np.random.default_rng(seed).permutation(-(-n // block))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        perm = np.argsort(rank[np.arange(n) // block], kind="stable")
+        gaps = np.concatenate(([0.0], np.diff(tr.timestamps)))
+        out = tl.block_shuffle(tr, block, np.random.default_rng(seed))
+        assert out.sizes.tobytes() == sizes[perm].tobytes()
+        assert out.timestamps.tobytes() == np.cumsum(gaps[perm]).tobytes()
+
     @given(
         pairs=st.lists(
             st.tuples(st.integers(0, 2048), st.integers(1, 1500)), min_size=1, max_size=120

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
+from trafficlab import traces
 from trafficlab.traces import TraceFormatError, window
 
 
@@ -160,6 +161,134 @@ class TestParsing:
         back = tl.load_trace(path)
         assert np.array_equal(back.timestamps, tr.timestamps)
         assert np.array_equal(back.sizes, tr.sizes)
+
+    def test_oversized_packet_size_names_the_line(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("0.0 10\n0.0 99999999999999999999\n")
+        with pytest.raises(TraceFormatError, match="exceeds") as err:
+            tl.load_trace(p)
+        assert err.value.line == 2
+
+
+def line_parser_outcome(path):
+    """What load_trace gave before the vectorized path: the line parser's
+    arrays rebased to zero, or its error."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+        comma = traces._detect_format(lines) == "csv_ts_bytes"
+        ts, sz = traces._parse_lines(lines, comma=comma)
+        ts -= ts[0]
+        return "ok", ts.tobytes(), sz.tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def loader_outcome(path):
+    try:
+        tr = tl.load_trace(path)
+        return "ok", tr.timestamps.tobytes(), tr.sizes.tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+# each mutation rewrites one record line (t, s, sep) into something the
+# vectorized path must either read exactly as the line parser does or
+# hand over to it
+MUTATIONS = {
+    "inline_hash": lambda t, s, sep: f"{t}{sep}{s} # note",
+    "third_field": lambda t, s, sep: f"{t}{sep}{s}{sep}7",
+    "float_size": lambda t, s, sep: f"{t}{sep}5.0",
+    "underscore_size": lambda t, s, sep: f"{t}{sep}1_000",
+    "plus_size": lambda t, s, sep: f"{t}{sep}+5",
+    "tab": lambda t, s, sep: f"{t}{sep.strip()}\t{s}",
+    "leading_space": lambda t, s, sep: f"   {t}{sep}{s}",
+    "blank": lambda t, s, sep: "",
+    "spaces_only": lambda t, s, sep: "   ",
+    "comment": lambda t, s, sep: "# a comment",
+    "indented_comment": lambda t, s, sep: "  # indented comment",
+    "negative_time": lambda t, s, sep: f"-{t}{sep}{s}",
+    "decreasing_time": lambda t, s, sep: f"{float(t) - 2.5}{sep}{s}",
+    "nan_time": lambda t, s, sep: f"nan{sep}{s}",
+    "inf_time": lambda t, s, sep: f"inf{sep}{s}",
+    "zero_size": lambda t, s, sep: f"{t}{sep}0",
+    "oversized_size": lambda t, s, sep: f"{t}{sep}99999999999999999999",
+    "non_ascii_comment": lambda t, s, sep: "# caf\u00e9 \u2615",
+    "non_ascii_separator": lambda t, s, sep: f"{t}\u00a0{s}",
+    "non_ascii_digits": lambda t, s, sep: f"{t}{sep}\u0661\u0660",
+}
+
+# mostly clean files with at most three mutated lines, so that a
+# mutation the vectorized path mishandles is not masked by another one
+# that sends the whole file to the line parser
+trace_files = st.tuples(
+    st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 1500)), min_size=1, max_size=40),
+    st.lists(st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 39)), max_size=3),
+    st.sampled_from([",", " ", "  "]),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+
+
+class TestVectorizedLoader:
+    @given(spec=trace_files)
+    @settings(max_examples=300)
+    def test_matches_the_line_parser(self, spec, tmp_path_factory):
+        records, mutations, sep, newline, header = spec
+        clock = 0
+        fields = []
+        for step, size in records:
+            clock += step
+            fields.append((f"{clock / 512:.6f}", size))
+        lines = [f"{t}{sep}{size}" for t, size in fields]
+        for kind, at in mutations:
+            t, size = fields[at % len(fields)]
+            lines[at % len(fields)] = MUTATIONS[kind](t, size, sep)
+        if header:
+            lines.insert(0, "# timestamp bytes")
+        path = tmp_path_factory.getbasetemp() / "differential.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        assert loader_outcome(path) == line_parser_outcome(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.5 100 # note\n",
+            "0.5 100 7\n",
+            "0.5 5.0\n",
+            "0.5 1_000\n",
+            "# caf\u00e9\n0.5 100\n",
+        ],
+        ids=["inline_hash", "third_field", "float_size", "underscore_size", "non_ascii"],
+    )
+    def test_what_numpy_reads_differently_goes_to_the_line_parser(self, text, tmp_path):
+        data = text.encode("utf-8")
+        assert traces._parse_plain(data, comma=False) is None
+        p = tmp_path / "t.txt"
+        p.write_bytes(data)
+        assert loader_outcome(p) == line_parser_outcome(p)
+
+    def test_underscore_size_still_accepted(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("0.5 1_000\n")
+        assert tl.load_trace(p).sizes.tolist() == [1000]
+
+    @pytest.mark.parametrize("name", ["clean.csv", "clean.txt"])
+    def test_clean_file_never_reaches_the_line_parser(self, name, tmp_path, monkeypatch):
+        tr = tl.generate_poisson(200.0, 100, 1000, tl.substream(4))
+        p = tmp_path / name
+        if name.endswith(".csv"):
+            tl.save_trace(tr, p, comments=("manifest: abc",))
+        else:
+            rows = "".join(f"{t:.6f} {s}\n" for t, s in zip(tr.timestamps.tolist(), tr.sizes.tolist()))
+            p.write_text("# seconds bytes\n" + rows)
+        want = line_parser_outcome(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clean file fell back to the line parser")
+
+        monkeypatch.setattr(traces, "_parse_lines", refuse)
+        assert loader_outcome(p) == want
 
 
 class TestSummary:
