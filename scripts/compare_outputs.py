@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Run a fixed list of trafficlab commands at a git revision and in the
+checkout, and report every output file that differs between the two.
+
+    python3 scripts/compare_outputs.py REV
+
+REV (any git revision, such as HEAD or a commit id) is exported with
+`git archive` into a temporary directory; the checkout is used as it
+stands, uncommitted edits included. Each side runs the same commands
+from its own empty temporary output directory, with relative file
+names, so manifests and gnuplot files name the same paths. Every
+command's exit status, stdout and stderr are kept beside its outputs
+and compared as well. Nothing is written inside the repository: the
+temporary directories are removed at exit and no bytecode is cached.
+
+Exit status is 0 when both sides wrote the same files byte for byte,
+and 1 otherwise.
+"""
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+ONOFF = ["--model", "onoff", "--alpha", "1.4", "--xmin", "0.01", "--m", "2", "--lambda", "0.5",
+         "--packet-size", "1000", "--rate", "1e6"]
+
+# (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
+# or with a script under scripts/; inputs come from the gen commands
+COMMANDS = [
+    ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
+    ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
+                     "--n", "5000", "--seed", "3", "-o", "poisson.csv"]),
+    ("summarize", ["cli", "summarize", "onoff.csv", "-o", "summary.csv"]),
+    ("summarize_stdout", ["cli", "summarize", "poisson.csv"]),
+    ("queue", ["cli", "queue", "onoff.csv", "--rho", "0.6", "-o", "queue.csv"]),
+    ("queue_path", ["cli", "queue", "onoff.csv", "--rho", "0.6", "--path-out", "path.csv",
+                    "-o", "queue_path.csv"]),
+    ("queue_poisson_path", ["cli", "queue", "poisson.csv", "--bandwidth", "150000",
+                            "--path-out", "poisson_path.csv", "-o", "queue_poisson.csv"]),
+    ("shuffle", ["cli", "shuffle", "onoff.csv", "--block-size", "100", "--seed", "5",
+                 "-o", "shuffled.csv"]),
+    ("sweep_samples_trace", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000,5000",
+                             "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "samples_trace"]),
+    ("sweep_samples_gen", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000",
+                           "--reps", "2", "--seed", "4", "--out-prefix", "samples_gen"]),
+    ("sweep_blocks_trace", ["cli", "sweep-blocks", "--trace", "onoff.csv", "--blocks", "1,10,100",
+                            "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "blocks_trace"]),
+    ("sweep_blocks_gen", ["cli", "sweep-blocks", *ONOFF, "--cycles", "300", "--blocks", "1,10,100",
+                          "--reps", "2", "--seed", "6", "--rho", "0.5", "--out-prefix", "blocks_gen"]),
+    ("hurst", ["cli", "hurst", "onoff.csv", "--unit", "bytes", "-o", "hurst.csv"]),
+    ("tailfit", ["cli", "tailfit", "onoff.csv", "--ccdf-out", "ccdf.csv", "-o", "tailfit.csv"]),
+    ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
+                    "--seed", "1", "--out", "divergence"]),
+    ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
+                           "--seed", "1", "--x-max", "100", "--out", "divergence_capped"]),
+]
+
+
+def run_commands(tree: Path, outdir: Path) -> None:
+    """Run every command with tree's package, writing into outdir."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for name, (head, *rest) in COMMANDS:
+        prog = ["-m", "trafficlab.cli"] if head == "cli" else [str(tree / "scripts" / head)]
+        proc = subprocess.run([sys.executable, *prog, *rest], cwd=outdir, env=env,
+                              capture_output=True, text=True)
+        (outdir / f"{name}.log").write_text(
+            f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+
+
+def differences(left: Path, right: Path) -> tuple[int, list[str]]:
+    """Files compared, and a line for each file that is missing on one side or differs."""
+    names = {p.relative_to(left) for p in left.rglob("*") if p.is_file()}
+    names |= {p.relative_to(right) for p in right.rglob("*") if p.is_file()}
+    out = []
+    for name in sorted(names):
+        a, b = left / name, right / name
+        if not a.is_file() or not b.is_file():
+            out.append(f"only in {'checkout' if b.is_file() else 'revision'}: {name}")
+        elif not filecmp.cmp(a, b, shallow=False):
+            out.append(f"differs: {name}")
+    return len(names), out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", help="git revision to compare the checkout against")
+    args = ap.parse_args(argv)
+
+    sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{args.rev}^{{commit}}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        tree, left, right = tmp / "tree", tmp / "revision", tmp / "checkout"
+        for d in (tree, left, right):
+            d.mkdir()
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", sha],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        run_commands(tree, left)
+        run_commands(REPO, right)
+        count, diffs = differences(left, right)
+    for line in diffs:
+        print(line)
+    print(f"{len(COMMANDS)} commands, {count} files compared against {sha[:12]}: {len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

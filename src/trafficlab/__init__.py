@@ -21,7 +21,7 @@ from .experiments import (
     blocksize_sweep,
     sample_size_sweep,
 )
-from .queue_sim import QueuePath, QueueStats, fluid_queue, packet_fifo, prefix_mean_queue
+from .queue_sim import QueuePath, QueueRun, QueueStats, fluid_queue, packet_fifo, prefix_mean_queue
 from .rng import substream
 from .synth import (
     FluidOnOffProcess,
@@ -63,6 +63,7 @@ __all__ = [
     "blocksize_sweep",
     "sample_size_sweep",
     "QueuePath",
+    "QueueRun",
     "QueueStats",
     "fluid_queue",
     "packet_fifo",

@@ -187,7 +187,8 @@ def cmd_summarize(args) -> int:
 def cmd_queue(args) -> int:
     trace = load_trace(args.trace, args.format)
     bandwidth = _resolve_bandwidth(trace, args.bandwidth, args.rho)
-    stats, path = packet_fifo(trace, bandwidth)
+    run = packet_fifo(trace, bandwidth)
+    stats = run.stats
     outputs = [args.output] + ([args.path_out] if args.path_out else [])
     manifest = _manifest_for(args, outputs=outputs)
     manifest.parameters["derived_bandwidth"] = bandwidth
@@ -196,7 +197,7 @@ def cmd_queue(args) -> int:
     _write_row_csv(args.output, manifest, columns, row)
     if args.path_out:
         with open(args.path_out, "w") as fh:
-            path.write_csv(fh, comments=(f"manifest: {manifest.digest()}",))
+            run.path.write_csv(fh, comments=(f"manifest: {manifest.digest()}",))
     manifest.write(args.output + ".manifest.json")
     return 0
 

@@ -132,10 +132,7 @@ def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float,
     for j, x in enumerate(xs):
         means = []
         for i in range(plan.replications):
-            # the last path stays bound until the next run returns: freed sooner, its
-            # pages go back to the OS and fault in again each run (7x the minor faults)
-            stats, _ = packet_fifo(make_trace(x, substream(plan.master_seed, i, j)), bandwidth)
-            means.append(stats.mean_queue)
+            means.append(packet_fifo(make_trace(x, substream(plan.master_seed, i, j)), bandwidth).mean_queue)
         mean, std = aggregate_replications(means)
         result.points.append(SweepPoint(float(x), mean, std, tuple(means)))
     return result
@@ -190,7 +187,5 @@ def blocksize_sweep(
     if not block_sizes or block_sizes[0] < 1:
         raise ValueError("block_sizes must be positive")
     b = _resolve_bandwidth(trace, bandwidth, rho)
-    # bind only the mean, so the baseline's queue path is freed before the sweep
-    baseline = packet_fifo(trace, b)[0].mean_queue
-    result = SweepResult(x_label="block_size", baseline=baseline)
+    result = SweepResult(x_label="block_size", baseline=packet_fifo(trace, b).mean_queue)
     return _replicate(result, block_sizes, plan, b, lambda blk, rng: block_shuffle(trace, blk, rng))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .traces import PacketTrace, write_rows
 __all__ = [
     "QueueStats",
     "QueuePath",
+    "QueueRun",
     "fluid_queue",
     "packet_fifo",
     "prefix_mean_queue",
@@ -72,7 +74,39 @@ class QueuePath:
         write_rows(fh, "%.9f,%.9f", (self.times, self.levels), (*comments, "time,level"))
 
 
-def fluid_queue(process: FluidOnOffProcess) -> tuple[QueueStats, QueuePath]:
+class QueueRun:
+    """One queue run.
+
+    mean_queue, area and horizon are computed by the simulator itself.
+    stats (a QueueStats) and path (a QueuePath) are built on first read
+    and then kept, so a caller that reads only the mean pays for
+    neither.
+    """
+
+    def __init__(self, area: float, horizon: float, stats, path):
+        self.area = area
+        self.horizon = horizon
+        self.mean_queue = area / horizon
+        self._stats = stats  # called with the run
+        self._path = path
+
+    @cached_property
+    def stats(self) -> QueueStats:
+        return self._stats(self)
+
+    @cached_property
+    def path(self) -> QueuePath:
+        return self._path()
+
+
+def _fsum(x) -> float:
+    """math.fsum of the float64 values of x, read through a buffer so
+    each element arrives as a Python float rather than a numpy scalar:
+    the same sum, about twice as fast."""
+    return math.fsum(memoryview(np.ascontiguousarray(x, dtype=np.float64)))
+
+
+def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     """Exact workload process of the on/off source against a unit server.
 
     During an on period the queue rises at m-1; afterwards it drains
@@ -82,20 +116,23 @@ def fluid_queue(process: FluidOnOffProcess) -> tuple[QueueStats, QueuePath]:
     on = process.on_lengths
     off = process.off_lengths
     m = process.m
-    horizon = math.fsum(on) + math.fsum(off)
+    on_total = _fsum(on)
+    horizon = on_total + _fsum(off)
     if m <= 1.0:
         # work never arrives faster than it is served, so no queue forms
-        stats = QueueStats(
-            mean_queue=0.0,
-            peak_queue=0.0,
-            horizon=horizon,
-            utilization=min(m, 1.0) * math.fsum(on) / horizon if horizon > 0 else 0.0,
-            empty_fraction=1.0,
-            area=0.0,
-            diagnostic="on rate m <= 1 never builds a queue",
-        )
-        path = QueuePath(np.array([0.0, horizon]), np.zeros(2), "linear")
-        return stats, path
+        def degenerate_stats(run):
+            return QueueStats(
+                mean_queue=run.mean_queue,
+                peak_queue=0.0,
+                horizon=horizon,
+                utilization=min(m, 1.0) * on_total / horizon if horizon > 0 else 0.0,
+                empty_fraction=1.0,
+                area=0.0,
+                diagnostic="on rate m <= 1 never builds a queue",
+            )
+
+        return QueueRun(0.0, horizon, degenerate_stats,
+                        lambda: QueuePath(np.array([0.0, horizon]), np.zeros(2), "linear"))
 
     rise = (m - 1.0) * on
     # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i)
@@ -107,38 +144,43 @@ def fluid_queue(process: FluidOnOffProcess) -> tuple[QueueStats, QueuePath]:
     drain = np.minimum(off, q_peak)  # time the queue stays positive while off
     area_on = 0.5 * (q_start + q_peak) * on
     area_off = drain * (q_peak - 0.5 * drain)
-    area = math.fsum(area_on) + math.fsum(area_off)
-    busy = math.fsum(on) + math.fsum(drain)
+    area = _fsum(area_on) + _fsum(area_off)
 
-    cycle_ends = np.cumsum(on + off)
-    on_ends = cycle_ends - off
-    # breakpoints: peak at on-end, zero where the drain finishes early,
-    # and the level at the cycle end
-    drains_fully = q_peak <= off
-    t3 = np.stack([on_ends, on_ends + drain, cycle_ends], axis=1)
-    q3 = np.stack([q_peak, q_peak - drain, q_end], axis=1)
-    keep = np.stack([np.ones(len(on), dtype=bool), drains_fully, np.ones(len(on), dtype=bool)], axis=1)
-    times = np.concatenate(([0.0], t3.ravel()[keep.ravel()]))
-    levels = np.concatenate(([0.0], q3.ravel()[keep.ravel()]))
+    def stats(run):
+        busy = on_total + _fsum(drain)
+        return QueueStats(
+            mean_queue=run.mean_queue,
+            peak_queue=float(q_peak.max()),
+            horizon=horizon,
+            utilization=busy / horizon,
+            empty_fraction=(horizon - busy) / horizon,
+            area=area,
+        )
 
-    stats = QueueStats(
-        mean_queue=area / horizon,
-        peak_queue=float(q_peak.max()),
-        horizon=horizon,
-        utilization=busy / horizon,
-        empty_fraction=(horizon - busy) / horizon,
-        area=area,
-    )
-    return stats, QueuePath(times, levels, "linear")
+    def path():
+        cycle_ends = np.cumsum(on + off)
+        on_ends = cycle_ends - off
+        # breakpoints: peak at on-end, zero where the drain finishes early,
+        # and the level at the cycle end
+        drains_fully = q_peak <= off
+        t3 = np.stack([on_ends, on_ends + drain, cycle_ends], axis=1)
+        q3 = np.stack([q_peak, q_peak - drain, q_end], axis=1)
+        keep = np.stack([np.ones(len(on), dtype=bool), drains_fully, np.ones(len(on), dtype=bool)], axis=1)
+        times = np.concatenate(([0.0], t3.ravel()[keep.ravel()]))
+        levels = np.concatenate(([0.0], q3.ravel()[keep.ravel()]))
+        return QueuePath(times, levels, "linear")
+
+    return QueueRun(area, horizon, stats, path)
 
 
-def packet_fifo(trace: PacketTrace, bandwidth: float) -> tuple[QueueStats, QueuePath]:
+def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     """FIFO service of the trace at `bandwidth` bytes/second.
 
     Departure times obey d_i = max(a_i, d_{i-1}) + size_i/bandwidth.
     The queue level counts every packet in the system, including the
     one in service. The mean is the packet sojourn total over the
     horizon, which equals the piecewise-constant integral exactly.
+    Reading stats builds the path too, since the peak is read from it.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -150,36 +192,38 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> tuple[QueueStats, Queue
     d = s_prefix + np.maximum.accumulate(a - s_before)
 
     horizon = float(d[-1])
-    busy = min(math.fsum(service), horizon)  # min() guards cumsum/fsum rounding skew
-    area = math.fsum(d - a)  # sum of sojourns = integral of the level
+    area = _fsum(d - a)  # sum of sojourns = integral of the level
 
-    # a and d are each sorted, so a stable sort of the departures
-    # followed by the arrivals merges two runs, and at a tie it keeps
-    # the departure first: the level never counts a packet that has
-    # already left
-    n = len(a)
-    times = np.concatenate([d, a])
-    order = np.argsort(times, kind="stable")
-    path_times = np.zeros(2 * n + 1)
-    path_levels = np.zeros(2 * n + 1)
-    np.take(times, order, out=path_times[1:])
-    np.cumsum(np.where(order >= n, 1.0, -1.0), out=path_levels[1:])
+    def stats(run):
+        busy = min(_fsum(service), horizon)  # min() guards cumsum/fsum rounding skew
+        # the queue is empty before the first arrival and wherever an
+        # arrival finds every earlier packet gone
+        idle = a[1:] - d[:-1]
+        empty = _fsum(idle[idle > 0.0]) + float(a[0])
+        return QueueStats(
+            mean_queue=run.mean_queue,
+            peak_queue=float(run.path.levels.max()),
+            horizon=horizon,
+            utilization=busy / horizon,
+            empty_fraction=empty / horizon,
+            area=area,
+        )
 
-    peak = float(path_levels.max())
-    # the queue is empty before the first arrival and wherever an
-    # arrival finds every earlier packet gone
-    idle = a[1:] - d[:-1]
-    empty = math.fsum(idle[idle > 0.0]) + float(a[0])
+    def path():
+        # a and d are each sorted, so a stable sort of the departures
+        # followed by the arrivals merges two runs, and at a tie it keeps
+        # the departure first: the level never counts a packet that has
+        # already left
+        n = len(a)
+        times = np.concatenate([d, a])
+        order = np.argsort(times, kind="stable")
+        path_times = np.zeros(2 * n + 1)
+        path_levels = np.zeros(2 * n + 1)
+        np.take(times, order, out=path_times[1:])
+        np.cumsum(np.where(order >= n, 1.0, -1.0), out=path_levels[1:])
+        return QueuePath(path_times, path_levels, "step")
 
-    stats = QueueStats(
-        mean_queue=area / horizon,
-        peak_queue=peak,
-        horizon=horizon,
-        utilization=busy / horizon,
-        empty_fraction=empty / horizon,
-        area=area,
-    )
-    return stats, QueuePath(path_times, path_levels, "step")
+    return QueueRun(area, horizon, stats, path)
 
 
 def prefix_mean_queue(source, sizes, bandwidth: float | None = None) -> list[tuple[int, float]]:
@@ -200,12 +244,10 @@ def prefix_mean_queue(source, sizes, bandwidth: float | None = None) -> list[tup
             if not 1 <= n <= source.packet_count:
                 raise ValueError(f"prefix of {n} packets outside trace")
             sub = PacketTrace(source.timestamps[:n], source.sizes[:n], origin=source.origin)
-            stats, _ = packet_fifo(sub, bandwidth)
-            out.append((n, stats.mean_queue))
+            out.append((n, packet_fifo(sub, bandwidth).mean_queue))
     elif isinstance(source, FluidOnOffProcess):
         for n in sizes:
-            stats, _ = fluid_queue(source.prefix(n))
-            out.append((n, stats.mean_queue))
+            out.append((n, fluid_queue(source.prefix(n)).mean_queue))
     else:
         raise TypeError("source must be a PacketTrace or FluidOnOffProcess")
     return out

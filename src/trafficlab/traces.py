@@ -115,7 +115,11 @@ class PacketTrace:
 
     @property
     def total_bytes(self) -> int:
-        return int(self.sizes.sum())
+        """Exact byte count, even where an int64 sum would wrap."""
+        sizes = self.sizes
+        if int(sizes.max()) <= np.iinfo(np.int64).max // len(sizes):
+            return int(sizes.sum())
+        return sum(sizes.tolist())
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ def test_01_single_burst_area_law(acceptance_report):
         m = 1.0 + 9.0 * (1.0 - float(rng.random()))  # (1, 10]
         x = 100.0 * (1.0 - float(rng.random()))  # (0, 100]
         off = (m - 1.0) * x  # just long enough to drain completely
-        stats, _ = tl.fluid_queue(
+        stats = tl.fluid_queue(
             tl.FluidOnOffProcess(np.array([x]), np.array([off]), m)
-        )
+        ).stats
         expected = m * (m - 1.0) * x * x / 2.0
         worst = max(worst, abs(stats.area - expected) / expected)
     verdict(
@@ -56,7 +56,7 @@ def test_02_reordered_mean_queue_identity(acceptance_report):
         on = 0.1 + 9.9 * rng.random(n)
         m = 1.2 + 4.8 * float(rng.random())
         lam = 0.1 + 0.8 * float(rng.random())
-        stats, _ = tl.fluid_queue(tl.reorder_nonoverlap(on, m, lam))
+        stats = tl.fluid_queue(tl.reorder_nonoverlap(on, m, lam)).stats
         expected = lam * (m - 1.0) * float(np.sum(on**2)) / (2.0 * float(np.sum(on)))
         worst = max(worst, abs(stats.mean_queue - expected) / expected)
     verdict(
@@ -94,8 +94,8 @@ def test_03_reordering_never_raises_the_mean_queue(acceptance_report):
         original = tl.FluidOnOffProcess(on, off_iid, m)
         pad = (m - 1.0) * float(on.sum())  # queue never exceeds the total rise
         horizon = max(original.horizon, reordered.horizon) + pad
-        s_orig, _ = tl.fluid_queue(_padded(on, off_iid, m, horizon))
-        s_reord, _ = tl.fluid_queue(_padded(on, reordered.off_lengths, m, horizon))
+        s_orig = tl.fluid_queue(_padded(on, off_iid, m, horizon)).stats
+        s_reord = tl.fluid_queue(_padded(on, reordered.off_lengths, m, horizon)).stats
         worst_margin = min(worst_margin, s_orig.mean_queue - s_reord.mean_queue)
         if s_reord.mean_queue > s_orig.mean_queue:
             violations += 1

@@ -98,13 +98,21 @@ class TestSummarize:
         assert run("summarize", p) == 1
         assert "error: line 1: packet size" in capsys.readouterr().err
 
+    def test_byte_total_past_int64_is_exact(self, tmp_path, capsys):
+        p = tmp_path / "big.txt"
+        p.write_text("0.0 4611686018427387904\n2.0 4611686018427387904\n")
+        assert run("summarize", p) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == str(2**63)
+        assert float(row[3]) == 2.0**62
+
 
 class TestQueue:
     def test_stats_match_library(self, poisson_file, tmp_path):
         out = tmp_path / "q.csv"
         assert run("queue", poisson_file, "--bandwidth", "60000", "-o", out) == 0
         row = [float(v) for v in data_row(out)]
-        stats, _ = tl.packet_fifo(tl.load_trace(poisson_file), 60000.0)
+        stats = tl.packet_fifo(tl.load_trace(poisson_file), 60000.0).stats
         assert row[0] == pytest.approx(stats.mean_queue, rel=1e-12)
         assert row[3] == pytest.approx(stats.utilization, rel=1e-12)
 

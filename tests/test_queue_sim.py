@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
-from trafficlab.queue_sim import prefix_mean_queue
+from trafficlab.queue_sim import _fsum, prefix_mean_queue
 from trafficlab.rng import substream
 
 
@@ -62,17 +62,68 @@ def lindley_sojourns(ts, sizes, bandwidth):
     return out
 
 
+def fluid_recursion(on, off, m):
+    """Mean, area, busy time and peak of the fluid queue, one cycle at a
+    time: q = max(0, q + (m-1) on - off), with each cycle's area a
+    trapezoid while on and a trapezoid or triangle while off, summed by
+    math.fsum over Python floats."""
+    q = peak = 0.0
+    areas, busy = [], []
+    for x, y in zip(on, off):
+        top = q + (m - 1.0) * x
+        areas.append(0.5 * (q + top) * x)
+        q = max(0.0, top - y)
+        # still queued at the cycle end: a trapezoid over the whole off
+        # period; drained: a triangle lasting `top` seconds
+        areas.append(0.5 * (top + q) * y if q > 0.0 else 0.5 * top * top)
+        busy += [x, y if q > 0.0 else top]
+        peak = max(peak, top)
+    horizon = math.fsum(on) + math.fsum(off)
+    area = math.fsum(areas)
+    return area / horizon, area, math.fsum(busy), peak
+
+
+def fluid_level_bound(on, off, m, peak):
+    """Bound on a fluid level computed by the kernel against the same
+    level from fluid_recursion: 4 n eps (S + peak), S = sum((m-1) on + off).
+
+    S bounds every partial sum either side accumulates, and summing k
+    terms one at a time errs by at most (k-1)(eps/2) S. The kernel's
+    cycle-end levels subtract two such cumulative values, its path times
+    are a third, the recursion accumulates a fourth, and the products
+    per cycle add a few eps of the peak. Over 6000 seeded processes of
+    up to 600 cycles (dyadic, heavy-tailed and near-critical) the
+    largest error seen was 0.08 of this bound for the stats and 0.05
+    for the prefix means."""
+    s = math.fsum([(m - 1.0) * x + y for x, y in zip(on, off)])
+    return 4 * len(on) * np.finfo(float).eps * (s + peak)
+
+
+def integral_to(path, t_end):
+    """Integral of a linear-interpolation path from 0 to t_end."""
+    k = np.searchsorted(path.times, t_end, side="right")
+    t = np.append(path.times[:k], t_end)
+    q = np.append(path.levels[:k], np.interp(t_end, path.times, path.levels))
+    return math.fsum((0.5 * (q[:-1] + q[1:]) * np.diff(t)).tolist())
+
+
 # strictly positive on lengths and nonnegative off lengths, dyadic so
 # horizons accumulate exactly
 on_lists = st.lists(st.integers(1, 512).map(lambda k: k / 64.0), min_size=1, max_size=50)
 off_lists = st.lists(st.integers(0, 512).map(lambda k: k / 64.0), min_size=1, max_size=50)
+# cycle lengths that round: off periods are often empty, so busy
+# periods run over many cycles and levels accumulate
+cycles = st.lists(
+    st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(0.0), st.floats(0.0, 1e3))), min_size=1, max_size=60
+)
 
 
 class TestFluidQueue:
     def test_single_triangle(self):
         # X=3, m=2: rises to 3 over the on period, drains in 3 of the 5
         # off seconds; area is the m(m-1)X^2/2 triangle
-        stats, path = tl.fluid_queue(fluid([3.0], [5.0], 2.0))
+        run = tl.fluid_queue(fluid([3.0], [5.0], 2.0))
+        stats, path = run.stats, run.path
         assert stats.area == pytest.approx(9.0, rel=1e-12)
         assert stats.peak_queue == pytest.approx(3.0)
         assert stats.horizon == pytest.approx(8.0)
@@ -84,7 +135,8 @@ class TestFluidQueue:
 
     def test_carryover_between_cycles(self):
         # first off too short to drain: 3 - 2 = 1 carries into cycle 2
-        stats, path = tl.fluid_queue(fluid([3.0, 1.0], [2.0, 10.0], 2.0))
+        run = tl.fluid_queue(fluid([3.0, 1.0], [2.0, 10.0], 2.0))
+        stats, path = run.stats, run.path
         assert stats.area == pytest.approx(12.0, rel=1e-12)
         assert stats.mean_queue == pytest.approx(0.75, rel=1e-12)
         assert stats.peak_queue == pytest.approx(3.0)
@@ -95,11 +147,12 @@ class TestFluidQueue:
     def test_reordered_process_mean(self):
         # on = [1/2, 5/4, 2], m=2, lam=1/2; exact rational mean is 31/80
         proc = tl.reorder_nonoverlap(np.array([0.5, 1.25, 2.0]), 2.0, 0.5)
-        stats, _ = tl.fluid_queue(proc)
+        stats = tl.fluid_queue(proc).stats
         assert stats.mean_queue == pytest.approx(0.3875, rel=1e-12)
 
     def test_sub_unit_on_rate_is_degenerate(self):
-        stats, path = tl.fluid_queue(fluid([2.0], [2.0], 0.5))
+        run = tl.fluid_queue(fluid([2.0], [2.0], 0.5))
+        stats, path = run.stats, run.path
         assert stats.diagnostic is not None
         assert stats.mean_queue == 0.0
         assert stats.peak_queue == 0.0
@@ -111,7 +164,8 @@ class TestFluidQueue:
     @given(on=on_lists, off=off_lists, m=st.floats(1.05, 8.0))
     def test_path_integral_matches_area(self, on, off, m):
         k = min(len(on), len(off))
-        stats, path = tl.fluid_queue(fluid(on[:k], off[:k], m))
+        run = tl.fluid_queue(fluid(on[:k], off[:k], m))
+        stats, path = run.stats, run.path
         assert path.times[0] == 0.0 and path.levels[0] == 0.0
         assert np.all(path.levels >= 0.0)
         assert np.all(np.diff(path.times) >= 0.0)
@@ -121,16 +175,29 @@ class TestFluidQueue:
     @given(on=on_lists, off=off_lists, m=st.floats(1.05, 8.0))
     def test_busy_and_empty_partition_the_horizon(self, on, off, m):
         k = min(len(on), len(off))
-        stats, _ = tl.fluid_queue(fluid(on[:k], off[:k], m))
+        stats = tl.fluid_queue(fluid(on[:k], off[:k], m)).stats
         assert 0.0 <= stats.utilization <= 1.0 + 1e-12
         assert stats.utilization + stats.empty_fraction == pytest.approx(1.0, rel=1e-9)
 
     @given(on=on_lists, m=st.floats(1.05, 8.0), lam=st.floats(0.1, 0.9))
     def test_reordered_identity_is_exact(self, on, m, lam):
         x = np.array(on)
-        stats, _ = tl.fluid_queue(tl.reorder_nonoverlap(x, m, lam))
+        stats = tl.fluid_queue(tl.reorder_nonoverlap(x, m, lam)).stats
         want = lam * (m - 1.0) * float(np.sum(x * x)) / (2.0 * float(np.sum(x)))
         assert stats.mean_queue == pytest.approx(want, rel=1e-9)
+
+
+    @given(pairs=cycles, m=st.floats(1.05, 8.0))
+    def test_stats_match_the_cycle_recursion(self, pairs, m):
+        on, off = [x for x, _ in pairs], [y for _, y in pairs]
+        stats = tl.fluid_queue(fluid(on, off, m)).stats
+        mean, area, busy, peak = fluid_recursion(on, off, m)
+        bound = fluid_level_bound(on, off, m, peak)
+        assert stats.horizon == math.fsum(on) + math.fsum(off)
+        assert abs(stats.mean_queue - mean) <= bound
+        assert abs(stats.area - area) <= bound * stats.horizon
+        assert abs(stats.utilization * stats.horizon - busy) <= bound + np.finfo(float).eps * stats.horizon
+        assert abs(stats.peak_queue - peak) <= bound
 
 
 class TestPacketFifo:
@@ -138,7 +205,8 @@ class TestPacketFifo:
         # two 100 B packets at t=0 and t=0.5, served at 100 B/s:
         # departures at 1 and 2, sojourns 1 and 1.5
         tr = tl.PacketTrace(np.array([0.0, 0.5]), np.array([100, 100]))
-        stats, path = tl.packet_fifo(tr, 100.0)
+        run = tl.packet_fifo(tr, 100.0)
+        stats, path = run.stats, run.path
         assert stats.mean_queue == pytest.approx(1.25, rel=1e-12)
         assert stats.horizon == pytest.approx(2.0)
         assert stats.utilization == pytest.approx(1.0)
@@ -148,7 +216,7 @@ class TestPacketFifo:
 
     def test_idle_gap_between_packets(self):
         tr = tl.PacketTrace(np.array([0.0, 10.0]), np.array([100, 100]))
-        stats, _ = tl.packet_fifo(tr, 100.0)
+        stats = tl.packet_fifo(tr, 100.0).stats
         assert stats.horizon == pytest.approx(11.0)
         assert stats.utilization == pytest.approx(2.0 / 11.0, rel=1e-12)
         assert stats.empty_fraction == pytest.approx(9.0 / 11.0, rel=1e-12)
@@ -157,13 +225,14 @@ class TestPacketFifo:
     def test_departure_applied_before_tied_arrival(self):
         # second packet lands exactly as the first leaves; level never 2
         tr = tl.PacketTrace(np.array([0.0, 1.0]), np.array([100, 100]))
-        stats, _ = tl.packet_fifo(tr, 100.0)
+        stats = tl.packet_fifo(tr, 100.0).stats
         assert stats.peak_queue == 1.0
         assert stats.utilization == pytest.approx(1.0)
 
     def test_leading_idle_counts_as_empty(self):
         tr = tl.PacketTrace(np.array([5.0, 5.5]), np.array([50, 50]))
-        stats, path = tl.packet_fifo(tr, 100.0)
+        run = tl.packet_fifo(tr, 100.0)
+        stats, path = run.stats, run.path
         assert path.times[0] == 0.0 and path.levels[0] == 0.0
         assert stats.empty_fraction == pytest.approx(5.0 / stats.horizon, rel=1e-12)
 
@@ -182,7 +251,8 @@ class TestPacketFifo:
         gaps = np.array([g for g, _ in pairs], float) / 64.0
         ts = np.cumsum(gaps) - gaps[0]
         sizes = np.array([s for _, s in pairs])
-        stats, path = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
+        run = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
+        stats, path = run.stats, run.path
         assert step_integral(path) == pytest.approx(stats.area, rel=1e-9)
         assert stats.mean_queue * stats.horizon == pytest.approx(stats.area, rel=1e-12)
         assert 0.0 <= stats.utilization <= 1.0
@@ -200,7 +270,8 @@ class TestPacketFifo:
         gaps = np.array([g for g, _ in pairs], float) / 64.0
         ts = np.cumsum(gaps) - gaps[0]
         sizes = np.array([s for _, s in pairs])
-        stats, path = tl.packet_fifo(tl.PacketTrace(ts, sizes), 1000.0)
+        run = tl.packet_fifo(tl.PacketTrace(ts, sizes), 1000.0)
+        stats, path = run.stats, run.path
         dt = np.diff(path.times)
         idle = float(np.sum(dt[path.levels[:-1] == 0.0]))
         assert idle == pytest.approx(stats.empty_fraction * stats.horizon, rel=1e-9, abs=1e-12)
@@ -218,7 +289,8 @@ class TestPacketFifo:
         # departures, so the tie rule decides most of the order
         ts = start + np.cumsum([g for g, _ in pairs]).astype(float)
         sizes = np.array([s for _, s in pairs])
-        stats, path = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
+        run = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
+        stats, path = run.stats, run.path
         times, levels, peak, empty = lexsort_path(ts, sizes, bandwidth)
         assert path.times.tobytes() == times.tobytes()
         assert path.levels.tobytes() == levels.tobytes()
@@ -244,7 +316,7 @@ class TestPacketFifo:
         ts = offset + np.cumsum(gaps)
         sizes = rng.integers(1, 1500, n)
         bandwidth = sizes.sum() / max(ts[-1] - ts[0], 1.0) / rho
-        stats, _ = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
+        stats = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth).stats
         sojourns = lindley_sojourns(ts, sizes, bandwidth)
         horizon = ts[-1] + sojourns[-1]
         want = math.fsum(sojourns) / horizon
@@ -256,7 +328,7 @@ class TestQueuePath:
     def test_write_csv(self):
         import io
 
-        _, path = tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0)
+        path = tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0).path
         buf = io.StringIO()
         path.write_csv(buf, comments=("demo",))
         lines = buf.getvalue().splitlines()
@@ -277,15 +349,28 @@ class TestPrefixMeanQueue:
         out = prefix_mean_queue(tr, [10, 50, 200], bandwidth=6000.0)
         for n, mq in out:
             sub = tl.PacketTrace(tr.timestamps[:n], tr.sizes[:n])
-            stats, _ = tl.packet_fifo(sub, 6000.0)
+            stats = tl.packet_fifo(sub, 6000.0).stats
             assert mq == stats.mean_queue
 
     def test_fluid_route_matches_prefix_simulation(self):
         proc = tl.reorder_nonoverlap(np.array([1.0, 2.0, 3.0, 4.0]), 2.0, 0.5)
         out = prefix_mean_queue(proc, [1, 3])
-        stats1, _ = tl.fluid_queue(proc.prefix(1))
-        stats3, _ = tl.fluid_queue(proc.prefix(3))
+        stats1 = tl.fluid_queue(proc.prefix(1)).stats
+        stats3 = tl.fluid_queue(proc.prefix(3)).stats
         assert out == [(1, stats1.mean_queue), (3, stats3.mean_queue)]
+
+    @given(pairs=cycles, m=st.floats(1.05, 8.0), cuts=st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    def test_fluid_prefix_is_the_truncated_full_run(self, pairs, m, cuts):
+        # a prefix simulated from empty is the full run up to the prefix's
+        # horizon; the tolerance is fluid_level_bound of the full process
+        on, off = [x for x, _ in pairs], [y for _, y in pairs]
+        proc = fluid(on, off, m)
+        full = tl.fluid_queue(proc)
+        bound = fluid_level_bound(on, off, m, full.stats.peak_queue)
+        sizes = sorted({min(c, len(on)) for c in cuts})
+        for n, mean in prefix_mean_queue(proc, sizes):
+            horizon = math.fsum(on[:n]) + math.fsum(off[:n])
+            assert abs(mean - integral_to(full.path, horizon) / horizon) <= bound
 
     def test_decreasing_sizes_rejected(self):
         proc = tl.reorder_nonoverlap(np.array([1.0, 2.0]), 2.0, 0.5)
@@ -300,3 +385,45 @@ class TestPrefixMeanQueue:
     def test_unknown_source_rejected(self):
         with pytest.raises(TypeError):
             prefix_mean_queue([1, 2, 3], [1])
+
+
+class TestQueueRun:
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(-1e300, 1e300), st.sampled_from((5e-324, -5e-324, 1e-310, -2.5e-320, -0.0))),
+            max_size=80,
+        ),
+        step=st.sampled_from((1, 2, 3, -1, -2)),
+        readonly=st.booleans(),
+    )
+    def test_fsum_is_math_fsum_bit_for_bit(self, values, step, readonly):
+        x = np.array(values, dtype=np.float64)[::step]
+        if readonly:
+            x.setflags(write=False)
+        assert _fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, 256), st.integers(1, 1500)), min_size=1, max_size=60))
+    def test_packet_mean_is_the_stats_mean(self, pairs):
+        gaps = np.array([g for g, _ in pairs], float) / 64.0
+        run = tl.packet_fifo(tl.PacketTrace(np.cumsum(gaps), [s for _, s in pairs]), 500.0)
+        assert (run.mean_queue, run.area, run.horizon) == (
+            run.stats.mean_queue, run.stats.area, run.stats.horizon)
+
+    @given(pairs=cycles, m=st.floats(0.1, 8.0))
+    def test_fluid_mean_is_the_stats_mean(self, pairs, m):
+        # m <= 1 takes the branch where no queue forms
+        run = tl.fluid_queue(fluid([x for x, _ in pairs], [y for _, y in pairs], m))
+        assert (run.mean_queue, run.area, run.horizon) == (
+            run.stats.mean_queue, run.stats.area, run.stats.horizon)
+
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_reading_the_mean_builds_neither_stats_nor_path(self, m):
+        runs = [
+            tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0),
+            tl.fluid_queue(fluid([3.0, 1.0], [2.0, 10.0], m)),
+        ]
+        for run in runs:
+            assert run.mean_queue >= 0.0
+            assert "stats" not in vars(run) and "path" not in vars(run)
+            assert run.path is run.path
+            assert run.stats is run.stats

@@ -305,6 +305,18 @@ class TestSummary:
         assert s.mean_rate is None
         assert s.duration == 0.0
 
+    def test_byte_total_past_int64_is_exact(self):
+        # each size is valid, but an int64 sum of the two wraps negative
+        tr = make([0.0, 2.0], [2**62, 2**62])
+        s = tl.summarize(tr)
+        assert s.total_bytes == 2**63
+        assert s.mean_rate == 2.0**62
+        assert tl.bandwidth_for_utilization(tr, 0.5) == 2.0**63
+
+    @given(sizes=st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=20))
+    def test_byte_total_is_the_exact_sum(self, sizes):
+        assert make(np.arange(len(sizes)), sizes).total_bytes == sum(sizes)
+
 
 class TestBandwidthForUtilization:
     def test_worked_value(self):
