@@ -44,6 +44,14 @@ COMMANDS = [
                             "--path-out", "poisson_path.csv", "-o", "queue_poisson.csv"]),
     ("shuffle", ["cli", "shuffle", "onoff.csv", "--block-size", "100", "--seed", "5",
                  "-o", "shuffled.csv"]),
+    # longer than one 65536-row write chunk, with timestamps from 1 to 4
+    # integer digits, so the writes cross chunk boundaries and widths
+    ("gen_long", ["cli", "gen", "--model", "poisson", "--rate", "100", "--packet-size", "700",
+                  "--n", "150000", "--seed", "8", "-o", "long.csv"]),
+    ("shuffle_long", ["cli", "shuffle", "long.csv", "--block-size", "1000", "--seed", "9",
+                      "-o", "long_shuffled.csv"]),
+    ("queue_long_path", ["cli", "queue", "long.csv", "--rho", "0.9", "--path-out", "long_path.csv",
+                         "-o", "queue_long.csv"]),
     ("sweep_samples_trace", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000,5000",
                              "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "samples_trace"]),
     ("sweep_samples_gen", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000",

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .synth import FluidOnOffProcess
-from .traces import PacketTrace, write_rows
+from .traces import TIMESTAMP_DIGITS, PacketTrace, write_rows
 
 __all__ = [
     "QueueStats",
@@ -71,7 +71,8 @@ class QueuePath:
         object.__setattr__(self, "levels", q)
 
     def write_csv(self, fh, comments: tuple[str, ...] = ()) -> None:
-        write_rows(fh, "%.9f,%.9f", (self.times, self.levels), (*comments, "time,level"))
+        fixed = f"%.{TIMESTAMP_DIGITS}f"
+        write_rows(fh, f"{fixed},{fixed}", (self.times, self.levels), (*comments, "time,level"))
 
 
 class QueueRun:

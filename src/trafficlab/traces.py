@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -29,9 +30,18 @@ __all__ = [
 # write/read cycle reproduces the file byte for byte
 TIMESTAMP_DIGITS = 9
 
-# rows are converted to Python scalars this many at a time, so a
-# million-row write never holds a million-element list
+# rows are formatted this many at a time, so a million-row write never
+# holds a million-element list or a million-row digit buffer
 _WRITE_CHUNK = 65536
+
+# the conversions write_rows can lay out with numpy, and their domain:
+# below _FIXED_LIMIT, x * _SCALE is under 2**53, so float64 holds the
+# rounded digits as an exact integer
+_FIXED = f"%.{TIMESTAMP_DIGITS}f"
+_FIELDS = re.compile(f"({re.escape(_FIXED)}|%d)")
+_SCALE = 10**TIMESTAMP_DIGITS
+_FIXED_LIMIT = 2.0**53 / _SCALE
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant for float64
 
 # one record as the vectorized loader reads it
 _RECORD = np.dtype([("t", np.float64), ("s", np.int64)])
@@ -44,14 +54,99 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
     """Write each comment as a ``# `` line, then one ``fmt % row`` line per
     row of the parallel columns.
 
-    Cells are formatted as Python scalars, so ``%r`` prints a float's
-    repr and never a numpy wrapper.
+    The text is exactly that of ``fmt % row`` with each cell a Python
+    scalar, so ``%r`` prints a float's repr and never a numpy wrapper.
+    A format made of ``%.9f`` (TIMESTAMP_DIGITS digits) and ``%d``
+    fields between literal text, as save_trace and
+    QueuePath.write_csv use, is laid out digit by digit with numpy, one
+    _WRITE_CHUNK of rows at a time, when every ``%.9f`` cell of the
+    chunk is a float64 in [0, 2**53 / 10**9) with the sign bit clear
+    and every ``%d`` cell is a nonnegative integer of an integer dtype.
+    Any other chunk or format, -0.0, nan and inf included, goes through
+    Python ``%``. tests/test_traces.py::TestVectorizedWriter checks the
+    two byte for byte.
     """
     fh.writelines(f"# {c}\n" for c in comments)
     line = fmt + "\n"
+    parts = _FIELDS.split(line)
+    literals, fields = parts[::2], parts[1::2]
+    numpy_layout = len(fields) == len(columns) and not any("%" in s or "\0" in s for s in literals)
     for lo in range(0, len(columns[0]), _WRITE_CHUNK):
-        chunk = [np.asarray(c[lo : lo + _WRITE_CHUNK]).tolist() for c in columns]
-        fh.write("".join(line % row for row in zip(*chunk)))
+        chunk = [np.asarray(c[lo : lo + _WRITE_CHUNK]) for c in columns]
+        text = _format_rows(literals, fields, chunk) if numpy_layout else None
+        if text is None:
+            text = "".join(line % row for row in zip(*(c.tolist() for c in chunk)))
+        fh.write(text)
+
+
+def _fixed_point(x: np.ndarray) -> np.ndarray:
+    """x * 10**TIMESTAMP_DIGITS rounded as ``%.9f`` rounds it: the exact
+    product of the binary value, ties to even.
+
+    Dekker's two-product gives the rounding error of p = x * _SCALE
+    exactly (_SCALE has 21 significant bits, so it needs no split).
+    np.rint(p) is right unless p is a tie that the exact product is not.
+    """
+    p = x * _SCALE
+    hi = x * _SPLIT  # Veltkamp split: hi and x - hi have 26 bits each
+    hi -= hi - x
+    err = (hi * _SCALE - p) + (x - hi) * _SCALE  # x * _SCALE == p + err exactly
+    n = np.rint(p)
+    off = p - n
+    n += (off == 0.5) & (err > 0)
+    n -= (off == -0.5) & (err < 0)
+    return n.astype(np.uint64)
+
+
+def _put_digits(rows: np.ndarray, v: np.ndarray) -> None:
+    """Write the ASCII decimal digits of v down rows, zero padded, last digit last."""
+    v = v.astype(np.uint32 if v.max() <= np.iinfo(np.uint32).max else np.uint64)
+    for row in rows[::-1]:
+        q = v // 10
+        np.add(v - q * 10, ord("0"), out=row, casting="unsafe")
+        v = q
+
+
+def _format_rows(literals, fields, columns) -> str | None:
+    """The text Python ``%`` gives for these rows, or None when a cell is
+    outside the domain write_rows states.
+
+    The rows are laid out in a buffer with one row per character and one
+    column per table row. Integer digits are padded to the widest in the
+    chunk with NUL bytes, which the literals never hold, and the padding
+    is deleted from the joined bytes.
+    """
+    whole, fractions = [], []
+    for spec, col in zip(fields, columns):
+        if spec == "%d":
+            if col.dtype.kind not in "iu" or col.min() < 0:
+                return None
+            whole.append(col)
+            fractions.append(None)
+        else:
+            if col.dtype != np.float64 or not (col < _FIXED_LIMIT).all() or np.signbit(col).any():
+                return None
+            fixed = _fixed_point(col)
+            ip = fixed // _SCALE
+            whole.append(ip)
+            fractions.append(fixed - ip * _SCALE)
+    widths = [len(str(v.max())) for v in whole]
+    points = sum(1 + TIMESTAMP_DIGITS for f in fractions if f is not None)
+    buf = np.empty((sum(map(len, literals)) + sum(widths) + points, len(columns[0])), np.uint8)
+    at = 0
+    for lit, v, width, frac in zip(literals, whole, widths, fractions):
+        buf[at : at + len(lit)] = np.frombuffer(lit.encode(), np.uint8)[:, None]
+        at += len(lit)
+        _put_digits(buf[at : at + width], v)
+        for j in range(width - 1):  # a leading zero becomes NUL
+            np.multiply(buf[at + j], v >= 10 ** (width - 1 - j), out=buf[at + j])
+        at += width
+        if frac is not None:
+            buf[at] = ord(".")
+            _put_digits(buf[at + 1 : at + 1 + TIMESTAMP_DIGITS], frac)
+            at += 1 + TIMESTAMP_DIGITS
+    buf[at:] = np.frombuffer(literals[-1].encode(), np.uint8)[:, None]
+    return buf.T.tobytes().replace(b"\0", b"").decode()
 
 
 class TraceFormatError(ValueError):
@@ -143,6 +238,11 @@ def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            bad = line.encode("utf-8", "surrogateescape")
+            raise TraceFormatError(f"record is not valid UTF-8: {bad!r}", lineno) from None
         parts = line.split(",") if comma else line.split()
         if len(parts) != 2:
             raise TraceFormatError(f"expected 2 fields, got {len(parts)}", lineno)
@@ -212,6 +312,14 @@ def _detect_format(lines) -> str:
     return "two_column_text"
 
 
+def _text_lines(data: bytes):
+    """The lines text-mode readlines() would give for these bytes, decoded
+    as UTF-8 whatever the locale. An undecodable byte becomes a lone
+    surrogate, so a comment may hold any bytes and _parse_lines names
+    the record line that holds one."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
     """Read a trace file.
 
@@ -226,16 +334,14 @@ def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
     with open(path, "rb") as fh:
         data = fh.read()
     if fmt is None:
-        with open(path, "r") as fh:
-            fmt = _detect_format(fh)
+        fmt = _detect_format(_text_lines(data))
     if fmt not in ("csv_ts_bytes", "two_column_text"):
         raise ValueError(f"unknown trace format {fmt!r}")
     comma = fmt == "csv_ts_bytes"
     columns = _parse_plain(data, comma=comma)
-    del data
     if columns is None:
-        with open(path, "r") as fh:
-            columns = _parse_lines(fh.readlines(), comma=comma)
+        columns = _parse_lines(_text_lines(data).readlines(), comma=comma)
+    del data
     ts, sz = columns
     ts -= ts[0]  # rebase so the trace starts at t=0
     return PacketTrace(ts, sz, origin=f"{os.path.basename(path)} ({fmt})")
@@ -247,7 +353,7 @@ def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str,
     comments are emitted first, one per line, prefixed with ``# ``.
     """
     with open(path, "w") as fh:
-        write_rows(fh, f"%.{TIMESTAMP_DIGITS}f,%d", (trace.timestamps, trace.sizes), comments)
+        write_rows(fh, f"{_FIXED},%d", (trace.timestamps, trace.sizes), comments)
 
 
 def summarize(trace: PacketTrace) -> TraceSummary:

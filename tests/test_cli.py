@@ -98,6 +98,18 @@ class TestSummarize:
         assert run("summarize", p) == 1
         assert "error: line 1: packet size" in capsys.readouterr().err
 
+    def test_comment_in_any_encoding_is_skipped(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"# caf\xe9\n0.0 100\n0.5 200\n")
+        assert run("summarize", p) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "2,0.5,300,600.0"
+
+    def test_undecodable_record_fails_naming_the_line(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"0.0 100\n0.5 2\xe900\n")
+        assert run("summarize", p) == 1
+        assert "error: line 2: record is not valid UTF-8" in capsys.readouterr().err
+
     def test_byte_total_past_int64_is_exact(self, tmp_path, capsys):
         p = tmp_path / "big.txt"
         p.write_text("0.0 4611686018427387904\n2.0 4611686018427387904\n")

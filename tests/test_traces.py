@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +171,20 @@ class TestParsing:
             tl.load_trace(p)
         assert err.value.line == 2
 
+    def test_comment_in_any_encoding_is_skipped(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"# caf\xe9\n0.0 100\n0.5 200\n")
+        tr = tl.load_trace(p)
+        assert tr.timestamps.tolist() == [0.0, 0.5]
+        assert tr.sizes.tolist() == [100, 200]
+
+    def test_undecodable_record_names_its_line(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"# caf\xe9\r\n0.0 100\r\n0.5 2\xe900\r\n")
+        with pytest.raises(TraceFormatError, match="not valid UTF-8") as err:
+            tl.load_trace(p)
+        assert err.value.line == 3
+
 
 def line_parser_outcome(path):
     """What load_trace gave before the vectorized path: the line parser's
@@ -289,6 +305,115 @@ class TestVectorizedLoader:
 
         monkeypatch.setattr(traces, "_parse_lines", refuse)
         assert loader_outcome(p) == want
+
+
+def python_rows(fmt, columns):
+    """The reference: Python % on each row of Python scalars."""
+    line = fmt + "\n"
+    return "".join(line % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def written_rows(fmt, columns):
+    fh = io.StringIO()
+    traces.write_rows(fh, fmt, columns)
+    return fh.getvalue()
+
+
+def assert_same_text(got, want):
+    # compared as lists of lines, so a failure names the first differing
+    # line instead of diffing two long strings
+    assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+FIXED_LIMIT = 2.0**53 / 1e9
+
+# float cells for the writer: exact ties at odd multiples of 2**-10,
+# decimals one digit past the ninth that end in 5 (near-ties whose
+# binary value falls on either side), uniform values and subnormals
+fixed_floats = st.one_of(
+    st.integers(0, 2**32).map(lambda k: (2 * k + 1) / 1024),
+    st.integers(0, 9 * 10**15).map(lambda k: float(f"{10 * k + 5}e-10")),
+    st.floats(0.0, FIXED_LIMIT, exclude_max=True),
+    st.floats(0.0, 1e-300),
+)
+size_cells = st.integers(0, 2**63 - 1)
+
+
+class TestVectorizedWriter:
+    """write_rows must give the bytes of Python % for the two formats it
+    lays out with numpy, whichever path each chunk takes."""
+
+    @given(
+        rows=st.lists(st.tuples(fixed_floats, fixed_floats, size_cells), min_size=1, max_size=300),
+        special=st.sampled_from([None, -0.0, float("nan"), float("inf"), -1e-12, FIXED_LIMIT, 1e300]),
+    )
+    @settings(max_examples=300)
+    def test_same_bytes_as_python_format(self, rows, special):
+        x, y, s = (np.array(c) for c in zip(*rows))
+        if special is not None:
+            x[len(x) // 2] = special
+        for fmt, columns in (("%.9f,%d", (x, s)), ("%.9f,%.9f", (x, y))):
+            assert_same_text(written_rows(fmt, columns), python_rows(fmt, columns))
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (1 / 1024, "0.000976562"),
+            (3 / 1024, "0.002929688"),
+            (1290.8961958435, "1290.896195843"),
+            (641.7625260635, "641.762526063"),
+            (587.2321171705, "587.232117171"),
+            (0.0, "0.000000000"),
+            (5e-324, "0.000000000"),
+            (2.2250738585072014e-308 / 3, "0.000000000"),
+            (np.nextafter(FIXED_LIMIT, 0), "9007199.254740991"),
+        ],
+    )
+    def test_pinned_values_take_the_numpy_path(self, value, text):
+        columns = [np.array([value]), np.array([2**63 - 1])]
+        want = f"{text},9223372036854775807\n"
+        assert python_rows("%.9f,%d", columns) == want
+        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%d"], columns) == want
+        assert written_rows("%.9f,%d", columns) == want
+
+    @pytest.mark.parametrize("value", [-0.0, float("nan"), float("inf"), -float("inf"), -1e-12, FIXED_LIMIT])
+    def test_values_outside_the_domain_fall_back(self, value):
+        columns = [np.array([0.5, value]), np.array([1, 2])]
+        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%d"], columns) is None
+        assert written_rows("%.9f,%d", columns) == python_rows("%.9f,%d", columns)
+
+    @pytest.mark.parametrize("sizes", [np.array([1, -1]), np.array([1.0, 2.0]), np.array([True, False])])
+    def test_sizes_outside_the_domain_fall_back(self, sizes):
+        columns = [np.array([0.5, 1.0]), sizes]
+        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%d"], columns) is None
+        assert written_rows("%.9f,%d", columns) == python_rows("%.9f,%d", columns)
+
+    def test_largest_unsigned_size(self):
+        columns = [np.array([0.5, 1.0]), np.array([0, 2**64 - 1], dtype=np.uint64)]
+        assert written_rows("%.9f,%d", columns) == "0.500000000,0\n1.000000000,18446744073709551615\n"
+
+    def test_fluid_queue_path(self):
+        rng = tl.substream(9)
+        proc = tl.FluidOnOffProcess(rng.pareto(1.3, 2000) + 0.01, rng.pareto(1.3, 2000) + 0.01, 1.7)
+        path = tl.fluid_queue(proc).path
+        assert np.any(path.levels != np.round(path.levels))
+        fh = io.StringIO()
+        path.write_csv(fh, comments=("manifest: abc",))
+        want = "# manifest: abc\n# time,level\n" + python_rows("%.9f,%.9f", (path.times, path.levels))
+        assert_same_text(fh.getvalue(), want)
+
+    def test_widths_change_across_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(traces, "_WRITE_CHUNK", 7)
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, 9e6, 60)])
+        sz = np.concatenate([[1], np.geomspace(1, 2**62, 60).astype(np.int64)])
+        for fmt, columns in (("%.9f,%d", (ts, sz)), ("%.9f,%.9f", (ts, ts[::-1]))):
+            assert_same_text(written_rows(fmt, columns), python_rows(fmt, columns))
+
+    def test_saved_trace_bytes(self, tmp_path):
+        tr = tl.generate_poisson(200.0, 100, 3000, tl.substream(4))
+        p = tmp_path / "t.csv"
+        tl.save_trace(tr, p, comments=("manifest: abc",))
+        assert_same_text(p.read_text(), "# manifest: abc\n" + python_rows("%.9f,%d", (tr.timestamps, tr.sizes)))
 
 
 class TestSummary:
