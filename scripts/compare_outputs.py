@@ -35,6 +35,9 @@ COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
                      "--n", "5000", "--seed", "3", "-o", "poisson.csv"]),
+    # the third off model; --lambda is ignored by it but still recorded
+    ("gen_bounded", ["cli", "gen", *ONOFF, "--off-model", "bounded", "--q", "2", "--cycles", "300",
+                     "--seed", "11", "-o", "bounded.csv"]),
     ("summarize", ["cli", "summarize", "onoff.csv", "-o", "summary.csv"]),
     ("summarize_stdout", ["cli", "summarize", "poisson.csv"]),
     ("queue", ["cli", "queue", "onoff.csv", "--rho", "0.6", "-o", "queue.csv"]),
@@ -61,6 +64,7 @@ COMMANDS = [
     ("sweep_blocks_gen", ["cli", "sweep-blocks", *ONOFF, "--cycles", "300", "--blocks", "1,10,100",
                           "--reps", "2", "--seed", "6", "--rho", "0.5", "--out-prefix", "blocks_gen"]),
     ("hurst", ["cli", "hurst", "onoff.csv", "--unit", "bytes", "-o", "hurst.csv"]),
+    ("hurst_bin_width", ["cli", "hurst", "onoff.csv", "--bin-width", "0.01", "-o", "hurst_width.csv"]),
     ("tailfit", ["cli", "tailfit", "onoff.csv", "--ccdf-out", "ccdf.csv", "-o", "tailfit.csv"]),
     ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                     "--seed", "1", "--out", "divergence"]),

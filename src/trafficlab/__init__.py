@@ -29,7 +29,6 @@ from .synth import (
     HeavyTailSpec,
     PacketizeReport,
     SyntheticSource,
-    bounded_queue_process,
     generate_onoff,
     generate_poisson,
     packetize,
@@ -74,7 +73,6 @@ __all__ = [
     "HeavyTailSpec",
     "PacketizeReport",
     "SyntheticSource",
-    "bounded_queue_process",
     "generate_onoff",
     "generate_poisson",
     "packetize",

@@ -268,7 +268,7 @@ def cmd_sweep_blocks(args) -> int:
 
 def cmd_hurst(args) -> int:
     trace = load_trace(args.trace, args.format)
-    width = args.bin_width if args.bin_width else trace.duration / 4096
+    width = args.bin_width if args.bin_width is not None else trace.duration / 4096
     series = bin_counts(trace, width, unit=args.unit)
     est = hurst_aggregated_variance(series, levels=args.levels)
     manifest = _manifest_for(args, outputs=[args.output])

@@ -17,8 +17,6 @@ __all__ = [
     "hurst_aggregated_variance",
     "fit_tail_index",
     "empirical_ccdf",
-    "lag_autocorrelation",
-    "bartlett_stderr",
 ]
 
 
@@ -72,7 +70,7 @@ def bin_counts(trace: PacketTrace, bin_width: float, unit: str = "packets") -> C
     partial bin is dropped. When the trace span is an exact multiple
     of w the final edge is closed so the last packet is kept.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     rel = trace.timestamps - trace.timestamps[0]
     duration = rel[-1]
@@ -187,34 +185,3 @@ def fit_tail_index(samples, fit_range: tuple[float, float]) -> TailFit:
     slope, _, r2 = _ols(np.log(xs[sel]), np.log(ccdf[sel]))
     return TailFit(alpha_hat=-slope, fit_range=(float(lo), float(hi)), fit_r2=r2)
 
-
-def lag_autocorrelation(series, lag: int) -> float:
-    """Pearson correlation between the series and itself lag steps later."""
-    x = np.asarray(series.counts if isinstance(series, CountSeries) else series, dtype=np.float64)
-    if not 1 <= lag < len(x):
-        raise ValueError("lag must lie in [1, len(series))")
-    a = x[:-lag]
-    b = x[lag:]
-    sa = a.std()
-    sb = b.std()
-    if sa == 0.0 or sb == 0.0:
-        raise ValueError("autocorrelation undefined for a constant segment")
-    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-
-
-def bartlett_stderr(series, lag: int, short_memory_upto: int) -> float:
-    """Standard error of the lag autocorrelation under the hypothesis
-    that true correlation vanishes beyond short_memory_upto.
-
-    Uses Bartlett's large-sample variance, which inflates the plain
-    1/sqrt(n) by the estimated short-lag correlations.
-    """
-    x = np.asarray(series.counts if isinstance(series, CountSeries) else series, dtype=np.float64)
-    n = len(x) - lag
-    if n < 2:
-        raise ValueError("series too short")
-    acc = 1.0
-    for k in range(1, short_memory_upto + 1):
-        if k < len(x):
-            acc += 2.0 * lag_autocorrelation(x, k) ** 2
-    return float(np.sqrt(acc / n))

@@ -152,17 +152,18 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
         raise ValueError("block_size must be >= 1")
     rng = as_generator(seed)
     n = trace.packet_count
+    b = min(block_size, n)  # every B >= n is one block; keeps order*b inside int64
     gaps = np.empty(n, dtype=np.float64)
     gaps[0] = 0.0
     gaps[1:] = np.diff(trace.timestamps)
-    n_blocks = -(-n // block_size)
+    n_blocks = -(-n // b)
     order = rng.permutation(n_blocks)
     # gather the blocks in their new order: a block starting at
-    # order*B in the input starts at the running total of the lengths
+    # order*b in the input starts at the running total of the lengths
     # placed before it
-    lengths = np.minimum(block_size, n - order * block_size)
+    lengths = np.minimum(b, n - order * b)
     offsets = np.cumsum(lengths) - lengths
-    perm = np.arange(n) - np.repeat(offsets - order * block_size, lengths)
+    perm = np.arange(n) - np.repeat(offsets - order * b, lengths)
     new_ts = np.cumsum(gaps[perm])
     return PacketTrace(
         new_ts,

@@ -44,7 +44,6 @@ class QueueStats:
     utilization: float
     empty_fraction: float
     area: float
-    diagnostic: str | None = None
 
 
 @dataclass(eq=False)
@@ -119,22 +118,6 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     m = process.m
     on_total = _fsum(on)
     horizon = on_total + _fsum(off)
-    if m <= 1.0:
-        # work never arrives faster than it is served, so no queue forms
-        def degenerate_stats(run):
-            return QueueStats(
-                mean_queue=run.mean_queue,
-                peak_queue=0.0,
-                horizon=horizon,
-                utilization=min(m, 1.0) * on_total / horizon if horizon > 0 else 0.0,
-                empty_fraction=1.0,
-                area=0.0,
-                diagnostic="on rate m <= 1 never builds a queue",
-            )
-
-        return QueueRun(0.0, horizon, degenerate_stats,
-                        lambda: QueuePath(np.array([0.0, horizon]), np.zeros(2), "linear"))
-
     rise = (m - 1.0) * on
     # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i)
     w = np.cumsum(rise - off)
@@ -183,8 +166,8 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     horizon, which equals the piecewise-constant integral exactly.
     Reading stats builds the path too, since the peak is read from it.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
     a = trace.timestamps
     service = trace.sizes / bandwidth
     # d_i = S_i + max_{j<=i}(a_j - S_{j-1}) with S the service prefix sum
@@ -227,28 +210,11 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     return QueueRun(area, horizon, stats, path)
 
 
-def prefix_mean_queue(source, sizes, bandwidth: float | None = None) -> list[tuple[int, float]]:
-    """Mean queue of each prefix, simulated independently from empty.
-
-    source is a PacketTrace (sizes count packets, bandwidth required)
-    or a FluidOnOffProcess (sizes count cycles). sizes must be
-    nondecreasing and within the source length.
+def prefix_mean_queue(process: FluidOnOffProcess, sizes) -> list[tuple[int, float]]:
+    """Mean queue of each prefix of sizes cycles, simulated independently
+    from empty. sizes must be nondecreasing and within the process length.
     """
     sizes = list(sizes)
     if any(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)):
         raise ValueError("sizes must be nondecreasing")
-    out: list[tuple[int, float]] = []
-    if isinstance(source, PacketTrace):
-        if bandwidth is None:
-            raise ValueError("bandwidth required for packet traces")
-        for n in sizes:
-            if not 1 <= n <= source.packet_count:
-                raise ValueError(f"prefix of {n} packets outside trace")
-            sub = PacketTrace(source.timestamps[:n], source.sizes[:n], origin=source.origin)
-            out.append((n, packet_fifo(sub, bandwidth).mean_queue))
-    elif isinstance(source, FluidOnOffProcess):
-        for n in sizes:
-            out.append((n, fluid_queue(source.prefix(n)).mean_queue))
-    else:
-        raise TypeError("source must be a PacketTrace or FluidOnOffProcess")
-    return out
+    return [(n, fluid_queue(process.prefix(n)).mean_queue) for n in sizes]

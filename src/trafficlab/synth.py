@@ -26,12 +26,12 @@ __all__ = [
     "sample_heavy_tail",
     "generate_onoff",
     "reorder_nonoverlap",
-    "bounded_queue_process",
     "packetize",
     "generate_poisson",
 ]
 
 OFF_MODELS = ("iid_matched_mean", "theorem_reordered", "bounded_q")
+_M_RULE = "m must exceed 1, otherwise no queue can form"
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,15 @@ class HeavyTailSpec:
 class FluidOnOffProcess:
     """Alternating on/off cycles; cycle i is on for on_lengths[i] seconds
     then silent for off_lengths[i]. While on, work arrives at rate m
-    (server rate normalized to 1)."""
+    (server rate normalized to 1), and m must exceed 1."""
 
     on_lengths: np.ndarray
     off_lengths: np.ndarray
     m: float
 
     def __post_init__(self):
+        if not self.m > 1:
+            raise ValueError(_M_RULE)
         on = np.asarray(self.on_lengths, dtype=np.float64)
         off = np.asarray(self.off_lengths, dtype=np.float64)
         if on.ndim != 1 or off.ndim != 1 or len(on) != len(off):
@@ -84,8 +86,6 @@ class FluidOnOffProcess:
             raise ValueError("on_lengths must be positive")
         if np.any(off < 0):
             raise ValueError("off_lengths must be nonnegative")
-        if self.m <= 0:
-            raise ValueError("on rate m must be positive")
         on.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "on_lengths", on)
@@ -129,8 +129,8 @@ class GeneratorSpec:
     q: float | None = None
 
     def __post_init__(self):
-        if self.m <= 1:
-            raise ValueError("m must exceed 1, otherwise no queue can form")
+        if not self.m > 1:
+            raise ValueError(_M_RULE)
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
         if self.off_model not in OFF_MODELS:
@@ -186,8 +186,6 @@ def reorder_nonoverlap(on_lengths, m: float, lam: float) -> FluidOnOffProcess:
     and over whole cycles the arrival rate is exactly lam: work m*X
     arrives in elapsed time X*m/lam.
     """
-    if m <= 1:
-        raise ValueError("m must exceed 1")
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
     on = np.asarray(on_lengths, dtype=np.float64)
@@ -198,31 +196,15 @@ def reorder_nonoverlap(on_lengths, m: float, lam: float) -> FluidOnOffProcess:
 def _bounded_offs(on: np.ndarray, m: float, q: float) -> np.ndarray:
     # first term lets the excursion drain; second stretches the cycle
     # until the burst's own triangular area, averaged over the cycle,
-    # is at most q
+    # is at most q. Silences grow quadratically with their bursts, so
+    # the long-run arrival rate tends to zero as bursts pile up
     return np.maximum((m - 1.0) * on, (m - 1.0) * m * on * on / (2.0 * q) - on)
-
-
-def bounded_queue_process(on_lengths, m: float, q: float) -> FluidOnOffProcess:
-    """Silences long enough that each cycle's mean queue is at most q.
-
-    off_i = max((m-1) X_i, (m-1) m X_i^2 / (2q) - X_i). Large bursts
-    are followed by quadratically long silences, so the long-run
-    arrival rate of the process tends to zero as bursts pile up.
-    """
-    if m <= 1:
-        raise ValueError("m must exceed 1")
-    if q <= 0:
-        raise ValueError("q must be positive")
-    on = np.asarray(on_lengths, dtype=np.float64)
-    return FluidOnOffProcess(on, _bounded_offs(on, m, q), m)
 
 
 @dataclass(frozen=True)
 class PacketizeReport:
     cycles: int
     silent_on_periods: int  # on periods too short to emit a packet
-    packets: int
-    total_bytes: int
 
 
 def _emit(on, off, m, packet_size, server_rate, t0):
@@ -260,8 +242,6 @@ def packetize(
     report = PacketizeReport(
         cycles=process.n_cycles,
         silent_on_periods=int(np.count_nonzero(counts == 0)),
-        packets=len(times),
-        total_bytes=len(times) * packet_size,
     )
     if len(times) == 0:
         raise ValueError("no packets emitted; every on period is shorter than one packet spacing")

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import trafficlab as tl
-from trafficlab.estimators import bartlett_stderr, lag_autocorrelation
 from trafficlab.rng import substream
+
+from acf_oracle import bartlett_stderr, lag_autocorrelation
 
 
 def verdict(record, number, ok, detail):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,10 @@ def data_row(path):
     # row CSVs are: manifest comment, column comment, one data row
     lines = path.read_text().splitlines()
     return lines[2].split(",")
+
+
+BOUNDED = ("gen", "--model", "onoff", "--alpha", "1.4", "--xmin", "0.05", "--m", "3",
+           "--cycles", "60", "--rate", "10000", "--packet-size", "100", "--off-model", "bounded")
 
 
 @pytest.fixture
@@ -68,6 +73,21 @@ class TestGen:
                  "--rate", "1000", "--seed", "1", "-o", tmp_path / "t.csv")
         assert rc == 1
         assert "--m" in capsys.readouterr().err
+
+    def test_bounded_model_matches_the_library_route(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run(*BOUNDED, "--q", "2", "--seed", "12", "-o", out) == 0
+        spec = tl.GeneratorSpec(m=3.0, tail=tl.HeavyTailSpec(1.4, 0.05), n_cycles=60,
+                                off_model="bounded_q", q=2.0)
+        trace, _ = tl.packetize(tl.generate_onoff(spec, substream(12)), 100, 10000.0)
+        digest = json.loads((tmp_path / "b.csv.manifest.json").read_text())["digest"]
+        tl.save_trace(trace, tmp_path / "lib.csv", comments=(f"manifest: {digest}",))
+        assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_bounded_model_needs_q(self, tmp_path, capsys):
+        assert run(*BOUNDED, "--seed", "12", "-o", tmp_path / "b.csv") == 1
+        assert "queue bound q" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestSummarize:
@@ -158,6 +178,16 @@ class TestQueue:
     def test_invalid_rho_rejected(self, poisson_file, tmp_path):
         assert run("queue", poisson_file, "--rho", "1.5", "-o", tmp_path / "q.csv") == 1
 
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf"])
+    def test_non_finite_bandwidth_rejected(self, tmp_path, capsys, bandwidth):
+        # a one-packet trace is served in zero time at an infinite rate
+        trace_path = tmp_path / "one.csv"
+        tl.save_trace(tl.PacketTrace(np.array([0.0]), np.array([100])), trace_path)
+        rc = run("queue", trace_path, "--bandwidth", bandwidth, "-o", tmp_path / "q.csv")
+        assert rc == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "q.csv").exists()
+
 
 class TestShuffle:
     def test_conserves_multisets(self, poisson_file, tmp_path):
@@ -180,6 +210,14 @@ class TestShuffle:
     def test_seed_is_required(self, poisson_file, tmp_path):
         with pytest.raises(SystemExit):
             run("shuffle", poisson_file, "--block-size", "8", "-o", tmp_path / "s.csv")
+
+    def test_block_past_int64_is_one_block(self, poisson_file, tmp_path):
+        rows = []
+        for block in ("400", "99999999999999999999"):
+            out = tmp_path / f"s{block}.csv"
+            assert run("shuffle", poisson_file, "--block-size", block, "--seed", "3", "-o", out) == 0
+            rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert rows[0] == rows[1]
 
 
 class TestSweeps:
@@ -234,6 +272,23 @@ class TestSweeps:
         assert "# baseline_mean_queue:" in text
         assert "unshuffled" in (tmp_path / "bs.gp").read_text()
 
+    def test_block_past_int64_sweeps_the_unshuffled_trace(self, poisson_file, tmp_path):
+        prefix = tmp_path / "big"
+        assert run("sweep-blocks", "--trace", poisson_file, "--blocks", "1,1e20", "--reps", "2",
+                   "--seed", "0", "--rho", "0.5", "--out-prefix", prefix) == 0
+        text = (tmp_path / "big.csv").read_text()
+        baseline = float(text.split("# baseline_mean_queue: ")[1].split()[0])
+        last = [l for l in text.splitlines() if not l.startswith("#")][-1].split(",")
+        assert float(last[0]) == 1e20
+        assert float(last[1]) == baseline and float(last[2]) == 0.0
+
+    def test_nan_bandwidth_rejected(self, poisson_file, tmp_path, capsys):
+        rc = run("sweep-blocks", "--trace", poisson_file, "--blocks", "1,10", "--reps", "2",
+                 "--seed", "0", "--bandwidth", "nan", "--out-prefix", tmp_path / "x")
+        assert rc == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_trace_and_generator_flags_conflict(self, poisson_file, tmp_path, capsys):
         rc = run("sweep-blocks", "--trace", poisson_file, "--model", "poisson",
                  "--rate", "500", "--n", "100", "--blocks", "1", "--reps", "2",
@@ -281,6 +336,13 @@ class TestHurstCommand:
         assert rc == 1
         assert "zero variance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["0", "nan"])
+    def test_bad_bin_width_rejected_not_replaced(self, poisson_file, tmp_path, capsys, width):
+        rc = run("hurst", poisson_file, "--bin-width", width, "-o", tmp_path / "h.csv")
+        assert rc == 1
+        assert "bin_width must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
+
 
 class TestTailfitCommand:
     def test_gap_fit_with_ccdf_dump(self, tmp_path):
@@ -322,6 +384,19 @@ class TestManifest:
         b = cli.RunManifest(subcommand="gen", parameters={"seed": 2})
         assert a.digest() != b.digest()
         assert a.digest() == cli.RunManifest(subcommand="gen", parameters={"seed": 1}).digest()
+
+    def test_inputs_are_keyed_by_the_path_as_typed(self, poisson_file, tmp_path, monkeypatch):
+        # parameters record the typed path, so inputs use it as the key;
+        # the digest of the bytes is the same whichever spelling was typed
+        monkeypatch.chdir(tmp_path)
+        manifests = []
+        for spelling, out in (("poisson.csv", "a.csv"), ("./poisson.csv", "b.csv")):
+            assert run("summarize", spelling, "-o", out) == 0
+            manifests.append(json.loads((tmp_path / f"{out}.manifest.json").read_text()))
+        assert [list(m["inputs"]) for m in manifests] == [["poisson.csv"], ["./poisson.csv"]]
+        assert [m["parameters"]["trace"] for m in manifests] == ["poisson.csv", "./poisson.csv"]
+        digests = [m["inputs"][m["parameters"]["trace"]] for m in manifests]
+        assert digests[0] == digests[1] == hashlib.sha256(poisson_file.read_bytes()).hexdigest()
 
     def test_written_digest_matches_recomputation(self, tmp_path):
         m = cli.RunManifest(subcommand="queue", parameters={"rho": 0.5}, outputs=["q.csv"])

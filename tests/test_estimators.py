@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import trafficlab as tl
-from trafficlab.estimators import (
-    bartlett_stderr,
-    default_levels,
-    empirical_ccdf,
-    lag_autocorrelation,
-)
+from trafficlab.estimators import default_levels, empirical_ccdf
 from trafficlab.rng import substream
+
+from acf_oracle import bartlett_stderr, lag_autocorrelation
 
 
 def make(ts, sizes):
@@ -47,6 +44,10 @@ class TestBinCounts:
             tl.bin_counts(tr, 0.0)
         with pytest.raises(ValueError):
             tl.bin_counts(tr, 1.0, unit="flits")
+
+    def test_nan_width_rejected_as_not_positive(self):
+        with pytest.raises(ValueError, match="bin_width must be positive"):
+            tl.bin_counts(make([0.0, 5.0], [1, 1]), float("nan"))
 
     @given(
         gaps=st.lists(st.integers(0, 64), min_size=10, max_size=300),

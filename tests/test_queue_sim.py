@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
 from trafficlab.queue_sim import _fsum, prefix_mean_queue
-from trafficlab.rng import substream
 
 
 def fluid(on, off, m):
@@ -130,7 +129,6 @@ class TestFluidQueue:
         assert stats.mean_queue == pytest.approx(9.0 / 8.0, rel=1e-12)
         assert stats.utilization == pytest.approx(6.0 / 8.0)
         assert stats.empty_fraction == pytest.approx(2.0 / 8.0)
-        assert stats.diagnostic is None
         assert list(zip(path.times, path.levels)) == [(0, 0), (3, 3), (6, 0), (8, 0)]
 
     def test_carryover_between_cycles(self):
@@ -149,17 +147,6 @@ class TestFluidQueue:
         proc = tl.reorder_nonoverlap(np.array([0.5, 1.25, 2.0]), 2.0, 0.5)
         stats = tl.fluid_queue(proc).stats
         assert stats.mean_queue == pytest.approx(0.3875, rel=1e-12)
-
-    def test_sub_unit_on_rate_is_degenerate(self):
-        run = tl.fluid_queue(fluid([2.0], [2.0], 0.5))
-        stats, path = run.stats, run.path
-        assert stats.diagnostic is not None
-        assert stats.mean_queue == 0.0
-        assert stats.peak_queue == 0.0
-        assert stats.empty_fraction == 1.0
-        # server is busy only while work arrives, at rate m < 1
-        assert stats.utilization == pytest.approx(0.5 * 2.0 / 4.0)
-        assert np.all(path.levels == 0.0)
 
     @given(on=on_lists, off=off_lists, m=st.floats(1.05, 8.0))
     def test_path_integral_matches_area(self, on, off, m):
@@ -240,6 +227,14 @@ class TestPacketFifo:
         tr = tl.PacketTrace(np.array([0.0]), np.array([100]))
         with pytest.raises(ValueError):
             tl.packet_fifo(tr, 0.0)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -math.inf])
+    def test_bandwidth_must_be_finite(self, bandwidth):
+        # nan would fill every figure with nan; inf serves a one-packet
+        # trace in zero time and leaves a zero horizon
+        tr = tl.PacketTrace(np.array([0.0]), np.array([100]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            tl.packet_fifo(tr, bandwidth)
 
     @given(
         pairs=st.lists(
@@ -344,14 +339,6 @@ class TestQueuePath:
 
 
 class TestPrefixMeanQueue:
-    def test_packet_route_matches_direct_simulation(self):
-        tr = tl.generate_poisson(50.0, 100, 200, substream(11))
-        out = prefix_mean_queue(tr, [10, 50, 200], bandwidth=6000.0)
-        for n, mq in out:
-            sub = tl.PacketTrace(tr.timestamps[:n], tr.sizes[:n])
-            stats = tl.packet_fifo(sub, 6000.0).stats
-            assert mq == stats.mean_queue
-
     def test_fluid_route_matches_prefix_simulation(self):
         proc = tl.reorder_nonoverlap(np.array([1.0, 2.0, 3.0, 4.0]), 2.0, 0.5)
         out = prefix_mean_queue(proc, [1, 3])
@@ -377,14 +364,11 @@ class TestPrefixMeanQueue:
         with pytest.raises(ValueError):
             prefix_mean_queue(proc, [2, 1])
 
-    def test_packet_route_requires_bandwidth(self):
-        tr = tl.PacketTrace(np.array([0.0, 1.0]), np.array([10, 10]))
-        with pytest.raises(ValueError):
-            prefix_mean_queue(tr, [1, 2])
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(TypeError):
-            prefix_mean_queue([1, 2, 3], [1])
+    @pytest.mark.parametrize("sizes", [[0, 1], [1, 3]])
+    def test_sizes_outside_the_process_rejected(self, sizes):
+        proc = tl.reorder_nonoverlap(np.array([1.0, 2.0]), 2.0, 0.5)
+        with pytest.raises(ValueError, match="out of range"):
+            prefix_mean_queue(proc, sizes)
 
 
 class TestQueueRun:
@@ -409,14 +393,13 @@ class TestQueueRun:
         assert (run.mean_queue, run.area, run.horizon) == (
             run.stats.mean_queue, run.stats.area, run.stats.horizon)
 
-    @given(pairs=cycles, m=st.floats(0.1, 8.0))
+    @given(pairs=cycles, m=st.floats(1.05, 8.0))
     def test_fluid_mean_is_the_stats_mean(self, pairs, m):
-        # m <= 1 takes the branch where no queue forms
         run = tl.fluid_queue(fluid([x for x, _ in pairs], [y for _, y in pairs], m))
         assert (run.mean_queue, run.area, run.horizon) == (
             run.stats.mean_queue, run.stats.area, run.stats.horizon)
 
-    @pytest.mark.parametrize("m", [0.5, 2.0])
+    @pytest.mark.parametrize("m", [2.0])
     def test_reading_the_mean_builds_neither_stats_nor_path(self, m):
         runs = [
             tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0),

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import trafficlab as tl
 from trafficlab.rng import substream
-from trafficlab.synth import OFF_MODELS
+from trafficlab.synth import OFF_MODELS, _bounded_offs
 
 
 class TestHeavyTailSpec:
@@ -138,11 +138,17 @@ class TestFluidOnOffProcess:
         with pytest.raises(ValueError):
             tl.FluidOnOffProcess(np.array([]), np.array([]), 2.0)
 
-    def test_sub_unit_m_is_allowed(self):
-        # the queue simulator reports this as its degenerate case rather
-        # than refusing to construct the process
-        p = tl.FluidOnOffProcess(np.array([1.0]), np.array([1.0]), 0.5)
-        assert p.m == 0.5
+    @pytest.mark.parametrize("m", [0.5, 1.0, float("nan")])
+    def test_on_rate_must_exceed_one(self, m):
+        # one rule for every route to a process, with one message; an
+        # on rate below lam would otherwise fail first on negative silences
+        rule = "m must exceed 1, otherwise no queue can form"
+        with pytest.raises(ValueError, match=rule):
+            tl.FluidOnOffProcess(np.array([1.0]), np.array([1.0]), m)
+        with pytest.raises(ValueError, match=rule):
+            tl.reorder_nonoverlap(np.array([1.0]), m, 0.75)
+        with pytest.raises(ValueError, match=rule):
+            tl.GeneratorSpec(m=m, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, lambda_target=0.5)
 
 
 class TestGenerateOnOff:
@@ -219,14 +225,13 @@ class TestReorderNonOverlap:
 class TestBoundedQueueProcess:
     def test_off_rule_value(self):
         # X=2, m=3, q=1: max((m-1)X, (m-1)mX^2/(2q) - X) = max(4, 10) = 10
-        p = tl.bounded_queue_process(np.array([2.0]), 3.0, 1.0)
-        assert p.off_lengths[0] == pytest.approx(10.0)
+        assert _bounded_offs(np.array([2.0]), 3.0, 1.0)[0] == pytest.approx(10.0)
 
     def test_per_cycle_mean_queue_is_capped(self):
         # the bound is tight for the cycle above: area 12 over length 12
-        p = tl.bounded_queue_process(np.array([2.0]), 3.0, 1.0)
-        area = p.m * (p.m - 1.0) * 4.0 / 2.0
-        assert area / (p.on_lengths[0] + p.off_lengths[0]) == pytest.approx(1.0)
+        on = np.array([2.0])
+        p = tl.FluidOnOffProcess(on, _bounded_offs(on, 3.0, 1.0), 3.0)
+        assert tl.fluid_queue(p).mean_queue == pytest.approx(1.0)
 
     @given(
         lengths=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=40),
@@ -235,18 +240,28 @@ class TestBoundedQueueProcess:
     )
     def test_cap_holds_for_every_cycle(self, lengths, m, q):
         on = np.array(lengths)
-        p = tl.bounded_queue_process(on, m, q)
+        off = _bounded_offs(on, m, q)
         # off >= (m-1)on means each excursion drains inside its cycle,
         # so its time-average is the triangle area over the cycle length
-        assert np.all(p.off_lengths >= (m - 1.0) * on - 1e-12 * on)
-        cycle_means = (m * (m - 1.0) * on**2 / 2.0) / (on + p.off_lengths)
+        assert np.all(off >= (m - 1.0) * on - 1e-12 * on)
+        cycle_means = (m * (m - 1.0) * on**2 / 2.0) / (on + off)
         assert np.all(cycle_means <= q * (1.0 + 1e-9))
 
+    @given(seed=st.integers(0, 2**32 - 1), m=st.floats(1.1, 6.0), q=st.floats(0.1, 10.0))
+    def test_generator_route_applies_the_rule(self, seed, m, q):
+        spec = tl.GeneratorSpec(m=m, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=40,
+                                off_model="bounded_q", q=q)
+        p = tl.generate_onoff(spec, substream(seed))
+        on = np.asarray(tl.sample_heavy_tail(spec.tail, 1.0 - substream(seed).random(40)))
+        assert np.array_equal(p.on_lengths, on)
+        assert np.array_equal(p.off_lengths, _bounded_offs(on, m, q))
+
     def test_parameter_validation(self):
+        tail = tl.HeavyTailSpec(1.5, 1.0)
         with pytest.raises(ValueError):
-            tl.bounded_queue_process(np.array([1.0]), 1.0, 1.0)
+            tl.GeneratorSpec(m=1.0, tail=tail, n_cycles=1, off_model="bounded_q", q=1.0)
         with pytest.raises(ValueError):
-            tl.bounded_queue_process(np.array([1.0]), 2.0, 0.0)
+            tl.GeneratorSpec(m=2.0, tail=tail, n_cycles=1, off_model="bounded_q", q=0.0)
 
 
 class TestPacketize:
@@ -257,13 +272,13 @@ class TestPacketize:
         trace, report = tl.packetize(proc, 50, 100.0)
         assert np.allclose(trace.timestamps, [0.0, 0.25, 0.5, 0.75])
         assert np.all(trace.sizes == 50)
-        assert report == tl.PacketizeReport(cycles=1, silent_on_periods=0, packets=4, total_bytes=200)
+        assert report == tl.PacketizeReport(cycles=1, silent_on_periods=0)
 
     def test_short_on_periods_are_counted_not_fatal(self):
         proc = tl.FluidOnOffProcess(np.array([0.01, 1.0]), np.array([1.0, 1.0]), 2.0)
         trace, report = tl.packetize(proc, 50, 100.0)
         assert report.silent_on_periods == 1
-        assert trace.packet_count == report.packets == 4
+        assert trace.packet_count == 4
 
     def test_all_silent_is_an_error(self):
         proc = tl.FluidOnOffProcess(np.array([0.01]), np.array([1.0]), 2.0)
@@ -280,7 +295,7 @@ class TestPacketize:
     def test_packets_stay_inside_their_on_periods(self):
         spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 0.5), n_cycles=200, lambda_target=0.5)
         proc = tl.generate_onoff(spec, substream(8))
-        trace, report = tl.packetize(proc, 100, 1000.0)
+        trace, _ = tl.packetize(proc, 100, 1000.0)
         starts = np.concatenate(([0.0], np.cumsum(proc.on_lengths + proc.off_lengths)[:-1]))
         ends = starts + proc.on_lengths
         # every timestamp must fall inside some on interval
@@ -288,7 +303,6 @@ class TestPacketize:
         for s, e in zip(starts, ends):
             inside |= (trace.timestamps >= s - 1e-9) & (trace.timestamps < e + 1e-9)
         assert inside.all()
-        assert report.total_bytes == trace.total_bytes
 
 
 class TestGeneratePoisson:
