@@ -22,6 +22,7 @@ from pathlib import Path
 
 import trafficlab as tl
 from trafficlab import cli
+from trafficlab.traces import TRACE_FORMATS
 
 SAMPLE_LADDER = [10_000, 31_623, 100_000, 316_228, 1_000_000]
 BLOCK_LADDER = [1, 10, 100, 1000, 10_000]
@@ -37,9 +38,8 @@ def step(argv):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trace", type=Path, help="recorded arrival trace")
-    ap.add_argument("--format", default=None,
-                    choices=["csv_ts_bytes", "two_column_text"],
-                    help="override the extension-based format guess")
+    ap.add_argument("--format", default=None, choices=TRACE_FORMATS,
+                    help="trace format; by default a comma in the first record line means csv_ts_bytes")
     ap.add_argument("--rho", type=float, default=0.46,
                     help="server utilization for both sweeps")
     ap.add_argument("--reps", type=int, default=10)

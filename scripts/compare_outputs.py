@@ -29,8 +29,13 @@ REPO = Path(__file__).resolve().parent.parent
 ONOFF = ["--model", "onoff", "--alpha", "1.4", "--xmin", "0.01", "--m", "2", "--lambda", "0.5",
          "--packet-size", "1000", "--rate", "1e6"]
 
+# a small fixed whitespace-separated trace with 400 distinct sizes: the gen
+# commands write only CSV, with one packet size per trace
+TEXT_TRACE = "".join(f"{0.004 * i + 0.0003 * (37 * i % 11):.4f} {40 + 614 * i % 1461}\n" for i in range(400))
+
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
+# and from text.txt, which holds TEXT_TRACE
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -40,6 +45,7 @@ COMMANDS = [
                      "--seed", "11", "-o", "bounded.csv"]),
     ("summarize", ["cli", "summarize", "onoff.csv", "-o", "summary.csv"]),
     ("summarize_stdout", ["cli", "summarize", "poisson.csv"]),
+    ("summarize_text", ["cli", "summarize", "text.txt", "--format", "two_column_text", "-o", "summary_text.csv"]),
     ("queue", ["cli", "queue", "onoff.csv", "--rho", "0.6", "-o", "queue.csv"]),
     ("queue_path", ["cli", "queue", "onoff.csv", "--rho", "0.6", "--path-out", "path.csv",
                     "-o", "queue_path.csv"]),
@@ -57,6 +63,8 @@ COMMANDS = [
                          "-o", "queue_long.csv"]),
     ("sweep_samples_trace", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000,5000",
                              "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "samples_trace"]),
+    ("sweep_samples_bandwidth", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000",
+                                 "--reps", "2", "--seed", "3", "--bandwidth", "2e6", "--out-prefix", "samples_bw"]),
     ("sweep_samples_gen", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000",
                            "--reps", "2", "--seed", "4", "--out-prefix", "samples_gen"]),
     ("sweep_blocks_trace", ["cli", "sweep-blocks", "--trace", "onoff.csv", "--blocks", "1,10,100",
@@ -65,7 +73,10 @@ COMMANDS = [
                           "--reps", "2", "--seed", "6", "--rho", "0.5", "--out-prefix", "blocks_gen"]),
     ("hurst", ["cli", "hurst", "onoff.csv", "--unit", "bytes", "-o", "hurst.csv"]),
     ("hurst_bin_width", ["cli", "hurst", "onoff.csv", "--bin-width", "0.01", "-o", "hurst_width.csv"]),
+    ("hurst_levels", ["cli", "hurst", "onoff.csv", "--levels", "1,2,4,8,16", "-o", "hurst_levels.csv"]),
     ("tailfit", ["cli", "tailfit", "onoff.csv", "--ccdf-out", "ccdf.csv", "-o", "tailfit.csv"]),
+    ("tailfit_sizes", ["cli", "tailfit", "text.txt", "--field", "sizes", "--lo", "100", "--hi", "1400",
+                       "-o", "tailfit_sizes.csv"]),
     ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                     "--seed", "1", "--out", "divergence"]),
     ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
@@ -76,6 +87,7 @@ COMMANDS = [
 def run_commands(tree: Path, outdir: Path) -> None:
     """Run every command with tree's package, writing into outdir."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    (outdir / "text.txt").write_text(TEXT_TRACE)
     for name, (head, *rest) in COMMANDS:
         prog = ["-m", "trafficlab.cli"] if head == "cli" else [str(tree / "scripts" / head)]
         proc = subprocess.run([sys.executable, *prog, *rest], cwd=outdir, env=env,

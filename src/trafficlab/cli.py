@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .synth import (
     generate_poisson,
     packetize,
 )
-from .traces import PacketTrace, load_trace, save_trace, summarize, write_rows
+from .traces import TRACE_FORMATS, PacketTrace, load_trace, save_trace, summarize, write_rows
 
 OFF_MODEL_FLAGS = {
     "iid": "iid_matched_mean",
@@ -67,27 +68,28 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest_for(args: argparse.Namespace, outputs: list[str]) -> RunManifest:
-    params = {}
-    inputs = {}
-    for key, value in vars(args).items():
-        if key in ("func", "subcommand"):
-            continue
-        if isinstance(value, (list, tuple)):
-            value = list(value)
-        params[key] = value
-    if getattr(args, "trace", None):
-        inputs[args.trace] = _sha256_file(args.trace)
-    return RunManifest(
-        subcommand=args.subcommand, parameters=params, inputs=inputs, outputs=list(outputs)
-    )
+@contextmanager
+def _manifest(args: argparse.Namespace, *outputs: str | None, **derived):
+    """Yield the ``manifest: <digest>`` comment that heads each output, then
+    write the manifest of args, the derived values and the outputs (None
+    skipped) to <out-prefix>.manifest.json for sweeps, else beside the first output."""
+    outputs = [path for path in outputs if path]
+    params = {
+        key: list(value) if isinstance(value, (list, tuple)) else value
+        for key, value in {**vars(args), **derived}.items()
+        if key not in ("func", "subcommand")
+    }
+    inputs = {args.trace: _sha256_file(args.trace)} if args.trace else {}
+    manifest = RunManifest(subcommand=args.subcommand, parameters=params, inputs=inputs, outputs=outputs)
+    yield f"manifest: {manifest.digest()}"
+    manifest.write(getattr(args, "out_prefix", outputs[0]) + ".manifest.json")
 
 
-def _write_row_csv(path: str, manifest: RunManifest, columns: list[str], row: list) -> None:
-    """One-row CSV; numbers are written as float reprs, anything else as text."""
-    cells = [[float(v)] if isinstance(v, (int, float, np.floating)) else [v] for v in row]
+def _write_row_csv(path: str, comment: str, row: dict) -> None:
+    """One-row CSV of column -> value; numbers are written as float reprs, anything else as text."""
+    cells = [[float(v)] if isinstance(v, (int, float, np.floating)) else [v] for v in row.values()]
     with open(path, "w") as fh:
-        write_rows(fh, ",".join(["%s"] * len(row)), cells, (f"manifest: {manifest.digest()}", ",".join(columns)))
+        write_rows(fh, ",".join(["%s"] * len(row)), cells, (comment, ",".join(row)))
 
 
 def _int_list(text: str) -> list[int]:
@@ -100,19 +102,6 @@ def _int_list(text: str) -> list[int]:
     if bad:
         raise argparse.ArgumentTypeError(f"{bad[0]!r} in {text!r} is not an integer")
     return [int(v) for v in values]
-
-
-def _build_generator(args) -> SyntheticSource:
-    tail = HeavyTailSpec(tail_index=args.alpha, x_min=args.xmin, x_max=args.xmax)
-    spec = GeneratorSpec(
-        m=args.m,
-        tail=tail,
-        n_cycles=args.cycles,
-        lambda_target=args.lam,
-        off_model=OFF_MODEL_FLAGS[args.off_model],
-        q=args.q,
-    )
-    return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate)
 
 
 def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
@@ -134,8 +123,14 @@ def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--n", type=int, default=None, help="packet count for --model poisson")
 
 
-def _generated_source(args) -> PacketTrace | SyntheticSource:
-    """The generator flags as a Poisson trace or an on/off recipe."""
+def _source(args) -> PacketTrace | SyntheticSource:
+    """The --trace file, or the generator flags as a Poisson trace or an on/off recipe."""
+    if args.trace and args.model:
+        raise ValueError("give either --trace or --model, not both")
+    if args.trace:
+        return load_trace(args.trace, args.format)
+    if not args.model:
+        raise ValueError("give a --trace file or generator flags with --model")
     if args.model == "poisson":
         if args.n is None or args.rate is None:
             raise ValueError("poisson model needs --rate and --n")
@@ -143,44 +138,44 @@ def _generated_source(args) -> PacketTrace | SyntheticSource:
     for name in ("alpha", "m", "cycles", "rate"):
         if getattr(args, name) is None:
             raise ValueError(f"onoff model needs --{name}")
-    return _build_generator(args)
-
-
-def _gen_trace(args) -> PacketTrace:
-    source = _generated_source(args)
-    if isinstance(source, PacketTrace):
-        return source
-    process = generate_onoff(source.spec, substream(args.seed))
-    trace, report = packetize(process, source.packet_size, source.server_rate)
-    if report.silent_on_periods:
-        print(
-            f"note: {report.silent_on_periods} of {report.cycles} on periods "
-            "were too short to emit a packet",
-            file=sys.stderr,
-        )
-    return trace
+    tail = HeavyTailSpec(tail_index=args.alpha, x_min=args.xmin, x_max=args.xmax)
+    spec = GeneratorSpec(
+        m=args.m,
+        tail=tail,
+        n_cycles=args.cycles,
+        lambda_target=args.lam,
+        off_model=OFF_MODEL_FLAGS[args.off_model],
+        q=args.q,
+    )
+    return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate)
 
 
 def cmd_gen(args) -> int:
-    trace = _gen_trace(args)
-    manifest = _manifest_for(args, outputs=[args.output])
-    save_trace(trace, args.output, comments=(f"manifest: {manifest.digest()}",))
-    manifest.write(args.output + ".manifest.json")
+    trace = source = _source(args)
+    if isinstance(source, SyntheticSource):
+        process = generate_onoff(source.spec, substream(args.seed))
+        trace, report = packetize(process, source.packet_size, source.server_rate)
+        if report.silent_on_periods:
+            print(
+                f"note: {report.silent_on_periods} of {report.cycles} on periods "
+                "were too short to emit a packet",
+                file=sys.stderr,
+            )
+    with _manifest(args, args.output) as comment:
+        save_trace(trace, args.output, comments=(comment,))
     print(f"wrote {trace.packet_count} packets to {args.output}")
     return 0
 
 
 def cmd_summarize(args) -> int:
     s = summarize(load_trace(args.trace, args.format))
-    columns = ["packet_count", "duration", "total_bytes", "mean_rate"]
-    row = [s.packet_count, s.duration, s.total_bytes, "" if s.mean_rate is None else s.mean_rate]
+    row = {**asdict(s), "mean_rate": "" if s.mean_rate is None else s.mean_rate}
     if args.output:
-        manifest = _manifest_for(args, outputs=[args.output])
-        _write_row_csv(args.output, manifest, columns, row)
-        manifest.write(args.output + ".manifest.json")
+        with _manifest(args, args.output) as comment:
+            _write_row_csv(args.output, comment, row)
     else:
-        print(",".join(columns))
-        print(",".join(str(v) for v in row))
+        print(",".join(row))
+        print(",".join(str(v) for v in row.values()))
     return 0
 
 
@@ -188,82 +183,58 @@ def cmd_queue(args) -> int:
     trace = load_trace(args.trace, args.format)
     bandwidth = _resolve_bandwidth(trace, args.bandwidth, args.rho)
     run = packet_fifo(trace, bandwidth)
-    stats = run.stats
-    outputs = [args.output] + ([args.path_out] if args.path_out else [])
-    manifest = _manifest_for(args, outputs=outputs)
-    manifest.parameters["derived_bandwidth"] = bandwidth
-    columns = ["mean_queue", "peak_queue", "horizon", "utilization", "empty_fraction", "area"]
-    row = [stats.mean_queue, stats.peak_queue, stats.horizon, stats.utilization, stats.empty_fraction, stats.area]
-    _write_row_csv(args.output, manifest, columns, row)
-    if args.path_out:
-        with open(args.path_out, "w") as fh:
-            run.path.write_csv(fh, comments=(f"manifest: {manifest.digest()}",))
-    manifest.write(args.output + ".manifest.json")
+    with _manifest(args, args.output, args.path_out, derived_bandwidth=bandwidth) as comment:
+        _write_row_csv(args.output, comment, asdict(run.stats))
+        if args.path_out:
+            with open(args.path_out, "w") as fh:
+                run.path.write_csv(fh, comments=(comment,))
     return 0
 
 
 def cmd_shuffle(args) -> int:
     trace = load_trace(args.trace, args.format)
     shuffled = block_shuffle(trace, args.block_size, substream(args.seed))
-    manifest = _manifest_for(args, outputs=[args.output])
-    save_trace(shuffled, args.output, comments=(f"manifest: {manifest.digest()}",))
-    manifest.write(args.output + ".manifest.json")
+    with _manifest(args, args.output) as comment:
+        save_trace(shuffled, args.output, comments=(comment,))
     return 0
 
 
-def _sweep_source(args) -> PacketTrace | SyntheticSource:
-    """The sweep's source, from either --trace or generator flags."""
-    if args.trace and args.model:
-        raise ValueError("give either --trace or --model, not both")
-    if args.trace:
-        return load_trace(args.trace, args.format)
-    if not args.model:
-        raise ValueError("give a --trace file or generator flags with --model")
-    return _generated_source(args)
-
-
-def _write_sweep(args, sweep, xlabel: str, ylabel: str) -> int:
+def _sweep(args, run_sweep, source, xs, xlabel: str) -> int:
+    """Run the sweep over xs with the sweep flags; write its CSV and gnuplot script."""
+    plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
+    sweep = run_sweep(source, xs, plan, bandwidth=args.bandwidth, rho=args.rho)
     csv_path = args.out_prefix + ".csv"
     gp_path = args.out_prefix + ".gp"
-    manifest = _manifest_for(args, outputs=[csv_path, gp_path])
-    with open(csv_path, "w") as fh:
-        sweep.write_csv(fh, comments=(f"manifest: {manifest.digest()}",))
-    with open(gp_path, "w") as fh:
-        fh.write(f"# manifest: {manifest.digest()}\n")
-        fh.write('set datafile separator ","\n')
-        fh.write("set logscale x\n")
-        fh.write(f'set xlabel "{xlabel}"\n')
-        fh.write(f'set ylabel "{ylabel}"\n')
-        fh.write("set terminal pngcairo size 900,600\n")
-        fh.write(f'set output "{args.out_prefix}.png"\n')
-        if sweep.baseline is not None:
-            fh.write(f"baseline = {float(sweep.baseline)!r}\n")
-            fh.write(
-                f'plot "{csv_path}" using 1:2:3 with yerrorlines title "mean +/- std", '
-                'baseline with lines dashtype 2 title "unshuffled"\n'
-            )
-        else:
-            fh.write(f'plot "{csv_path}" using 1:2:3 with yerrorlines title "mean +/- std"\n')
-    manifest.write(args.out_prefix + ".manifest.json")
+    with _manifest(args, csv_path, gp_path) as comment:
+        with open(csv_path, "w") as fh:
+            sweep.write_csv(fh, comments=(comment,))
+        with open(gp_path, "w") as fh:
+            fh.write(f"# {comment}\n")
+            fh.write('set datafile separator ","\n')
+            fh.write("set logscale x\n")
+            fh.write(f'set xlabel "{xlabel}"\n')
+            fh.write('set ylabel "mean queue (packets)"\n')
+            fh.write("set terminal pngcairo size 900,600\n")
+            fh.write(f'set output "{args.out_prefix}.png"\n')
+            plot = f'plot "{csv_path}" using 1:2:3 with yerrorlines title "mean +/- std"'
+            if sweep.baseline is not None:
+                fh.write(f"baseline = {float(sweep.baseline)!r}\n")
+                plot += ', baseline with lines dashtype 2 title "unshuffled"'
+            fh.write(plot + "\n")
     print(f"wrote {csv_path}, {gp_path}")
     return 0
 
 
 def cmd_sweep_samples(args) -> int:
-    source = _sweep_source(args)
-    plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
-    sweep = sample_size_sweep(source, args.sizes, plan, bandwidth=args.bandwidth, rho=args.rho)
-    return _write_sweep(args, sweep, "sample size (packets)", "mean queue (packets)")
+    return _sweep(args, sample_size_sweep, _source(args), args.sizes, "sample size (packets)")
 
 
 def cmd_sweep_blocks(args) -> int:
-    source = _sweep_source(args)
+    source = _source(args)
     if isinstance(source, SyntheticSource):
         # materialize one trace; replications then vary only the permutation
         source = source.trace(substream(args.seed))
-    plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
-    sweep = blocksize_sweep(source, args.blocks, plan, bandwidth=args.bandwidth, rho=args.rho)
-    return _write_sweep(args, sweep, "shuffle block size (packets)", "mean queue (packets)")
+    return _sweep(args, blocksize_sweep, source, args.blocks, "shuffle block size (packets)")
 
 
 def cmd_hurst(args) -> int:
@@ -271,12 +242,10 @@ def cmd_hurst(args) -> int:
     width = args.bin_width if args.bin_width is not None else trace.duration / 4096
     series = bin_counts(trace, width, unit=args.unit)
     est = hurst_aggregated_variance(series, levels=args.levels)
-    manifest = _manifest_for(args, outputs=[args.output])
-    manifest.parameters["derived_bin_width"] = width
-    columns = ["H", "slope", "fit_r2", "clipped", "levels"]
-    row = [est.H, est.slope, est.fit_r2, est.clipped, ";".join(str(a) for a in est.levels_used)]
-    _write_row_csv(args.output, manifest, columns, row)
-    manifest.write(args.output + ".manifest.json")
+    row = {"H": est.H, "slope": est.slope, "fit_r2": est.fit_r2, "clipped": est.clipped,
+           "levels": ";".join(str(a) for a in est.levels_used)}
+    with _manifest(args, args.output, derived_bin_width=width) as comment:
+        _write_row_csv(args.output, comment, row)
     print(f"H = {est.H:.4f} (r2 {est.fit_r2:.4f})")
     return 0
 
@@ -293,17 +262,14 @@ def cmd_tailfit(args) -> int:
     lo = args.lo if args.lo is not None else float(np.quantile(samples, 0.5))
     hi = args.hi if args.hi is not None else float(np.quantile(samples, 0.999))
     fit = fit_tail_index(samples, (lo, hi))
-    outputs = [args.output] + ([args.ccdf_out] if args.ccdf_out else [])
-    manifest = _manifest_for(args, outputs=outputs)
-    manifest.parameters["derived_fit_range"] = [fit.fit_range[0], fit.fit_range[1]]
-    columns = ["alpha_hat", "fit_lo", "fit_hi", "fit_r2"]
-    _write_row_csv(args.output, manifest, columns, [fit.alpha_hat, fit.fit_range[0], fit.fit_range[1], fit.fit_r2])
-    if args.ccdf_out:
-        xs, cc = empirical_ccdf(samples)
-        with open(args.ccdf_out, "w") as fh:
-            write_rows(fh, "%r,%r", (xs, cc), (f"manifest: {manifest.digest()}", "x,ccdf"))
-    manifest.write(args.output + ".manifest.json")
-    print(f"alpha_hat = {fit.alpha_hat:.4f} over [{fit.fit_range[0]:g}, {fit.fit_range[1]:g}] (r2 {fit.fit_r2:.4f})")
+    with _manifest(args, args.output, args.ccdf_out, derived_fit_range=fit.fit_range) as comment:
+        row = {"alpha_hat": fit.alpha_hat, "fit_lo": lo, "fit_hi": hi, "fit_r2": fit.fit_r2}
+        _write_row_csv(args.output, comment, row)
+        if args.ccdf_out:
+            xs, cc = empirical_ccdf(samples)
+            with open(args.ccdf_out, "w") as fh:
+                write_rows(fh, "%r,%r", (xs, cc), (comment, "x,ccdf"))
+    print(f"alpha_hat = {fit.alpha_hat:.4f} over [{lo:g}, {hi:g}] (r2 {fit.fit_r2:.4f})")
     return 0
 
 
@@ -315,76 +281,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"trafficlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gen", help="synthesize a packet trace")
+    # flag groups, each declared once and taken by subcommands as a parent
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=TRACE_FORMATS, default=None)
+    trace_file = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    trace_file.add_argument("trace")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, required=True)
+    service = argparse.ArgumentParser(add_help=False)
+    service.add_argument("--bandwidth", type=float, default=None, help="service rate, bytes/s")
+    service.add_argument("--rho", type=float, default=None, help="target load; bandwidth derived from the trace")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[fmt, seed, service])
+    sweep.add_argument("--trace", default=None)
+    _add_gen_flags(sweep, required=False)
+    sweep.add_argument("--reps", type=int, default=10)
+    sweep.add_argument("--out-prefix", required=True)
+
+    p = sub.add_parser("gen", help="synthesize a packet trace", parents=[seed, output])
     _add_gen_flags(p, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen, trace=None)
 
-    p = sub.add_parser("summarize", help="packet count, span, bytes, mean rate")
-    p.add_argument("trace")
-    p.add_argument("--format", choices=("csv_ts_bytes", "two_column_text"), default=None)
+    p = sub.add_parser("summarize", help="packet count, span, bytes, mean rate", parents=[trace_file])
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("queue", help="FIFO simulation of a trace")
-    p.add_argument("trace")
-    p.add_argument("--format", choices=("csv_ts_bytes", "two_column_text"), default=None)
-    p.add_argument("--bandwidth", type=float, default=None, help="service rate, bytes/s")
-    p.add_argument("--rho", type=float, default=None, help="target load; bandwidth derived from the trace")
+    p = sub.add_parser("queue", help="FIFO simulation of a trace", parents=[trace_file, service, output])
     p.add_argument("--path-out", default=None, help="also write the queue level breakpoints")
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_queue)
 
-    p = sub.add_parser("shuffle", help="block-shuffle a trace")
-    p.add_argument("trace")
-    p.add_argument("--format", choices=("csv_ts_bytes", "two_column_text"), default=None)
+    p = sub.add_parser("shuffle", help="block-shuffle a trace", parents=[trace_file, seed, output])
     p.add_argument("--block-size", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_shuffle)
 
-    p = sub.add_parser("sweep-samples", help="mean queue versus sample size")
-    p.add_argument("--trace", default=None)
-    p.add_argument("--format", choices=("csv_ts_bytes", "two_column_text"), default=None)
-    _add_gen_flags(p, required=False)
+    p = sub.add_parser("sweep-samples", help="mean queue versus sample size", parents=[sweep])
     p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated packet counts")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sweep_samples)
 
-    p = sub.add_parser("sweep-blocks", help="mean queue versus shuffle block size")
-    p.add_argument("--trace", default=None)
-    p.add_argument("--format", choices=("csv_ts_bytes", "two_column_text"), default=None)
-    _add_gen_flags(p, required=False)
+    p = sub.add_parser("sweep-blocks", help="mean queue versus shuffle block size", parents=[sweep])
     p.add_argument("--blocks", type=_int_list, required=True, help="comma-separated block sizes")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sweep_blocks)
 
-    p = sub.add_parser("hurst", help="variance-scaling Hurst estimate of a trace")
-    p.add_argument("trace")
-    p.add_argument("--format", choices=("csv_ts_bytes", "two_column_text"), default=None)
+    p = sub.add_parser("hurst", help="variance-scaling Hurst estimate of a trace", parents=[trace_file, output])
     p.add_argument("--bin-width", type=float, default=None, help="seconds; default duration/4096")
     p.add_argument("--unit", choices=("packets", "bytes"), default="packets")
     p.add_argument("--levels", type=_int_list, default=None)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_hurst)
 
-    p = sub.add_parser("tailfit", help="log-log tail index of gaps or sizes")
-    p.add_argument("trace")
-    p.add_argument("--format", choices=("csv_ts_bytes", "two_column_text"), default=None)
+    p = sub.add_parser("tailfit", help="log-log tail index of gaps or sizes", parents=[trace_file, output])
     p.add_argument("--field", choices=("gaps", "sizes"), default="gaps")
     p.add_argument("--lo", type=float, default=None, help="fit range lower edge; default median")
     p.add_argument("--hi", type=float, default=None, help="fit range upper edge; default 99.9th pct")
     p.add_argument("--ccdf-out", default=None, help="also write empirical CCDF points")
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_tailfit)
 
     return parser

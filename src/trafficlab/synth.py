@@ -50,9 +50,10 @@ class HeavyTailSpec:
     def __post_init__(self):
         if not 1.0 < self.tail_index < 2.0:
             raise ValueError("tail_index must lie in (1, 2)")
-        if self.x_min <= 0:
-            raise ValueError("x_min must be positive")
-        if self.x_max is not None and self.x_max <= self.x_min:
+        # written so that NaN fails each test
+        if not 0 < self.x_min < np.inf:
+            raise ValueError("x_min must be positive and finite")
+        if self.x_max is not None and not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 
     @property
@@ -131,12 +132,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if not self.m > 1:
             raise ValueError(_M_RULE)
+        if self.m == np.inf:
+            raise ValueError("m must be finite")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
         if self.off_model not in OFF_MODELS:
             raise ValueError(f"off_model must be one of {OFF_MODELS}")
         if self.off_model == "bounded_q":
-            if self.q is None or self.q <= 0:
+            if self.q is None or not self.q > 0:
                 raise ValueError("bounded_q needs a positive queue bound q")
         else:
             if self.lambda_target is None or not 0 < self.lambda_target < 1:
@@ -234,8 +237,8 @@ def packetize(
     """
     if packet_size < 1:
         raise ValueError("packet_size must be >= 1 byte")
-    if server_rate <= 0:
-        raise ValueError("server_rate must be positive")
+    if not 0 < server_rate < np.inf:
+        raise ValueError("server_rate must be positive and finite")
     times, counts, _ = _emit(
         process.on_lengths, process.off_lengths, process.m, packet_size, server_rate, 0.0
     )
@@ -255,8 +258,8 @@ def packetize(
 def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace:
     """n equal-size packets with exponential inter-arrivals (mean 1/rate),
     rebased so the first packet arrives at t=0."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     if packet_size < 1:
@@ -280,6 +283,13 @@ class SyntheticSource:
     spec: GeneratorSpec
     packet_size: int
     server_rate: float
+
+    def __post_init__(self):
+        # trace(n_packets=...) never calls packetize, so check here too
+        if self.packet_size < 1:
+            raise ValueError("packet_size must be >= 1 byte")
+        if not 0 < self.server_rate < np.inf:
+            raise ValueError("server_rate must be positive and finite")
 
     def trace(self, rng, n_packets: int | None = None) -> PacketTrace:
         """Fresh trace from `rng`; exactly n_packets when given, else one

@@ -26,6 +26,10 @@ __all__ = [
     "write_rows",
 ]
 
+# the formats load_trace reads: comma separated ``timestamp,bytes`` and
+# whitespace separated ``timestamp bytes``
+TRACE_FORMATS = ("csv_ts_bytes", "two_column_text")
+
 # seconds are written with fixed sub-nanosecond precision so that a
 # write/read cycle reproduces the file byte for byte
 TIMESTAMP_DIGITS = 9
@@ -335,7 +339,7 @@ def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
         data = fh.read()
     if fmt is None:
         fmt = _detect_format(_text_lines(data))
-    if fmt not in ("csv_ts_bytes", "two_column_text"):
+    if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
     comma = fmt == "csv_ts_bytes"
     columns = _parse_plain(data, comma=comma)

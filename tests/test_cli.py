@@ -23,6 +23,9 @@ def data_row(path):
     return lines[2].split(",")
 
 
+ONOFF = ("--model", "onoff", "--alpha", "1.4", "--xmin", "0.05", "--m", "3", "--lambda", "0.5",
+         "--cycles", "60", "--rate", "10000", "--packet-size", "100")
+
 BOUNDED = ("gen", "--model", "onoff", "--alpha", "1.4", "--xmin", "0.05", "--m", "3",
            "--cycles", "60", "--rate", "10000", "--packet-size", "100", "--off-model", "bounded")
 
@@ -83,6 +86,30 @@ class TestGen:
         digest = json.loads((tmp_path / "b.csv.manifest.json").read_text())["digest"]
         tl.save_trace(trace, tmp_path / "lib.csv", comments=(f"manifest: {digest}",))
         assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--xmin", "nan"), "x_min must be positive and finite"),
+        (("--xmin", "inf"), "x_min must be positive and finite"),
+        (("--xmax", "nan"), "x_max must exceed x_min"),
+        (("--off-model", "bounded", "--q", "nan"), "bounded_q needs a positive queue bound q"),
+        (("--m", "inf"), "m must be finite"),
+        (("--rate", "nan"), "server_rate must be positive and finite"),
+        (("--rate", "inf"), "server_rate must be positive and finite"),
+    ])
+    def test_non_finite_onoff_parameter_named(self, tmp_path, capsys, flags, message):
+        # later flags override the defaults in ONOFF
+        assert run("gen", *ONOFF, *flags, "--seed", "1", "-o", tmp_path / "t.csv") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_poisson_rate_named(self, tmp_path, capsys, rate):
+        # an infinite rate used to write every packet at t=0
+        rc = run("gen", "--model", "poisson", "--rate", rate, "--n", "10", "--seed", "1",
+                 "-o", tmp_path / "p.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rate must be positive and finite\n"
+        assert not (tmp_path / "p.csv").exists()
 
     def test_bounded_model_needs_q(self, tmp_path, capsys):
         assert run(*BOUNDED, "--seed", "12", "-o", tmp_path / "b.csv") == 1
@@ -289,6 +316,18 @@ class TestSweeps:
         assert "positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--packet-size", "0"), "packet_size must be >= 1 byte"),
+        (("--rate", "0"), "server_rate must be positive and finite"),
+    ])
+    def test_onoff_sample_sweep_checks_packetization(self, tmp_path, capsys, flags, message):
+        # exact-count traces bypass packetize, so the recipe itself is checked
+        rc = run("sweep-samples", *ONOFF, *flags, "--sizes", "10", "--reps", "2", "--seed", "0",
+                 "--out-prefix", tmp_path / "x")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_trace_and_generator_flags_conflict(self, poisson_file, tmp_path, capsys):
         rc = run("sweep-blocks", "--trace", poisson_file, "--model", "poisson",
                  "--rate", "500", "--n", "100", "--blocks", "1", "--reps", "2",
@@ -378,7 +417,47 @@ class TestTailfitCommand:
         assert "CCDF points" in capsys.readouterr().err
 
 
+GEN_KEYS = {"model", "alpha", "xmin", "xmax", "m", "lam", "cycles", "packet_size", "rate", "off_model", "q", "n"}
+SWEEP_KEYS = GEN_KEYS | {"trace", "format", "reps", "seed", "bandwidth", "rho", "out_prefix"}
+TRACE = object()  # stands for the input trace in WRITERS
+
+# every command that writes files: its arguments, its outputs in manifest
+# order, where its manifest goes, and the exact parameter keys the manifest
+# records (a regrouped flag that added or dropped a key would change every digest)
+WRITERS = {
+    "gen": (["--model", "poisson", "--rate", "500", "--n", "50", "--seed", "1", "-o", "t.csv"],
+            ["t.csv"], "t.csv.manifest.json", GEN_KEYS | {"seed", "output", "trace"}),
+    "summarize": ([TRACE, "-o", "s.csv"], ["s.csv"], "s.csv.manifest.json", {"trace", "format", "output"}),
+    "queue": ([TRACE, "--rho", "0.5", "--path-out", "p.csv", "-o", "q.csv"], ["q.csv", "p.csv"],
+              "q.csv.manifest.json",
+              {"trace", "format", "bandwidth", "rho", "path_out", "output", "derived_bandwidth"}),
+    "shuffle": ([TRACE, "--block-size", "8", "--seed", "1", "-o", "s.csv"], ["s.csv"], "s.csv.manifest.json",
+                {"trace", "format", "block_size", "seed", "output"}),
+    "sweep-samples": (["--trace", TRACE, "--sizes", "50,100", "--reps", "2", "--seed", "1", "--rho", "0.5",
+                       "--out-prefix", "sw"], ["sw.csv", "sw.gp"], "sw.manifest.json", SWEEP_KEYS | {"sizes"}),
+    "sweep-blocks": (["--trace", TRACE, "--blocks", "1,10", "--reps", "2", "--seed", "1", "--rho", "0.5",
+                      "--out-prefix", "sw"], ["sw.csv", "sw.gp"], "sw.manifest.json", SWEEP_KEYS | {"blocks"}),
+    "hurst": ([TRACE, "-o", "h.csv"], ["h.csv"], "h.csv.manifest.json",
+              {"trace", "format", "bin_width", "unit", "levels", "output", "derived_bin_width"}),
+    "tailfit": ([TRACE, "--ccdf-out", "c.csv", "-o", "f.csv"], ["f.csv", "c.csv"], "f.csv.manifest.json",
+                {"trace", "format", "field", "lo", "hi", "ccdf_out", "output", "derived_fit_range"}),
+}
+
+
 class TestManifest:
+    @pytest.mark.parametrize("subcommand", sorted(WRITERS))
+    def test_every_output_names_its_manifest(self, poisson_file, tmp_path, monkeypatch, subcommand):
+        monkeypatch.chdir(tmp_path)
+        argv, outputs, manifest_path, keys = WRITERS[subcommand]
+        assert run(subcommand, *[poisson_file if a is TRACE else a for a in argv]) == 0
+        body = json.loads((tmp_path / manifest_path).read_text())
+        digest = body.pop("digest")
+        assert cli.RunManifest(**body).digest() == digest
+        assert body["outputs"] == outputs
+        assert set(body["parameters"]) == keys
+        for name in outputs:
+            assert first_line(tmp_path / name) == f"# manifest: {digest}"
+
     def test_digest_covers_parameters(self):
         a = cli.RunManifest(subcommand="gen", parameters={"seed": 1})
         b = cli.RunManifest(subcommand="gen", parameters={"seed": 2})

@@ -25,6 +25,13 @@ class TestHeavyTailSpec:
         with pytest.raises(ValueError):
             tl.HeavyTailSpec(1.5, 2.0, x_max=2.0)
 
+    @pytest.mark.parametrize("x_min, x_max, field", [
+        (np.nan, None, "x_min"), (np.inf, None, "x_min"), (1.0, np.nan, "x_max"),
+    ])
+    def test_non_finite_bounds_rejected_by_name(self, x_min, x_max, field):
+        with pytest.raises(ValueError, match=field):
+            tl.HeavyTailSpec(1.5, x_min, x_max=x_max)
+
 
 class TestSampleHeavyTail:
     def test_quantile_value(self):
@@ -103,6 +110,14 @@ class TestGeneratorSpec:
     def test_bounded_model_requires_q(self):
         with pytest.raises(ValueError):
             tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, off_model="bounded_q")
+
+    def test_nan_q_rejected(self):
+        with pytest.raises(ValueError, match="queue bound q"):
+            tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, off_model="bounded_q", q=np.nan)
+
+    def test_infinite_m_rejected(self):
+        with pytest.raises(ValueError, match="m must be finite"):
+            tl.GeneratorSpec(m=np.inf, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, lambda_target=0.5)
 
     def test_matched_mean_requires_lambda_in_unit_interval(self):
         with pytest.raises(ValueError):
@@ -292,6 +307,12 @@ class TestPacketize:
         with pytest.raises(ValueError):
             tl.packetize(proc, 50, 0.0)
 
+    @pytest.mark.parametrize("server_rate", [np.nan, np.inf])
+    def test_non_finite_server_rate_rejected_by_name(self, server_rate):
+        proc = tl.FluidOnOffProcess(np.array([1.0]), np.array([1.0]), 2.0)
+        with pytest.raises(ValueError, match="server_rate must be positive and finite"):
+            tl.packetize(proc, 50, server_rate)
+
     def test_packets_stay_inside_their_on_periods(self):
         spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 0.5), n_cycles=200, lambda_target=0.5)
         proc = tl.generate_onoff(spec, substream(8))
@@ -325,14 +346,28 @@ class TestGeneratePoisson:
         with pytest.raises(ValueError):
             tl.generate_poisson(10.0, 0, 10, 1)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_rate_rejected_by_name(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            tl.generate_poisson(rate, 100, 10, 1)
+
 
 class TestSyntheticSource:
-    def _source(self, n_cycles=100):
+    def _source(self, n_cycles=100, packet_size=100, server_rate=10_000.0):
         spec = tl.GeneratorSpec(
             m=2.0, tail=tl.HeavyTailSpec(1.5, 0.05), n_cycles=n_cycles,
             lambda_target=0.5, off_model="theorem_reordered",
         )
-        return tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
+        return tl.SyntheticSource(spec=spec, packet_size=packet_size, server_rate=server_rate)
+
+    @pytest.mark.parametrize("packet_size, server_rate, field", [
+        (0, 10_000.0, "packet_size"), (100, 0.0, "server_rate"),
+        (100, np.nan, "server_rate"), (100, np.inf, "server_rate"),
+    ])
+    def test_packetization_checked_when_built(self, packet_size, server_rate, field):
+        # trace(n_packets=...) never reaches packetize, so the recipe checks itself
+        with pytest.raises(ValueError, match=field):
+            self._source(packet_size=packet_size, server_rate=server_rate)
 
     def test_full_run_matches_manual_pipeline(self):
         src = self._source()
