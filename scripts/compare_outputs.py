@@ -81,6 +81,10 @@ COMMANDS = [
                     "--seed", "1", "--out", "divergence"]),
     ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                            "--seed", "1", "--x-max", "100", "--out", "divergence_capped"]),
+    # prefixes longer than one 65536-term summation chunk, so the fluid
+    # sums cross chunk boundaries
+    ("divergence_long", ["divergence_experiment.py", "--sizes", "1000", "100000", "300000", "--reps", "1",
+                         "--seed", "4", "--out", "divergence_long"]),
 ]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -50,14 +51,29 @@ class RunManifest:
     tool: str = "trafficlab"
     version: str = __version__
 
+    def _body(self) -> dict:
+        return _strict_json(asdict(self))
+
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self._body(), sort_keys=True, separators=(",", ":"), allow_nan=False)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump({**asdict(self), "digest": self.digest()}, fh, sort_keys=True, indent=2)
+            json.dump({**self._body(), "digest": self.digest()}, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
+
+
+def _strict_json(value):
+    """value with every non-finite float spelled "inf", "-inf" or "nan",
+    since strict JSON has no token for them; other values are unchanged."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
 
 
 def _sha256_file(path: str) -> str:

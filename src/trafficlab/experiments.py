@@ -165,11 +165,12 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     offsets = np.cumsum(lengths) - lengths
     perm = np.arange(n) - np.repeat(offsets - order * b, lengths)
     new_ts = np.cumsum(gaps[perm])
-    return PacketTrace(
-        new_ts,
-        trace.sizes[perm],
-        origin=f"block_shuffle(B={block_size}) of {trace.origin}",
-    )
+    # the gaps are finite and nonnegative, so the new timestamps are
+    # nondecreasing from gaps[perm[0]] >= 0 and, unless a sum rounds
+    # past the largest float, finite
+    if not np.isfinite(new_ts[-1]):
+        raise ValueError("non-finite timestamp")
+    return PacketTrace._derived(new_ts, trace.sizes[perm], f"block_shuffle(B={block_size}) of {trace.origin}")
 
 
 def blocksize_sweep(

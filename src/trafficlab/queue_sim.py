@@ -34,8 +34,6 @@ class QueueStats:
     mean_queue is area/horizon. utilization is busy time over the
     horizon, where the packet server is busy while any packet is in
     the system and the fluid server while work is arriving or queued.
-    diagnostic is None for a normal run; it names the degenerate case
-    otherwise (for example an on rate that can never build a queue).
     """
 
     mean_queue: float
@@ -99,19 +97,66 @@ class QueueRun:
         return self._path()
 
 
+# _fsum sums at most _CHUNK terms per numpy pass, so its temporaries stay
+# small; it is exact for up to _MAX_TERMS terms whose biased exponent is
+# below _MAX_EXPONENT, that is |x| < 2**977
+_CHUNK = 1 << 16
+_MAX_TERMS = 1 << 26
+_MAX_EXPONENT = 2000
+_HI_MASK = ~np.int64((1 << 26) - 1)  # clears the low 26 of the 52 mantissa bits
+
+
 def _fsum(x) -> float:
-    """math.fsum of the float64 values of x, read through a buffer so
-    each element arrives as a Python float rather than a numpy scalar:
-    the same sum, about twice as fast."""
-    return math.fsum(memoryview(np.ascontiguousarray(x, dtype=np.float64)))
+    """math.fsum of the float64 values of the 1-d x, bit for bit.
+
+    Each value goes to the bucket of its biased exponent E and is split
+    exactly into hi, its upper 26 mantissa bits, and lo = x - hi. In
+    bucket E every hi is a whole number of units 2**(E-1049) below 2**27
+    of them, and every lo a whole number of units 2**(E-1075) below 2**26
+    of them (read E as 1 in bucket 0, the zeros and subnormals). With
+    at most 2**26 terms, every partial sum of one bucket's hi (or lo)
+    values is a whole number of those units below 2**53, which float64
+    holds exactly, in any order. So np.bincount adds each bucket
+    without rounding, and one math.fsum over the at most 4096 nonzero
+    bucket sums rounds their exact total once, as math.fsum rounds the
+    exact total of x (Zhu & Hayes 2010, Algorithm 908; Shewchuk 1997).
+    With |x| < 2**977 no bucket sum and no partial sum inside math.fsum
+    can overflow. Any other input (more than 2**26 terms, a value at or
+    above 2**977, inf or nan) is summed by math.fsum itself, read through
+    a buffer so each element arrives as a Python float.
+    """
+    x = np.asarray(x)
+    sums = _bucket_sums(x)
+    if sums is None:
+        return math.fsum(memoryview(np.ascontiguousarray(x, dtype=np.float64)))
+    return math.fsum(sums[sums != 0.0].tolist())
+
+
+def _bucket_sums(x: np.ndarray) -> np.ndarray | None:
+    """The exact hi and lo sums of x per biased exponent, as rows of a
+    (2, 2048) array, or None when x is outside the domain of _fsum."""
+    if len(x) > _MAX_TERMS:
+        return None
+    sums = np.zeros((2, 2048))
+    for start in range(0, len(x), _CHUNK):
+        chunk = np.ascontiguousarray(x[start : start + _CHUNK], dtype=np.float64)
+        bits = chunk.view(np.int64)
+        e = (bits >> 52) & 0x7FF
+        if e.max() >= _MAX_EXPONENT:
+            return None
+        hi = (bits & _HI_MASK).view(np.float64)
+        sums[0] += np.bincount(e, weights=hi, minlength=2048)
+        sums[1] += np.bincount(e, weights=chunk - hi, minlength=2048)
+    return sums
 
 
 def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     """Exact workload process of the on/off source against a unit server.
 
     During an on period the queue rises at m-1; afterwards it drains
-    at 1 until empty. Each cycle is a trapezoid or triangle, summed in
-    compensated arithmetic, so the area is exact up to rounding.
+    at 1 until empty. Each cycle is a trapezoid or triangle. The on and
+    off areas of the cycles are each summed exactly and rounded once
+    (_fsum), so summing adds no rounding beyond that of each cycle's terms.
     """
     on = process.on_lengths
     off = process.off_lengths

@@ -200,6 +200,17 @@ class PacketTrace:
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "sizes", sz)
 
+    @classmethod
+    def _derived(cls, timestamps: np.ndarray, sizes: np.ndarray, origin: str) -> PacketTrace:
+        """A trace of new float64 and int64 arrays that already hold every
+        invariant __post_init__ checks, as a reordering or window of a
+        checked trace does: the arrays are frozen, not checked again."""
+        trace = cls.__new__(cls)
+        timestamps.setflags(write=False)
+        sizes.setflags(write=False)
+        trace.timestamps, trace.sizes, trace.origin = timestamps, sizes, origin
+        return trace
+
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -396,4 +407,4 @@ def window(trace: PacketTrace, start_index: int, count: int) -> PacketTrace:
     ts = trace.timestamps[start_index : start_index + count].copy()
     ts -= ts[0]
     sz = trace.sizes[start_index : start_index + count].copy()
-    return PacketTrace(ts, sz, origin=f"window[{start_index}:{start_index + count}] of {trace.origin}")
+    return PacketTrace._derived(ts, sz, f"window[{start_index}:{start_index + count}] of {trace.origin}")

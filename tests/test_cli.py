@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -483,3 +484,30 @@ class TestManifest:
         m.write(path)
         body = json.loads(path.read_text())
         assert body["digest"] == m.digest()
+
+    @pytest.mark.parametrize(
+        "argv, manifest_path, inf_keys",
+        [
+            (["tailfit", TRACE, "--hi", "inf", "-o", "f.csv"], "f.csv.manifest.json", {"hi"}),
+            (["gen", *ONOFF, "--xmax", "inf", "--seed", "1", "-o", "t.csv"], "t.csv.manifest.json", {"xmax"}),
+            ([*BOUNDED, "--q", "inf", "--seed", "1", "-o", "b.csv"], "b.csv.manifest.json", {"q"}),
+        ],
+    )
+    def test_non_finite_parameters_are_strict_json(self, poisson_file, tmp_path, monkeypatch,
+                                                    argv, manifest_path, inf_keys):
+        monkeypatch.chdir(tmp_path)
+        assert run(*[poisson_file if a is TRACE else a for a in argv]) == 0
+
+        def reject(token):
+            raise ValueError(f"bare {token} in a manifest")
+
+        body = json.loads((tmp_path / manifest_path).read_text(), parse_constant=reject)
+        assert {key for key, v in body["parameters"].items() if v == "inf"} == inf_keys
+        digest = body.pop("digest")
+        assert cli.RunManifest(**body).digest() == digest
+        assert first_line(tmp_path / argv[-1]) == f"# manifest: {digest}"
+
+    def test_non_finite_floats_are_spelled_as_strings(self):
+        m = cli.RunManifest(subcommand="x", parameters={"a": [math.inf, -math.inf, math.nan, 1.5], "b": None})
+        same = cli.RunManifest(subcommand="x", parameters={"a": ["inf", "-inf", "nan", 1.5], "b": None})
+        assert m.digest() == same.digest()

@@ -129,6 +129,30 @@ class TestBlockShuffle:
         assert np.array_equal(np.sort(out.sizes), np.sort(sizes))
 
 
+    @given(
+        gaps=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=60),
+        data=st.data(),
+        block=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_derived_traces_are_frozen_and_equal_to_checked_ones(self, gaps, data, block, seed):
+        n = len(gaps)
+        sz = data.draw(st.lists(st.integers(1, 2**62), min_size=n, max_size=n))
+        tr = tl.PacketTrace(np.cumsum(gaps), sz, origin="t")
+        start = data.draw(st.integers(0, n - 1))
+        for out in (tl.block_shuffle(tr, block, seed), tl.window(tr, start, n - start)):
+            checked = tl.PacketTrace(out.timestamps.copy(), out.sizes.copy(), out.origin)
+            for got, want in ((out.timestamps, checked.timestamps), (out.sizes, checked.sizes)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+    def test_shuffle_rounding_past_the_largest_float_is_rejected(self):
+        tr = tl.PacketTrace(np.array([0.0, 3e307, np.finfo(float).max]), np.array([1, 1, 1]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite timestamp"):
+            tl.block_shuffle(tr, 1, 0)
+
+
 class TestSampleSizeSweep:
     def _trace(self):
         return tl.generate_poisson(200.0, 100, 2000, substream(0))

@@ -1,11 +1,18 @@
 import math
+import re
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
+from trafficlab import queue_sim
 from trafficlab.queue_sim import _fsum, prefix_mean_queue
+
+# _fsum sums values below this magnitude by exponent buckets, and hands
+# the rest to math.fsum
+FSUM_LIMIT = 2.0**977
 
 
 def fluid(on, off, m):
@@ -385,6 +392,77 @@ class TestQueueRun:
         if readonly:
             x.setflags(write=False)
         assert _fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                # from below the smallest subnormal to just past FSUM_LIMIT
+                st.builds(math.ldexp, st.floats(-2.0, 2.0), st.integers(-1076, 979)),
+                # a few exponents only, so that bucket sums carry and cancel
+                st.builds(math.ldexp, st.floats(-2.0, 2.0), st.sampled_from((-1074, -1040, -3, 0, 52, 900))),
+                st.sampled_from((5e-324, -5e-324, -0.0, 0.0, math.nextafter(FSUM_LIMIT, 0.0))),
+            ),
+            max_size=300,
+        ),
+        cancel=st.booleans(),
+        chunk=st.integers(1, 8),
+    )
+    def test_fsum_across_chunks_is_math_fsum_bit_for_bit(self, values, cancel, chunk):
+        x = np.array(values, dtype=np.float64)
+        if cancel:
+            x = np.concatenate([x, -x[::-2]])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(queue_sim, "_CHUNK", chunk)
+            assert _fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [-0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [5e-324],
+            [-1.5],
+            [3e300],
+            [1.0, -1.0],
+            [math.inf],
+            [-math.inf],
+            [math.nan],
+            [1.0, math.inf, 2.0],
+            [math.inf, -math.inf],
+            [FSUM_LIMIT],
+            [FSUM_LIMIT, -FSUM_LIMIT, 1e-300],
+            [math.nextafter(FSUM_LIMIT, 0.0)] * 3 + [-1.0],
+            [1e308, 1e308, -1e308],
+        ],
+    )
+    def test_fsum_edge_cases_match_math_fsum(self, values):
+        x = np.array(values, dtype=np.float64)
+        try:
+            want = math.fsum(values).hex()
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _fsum(x)
+        else:
+            assert _fsum(x).hex() == want
+
+    def test_fsum_rounds_only_the_bucket_sums_inside_its_domain(self):
+        x = np.random.default_rng(5).standard_normal(200_000) * 1e6
+        lengths = []
+
+        def fsum(terms):
+            terms = list(terms)
+            lengths.append(len(terms))
+            return math.fsum(terms)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(queue_sim, "math", types.SimpleNamespace(fsum=fsum))
+            got = _fsum(x)
+            assert len(lengths) == 1 and lengths[0] <= 4096
+            _fsum(np.append(x, FSUM_LIMIT))
+            assert lengths[1] == len(x) + 1
+        assert got.hex() == math.fsum(x.tolist()).hex()
 
     @given(pairs=st.lists(st.tuples(st.integers(0, 256), st.integers(1, 1500)), min_size=1, max_size=60))
     def test_packet_mean_is_the_stats_mean(self, pairs):
