@@ -33,9 +33,15 @@ ONOFF = ["--model", "onoff", "--alpha", "1.4", "--xmin", "0.01", "--m", "2", "--
 # commands write only CSV, with one packet size per trace
 TEXT_TRACE = "".join(f"{0.004 * i + 0.0003 * (37 * i % 11):.4f} {40 + 614 * i % 1461}\n" for i in range(400))
 
+# a fixed trace in the shape the loader's byte kernel reads: a header,
+# tab separators, CRLF line ends, 9-digit fractions, 8- and 10-digit
+# sizes, and one 17-digit timestamp, which the kernel hands to float()
+KERNEL_TRACE = "# seconds\tbytes\r\n" + "".join(
+    f"{1 + 0.0037 * i:.{16 if i == 150 else 9}f}\t{(10**7 if i % 3 else 10**9) + 7919 * i}\r\n" for i in range(300))
+
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
-# and from text.txt, which holds TEXT_TRACE
+# and from text.txt and kernel.txt, which hold TEXT_TRACE and KERNEL_TRACE
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -77,6 +83,11 @@ COMMANDS = [
     ("tailfit", ["cli", "tailfit", "onoff.csv", "--ccdf-out", "ccdf.csv", "-o", "tailfit.csv"]),
     ("tailfit_sizes", ["cli", "tailfit", "text.txt", "--field", "sizes", "--lo", "100", "--hi", "1400",
                        "-o", "tailfit_sizes.csv"]),
+    ("summarize_kernel", ["cli", "summarize", "kernel.txt", "-o", "summary_kernel.csv"]),
+    ("queue_kernel_path", ["cli", "queue", "kernel.txt", "--rho", "0.7", "--path-out", "kernel_path.csv",
+                           "-o", "queue_kernel.csv"]),
+    ("shuffle_kernel", ["cli", "shuffle", "kernel.txt", "--block-size", "10", "--seed", "12",
+                        "-o", "kernel_shuffled.csv"]),
     ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                     "--seed", "1", "--out", "divergence"]),
     ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
@@ -92,6 +103,7 @@ def run_commands(tree: Path, outdir: Path) -> None:
     """Run every command with tree's package, writing into outdir."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     (outdir / "text.txt").write_text(TEXT_TRACE)
+    (outdir / "kernel.txt").write_bytes(KERNEL_TRACE.encode())
     for name, (head, *rest) in COMMANDS:
         prog = ["-m", "trafficlab.cli"] if head == "cli" else [str(tree / "scripts" / head)]
         proc = subprocess.run([sys.executable, *prog, *rest], cwd=outdir, env=env,

@@ -164,10 +164,12 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     lengths = np.minimum(b, n - order * b)
     offsets = np.cumsum(lengths) - lengths
     perm = np.arange(n) - np.repeat(offsets - order * b, lengths)
-    new_ts = np.cumsum(gaps[perm])
     # the gaps are finite and nonnegative, so the new timestamps are
     # nondecreasing from gaps[perm[0]] >= 0 and, unless a sum rounds
-    # past the largest float, finite
+    # past the largest float, finite; that case is the error below,
+    # not a numpy warning
+    with np.errstate(over="ignore"):
+        new_ts = np.cumsum(gaps[perm])
     if not np.isfinite(new_ts[-1]):
         raise ValueError("non-finite timestamp")
     return PacketTrace._derived(new_ts, trace.sizes[perm], f"block_shuffle(B={block_size}) of {trace.origin}")

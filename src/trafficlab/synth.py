@@ -108,9 +108,16 @@ class FluidOnOffProcess:
     def prefix(self, n_cycles: int) -> "FluidOnOffProcess":
         if not 1 <= n_cycles <= self.n_cycles:
             raise ValueError("prefix length out of range")
-        return FluidOnOffProcess(
-            self.on_lengths[:n_cycles], self.off_lengths[:n_cycles], self.m
-        )
+        return self._derived(self.on_lengths[:n_cycles], self.off_lengths[:n_cycles], self.m)
+
+    @classmethod
+    def _derived(cls, on_lengths: np.ndarray, off_lengths: np.ndarray, m: float) -> "FluidOnOffProcess":
+        """A process of frozen float64 arrays that already hold every
+        invariant __post_init__ checks, as slices of a checked process
+        do: nothing is checked again."""
+        process = cls.__new__(cls)
+        process.on_lengths, process.off_lengths, process.m = on_lengths, off_lengths, m
+        return process
 
 
 @dataclass(frozen=True)

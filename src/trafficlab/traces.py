@@ -53,6 +53,22 @@ _RECORD = np.dtype([("t", np.float64), ("s", np.int64)])
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 _MAX_SIZE = int(np.iinfo(np.int64).max)
 
+# the byte kernel reads the records in blocks of about this many bytes,
+# cut after a line end, so its per-line temporaries stay small
+_BLOCK = 1 << 20
+# bytes put before each block, so the word ending at any field end
+# starts inside the buffer
+_PAD = 16
+# a field of more digits, or a timestamp of more digits in all, is
+# read by Python; so is a timestamp whose digits reach 2**53
+_FIELD_DIGITS = 16
+_POW10 = np.array([10**k for k in range(_FIELD_DIGITS + 1)], np.uint64)
+_POW10_FLOAT = _POW10.astype(np.float64)  # exact: 10**k = 5**k * 2**k, 5**k < 2**53
+# _TOP[w] keeps the top w bytes of a little-endian word: the last w of
+# the 8 characters it was loaded from
+_TOP = np.array([((1 << 8 * w) - 1) << (64 - 8 * w) for w in range(9)], np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
+
 
 def write_rows(fh, fmt: str, columns, comments=()) -> None:
     """Write each comment as a ``# `` line, then one ``fmt % row`` line per
@@ -204,7 +220,8 @@ class PacketTrace:
     def _derived(cls, timestamps: np.ndarray, sizes: np.ndarray, origin: str) -> PacketTrace:
         """A trace of new float64 and int64 arrays that already hold every
         invariant __post_init__ checks, as a reordering or window of a
-        checked trace does: the arrays are frozen, not checked again."""
+        checked trace and the columns load_trace has checked do: the
+        arrays are frozen, not checked again."""
         trace = cls.__new__(cls)
         timestamps.setflags(write=False)
         sizes.setflags(write=False)
@@ -306,7 +323,13 @@ def _parse_plain(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarray] |
             rec = np.loadtxt(text, dtype=_RECORD, delimiter="," if comma else None, comments="#", ndmin=1)
     except (ValueError, Warning):
         return None
-    ts, sz = rec["t"].copy(), rec["s"].copy()
+    return _checked(rec["t"].copy(), rec["s"].copy())
+
+
+def _checked(ts: np.ndarray, sz: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns, if they hold a trace _parse_lines accepts: at least
+    one record, finite nonnegative nondecreasing timestamps and sizes
+    of at least 1 byte. None otherwise."""
     if not (
         len(ts)
         and np.isfinite(ts).all()
@@ -316,6 +339,112 @@ def _parse_plain(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarray] |
     ):
         return None
     return ts, sz
+
+
+def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns _parse_lines would return, computed from the bytes.
+
+    Reads only the canonical shape: leading ``#`` lines of printable
+    ASCII and tabs, then records ``D+.D+<sep>D+`` with LF or CRLF line
+    ends and a single-byte separator: ``,`` for CSV, a space or a tab
+    otherwise. The last line end may be missing. That is what
+    save_trace and a Bellcore-style ``%.6f bytes`` file hold. Anything
+    else, and any trace _checked refuses, gives None.
+
+    A timestamp of at most 16 digits whose digits m are below 2**53 is
+    m / 10**f, f the count of fractional digits: m and 10**f are exact
+    doubles, so the one rounded division gives the bits of float()
+    (Clinger 1990). Other timestamps, and sizes of more than 16 digits,
+    are read by float() and int() on their bytes.
+    """
+    n = len(data)
+    start = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1 or n
+    header = data[:start]
+    # a lone CR ends a line of text, so it would cut a comment in two
+    if header.translate(None, _PLAIN_BYTES) or header.count(b"\r") != header.count(b"\r\n"):
+        return None
+    ts_blocks, sz_blocks = [], []
+    while start < n:
+        cut = data.find(b"\n", start + _BLOCK - 1) + 1 or n
+        columns = _parse_block(b"\0" * _PAD + memoryview(data)[start:cut], comma)
+        if columns is None:
+            return None
+        ts_blocks.append(columns[0])
+        sz_blocks.append(columns[1])
+        start = cut
+    if not ts_blocks:
+        return None
+    return _checked(np.concatenate(ts_blocks), np.concatenate(sz_blocks))
+
+
+def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The records of buf[_PAD:], whole lines of canonical records, or None."""
+    crlf = buf.find(b"\r") >= 0
+    if not buf.endswith(b"\n"):
+        buf += b"\r\n" if crlf else b"\n"
+    text = np.frombuffer(buf, np.uint8)[_PAD:]
+    # every line holds exactly three bytes that are not digits (four
+    # with CRLF): the point, the separator and the line end
+    marks = np.flatnonzero((text - np.uint8(ord("0"))) > 9)
+    per_line = 4 if crlf else 3
+    if len(marks) % per_line:
+        return None
+    marks = marks.reshape(-1, per_line)
+    point, sep, end = marks[:, 0], marks[:, 1], marks[:, 2]
+    line_start = np.empty_like(point)
+    line_start[0] = 0
+    line_start[1:] = marks[:-1, -1] + 1
+    sep_byte = text[sep]
+    ok = (text[point] == ord(".")) & (text[marks[:, -1]] == ord("\n"))
+    ok &= (sep_byte == ord(",")) if comma else (sep_byte == ord(" ")) | (sep_byte == ord("\t"))
+    if crlf:
+        ok &= (text[end] == ord("\r")) & (marks[:, 3] == end + 1)
+    int_digits, frac_digits, size_digits = point - line_start, sep - point - 1, end - sep - 1
+    ok &= (int_digits > 0) & (frac_digits > 0) & (size_digits > 0)
+    if not ok.all():
+        return None
+
+    # word i holds bytes i..i+7 of buf
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    mantissa = _digits(words, point + _PAD, int_digits)
+    scale = np.minimum(frac_digits, _FIELD_DIGITS)
+    mantissa *= _POW10[scale]
+    mantissa += _digits(words, sep + _PAD, frac_digits)
+    ts = mantissa.astype(np.float64)
+    ts /= _POW10_FLOAT[scale]
+    for i in np.flatnonzero((int_digits + frac_digits > _FIELD_DIGITS) | (mantissa >= 2**53)).tolist():
+        ts[i] = float(buf[line_start[i] + _PAD : sep[i] + _PAD])
+    sz = _digits(words, end + _PAD, size_digits).astype(np.int64)
+    for i in np.flatnonzero(size_digits > _FIELD_DIGITS).tolist():
+        size = int(buf[sep[i] + _PAD + 1 : end[i] + _PAD])
+        if size > _MAX_SIZE:
+            return None
+        sz[i] = size
+    return ts, sz
+
+
+def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The values of the digit fields ending before buffer offsets ends,
+    exact for widths up to _FIELD_DIGITS, as uint64."""
+    value = _eight_digits(words[ends - 8], np.minimum(widths, 8))
+    if widths.max() > 8:
+        value += _eight_digits(words[ends - 16], np.clip(widths - 8, 0, 8)) * np.uint64(10**8)
+    return value
+
+
+def _eight_digits(words: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The value of the last `widths` ASCII digits of each word, folded
+    pairwise in the word (Lemire 2021, "Number parsing at a gigabyte per
+    second"); the bytes before them count as zeros."""
+    keep = _TOP[widths]
+    v = (words & keep) - (_ZEROS & keep)
+    v = v * np.uint64(10) + (v >> np.uint64(8))  # digit pairs, in bytes 0, 2, 4, 6
+    pairs = np.uint64(0x000000FF000000FF)
+    hundreds = (v & pairs) * np.uint64(100 + (1000000 << 32))
+    ones = ((v >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))
+    return (hundreds + ones) >> np.uint64(32)
 
 
 def _detect_format(lines) -> str:
@@ -353,13 +482,16 @@ def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
     comma = fmt == "csv_ts_bytes"
-    columns = _parse_plain(data, comma=comma)
-    if columns is None:
-        columns = _parse_lines(_text_lines(data).readlines(), comma=comma)
+    ts, sz = (
+        _parse_canonical(data, comma=comma)
+        or _parse_plain(data, comma=comma)
+        or _parse_lines(_text_lines(data).readlines(), comma=comma)
+    )
     del data
-    ts, sz = columns
     ts -= ts[0]  # rebase so the trace starts at t=0
-    return PacketTrace(ts, sz, origin=f"{os.path.basename(path)} ({fmt})")
+    # every route checked what __post_init__ would, and rebasing a
+    # finite nondecreasing column keeps it so
+    return PacketTrace._derived(ts, sz, f"{os.path.basename(path)} ({fmt})")
 
 
 def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:

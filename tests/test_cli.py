@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +250,18 @@ class TestShuffle:
             assert run("shuffle", poisson_file, "--block-size", block, "--seed", "3", "-o", out) == 0
             rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
         assert rows[0] == rows[1]
+
+    def test_sum_past_the_largest_float_prints_only_the_error(self, tmp_path):
+        # run as a program, so a numpy warning would reach stderr as a user sees it
+        p = tmp_path / "big.csv"
+        p.write_text("0,1\n3e307,1\n1.7976931348623157e308,1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(tl.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "trafficlab.cli", "shuffle", str(p), "--block-size", "1", "--seed", "0",
+             "-o", str(tmp_path / "s.csv")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: non-finite timestamp\n")
 
 
 class TestSweeps:

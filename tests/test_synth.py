@@ -143,6 +143,21 @@ class TestFluidOnOffProcess:
         with pytest.raises(ValueError):
             p.prefix(4)
 
+    @given(
+        cycles=st.lists(st.tuples(st.floats(1e-6, 1e6), st.floats(0.0, 1e6)), min_size=1, max_size=30),
+        data=st.data(),
+        m=st.floats(1.0, 100.0, exclude_min=True),
+    )
+    def test_prefix_is_frozen_and_equal_to_the_checked_process(self, cycles, data, m):
+        on, off = (np.array(c) for c in zip(*cycles))
+        n = data.draw(st.integers(1, len(on)))
+        got = tl.FluidOnOffProcess(on, off, m).prefix(n)
+        want = tl.FluidOnOffProcess(on[:n].copy(), off[:n].copy(), m)
+        assert type(got) is tl.FluidOnOffProcess and got.m == want.m
+        for a, b in ((got.on_lengths, want.on_lengths), (got.off_lengths, want.off_lengths)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tl.FluidOnOffProcess(np.array([0.0]), np.array([1.0]), 2.0)

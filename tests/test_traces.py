@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +247,43 @@ trace_files = st.tuples(
 )
 
 
+def digit_strings(lo, hi):
+    return st.text("0123456789", min_size=lo, max_size=hi)
+
+
+def with_point(mantissa, frac_digits):
+    digits = str(mantissa).rjust(frac_digits + 1, "0")
+    return f"{digits[:-frac_digits]}.{digits[-frac_digits:]}"
+
+
+# canonical files at the byte kernel's edges: integer parts of 1 to 16
+# digits and fractions of 1 to 17, digits on either side of 2**53 (past
+# it, float() reads the field), sizes of 1 to 19 digits (past 16, int()
+# reads them; past int64 the file goes to the line parser), space or tab
+# separators, LF or CRLF, with or without the last line end, header
+# comments, and blocks small enough that most lines end one
+kernel_files = st.tuples(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.builds("{}.{}".format, digit_strings(1, 16), digit_strings(1, 17)),
+                st.builds(with_point, st.integers(2**53 - 40, 2**53 + 40), st.integers(1, 15)),
+            ),
+            st.one_of(st.integers(1, 2**63 - 1).map(str), digit_strings(1, 19)),
+            st.sampled_from([" ", "\t"]),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.booleans(),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+    st.lists(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E) | st.just("\t"), max_size=12),
+             max_size=2),
+    st.integers(1, 200),
+)
+
+
 class TestVectorizedLoader:
     @given(spec=trace_files)
     @settings(max_examples=300)
@@ -305,6 +343,101 @@ class TestVectorizedLoader:
 
         monkeypatch.setattr(traces, "_parse_lines", refuse)
         assert loader_outcome(p) == want
+
+    @pytest.mark.parametrize("name", ["clean.csv", "clean.txt"])
+    def test_clean_file_takes_the_byte_kernel(self, name, tmp_path, monkeypatch):
+        tr = tl.generate_poisson(200.0, 100, 1000, tl.substream(5))
+        p = tmp_path / name
+        if name.endswith(".csv"):
+            tl.save_trace(tr, p, comments=("manifest: abc", "timestamp,bytes"))
+        else:
+            rows = "".join(f"{t:.6f} {s}\n" for t, s in zip(tr.timestamps.tolist(), tr.sizes.tolist()))
+            p.write_text("# seconds bytes\n" + rows)
+        want = line_parser_outcome(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clean file left the byte kernel")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(traces, "_parse_lines", refuse)
+        assert loader_outcome(p) == want
+
+    @given(spec=kernel_files)
+    @settings(max_examples=300)
+    def test_byte_kernel_matches_the_line_parser(self, spec, tmp_path_factory):
+        records, comma, newline, final_newline, header, block = spec
+        records = sorted(records, key=lambda r: float(r[0]))
+        lines = [f"#{h}" for h in header] + [f"{t}{',' if comma else sep}{s}" for t, s, sep in records]
+        data = (newline.join(lines) + newline * final_newline).encode()
+        try:
+            want = traces._parse_lines(traces._text_lines(data).readlines(), comma=comma)
+        except TraceFormatError:
+            want = None
+        path = tmp_path_factory.getbasetemp() / "kernel.txt"
+        path.write_bytes(data)
+        with mock.patch.object(traces, "_BLOCK", block):
+            got = traces._parse_canonical(data, comma=comma)
+            loaded = loader_outcome(path)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert loaded == line_parser_outcome(path)
+
+    @pytest.mark.parametrize(
+        "text, comma",
+        [
+            ("# café\n0.5 100\n", False),
+            ("0.5 100 # note\n", False),
+            ("0.5 100 7\n", False),
+            ("0.5 5.0\n", False),
+            ("0.5 1_000\n", False),
+            ("# a\rb\n0.5 100\n", False),
+            ("\n0.5 100\n", False),
+            (" 0.5 100\n", False),
+            ("0.5  100\n", False),
+            ("0.5 100 \n", False),
+            ("5 100\n", False),
+            (".5 100\n", False),
+            ("0. 100\n", False),
+            ("0.5 \n", False),
+            ("0.5 100\r\n0.6 100\n", False),
+            ("0.5 100\r", False),
+            ("0.5 100\n# note\n0.6 100\n", False),
+            ("0.5,100\n", False),
+            ("0.5 100\n", True),
+            ("0.5;100\n", True),
+            ("0.5 0\n", False),
+            ("0.6 100\n0.5 100\n", False),
+            ("0.5 99999999999999999999\n", False),
+            ("9" * 400 + ".0 100\n", False),
+            ("# only a header\n", False),
+            ("", False),
+        ],
+    )
+    def test_byte_kernel_refuses_what_it_does_not_read(self, text, comma, tmp_path):
+        data = text.encode("utf-8")
+        assert traces._parse_canonical(data, comma=comma) is None
+        p = tmp_path / "t.txt"
+        p.write_bytes(data)
+        assert loader_outcome(p) == line_parser_outcome(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# kernel\n0.5 100\n1.25 200\n", "0.5  100\n 1.25 200\n", "0.5 1_000\n1.25 200\n"],
+        ids=["byte_kernel", "loadtxt", "line_parser"],
+    )
+    def test_loaded_trace_is_frozen_and_equal_to_the_checked_trace(self, text, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        got = tl.load_trace(p)
+        want = tl.PacketTrace(got.timestamps, got.sizes, got.origin)
+        assert type(got) is tl.PacketTrace and got.origin == want.origin == "t.txt (two_column_text)"
+        for a, b in ((got.timestamps, want.timestamps), (got.sizes, want.sizes)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 def python_rows(fmt, columns):
