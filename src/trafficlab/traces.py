@@ -9,7 +9,6 @@ from __future__ import annotations
 import io
 import os
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +46,14 @@ _SCALE = 10**TIMESTAMP_DIGITS
 _FIXED_LIMIT = 2.0**53 / _SCALE
 _SPLIT = 2.0**27 + 1  # Veltkamp's constant for float64
 
-# one record as the vectorized loader reads it
-_RECORD = np.dtype([("t", np.float64), ("s", np.int64)])
-# the bytes a file may hold and still take the vectorized path
+# the bytes a header comment may hold and still take the byte kernel
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 _MAX_SIZE = int(np.iinfo(np.int64).max)
 
 # the byte kernel reads the records in blocks of about this many bytes,
-# cut after a line end, so its per-line temporaries stay small
+# cut after a line end, so its per-line temporaries stay in cache: on a
+# 1M-line file (2-core VM) one pass over the whole file takes about 1.7
+# times as long and peaks 115 MiB higher
 _BLOCK = 1 << 20
 # bytes put before each block, so the word ending at any field end
 # starts inside the buffer
@@ -62,6 +61,9 @@ _PAD = 16
 # a field of more digits, or a timestamp of more digits in all, is
 # read by Python; so is a timestamp whose digits reach 2**53
 _FIELD_DIGITS = 16
+# a size of more digits goes to the line parser: past int64 it is an
+# error, and int() refuses text of thousands of digits
+_SIZE_DIGITS = len(str(_MAX_SIZE))
 _POW10 = np.array([10**k for k in range(_FIELD_DIGITS + 1)], np.uint64)
 _POW10_FLOAT = _POW10.astype(np.float64)  # exact: 10**k = 5**k * 2**k, 5**k < 2**53
 # _TOP[w] keeps the top w bytes of a little-endian word: the last w of
@@ -299,33 +301,6 @@ def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts, dtype=np.float64), np.array(sz, dtype=np.int64)
 
 
-def _parse_plain(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns _parse_lines would return, parsed in one numpy call.
-
-    Returns None, and reports nothing, for any file outside the plain
-    subset or failing a check, so the caller reruns _parse_lines for
-    the error. The subset is what numpy and the line parser read alike:
-    printable ASCII, tabs and line ends; ``#`` only as the first byte of
-    a line, since numpy would strip a trailing note the line parser
-    rejects; and plain integer sizes, since numpy rejects ``1_000``.
-    """
-    if data.translate(None, _PLAIN_BYTES):
-        return None
-    hashes = data.count(b"#")
-    if hashes and hashes != data.count(b"\n#") + data.startswith(b"#"):
-        return None
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
-    try:
-        with warnings.catch_warnings():
-            # numpy only warns on an empty file, and older numpy on a
-            # size read through a float; both must fall back
-            warnings.simplefilter("error")
-            rec = np.loadtxt(text, dtype=_RECORD, delimiter="," if comma else None, comments="#", ndmin=1)
-    except (ValueError, Warning):
-        return None
-    return _checked(rec["t"].copy(), rec["s"].copy())
-
-
 def _checked(ts: np.ndarray, sz: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The columns, if they hold a trace _parse_lines accepts: at least
     one record, finite nonnegative nondecreasing timestamps and sizes
@@ -354,8 +329,8 @@ def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarra
     A timestamp of at most 16 digits whose digits m are below 2**53 is
     m / 10**f, f the count of fractional digits: m and 10**f are exact
     doubles, so the one rounded division gives the bits of float()
-    (Clinger 1990). Other timestamps, and sizes of more than 16 digits,
-    are read by float() and int() on their bytes.
+    (Clinger 1990). Other timestamps, and sizes of 17 to 19 digits, are
+    read by float() and int() on their bytes; a longer size gives None.
     """
     n = len(data)
     start = 0
@@ -402,7 +377,7 @@ def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | Non
     if crlf:
         ok &= (text[end] == ord("\r")) & (marks[:, 3] == end + 1)
     int_digits, frac_digits, size_digits = point - line_start, sep - point - 1, end - sep - 1
-    ok &= (int_digits > 0) & (frac_digits > 0) & (size_digits > 0)
+    ok &= (int_digits > 0) & (frac_digits > 0) & (size_digits > 0) & (size_digits <= _SIZE_DIGITS)
     if not ok.all():
         return None
 
@@ -482,14 +457,10 @@ def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
     comma = fmt == "csv_ts_bytes"
-    ts, sz = (
-        _parse_canonical(data, comma=comma)
-        or _parse_plain(data, comma=comma)
-        or _parse_lines(_text_lines(data).readlines(), comma=comma)
-    )
+    ts, sz = _parse_canonical(data, comma=comma) or _parse_lines(_text_lines(data).readlines(), comma=comma)
     del data
     ts -= ts[0]  # rebase so the trace starts at t=0
-    # every route checked what __post_init__ would, and rebasing a
+    # both parsers checked what __post_init__ would, and rebasing a
     # finite nondecreasing column keeps it so
     return PacketTrace._derived(ts, sz, f"{os.path.basename(path)} ({fmt})")
 

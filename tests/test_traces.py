@@ -317,7 +317,7 @@ class TestVectorizedLoader:
     )
     def test_what_numpy_reads_differently_goes_to_the_line_parser(self, text, tmp_path):
         data = text.encode("utf-8")
-        assert traces._parse_plain(data, comma=False) is None
+        assert traces._parse_canonical(data, comma=False) is None
         p = tmp_path / "t.txt"
         p.write_bytes(data)
         assert loader_outcome(p) == line_parser_outcome(p)
@@ -341,24 +341,6 @@ class TestVectorizedLoader:
         def refuse(*args, **kwargs):
             raise AssertionError("clean file fell back to the line parser")
 
-        monkeypatch.setattr(traces, "_parse_lines", refuse)
-        assert loader_outcome(p) == want
-
-    @pytest.mark.parametrize("name", ["clean.csv", "clean.txt"])
-    def test_clean_file_takes_the_byte_kernel(self, name, tmp_path, monkeypatch):
-        tr = tl.generate_poisson(200.0, 100, 1000, tl.substream(5))
-        p = tmp_path / name
-        if name.endswith(".csv"):
-            tl.save_trace(tr, p, comments=("manifest: abc", "timestamp,bytes"))
-        else:
-            rows = "".join(f"{t:.6f} {s}\n" for t, s in zip(tr.timestamps.tolist(), tr.sizes.tolist()))
-            p.write_text("# seconds bytes\n" + rows)
-        want = line_parser_outcome(p)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("clean file left the byte kernel")
-
-        monkeypatch.setattr(np, "loadtxt", refuse)
         monkeypatch.setattr(traces, "_parse_lines", refuse)
         assert loader_outcome(p) == want
 
@@ -389,11 +371,6 @@ class TestVectorizedLoader:
     @pytest.mark.parametrize(
         "text, comma",
         [
-            ("# café\n0.5 100\n", False),
-            ("0.5 100 # note\n", False),
-            ("0.5 100 7\n", False),
-            ("0.5 5.0\n", False),
-            ("0.5 1_000\n", False),
             ("# a\rb\n0.5 100\n", False),
             ("\n0.5 100\n", False),
             (" 0.5 100\n", False),
@@ -412,7 +389,9 @@ class TestVectorizedLoader:
             ("0.5 0\n", False),
             ("0.6 100\n0.5 100\n", False),
             ("0.5 99999999999999999999\n", False),
-            ("9" * 400 + ".0 100\n", False),
+            ("0.5 00000000000000000001\n", False),
+            pytest.param("0.5 " + "1" * 5000 + "\n", False, id="5000-digit size"),
+            pytest.param("9" * 400 + ".0 100\n", False, id="400-digit timestamp"),
             ("# only a header\n", False),
             ("", False),
         ],
@@ -426,8 +405,8 @@ class TestVectorizedLoader:
 
     @pytest.mark.parametrize(
         "text",
-        ["# kernel\n0.5 100\n1.25 200\n", "0.5  100\n 1.25 200\n", "0.5 1_000\n1.25 200\n"],
-        ids=["byte_kernel", "loadtxt", "line_parser"],
+        ["# kernel\n0.5 100\n1.25 200\n", "0.5  100\n 1.25 1_000\n"],
+        ids=["byte_kernel", "line_parser"],
     )
     def test_loaded_trace_is_frozen_and_equal_to_the_checked_trace(self, text, tmp_path):
         p = tmp_path / "t.txt"
