@@ -3,7 +3,8 @@
 
 Point this at a two-column arrival file (whitespace-separated
 "timestamp bytes" lines, e.g. the classic Bellcore BC-pAug89 capture
-from the Internet Traffic Archive) and it runs the whole toolchain:
+from the Internet Traffic Archive, or "timestamp,bytes" CSV; a comma
+in the first record line means CSV) and it runs the whole toolchain:
 
   1. summarize     packet count, duration, mean rate
   2. hurst         aggregated-variance estimate on binned counts
@@ -22,7 +23,6 @@ from pathlib import Path
 
 import trafficlab as tl
 from trafficlab import cli
-from trafficlab.traces import TRACE_FORMATS
 
 SAMPLE_LADDER = [10_000, 31_623, 100_000, 316_228, 1_000_000]
 BLOCK_LADDER = [1, 10, 100, 1000, 10_000]
@@ -38,8 +38,6 @@ def step(argv):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trace", type=Path, help="recorded arrival trace")
-    ap.add_argument("--format", default=None, choices=TRACE_FORMATS,
-                    help="trace format; by default a comma in the first record line means csv_ts_bytes")
     ap.add_argument("--rho", type=float, default=0.46,
                     help="server utilization for both sweeps")
     ap.add_argument("--reps", type=int, default=10)
@@ -47,29 +45,27 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, default=Path("walkthrough_out"))
     args = ap.parse_args(argv)
 
-    fmt = ["--format", args.format] if args.format else []
     args.out.mkdir(parents=True, exist_ok=True)
 
-    full = tl.load_trace(args.trace, args.format)
+    full = tl.load_trace(args.trace)
     limit = min(1_000_000, full.packet_count)
     if full.packet_count > limit:
         # the sweeps are documented against the first million arrivals
         work = args.out / "first_1e6.csv"
         tl.save_trace(tl.window(full, 0, limit), work)
-        fmt = []
     else:
         work = args.trace
     sizes = sorted({n for n in SAMPLE_LADDER if n < limit} | {limit})
     blocks = [b for b in BLOCK_LADDER if b <= limit]
 
-    step(["summarize", work, *fmt, "-o", args.out / "summary.csv"])
-    step(["hurst", work, *fmt, "-o", args.out / "hurst.csv"])
-    step(["sweep-samples", "--trace", work, *fmt,
+    step(["summarize", work, "-o", args.out / "summary.csv"])
+    step(["hurst", work, "-o", args.out / "hurst.csv"])
+    step(["sweep-samples", "--trace", work,
           "--sizes", ",".join(str(n) for n in sizes),
           "--reps", str(args.reps), "--seed", str(args.seed),
           "--rho", str(args.rho),
           "--out-prefix", args.out / "samples"])
-    step(["sweep-blocks", "--trace", work, *fmt,
+    step(["sweep-blocks", "--trace", work,
           "--blocks", ",".join(str(b) for b in blocks),
           "--reps", str(args.reps), "--seed", str(args.seed),
           "--rho", str(args.rho),

@@ -41,7 +41,8 @@ KERNEL_TRACE = "# seconds\tbytes\r\n" + "".join(
 
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
-# and from text.txt and kernel.txt, which hold TEXT_TRACE and KERNEL_TRACE
+# and from text.txt, kernel.txt and mixed.txt: TEXT_TRACE, KERNEL_TRACE
+# and a CSV trace whose third record is whitespace separated
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -51,7 +52,9 @@ COMMANDS = [
                      "--seed", "11", "-o", "bounded.csv"]),
     ("summarize", ["cli", "summarize", "onoff.csv", "-o", "summary.csv"]),
     ("summarize_stdout", ["cli", "summarize", "poisson.csv"]),
-    ("summarize_text", ["cli", "summarize", "text.txt", "--format", "two_column_text", "-o", "summary_text.csv"]),
+    ("summarize_text", ["cli", "summarize", "text.txt", "-o", "summary_text.csv"]),
+    # fails: the first record names CSV, so the error names line 3
+    ("summarize_mixed", ["cli", "summarize", "mixed.txt", "-o", "summary_mixed.csv"]),
     ("queue", ["cli", "queue", "onoff.csv", "--rho", "0.6", "-o", "queue.csv"]),
     ("queue_path", ["cli", "queue", "onoff.csv", "--rho", "0.6", "--path-out", "path.csv",
                     "-o", "queue_path.csv"]),
@@ -104,6 +107,7 @@ def run_commands(tree: Path, outdir: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     (outdir / "text.txt").write_text(TEXT_TRACE)
     (outdir / "kernel.txt").write_bytes(KERNEL_TRACE.encode())
+    (outdir / "mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
     for name, (head, *rest) in COMMANDS:
         prog = ["-m", "trafficlab.cli"] if head == "cli" else [str(tree / "scripts" / head)]
         proc = subprocess.run([sys.executable, *prog, *rest], cwd=outdir, env=env,

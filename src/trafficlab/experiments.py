@@ -172,7 +172,7 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
         new_ts = np.cumsum(gaps[perm])
     if not np.isfinite(new_ts[-1]):
         raise ValueError("non-finite timestamp")
-    return PacketTrace._derived(new_ts, trace.sizes[perm], f"block_shuffle(B={block_size}) of {trace.origin}")
+    return PacketTrace._derived(new_ts, trace.sizes[perm])
 
 
 def blocksize_sweep(

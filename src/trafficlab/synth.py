@@ -256,10 +256,7 @@ def packetize(
     if len(times) == 0:
         raise ValueError("no packets emitted; every on period is shorter than one packet spacing")
     sizes = np.full(len(times), packet_size, dtype=np.int64)
-    trace = PacketTrace(
-        times, sizes, origin=f"onoff m={process.m} packetized size={packet_size} rate={server_rate}"
-    )
-    return trace, report
+    return PacketTrace(times, sizes), report
 
 
 def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace:
@@ -275,7 +272,7 @@ def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace
     ts = np.cumsum(rng.exponential(1.0 / rate, n))
     ts -= ts[0]
     sizes = np.full(n, packet_size, dtype=np.int64)
-    return PacketTrace(ts, sizes, origin=f"poisson rate={rate} size={packet_size}")
+    return PacketTrace(ts, sizes)
 
 
 @dataclass(frozen=True)
@@ -328,5 +325,4 @@ class SyntheticSource:
             have += len(times)
         ts = np.concatenate(pieces)[:n_packets]
         sizes = np.full(n_packets, self.packet_size, dtype=np.int64)
-        label = f"onoff m={self.spec.m} packetized size={self.packet_size} rate={self.server_rate}"
-        return PacketTrace(ts, sizes, origin=f"{label} first {n_packets} packets")
+        return PacketTrace(ts, sizes)

@@ -25,10 +25,6 @@ __all__ = [
     "write_rows",
 ]
 
-# the formats load_trace reads: comma separated ``timestamp,bytes`` and
-# whitespace separated ``timestamp bytes``
-TRACE_FORMATS = ("csv_ts_bytes", "two_column_text")
-
 # seconds are written with fixed sub-nanosecond precision so that a
 # write/read cycle reproduces the file byte for byte
 TIMESTAMP_DIGITS = 9
@@ -192,7 +188,6 @@ class PacketTrace:
 
     timestamps: np.ndarray
     sizes: np.ndarray
-    origin: str = ""
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.float64)
@@ -219,7 +214,7 @@ class PacketTrace:
         object.__setattr__(self, "sizes", sz)
 
     @classmethod
-    def _derived(cls, timestamps: np.ndarray, sizes: np.ndarray, origin: str) -> PacketTrace:
+    def _derived(cls, timestamps: np.ndarray, sizes: np.ndarray) -> PacketTrace:
         """A trace of new float64 and int64 arrays that already hold every
         invariant __post_init__ checks, as a reordering or window of a
         checked trace and the columns load_trace has checked do: the
@@ -227,7 +222,7 @@ class PacketTrace:
         trace = cls.__new__(cls)
         timestamps.setflags(write=False)
         sizes.setflags(write=False)
-        trace.timestamps, trace.sizes, trace.origin = timestamps, sizes, origin
+        trace.timestamps, trace.sizes = timestamps, sizes
         return trace
 
     def __len__(self) -> int:
@@ -422,13 +417,10 @@ def _eight_digits(words: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return (hundreds + ones) >> np.uint64(32)
 
 
-def _detect_format(lines) -> str:
-    """The format named by the first record line: a comma means CSV."""
-    for line in lines:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            return "csv_ts_bytes" if "," in stripped else "two_column_text"
-    return "two_column_text"
+def _comma_separated(lines) -> bool:
+    """Whether the first record line holds a comma, which makes the file CSV."""
+    records = (line.strip() for line in lines)
+    return "," in next((line for line in records if line and not line.startswith("#")), "")
 
 
 def _text_lines(data: bytes):
@@ -439,34 +431,28 @@ def _text_lines(data: bytes):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
 
 
-def load_trace(path: str | os.PathLike, fmt: str | None = None) -> PacketTrace:
-    """Read a trace file.
+def load_trace(path: str | os.PathLike) -> PacketTrace:
+    """Read a trace file of comma separated ``timestamp,bytes`` or
+    whitespace separated ``timestamp bytes`` records; a comma in the
+    first record line means CSV.
 
-    fmt is "csv_ts_bytes" (comma separated ``timestamp,bytes``) or
-    "two_column_text" (whitespace separated ``timestamp bytes``). With
-    fmt=None the first record line picks the format: a comma means CSV.
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped; any other line must hold exactly a timestamp and a plain
     integer size. Timestamps are rebased to start at zero.
     """
-    path = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    if fmt is None:
-        fmt = _detect_format(_text_lines(data))
-    if fmt not in TRACE_FORMATS:
-        raise ValueError(f"unknown trace format {fmt!r}")
-    comma = fmt == "csv_ts_bytes"
+    comma = _comma_separated(_text_lines(data))
     ts, sz = _parse_canonical(data, comma=comma) or _parse_lines(_text_lines(data).readlines(), comma=comma)
     del data
     ts -= ts[0]  # rebase so the trace starts at t=0
     # both parsers checked what __post_init__ would, and rebasing a
     # finite nondecreasing column keeps it so
-    return PacketTrace._derived(ts, sz, f"{os.path.basename(path)} ({fmt})")
+    return PacketTrace._derived(ts, sz)
 
 
 def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:
-    """Write csv_ts_bytes with 9 fractional digits on timestamps.
+    """Write ``timestamp,bytes`` CSV with 9 fractional digits on timestamps.
 
     comments are emitted first, one per line, prefixed with ``# ``.
     """
@@ -510,4 +496,4 @@ def window(trace: PacketTrace, start_index: int, count: int) -> PacketTrace:
     ts = trace.timestamps[start_index : start_index + count].copy()
     ts -= ts[0]
     sz = trace.sizes[start_index : start_index + count].copy()
-    return PacketTrace._derived(ts, sz, f"window[{start_index}:{start_index + count}] of {trace.origin}")
+    return PacketTrace._derived(ts, sz)

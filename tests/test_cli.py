@@ -358,6 +358,8 @@ class TestIntegerLists:
         (["sweep-blocks", "--blocks", "1.5,10", "--seed", "0", "--out-prefix", "x"], "1.5"),
         (["sweep-samples", "--sizes", "50,2.5", "--seed", "0", "--out-prefix", "x"], "2.5"),
         (["hurst", "t.csv", "--levels", "1,2,4.5,8", "-o", "h.csv"], "4.5"),
+        (["sweep-blocks", "--blocks", "1,10000000000000000000.5", "--seed", "0", "--out-prefix", "x"],
+         "10000000000000000000.5"),
     ])
     def test_fractional_value_rejected_by_name(self, capsys, argv, bad):
         with pytest.raises(SystemExit):
@@ -368,6 +370,39 @@ class TestIntegerLists:
         args = cli.build_parser().parse_args(
             ["sweep-blocks", "--blocks", "1e4,10.0,3", "--seed", "0", "--out-prefix", "x"])
         assert args.blocks == [10000, 10, 3]
+
+    def test_twenty_digit_value_is_read_exactly(self):
+        args = cli.build_parser().parse_args(
+            ["sweep-blocks", "--blocks", "10000000000000000001,+5,1_000", "--seed", "0", "--out-prefix", "x"])
+        assert args.blocks == [10000000000000000001, 5, 1000]
+        assert cli._int_list("9" * 4300) == [10**4300 - 1]
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e999999999"])
+    def test_value_past_4300_digits_rejected_by_name(self, capsys, text):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["sweep-blocks", "--blocks", f"1,{text}", "--seed", "0",
+                                           "--out-prefix", "x"])
+        assert f"'{text}' in '1,{text}' is not an integer of at most 4300 digits" in capsys.readouterr().err
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "--model", "poisson", "--rate", "10", "--n", "5", "--seed", "-1", "-o", "t.csv"], "--seed"),
+        (["shuffle", "t.csv", "--block-size", "2", "--seed", "-1", "-o", "s.csv"], "--seed"),
+        (["sweep-blocks", "--blocks", "1", "--seed", "-1", "--out-prefix", "x"], "--seed"),
+        (["sweep-blocks", "--blocks", "1", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
+        (["sweep-samples", "--sizes", "10", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
+    ])
+    def test_out_of_range_value_names_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        low = 0 if flag == "--seed" else 1
+        assert f"argument {flag}: must be >= {low}, got {argv[argv.index(flag) + 1]}" in capsys.readouterr().err
+
+    def test_non_integer_value_still_reads_invalid_int(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["sweep-blocks", "--blocks", "1", "--seed", "x", "--out-prefix", "x"])
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestHurstCommand:
@@ -391,6 +426,16 @@ class TestHurstCommand:
         rc = run("hurst", trace_path, "--bin-width", "1.0", "-o", tmp_path / "h.csv")
         assert rc == 1
         assert "zero variance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", [[0.0], [2.5, 2.5, 2.5]], ids=["one_packet", "equal_timestamps"])
+    def test_zero_duration_names_the_duration(self, tmp_path, capsys, times):
+        trace_path = tmp_path / "z.csv"
+        trace_path.write_text("".join(f"{t},100\n" for t in times))
+        rc = run("hurst", trace_path, "-o", tmp_path / "h.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: trace duration is zero: every packet arrives at once, so there are no bins\n"
+        assert not (tmp_path / "h.csv").exists()
 
     @pytest.mark.parametrize("width", ["0", "nan"])
     def test_bad_bin_width_rejected_not_replaced(self, poisson_file, tmp_path, capsys, width):
@@ -435,7 +480,7 @@ class TestTailfitCommand:
 
 
 GEN_KEYS = {"model", "alpha", "xmin", "xmax", "m", "lam", "cycles", "packet_size", "rate", "off_model", "q", "n"}
-SWEEP_KEYS = GEN_KEYS | {"trace", "format", "reps", "seed", "bandwidth", "rho", "out_prefix"}
+SWEEP_KEYS = GEN_KEYS | {"trace", "reps", "seed", "bandwidth", "rho", "out_prefix"}
 TRACE = object()  # stands for the input trace in WRITERS
 
 # every command that writes files: its arguments, its outputs in manifest
@@ -444,20 +489,20 @@ TRACE = object()  # stands for the input trace in WRITERS
 WRITERS = {
     "gen": (["--model", "poisson", "--rate", "500", "--n", "50", "--seed", "1", "-o", "t.csv"],
             ["t.csv"], "t.csv.manifest.json", GEN_KEYS | {"seed", "output", "trace"}),
-    "summarize": ([TRACE, "-o", "s.csv"], ["s.csv"], "s.csv.manifest.json", {"trace", "format", "output"}),
+    "summarize": ([TRACE, "-o", "s.csv"], ["s.csv"], "s.csv.manifest.json", {"trace", "output"}),
     "queue": ([TRACE, "--rho", "0.5", "--path-out", "p.csv", "-o", "q.csv"], ["q.csv", "p.csv"],
               "q.csv.manifest.json",
-              {"trace", "format", "bandwidth", "rho", "path_out", "output", "derived_bandwidth"}),
+              {"trace", "bandwidth", "rho", "path_out", "output", "derived_bandwidth"}),
     "shuffle": ([TRACE, "--block-size", "8", "--seed", "1", "-o", "s.csv"], ["s.csv"], "s.csv.manifest.json",
-                {"trace", "format", "block_size", "seed", "output"}),
+                {"trace", "block_size", "seed", "output"}),
     "sweep-samples": (["--trace", TRACE, "--sizes", "50,100", "--reps", "2", "--seed", "1", "--rho", "0.5",
                        "--out-prefix", "sw"], ["sw.csv", "sw.gp"], "sw.manifest.json", SWEEP_KEYS | {"sizes"}),
     "sweep-blocks": (["--trace", TRACE, "--blocks", "1,10", "--reps", "2", "--seed", "1", "--rho", "0.5",
                       "--out-prefix", "sw"], ["sw.csv", "sw.gp"], "sw.manifest.json", SWEEP_KEYS | {"blocks"}),
     "hurst": ([TRACE, "-o", "h.csv"], ["h.csv"], "h.csv.manifest.json",
-              {"trace", "format", "bin_width", "unit", "levels", "output", "derived_bin_width"}),
+              {"trace", "bin_width", "unit", "levels", "output", "derived_bin_width"}),
     "tailfit": ([TRACE, "--ccdf-out", "c.csv", "-o", "f.csv"], ["f.csv", "c.csv"], "f.csv.manifest.json",
-                {"trace", "format", "field", "lo", "hi", "ccdf_out", "output", "derived_fit_range"}),
+                {"trace", "field", "lo", "hi", "ccdf_out", "output", "derived_fit_range"}),
 }
 
 

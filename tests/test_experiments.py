@@ -139,10 +139,10 @@ class TestBlockShuffle:
     def test_derived_traces_are_frozen_and_equal_to_checked_ones(self, gaps, data, block, seed):
         n = len(gaps)
         sz = data.draw(st.lists(st.integers(1, 2**62), min_size=n, max_size=n))
-        tr = tl.PacketTrace(np.cumsum(gaps), sz, origin="t")
+        tr = tl.PacketTrace(np.cumsum(gaps), sz)
         start = data.draw(st.integers(0, n - 1))
         for out in (tl.block_shuffle(tr, block, seed), tl.window(tr, start, n - start)):
-            checked = tl.PacketTrace(out.timestamps.copy(), out.sizes.copy(), out.origin)
+            checked = tl.PacketTrace(out.timestamps.copy(), out.sizes.copy())
             for got, want in ((out.timestamps, checked.timestamps), (out.sizes, checked.sizes)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                 assert not got.flags.writeable
