@@ -91,12 +91,19 @@ COMMANDS = [
                            "-o", "queue_kernel.csv"]),
     ("shuffle_kernel", ["cli", "shuffle", "kernel.txt", "--block-size", "10", "--seed", "12",
                         "-o", "kernel_shuffled.csv"]),
+    # the divergence commands and the script's flag-translating front to them
+    ("diverge", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--sizes", "100,1000,10000",
+                 "--reps", "3", "--seed", "1", "--out-prefix", "diverge"]),
+    ("diverge_capped", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--xmax", "100",
+                        "--sizes", "100,1000,10000", "--reps", "3", "--seed", "1", "--out-prefix", "diverge_capped"]),
+    # prefixes longer than one 65536-term summation chunk, so the fluid
+    # sums cross chunk boundaries
+    ("diverge_long", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5",
+                      "--sizes", "1000,100000,300000", "--reps", "1", "--seed", "4", "--out-prefix", "diverge_long"]),
     ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                     "--seed", "1", "--out", "divergence"]),
     ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                            "--seed", "1", "--x-max", "100", "--out", "divergence_capped"]),
-    # prefixes longer than one 65536-term summation chunk, so the fluid
-    # sums cross chunk boundaries
     ("divergence_long", ["divergence_experiment.py", "--sizes", "1000", "100000", "300000", "--reps", "1",
                          "--seed", "4", "--out", "divergence_long"]),
 ]

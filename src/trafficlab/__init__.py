@@ -19,6 +19,7 @@ from .experiments import (
     aggregate_replications,
     block_shuffle,
     blocksize_sweep,
+    prefix_mean_sweep,
     sample_size_sweep,
 )
 from .queue_sim import QueuePath, QueueRun, QueueStats, fluid_queue, packet_fifo, prefix_mean_queue
@@ -60,6 +61,7 @@ __all__ = [
     "aggregate_replications",
     "block_shuffle",
     "blocksize_sweep",
+    "prefix_mean_sweep",
     "sample_size_sweep",
     "QueuePath",
     "QueueRun",

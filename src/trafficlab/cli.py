@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .estimators import bin_counts, empirical_ccdf, fit_tail_index, hurst_aggregated_variance
-from .experiments import ReplicationPlan, _resolve_bandwidth, block_shuffle, blocksize_sweep, sample_size_sweep
+from .experiments import ReplicationPlan, _resolve_bandwidth, block_shuffle, blocksize_sweep
+from .experiments import prefix_mean_sweep, sample_size_sweep
 from .queue_sim import packet_fifo
 from .rng import substream
 from .synth import (
@@ -95,7 +96,8 @@ def _manifest(args: argparse.Namespace, *outputs: str | None, **derived):
         for key, value in {**vars(args), **derived}.items()
         if key not in ("func", "subcommand")
     }
-    inputs = {args.trace: _sha256_file(args.trace)} if args.trace else {}
+    trace = getattr(args, "trace", None)
+    inputs = {trace: _sha256_file(trace)} if trace else {}
     manifest = RunManifest(subcommand=args.subcommand, parameters=params, inputs=inputs, outputs=outputs)
     yield f"manifest: {manifest.digest()}"
     manifest.write(getattr(args, "out_prefix", outputs[0]) + ".manifest.json")
@@ -138,12 +140,8 @@ def _int_from(low: int):
 
 
 def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    """The generator flags other than the on/off group's."""
     p.add_argument("--model", choices=("onoff", "poisson"), required=required)
-    p.add_argument("--alpha", type=float, help="tail index of on-period lengths, in (1,2)")
-    p.add_argument("--xmin", type=float, default=1.0, help="smallest on-period length, seconds")
-    p.add_argument("--xmax", type=float, default=None, help="cap on on-period lengths (off by default)")
-    p.add_argument("--m", type=float, help="on-period send rate as a multiple of the server rate")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="target long-run load, in (0,1)")
     p.add_argument("--cycles", type=int, help="number of on/off cycles")
     p.add_argument("--packet-size", type=int, default=1000, help="bytes per packet")
     p.add_argument(
@@ -232,28 +230,30 @@ def cmd_shuffle(args) -> int:
     return 0
 
 
+def _write_gnuplot(out_prefix: str, comment: str, logscale: str, xlabel: str, ylabel: str, plots: list[str],
+                   settings: tuple[str, ...] = ()) -> None:
+    """<out_prefix>.gp, drawing plots into <out_prefix>.png; settings come right before the plot line."""
+    lines = [f"# {comment}", 'set datafile separator ","', f"set logscale {logscale}", f'set xlabel "{xlabel}"',
+             f'set ylabel "{ylabel}"', "set terminal pngcairo size 900,600", f'set output "{out_prefix}.png"',
+             *settings, "plot " + ", ".join(plots)]
+    with open(out_prefix + ".gp", "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _sweep(args, run_sweep, source, xs, xlabel: str) -> int:
     """Run the sweep over xs with the sweep flags; write its CSV and gnuplot script."""
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
     sweep = run_sweep(source, xs, plan, bandwidth=args.bandwidth, rho=args.rho)
     csv_path = args.out_prefix + ".csv"
     gp_path = args.out_prefix + ".gp"
+    plots, settings = [f'"{csv_path}" using 1:2:3 with yerrorlines title "mean +/- std"'], ()
+    if sweep.baseline is not None:
+        settings = (f"baseline = {float(sweep.baseline)!r}",)
+        plots.append('baseline with lines dashtype 2 title "unshuffled"')
     with _manifest(args, csv_path, gp_path) as comment:
         with open(csv_path, "w") as fh:
             sweep.write_csv(fh, comments=(comment,))
-        with open(gp_path, "w") as fh:
-            fh.write(f"# {comment}\n")
-            fh.write('set datafile separator ","\n')
-            fh.write("set logscale x\n")
-            fh.write(f'set xlabel "{xlabel}"\n')
-            fh.write('set ylabel "mean queue (packets)"\n')
-            fh.write("set terminal pngcairo size 900,600\n")
-            fh.write(f'set output "{args.out_prefix}.png"\n')
-            plot = f'plot "{csv_path}" using 1:2:3 with yerrorlines title "mean +/- std"'
-            if sweep.baseline is not None:
-                fh.write(f"baseline = {float(sweep.baseline)!r}\n")
-                plot += ', baseline with lines dashtype 2 title "unshuffled"'
-            fh.write(plot + "\n")
+        _write_gnuplot(args.out_prefix, comment, "x", xlabel, "mean queue (packets)", plots, settings)
     print(f"wrote {csv_path}, {gp_path}")
     return 0
 
@@ -270,11 +270,42 @@ def cmd_sweep_blocks(args) -> int:
     return _sweep(args, blocksize_sweep, source, args.blocks, "shuffle block size (packets)")
 
 
+def cmd_diverge(args) -> int:
+    for flag, value in (("alpha", args.alpha), ("m", args.m), ("lambda", args.lam)):
+        if value is None:
+            raise ValueError(f"diverge needs --{flag}")
+    tail = HeavyTailSpec(tail_index=args.alpha, x_min=args.xmin, x_max=args.xmax)
+    plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
+    sweep = prefix_mean_sweep(tail, args.m, args.lam, args.sizes, plan)
+    sizes = [int(p.x) for p in sweep.points]
+    stats = [(float(np.median(p.rep_means)), p.mean, p.std) for p in sweep.points]
+    csv_path = args.out_prefix + ".csv"
+    gp_path = args.out_prefix + ".gp"
+    with _manifest(args, csv_path, gp_path) as comment:
+        comments = (comment, f"prefix mean queue, {args.reps} replications, alpha={args.alpha:g}, x_max={args.xmax}",
+                    "cycles,median,mean,std," + ",".join(f"rep_{i + 1}" for i in range(args.reps)))
+        # cycles, median, mean, std, then one column per replication
+        columns = (sizes, *zip(*stats), *zip(*(p.rep_means for p in sweep.points)))
+        with open(csv_path, "w") as fh:
+            write_rows(fh, ",".join(["%r"] * len(columns)), columns, comments)
+        _write_gnuplot(args.out_prefix, comment, "xy", "cycles simulated", "mean queue",
+                       [f'"{csv_path}" using 1:2 with linespoints title "median"',
+                        f'"{csv_path}" using 1:3:4 with yerrorlines title "mean +/- std"'])
+    print(f"{'cycles':>10} {'median':>12} {'mean':>12} {'std':>12}")
+    for n, (median, mean, std) in zip(sizes, stats):
+        print(f"{n:>10} {median:>12.4f} {mean:>12.4f} {std:>12.4f}")
+    print(f"wrote {csv_path}, {gp_path}")
+    return 0
+
+
 def cmd_hurst(args) -> int:
     trace = load_trace(args.trace)
     if trace.duration == 0:
         raise ValueError("trace duration is zero: every packet arrives at once, so there are no bins")
     width = args.bin_width if args.bin_width is not None else trace.duration / 4096
+    if width == 0 and args.bin_width is None:
+        raise ValueError(f"trace duration {trace.duration!r} s is too short for the default 4096 bins: "
+                         "give --bin-width")
     series = bin_counts(trace, width, unit=args.unit)
     est = hurst_aggregated_variance(series, levels=args.levels)
     row = {"H": est.H, "slope": est.slope, "fit_r2": est.fit_r2, "clipped": est.clipped,
@@ -323,16 +354,26 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("-o", "--output", required=True)
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_int_from(0), required=True)
+    replicated = argparse.ArgumentParser(add_help=False, parents=[seed])
+    replicated.add_argument("--reps", type=_int_from(1), default=10)
+    replicated.add_argument("--out-prefix", required=True)
+    onoff = argparse.ArgumentParser(add_help=False)
+    onoff.add_argument("--alpha", type=float, help="tail index of on-period lengths, in (1,2)")
+    onoff.add_argument("--xmin", type=float, default=1.0, help="smallest on-period length, seconds")
+    onoff.add_argument("--xmax", type=float, default=None, help="cap on on-period lengths (off by default)")
+    onoff.add_argument("--m", type=float, help="on-period send rate as a multiple of the server rate")
+    onoff.add_argument("--lambda", dest="lam", type=float, default=None, help="target long-run load, in (0,1)")
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--sizes", type=_int_list, required=True,
+                       help="comma-separated sizes: packets, or cycles for diverge")
     service = argparse.ArgumentParser(add_help=False)
     service.add_argument("--bandwidth", type=float, default=None, help="service rate, bytes/s")
     service.add_argument("--rho", type=float, default=None, help="target load; bandwidth derived from the trace")
-    sweep = argparse.ArgumentParser(add_help=False, parents=[seed, service])
+    sweep = argparse.ArgumentParser(add_help=False, parents=[replicated, service, onoff])
     sweep.add_argument("--trace", default=None)
     _add_gen_flags(sweep, required=False)
-    sweep.add_argument("--reps", type=_int_from(1), default=10)
-    sweep.add_argument("--out-prefix", required=True)
 
-    p = sub.add_parser("gen", help="synthesize a packet trace", parents=[seed, output])
+    p = sub.add_parser("gen", help="synthesize a packet trace", parents=[seed, output, onoff])
     _add_gen_flags(p, required=True)
     p.set_defaults(func=cmd_gen, trace=None)
 
@@ -348,13 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, required=True)
     p.set_defaults(func=cmd_shuffle)
 
-    p = sub.add_parser("sweep-samples", help="mean queue versus sample size", parents=[sweep])
-    p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated packet counts")
+    p = sub.add_parser("sweep-samples", help="mean queue versus sample size", parents=[sweep, sizes])
     p.set_defaults(func=cmd_sweep_samples)
 
     p = sub.add_parser("sweep-blocks", help="mean queue versus shuffle block size", parents=[sweep])
     p.add_argument("--blocks", type=_int_list, required=True, help="comma-separated block sizes")
     p.set_defaults(func=cmd_sweep_blocks)
+
+    p = sub.add_parser("diverge", help="reordered on/off mean queue versus prefix length",
+                       parents=[replicated, onoff, sizes])
+    p.set_defaults(func=cmd_diverge)
 
     p = sub.add_parser("hurst", help="variance-scaling Hurst estimate of a trace", parents=[trace_file, output])
     p.add_argument("--bin-width", type=float, default=None, help="seconds; default duration/4096")
@@ -372,14 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command; a ValueError or OSError is printed as ``error: ...`` and gives 1."""
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .queue_sim import packet_fifo
+from .queue_sim import packet_fifo, prefix_mean_queue
 from .rng import as_generator, substream
-from .synth import SyntheticSource
+from .synth import HeavyTailSpec, SyntheticSource, reorder_nonoverlap, sample_heavy_tail
 from .traces import PacketTrace, bandwidth_for_utilization, window, write_rows
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "SweepResult",
     "aggregate_replications",
     "sample_size_sweep",
+    "prefix_mean_sweep",
     "block_shuffle",
     "blocksize_sweep",
 ]
@@ -136,6 +137,26 @@ def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float,
         mean, std = aggregate_replications(means)
         result.points.append(SweepPoint(float(x), mean, std, tuple(means)))
     return result
+
+
+def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: ReplicationPlan) -> SweepResult:
+    """Mean queue of the reordered fluid on/off model over growing prefixes, replicated.
+
+    Replication i draws max(sizes) burst lengths from
+    1 - substream(master_seed, i).random(max(sizes)), builds
+    reorder_nonoverlap(bursts, m, lam) and takes the mean queue of every
+    prefix of the sorted distinct sizes from one prefix_mean_queue call.
+    """
+    sizes = sorted({int(n) for n in sizes})
+    if not sizes or sizes[0] < 1:
+        raise ValueError("sizes must be positive cycle counts")
+    per_size = {n: [] for n in sizes}
+    for i in range(plan.replications):
+        bursts = sample_heavy_tail(tail, 1.0 - substream(plan.master_seed, i).random(sizes[-1]))
+        for n, mean_queue in prefix_mean_queue(reorder_nonoverlap(bursts, m, lam), sizes):
+            per_size[n].append(mean_queue)
+    points = [SweepPoint(float(n), *aggregate_replications(means), tuple(means)) for n, means in per_size.items()]
+    return SweepResult(x_label="cycles", points=points)
 
 
 def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:

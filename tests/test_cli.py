@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -392,10 +393,13 @@ class TestFlagBounds:
         (["sweep-blocks", "--blocks", "1", "--seed", "-1", "--out-prefix", "x"], "--seed"),
         (["sweep-blocks", "--blocks", "1", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
         (["sweep-samples", "--sizes", "10", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
+        (["diverge", "--sizes", "10", "--seed", "-1", "--out-prefix", "x"], "--seed"),
+        (["diverge", "--sizes", "10", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
     ])
     def test_out_of_range_value_names_the_flag(self, capsys, argv, flag):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             cli.build_parser().parse_args(argv)
+        assert exit_.value.code == 2
         low = 0 if flag == "--seed" else 1
         assert f"argument {flag}: must be >= {low}, got {argv[argv.index(flag) + 1]}" in capsys.readouterr().err
 
@@ -403,6 +407,75 @@ class TestFlagBounds:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["sweep-blocks", "--blocks", "1", "--seed", "x", "--out-prefix", "x"])
         assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def rows(path):
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.fixture(scope="module")
+def divergence_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "divergence_experiment.py"
+    spec = importlib.util.spec_from_file_location("divergence_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIVERGE = ("diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--reps", "3", "--seed", "4")
+
+
+class TestDiverge:
+    SIZES = [10, 200, 3000]
+
+    @pytest.mark.parametrize("xmax", [None, 20.0], ids=["uncapped", "capped"])
+    def test_rep_columns_equal_the_library_route(self, tmp_path, xmax):
+        cap = () if xmax is None else ("--xmax", repr(xmax))
+        assert run(*DIVERGE, *cap, "--sizes", "10,200,3000", "--out-prefix", tmp_path / "d") == 0
+        tail = tl.HeavyTailSpec(1.5, 1.0, x_max=xmax)
+        table = rows(tmp_path / "d.csv")
+        for i in range(3):
+            bursts = tl.sample_heavy_tail(tail, 1.0 - substream(4, i).random(3000))
+            want = tl.prefix_mean_queue(tl.reorder_nonoverlap(bursts, 2.0, 0.5), self.SIZES)
+            assert [(int(r[0]), float(r[4 + i])) for r in table] == want
+
+    def test_summary_columns_aggregate_the_rep_columns(self, tmp_path):
+        assert run(*DIVERGE, "--sizes", "10,200,3000", "--out-prefix", tmp_path / "d") == 0
+        for row in rows(tmp_path / "d.csv"):
+            reps = [float(c) for c in row[4:]]
+            assert len(reps) == 3
+            assert float(row[1]) == float(np.median(reps))
+            assert (float(row[2]), float(row[3])) == tl.aggregate_replications(reps)
+
+    def test_unsorted_sizes_give_sorted_rows(self, tmp_path):
+        assert run(*DIVERGE, "--sizes", "3000,10,200", "--out-prefix", tmp_path / "u") == 0
+        assert run(*DIVERGE, "--sizes", "10,200,3000", "--out-prefix", tmp_path / "s") == 0
+        assert [int(r[0]) for r in rows(tmp_path / "u.csv")] == self.SIZES
+        assert rows(tmp_path / "u.csv") == rows(tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("xmax", [None, "20"], ids=["uncapped", "capped"])
+    def test_script_rows_equal_the_command_rows(self, tmp_path, divergence_script, xmax):
+        cap = ([], []) if xmax is None else (["--x-max", xmax], ["--xmax", xmax])
+        argv = ["--sizes", "3000", "10", "200", "--reps", "3", "--seed", "4"]
+        assert divergence_script.main([*argv, *cap[0], "--out", str(tmp_path / "out")]) == 0
+        assert run(*DIVERGE, *cap[1], "--sizes", "3000,10,200", "--out-prefix", tmp_path / "d") == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "divergence.csv", "divergence.gp", "divergence.manifest.json"]
+        assert rows(tmp_path / "out" / "divergence.csv") == rows(tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("flag, value, low", [("--reps", "0", 1), ("--seed", "-1", 0)])
+    def test_script_out_of_range_value_names_the_flag(self, tmp_path, capsys, divergence_script, flag, value, low):
+        with pytest.raises(SystemExit) as exit_:
+            divergence_script.main(["--sizes", "10", flag, value, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be >= {low}, got {value}" in capsys.readouterr().err
+
+    def test_missing_lambda_is_named(self, tmp_path, capsys):
+        rc = run("diverge", "--alpha", "1.5", "--m", "2", "--sizes", "10", "--seed", "1",
+                 "--out-prefix", tmp_path / "d")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: diverge needs --lambda\n"
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestHurstCommand:
@@ -435,6 +508,16 @@ class TestHurstCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: trace duration is zero: every packet arrives at once, so there are no bins\n"
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_subnormal_duration_asks_for_a_bin_width(self, tmp_path, capsys):
+        # duration / 4096 rounds to 0.0, so the default width cannot bin it
+        trace_path = tmp_path / "tiny.csv"
+        trace_path.write_text("0,1\n5e-324,1\n")
+        rc = run("hurst", trace_path, "-o", tmp_path / "h.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: trace duration 5e-324 s is too short for the default 4096 bins: give --bin-width\n")
         assert not (tmp_path / "h.csv").exists()
 
     @pytest.mark.parametrize("width", ["0", "nan"])
@@ -501,6 +584,9 @@ WRITERS = {
                       "--out-prefix", "sw"], ["sw.csv", "sw.gp"], "sw.manifest.json", SWEEP_KEYS | {"blocks"}),
     "hurst": ([TRACE, "-o", "h.csv"], ["h.csv"], "h.csv.manifest.json",
               {"trace", "bin_width", "unit", "levels", "output", "derived_bin_width"}),
+    "diverge": (["--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--sizes", "10,100", "--reps", "2", "--seed", "1",
+                 "--out-prefix", "dv"], ["dv.csv", "dv.gp"], "dv.manifest.json",
+                {"alpha", "xmin", "xmax", "m", "lam", "sizes", "reps", "seed", "out_prefix"}),
     "tailfit": ([TRACE, "--ccdf-out", "c.csv", "-o", "f.csv"], ["f.csv", "c.csv"], "f.csv.manifest.json",
                 {"trace", "field", "lo", "hi", "ccdf_out", "output", "derived_fit_range"}),
 }
