@@ -70,6 +70,10 @@ COMMANDS = [
                       "-o", "long_shuffled.csv"]),
     ("queue_long_path", ["cli", "queue", "long.csv", "--rho", "0.9", "--path-out", "long_path.csv",
                          "-o", "queue_long.csv"]),
+    # short last blocks of 4, 2544 and 18928 packets, one exact block and
+    # B >= n, with gathers and sojourn sums past 65536 rows
+    ("sweep_blocks_long", ["cli", "sweep-blocks", "--trace", "long.csv", "--blocks", "1,7,4096,65536,150000,1e9",
+                           "--reps", "2", "--seed", "13", "--rho", "0.9", "--out-prefix", "blocks_long"]),
     ("sweep_samples_trace", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000,5000",
                              "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "samples_trace"]),
     ("sweep_samples_bandwidth", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000",

@@ -63,20 +63,29 @@ class TailFit:
     fit_r2: float
 
 
+_MAX_BINS = 1 << 28  # 2 GiB of int64 counts
+
+
 def bin_counts(trace: PacketTrace, bin_width: float, unit: str = "packets") -> CountSeries:
     """Aggregate the trace into complete bins of bin_width seconds.
 
     Bin k covers [k*w, (k+1)*w) from the first arrival; the trailing
     partial bin is dropped. When the trace span is an exact multiple
     of w the final edge is closed so the last packet is kept.
+
+    A width that cuts the trace into more than 2**28 bins, whose counts
+    alone would take 2 GiB, is refused before anything is allocated.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
-    rel = trace.timestamps - trace.timestamps[0]
-    duration = rel[-1]
+    duration = trace.timestamps[-1] - trace.timestamps[0]
     if duration <= bin_width:
         raise ValueError(f"bin_width {bin_width} spans fewer than 2 bins of a {duration} s trace")
-    n_bins = int(duration / bin_width)
+    bins = float(duration) / float(bin_width)  # inf, not a numpy warning, past the largest float
+    if bins > _MAX_BINS:
+        raise ValueError(f"bin_width {bin_width} cuts the {duration} s trace into {bins:.4g} bins, more than 2**28")
+    rel = trace.timestamps - trace.timestamps[0]
+    n_bins = int(bins)
     idx = (rel / bin_width).astype(np.int64)
     if duration == n_bins * bin_width:
         idx = np.where(rel == duration, n_bins - 1, idx)

@@ -168,32 +168,41 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     rebuilt by accumulating the permuted gaps. Structure inside a
     block survives; structure across blocks is destroyed. Sizes and
     gaps themselves are only moved, never changed.
+
+    The shuffled trace holds two new arrays and no view of the input;
+    the only other n-length array made, the gaps, is freed on return.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     rng = as_generator(seed)
-    n = trace.packet_count
-    b = min(block_size, n)  # every B >= n is one block; keeps order*b inside int64
-    gaps = np.empty(n, dtype=np.float64)
+    ts, sizes = trace.timestamps, trace.sizes
+    n = len(ts)
+    b = min(block_size, n)  # every B >= n is one block
+    full, short = divmod(n, b)
+    order = rng.permutation(full + (short > 0))
+    gaps = np.empty(n)
     gaps[0] = 0.0
-    gaps[1:] = np.diff(trace.timestamps)
-    n_blocks = -(-n // b)
-    order = rng.permutation(n_blocks)
-    # gather the blocks in their new order: a block starting at
-    # order*b in the input starts at the running total of the lengths
-    # placed before it
-    lengths = np.minimum(b, n - order * b)
-    offsets = np.cumsum(lengths) - lengths
-    perm = np.arange(n) - np.repeat(offsets - order * b, lengths)
+    np.subtract(ts[1:], ts[:-1], out=gaps[1:])
+    new_ts, new_sizes = np.empty(n), np.empty_like(sizes)
+    # the whole blocks are the rows of a (full, b) view; the short last
+    # block, input block `full`, lands at its position k in order, and
+    # the rows after it start `short` packets later
+    k = int(np.argmax(order == full)) if short else full
+    for src, dst in ((gaps, new_ts), (sizes, new_sizes)):
+        rows = src[: full * b].reshape(full, b)
+        # mode="clip" lets take write into out directly; every index is in range
+        np.take(rows, order[:k], axis=0, out=dst[: k * b].reshape(k, b), mode="clip")
+        dst[k * b : k * b + short] = src[full * b :]
+        np.take(rows, order[k + 1 :], axis=0, out=dst[k * b + short :].reshape(full - k, b), mode="clip")
     # the gaps are finite and nonnegative, so the new timestamps are
-    # nondecreasing from gaps[perm[0]] >= 0 and, unless a sum rounds
-    # past the largest float, finite; that case is the error below,
-    # not a numpy warning
+    # nondecreasing from new_ts[0] >= 0 and, unless a sum rounds past
+    # the largest float, finite; that case is the error below, not a
+    # numpy warning
     with np.errstate(over="ignore"):
-        new_ts = np.cumsum(gaps[perm])
+        np.cumsum(new_ts, out=new_ts)
     if not np.isfinite(new_ts[-1]):
         raise ValueError("non-finite timestamp")
-    return PacketTrace._derived(new_ts, trace.sizes[perm])
+    return PacketTrace._derived(new_ts, new_sizes)
 
 
 def blocksize_sweep(

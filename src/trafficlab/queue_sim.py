@@ -157,6 +157,11 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     at 1 until empty. Each cycle is a trapezoid or triangle. The on and
     off areas of the cycles are each summed exactly and rounded once
     (_fsum), so summing adds no rounding beyond that of each cycle's terms.
+
+    The run holds the process and three new arrays of one value per
+    cycle, the levels at each cycle's end and peak and the drain times,
+    from which stats and path are built. Every other array is freed on
+    return.
     """
     on = process.on_lengths
     off = process.off_lengths
@@ -165,15 +170,30 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     horizon = on_total + _fsum(off)
     rise = (m - 1.0) * on
     # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i)
-    w = np.cumsum(rise - off)
-    q_end = w - np.minimum(np.minimum.accumulate(w), 0.0)
-    q_start = np.concatenate(([0.0], q_end[:-1]))
-    q_peak = q_start + rise
-
+    w = np.subtract(rise, off)
+    np.cumsum(w, out=w)
+    q_end = np.minimum.accumulate(w)
+    np.minimum(q_end, 0.0, out=q_end)
+    np.subtract(w, q_end, out=q_end)
+    # a cycle starts at the level the previous one ended at, the first
+    # at 0; w becomes the peaks q_start + rise
+    q_peak = w
+    q_peak[0] = 0.0 + rise[0]
+    np.add(q_end[:-1], rise[1:], out=q_peak[1:])
     drain = np.minimum(off, q_peak)  # time the queue stays positive while off
-    area_on = 0.5 * (q_start + q_peak) * on
-    area_off = drain * (q_peak - 0.5 * drain)
-    area = _fsum(area_on) + _fsum(area_off)
+
+    # rise becomes the on areas (0.5 * (q_start + q_peak)) * on, then the
+    # off areas drain * (q_peak - 0.5 * drain)
+    buf = rise
+    buf[0] = 0.0 + q_peak[0]
+    np.add(q_end[:-1], q_peak[1:], out=buf[1:])
+    buf *= 0.5
+    buf *= on
+    area_on = _fsum(buf)
+    np.multiply(drain, 0.5, out=buf)
+    np.subtract(q_peak, buf, out=buf)
+    buf *= drain
+    area = area_on + _fsum(buf)
 
     def stats(run):
         busy = on_total + _fsum(drain)
@@ -210,21 +230,36 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     one in service. The mean is the packet sojourn total over the
     horizon, which equals the piecewise-constant integral exactly.
     Reading stats builds the path too, since the peak is read from it.
+
+    The run holds the trace and one new array, the departure times;
+    stats divides the sizes by the bandwidth again when first read. A
+    bandwidth so small that the horizon or the sojourn total is not a
+    finite float is a ValueError.
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
     a = trace.timestamps
-    service = trace.sizes / bandwidth
     # d_i = S_i + max_{j<=i}(a_j - S_{j-1}) with S the service prefix sum
-    s_prefix = np.cumsum(service)
-    s_before = np.concatenate(([0.0], s_prefix[:-1]))
-    d = s_prefix + np.maximum.accumulate(a - s_before)
-
+    # and S_0 = 0; s holds the service times, then S, then the sojourns
+    with np.errstate(over="ignore"):
+        s = np.divide(trace.sizes, bandwidth)
+        np.cumsum(s, out=s)
+        d = np.empty(len(a))
+        d[0] = a[0] - 0.0
+        np.subtract(a[1:], s[:-1], out=d[1:])
+        np.maximum.accumulate(d, out=d)
+        d += s
     horizon = float(d[-1])
-    area = _fsum(d - a)  # sum of sojourns = integral of the level
+    np.subtract(d, a, out=s)
+    try:
+        area = _fsum(s)  # sum of sojourns = integral of the level
+    except OverflowError:  # math.fsum found the total past the largest float
+        area = math.inf
+    if not (math.isfinite(horizon) and math.isfinite(area)):
+        raise ValueError(f"bandwidth {float(bandwidth)!r} is too small: the horizon or sojourn total is not finite")
 
     def stats(run):
-        busy = min(_fsum(service), horizon)  # min() guards cumsum/fsum rounding skew
+        busy = min(_fsum(trace.sizes / bandwidth), horizon)  # min() guards cumsum/fsum rounding skew
         # the queue is empty before the first arrival and wherever an
         # arrival finds every earlier packet gone
         idle = a[1:] - d[:-1]

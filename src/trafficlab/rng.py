@@ -23,8 +23,14 @@ def substream(master_seed: int, *indices: int) -> np.random.Generator:
     """Generator for substream ``(master_seed, *indices)``.
 
     The tuple is fed to ``SeedSequence`` whole, so substream (7, 1) and
-    substream (71,) are unrelated streams. Replication i of a run uses
-    (master_seed, i); sweeps add the sweep-point index.
+    substream (71,) are unrelated streams. ``SeedSequence`` pads its
+    entropy with zeros, though, so tuples that differ only in trailing
+    zeros, such as (s,), (s, 0) and (s, 0, 0), are one and the same
+    stream. Replication i of a run uses (master_seed, i); sweeps add the
+    sweep-point index. The CLI draws a generated trace from (seed,), so
+    ``sweep-blocks`` with generator flags draws its first permutation,
+    (seed, 0, 0), from the same bits as its trace, and ``sweep-samples
+    --model poisson`` its first window offset.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be nonnegative")

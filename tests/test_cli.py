@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,16 @@ class TestQueue:
         assert "positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "q.csv").exists()
 
+    @pytest.mark.parametrize("bandwidth", ["1e-320", "1e-305"])
+    def test_bandwidth_too_small_for_a_finite_horizon_named(self, poisson_file, tmp_path, capsys, bandwidth):
+        # 1e-320 once gave a nan row after a numpy warning, 1e-305 an fsum OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("queue", poisson_file, "--bandwidth", bandwidth, "-o", tmp_path / "q.csv")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: bandwidth {bandwidth} is too small")
+        assert not (tmp_path / "q.csv").exists()
+
 
 class TestShuffle:
     def test_conserves_multisets(self, poisson_file, tmp_path):
@@ -326,6 +337,15 @@ class TestSweeps:
         last = [l for l in text.splitlines() if not l.startswith("#")][-1].split(",")
         assert float(last[0]) == 1e20
         assert float(last[1]) == baseline and float(last[2]) == 0.0
+
+    def test_bandwidth_too_small_for_a_finite_horizon_named(self, poisson_file, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("sweep-blocks", "--trace", poisson_file, "--blocks", "1,10", "--reps", "2",
+                     "--seed", "0", "--bandwidth", "1e-320", "--out-prefix", tmp_path / "x")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: bandwidth 1e-320 is too small")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_nan_bandwidth_rejected(self, poisson_file, tmp_path, capsys):
         rc = run("sweep-blocks", "--trace", poisson_file, "--blocks", "1,10", "--reps", "2",
@@ -518,6 +538,18 @@ class TestHurstCommand:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: trace duration 5e-324 s is too short for the default 4096 bins: give --bin-width\n")
+        assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize("width", ["1e-12", "1e-300"])
+    def test_bin_width_below_the_resolution_names_the_bin_count(self, tmp_path, capsys, width):
+        # 2000 packets over about 2 s: 1e-12 once tried to allocate 14 TiB
+        # of counts, 1e-300 overflowed the cast of the bin count
+        trace_path = tmp_path / "p.csv"
+        tl.save_trace(tl.generate_poisson(1000.0, 100, 2000, substream(1)), trace_path)
+        rc = run("hurst", trace_path, "--bin-width", width, "-o", tmp_path / "h.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bin_width {width} cuts the ") and "bins, more than 2**28" in err
         assert not (tmp_path / "h.csv").exists()
 
     @pytest.mark.parametrize("width", ["0", "nan"])

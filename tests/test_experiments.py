@@ -147,6 +147,33 @@ class TestBlockShuffle:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                 assert not got.flags.writeable
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_short_last_block_lands_at_its_position(self, where):
+        # 10 packets in blocks of 3: three whole blocks and block 3 of
+        # one packet; the seed is searched for the position it lands at
+        n, block = 10, 3
+        sizes = np.arange(1, n + 1)
+        tr = tl.PacketTrace(tl.generate_poisson(100.0, 100, n, substream(3)).timestamps, sizes)
+        position = {"first": 0, "middle": 2, "last": 3}[where]
+        seed = next(s for s in range(200) if np.random.default_rng(s).permutation(4)[position] == 3)
+        order = np.random.default_rng(seed).permutation(4)
+        perm = np.concatenate([np.arange(i * block, min(n, (i + 1) * block)) for i in order])
+        gaps = np.concatenate(([0.0], np.diff(tr.timestamps)))
+        out = tl.block_shuffle(tr, block, seed)
+        assert out.sizes[position * block] == n
+        assert out.sizes.tobytes() == sizes[perm].tobytes()
+        assert out.timestamps.tobytes() == np.cumsum(gaps[perm]).tobytes()
+
+    @pytest.mark.parametrize("n, block", [(1, 1), (7, 1), (7, 3), (7, 7), (7, 8), (7, 10**20)])
+    def test_shuffled_arrays_share_no_memory_with_the_trace(self, n, block):
+        tr = tl.generate_poisson(100.0, 100, n, substream(4))
+        before = tr.timestamps.tobytes(), tr.sizes.tobytes()
+        out = tl.block_shuffle(tr, block, substream(5))
+        for got in (out.timestamps, out.sizes):
+            assert not np.shares_memory(got, tr.timestamps)
+            assert not np.shares_memory(got, tr.sizes)
+        assert (tr.timestamps.tobytes(), tr.sizes.tobytes()) == before
+
     def test_shuffle_rounding_past_the_largest_float_is_rejected(self):
         tr = tl.PacketTrace(np.array([0.0, 3e307, np.finfo(float).max]), np.array([1, 1, 1]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite timestamp"):

@@ -1,6 +1,7 @@
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,67 @@ def integral_to(path, t_end):
     return math.fsum((0.5 * (q[:-1] + q[1:]) * np.diff(t)).tolist())
 
 
+def bits(x):
+    return float(x).hex()
+
+
+def fifo_formulas(ts, sizes, bandwidth):
+    """packet_fifo's figures written out with a new array for every
+    intermediate: (area, horizon, stats fields, path times, path levels)."""
+    service = sizes / bandwidth
+    s_prefix = np.cumsum(service)
+    s_before = np.concatenate(([0.0], s_prefix[:-1]))
+    d = s_prefix + np.maximum.accumulate(ts - s_before)
+    horizon = float(d[-1])
+    area = math.fsum((d - ts).tolist())
+    busy = min(math.fsum(service.tolist()), horizon)
+    idle = ts[1:] - d[:-1]
+    empty = math.fsum(idle[idle > 0.0].tolist()) + float(ts[0])
+    times, levels, peak, _ = lexsort_path(ts, sizes, bandwidth)
+    stats = (area / horizon, peak, horizon, busy / horizon, empty / horizon, area)
+    return area, horizon, stats, times, levels
+
+
+def fluid_formulas(on, off, m):
+    """fluid_queue's figures written out with a new array for every
+    intermediate and the path built one cycle at a time: (area, horizon,
+    stats fields, path times, path levels)."""
+    rise = (m - 1.0) * on
+    w = np.cumsum(rise - off)
+    q_end = w - np.minimum(np.minimum.accumulate(w), 0.0)
+    q_start = np.concatenate(([0.0], q_end[:-1]))
+    q_peak = q_start + rise
+    drain = np.minimum(off, q_peak)
+    area_on = 0.5 * (q_start + q_peak) * on
+    area_off = drain * (q_peak - 0.5 * drain)
+    on_total = math.fsum(on.tolist())
+    horizon = on_total + math.fsum(off.tolist())
+    area = math.fsum(area_on.tolist()) + math.fsum(area_off.tolist())
+    busy = on_total + math.fsum(drain.tolist())
+    times, levels, end = [0.0], [0.0], 0.0
+    for x, y, peak, dr, q in zip(on, off, q_peak, drain, q_end):
+        end = end + (x + y)
+        times.append(end - y)
+        levels.append(peak)
+        if peak <= y:  # drained before the cycle ends
+            times.append(end - y + dr)
+            levels.append(peak - dr)
+        times.append(end)
+        levels.append(q)
+    stats = (area / horizon, float(q_peak.max()), horizon, busy / horizon, (horizon - busy) / horizon, area)
+    return area, horizon, stats, np.array(times), np.array(levels)
+
+
+def assert_run_is(run, formulas):
+    area, horizon, stats, times, levels = formulas
+    assert (bits(run.area), bits(run.horizon), bits(run.mean_queue)) == (bits(area), bits(horizon), bits(stats[0]))
+    got = run.stats
+    fields = (got.mean_queue, got.peak_queue, got.horizon, got.utilization, got.empty_fraction, got.area)
+    assert [bits(x) for x in fields] == [bits(x) for x in stats]
+    assert run.path.times.tobytes() == times.tobytes()
+    assert run.path.levels.tobytes() == levels.tobytes()
+
+
 # strictly positive on lengths and nonnegative off lengths, dyadic so
 # horizons accumulate exactly
 on_lists = st.lists(st.integers(1, 512).map(lambda k: k / 64.0), min_size=1, max_size=50)
@@ -121,6 +183,13 @@ off_lists = st.lists(st.integers(0, 512).map(lambda k: k / 64.0), min_size=1, ma
 # periods run over many cycles and levels accumulate
 cycles = st.lists(
     st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(0.0), st.floats(0.0, 1e3))), min_size=1, max_size=60
+)
+
+# m from just above 1, where the rise is a small multiple of the on length
+ms = st.one_of(st.floats(1.0, 1.0 + 1e-9, exclude_min=True), st.floats(1.0, 8.0, exclude_min=True))
+# arrivals with runs of equal timestamps and gaps across nine orders of magnitude
+fifo_pairs = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), st.integers(1, 1500)), min_size=1, max_size=80
 )
 
 
@@ -193,6 +262,19 @@ class TestFluidQueue:
         assert abs(stats.utilization * stats.horizon - busy) <= bound + np.finfo(float).eps * stats.horizon
         assert abs(stats.peak_queue - peak) <= bound
 
+    @given(pairs=cycles, m=ms)
+    @settings(max_examples=200)
+    def test_run_matches_the_allocating_formulas_bit_for_bit(self, pairs, m):
+        on = np.array([x for x, _ in pairs])
+        off = np.array([y for _, y in pairs])
+        assert_run_is(tl.fluid_queue(fluid(on, off, m)), fluid_formulas(on, off, m))
+
+    @pytest.mark.parametrize("on, off", [([2.0], [0.0]), ([2.0], [1.0]), ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])])
+    def test_single_cycles_and_zero_off_periods_match_the_formulas(self, on, off):
+        on, off = np.array(on), np.array(off)
+        for m in (np.nextafter(1.0, 2.0), 2.0):
+            assert_run_is(tl.fluid_queue(fluid(on, off, m)), fluid_formulas(on, off, m))
+
 
 class TestPacketFifo:
     def test_back_to_back_service(self):
@@ -242,6 +324,45 @@ class TestPacketFifo:
         tr = tl.PacketTrace(np.array([0.0]), np.array([100]))
         with pytest.raises(ValueError, match="positive and finite"):
             tl.packet_fifo(tr, bandwidth)
+
+    @given(pairs=fifo_pairs, start=st.sampled_from((0.0, 1.0, 1e6)), rho=st.floats(0.05, 1.5))
+    @settings(max_examples=200)
+    def test_run_matches_the_allocating_formulas_bit_for_bit(self, pairs, start, rho):
+        ts = start + np.cumsum([g for g, _ in pairs])
+        sizes = np.array([s for _, s in pairs])
+        bandwidth = sizes.sum() / max(ts[-1] - ts[0], 1e-3) / rho
+        trace = tl.PacketTrace(ts, sizes)
+        assert_run_is(tl.packet_fifo(trace, bandwidth), fifo_formulas(ts, sizes, bandwidth))
+
+    @pytest.mark.parametrize("ts", [[0.0], [3.5], [2.0, 2.0, 2.0, 2.0], [0.5, 0.5, 0.75, 9.0]],
+                             ids=["at_zero", "one_packet", "batched", "batched_then_idle"])
+    def test_one_packet_and_batched_traces_match_the_formulas(self, ts):
+        ts = np.array(ts)
+        sizes = np.arange(100, 100 + len(ts))
+        for bandwidth in (1.0, 300.0, 1e9):
+            run = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
+            assert_run_is(run, fifo_formulas(ts, sizes, bandwidth))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_run_shares_no_memory_with_the_trace(self, n):
+        trace = tl.PacketTrace(np.arange(n, dtype=float), np.full(n, 100))
+        before = trace.timestamps.tobytes(), trace.sizes.tobytes()
+        path = tl.packet_fifo(trace, 50.0).path
+        for out in (path.times, path.levels):
+            assert not np.shares_memory(out, trace.timestamps)
+            assert not np.shares_memory(out, trace.sizes)
+        assert (trace.timestamps.tobytes(), trace.sizes.tobytes()) == before
+
+    @pytest.mark.parametrize("bandwidth", [1e-320, 1e-305, 1e-301])
+    def test_bandwidth_too_small_for_a_finite_horizon_is_named(self, bandwidth):
+        # 1e-320: every service time is inf; 1e-305: the service prefix
+        # sum passes the largest float; 1e-301: the horizon is finite but
+        # the sojourn total is not
+        tr = tl.generate_poisson(1000.0, 100, 2000, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^bandwidth {bandwidth!r} is too small"):
+                tl.packet_fifo(tr, bandwidth)
 
     @given(
         pairs=st.lists(

@@ -23,6 +23,13 @@ def test_index_tuple_is_not_flattened_into_the_seed():
     assert not np.array_equal(a, b)
 
 
+def test_trailing_zero_indices_name_one_stream():
+    # SeedSequence pads its entropy with zeros, as the substream docstring says
+    a = substream(5).random(8)
+    assert np.array_equal(a, substream(5, 0).random(8))
+    assert np.array_equal(a, substream(5, 0, 0).random(8))
+
+
 def test_deeper_indices_give_fresh_streams():
     a = substream(0, 1, 2).random(8)
     b = substream(0, 1, 3).random(8)
