@@ -104,6 +104,9 @@ COMMANDS = [
     # sums cross chunk boundaries
     ("diverge_long", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5",
                       "--sizes", "1000,100000,300000", "--reps", "1", "--seed", "4", "--out-prefix", "diverge_long"]),
+    # tail index 1.05: the widest-range area sums, over several chunks
+    ("diverge_heavy", ["cli", "diverge", "--alpha", "1.05", "--m", "2", "--lambda", "0.5",
+                       "--sizes", "1000,300000", "--reps", "2", "--seed", "6", "--out-prefix", "diverge_heavy"]),
     ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                     "--seed", "1", "--out", "divergence"]),
     ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",

@@ -27,6 +27,7 @@ from .rng import substream
 from .synth import (
     GeneratorSpec,
     HeavyTailSpec,
+    MissingLambdaError,
     SyntheticSource,
     generate_onoff,
     generate_poisson,
@@ -170,14 +171,17 @@ def _source(args) -> PacketTrace | SyntheticSource:
         if getattr(args, name) is None:
             raise ValueError(f"onoff model needs --{name}")
     tail = HeavyTailSpec(tail_index=args.alpha, x_min=args.xmin, x_max=args.xmax)
-    spec = GeneratorSpec(
-        m=args.m,
-        tail=tail,
-        n_cycles=args.cycles,
-        lambda_target=args.lam,
-        off_model=OFF_MODEL_FLAGS[args.off_model],
-        q=args.q,
-    )
+    try:
+        spec = GeneratorSpec(
+            m=args.m,
+            tail=tail,
+            n_cycles=args.cycles,
+            lambda_target=args.lam,
+            off_model=OFF_MODEL_FLAGS[args.off_model],
+            q=args.q,
+        )
+    except MissingLambdaError:
+        raise ValueError("onoff model needs --lambda") from None
     return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate)
 
 
@@ -325,8 +329,9 @@ def cmd_tailfit(args) -> int:
         samples = trace.sizes.astype(np.float64)
     if len(samples) == 0:
         raise ValueError("no usable samples in the trace")
-    lo = args.lo if args.lo is not None else float(np.quantile(samples, 0.5))
-    hi = args.hi if args.hi is not None else float(np.quantile(samples, 0.999))
+    qlo, qhi = np.quantile(samples, (0.5, 0.999)).tolist()  # one partition for both edges
+    lo = args.lo if args.lo is not None else qlo
+    hi = args.hi if args.hi is not None else qhi
     fit = fit_tail_index(samples, (lo, hi))
     with _manifest(args, args.output, args.ccdf_out, derived_fit_range=fit.fit_range) as comment:
         row = {"alpha_hat": fit.alpha_hat, "fit_lo": lo, "fit_hi": hi, "fit_r2": fit.fit_r2}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -97,56 +98,69 @@ class QueueRun:
         return self._path()
 
 
-# _fsum sums at most _CHUNK terms per numpy pass, so its temporaries stay
-# small; it is exact for up to _MAX_TERMS terms whose biased exponent is
-# below _MAX_EXPONENT, that is |x| < 2**977
+# the chunk size, magnitude limit and sigma floor of _fsum, whose
+# temporaries are two chunk-sized buffers
 _CHUNK = 1 << 16
-_MAX_TERMS = 1 << 26
-_MAX_EXPONENT = 2000
-_HI_MASK = ~np.int64((1 << 26) - 1)  # clears the low 26 of the 52 mantissa bits
+_LIMIT = 2.0**977
+_FLOOR = 2.0**-1000
 
 
 def _fsum(x) -> float:
     """math.fsum of the float64 values of the 1-d x, bit for bit.
 
-    Each value goes to the bucket of its biased exponent E and is split
-    exactly into hi, its upper 26 mantissa bits, and lo = x - hi. In
-    bucket E every hi is a whole number of units 2**(E-1049) below 2**27
-    of them, and every lo a whole number of units 2**(E-1075) below 2**26
-    of them (read E as 1 in bucket 0, the zeros and subnormals). With
-    at most 2**26 terms, every partial sum of one bucket's hi (or lo)
-    values is a whole number of those units below 2**53, which float64
-    holds exactly, in any order. So np.bincount adds each bucket
-    without rounding, and one math.fsum over the at most 4096 nonzero
-    bucket sums rounds their exact total once, as math.fsum rounds the
-    exact total of x (Zhu & Hayes 2010, Algorithm 908; Shewchuk 1997).
-    With |x| < 2**977 no bucket sum and no partial sum inside math.fsum
-    can overflow. Any other input (more than 2**26 terms, a value at or
-    above 2**977, inf or nan) is summed by math.fsum itself, read through
-    a buffer so each element arrives as a Python float.
+    Each chunk p of at most 2**16 terms is split exactly by magnitude
+    (Rump, Ogita & Oishi 2008, ExtractVector). Let |p| <= 2**e and
+    sigma = 2**(e+17). Then fl(sigma + p) lies within [sigma/2, 2*sigma],
+    so q = fl(fl(sigma + p) - sigma) subtracts exactly (Sterbenz), is a
+    whole number of units 2**-53 * sigma, and has |q| <= 2**e. p - q is
+    the rounding error of sigma + p, so it is exact too, and at most one
+    unit in size. Every partial sum of the chunk's q is a whole number
+    of units and at most 2**16 * 2**e = sigma / 2 in size, that is at
+    most 2**52 units, which float64 holds exactly: q.sum() adds without
+    rounding in any order. The remainder p - q meets the same bound for
+    sigma * 2**(17-53), and the next level extracts from it, until it is
+    all zero. One math.fsum over the exact level sums then rounds their
+    exact total once, as math.fsum rounds the exact total of x.
+
+    The domain: every |x| < 2**977, so sigma <= 2**994 and neither
+    sigma + p nor any sum overflows; and sigma at or above 2**-1000, so
+    sigma + p is never subnormal. Each level lowers sigma by 36 bits, so
+    the floor ends every chunk within 56 levels; real traffic needs 2 or
+    3. Outside the domain (inf, nan, a value at or above 2**977, or a
+    remainder that lasts until sigma falls under the floor, as a tail
+    near the subnormals does) x is summed by math.fsum itself, read
+    through a buffer so each element arrives as a Python float.
     """
-    x = np.asarray(x)
-    sums = _bucket_sums(x)
+    x = np.asarray(x, dtype=np.float64)
+    sums = _level_sums(x)
     if sums is None:
-        return math.fsum(memoryview(np.ascontiguousarray(x, dtype=np.float64)))
-    return math.fsum(sums[sums != 0.0].tolist())
+        return math.fsum(memoryview(np.ascontiguousarray(x)))
+    return math.fsum(sums)
 
 
-def _bucket_sums(x: np.ndarray) -> np.ndarray | None:
-    """The exact hi and lo sums of x per biased exponent, as rows of a
-    (2, 2048) array, or None when x is outside the domain of _fsum."""
-    if len(x) > _MAX_TERMS:
-        return None
-    sums = np.zeros((2, 2048))
+def _level_sums(x: np.ndarray) -> list[float] | None:
+    """The exact sum of each extraction level of each chunk of x, or None
+    when x is outside the domain of _fsum."""
+    sums = []
+    p = np.empty(min(len(x), _CHUNK))
+    q = np.empty_like(p)
     for start in range(0, len(x), _CHUNK):
-        chunk = np.ascontiguousarray(x[start : start + _CHUNK], dtype=np.float64)
-        bits = chunk.view(np.int64)
-        e = (bits >> 52) & 0x7FF
-        if e.max() >= _MAX_EXPONENT:
+        rest = x[start : start + _CHUNK]  # the first level reads x itself
+        p, q = p[: len(rest)], q[: len(rest)]
+        top = float(np.abs(rest, out=q).max())
+        if not top < _LIMIT:  # also inf and nan
             return None
-        hi = (bits & _HI_MASK).view(np.float64)
-        sums[0] += np.bincount(e, weights=hi, minlength=2048)
-        sums[1] += np.bincount(e, weights=chunk - hi, minlength=2048)
+        sigma = ldexp(1.0, frexp(top)[1] + 17)
+        while True:
+            if sigma < _FLOOR:
+                return None
+            np.add(rest, sigma, out=q)
+            q -= sigma  # q = fl(fl(sigma + rest) - sigma)
+            rest = np.subtract(rest, q, out=p)  # exact
+            sums.append(float(q.sum()))
+            if not p.any():
+                break
+            sigma *= 2.0**-36
     return sums
 
 
@@ -169,10 +183,12 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     on_total = _fsum(on)
     horizon = on_total + _fsum(off)
     rise = (m - 1.0) * on
-    # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i)
+    # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i);
+    # w is a cumsum of finite values, so it holds no nan and no -0.0, and
+    # fmin, the faster scan, gives the bits of minimum
     w = np.subtract(rise, off)
     np.cumsum(w, out=w)
-    q_end = np.minimum.accumulate(w)
+    q_end = np.fmin.accumulate(w)
     np.minimum(q_end, 0.0, out=q_end)
     np.subtract(w, q_end, out=q_end)
     # a cycle starts at the level the previous one ended at, the first
@@ -247,7 +263,10 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
         d = np.empty(len(a))
         d[0] = a[0] - 0.0
         np.subtract(a[1:], s[:-1], out=d[1:])
-        np.maximum.accumulate(d, out=d)
+        # a is finite and S finite or +inf, so a - S is never nan, and
+        # fmax, the faster scan, differs from maximum at most in the sign
+        # of a zero, which d += S erases
+        np.fmax.accumulate(d, out=d)
         d += s
     horizon = float(d[-1])
     np.subtract(d, a, out=s)

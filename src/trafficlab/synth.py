@@ -34,6 +34,10 @@ OFF_MODELS = ("iid_matched_mean", "theorem_reordered", "bounded_q")
 _M_RULE = "m must exceed 1, otherwise no queue can form"
 
 
+class MissingLambdaError(ValueError):
+    """A GeneratorSpec whose off model reads lambda_target has none."""
+
+
 @dataclass(frozen=True)
 class HeavyTailSpec:
     """Pareto-form tail P[X > x] = (x_min/x)**tail_index.
@@ -148,9 +152,10 @@ class GeneratorSpec:
         if self.off_model == "bounded_q":
             if self.q is None or not self.q > 0:
                 raise ValueError("bounded_q needs a positive queue bound q")
-        else:
-            if self.lambda_target is None or not 0 < self.lambda_target < 1:
-                raise ValueError("lambda_target must lie in (0, 1)")
+        elif self.lambda_target is None:
+            raise MissingLambdaError(f"{self.off_model} needs lambda_target")
+        elif not 0 < self.lambda_target < 1:
+            raise ValueError("lambda_target must lie in (0, 1)")
 
 
 def sample_heavy_tail(spec: HeavyTailSpec, u):

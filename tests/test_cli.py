@@ -84,6 +84,13 @@ class TestGen:
         assert rc == 1
         assert "--m" in capsys.readouterr().err
 
+    def test_onoff_without_lambda_names_the_flag(self, tmp_path, capsys):
+        rc = run("gen", "--model", "onoff", "--alpha", "1.5", "--m", "2", "--cycles", "10",
+                 "--rate", "1e6", "--seed", "1", "-o", tmp_path / "g.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: onoff model needs --lambda\n"
+        assert not (tmp_path / "g.csv").exists()
+
     def test_bounded_model_matches_the_library_route(self, tmp_path):
         out = tmp_path / "b.csv"
         assert run(*BOUNDED, "--q", "2", "--seed", "12", "-o", out) == 0
@@ -316,6 +323,15 @@ class TestSweeps:
                  "--out-prefix", tmp_path / "bad")
         assert rc == 1
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, points", [("sweep-samples", "--sizes"), ("sweep-blocks", "--blocks")])
+    def test_onoff_sweep_without_lambda_names_the_flag(self, tmp_path, capsys, command, points):
+        rc = run(command, "--model", "onoff", "--alpha", "1.5", "--m", "2", "--cycles", "10",
+                 "--rate", "1e6", points, "1", "--reps", "1", "--seed", "1", "--rho", "0.5",
+                 "--out-prefix", tmp_path / "s")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: onoff model needs --lambda\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_block_sweep_from_generator_flags(self, tmp_path):
         prefix = tmp_path / "bs"

@@ -2,6 +2,7 @@ import math
 import re
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +12,30 @@ import trafficlab as tl
 from trafficlab import queue_sim
 from trafficlab.queue_sim import _fsum, prefix_mean_queue
 
-# _fsum sums values below this magnitude by exponent buckets, and hands
-# the rest to math.fsum
+# _fsum sums values below this magnitude by error-free extraction, and
+# hands the rest to math.fsum
 FSUM_LIMIT = 2.0**977
+
+
+def rational_sum(x):
+    """The sum of x rounded once to a float, by exact rational arithmetic
+    (Fraction division rounds correctly); no math.fsum."""
+    return float(sum(map(Fraction, x.tolist())))
+
+
+def fsum_spied(x):
+    """_fsum(x), and the length of each term list it handed math.fsum:
+    the level sums inside its domain, all of x outside it."""
+    lengths = []
+
+    def fsum(terms):
+        terms = list(terms)
+        lengths.append(len(terms))
+        return math.fsum(terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queue_sim, "math", types.SimpleNamespace(fsum=fsum))
+        return _fsum(x), lengths
 
 
 def fluid(on, off, m):
@@ -570,19 +592,10 @@ class TestQueueRun:
 
     def test_fsum_rounds_only_the_bucket_sums_inside_its_domain(self):
         x = np.random.default_rng(5).standard_normal(200_000) * 1e6
-        lengths = []
-
-        def fsum(terms):
-            terms = list(terms)
-            lengths.append(len(terms))
-            return math.fsum(terms)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(queue_sim, "math", types.SimpleNamespace(fsum=fsum))
-            got = _fsum(x)
-            assert len(lengths) == 1 and lengths[0] <= 4096
-            _fsum(np.append(x, FSUM_LIMIT))
-            assert lengths[1] == len(x) + 1
+        got, lengths = fsum_spied(x)
+        assert len(lengths) == 1 and lengths[0] <= 4096
+        _, lengths = fsum_spied(np.append(x, FSUM_LIMIT))
+        assert lengths == [len(x) + 1]
         assert got.hex() == math.fsum(x.tolist()).hex()
 
     @given(pairs=st.lists(st.tuples(st.integers(0, 256), st.integers(1, 1500)), min_size=1, max_size=60))
@@ -609,3 +622,53 @@ class TestQueueRun:
             assert "stats" not in vars(run) and "path" not in vars(run)
             assert run.path is run.path
             assert run.stats is run.stats
+
+
+class TestFsumRoutes:
+    """_fsum against a rational oracle, and each of its routes by name.
+    Arrays of 10**5 terms span two 65536-term chunks."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("kind", ["sojourns", "areas", "signed"])
+    def test_fsum_is_the_rational_sum_across_chunks(self, kind):
+        rng = np.random.default_rng(1301)
+        if kind == "sojourns":  # 1000-byte packets at 1e6 bytes/s behind heavy-tailed waits
+            x = 1e-3 + 1e-3 * rng.pareto(1.2, self.N)
+        elif kind == "areas":  # fluid on areas, on lengths with tail index 1.05
+            on = 1.0 + rng.pareto(1.05, self.N)
+            x = (0.5 * on) * on
+        else:  # gaps of both signs over nine decades
+            x = rng.standard_normal(self.N) * 10.0 ** rng.integers(-6, 3, self.N)
+        got, lengths = fsum_spied(x)
+        assert got.hex() == rational_sum(x).hex()
+        assert len(lengths) == 1 and lengths[0] <= 2 * 3  # at most 3 levels per chunk
+
+    def test_fsum_route_one_level(self):
+        # |x| < 1 sits in [2**-1, 2**0), so sigma = 2**17, and the first level
+        # takes every multiple of 2**-35 whole: one level sum per chunk
+        x = np.random.default_rng(7).integers(-(2**35), 2**35, self.N) * 2.0**-35
+        got, lengths = fsum_spied(x)
+        assert lengths == [2]
+        assert got.hex() == rational_sum(x).hex()
+
+    def test_fsum_route_several_levels(self):
+        # 2**-36 is half a unit of the first level for a top of 0.75, a tie
+        # that rounds to even and leaves it to the second level
+        assert fsum_spied(np.array([0.75, 2.0**-36])) == (0.75 + 2.0**-36, [2])
+        # 120 binades of scale and 53 bits of precision: 5 or 6 levels of
+        # 36 bits per chunk
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(self.N) * 2.0 ** rng.integers(-120, 1, self.N)
+        got, lengths = fsum_spied(x)
+        assert len(lengths) == 1 and 2 * 5 <= lengths[0] <= 2 * 6
+        assert got.hex() == rational_sum(x).hex()
+
+    def test_fsum_route_under_the_sigma_floor(self):
+        # a top of 2**-950 starts at sigma = 2**-932; 2**-1040 needs a third
+        # level, whose sigma 2**-1004 is under the floor of 2**-1000
+        x = np.concatenate([np.full(1000, 2.0**-950), [-(2.0**-951), 2.0**-1040]])
+        got, lengths = fsum_spied(x)
+        assert lengths == [len(x)]
+        assert got.hex() == rational_sum(x).hex()
+
