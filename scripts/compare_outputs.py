@@ -70,6 +70,10 @@ COMMANDS = [
                       "-o", "long_shuffled.csv"]),
     ("queue_long_path", ["cli", "queue", "long.csv", "--rho", "0.9", "--path-out", "long_path.csv",
                          "-o", "queue_long.csv"]),
+    # near-critical load: busy periods run across the 65536-packet slices of
+    # packet_fifo, so its running max and service prefix sum carry across them
+    ("queue_long_heavy", ["cli", "queue", "long.csv", "--rho", "0.999", "--path-out", "long_heavy_path.csv",
+                          "-o", "queue_long_heavy.csv"]),
     # short last blocks of 4, 2544 and 18928 packets, one exact block and
     # B >= n, with gathers and sojourn sums past 65536 rows
     ("sweep_blocks_long", ["cli", "sweep-blocks", "--trace", "long.csv", "--blocks", "1,7,4096,65536,150000,1e9",

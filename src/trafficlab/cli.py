@@ -332,6 +332,11 @@ def cmd_tailfit(args) -> int:
     qlo, qhi = np.quantile(samples, (0.5, 0.999)).tolist()  # one partition for both edges
     lo = args.lo if args.lo is not None else qlo
     hi = args.hi if args.hi is not None else qhi
+    defaults = [f"{flag} the {edge}" for flag, edge, given in
+                (("--lo", "median", args.lo), ("--hi", "99.9th percentile", args.hi)) if given is None]
+    if defaults and 0 < lo and not lo < hi:  # a default edge emptied the range
+        why = "all samples are equal" if samples.min() == samples.max() else "set --lo and --hi"
+        raise ValueError(f"fit_range [{lo:g}, {hi:g}] is empty, with default {' and '.join(defaults)}: {why}")
     fit = fit_tail_index(samples, (lo, hi))
     with _manifest(args, args.output, args.ccdf_out, derived_fit_range=fit.fit_range) as comment:
         row = {"alpha_hat": fit.alpha_hat, "fit_lo": lo, "fit_hi": hi, "fit_r2": fit.fit_r2}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import frexp, ldexp
 
 import numpy as np
@@ -76,92 +77,188 @@ class QueuePath:
 class QueueRun:
     """One queue run.
 
-    mean_queue, area and horizon are computed by the simulator itself.
-    stats (a QueueStats) and path (a QueuePath) are built on first read
-    and then kept, so a caller that reads only the mean pays for
-    neither.
+    mean_queue, area and horizon come from the kernel's one pass over
+    its input, and the run keeps nothing else but that input (a trace
+    and bandwidth, or a process). stats (a QueueStats) and path (a
+    QueuePath) come from one rebuild, a second pass of the same slice
+    loop that writes the full-length path. It runs on the first read of
+    either, and both are then kept, so a caller that reads only the
+    mean pays for neither.
     """
 
-    def __init__(self, area: float, horizon: float, stats, path):
+    def __init__(self, area: float, horizon: float, rebuild):
         self.area = area
         self.horizon = horizon
         self.mean_queue = area / horizon
-        self._stats = stats  # called with the run
-        self._path = path
+        self._rebuild = rebuild  # () -> (peak, busy time, empty time, path)
+
+    @cached_property
+    def _rebuilt(self):
+        return self._rebuild()
 
     @cached_property
     def stats(self) -> QueueStats:
-        return self._stats(self)
+        peak, busy, empty, _ = self._rebuilt
+        return QueueStats(
+            mean_queue=self.mean_queue,
+            peak_queue=peak,
+            horizon=self.horizon,
+            utilization=busy / self.horizon,
+            empty_fraction=empty / self.horizon,
+            area=self.area,
+        )
 
     @cached_property
     def path(self) -> QueuePath:
-        return self._path()
+        return self._rebuilt[3]
 
 
-# the chunk size, magnitude limit and sigma floor of _fsum, whose
-# temporaries are two chunk-sized buffers
+# the slice length of the kernels and of _fsum (at most 2**16, which the
+# extraction needs), and the magnitude limit and sigma floor of _extract
 _CHUNK = 1 << 16
 _LIMIT = 2.0**977
 _FLOOR = 2.0**-1000
 
 
+def _extract(p, levels: list, q, r) -> bool:
+    """Append the exact sum of each extraction level of p to levels; False
+    when p is outside the domain of _fsum.
+
+    p holds 1 to 2**16 terms; q and r are scratch at least as long, and
+    r may be p itself, which is then overwritten.
+    """
+    q, r = q[: len(p)], r[: len(p)]
+    top = float(np.abs(p, out=q).max())
+    if not top < _LIMIT:  # also inf and nan
+        return False
+    sigma = ldexp(1.0, frexp(top)[1] + 17)
+    while True:
+        if sigma < _FLOOR:
+            return False
+        np.add(p, sigma, out=q)
+        q -= sigma  # q = fl(fl(sigma + p) - sigma)
+        p = np.subtract(p, q, out=r)  # exact
+        levels.append(float(q.sum()))
+        if not p.any():
+            return True
+        sigma *= 2.0**-36
+
+
+class _OutsideDomain(Exception):
+    """A slice of terms is outside the domain of _fsum."""
+
+
+class _ExactSum:
+    """math.fsum, bit for bit, of terms added one slice at a time.
+
+    Each slice is extracted (_extract) and only its exact level sums are
+    kept; a slice outside the domain raises _OutsideDomain. With whole
+    set, the slices are copied instead, and total hands all of them to
+    math.fsum, as _fsum does with a whole array outside the domain.
+    """
+
+    def __init__(self, whole: bool = False):
+        self.whole = whole
+        self.parts = []
+
+    def add(self, p, q, r) -> None:
+        if self.whole:
+            self.parts.append(p.copy())
+        elif len(p) and not _extract(p, self.parts, q, r):
+            raise _OutsideDomain
+
+    def total(self) -> float:
+        if self.whole:
+            return math.fsum(chain.from_iterable(map(memoryview, self.parts)))
+        return math.fsum(self.parts)
+
+
+def _exactly(sums, *args):
+    """sums(False, *args), a pass that extracts each slice; if a slice is
+    outside the domain, sums(True, *args), the same pass again on the
+    whole-array route."""
+    try:
+        return sums(False, *args)
+    except _OutsideDomain:
+        return sums(True, *args)
+
+
 def _fsum(x) -> float:
     """math.fsum of the float64 values of the 1-d x, bit for bit.
 
-    Each chunk p of at most 2**16 terms is split exactly by magnitude
+    Each slice p of at most 2**16 terms is split exactly by magnitude
     (Rump, Ogita & Oishi 2008, ExtractVector). Let |p| <= 2**e and
     sigma = 2**(e+17). Then fl(sigma + p) lies within [sigma/2, 2*sigma],
     so q = fl(fl(sigma + p) - sigma) subtracts exactly (Sterbenz), is a
     whole number of units 2**-53 * sigma, and has |q| <= 2**e. p - q is
     the rounding error of sigma + p, so it is exact too, and at most one
-    unit in size. Every partial sum of the chunk's q is a whole number
+    unit in size. Every partial sum of the slice's q is a whole number
     of units and at most 2**16 * 2**e = sigma / 2 in size, that is at
     most 2**52 units, which float64 holds exactly: q.sum() adds without
     rounding in any order. The remainder p - q meets the same bound for
     sigma * 2**(17-53), and the next level extracts from it, until it is
     all zero. One math.fsum over the exact level sums then rounds their
-    exact total once, as math.fsum rounds the exact total of x.
+    exact total once, as math.fsum rounds the exact total of x. Because
+    each slice stands alone, the kernels extract their terms one slice
+    at a time as they compute them (_ExactSum), with the same result.
 
     The domain: every |x| < 2**977, so sigma <= 2**994 and neither
     sigma + p nor any sum overflows; and sigma at or above 2**-1000, so
     sigma + p is never subnormal. Each level lowers sigma by 36 bits, so
-    the floor ends every chunk within 56 levels; real traffic needs 2 or
+    the floor ends every slice within 56 levels; real traffic needs 2 or
     3. Outside the domain (inf, nan, a value at or above 2**977, or a
     remainder that lasts until sigma falls under the floor, as a tail
     near the subnormals does) x is summed by math.fsum itself, read
     through a buffer so each element arrives as a Python float.
     """
     x = np.asarray(x, dtype=np.float64)
-    sums = _level_sums(x)
-    if sums is None:
+    total = _ExactSum()
+    q = np.empty(min(len(x), _CHUNK))
+    r = np.empty_like(q)
+    try:
+        for lo in range(0, len(x), _CHUNK):
+            total.add(x[lo : lo + _CHUNK], q, r)
+    except _OutsideDomain:
         return math.fsum(memoryview(np.ascontiguousarray(x)))
-    return math.fsum(sums)
+    return total.total()
 
 
-def _level_sums(x: np.ndarray) -> list[float] | None:
-    """The exact sum of each extraction level of each chunk of x, or None
-    when x is outside the domain of _fsum."""
-    sums = []
-    p = np.empty(min(len(x), _CHUNK))
-    q = np.empty_like(p)
-    for start in range(0, len(x), _CHUNK):
-        rest = x[start : start + _CHUNK]  # the first level reads x itself
-        p, q = p[: len(rest)], q[: len(rest)]
-        top = float(np.abs(rest, out=q).max())
-        if not top < _LIMIT:  # also inf and nan
-            return None
-        sigma = ldexp(1.0, frexp(top)[1] + 17)
-        while True:
-            if sigma < _FLOOR:
-                return None
-            np.add(rest, sigma, out=q)
-            q -= sigma  # q = fl(fl(sigma + rest) - sigma)
-            rest = np.subtract(rest, q, out=p)  # exact
-            sums.append(float(q.sum()))
-            if not p.any():
-                break
-            sigma *= 2.0**-36
-    return sums
+def _fluid_slices(process: FluidOnOffProcess):
+    """The cycle levels of process, one slice of at most _CHUNK cycles at
+    a time, each scan carried from slice to slice in scalars.
+
+    Yields (lo, before, q_peak, drain, q_end) for the cycles from lo on:
+    the level the slice starts at, and each cycle's peak level, drain
+    time and end level. The arrays are buffers reused by the next slice.
+    """
+    on, off, m = process.on_lengths, process.off_lengths, process.m
+    n = len(on)
+    rise, w, q_end = (np.empty(min(n, _CHUNK)) for _ in range(3))
+    # the carries; adding the first w_last, 0.0, changes no bit of w, which
+    # is never -0.0
+    w_last, w_min, level = 0.0, math.inf, 0.0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        r = np.multiply(on[lo:hi], m - 1.0, out=rise[: hi - lo])
+        # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i);
+        # w is a cumsum of finite values, so it holds no nan and no -0.0, and
+        # fmin, the faster scan, gives the bits of minimum
+        wk = np.subtract(r, off[lo:hi], out=w[: hi - lo])
+        wk[0] += w_last
+        np.cumsum(wk, out=wk)
+        qe = np.fmin.accumulate(wk, out=q_end[: hi - lo])
+        np.fmin(qe, w_min, out=qe)  # the running minimum carried in
+        w_last, w_min = wk[-1], qe[-1]
+        np.minimum(qe, 0.0, out=qe)
+        np.subtract(wk, qe, out=qe)
+        # a cycle starts at the level the previous one ended at, the first
+        # at 0; w becomes the peaks q_start + rise
+        qp = wk
+        qp[0] = level + r[0]
+        np.add(qe[:-1], r[1:], out=qp[1:])
+        drain = np.minimum(off[lo:hi], qp, out=r)  # time the queue stays positive while off
+        before, level = level, qe[-1]
+        yield lo, before, qp, drain, qe
 
 
 def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
@@ -169,73 +266,106 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
 
     During an on period the queue rises at m-1; afterwards it drains
     at 1 until empty. Each cycle is a trapezoid or triangle. The on and
-    off areas of the cycles are each summed exactly and rounded once
-    (_fsum), so summing adds no rounding beyond that of each cycle's terms.
+    off areas of the cycles are each summed exactly and rounded once,
+    so summing adds no rounding beyond that of each cycle's terms.
 
-    The run holds the process and three new arrays of one value per
-    cycle, the levels at each cycle's end and peak and the drain times,
-    from which stats and path are built. Every other array is freed on
-    return.
+    One loop (_fluid_slices) runs over slices of at most _CHUNK cycles,
+    which the exact sums need to be at most 2**16, and carries only
+    scalars across: the cumulative rise minus off w, its running
+    minimum, and the previous cycle's end level. Each slice's on, off and
+    area terms are extracted as they are made (_ExactSum). The run keeps
+    only the process; stats and path come from a second pass of the
+    same loop, which also sums the drain times.
     """
-    on = process.on_lengths
-    off = process.off_lengths
-    m = process.m
-    on_total = _fsum(on)
-    horizon = on_total + _fsum(off)
-    rise = (m - 1.0) * on
-    # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i);
-    # w is a cumsum of finite values, so it holds no nan and no -0.0, and
-    # fmin, the faster scan, gives the bits of minimum
-    w = np.subtract(rise, off)
-    np.cumsum(w, out=w)
-    q_end = np.fmin.accumulate(w)
-    np.minimum(q_end, 0.0, out=q_end)
-    np.subtract(w, q_end, out=q_end)
-    # a cycle starts at the level the previous one ended at, the first
-    # at 0; w becomes the peaks q_start + rise
-    q_peak = w
-    q_peak[0] = 0.0 + rise[0]
-    np.add(q_end[:-1], rise[1:], out=q_peak[1:])
-    drain = np.minimum(off, q_peak)  # time the queue stays positive while off
+    on, off = process.on_lengths, process.off_lengths
+    size = min(len(on), _CHUNK)
 
-    # rise becomes the on areas (0.5 * (q_start + q_peak)) * on, then the
-    # off areas drain * (q_peak - 0.5 * drain)
-    buf = rise
-    buf[0] = 0.0 + q_peak[0]
-    np.add(q_end[:-1], q_peak[1:], out=buf[1:])
-    buf *= 0.5
-    buf *= on
-    area_on = _fsum(buf)
-    np.multiply(drain, 0.5, out=buf)
-    np.subtract(q_peak, buf, out=buf)
-    buf *= drain
-    area = area_on + _fsum(buf)
+    def mean_sums(whole):
+        on_sum, off_sum, on_area, off_area = (_ExactSum(whole) for _ in range(4))
+        buf, q = np.empty(size), np.empty(size)
+        for lo, before, q_peak, drain, q_end in _fluid_slices(process):
+            hi = lo + len(q_peak)
+            # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
+            # drain * (q_peak - 0.5 * drain)
+            x = buf[: hi - lo]
+            x[0] = before + q_peak[0]
+            np.add(q_end[:-1], q_peak[1:], out=x[1:])
+            x *= 0.5
+            x *= on[lo:hi]
+            on_area.add(x, q, x)
+            np.multiply(drain, 0.5, out=x)
+            np.subtract(q_peak, x, out=x)
+            x *= drain
+            off_area.add(x, q, x)
+            on_sum.add(on[lo:hi], q, x)
+            off_sum.add(off[lo:hi], q, x)
+        return [s.total() for s in (on_sum, off_sum, on_area, off_area)]
 
-    def stats(run):
-        busy = on_total + _fsum(drain)
-        return QueueStats(
-            mean_queue=run.mean_queue,
-            peak_queue=float(q_peak.max()),
-            horizon=horizon,
-            utilization=busy / horizon,
-            empty_fraction=(horizon - busy) / horizon,
-            area=area,
-        )
+    on_total, off_total, area_on, area_off = _exactly(mean_sums)
+    horizon = on_total + off_total
+    area = area_on + area_off
 
-    def path():
-        cycle_ends = np.cumsum(on + off)
-        on_ends = cycle_ends - off
-        # breakpoints: peak at on-end, zero where the drain finishes early,
-        # and the level at the cycle end
-        drains_fully = q_peak <= off
-        t3 = np.stack([on_ends, on_ends + drain, cycle_ends], axis=1)
-        q3 = np.stack([q_peak, q_peak - drain, q_end], axis=1)
-        keep = np.stack([np.ones(len(on), dtype=bool), drains_fully, np.ones(len(on), dtype=bool)], axis=1)
-        times = np.concatenate(([0.0], t3.ravel()[keep.ravel()]))
-        levels = np.concatenate(([0.0], q3.ravel()[keep.ravel()]))
-        return QueuePath(times, levels, "linear")
+    def rebuild(whole):
+        drained = _ExactSum(whole)
+        buf, q = np.empty(size), np.empty(size)
+        times, levels = [np.zeros(1)], [np.zeros(1)]
+        peak, end = -math.inf, 0.0
+        for lo, _, q_peak, drain, q_end in _fluid_slices(process):
+            hi = lo + len(q_peak)
+            drained.add(drain, q, buf)
+            peak = max(peak, float(q_peak.max()))
+            cycle_ends = np.add(on[lo:hi], off[lo:hi], out=buf[: hi - lo])
+            cycle_ends[0] += end
+            np.cumsum(cycle_ends, out=cycle_ends)
+            end = cycle_ends[-1]
+            on_ends = cycle_ends - off[lo:hi]
+            # breakpoints: peak at on-end, zero where the drain finishes early,
+            # and the level at the cycle end
+            keep = np.ones((hi - lo, 3), dtype=bool)
+            keep[:, 1] = q_peak <= off[lo:hi]
+            keep = keep.ravel()
+            times.append(np.stack([on_ends, on_ends + drain, cycle_ends], axis=1).ravel()[keep])
+            levels.append(np.stack([q_peak, q_peak - drain, q_end], axis=1).ravel()[keep])
+        busy = on_total + drained.total()
+        return peak, busy, horizon - busy, QueuePath(np.concatenate(times), np.concatenate(levels), "linear")
 
-    return QueueRun(area, horizon, stats, path)
+    return QueueRun(area, horizon, lambda: _exactly(rebuild))
+
+
+def _fifo_slices(trace: PacketTrace, bandwidth: float, departures=None):
+    """Departure times of trace served at bandwidth, one slice of at most
+    _CHUNK packets at a time.
+
+    d_i = S_i + max_{j<=i}(a_j - S_{j-1}) with S the service prefix sum
+    and S_0 = 0; the scan carries S and the running max across slices.
+    Yields (lo, d, s) for the packets from lo on: their departures d and
+    a buffer s of the same length that the caller may overwrite. d is
+    the slice of departures when that full-length array is given, and a
+    buffer reused by the next slice otherwise.
+    """
+    a = trace.timestamps
+    n = len(a)
+    s_buf = np.empty(min(n, _CHUNK))
+    d_buf = np.empty_like(s_buf) if departures is None else None
+    # the carries; adding the first s_last, 0.0, changes no bit, as s > 0
+    s_last, run_max = 0.0, -math.inf
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        with np.errstate(over="ignore"):
+            s = np.divide(trace.sizes[lo:hi], bandwidth, out=s_buf[: hi - lo])
+            s[0] += s_last
+            np.cumsum(s, out=s)
+            d = d_buf[: hi - lo] if departures is None else departures[lo:hi]
+            d[0] = a[lo] - s_last
+            np.subtract(a[lo + 1 : hi], s[:-1], out=d[1:])
+            d[0] = np.fmax(run_max, d[0])
+            # a is finite and S finite or +inf, so a - S is never nan, and
+            # fmax, the faster scan, differs from maximum at most in the sign
+            # of a zero, which d += S erases
+            np.fmax.accumulate(d, out=d)
+            s_last, run_max = s[-1], d[-1]
+            d += s
+        yield lo, d, s
 
 
 def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
@@ -245,68 +375,63 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     The queue level counts every packet in the system, including the
     one in service. The mean is the packet sojourn total over the
     horizon, which equals the piecewise-constant integral exactly.
-    Reading stats builds the path too, since the peak is read from it.
 
-    The run holds the trace and one new array, the departure times;
-    stats divides the sizes by the bandwidth again when first read. A
-    bandwidth so small that the horizon or the sojourn total is not a
-    finite float is a ValueError.
+    One loop (_fifo_slices) runs over slices of at most _CHUNK packets,
+    which the exact sums need to be at most 2**16, and carries only two
+    scalars across: the service prefix sum and the running max of
+    arrival minus it. Each slice's sojourns are extracted as they are
+    made (_ExactSum). The run keeps only the trace and bandwidth; stats
+    and path come from a second pass of the same loop, which writes the
+    departures and sums the service times and idle gaps, and the path
+    is then merged from arrivals and departures (stats reads its peak
+    from the path). A bandwidth so small that the horizon or the sojourn
+    total is not a finite float is a ValueError.
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
     a = trace.timestamps
-    # d_i = S_i + max_{j<=i}(a_j - S_{j-1}) with S the service prefix sum
-    # and S_0 = 0; s holds the service times, then S, then the sojourns
-    with np.errstate(over="ignore"):
-        s = np.divide(trace.sizes, bandwidth)
-        np.cumsum(s, out=s)
-        d = np.empty(len(a))
-        d[0] = a[0] - 0.0
-        np.subtract(a[1:], s[:-1], out=d[1:])
-        # a is finite and S finite or +inf, so a - S is never nan, and
-        # fmax, the faster scan, differs from maximum at most in the sign
-        # of a zero, which d += S erases
-        np.fmax.accumulate(d, out=d)
-        d += s
-    horizon = float(d[-1])
-    np.subtract(d, a, out=s)
+    n = len(a)
+    size = min(n, _CHUNK)
+
+    def mean_sums(whole):
+        sojourns, q = _ExactSum(whole), np.empty(size)
+        for lo, d, s in _fifo_slices(trace, bandwidth):
+            sojourns.add(np.subtract(d, a[lo : lo + len(d)], out=s), q, s)
+        return float(d[-1]), sojourns
+
+    horizon, sojourns = _exactly(mean_sums)
     try:
-        area = _fsum(s)  # sum of sojourns = integral of the level
+        area = sojourns.total()  # sum of sojourns = integral of the level
     except OverflowError:  # math.fsum found the total past the largest float
         area = math.inf
     if not (math.isfinite(horizon) and math.isfinite(area)):
         raise ValueError(f"bandwidth {float(bandwidth)!r} is too small: the horizon or sojourn total is not finite")
 
-    def stats(run):
-        busy = min(_fsum(trace.sizes / bandwidth), horizon)  # min() guards cumsum/fsum rounding skew
-        # the queue is empty before the first arrival and wherever an
-        # arrival finds every earlier packet gone
-        idle = a[1:] - d[:-1]
-        empty = _fsum(idle[idle > 0.0]) + float(a[0])
-        return QueueStats(
-            mean_queue=run.mean_queue,
-            peak_queue=float(run.path.levels.max()),
-            horizon=horizon,
-            utilization=busy / horizon,
-            empty_fraction=empty / horizon,
-            area=area,
-        )
-
-    def path():
+    def rebuild(whole, d_all):
+        service, idle, q = _ExactSum(whole), _ExactSum(whole), np.empty(size)
+        for lo, d, s in _fifo_slices(trace, bandwidth, d_all):
+            hi = lo + len(d)
+            service.add(np.divide(trace.sizes[lo:hi], bandwidth, out=s), q, s)
+            # the queue is empty before the first arrival and wherever an
+            # arrival finds every earlier packet gone
+            j = max(lo, 1)
+            gaps = np.subtract(a[j:hi], d_all[j - 1 : hi - 1], out=s[: hi - j])
+            idle.add(np.maximum(gaps, 0.0, out=gaps), q, gaps)
         # a and d are each sorted, so a stable sort of the departures
         # followed by the arrivals merges two runs, and at a tie it keeps
         # the departure first: the level never counts a packet that has
         # already left
-        n = len(a)
-        times = np.concatenate([d, a])
+        times = np.concatenate([d_all, a])
         order = np.argsort(times, kind="stable")
         path_times = np.zeros(2 * n + 1)
         path_levels = np.zeros(2 * n + 1)
         np.take(times, order, out=path_times[1:])
         np.cumsum(np.where(order >= n, 1.0, -1.0), out=path_levels[1:])
-        return QueuePath(path_times, path_levels, "step")
+        busy = min(service.total(), horizon)  # min() guards cumsum/fsum rounding skew
+        path = QueuePath(path_times, path_levels, "step")
+        return float(path_levels.max()), busy, idle.total() + float(a[0]), path
 
-    return QueueRun(area, horizon, stats, path)
+    return QueueRun(area, horizon, lambda: _exactly(rebuild, np.empty(n)))
 
 
 def prefix_mean_queue(process: FluidOnOffProcess, sizes) -> list[tuple[int, float]]:

@@ -609,6 +609,26 @@ class TestTailfitCommand:
         assert rc == 1
         assert "CCDF points" in capsys.readouterr().err
 
+    def test_collapsed_default_range_names_its_cause(self, poisson_file, tmp_path, capsys):
+        # no range was given, so the error names the default edges and why
+        # they meet, not the 0 < lo < hi rule
+        rc = run("tailfit", poisson_file, "--field", "sizes", "-o", tmp_path / "f.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: fit_range [100, 100] is empty, with default --lo the median and --hi the"
+            " 99.9th percentile: all samples are equal\n")
+        rc = run("tailfit", poisson_file, "--field", "sizes", "--hi", "50", "-o", tmp_path / "f.csv")
+        assert rc == 1
+        assert "empty, with default --lo the median: all samples are equal" in capsys.readouterr().err
+        # one size in 2000 differs: the edges still meet, and only flags can help
+        trace = tmp_path / "q.csv"
+        sizes = np.full(2000, 100)
+        sizes[7] = 1500
+        tl.save_trace(tl.PacketTrace(np.arange(2000) / 100.0, sizes), trace)
+        assert run("tailfit", trace, "--field", "sizes", "-o", tmp_path / "f.csv") == 1
+        assert capsys.readouterr().err.endswith("99.9th percentile: set --lo and --hi\n")
+        assert not (tmp_path / "f.csv").exists()
+
 
 GEN_KEYS = {"model", "alpha", "xmin", "xmax", "m", "lam", "cycles", "packet_size", "rate", "off_model", "q", "n"}
 SWEEP_KEYS = GEN_KEYS | {"trace", "reps", "seed", "bandwidth", "rho", "out_prefix"}

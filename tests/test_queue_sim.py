@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import types
 import warnings
 from fractions import Fraction
@@ -197,6 +198,21 @@ def assert_run_is(run, formulas):
     assert run.path.levels.tobytes() == levels.tobytes()
 
 
+# slice lengths for the kernels' loops: at 1, 2, 3 and 7 packets or cycles
+# a slice, every carry crosses slice boundaries; None keeps _CHUNK
+SLICES = (1, 2, 3, 7, None)
+
+
+def assert_runs_are(make_run, formulas):
+    """assert_run_is for make_run() with the kernels' slice length set to
+    each of SLICES, stats and path read under it too."""
+    for chunk in SLICES:
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(queue_sim, "_CHUNK", chunk)
+            assert_run_is(make_run(), formulas)
+
+
 # strictly positive on lengths and nonnegative off lengths, dyadic so
 # horizons accumulate exactly
 on_lists = st.lists(st.integers(1, 512).map(lambda k: k / 64.0), min_size=1, max_size=50)
@@ -289,13 +305,24 @@ class TestFluidQueue:
     def test_run_matches_the_allocating_formulas_bit_for_bit(self, pairs, m):
         on = np.array([x for x, _ in pairs])
         off = np.array([y for _, y in pairs])
-        assert_run_is(tl.fluid_queue(fluid(on, off, m)), fluid_formulas(on, off, m))
+        assert_runs_are(lambda: tl.fluid_queue(fluid(on, off, m)), fluid_formulas(on, off, m))
 
     @pytest.mark.parametrize("on, off", [([2.0], [0.0]), ([2.0], [1.0]), ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])])
     def test_single_cycles_and_zero_off_periods_match_the_formulas(self, on, off):
         on, off = np.array(on), np.array(off)
         for m in (np.nextafter(1.0, 2.0), 2.0):
-            assert_run_is(tl.fluid_queue(fluid(on, off, m)), fluid_formulas(on, off, m))
+            assert_runs_are(lambda: tl.fluid_queue(fluid(on, off, m)), fluid_formulas(on, off, m))
+
+    @pytest.mark.parametrize("long_period", ["on", "off"])
+    def test_a_length_past_the_limit_after_a_good_slice_takes_the_whole_array_route(self, long_period):
+        # in slices of 1 to 3 cycles the third cycle's length of 2**977 sits
+        # in a later slice than the first: that slice is outside the domain,
+        # and the pass starts over on the whole-array route. A long on period
+        # makes its on area inf; a long off period keeps every figure finite
+        on, off = np.array([1.0, 2.0, 0.5, 3.0]), np.array([1.0, 0.5, 1.0, 4.0])
+        (on if long_period == "on" else off)[2] = FSUM_LIMIT
+        with np.errstate(over="ignore"):
+            assert_runs_are(lambda: tl.fluid_queue(fluid(on, off, 2.0)), fluid_formulas(on, off, 2.0))
 
 
 class TestPacketFifo:
@@ -354,7 +381,7 @@ class TestPacketFifo:
         sizes = np.array([s for _, s in pairs])
         bandwidth = sizes.sum() / max(ts[-1] - ts[0], 1e-3) / rho
         trace = tl.PacketTrace(ts, sizes)
-        assert_run_is(tl.packet_fifo(trace, bandwidth), fifo_formulas(ts, sizes, bandwidth))
+        assert_runs_are(lambda: tl.packet_fifo(trace, bandwidth), fifo_formulas(ts, sizes, bandwidth))
 
     @pytest.mark.parametrize("ts", [[0.0], [3.5], [2.0, 2.0, 2.0, 2.0], [0.5, 0.5, 0.75, 9.0]],
                              ids=["at_zero", "one_packet", "batched", "batched_then_idle"])
@@ -362,8 +389,17 @@ class TestPacketFifo:
         ts = np.array(ts)
         sizes = np.arange(100, 100 + len(ts))
         for bandwidth in (1.0, 300.0, 1e9):
-            run = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
-            assert_run_is(run, fifo_formulas(ts, sizes, bandwidth))
+            assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth),
+                            fifo_formulas(ts, sizes, bandwidth))
+
+    def test_sojourns_past_the_limit_after_a_good_slice_take_the_whole_array_route(self):
+        # at 1e-280 bytes/s a 1-byte packet is served in 1e280 s, inside the
+        # domain of the extraction, and the 10**18-byte packet in 1e298 s,
+        # past it; the horizon and every sum stay finite
+        ts = np.arange(5.0)
+        sizes = np.array([1, 1, 1, 10**18, 1])
+        assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), 1e-280),
+                        fifo_formulas(ts, sizes, 1e-280))
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_run_shares_no_memory_with_the_trace(self, n):
@@ -380,11 +416,15 @@ class TestPacketFifo:
         # 1e-320: every service time is inf; 1e-305: the service prefix
         # sum passes the largest float; 1e-301: the horizon is finite but
         # the sojourn total is not
+        # the same in slices of a few packets
         tr = tl.generate_poisson(1000.0, 100, 2000, np.random.default_rng(1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^bandwidth {bandwidth!r} is too small"):
-                tl.packet_fifo(tr, bandwidth)
+        for chunk in SLICES:
+            with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+                warnings.simplefilter("error")
+                if chunk is not None:
+                    mp.setattr(queue_sim, "_CHUNK", chunk)
+                with pytest.raises(ValueError, match=f"^bandwidth {bandwidth!r} is too small"):
+                    tl.packet_fifo(tr, bandwidth)
 
     @given(
         pairs=st.lists(
@@ -622,6 +662,38 @@ class TestQueueRun:
             assert "stats" not in vars(run) and "path" not in vars(run)
             assert run.path is run.path
             assert run.stats is run.stats
+
+    @pytest.mark.parametrize("kernel", ["packet_fifo", "fluid_queue"])
+    def test_the_mean_streams_and_the_run_keeps_only_its_input(self, kernel, monkeypatch):
+        # 16 slices of 4096 terms: the slice buffers together stay under one
+        # n-length array, and only the rebuild for stats and path, made once,
+        # makes n-length arrays
+        monkeypatch.setattr(queue_sim, "_CHUNK", 4096)
+        n = 16 * 4096
+        rng = np.random.default_rng(15)
+        if kernel == "packet_fifo":
+            trace = tl.generate_poisson(1000.0, 1000, n, rng)
+            make_run, loop = (lambda: tl.packet_fifo(trace, 1.2e6)), "_fifo_slices"
+        else:
+            proc = tl.reorder_nonoverlap(1.0 + rng.pareto(1.5, n), 2.0, 0.5)
+            make_run, loop = (lambda: tl.fluid_queue(proc)), "_fluid_slices"
+        passes = []
+        slices = getattr(queue_sim, loop)
+        monkeypatch.setattr(queue_sim, loop, lambda *args: passes.append(args) or slices(*args))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = make_run()
+            kept, peak = (x - before for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        array = 8 * n
+        assert peak < array
+        assert kept < array / 16
+        assert len(passes) == 1
+        assert run.stats.mean_queue == run.mean_queue
+        assert len(run.path.times) > n
+        assert len(passes) == 2
 
 
 class TestFsumRoutes:
