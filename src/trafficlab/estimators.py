@@ -185,8 +185,9 @@ def fit_tail_index(samples, fit_range: tuple[float, float]) -> TailFit:
     lo, hi = fit_range
     if not 0 < lo < hi:
         raise ValueError("fit_range must satisfy 0 < lo < hi")
+    samples = np.asarray(samples, dtype=np.float64)
     xs, ccdf = empirical_ccdf(samples)
-    if len(xs) == 1:
+    if samples.min() == samples.max():
         raise ValueError("all samples are equal; tail undefined")
     sel = (xs >= lo) & (xs <= hi)
     if int(sel.sum()) < 100:

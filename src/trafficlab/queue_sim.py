@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import frexp, ldexp
 
 import numpy as np
@@ -120,67 +119,29 @@ _LIMIT = 2.0**977
 _FLOOR = 2.0**-1000
 
 
-def _extract(p, levels: list, q, r) -> bool:
-    """Append the exact sum of each extraction level of p to levels; False
-    when p is outside the domain of _fsum.
+def _extract(p, parts: list, q, r) -> None:
+    """Append to parts terms whose exact total is the sum of p: the exact
+    sum of each extraction level of p, then, where the domain of _fsum
+    ends, the terms still left as they stand.
 
-    p holds 1 to 2**16 terms; q and r are scratch at least as long, and
-    r may be p itself, which is then overwritten.
+    p holds at most 2**16 terms (an empty p appends 0.0); q and r are
+    scratch at least as long, and r may be p itself, which is then
+    overwritten.
     """
     q, r = q[: len(p)], r[: len(p)]
-    top = float(np.abs(p, out=q).max())
-    if not top < _LIMIT:  # also inf and nan
-        return False
-    sigma = ldexp(1.0, frexp(top)[1] + 17)
-    while True:
-        if sigma < _FLOOR:
-            return False
+    top = float(np.abs(p, out=q).max(initial=0.0))
+    # a top past the limit (inf and nan too) is found before p is written,
+    # and leaves every term of p raw
+    sigma = ldexp(1.0, frexp(top)[1] + 17) if top < _LIMIT else 0.0
+    while sigma >= _FLOOR:
         np.add(p, sigma, out=q)
         q -= sigma  # q = fl(fl(sigma + p) - sigma)
         p = np.subtract(p, q, out=r)  # exact
-        levels.append(float(q.sum()))
+        parts.append(float(q.sum()))
         if not p.any():
-            return True
+            return
         sigma *= 2.0**-36
-
-
-class _OutsideDomain(Exception):
-    """A slice of terms is outside the domain of _fsum."""
-
-
-class _ExactSum:
-    """math.fsum, bit for bit, of terms added one slice at a time.
-
-    Each slice is extracted (_extract) and only its exact level sums are
-    kept; a slice outside the domain raises _OutsideDomain. With whole
-    set, the slices are copied instead, and total hands all of them to
-    math.fsum, as _fsum does with a whole array outside the domain.
-    """
-
-    def __init__(self, whole: bool = False):
-        self.whole = whole
-        self.parts = []
-
-    def add(self, p, q, r) -> None:
-        if self.whole:
-            self.parts.append(p.copy())
-        elif len(p) and not _extract(p, self.parts, q, r):
-            raise _OutsideDomain
-
-    def total(self) -> float:
-        if self.whole:
-            return math.fsum(chain.from_iterable(map(memoryview, self.parts)))
-        return math.fsum(self.parts)
-
-
-def _exactly(sums, *args):
-    """sums(False, *args), a pass that extracts each slice; if a slice is
-    outside the domain, sums(True, *args), the same pass again on the
-    whole-array route."""
-    try:
-        return sums(False, *args)
-    except _OutsideDomain:
-        return sums(True, *args)
+    parts += p.tolist()
 
 
 def _fsum(x) -> float:
@@ -197,30 +158,34 @@ def _fsum(x) -> float:
     most 2**52 units, which float64 holds exactly: q.sum() adds without
     rounding in any order. The remainder p - q meets the same bound for
     sigma * 2**(17-53), and the next level extracts from it, until it is
-    all zero. One math.fsum over the exact level sums then rounds their
-    exact total once, as math.fsum rounds the exact total of x. Because
-    each slice stands alone, the kernels extract their terms one slice
-    at a time as they compute them (_ExactSum), with the same result.
+    all zero. Because each slice stands alone, the kernels extract their
+    terms one slice at a time as they compute them (_extract), with the
+    same result.
 
-    The domain: every |x| < 2**977, so sigma <= 2**994 and neither
+    The domain: every |p| < 2**977, so sigma <= 2**994 and neither
     sigma + p nor any sum overflows; and sigma at or above 2**-1000, so
     sigma + p is never subnormal. Each level lowers sigma by 36 bits, so
     the floor ends every slice within 56 levels; real traffic needs 2 or
-    3. Outside the domain (inf, nan, a value at or above 2**977, or a
-    remainder that lasts until sigma falls under the floor, as a tail
-    near the subnormals does) x is summed by math.fsum itself, read
-    through a buffer so each element arrives as a Python float.
+    3. A slice whose top is outside the domain (inf, nan or a value at
+    or above 2**977) keeps its raw terms, and a remainder that lasts
+    until sigma falls under the floor, as a tail near the subnormals
+    does, keeps its terms as they stand. Since every step is exact, the
+    list of level sums and kept terms has the exact total of x, and
+    math.fsum rounds that total once, as it rounds the exact total of x.
+    Special values reach the list only in raw slices, so it also sees
+    the same inf and nan; in-domain level sums stay under 2**994, so
+    they add no overflow of their own. The one difference: math.fsum
+    raises OverflowError when a running sum passes the largest float,
+    and a running sum that passes it and comes back within one in-domain
+    slice is seen by math.fsum over x but not over the list. The kernels'
+    terms are never negative, so their running sums never come back.
     """
     x = np.asarray(x, dtype=np.float64)
-    total = _ExactSum()
-    q = np.empty(min(len(x), _CHUNK))
+    parts, q = [], np.empty(min(len(x), _CHUNK))
     r = np.empty_like(q)
-    try:
-        for lo in range(0, len(x), _CHUNK):
-            total.add(x[lo : lo + _CHUNK], q, r)
-    except _OutsideDomain:
-        return math.fsum(memoryview(np.ascontiguousarray(x)))
-    return total.total()
+    for lo in range(0, len(x), _CHUNK):
+        _extract(x[lo : lo + _CHUNK], parts, q, r)
+    return math.fsum(parts)
 
 
 def _fluid_slices(process: FluidOnOffProcess):
@@ -273,46 +238,43 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     which the exact sums need to be at most 2**16, and carries only
     scalars across: the cumulative rise minus off w, its running
     minimum, and the previous cycle's end level. Each slice's on, off and
-    area terms are extracted as they are made (_ExactSum). The run keeps
-    only the process; stats and path come from a second pass of the
-    same loop, which also sums the drain times.
+    area terms are extracted as they are made (_extract), into one list
+    per sum that math.fsum rounds once. The run keeps only the process;
+    stats and path come from a second pass of the same loop, which also
+    sums the drain times.
     """
     on, off = process.on_lengths, process.off_lengths
     size = min(len(on), _CHUNK)
+    buf, q = np.empty(size), np.empty(size)
+    on_sum, off_sum, on_area, off_area = [], [], [], []
+    for lo, before, q_peak, drain, q_end in _fluid_slices(process):
+        hi = lo + len(q_peak)
+        # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
+        # drain * (q_peak - 0.5 * drain)
+        x = buf[: hi - lo]
+        x[0] = before + q_peak[0]
+        np.add(q_end[:-1], q_peak[1:], out=x[1:])
+        x *= 0.5
+        x *= on[lo:hi]
+        _extract(x, on_area, q, x)
+        np.multiply(drain, 0.5, out=x)
+        np.subtract(q_peak, x, out=x)
+        x *= drain
+        _extract(x, off_area, q, x)
+        _extract(on[lo:hi], on_sum, q, x)
+        _extract(off[lo:hi], off_sum, q, x)
+    on_total = math.fsum(on_sum)
+    horizon = on_total + math.fsum(off_sum)
+    area = math.fsum(on_area) + math.fsum(off_area)
 
-    def mean_sums(whole):
-        on_sum, off_sum, on_area, off_area = (_ExactSum(whole) for _ in range(4))
-        buf, q = np.empty(size), np.empty(size)
-        for lo, before, q_peak, drain, q_end in _fluid_slices(process):
-            hi = lo + len(q_peak)
-            # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
-            # drain * (q_peak - 0.5 * drain)
-            x = buf[: hi - lo]
-            x[0] = before + q_peak[0]
-            np.add(q_end[:-1], q_peak[1:], out=x[1:])
-            x *= 0.5
-            x *= on[lo:hi]
-            on_area.add(x, q, x)
-            np.multiply(drain, 0.5, out=x)
-            np.subtract(q_peak, x, out=x)
-            x *= drain
-            off_area.add(x, q, x)
-            on_sum.add(on[lo:hi], q, x)
-            off_sum.add(off[lo:hi], q, x)
-        return [s.total() for s in (on_sum, off_sum, on_area, off_area)]
-
-    on_total, off_total, area_on, area_off = _exactly(mean_sums)
-    horizon = on_total + off_total
-    area = area_on + area_off
-
-    def rebuild(whole):
-        drained = _ExactSum(whole)
+    def rebuild():
+        drained = []
         buf, q = np.empty(size), np.empty(size)
         times, levels = [np.zeros(1)], [np.zeros(1)]
         peak, end = -math.inf, 0.0
         for lo, _, q_peak, drain, q_end in _fluid_slices(process):
             hi = lo + len(q_peak)
-            drained.add(drain, q, buf)
+            _extract(drain, drained, q, buf)
             peak = max(peak, float(q_peak.max()))
             cycle_ends = np.add(on[lo:hi], off[lo:hi], out=buf[: hi - lo])
             cycle_ends[0] += end
@@ -326,10 +288,10 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
             keep = keep.ravel()
             times.append(np.stack([on_ends, on_ends + drain, cycle_ends], axis=1).ravel()[keep])
             levels.append(np.stack([q_peak, q_peak - drain, q_end], axis=1).ravel()[keep])
-        busy = on_total + drained.total()
+        busy = on_total + math.fsum(drained)
         return peak, busy, horizon - busy, QueuePath(np.concatenate(times), np.concatenate(levels), "linear")
 
-    return QueueRun(area, horizon, lambda: _exactly(rebuild))
+    return QueueRun(area, horizon, rebuild)
 
 
 def _fifo_slices(trace: PacketTrace, bandwidth: float, departures=None):
@@ -380,43 +342,41 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     which the exact sums need to be at most 2**16, and carries only two
     scalars across: the service prefix sum and the running max of
     arrival minus it. Each slice's sojourns are extracted as they are
-    made (_ExactSum). The run keeps only the trace and bandwidth; stats
-    and path come from a second pass of the same loop, which writes the
-    departures and sums the service times and idle gaps, and the path
-    is then merged from arrivals and departures (stats reads its peak
-    from the path). A bandwidth so small that the horizon or the sojourn
-    total is not a finite float is a ValueError.
+    made (_extract), into a list that math.fsum rounds once, raw terms
+    of a slice past the domain of _fsum included. The run keeps only
+    the trace and bandwidth; stats and path come from a second pass of
+    the same loop, which writes the departures and sums the service
+    times and idle gaps, and the path is then merged from arrivals and
+    departures (stats reads its peak from the path). A bandwidth so
+    small that the horizon or the sojourn total is not a finite float
+    is a ValueError.
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
     a = trace.timestamps
     n = len(a)
     size = min(n, _CHUNK)
-
-    def mean_sums(whole):
-        sojourns, q = _ExactSum(whole), np.empty(size)
-        for lo, d, s in _fifo_slices(trace, bandwidth):
-            sojourns.add(np.subtract(d, a[lo : lo + len(d)], out=s), q, s)
-        return float(d[-1]), sojourns
-
-    horizon, sojourns = _exactly(mean_sums)
+    sojourns, q = [], np.empty(size)
+    for lo, d, s in _fifo_slices(trace, bandwidth):
+        _extract(np.subtract(d, a[lo : lo + len(d)], out=s), sojourns, q, s)
+    horizon = float(d[-1])
     try:
-        area = sojourns.total()  # sum of sojourns = integral of the level
+        area = math.fsum(sojourns)  # sum of sojourns = integral of the level
     except OverflowError:  # math.fsum found the total past the largest float
         area = math.inf
     if not (math.isfinite(horizon) and math.isfinite(area)):
         raise ValueError(f"bandwidth {float(bandwidth)!r} is too small: the horizon or sojourn total is not finite")
 
-    def rebuild(whole, d_all):
-        service, idle, q = _ExactSum(whole), _ExactSum(whole), np.empty(size)
+    def rebuild():
+        d_all, service, idle, q = np.empty(n), [], [], np.empty(size)
         for lo, d, s in _fifo_slices(trace, bandwidth, d_all):
             hi = lo + len(d)
-            service.add(np.divide(trace.sizes[lo:hi], bandwidth, out=s), q, s)
+            _extract(np.divide(trace.sizes[lo:hi], bandwidth, out=s), service, q, s)
             # the queue is empty before the first arrival and wherever an
             # arrival finds every earlier packet gone
             j = max(lo, 1)
             gaps = np.subtract(a[j:hi], d_all[j - 1 : hi - 1], out=s[: hi - j])
-            idle.add(np.maximum(gaps, 0.0, out=gaps), q, gaps)
+            _extract(np.maximum(gaps, 0.0, out=gaps), idle, q, gaps)
         # a and d are each sorted, so a stable sort of the departures
         # followed by the arrivals merges two runs, and at a tie it keeps
         # the departure first: the level never counts a packet that has
@@ -427,11 +387,11 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
         path_levels = np.zeros(2 * n + 1)
         np.take(times, order, out=path_times[1:])
         np.cumsum(np.where(order >= n, 1.0, -1.0), out=path_levels[1:])
-        busy = min(service.total(), horizon)  # min() guards cumsum/fsum rounding skew
+        busy = min(math.fsum(service), horizon)  # min() guards cumsum/fsum rounding skew
         path = QueuePath(path_times, path_levels, "step")
-        return float(path_levels.max()), busy, idle.total() + float(a[0]), path
+        return float(path_levels.max()), busy, math.fsum(idle) + float(a[0]), path
 
-    return QueueRun(area, horizon, lambda: _exactly(rebuild, np.empty(n)))
+    return QueueRun(area, horizon, rebuild)
 
 
 def prefix_mean_queue(process: FluidOnOffProcess, sizes) -> list[tuple[int, float]]:

@@ -186,6 +186,16 @@ class TestFitTailIndex:
         with pytest.raises(ValueError):
             tl.fit_tail_index(np.full(500, 3.0), (1.0, 5.0))
 
+    def test_equal_samples_are_named(self):
+        # the CCDF drops the largest value, so equal samples leave it empty
+        with pytest.raises(ValueError, match="all samples are equal"):
+            tl.fit_tail_index([5.0] * 10, (1.0, 10.0))
+
+    def test_two_distinct_samples_are_not_called_equal(self):
+        # one CCDF point: too few for the fit, but the samples differ
+        with pytest.raises(ValueError, match="only 1 CCDF points"):
+            tl.fit_tail_index([1.0, 2.0], (0.5, 3.0))
+
 
 class TestAutocorrelation:
     def test_linear_ramp_is_perfectly_correlated(self):

@@ -13,8 +13,8 @@ import trafficlab as tl
 from trafficlab import queue_sim
 from trafficlab.queue_sim import _fsum, prefix_mean_queue
 
-# _fsum sums values below this magnitude by error-free extraction, and
-# hands the rest to math.fsum
+# _fsum sums values below this magnitude by error-free extraction; a
+# slice holding one at or past it hands its raw terms to math.fsum
 FSUM_LIMIT = 2.0**977
 
 
@@ -26,7 +26,8 @@ def rational_sum(x):
 
 def fsum_spied(x):
     """_fsum(x), and the length of each term list it handed math.fsum:
-    the level sums inside its domain, all of x outside it."""
+    the level sums of each slice, and the terms a slice has left where
+    the domain ends, the raw terms of a slice past the limit included."""
     lengths = []
 
     def fsum(terms):
@@ -314,15 +315,24 @@ class TestFluidQueue:
             assert_runs_are(lambda: tl.fluid_queue(fluid(on, off, m)), fluid_formulas(on, off, m))
 
     @pytest.mark.parametrize("long_period", ["on", "off"])
-    def test_a_length_past_the_limit_after_a_good_slice_takes_the_whole_array_route(self, long_period):
+    def test_a_length_past_the_limit_after_a_good_slice_keeps_its_raw_terms(self, long_period):
         # in slices of 1 to 3 cycles the third cycle's length of 2**977 sits
-        # in a later slice than the first: that slice is outside the domain,
-        # and the pass starts over on the whole-array route. A long on period
-        # makes its on area inf; a long off period keeps every figure finite
+        # in a later slice than the first: that slice is outside the domain
+        # and keeps its raw terms beside the first slice's level sums. A long
+        # on period makes its on area inf; a long off period keeps every
+        # figure finite
         on, off = np.array([1.0, 2.0, 0.5, 3.0]), np.array([1.0, 0.5, 1.0, 4.0])
         (on if long_period == "on" else off)[2] = FSUM_LIMIT
         with np.errstate(over="ignore"):
             assert_runs_are(lambda: tl.fluid_queue(fluid(on, off, 2.0)), fluid_formulas(on, off, 2.0))
+
+    def test_a_slice_under_the_sigma_floor_keeps_its_remainder_not_the_overwritten_terms(self):
+        # the on areas are extracted in place; in slices of 2 cycles or
+        # more, the first slice's take 29 levels before sigma falls under
+        # the floor, so the terms left are the remainder written over the
+        # areas, not the areas themselves
+        on, off = np.array([1.0, 5e-324, 1.0, 2.0]), np.array([0.0, 0.0, 3.0, 1.0])
+        assert_runs_are(lambda: tl.fluid_queue(fluid(on, off, 2.0)), fluid_formulas(on, off, 2.0))
 
 
 class TestPacketFifo:
@@ -392,7 +402,7 @@ class TestPacketFifo:
             assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth),
                             fifo_formulas(ts, sizes, bandwidth))
 
-    def test_sojourns_past_the_limit_after_a_good_slice_take_the_whole_array_route(self):
+    def test_sojourns_past_the_limit_after_a_good_slice_keep_their_raw_terms(self):
         # at 1e-280 bytes/s a 1-byte packet is served in 1e280 s, inside the
         # domain of the extraction, and the 10**18-byte packet in 1e298 s,
         # past it; the horizon and every sum stay finite
@@ -400,6 +410,13 @@ class TestPacketFifo:
         sizes = np.array([1, 1, 1, 10**18, 1])
         assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), 1e-280),
                         fifo_formulas(ts, sizes, 1e-280))
+
+    def test_sojourns_under_the_sigma_floor_keep_their_remainder_not_the_overwritten_terms(self):
+        # at 1e306 bytes/s the sojourns 1e-306 and 1e-306 + 1e-288 are
+        # extracted in place: two levels, then sigma falls under the floor
+        ts, sizes = np.array([0.0, 0.0]), np.array([1, 10**18])
+        assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), 1e306),
+                        fifo_formulas(ts, sizes, 1e306))
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_run_shares_no_memory_with_the_trace(self, n):
@@ -634,8 +651,12 @@ class TestQueueRun:
         x = np.random.default_rng(5).standard_normal(200_000) * 1e6
         got, lengths = fsum_spied(x)
         assert len(lengths) == 1 and lengths[0] <= 4096
+        # past the limit, 2**977 makes only the last of four chunks raw: its
+        # 200000 - 3 * 65536 = 3392 terms and 2**977 itself reach math.fsum
+        # beside the first three chunks' level sums
+        _, levels = fsum_spied(x[: 3 * 65536])
         _, lengths = fsum_spied(np.append(x, FSUM_LIMIT))
-        assert lengths == [len(x) + 1]
+        assert lengths == [levels[0] + 3393]
         assert got.hex() == math.fsum(x.tolist()).hex()
 
     @given(pairs=st.lists(st.tuples(st.integers(0, 256), st.integers(1, 1500)), min_size=1, max_size=60))
@@ -738,9 +759,12 @@ class TestFsumRoutes:
 
     def test_fsum_route_under_the_sigma_floor(self):
         # a top of 2**-950 starts at sigma = 2**-932; 2**-1040 needs a third
-        # level, whose sigma 2**-1004 is under the floor of 2**-1000
+        # level, whose sigma 2**-1004 is under the floor of 2**-1000: the
+        # two level sums and the remainder, 2**-1040 and 1001 zeros, reach
+        # math.fsum. The rational sum checks that the remainder, not x,
+        # goes beside the level sums
         x = np.concatenate([np.full(1000, 2.0**-950), [-(2.0**-951), 2.0**-1040]])
         got, lengths = fsum_spied(x)
-        assert lengths == [len(x)]
+        assert lengths == [2 + len(x)]
         assert got.hex() == rational_sum(x).hex()
 
