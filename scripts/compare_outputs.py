@@ -29,6 +29,10 @@ REPO = Path(__file__).resolve().parent.parent
 ONOFF = ["--model", "onoff", "--alpha", "1.4", "--xmin", "0.01", "--m", "2", "--lambda", "0.5",
          "--packet-size", "1000", "--rate", "1e6"]
 
+# on periods of 1 to 5 s: about one in ten, (1/5)**1.4, is capped
+CAPPED = ["--model", "onoff", "--alpha", "1.4", "--xmin", "1", "--xmax", "5", "--m", "2", "--lambda", "0.5",
+          "--packet-size", "1000", "--rate", "1e4"]
+
 # a small fixed whitespace-separated trace with 400 distinct sizes: the gen
 # commands write only CSV, with one packet size per trace
 TEXT_TRACE = "".join(f"{0.004 * i + 0.0003 * (37 * i % 11):.4f} {40 + 614 * i % 1461}\n" for i in range(400))
@@ -56,6 +60,7 @@ COMMANDS = [
     # the third off model; --lambda is ignored by it but still recorded
     ("gen_bounded", ["cli", "gen", *ONOFF, "--off-model", "bounded", "--q", "2", "--cycles", "300",
                      "--seed", "11", "-o", "bounded.csv"]),
+    ("gen_capped", ["cli", "gen", *CAPPED, "--cycles", "300", "--seed", "7", "-o", "capped.csv"]),
     ("summarize", ["cli", "summarize", "onoff.csv", "-o", "summary.csv"]),
     ("summarize_stdout", ["cli", "summarize", "poisson.csv"]),
     ("summarize_text", ["cli", "summarize", "text.txt", "-o", "summary_text.csv"]),
@@ -90,6 +95,10 @@ COMMANDS = [
                                  "--reps", "2", "--seed", "3", "--bandwidth", "2e6", "--out-prefix", "samples_bw"]),
     ("sweep_samples_gen", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000",
                            "--reps", "2", "--seed", "4", "--out-prefix", "samples_gen"]),
+    # exact packet counts from capped on periods; 100000 packets take more
+    # than one chunk of cycles, each starting where the one before ended
+    ("sweep_samples_gen_capped", ["cli", "sweep-samples", *CAPPED, "--cycles", "200", "--sizes", "100,1000,100000",
+                                  "--reps", "2", "--seed", "4", "--out-prefix", "samples_gen_capped"]),
     ("sweep_blocks_trace", ["cli", "sweep-blocks", "--trace", "onoff.csv", "--blocks", "1,10,100",
                             "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "blocks_trace"]),
     ("sweep_blocks_gen", ["cli", "sweep-blocks", *ONOFF, "--cycles", "300", "--blocks", "1,10,100",

@@ -143,7 +143,7 @@ def _int_from(low: int):
 def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     """The generator flags other than the on/off group's."""
     p.add_argument("--model", choices=("onoff", "poisson"), required=required)
-    p.add_argument("--cycles", type=int, help="number of on/off cycles")
+    p.add_argument("--cycles", type=_int_from(1), help="number of on/off cycles")
     p.add_argument("--packet-size", type=int, default=1000, help="bytes per packet")
     p.add_argument(
         "--rate",
@@ -152,7 +152,7 @@ def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     )
     p.add_argument("--off-model", choices=tuple(OFF_MODEL_FLAGS), default="iid")
     p.add_argument("--q", type=float, default=None, help="mean-queue bound for --off-model bounded")
-    p.add_argument("--n", type=int, default=None, help="packet count for --model poisson")
+    p.add_argument("--n", type=_int_from(1), default=None, help="packet count for --model poisson")
 
 
 def _source(args) -> PacketTrace | SyntheticSource:
@@ -323,7 +323,7 @@ def cmd_hurst(args) -> int:
 def cmd_tailfit(args) -> int:
     trace = load_trace(args.trace)
     if args.field == "gaps":
-        samples = np.diff(trace.timestamps)
+        samples = trace.gaps[1:]
         samples = samples[samples > 0]
     else:
         samples = trace.sizes.astype(np.float64)
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_queue)
 
     p = sub.add_parser("shuffle", help="block-shuffle a trace", parents=[trace_file, seed, output])
-    p.add_argument("--block-size", type=int, required=True)
+    p.add_argument("--block-size", type=_int_from(1), required=True)
     p.set_defaults(func=cmd_shuffle)
 
     p = sub.add_parser("sweep-samples", help="mean queue versus sample size", parents=[sweep, sizes])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .queue_sim import packet_fifo, prefix_mean_queue
 from .rng import as_generator, substream
-from .synth import HeavyTailSpec, SyntheticSource, reorder_nonoverlap, sample_heavy_tail
+from .synth import HeavyTailSpec, SyntheticSource, _open_uniform, reorder_nonoverlap, sample_heavy_tail
 from .traces import PacketTrace, bandwidth_for_utilization, window, write_rows
 
 __all__ = [
@@ -146,15 +146,18 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
     1 - substream(master_seed, i).random(max(sizes)), builds
     reorder_nonoverlap(bursts, m, lam) and takes the mean queue of every
     prefix of the sorted distinct sizes from one prefix_mean_queue call.
+    A replication holds at most two max(sizes)-length arrays at a time:
+    the uniforms and the bursts, then the bursts and the silences.
     """
     sizes = sorted({int(n) for n in sizes})
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive cycle counts")
     per_size = {n: [] for n in sizes}
     for i in range(plan.replications):
-        bursts = sample_heavy_tail(tail, 1.0 - substream(plan.master_seed, i).random(sizes[-1]))
+        bursts = sample_heavy_tail(tail, _open_uniform(substream(plan.master_seed, i), sizes[-1]))
         for n, mean_queue in prefix_mean_queue(reorder_nonoverlap(bursts, m, lam), sizes):
             per_size[n].append(mean_queue)
+        del bursts  # before the next replication draws
     points = [SweepPoint(float(n), *aggregate_replications(means), tuple(means)) for n, means in per_size.items()]
     return SweepResult(x_label="cycles", points=points)
 
@@ -169,26 +172,24 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     block survives; structure across blocks is destroyed. Sizes and
     gaps themselves are only moved, never changed.
 
-    The shuffled trace holds two new arrays and no view of the input;
-    the only other n-length array made, the gaps, is freed on return.
+    The gaps are the trace's own (PacketTrace.gaps, computed on first
+    use), so a call makes only the permutation and the shuffled
+    trace's two arrays, which hold no view of the input.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     rng = as_generator(seed)
-    ts, sizes = trace.timestamps, trace.sizes
-    n = len(ts)
+    sizes = trace.sizes
+    n = len(sizes)
     b = min(block_size, n)  # every B >= n is one block
     full, short = divmod(n, b)
     order = rng.permutation(full + (short > 0))
-    gaps = np.empty(n)
-    gaps[0] = 0.0
-    np.subtract(ts[1:], ts[:-1], out=gaps[1:])
     new_ts, new_sizes = np.empty(n), np.empty_like(sizes)
     # the whole blocks are the rows of a (full, b) view; the short last
     # block, input block `full`, lands at its position k in order, and
     # the rows after it start `short` packets later
     k = int(np.argmax(order == full)) if short else full
-    for src, dst in ((gaps, new_ts), (sizes, new_sizes)):
+    for src, dst in ((trace.gaps, new_ts), (sizes, new_sizes)):
         rows = src[: full * b].reshape(full, b)
         # mode="clip" lets take write into out directly; every index is in range
         np.take(rows, order[:k], axis=0, out=dst[: k * b].reshape(k, b), mode="clip")

@@ -163,17 +163,26 @@ def sample_heavy_tail(spec: HeavyTailSpec, u):
 
     u may be a scalar or an array; the result matches. u=1 maps to
     x_min and u -> 0 walks out the tail. Samples are capped at x_max
-    when the spec has one.
+    when the spec has one. An array result is one new array, scaled
+    and capped in place; u is never written.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0) or np.any(u_arr > 1):
         raise ValueError("u must lie in (0, 1]")
-    x = spec.x_min * u_arr ** (-1.0 / spec.tail_index)
-    if spec.x_max is not None:
-        x = np.minimum(x, spec.x_max)
     if np.isscalar(u) or u_arr.ndim == 0:
-        return float(x)
+        x = spec.x_min * u_arr ** (-1.0 / spec.tail_index)
+        return float(x if spec.x_max is None else np.minimum(x, spec.x_max))
+    x = u_arr ** (-1.0 / spec.tail_index)
+    x *= spec.x_min  # the same product as x_min * x
+    if spec.x_max is not None:
+        np.minimum(x, spec.x_max, out=x)
     return x
+
+
+def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
+    """1 - rng.random(n): n uniforms on (0, 1], never 0, made in one array."""
+    u = rng.random(n)
+    return np.subtract(1.0, u, out=u)
 
 
 def _off_lengths(spec: GeneratorSpec, on: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -188,8 +197,7 @@ def _off_lengths(spec: GeneratorSpec, on: np.ndarray, rng: np.random.Generator) 
 def generate_onoff(spec: GeneratorSpec, seed) -> FluidOnOffProcess:
     """Draw spec.n_cycles on/off cycles from a seed or Generator."""
     rng = as_generator(seed)
-    u = 1.0 - rng.random(spec.n_cycles)  # (0, 1], never 0
-    on = sample_heavy_tail(spec.tail, u)
+    on = sample_heavy_tail(spec.tail, _open_uniform(rng, spec.n_cycles))
     off = _off_lengths(spec, on, rng)
     return FluidOnOffProcess(on, off, spec.m)
 
@@ -223,7 +231,12 @@ class PacketizeReport:
 
 
 def _emit(on, off, m, packet_size, server_rate, t0):
-    """Packet timestamps for one run of cycles; returns (times, end_time)."""
+    """Packet timestamps for one run of cycles; returns (times, counts, end_time).
+
+    Packet j of a cycle starting at s leaves at s + j * spacing. The
+    times are built in one array: the indices j are whole numbers, exact
+    in float64, then scaled by spacing and shifted by s in place.
+    """
     rate_bytes = m * server_rate  # on-period send rate
     spacing = packet_size / rate_bytes
     counts = np.floor(on * rate_bytes / packet_size).astype(np.int64)
@@ -231,8 +244,10 @@ def _emit(on, off, m, packet_size, server_rate, t0):
     starts = t0 + np.concatenate(([0.0], np.cumsum(cycle_len)[:-1]))
     total = int(counts.sum())
     before = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    idx = np.arange(total) - np.repeat(before, counts)
-    times = np.repeat(starts, counts) + idx * spacing
+    times = np.arange(total, dtype=np.float64)
+    times -= np.repeat(before, counts)
+    times *= spacing
+    times += np.repeat(starts, counts)
     return times, counts, float(t0 + cycle_len.sum())
 
 
@@ -274,7 +289,8 @@ def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace
     if packet_size < 1:
         raise ValueError("packet_size must be >= 1 byte")
     rng = as_generator(seed)
-    ts = np.cumsum(rng.exponential(1.0 / rate, n))
+    ts = rng.exponential(1.0 / rate, n)
+    np.cumsum(ts, out=ts)
     ts -= ts[0]
     sizes = np.full(n, packet_size, dtype=np.int64)
     return PacketTrace(ts, sizes)
@@ -322,8 +338,7 @@ class SyntheticSource:
             if rounds > 1000 and have == 0:
                 raise ValueError("packetization produced no packets; check packet_size vs on periods")
             chunk = int(np.clip((n_packets - have) / max(per_cycle, 1e-12), 256, 1 << 20))
-            u = 1.0 - rng.random(chunk)
-            on = np.asarray(sample_heavy_tail(self.spec.tail, u))
+            on = sample_heavy_tail(self.spec.tail, _open_uniform(rng, chunk))
             off = _off_lengths(self.spec, on, rng)
             times, _, t0 = _emit(on, off, self.spec.m, self.packet_size, self.server_rate, t0)
             pieces.append(times)

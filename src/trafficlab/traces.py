@@ -10,6 +10,7 @@ import io
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,7 +205,7 @@ class PacketTrace:
             raise ValueError("non-finite timestamp")
         if ts[0] < 0:
             raise ValueError("negative timestamp")
-        if len(ts) > 1 and np.any(np.diff(ts) < 0):
+        if not (ts[1:] >= ts[:-1]).all():
             raise ValueError("timestamps must be nondecreasing")
         if np.any(sz < 1):
             raise ValueError("packet sizes must be >= 1 byte")
@@ -227,6 +228,18 @@ class PacketTrace:
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """Interarrival gaps ts[i] - ts[i-1], with a leading 0.0: one per
+        packet. Computed on first use and kept with the trace, read-only;
+        the timestamps are frozen, so the gaps never go stale."""
+        ts = self.timestamps
+        gaps = np.empty(len(ts))
+        gaps[0] = 0.0
+        np.subtract(ts[1:], ts[:-1], out=gaps[1:])
+        gaps.setflags(write=False)
+        return gaps
 
     @property
     def packet_count(self) -> int:

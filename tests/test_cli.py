@@ -431,6 +431,11 @@ class TestFlagBounds:
         (["sweep-samples", "--sizes", "10", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
         (["diverge", "--sizes", "10", "--seed", "-1", "--out-prefix", "x"], "--seed"),
         (["diverge", "--sizes", "10", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
+        (["shuffle", "t.csv", "--block-size", "0", "--seed", "0", "-o", "s.csv"], "--block-size"),
+        (["gen", "--model", "onoff", "--cycles", "0", "--seed", "0", "-o", "t.csv"], "--cycles"),
+        (["sweep-blocks", "--blocks", "1", "--cycles", "-3", "--seed", "0", "--out-prefix", "x"], "--cycles"),
+        (["gen", "--model", "poisson", "--rate", "10", "--n", "0", "--seed", "0", "-o", "t.csv"], "--n"),
+        (["sweep-samples", "--sizes", "10", "--n", "0", "--seed", "0", "--out-prefix", "x"], "--n"),
     ])
     def test_out_of_range_value_names_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exit_:

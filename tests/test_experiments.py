@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
 from trafficlab.experiments import aggregate_replications
+from trafficlab.queue_sim import packet_fifo
 from trafficlab.rng import substream
 
 
@@ -178,6 +180,57 @@ class TestBlockShuffle:
         tr = tl.PacketTrace(np.array([0.0, 3e307, np.finfo(float).max]), np.array([1, 1, 1]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite timestamp"):
             tl.block_shuffle(tr, 1, 0)
+
+
+def peak_bytes(run) -> int:
+    """The peak memory traced while run() runs; numpy reports its array
+    buffers to tracemalloc, so the peak counts them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 2**20
+SLICE = 8 * 2**16  # one float64 buffer of a queue kernel's 65536-term slices
+
+
+class TestAllocationBudget:
+    # 2**19 packets or cycles: one float64 array of that length is 4 MiB,
+    # more than each allowance below, so one n-length array more than a
+    # budget counts fails it
+    N = 2**19
+
+    @pytest.mark.parametrize("block", [1, 100])
+    def test_a_shuffled_replication_allocates_its_outputs_and_permutation(self, block):
+        trace = tl.generate_poisson(1000.0, 500, self.N, substream(21))
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
+
+        def replicate(seed):
+            return packet_fifo(tl.block_shuffle(trace, block, substream(seed)), bandwidth).mean_queue
+
+        replicate(0)
+        assert "gaps" in vars(trace)  # the first replication left the gaps with the trace
+        # the shuffled trace's float64 timestamps and int64 sizes, 8N bytes
+        # each; the int64 permutation of ceil(N / block) blocks; and 2 MiB
+        # for packet_fifo's three slice buffers (1.5 MiB) and its small
+        # temporaries. The gaps, computed again, would add 4 MiB
+        budget = 2 * 8 * self.N + 8 * -(-self.N // block) + 2 * MiB
+        assert peak_bytes(lambda: replicate(1)) <= budget
+
+    @pytest.mark.parametrize("x_max", [None, 1000.0])
+    def test_a_prefix_mean_replication_holds_two_cycle_arrays(self, x_max):
+        tail = tl.HeavyTailSpec(1.5, 1.0, x_max)
+        plan = tl.ReplicationPlan(master_seed=3, replications=2)
+        # a replication holds two N-length float64 arrays at a time: the
+        # uniforms and the bursts drawn from them, then the bursts and the
+        # silences; the second replication must not hold the first's bursts.
+        # On top of that: fluid_queue's five slice buffers (2.5 MiB) and
+        # 0.5 MiB for the N-byte boolean checks and small temporaries
+        budget = 2 * 8 * self.N + 5 * SLICE + MiB // 2
+        assert peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan)) <= budget
 
 
 class TestSampleSizeSweep:

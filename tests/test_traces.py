@@ -72,6 +72,40 @@ class TestPacketTrace:
             tr.sizes[0] = 1
 
 
+class TestGaps:
+    @given(
+        steps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=80),
+        start=st.floats(0.0, 1e9),
+    )
+    def test_equal_to_the_diff_of_the_timestamps(self, steps, start):
+        # ties are drawn as often as any other gap
+        tr = make(start + np.cumsum(steps), np.ones(len(steps), dtype=np.int64))
+        want = np.concatenate(([0.0], np.diff(tr.timestamps)))
+        assert tr.gaps.dtype == np.float64 and tr.gaps.tobytes() == want.tobytes()
+
+    def test_read_only_and_kept_with_the_trace(self):
+        tr = make([0.0, 0.5, 0.5, 2.0], [1, 2, 3, 4])
+        gaps = tr.gaps
+        assert not gaps.flags.writeable
+        with pytest.raises(ValueError):
+            gaps[1] = 5.0
+        assert tr.gaps is gaps
+
+    @pytest.mark.parametrize("build", ["PacketTrace", "load_trace", "window", "block_shuffle"])
+    def test_computed_on_first_read(self, build, tmp_path):
+        base = make([0.0, 0.5, 0.5, 2.0], [1, 2, 3, 4])
+        path = tmp_path / "t.csv"
+        traces.save_trace(base, path)
+        tr = {
+            "PacketTrace": lambda: base,
+            "load_trace": lambda: traces.load_trace(path),
+            "window": lambda: window(base, 1, 3),
+            "block_shuffle": lambda: tl.block_shuffle(base, 2, 0),
+        }[build]()
+        assert "gaps" not in vars(tr)
+        assert tr.gaps is vars(tr)["gaps"]
+
+
 class TestParsing:
     def test_csv_round_trip(self, tmp_path):
         tr = make([0.0, 0.001953125, 1.0], [64, 1500, 40])
