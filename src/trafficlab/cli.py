@@ -327,6 +327,7 @@ def cmd_tailfit(args) -> int:
         samples = samples[samples > 0]
     else:
         samples = trace.sizes.astype(np.float64)
+    del trace  # samples is a copy, so the trace and its cached gaps go before the fit
     if len(samples) == 0:
         raise ValueError("no usable samples in the trace")
     qlo, qhi = np.quantile(samples, (0.5, 0.999)).tolist()  # one partition for both edges

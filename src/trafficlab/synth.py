@@ -163,20 +163,17 @@ def sample_heavy_tail(spec: HeavyTailSpec, u):
 
     u may be a scalar or an array; the result matches. u=1 maps to
     x_min and u -> 0 walks out the tail. Samples are capped at x_max
-    when the spec has one. An array result is one new array, scaled
-    and capped in place; u is never written.
+    when the spec has one. The result is one new array (0-d for scalar
+    u), scaled and capped in place; u is never written.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0) or np.any(u_arr > 1):
         raise ValueError("u must lie in (0, 1]")
-    if np.isscalar(u) or u_arr.ndim == 0:
-        x = spec.x_min * u_arr ** (-1.0 / spec.tail_index)
-        return float(x if spec.x_max is None else np.minimum(x, spec.x_max))
-    x = u_arr ** (-1.0 / spec.tail_index)
+    x = np.power(u_arr, -1.0 / spec.tail_index, out=np.empty(u_arr.shape))
     x *= spec.x_min  # the same product as x_min * x
     if spec.x_max is not None:
         np.minimum(x, spec.x_max, out=x)
-    return x
+    return float(x) if x.ndim == 0 else x
 
 
 def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:

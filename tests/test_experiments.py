@@ -194,14 +194,16 @@ def peak_bytes(run) -> int:
 
 
 MiB = 2**20
-SLICE = 8 * 2**16  # one float64 buffer of a queue kernel's 65536-term slices
 
 
 class TestAllocationBudget:
     # 2**19 packets or cycles: one float64 array of that length is 4 MiB,
-    # more than each allowance below, so one n-length array more than a
-    # budget counts fails it
+    # eight times the small allowance below, so one n-length array more
+    # than a budget counts fails it. Each budget takes the queue kernel's
+    # own peak, measured on the same length, as the kernel's share, so
+    # the bounds count only the arrays a replication itself makes
     N = 2**19
+    SMALL = MiB // 2  # the N-byte boolean checks and small temporaries
 
     @pytest.mark.parametrize("block", [1, 100])
     def test_a_shuffled_replication_allocates_its_outputs_and_permutation(self, block):
@@ -213,23 +215,26 @@ class TestAllocationBudget:
 
         replicate(0)
         assert "gaps" in vars(trace)  # the first replication left the gaps with the trace
+        kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
         # the shuffled trace's float64 timestamps and int64 sizes, 8N bytes
-        # each; the int64 permutation of ceil(N / block) blocks; and 2 MiB
-        # for packet_fifo's three slice buffers (1.5 MiB) and its small
-        # temporaries. The gaps, computed again, would add 4 MiB
-        budget = 2 * 8 * self.N + 8 * -(-self.N // block) + 2 * MiB
+        # each; the int64 permutation of ceil(N / block) blocks; and the
+        # kernel's peak. The gaps, computed again, would add 8N bytes
+        budget = 2 * 8 * self.N + 8 * -(-self.N // block) + kernel + self.SMALL
         assert peak_bytes(lambda: replicate(1)) <= budget
 
     @pytest.mark.parametrize("x_max", [None, 1000.0])
     def test_a_prefix_mean_replication_holds_two_cycle_arrays(self, x_max):
         tail = tl.HeavyTailSpec(1.5, 1.0, x_max)
         plan = tl.ReplicationPlan(master_seed=3, replications=2)
+        bursts = tl.sample_heavy_tail(tail, 1.0 - substream(3, 0).random(self.N))  # replication 0's
+        process = tl.reorder_nonoverlap(bursts, 2.0, 0.5)
+        kernel = peak_bytes(lambda: tl.prefix_mean_queue(process, [self.N]))
+        del bursts, process
         # a replication holds two N-length float64 arrays at a time: the
         # uniforms and the bursts drawn from them, then the bursts and the
-        # silences; the second replication must not hold the first's bursts.
-        # On top of that: fluid_queue's five slice buffers (2.5 MiB) and
-        # 0.5 MiB for the N-byte boolean checks and small temporaries
-        budget = 2 * 8 * self.N + 5 * SLICE + MiB // 2
+        # silences while the kernel runs; the second replication must not
+        # hold the first's bursts
+        budget = 2 * 8 * self.N + kernel + self.SMALL
         assert peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan)) <= budget
 
 
