@@ -43,6 +43,13 @@ TEXT_TRACE = "".join(f"{0.004 * i + 0.0003 * (37 * i % 11):.4f} {40 + 614 * i % 
 KERNEL_TRACE = "# seconds\tbytes\r\n" + "".join(
     f"{1 + 0.0037 * i:.{16 if i == 150 else 9}f}\t{(10**7 if i % 3 else 10**9) + 7919 * i}\r\n" for i in range(300))
 
+# the same shape over 200000 records, about 5 MiB: more than four of
+# the byte kernel's 1 MiB blocks, so they are read on its pool and
+# joined in order; the one 17-digit timestamp sits in the fourth block
+KERNEL_LONG_TRACE = "# seconds\tbytes\r\n" + "".join(
+    f"{1 + 0.0037 * i:.{14 if i == 150000 else 9}f}\t{(10**7 if i % 3 else 10**9) + 7919 * i}\r\n"
+    for i in range(200000))
+
 # 70000 packets, one of 10**18 bytes early in the second 65536-packet
 # slice: at 1e-280 bytes/s its service time of 1e298 s and every sojourn
 # from it on pass 2**977, so that slice's terms reach math.fsum raw
@@ -50,9 +57,9 @@ HUGE_TRACE = "".join(f"{0.001 * i:.3f} {10**18 if i == 66000 else 500 + i % 1000
 
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
-# and from text.txt, kernel.txt, huge.txt and mixed.txt: TEXT_TRACE,
-# KERNEL_TRACE, HUGE_TRACE and a CSV trace whose third record is
-# whitespace separated
+# and from text.txt, kernel.txt, kernel_long.txt, huge.txt and
+# mixed.txt: TEXT_TRACE, KERNEL_TRACE, KERNEL_LONG_TRACE, HUGE_TRACE and
+# a CSV trace whose third record is whitespace separated
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -114,6 +121,9 @@ COMMANDS = [
                            "-o", "queue_kernel.csv"]),
     ("queue_out_of_domain", ["cli", "queue", "huge.txt", "--bandwidth", "1e-280", "--path-out", "huge_path.csv",
                              "-o", "queue_huge.csv"]),
+    ("summarize_kernel_long", ["cli", "summarize", "kernel_long.txt", "-o", "summary_kernel_long.csv"]),
+    ("queue_kernel_long_path", ["cli", "queue", "kernel_long.txt", "--rho", "0.7",
+                                "--path-out", "kernel_long_path.csv", "-o", "queue_kernel_long.csv"]),
     ("shuffle_kernel", ["cli", "shuffle", "kernel.txt", "--block-size", "10", "--seed", "12",
                         "-o", "kernel_shuffled.csv"]),
     # the divergence commands and the script's flag-translating front to them
@@ -142,6 +152,7 @@ def run_commands(tree: Path, outdir: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     (outdir / "text.txt").write_text(TEXT_TRACE)
     (outdir / "kernel.txt").write_bytes(KERNEL_TRACE.encode())
+    (outdir / "kernel_long.txt").write_bytes(KERNEL_LONG_TRACE.encode())
     (outdir / "huge.txt").write_text(HUGE_TRACE)
     (outdir / "mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
     for name, (head, *rest) in COMMANDS:

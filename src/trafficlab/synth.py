@@ -62,8 +62,15 @@ class HeavyTailSpec:
 
     @property
     def mean(self) -> float:
-        """Untruncated mean, tail_index * x_min / (tail_index - 1)."""
-        return self.tail_index * self.x_min / (self.tail_index - 1.0)
+        """Mean of what sample_heavy_tail draws: with a = tail_index,
+        a * x_min / (a - 1) uncapped, and with the cap
+        x_min + x_min / (a - 1) * (1 - (x_min / x_max)**(a - 1)),
+        which is the uncapped mean when x_max is inf."""
+        a = self.tail_index
+        mean = a * self.x_min / (a - 1.0)
+        if self.x_max is not None:
+            mean -= self.x_min / (a - 1.0) * (self.x_min / self.x_max) ** (a - 1.0)
+        return mean
 
 
 @dataclass(eq=False)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import os
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,9 +49,12 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 _MAX_SIZE = int(np.iinfo(np.int64).max)
 
 # the byte kernel reads the records in blocks of about this many bytes,
-# cut after a line end, so its per-line temporaries stay in cache: on a
-# 1M-line file (2-core VM) one pass over the whole file takes about 1.7
-# times as long and peaks 115 MiB higher
+# cut after a line end, so its per-line temporaries stay in cache and the
+# blocks spread over _in_order's pool. Loading a 1M-line file on two
+# threads (2-core VM), 512 KiB blocks tied this size, 2 MiB ones were
+# 4-14% slower, 256 KiB 9-19% and 128 KiB 40-60%; one pass over the
+# whole file, on one thread, took about 1.7 times as long and peaked
+# 115 MiB higher
 _BLOCK = 1 << 20
 # bytes put before each block, so the word ending at any field end
 # starts inside the buffer
@@ -69,6 +73,46 @@ _TOP = np.array([((1 << 8 * w) - 1) << (64 - 8 * w) for w in range(9)], np.uint6
 _ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
 
 
+def _workers() -> int:
+    """The CPUs this process may run on: the size of _in_order's pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(fn, items):
+    """fn(item) for each of the items, yielded in their order.
+
+    With more than one item and more than one usable CPU, the calls run
+    on a pool of _workers() threads, made when the iteration starts and
+    shut down when it ends. The text kernels spend most of their time in
+    numpy loops that release the GIL, so the threads can share the cores.
+    At most 2 * _workers() calls are submitted and not yet yielded, so
+    however slowly the caller consumes, no more results than that wait
+    in memory. An exception from fn comes out at its item, after every
+    result before it was yielded; calls not yet started are cancelled.
+    """
+    workers = _workers()
+    if workers < 2 or len(items) < 2:
+        yield from map(fn, items)
+        return
+    # not imported with the module, as cli's Decimal is not: module-level
+    # imports shift the heap that trace_pipeline_1m's set-up peaks in
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def write_rows(fh, fmt: str, columns, comments=()) -> None:
     """Write each comment as a ``# `` line, then one ``fmt % row`` line per
     row of the parallel columns.
@@ -84,17 +128,27 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
     Any other chunk or format, -0.0, nan and inf included, goes through
     Python ``%``. tests/test_traces.py::TestVectorizedWriter checks the
     two byte for byte.
+
+    The chunks are formatted on _in_order's pool and written in order
+    from the calling thread, so at most 2 * _workers() chunks are
+    formatted, or being formatted, ahead of the one being written,
+    whatever the row count or the speed of fh. An exception from a
+    chunk comes out after every chunk before it was written.
     """
     fh.writelines(f"# {c}\n" for c in comments)
     line = fmt + "\n"
     parts = _FIELDS.split(line)
     literals, fields = parts[::2], parts[1::2]
     numpy_layout = len(fields) == len(columns) and not any("%" in s or "\0" in s for s in literals)
-    for lo in range(0, len(columns[0]), _WRITE_CHUNK):
+
+    def format_chunk(lo):
         chunk = [np.asarray(c[lo : lo + _WRITE_CHUNK]) for c in columns]
         text = _format_rows(literals, fields, chunk) if numpy_layout else None
         if text is None:
             text = "".join(line % row for row in zip(*(c.tolist() for c in chunk)))
+        return text
+
+    for text in _in_order(format_chunk, range(0, len(columns[0]), _WRITE_CHUNK)):
         fh.write(text)
 
 
@@ -133,7 +187,8 @@ def _format_rows(literals, fields, columns) -> str | None:
     The rows are laid out in a buffer with one row per character and one
     column per table row. Integer digits are padded to the widest in the
     chunk with NUL bytes, which the literals never hold, and the padding
-    is deleted from the joined bytes.
+    is deleted from the joined bytes. Both steps are numpy copies, which
+    release the GIL, so chunks format side by side on _in_order's pool.
     """
     whole, fractions = [], []
     for spec, col in zip(fields, columns):
@@ -165,7 +220,8 @@ def _format_rows(literals, fields, columns) -> str | None:
             _put_digits(buf[at + 1 : at + 1 + TIMESTAMP_DIGITS], frac)
             at += 1 + TIMESTAMP_DIGITS
     buf[at:] = np.frombuffer(literals[-1].encode(), np.uint8)[:, None]
-    return buf.T.tobytes().replace(b"\0", b"").decode()
+    text = np.ascontiguousarray(buf.T).reshape(-1)
+    return text[text != 0].tobytes().decode()
 
 
 class TraceFormatError(ValueError):
@@ -348,17 +404,20 @@ def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarra
     # a lone CR ends a line of text, so it would cut a comment in two
     if header.translate(None, _PLAIN_BYTES) or header.count(b"\r") != header.count(b"\r\n"):
         return None
-    ts_blocks, sz_blocks = [], []
+    spans = []
     while start < n:
         cut = data.find(b"\n", start + _BLOCK - 1) + 1 or n
-        columns = _parse_block(b"\0" * _PAD + memoryview(data)[start:cut], comma)
-        if columns is None:
-            return None
-        ts_blocks.append(columns[0])
-        sz_blocks.append(columns[1])
+        spans.append((start, cut))
         start = cut
-    if not ts_blocks:
+
+    def parse(span):
+        start, cut = span
+        return _parse_block(b"\0" * _PAD + memoryview(data)[start:cut], comma)
+
+    blocks = list(_in_order(parse, spans))
+    if not blocks or None in blocks:
         return None
+    ts_blocks, sz_blocks = zip(*blocks)
     return _checked(np.concatenate(ts_blocks), np.concatenate(sz_blocks))
 
 

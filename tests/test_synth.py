@@ -12,6 +12,17 @@ class TestHeavyTailSpec:
         # alpha * x_min / (alpha - 1)
         assert tl.HeavyTailSpec(1.5, 2.0).mean == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("alpha, x_min, x_max", [(1.4, 1.0, 5.0), (1.5, 1.0, 1000.0), (1.9, 0.01, 0.02)])
+    def test_capped_mean_is_the_mean_of_the_capped_draws(self, alpha, x_min, x_max):
+        spec = tl.HeavyTailSpec(alpha, x_min, x_max)
+        closed = x_min + x_min / (alpha - 1) * (1 - (x_min / x_max) ** (alpha - 1))
+        assert spec.mean == pytest.approx(closed, rel=1e-12)
+        x = tl.sample_heavy_tail(spec, 1.0 - substream(2).random(1_000_000))
+        assert abs(x.mean() - spec.mean) / spec.mean < 0.02
+
+    def test_infinite_cap_keeps_the_uncapped_mean(self):
+        assert tl.HeavyTailSpec(1.4, 1.0, np.inf).mean == tl.HeavyTailSpec(1.4, 1.0).mean
+
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 2.5])
     def test_tail_index_outside_open_interval_rejected(self, alpha):
         with pytest.raises(ValueError):
@@ -204,6 +215,16 @@ class TestGenerateOnOff:
         )
         p = tl.generate_onoff(spec, substream(0))
         assert abs(p.arrival_rate - 0.5) / 0.5 < 0.05
+
+    def test_matched_mean_hits_target_load_under_a_tight_cap(self):
+        # on periods of 1 to 5: the capped mean is 2.19, the uncapped 3.5,
+        # so silences matched to the uncapped mean gave a load of 0.344
+        spec = tl.GeneratorSpec(
+            m=2.0, tail=tl.HeavyTailSpec(1.4, 1.0, x_max=5.0),
+            n_cycles=200_000, lambda_target=0.5,
+        )
+        p = tl.generate_onoff(spec, substream(0))
+        assert abs(p.arrival_rate - 0.5) / 0.5 < 0.02
 
     def test_proportional_silences_pin_the_load_exactly(self):
         spec = tl.GeneratorSpec(

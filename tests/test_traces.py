@@ -1,4 +1,6 @@
 import io
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,17 @@ from hypothesis import given, settings, strategies as st
 import trafficlab as tl
 from trafficlab import traces
 from trafficlab.traces import TraceFormatError, window
+
+from test_experiments import MiB, peak_bytes
+
+
+@pytest.fixture(autouse=True, scope="module")
+def pool_size():
+    """Every test here runs the text kernels on a pool of at least two
+    threads, so a one-CPU runner takes the pooled route too."""
+    workers = max(2, traces._workers())
+    with mock.patch.object(traces, "_workers", lambda: workers):
+        yield workers
 
 
 def make(ts, sizes):
@@ -562,6 +575,130 @@ class TestVectorizedWriter:
         p = tmp_path / "t.csv"
         tl.save_trace(tr, p, comments=("manifest: abc",))
         assert_same_text(p.read_text(), "# manifest: abc\n" + python_rows("%.9f,%d", (tr.timestamps, tr.sizes)))
+
+
+class TestPool:
+    """The text kernels' pool: work cut and joined in file order, errors
+    raised at their block or chunk, and a bounded formatted-ahead window."""
+
+    @staticmethod
+    def clean_file(path, lines):
+        path.write_text("# seconds bytes\n" + "".join(f"{i / 64:.6f} {100 + i}\n" for i in range(lines)))
+
+    def test_blocks_and_chunks_run_on_pool_threads(self, tmp_path, monkeypatch):
+        threads = []
+        parse_block, format_rows = traces._parse_block, traces._format_rows
+
+        def parse_on(*args):
+            threads.append(("parse", threading.get_ident()))
+            return parse_block(*args)
+
+        def format_on(*args):
+            threads.append(("format", threading.get_ident()))
+            return format_rows(*args)
+
+        monkeypatch.setattr(traces, "_parse_block", parse_on)
+        monkeypatch.setattr(traces, "_format_rows", format_on)
+        monkeypatch.setattr(traces, "_BLOCK", 256)
+        monkeypatch.setattr(traces, "_WRITE_CHUNK", 7)
+        self.clean_file(tmp_path / "t.txt", 200)
+        tr = tl.load_trace(tmp_path / "t.txt")
+        tl.save_trace(tr, tmp_path / "t.csv")
+        assert tr.sizes.tolist() == list(range(100, 300))
+        assert tl.load_trace(tmp_path / "t.csv").sizes.tolist() == tr.sizes.tolist()
+        main = threading.get_ident()
+        for kind in ("parse", "format"):
+            ran_on = [t for k, t in threads if k == kind]
+            assert len(ran_on) > 2 and main not in ran_on
+
+    def test_a_failing_chunk_raises_after_the_chunks_before_it(self, monkeypatch):
+        monkeypatch.setattr(traces, "_WRITE_CHUNK", 7)
+        ts, sz = np.arange(60) / 8, np.arange(1, 61)
+        err = RuntimeError("the fifth chunk")
+        format_rows = traces._format_rows
+
+        def failing(literals, fields, columns):
+            if columns[1][0] == 29:  # rows 28 to 34
+                raise err
+            return format_rows(literals, fields, columns)
+
+        monkeypatch.setattr(traces, "_format_rows", failing)
+        fh = io.StringIO()
+        with pytest.raises(RuntimeError) as info:
+            traces.write_rows(fh, "%.9f,%d", (ts, sz))
+        assert info.value is err
+        assert fh.getvalue() == python_rows("%.9f,%d", (ts[:28], sz[:28]))
+
+    def test_a_failing_block_raises_out_of_load_trace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(traces, "_BLOCK", 256)
+        self.clean_file(tmp_path / "t.txt", 200)
+        err = RuntimeError("a middle block")
+        parse_block = traces._parse_block
+
+        def failing(buf, comma):
+            if b" 200\n" in bytes(buf):  # record 100 of 200
+                raise err
+            return parse_block(buf, comma)
+
+        monkeypatch.setattr(traces, "_parse_block", failing)
+        with pytest.raises(RuntimeError) as info:
+            tl.load_trace(tmp_path / "t.txt")
+        assert info.value is err
+
+    def test_bad_record_in_the_last_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(traces, "_BLOCK", 256)
+        p = tmp_path / "t.txt"
+        self.clean_file(p, 200)
+        p.write_text(p.read_text() + "3.200000 300 # late note\n")
+        blocks = []
+        parse_block = traces._parse_block
+
+        def recorded(buf, comma):
+            blocks.append(bytes(buf).endswith(b"# late note\n"))
+            return parse_block(buf, comma)
+
+        monkeypatch.setattr(traces, "_parse_block", recorded)
+        with pytest.raises(TraceFormatError) as info:
+            tl.load_trace(p)
+        assert info.value.line == 202 and "expected 2 fields, got 5" in str(info.value)
+        assert len(blocks) > 3 and blocks.count(True) == 1
+
+    def test_formatted_chunks_wait_in_a_bounded_window(self, pool_size, monkeypatch):
+        chunk, chunks = 4096, 200
+        monkeypatch.setattr(traces, "_WRITE_CHUNK", chunk)
+        ts = 1e6 + np.arange(chunk * chunks) / 1024
+        sz = np.full(len(ts), 1500)
+        formatted = []
+        format_rows = traces._format_rows
+
+        def counted(*args):
+            text = format_rows(*args)
+            formatted.append(len(text))
+            return text
+
+        monkeypatch.setattr(traces, "_format_rows", counted)
+        one = peak_bytes(lambda: counted(["", ",", "\n"], ["%.9f", "%d"], [ts[:chunk], sz[:chunk]]))
+        formatted.clear()
+        ahead = []
+
+        class SlowSink:
+            """Holds up the first chunk, so the pool runs as far ahead as it may."""
+
+            def writelines(self, lines):
+                pass
+
+            def write(self, text):
+                if not ahead:
+                    time.sleep(0.5)
+                    ahead.append(len(formatted))
+
+        peak = peak_bytes(lambda: traces.write_rows(SlowSink(), "%.9f,%d", (ts, sz)))
+        assert len(formatted) == chunks
+        # 2 * workers chunks submitted ahead of the one written, each
+        # formatted or being formatted, and the one the sink holds; at
+        # the parent every chunk waited, 200 * 86 KiB of text
+        assert ahead == [2 * pool_size]
+        assert one < MiB and peak <= (2 * pool_size + 1) * one + MiB // 2
 
 
 class TestSummary:
