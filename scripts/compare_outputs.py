@@ -126,6 +126,13 @@ COMMANDS = [
                                 "--path-out", "kernel_long_path.csv", "-o", "queue_kernel_long.csv"]),
     ("shuffle_kernel", ["cli", "shuffle", "kernel.txt", "--block-size", "10", "--seed", "12",
                         "-o", "kernel_shuffled.csv"]),
+    # 150000 packets keep 10^4, 31623 and 10^5 of the sample ladder; text.txt's
+    # 400 packets collapse both ladders to the trace length
+    ("report_long", ["cli", "report", "long.csv", "--reps", "2", "--seed", "14", "--out-prefix", "report_long"]),
+    ("report_text", ["cli", "report", "text.txt", "--seed", "15", "--out-prefix", "report_text"]),
+    # fails, writing nothing: evenly spaced arrivals give hurst a constant count series
+    ("report_kernel_long", ["cli", "report", "kernel_long.txt", "--reps", "2", "--seed", "14",
+                            "--out-prefix", "report_kernel_long"]),
     # the divergence commands and the script's flag-translating front to them
     ("diverge", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--sizes", "100,1000,10000",
                  "--reps", "3", "--seed", "1", "--out-prefix", "diverge"]),

@@ -33,13 +33,17 @@ from .synth import (
     generate_poisson,
     packetize,
 )
-from .traces import PacketTrace, load_trace, save_trace, summarize, write_rows
+from .traces import PacketTrace, load_trace, save_trace, summarize, window, write_rows
 
 OFF_MODEL_FLAGS = {
     "iid": "iid_matched_mean",
     "reordered": "theorem_reordered",
     "bounded": "bounded_q",
 }
+
+# report's sweeps, trimmed to the packets it analyses
+SAMPLE_LADDER = (10_000, 31_623, 100_000, 316_228, 1_000_000)
+BLOCK_LADDER = (1, 10, 100, 1000, 10_000)
 
 
 @dataclass
@@ -90,7 +94,7 @@ def _sha256_file(path: str) -> str:
 def _manifest(args: argparse.Namespace, *outputs: str | None, **derived):
     """Yield the ``manifest: <digest>`` comment that heads each output, then
     write the manifest of args, the derived values and the outputs (None
-    skipped) to <out-prefix>.manifest.json for sweeps, else beside the first output."""
+    skipped) to <out-prefix>.manifest.json given --out-prefix, else beside the first output."""
     outputs = [path for path in outputs if path]
     params = {
         key: list(value) if isinstance(value, (list, tuple)) else value
@@ -105,8 +109,9 @@ def _manifest(args: argparse.Namespace, *outputs: str | None, **derived):
 
 
 def _write_row_csv(path: str, comment: str, row: dict) -> None:
-    """One-row CSV of column -> value; numbers are written as float reprs, anything else as text."""
-    cells = [[float(v)] if isinstance(v, (int, float, np.floating)) else [v] for v in row.values()]
+    """One-row CSV of column -> value; floats and bools are written as float reprs, anything
+    else as text, so an int such as a byte total keeps every digit."""
+    cells = [[float(v)] if isinstance(v, (bool, float, np.floating)) else [v] for v in row.values()]
     with open(path, "w") as fh:
         write_rows(fh, ",".join(["%s"] * len(row)), cells, (comment, ",".join(row)))
 
@@ -125,6 +130,8 @@ def _int_list(text: str) -> list[int]:
     for part, v in zip(parts, values):
         if not (v.is_finite() and v == v.to_integral_value() and v.copy_abs() < Decimal("1e4300")):
             raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is not an integer of at most 4300 digits")
+    if any(v < 1 for v in values):  # every list flag counts packets, blocks or levels
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return [int(v) for v in values]
 
 
@@ -202,9 +209,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _summary_row(trace: PacketTrace) -> dict:
+    s = summarize(trace)
+    return {**asdict(s), "mean_rate": "" if s.mean_rate is None else s.mean_rate}
+
+
 def cmd_summarize(args) -> int:
-    s = summarize(load_trace(args.trace))
-    row = {**asdict(s), "mean_rate": "" if s.mean_rate is None else s.mean_rate}
+    row = _summary_row(load_trace(args.trace))
     if args.output:
         with _manifest(args, args.output) as comment:
             _write_row_csv(args.output, comment, row)
@@ -244,26 +255,34 @@ def _write_gnuplot(out_prefix: str, comment: str, logscale: str, xlabel: str, yl
         fh.writelines(line + "\n" for line in lines)
 
 
-def _sweep(args, run_sweep, source, xs, xlabel: str) -> int:
-    """Run the sweep over xs with the sweep flags; write its CSV and gnuplot script."""
-    plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
-    sweep = run_sweep(source, xs, plan, bandwidth=args.bandwidth, rho=args.rho)
-    csv_path = args.out_prefix + ".csv"
-    gp_path = args.out_prefix + ".gp"
+SWEEP_XLABELS = {"sample_size": "sample size (packets)", "block_size": "shuffle block size (packets)"}
+
+
+def _write_sweep(out_prefix: str, comment: str, sweep) -> None:
+    """<out_prefix>.csv of the sweep and <out_prefix>.gp to draw it, each headed by comment."""
+    csv_path = out_prefix + ".csv"
     plots, settings = [f'"{csv_path}" using 1:2:3 with yerrorlines title "mean +/- std"'], ()
     if sweep.baseline is not None:
         settings = (f"baseline = {float(sweep.baseline)!r}",)
         plots.append('baseline with lines dashtype 2 title "unshuffled"')
-    with _manifest(args, csv_path, gp_path) as comment:
-        with open(csv_path, "w") as fh:
-            sweep.write_csv(fh, comments=(comment,))
-        _write_gnuplot(args.out_prefix, comment, "x", xlabel, "mean queue (packets)", plots, settings)
-    print(f"wrote {csv_path}, {gp_path}")
+    with open(csv_path, "w") as fh:
+        sweep.write_csv(fh, comments=(comment,))
+    _write_gnuplot(out_prefix, comment, "x", SWEEP_XLABELS[sweep.x_label], "mean queue (packets)", plots, settings)
+
+
+def _sweep(args, run_sweep, source, xs) -> int:
+    """Run the sweep over xs with the sweep flags; write its CSV and gnuplot script."""
+    plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
+    sweep = run_sweep(source, xs, plan, bandwidth=args.bandwidth, rho=args.rho)
+    paths = (args.out_prefix + ".csv", args.out_prefix + ".gp")
+    with _manifest(args, *paths) as comment:
+        _write_sweep(args.out_prefix, comment, sweep)
+    print(f"wrote {', '.join(paths)}")
     return 0
 
 
 def cmd_sweep_samples(args) -> int:
-    return _sweep(args, sample_size_sweep, _source(args), args.sizes, "sample size (packets)")
+    return _sweep(args, sample_size_sweep, _source(args), args.sizes)
 
 
 def cmd_sweep_blocks(args) -> int:
@@ -271,7 +290,7 @@ def cmd_sweep_blocks(args) -> int:
     if isinstance(source, SyntheticSource):
         # materialize one trace; replications then vary only the permutation
         source = source.trace(substream(args.seed))
-    return _sweep(args, blocksize_sweep, source, args.blocks, "shuffle block size (packets)")
+    return _sweep(args, blocksize_sweep, source, args.blocks)
 
 
 def cmd_diverge(args) -> int:
@@ -302,21 +321,51 @@ def cmd_diverge(args) -> int:
     return 0
 
 
-def cmd_hurst(args) -> int:
-    trace = load_trace(args.trace)
+def _hurst_row(trace: PacketTrace, bin_width: float | None = None, unit: str = "packets",
+               levels: list[int] | None = None) -> tuple[dict, float]:
+    """The hurst row of the trace, and the bin width used: bin_width, or by default duration/4096."""
     if trace.duration == 0:
         raise ValueError("trace duration is zero: every packet arrives at once, so there are no bins")
-    width = args.bin_width if args.bin_width is not None else trace.duration / 4096
-    if width == 0 and args.bin_width is None:
+    width = bin_width if bin_width is not None else trace.duration / 4096
+    if width == 0 and bin_width is None:
         raise ValueError(f"trace duration {trace.duration!r} s is too short for the default 4096 bins: "
                          "give --bin-width")
-    series = bin_counts(trace, width, unit=args.unit)
-    est = hurst_aggregated_variance(series, levels=args.levels)
+    est = hurst_aggregated_variance(bin_counts(trace, width, unit=unit), levels=levels)
     row = {"H": est.H, "slope": est.slope, "fit_r2": est.fit_r2, "clipped": est.clipped,
            "levels": ";".join(str(a) for a in est.levels_used)}
+    return row, width
+
+
+def cmd_hurst(args) -> int:
+    row, width = _hurst_row(load_trace(args.trace), args.bin_width, args.unit, args.levels)
     with _manifest(args, args.output, derived_bin_width=width) as comment:
         _write_row_csv(args.output, comment, row)
-    print(f"H = {est.H:.4f} (r2 {est.fit_r2:.4f})")
+    print(f"H = {row['H']:.4f} (r2 {row['fit_r2']:.4f})")
+    return 0
+
+
+def cmd_report(args) -> int:
+    """summarize, hurst, sweep-samples and sweep-blocks on the first million packets of one
+    load, all computed before anything is written, under one manifest."""
+    trace = load_trace(args.trace)
+    n = min(SAMPLE_LADDER[-1], trace.packet_count)  # the top of the ladder, 10^6, caps the analysis
+    if n < trace.packet_count:
+        trace = window(trace, 0, n)
+    summary = _summary_row(trace)
+    hurst, width = _hurst_row(trace)
+    plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
+    sweeps = {"samples": sample_size_sweep(trace, sorted({s for s in SAMPLE_LADDER if s < n} | {n}), plan,
+                                           rho=args.rho),
+              "blocks": blocksize_sweep(trace, [b for b in BLOCK_LADDER if b <= n], plan, rho=args.rho)}
+    prefix = args.out_prefix
+    paths = [f"{prefix}.{name}" for name in ("summary.csv", "hurst.csv", "samples.csv", "samples.gp",
+                                             "blocks.csv", "blocks.gp")]
+    with _manifest(args, *paths, derived_bin_width=width, derived_packets=n) as comment:
+        _write_row_csv(paths[0], comment, summary)
+        _write_row_csv(paths[1], comment, hurst)
+        for name, sweep in sweeps.items():
+            _write_sweep(f"{prefix}.{name}", comment, sweep)
+    print(f"analysed {n} packets; wrote {', '.join(paths)}")
     return 0
 
 
@@ -423,6 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=None, help="fit range upper edge; default 99.9th pct")
     p.add_argument("--ccdf-out", default=None, help="also write empirical CCDF points")
     p.set_defaults(func=cmd_tailfit)
+
+    p = sub.add_parser("report", help="summarize, hurst and both sweeps of a trace, under one manifest",
+                       parents=[trace_file, replicated])
+    p.add_argument("--rho", type=float, default=0.46, help="target load of both sweeps")
+    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import trafficlab as tl
+from trafficlab import cli
 from trafficlab.rng import substream
 
 from acf_oracle import bartlett_stderr, lag_autocorrelation
@@ -260,8 +261,8 @@ def test_07_estimator_calibration(acceptance_report):
 
 
 def test_08_real_trace_walkthrough(acceptance_report, tmp_path):
-    """Runs the captured-trace walkthrough when BELLCORE_TRACE points at
-    a local two-column arrival file (see README for where to get one).
+    """Runs `trafficlab report` when BELLCORE_TRACE points at a local
+    two-column arrival file (see README for where to get one).
     Not part of the gated suite; without the file it reports SKIP."""
     path = os.environ.get("BELLCORE_TRACE", "")
     if not path or not os.path.exists(path):
@@ -271,22 +272,15 @@ def test_08_real_trace_walkthrough(acceptance_report, tmp_path):
         )
         pytest.skip("needs an external packet trace; see the README walkthrough")
     t0 = time.time()
-    trace = tl.load_trace(path)
-    limit = min(1_000_000, trace.packet_count)
-    first = tl.window(trace, 0, limit)
-    plan = tl.ReplicationPlan(master_seed=0, replications=10)
-    sizes = sorted({n for n in (10_000, 100_000) if n < limit} | {limit})
-    blocks = [b for b in (1, 100, 10_000) if b <= limit]
-    sample_sweep = tl.sample_size_sweep(first, sizes, plan, rho=0.46)
-    block_sweep = tl.blocksize_sweep(first, blocks, plan, rho=0.46)
-    out = tmp_path / "walkthrough"
-    out.mkdir()
-    with open(out / "samples.csv", "w") as fh:
-        sample_sweep.write_csv(fh)
-    with open(out / "blocks.csv", "w") as fh:
-        block_sweep.write_csv(fh)
-    finite = all(np.isfinite(p.mean) for p in sample_sweep.points + block_sweep.points)
+    prefix = tmp_path / "walkthrough"
+    rc = cli.main(["report", path, "--seed", "0", "--out-prefix", str(prefix)])
+    finite = rc == 0 and all(
+        np.isfinite(float(line.split(",")[1]))
+        for name in ("samples", "blocks")
+        for line in (tmp_path / f"walkthrough.{name}.csv").read_text().splitlines()
+        if not line.startswith("#")
+    )
     verdict(
         acceptance_report, 8, finite,
-        f"walkthrough CSVs written under {out}, {time.time() - t0:.1f}s",
+        f"trafficlab report exit {rc}, outputs under {tmp_path}, {time.time() - t0:.1f}s",
     )

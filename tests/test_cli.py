@@ -179,6 +179,15 @@ class TestSummarize:
         assert row[2] == str(2**63)
         assert float(row[3]) == 2.0**62
 
+    def test_csv_counts_are_exact_past_2_53(self, tmp_path, capsys):
+        # a float would write the total as 9.007199254740994e+15
+        p = tmp_path / "big.txt"
+        p.write_text("0.0 4503599627370497\n2.0 4503599627370496\n")
+        assert run("summarize", p) == 0
+        stdout_row = capsys.readouterr().out.splitlines()[1]
+        assert run("summarize", p, "-o", tmp_path / "s.csv") == 0
+        assert ",".join(data_row(tmp_path / "s.csv")) == stdout_row == "2,2.0,9007199254740993,4503599627370496.0"
+
 
 class TestQueue:
     def test_stats_match_library(self, poisson_file, tmp_path):
@@ -436,6 +445,12 @@ class TestFlagBounds:
         (["sweep-blocks", "--blocks", "1", "--cycles", "-3", "--seed", "0", "--out-prefix", "x"], "--cycles"),
         (["gen", "--model", "poisson", "--rate", "10", "--n", "0", "--seed", "0", "-o", "t.csv"], "--n"),
         (["sweep-samples", "--sizes", "10", "--n", "0", "--seed", "0", "--out-prefix", "x"], "--n"),
+        (["sweep-blocks", "--blocks", "0,10", "--seed", "0", "--out-prefix", "x"], "--blocks"),
+        (["sweep-samples", "--sizes", "0,10", "--seed", "0", "--out-prefix", "x"], "--sizes"),
+        (["diverge", "--sizes", "10,-3", "--seed", "0", "--out-prefix", "x"], "--sizes"),
+        (["hurst", "t.csv", "--levels", "0,1,2,4", "-o", "h.csv"], "--levels"),
+        (["report", "t.csv", "--seed", "-1", "--out-prefix", "x"], "--seed"),
+        (["report", "t.csv", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
     ])
     def test_out_of_range_value_names_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exit_:
@@ -662,6 +677,9 @@ WRITERS = {
                 {"alpha", "xmin", "xmax", "m", "lam", "sizes", "reps", "seed", "out_prefix"}),
     "tailfit": ([TRACE, "--ccdf-out", "c.csv", "-o", "f.csv"], ["f.csv", "c.csv"], "f.csv.manifest.json",
                 {"trace", "field", "lo", "hi", "ccdf_out", "output", "derived_fit_range"}),
+    "report": ([TRACE, "--reps", "2", "--seed", "1", "--out-prefix", "r"],
+               ["r.summary.csv", "r.hurst.csv", "r.samples.csv", "r.samples.gp", "r.blocks.csv", "r.blocks.gp"],
+               "r.manifest.json", {"trace", "seed", "reps", "out_prefix", "rho", "derived_bin_width", "derived_packets"}),
 }
 
 
@@ -731,3 +749,76 @@ class TestManifest:
         m = cli.RunManifest(subcommand="x", parameters={"a": [math.inf, -math.inf, math.nan, 1.5], "b": None})
         same = cli.RunManifest(subcommand="x", parameters={"a": ["inf", "-inf", "nan", 1.5], "b": None})
         assert m.digest() == same.digest()
+
+
+@pytest.fixture(scope="module")
+def standin_file(tmp_path_factory):
+    """A seeded on/off stand-in of about 60k packets, written as Bellcore-style "%.6f bytes" lines."""
+    spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.4, 0.01), n_cycles=2000, lambda_target=0.5)
+    times = tl.SyntheticSource(spec=spec, packet_size=1000, server_rate=1e6).trace(substream(3), n_packets=60_000)
+    sizes = substream(3, 1).integers(64, 1519, times.packet_count)
+    path = tmp_path_factory.mktemp("standin") / "standin.txt"
+    with open(path, "w") as fh:
+        fh.write("# seeded stand-in trace: seconds bytes\n")
+        fh.writelines(f"{t:.6f} {s}\n" for t, s in zip(times.timestamps.tolist(), sizes.tolist()))
+    return path
+
+
+REPORT_FILES = ["r.summary.csv", "r.hurst.csv", "r.samples.csv", "r.samples.gp", "r.blocks.csv", "r.blocks.gp"]
+
+
+class TestReport:
+    def test_rows_equal_the_four_commands(self, standin_file, tmp_path, monkeypatch):
+        # relative names, so the gnuplot scripts name the same CSVs on both sides
+        for side in ("report", "commands"):
+            (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / "report")
+        assert run("report", standin_file, "--reps", "2", "--seed", "0", "--out-prefix", "r") == 0
+        monkeypatch.chdir(tmp_path / "commands")
+        sweep = ("--trace", standin_file, "--reps", "2", "--seed", "0", "--rho", "0.46")
+        assert run("summarize", standin_file, "-o", "r.summary.csv") == 0
+        assert run("hurst", standin_file, "-o", "r.hurst.csv") == 0
+        assert run("sweep-samples", *sweep, "--sizes", "10000,31623,60000", "--out-prefix", "r.samples") == 0
+        assert run("sweep-blocks", *sweep, "--blocks", "1,10,100,1000,10000", "--out-prefix", "r.blocks") == 0
+        for name in REPORT_FILES:
+            report, commands = ((tmp_path / side / name).read_text().splitlines() for side in ("report", "commands"))
+            assert report[0].startswith("# manifest: ") and commands[0].startswith("# manifest: ")
+            assert report[1:] == commands[1:], name
+
+    def test_one_manifest_lists_every_output(self, standin_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("report", standin_file, "--reps", "2", "--seed", "0", "--out-prefix", "r") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*REPORT_FILES, "r.manifest.json"])
+        body = json.loads((tmp_path / "r.manifest.json").read_text())
+        assert body["outputs"] == REPORT_FILES
+        assert body["parameters"]["derived_packets"] == 60_000
+        assert body["inputs"] == {str(standin_file): hashlib.sha256(standin_file.read_bytes()).hexdigest()}
+
+    def test_loads_the_trace_once(self, standin_file, tmp_path, monkeypatch):
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return tl.load_trace(path)
+
+        monkeypatch.setattr(cli, "load_trace", counting_load)
+        assert run("report", standin_file, "--reps", "2", "--seed", "0", "--out-prefix", tmp_path / "r") == 0
+        assert loads == [str(standin_file)]
+
+    def test_analyses_the_first_packets_up_to_the_ladder_top(self, standin_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "SAMPLE_LADDER", (10_000, 20_000))
+        assert run("report", standin_file, "--reps", "2", "--seed", "0", "--out-prefix", tmp_path / "r") == 0
+        first = tl.window(tl.load_trace(standin_file), 0, 20_000)
+        assert data_row(tmp_path / "r.summary.csv") == ["20000", repr(first.duration), str(first.total_bytes),
+                                                         repr(first.total_bytes / first.duration)]
+        assert [r[0] for r in rows(tmp_path / "r.samples.csv")] == ["10000.0", "20000.0"]
+        assert json.loads((tmp_path / "r.manifest.json").read_text())["parameters"]["derived_packets"] == 20_000
+
+    @pytest.mark.parametrize("text", ["0,1\n5e-324,1\n", "2.5,100\n2.5,100\n"], ids=["too_short", "zero_duration"])
+    def test_unbinnable_trace_fails_before_writing(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text(text)
+        assert run("report", "t.csv", "--seed", "0", "--out-prefix", "r") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: trace duration ")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
