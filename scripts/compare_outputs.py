@@ -96,6 +96,11 @@ COMMANDS = [
     # B >= n, with gathers and sojourn sums past 65536 rows
     ("sweep_blocks_long", ["cli", "sweep-blocks", "--trace", "long.csv", "--blocks", "1,7,4096,65536,150000,1e9",
                            "--reps", "2", "--seed", "13", "--rho", "0.9", "--out-prefix", "blocks_long"]),
+    # blocks that straddle the 65536-packet runs a shuffled trace is served
+    # in: one just under a run, two over it, with short last blocks of
+    # 18930, 18926 and 50001 packets
+    ("sweep_blocks_long_runs", ["cli", "sweep-blocks", "--trace", "long.csv", "--blocks", "65535,65537,99999",
+                                "--reps", "3", "--seed", "16", "--rho", "0.95", "--out-prefix", "blocks_long_runs"]),
     ("sweep_samples_trace", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000,5000",
                              "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "samples_trace"]),
     ("sweep_samples_bandwidth", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000",

@@ -322,14 +322,14 @@ def cmd_diverge(args) -> int:
 
 
 def _hurst_row(trace: PacketTrace, bin_width: float | None = None, unit: str = "packets",
-               levels: list[int] | None = None) -> tuple[dict, float]:
-    """The hurst row of the trace, and the bin width used: bin_width, or by default duration/4096."""
+               levels: list[int] | None = None, too_short: str = "") -> tuple[dict, float]:
+    """The hurst row of the trace, and the bin width used: bin_width, or by default duration/4096.
+    too_short ends the error for a trace too short for the default bins: the remedy the command offers."""
     if trace.duration == 0:
         raise ValueError("trace duration is zero: every packet arrives at once, so there are no bins")
     width = bin_width if bin_width is not None else trace.duration / 4096
     if width == 0 and bin_width is None:
-        raise ValueError(f"trace duration {trace.duration!r} s is too short for the default 4096 bins: "
-                         "give --bin-width")
+        raise ValueError(f"trace duration {trace.duration!r} s is too short for the default 4096 bins{too_short}")
     est = hurst_aggregated_variance(bin_counts(trace, width, unit=unit), levels=levels)
     row = {"H": est.H, "slope": est.slope, "fit_r2": est.fit_r2, "clipped": est.clipped,
            "levels": ";".join(str(a) for a in est.levels_used)}
@@ -337,7 +337,7 @@ def _hurst_row(trace: PacketTrace, bin_width: float | None = None, unit: str = "
 
 
 def cmd_hurst(args) -> int:
-    row, width = _hurst_row(load_trace(args.trace), args.bin_width, args.unit, args.levels)
+    row, width = _hurst_row(load_trace(args.trace), args.bin_width, args.unit, args.levels, ": give --bin-width")
     with _manifest(args, args.output, derived_bin_width=width) as comment:
         _write_row_csv(args.output, comment, row)
     print(f"H = {row['H']:.4f} (r2 {row['fit_r2']:.4f})")

@@ -8,6 +8,7 @@ bit-for-bit reproducible and independent of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -162,6 +163,86 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
     return SweepResult(x_label="cycles", points=points)
 
 
+# the largest source duration whose shuffles stream: see block_shuffle
+_STREAMED_DURATION = float(np.finfo(np.float64).max) / 2
+# the run length the shuffled columns are built in when something reads them
+_BUILD_SLICE = 1 << 16
+
+
+class _BlockShuffled(PacketTrace):
+    """The blocks of b packets of source in the order `order`; see
+    block_shuffle. The columns are built and frozen on first read, from
+    the runs _slices yields."""
+
+    def __init__(self, source: PacketTrace, b: int, order: np.ndarray):
+        self._source, self._b, self._order = source, b, order
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        ts, sz = np.empty(len(self)), np.empty(len(self), np.int64)
+        lo = 0
+        for t, z in self._slices(_BUILD_SLICE):
+            ts[lo : lo + len(t)], sz[lo : lo + len(z)] = t, z
+            lo += len(t)
+        ts.setflags(write=False)
+        sz.setflags(write=False)
+        return ts, sz
+
+    timestamps = property(lambda self: self._columns[0])
+    sizes = property(lambda self: self._columns[1])
+
+    def _slices(self, size: int):
+        gaps, sizes = self._source.gaps, self._source.sizes
+        n, b, order = len(sizes), self._b, self._order
+        full = n // b
+        rows = [x[: full * b].reshape(full, b) for x in (gaps, sizes)]
+        per = size // b  # whole blocks per run, when a block fits in one
+        # the short last block, input block `full`, sits at position k
+        k = int(np.argmax(order == full)) if n % b else full
+
+        def spans(lo, hi):
+            """The source packets lo to hi, at most size at a time."""
+            for at in range(lo, hi, size):
+                yield slice(at, min(at + size, hi))
+
+        def runs(blocks):
+            """Row indices of at most `per` whole blocks, or the spans of
+            each block when one is longer than size."""
+            if per:
+                for j in range(0, len(blocks), per):
+                    yield blocks[j : j + per]
+            else:
+                for i in blocks.tolist():
+                    yield from spans(i * b, (i + 1) * b)
+
+        def parts():
+            yield from runs(order[:k])
+            yield from spans(full * b, n)
+            yield from runs(order[k + 1 :])
+
+        ts, sz = np.empty(min(n, size)), np.empty(min(n, size), np.int64)
+        carry = 0.0
+        for part in parts():
+            if isinstance(part, slice):
+                m = part.stop - part.start
+                ts[:m], sz[:m] = gaps[part], sizes[part]
+            else:
+                m = len(part) * b
+                for src, dst in zip(rows, (ts, sz)):
+                    # mode="clip" lets take write into out directly; every index is in range
+                    np.take(src, part, axis=0, out=dst[:m].reshape(-1, b), mode="clip")
+            # one cumsum over the whole permuted gaps, carried from run to
+            # run; the first carry, 0.0, changes no bit of a gap
+            t = ts[:m]
+            t[0] += carry
+            np.cumsum(t, out=t)
+            carry = t[-1]
+            yield t, sz[:m]
+
+
 def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     """Permute the trace in blocks of block_size packets.
 
@@ -172,38 +253,42 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     block survives; structure across blocks is destroyed. Sizes and
     gaps themselves are only moved, never changed.
 
-    The gaps are the trace's own (PacketTrace.gaps, computed on first
-    use), so a call makes only the permutation and the shuffled
-    trace's two arrays, which hold no view of the input.
+    The result holds only the trace, the block permutation and the block
+    size. packet_fifo reads it in runs of at most 2**16 packets, each
+    gathered by whole blocks from the trace's own gaps and sizes
+    (PacketTrace.gaps, computed on first use) into two buffers, with the
+    cumsum carried across runs: a replication makes the permutation and
+    those buffers, not a shuffled trace. Its timestamps and sizes are
+    built from the same runs, as new arrays that hold no view of the
+    input, only when something reads them.
+
+    The gaps are finite and nonnegative, so the timestamps are
+    nondecreasing from the first, which is >= 0, and finite unless a
+    running sum rounds past the largest float M. That cannot happen when
+    the trace's duration D = fl(t_last - t_0) is at most M/2. Let u =
+    2**-53. Each gap is fl(t_i - t_{i-1}) <= (1 + u)(t_i - t_{i-1}), and
+    these differences add up exactly to t_last - t_0 <= D / (1 - u), so
+    the gaps add up to at most G = D (1 + u) / (1 - u). Recursive
+    summation of nonnegative terms rounds each partial sum up by at
+    most a factor 1 + u, so the k-th running sum of any order of the
+    gaps is at most (1 + u)**k G (Higham 2002, section 4.2), as long as
+    none before it overflowed. With n < 2**51 packets (their int64 sizes
+    alone would fill 2**54 bytes), (1 + u)**n < e**(1/4) < 1.3, so every
+    running sum stays under 1.3 G < 0.7 M. A trace longer than M/2 has
+    its columns built at once, and a non-finite timestamp among them is
+    a ValueError here.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    rng = as_generator(seed)
-    sizes = trace.sizes
-    n = len(sizes)
+    n = len(trace)
     b = min(block_size, n)  # every B >= n is one block
-    full, short = divmod(n, b)
-    order = rng.permutation(full + (short > 0))
-    new_ts, new_sizes = np.empty(n), np.empty_like(sizes)
-    # the whole blocks are the rows of a (full, b) view; the short last
-    # block, input block `full`, lands at its position k in order, and
-    # the rows after it start `short` packets later
-    k = int(np.argmax(order == full)) if short else full
-    for src, dst in ((trace.gaps, new_ts), (sizes, new_sizes)):
-        rows = src[: full * b].reshape(full, b)
-        # mode="clip" lets take write into out directly; every index is in range
-        np.take(rows, order[:k], axis=0, out=dst[: k * b].reshape(k, b), mode="clip")
-        dst[k * b : k * b + short] = src[full * b :]
-        np.take(rows, order[k + 1 :], axis=0, out=dst[k * b + short :].reshape(full - k, b), mode="clip")
-    # the gaps are finite and nonnegative, so the new timestamps are
-    # nondecreasing from new_ts[0] >= 0 and, unless a sum rounds past
-    # the largest float, finite; that case is the error below, not a
-    # numpy warning
-    with np.errstate(over="ignore"):
-        np.cumsum(new_ts, out=new_ts)
-    if not np.isfinite(new_ts[-1]):
-        raise ValueError("non-finite timestamp")
-    return PacketTrace._derived(new_ts, new_sizes)
+    shuffled = _BlockShuffled(trace, b, as_generator(seed).permutation(-(-n // b)))
+    if not trace.duration <= _STREAMED_DURATION:
+        # the sum past the largest float is the error below, not a numpy warning
+        with np.errstate(over="ignore"):
+            if not np.isfinite(shuffled.timestamps[-1]):
+                raise ValueError("non-finite timestamp")
+    return shuffled
 
 
 def blocksize_sweep(

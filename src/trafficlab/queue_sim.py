@@ -295,31 +295,31 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
 
 
 def _fifo_slices(trace: PacketTrace, bandwidth: float, departures=None):
-    """Departure times of trace served at bandwidth, one slice of at most
-    _CHUNK packets at a time.
+    """Departure times of trace served at bandwidth, one run of
+    trace._slices(_CHUNK), at most _CHUNK packets, at a time.
 
     d_i = S_i + max_{j<=i}(a_j - S_{j-1}) with S the service prefix sum
-    and S_0 = 0; the scan carries S and the running max across slices.
-    Yields (lo, d, s) for the packets from lo on: their departures d and
+    and S_0 = 0; the scan carries S and the running max across slices,
+    so where the trace cuts its runs changes no bit. Yields (lo, a, d, s)
+    for the packets from lo on: their arrivals a, their departures d and
     a buffer s of the same length that the caller may overwrite. d is
     the slice of departures when that full-length array is given, and a
     buffer reused by the next slice otherwise.
     """
-    a = trace.timestamps
-    n = len(a)
+    n = len(trace)
     s_buf = np.empty(min(n, _CHUNK))
     d_buf = np.empty_like(s_buf) if departures is None else None
     # the carries; adding the first s_last, 0.0, changes no bit, as s > 0
-    s_last, run_max = 0.0, -math.inf
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    s_last, run_max, lo = 0.0, -math.inf, 0
+    for a, sizes in trace._slices(_CHUNK):
+        hi = lo + len(a)
         with np.errstate(over="ignore"):
-            s = np.divide(trace.sizes[lo:hi], bandwidth, out=s_buf[: hi - lo])
+            s = np.divide(sizes, bandwidth, out=s_buf[: hi - lo])
             s[0] += s_last
             np.cumsum(s, out=s)
             d = d_buf[: hi - lo] if departures is None else departures[lo:hi]
-            d[0] = a[lo] - s_last
-            np.subtract(a[lo + 1 : hi], s[:-1], out=d[1:])
+            d[0] = a[0] - s_last
+            np.subtract(a[1:], s[:-1], out=d[1:])
             d[0] = np.fmax(run_max, d[0])
             # a is finite and S finite or +inf, so a - S is never nan, and
             # fmax, the faster scan, differs from maximum at most in the sign
@@ -327,7 +327,8 @@ def _fifo_slices(trace: PacketTrace, bandwidth: float, departures=None):
             np.fmax.accumulate(d, out=d)
             s_last, run_max = s[-1], d[-1]
             d += s
-        yield lo, d, s
+        yield lo, a, d, s
+        lo = hi
 
 
 def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
@@ -338,14 +339,17 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     one in service. The mean is the packet sojourn total over the
     horizon, which equals the piecewise-constant integral exactly.
 
-    One loop (_fifo_slices) runs over slices of at most _CHUNK packets,
-    which the exact sums need to be at most 2**16, and carries only two
-    scalars across: the service prefix sum and the running max of
-    arrival minus it. Each slice's sojourns are extracted as they are
+    One loop (_fifo_slices) runs over the trace's runs of at most _CHUNK
+    packets, which the exact sums need to be at most 2**16, and carries
+    only two scalars across: the service prefix sum and the running max
+    of arrival minus it. Each slice's sojourns are extracted as they are
     made (_extract), into a list that math.fsum rounds once, raw terms
-    of a slice past the domain of _fsum included. The run keeps only
-    the trace and bandwidth; stats and path come from a second pass of
-    the same loop, which writes the departures and sums the service
+    of a slice past the domain of _fsum included. The list holds the
+    exact total of nonnegative terms however the runs are cut, so the
+    cuts change no bit. The mean reads no column of a trace that builds
+    them on demand (a block shuffle's). The run keeps only the trace and
+    bandwidth; stats and path come from a second pass of the same loop,
+    which reads the columns, writes the departures and sums the service
     times and idle gaps, and the path is then merged from arrivals and
     departures (stats reads its peak from the path). A bandwidth so
     small that the horizon or the sojourn total is not a finite float
@@ -353,12 +357,11 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
-    a = trace.timestamps
-    n = len(a)
+    n = len(trace)
     size = min(n, _CHUNK)
     sojourns, q = [], np.empty(size)
-    for lo, d, s in _fifo_slices(trace, bandwidth):
-        _extract(np.subtract(d, a[lo : lo + len(d)], out=s), sojourns, q, s)
+    for _, a, d, s in _fifo_slices(trace, bandwidth):
+        _extract(np.subtract(d, a, out=s), sojourns, q, s)
     horizon = float(d[-1])
     try:
         area = math.fsum(sojourns)  # sum of sojourns = integral of the level
@@ -368,8 +371,8 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
         raise ValueError(f"bandwidth {float(bandwidth)!r} is too small: the horizon or sojourn total is not finite")
 
     def rebuild():
-        d_all, service, idle, q = np.empty(n), [], [], np.empty(size)
-        for lo, d, s in _fifo_slices(trace, bandwidth, d_all):
+        a, d_all, service, idle, q = trace.timestamps, np.empty(n), [], [], np.empty(size)
+        for lo, _, d, s in _fifo_slices(trace, bandwidth, d_all):
             hi = lo + len(d)
             _extract(np.divide(trace.sizes[lo:hi], bandwidth, out=s), service, q, s)
             # the queue is empty before the first arrival and wherever an

@@ -273,9 +273,9 @@ class PacketTrace:
     @classmethod
     def _derived(cls, timestamps: np.ndarray, sizes: np.ndarray) -> PacketTrace:
         """A trace of new float64 and int64 arrays that already hold every
-        invariant __post_init__ checks, as a reordering or window of a
-        checked trace and the columns load_trace has checked do: the
-        arrays are frozen, not checked again."""
+        invariant __post_init__ checks, as a window of a checked trace
+        and the columns load_trace has checked do: the arrays are
+        frozen, not checked again."""
         trace = cls.__new__(cls)
         timestamps.setflags(write=False)
         sizes.setflags(write=False)
@@ -284,6 +284,16 @@ class PacketTrace:
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    def _slices(self, size: int):
+        """(timestamps, sizes) of the packets in order, at most size
+        packets at a time: read-only views of the columns here. A trace
+        that builds its columns on first read, as block_shuffle's does,
+        yields its runs without building them, in buffers that the next
+        run reuses; a caller reads each run before it takes the next."""
+        ts, sz = self.timestamps, self.sizes
+        for lo in range(0, len(ts), size):
+            yield ts[lo : lo + size], sz[lo : lo + size]
 
     @cached_property
     def gaps(self) -> np.ndarray:
@@ -299,7 +309,7 @@ class PacketTrace:
 
     @property
     def packet_count(self) -> int:
-        return len(self.timestamps)
+        return len(self)
 
     @property
     def duration(self) -> float:

@@ -814,11 +814,14 @@ class TestReport:
         assert [r[0] for r in rows(tmp_path / "r.samples.csv")] == ["10000.0", "20000.0"]
         assert json.loads((tmp_path / "r.manifest.json").read_text())["parameters"]["derived_packets"] == 20_000
 
-    @pytest.mark.parametrize("text", ["0,1\n5e-324,1\n", "2.5,100\n2.5,100\n"], ids=["too_short", "zero_duration"])
-    def test_unbinnable_trace_fails_before_writing(self, tmp_path, monkeypatch, capsys, text):
+    @pytest.mark.parametrize("text, message", [
+        # report takes no --bin-width, so its error offers none
+        ("0,1\n5e-324,1\n", "trace duration 5e-324 s is too short for the default 4096 bins"),
+        ("2.5,100\n2.5,100\n", "trace duration is zero: every packet arrives at once, so there are no bins"),
+    ], ids=["too_short", "zero_duration"])
+    def test_unbinnable_trace_fails_before_writing(self, tmp_path, monkeypatch, capsys, text, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "t.csv").write_text(text)
         assert run("report", "t.csv", "--seed", "0", "--out-prefix", "r") == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: trace duration ")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -182,6 +182,95 @@ class TestBlockShuffle:
             tl.block_shuffle(tr, 1, 0)
 
 
+class FixedOrder(np.random.Generator):
+    """A generator whose permutation is the given block order."""
+
+    def __init__(self, order):
+        super().__init__(np.random.PCG64(0))
+        self.order = order
+
+    def permutation(self, k):
+        assert k == len(self.order)
+        return self.order.copy()
+
+
+# 150001 packets: B = 2 leaves a short block of 1 packet, and B = 65535,
+# 65536 and 65537 straddle the 2**16-packet runs with short blocks of
+# 18931, 18929 and 18927
+SHUFFLE_N = 150_001
+
+
+def short_block_positions(block):
+    """Where the short block is put for block, or [None] when it has none."""
+    if block >= SHUFFLE_N or SHUFFLE_N % block == 0:
+        return [None]
+    return ["first", "middle", "last"] if SHUFFLE_N // block > 1 else ["first", "last"]
+
+
+SHUFFLE_CASES = [
+    (block, where)
+    for block in (1, 2, 65535, 65536, 65537, SHUFFLE_N - 1, SHUFFLE_N, 2 * SHUFFLE_N)
+    for where in short_block_positions(block)
+]
+
+
+class TestLazyShuffle:
+    """A shuffled trace serves its runs without building its columns,
+    and the columns it builds on a read are the shuffle itself."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return tl.generate_poisson(1000.0, 500, SHUFFLE_N, substream(31))
+
+    @staticmethod
+    def shuffled(trace, block, where):
+        """The shuffle in blocks of block whose short block lands first, in
+        the middle or last, and the block order it used."""
+        count = -(-len(trace) // min(block, len(trace)))
+        order = np.random.default_rng(block).permutation(count)
+        if where is not None:
+            position = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+            order = np.insert(order[order != count - 1], position, count - 1)
+        return tl.block_shuffle(trace, block, FixedOrder(order)), order
+
+    def test_length_count_and_mean_build_no_columns(self, trace):
+        out, _ = self.shuffled(trace, 100, "middle")
+        assert len(out) == out.packet_count == SHUFFLE_N
+        assert packet_fifo(out, tl.bandwidth_for_utilization(trace, 0.9)).mean_queue > 0.0
+        assert "_columns" not in vars(out)
+        out.sizes
+        assert "_columns" in vars(out)
+
+    def test_a_duration_up_to_half_the_largest_float_streams(self):
+        half = float(np.finfo(float).max) / 2
+        tr = tl.PacketTrace(np.array([0.0, half / 2, half]), np.array([1, 2, 3]))
+        out = tl.block_shuffle(tr, 1, 0)
+        assert "_columns" not in vars(out)
+        assert np.isfinite(out.timestamps).all() and out.timestamps[-1] == half
+
+    @pytest.mark.parametrize("block, where", SHUFFLE_CASES)
+    def test_columns_are_the_blocks_in_order_then_one_cumsum(self, trace, block, where):
+        out, order = self.shuffled(trace, block, where)
+        gaps = np.concatenate(([0.0], np.diff(trace.timestamps)))
+        b = min(block, SHUFFLE_N)
+        perm = np.concatenate([np.arange(i * b, min(SHUFFLE_N, (i + 1) * b)) for i in order])
+        assert out.sizes.tobytes() == trace.sizes[perm].tobytes()
+        assert out.timestamps.tobytes() == np.cumsum(gaps[perm]).tobytes()
+        assert not out.timestamps.flags.writeable and not out.sizes.flags.writeable
+
+    @pytest.mark.parametrize("block, where", SHUFFLE_CASES)
+    def test_the_queue_run_is_the_run_of_the_stored_columns(self, trace, block, where):
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.95)
+        run = packet_fifo(self.shuffled(trace, block, where)[0], bandwidth)
+        out = self.shuffled(trace, block, where)[0]
+        stored = packet_fifo(tl.PacketTrace(out.timestamps, out.sizes), bandwidth)
+        for got, want in ((run.mean_queue, stored.mean_queue), (run.area, stored.area),
+                          (run.horizon, stored.horizon)):
+            assert got.hex() == want.hex()
+        assert run.stats == stored.stats
+        assert run.path.times.tobytes() == stored.path.times.tobytes()
+
+
 def peak_bytes(run) -> int:
     """The peak memory traced while run() runs; numpy reports its array
     buffers to tracemalloc, so the peak counts them."""
@@ -220,6 +309,23 @@ class TestAllocationBudget:
         # each; the int64 permutation of ceil(N / block) blocks; and the
         # kernel's peak. The gaps, computed again, would add 8N bytes
         budget = 2 * 8 * self.N + 8 * -(-self.N // block) + kernel + self.SMALL
+        assert peak_bytes(lambda: replicate(1)) <= budget
+
+    @pytest.mark.parametrize("block", [1, 100])
+    def test_a_shuffled_replication_holds_its_permutation_and_two_runs(self, block):
+        trace = tl.generate_poisson(1000.0, 500, self.N, substream(22))
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
+
+        def replicate(seed):
+            return packet_fifo(tl.block_shuffle(trace, block, substream(seed)), bandwidth).mean_queue
+
+        replicate(0)  # leaves the gaps with the trace
+        kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
+        # the int64 permutation of ceil(N / block) blocks, the kernel's peak,
+        # and the run buffers: one float64 and one int64 run of 2**16
+        # packets. No N-length array: the shuffled columns would add 16N bytes
+        runs = 2 * 8 * 2**16
+        budget = 8 * -(-self.N // block) + kernel + runs + self.SMALL
         assert peak_bytes(lambda: replicate(1)) <= budget
 
     @pytest.mark.parametrize("x_max", [None, 1000.0])
