@@ -101,6 +101,12 @@ COMMANDS = [
     # 18930, 18926 and 50001 packets
     ("sweep_blocks_long_runs", ["cli", "sweep-blocks", "--trace", "long.csv", "--blocks", "65535,65537,99999",
                                 "--reps", "3", "--seed", "16", "--rho", "0.95", "--out-prefix", "blocks_long_runs"]),
+    # 5 replications of 7 block sizes from B = 1 to B >= n: far more than
+    # the replication pool holds at once, so its means come back in order
+    # over many submissions
+    ("sweep_blocks_long_reps", ["cli", "sweep-blocks", "--trace", "long.csv",
+                                "--blocks", "1,10,100,1000,10000,100000,1e9", "--reps", "5", "--seed", "17",
+                                "--rho", "0.9", "--out-prefix", "blocks_long_reps"]),
     ("sweep_samples_trace", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000,5000",
                              "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "samples_trace"]),
     ("sweep_samples_bandwidth", ["cli", "sweep-samples", "--trace", "onoff.csv", "--sizes", "100,1000",
@@ -111,6 +117,10 @@ COMMANDS = [
     # than one chunk of cycles, each starting where the one before ended
     ("sweep_samples_gen_capped", ["cli", "sweep-samples", *CAPPED, "--cycles", "200", "--sizes", "100,1000,100000",
                                   "--reps", "2", "--seed", "4", "--out-prefix", "samples_gen_capped"]),
+    # 4 replications of 3 generated traces each, made in the calling
+    # thread and served on the replication pool
+    ("sweep_samples_gen_reps", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000,10000",
+                                "--reps", "4", "--seed", "18", "--out-prefix", "samples_gen_reps"]),
     ("sweep_blocks_trace", ["cli", "sweep-blocks", "--trace", "onoff.csv", "--blocks", "1,10,100",
                             "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "blocks_trace"]),
     ("sweep_blocks_gen", ["cli", "sweep-blocks", *ONOFF, "--cycles", "300", "--blocks", "1,10,100",

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
 from .queue_sim import packet_fifo, prefix_mean_queue
 from .rng import as_generator, substream
 from .synth import HeavyTailSpec, SyntheticSource, _open_uniform, reorder_nonoverlap, sample_heavy_tail
-from .traces import PacketTrace, bandwidth_for_utilization, window, write_rows
+from .traces import PacketTrace, _in_order, bandwidth_for_utilization, window, write_rows
 
 __all__ = [
     "ReplicationPlan",
@@ -127,16 +128,34 @@ def sample_size_sweep(
     return _replicate(SweepResult(x_label="sample_size"), sizes, plan, b, make_trace)
 
 
-def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float, make_trace) -> SweepResult:
+def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float, make_trace,
+               baseline: PacketTrace | None = None) -> SweepResult:
     """Append one point per x to result: the mean queue of make_trace(x, rng)
     at bandwidth, replicated with rng = substream(master_seed, i, j) for
-    replication i of the j-th x."""
-    for j, x in enumerate(xs):
-        means = []
-        for i in range(plan.replications):
-            means.append(packet_fifo(make_trace(x, substream(plan.master_seed, i, j)), bandwidth).mean_queue)
-        mean, std = aggregate_replications(means)
-        result.points.append(SweepPoint(float(x), mean, std, tuple(means)))
+    replication i of the j-th x. A baseline trace is served first, and
+    its mean queue set as result.baseline.
+
+    The traces are served on traces._in_order's pool, one packet_fifo
+    call per thread, and their means come back in replication order, so
+    the points hold the bits a serial loop gives. Each trace is made in
+    the calling thread as the pool takes it, and at most _workers() + 1
+    exist at once. Arrays that a worker thread allocates and frees can
+    stay with that thread's malloc arena, so the arrays a replication
+    keeps, its trace among them, are made here; block shuffles read the
+    gaps blocksize_sweep made before the first. An error in a
+    replication comes out at it, after the points before it.
+    """
+    reps = plan.replications
+    made = (make_trace(x, substream(plan.master_seed, i, j)) for j, x in enumerate(xs) for i in range(reps))
+    if baseline is not None:
+        made = chain([baseline], made)
+    means = _in_order(lambda trace: packet_fifo(trace, bandwidth).mean_queue, made, ahead=1)
+    if baseline is not None:
+        result.baseline = next(means)
+    for x in xs:
+        rep_means = tuple(islice(means, reps))
+        mean, std = aggregate_replications(rep_means)
+        result.points.append(SweepPoint(float(x), mean, std, rep_means))
     return result
 
 
@@ -165,14 +184,12 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
 
 # the largest source duration whose shuffles stream: see block_shuffle
 _STREAMED_DURATION = float(np.finfo(np.float64).max) / 2
-# the run length the shuffled columns are built in when something reads them
-_BUILD_SLICE = 1 << 16
 
 
 class _BlockShuffled(PacketTrace):
     """The blocks of b packets of source in the order `order`; see
-    block_shuffle. The columns are built and frozen on first read, from
-    the runs _slices yields."""
+    block_shuffle. The columns are built and frozen on first read, by
+    the runs of _slices gathered straight into them."""
 
     def __init__(self, source: PacketTrace, b: int, order: np.ndarray):
         self._source, self._b, self._order = source, b, order
@@ -182,19 +199,22 @@ class _BlockShuffled(PacketTrace):
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        ts, sz = np.empty(len(self)), np.empty(len(self), np.int64)
-        lo = 0
-        for t, z in self._slices(_BUILD_SLICE):
-            ts[lo : lo + len(t)], sz[lo : lo + len(z)] = t, z
-            lo += len(t)
-        ts.setflags(write=False)
-        sz.setflags(write=False)
-        return ts, sz
+        columns = np.empty(len(self)), np.empty(len(self), np.int64)
+        # runs of 2**16 blocks: take copies a run's int32 block indices to
+        # intp, so at B = 1 a whole-column run would copy 8n bytes
+        for _ in self._slices(self._b << 16, columns):
+            pass
+        for x in columns:
+            x.setflags(write=False)
+        return columns
 
     timestamps = property(lambda self: self._columns[0])
     sizes = property(lambda self: self._columns[1])
 
-    def _slices(self, size: int):
+    def _slices(self, size: int, columns=None):
+        """The runs of PacketTrace._slices, gathered into two buffers that
+        the next run reuses, or, given full-length (timestamps, sizes)
+        columns, straight into their places there."""
         gaps, sizes = self._source.gaps, self._source.sizes
         n, b, order = len(sizes), self._b, self._order
         full = n // b
@@ -223,24 +243,30 @@ class _BlockShuffled(PacketTrace):
             yield from spans(full * b, n)
             yield from runs(order[k + 1 :])
 
-        ts, sz = np.empty(min(n, size)), np.empty(min(n, size), np.int64)
-        carry = 0.0
+        into = columns is not None
+        ts, sz = columns if into else (np.empty(min(n, size)), np.empty(min(n, size), np.int64))
+        # the gaps go to a buffer of their own, as a cumsum into its own
+        # input holds the GIL (see queue_sim._fifo_slices); the columns are
+        # built in one thread, so there they are summed in place
+        gs = ts if into else np.empty_like(ts)
+        carry, lo = 0.0, 0  # lo: where the run goes, always 0 in the buffers
         for part in parts():
+            m = part.stop - part.start if isinstance(part, slice) else len(part) * b
+            t, z, g = ts[lo : lo + m], sz[lo : lo + m], gs[lo : lo + m]
             if isinstance(part, slice):
-                m = part.stop - part.start
-                ts[:m], sz[:m] = gaps[part], sizes[part]
+                g[:], z[:] = gaps[part], sizes[part]
             else:
-                m = len(part) * b
-                for src, dst in zip(rows, (ts, sz)):
+                for src, dst in zip(rows, (g, z)):
                     # mode="clip" lets take write into out directly; every index is in range
-                    np.take(src, part, axis=0, out=dst[:m].reshape(-1, b), mode="clip")
+                    np.take(src, part, axis=0, out=dst.reshape(-1, b), mode="clip")
             # one cumsum over the whole permuted gaps, carried from run to
             # run; the first carry, 0.0, changes no bit of a gap
-            t = ts[:m]
-            t[0] += carry
-            np.cumsum(t, out=t)
+            g[0] += carry
+            np.cumsum(g, out=t)
             carry = t[-1]
-            yield t, sz[:m]
+            yield t, z
+            if into:
+                lo += m
 
 
 def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
@@ -253,14 +279,18 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     block survives; structure across blocks is destroyed. Sizes and
     gaps themselves are only moved, never changed.
 
-    The result holds only the trace, the block permutation and the block
-    size. packet_fifo reads it in runs of at most 2**16 packets, each
+    The result holds only the trace, the block order and the block size.
+    The order of the k blocks is drawn by shuffling arange(k) in place,
+    as int32 when k < 2**31: the same draws as permutation(k), so the
+    same order and the same generator state after, in half the bytes.
+    packet_fifo reads the result in runs of at most 2**16 packets, each
     gathered by whole blocks from the trace's own gaps and sizes
-    (PacketTrace.gaps, computed on first use) into two buffers, with the
-    cumsum carried across runs: a replication makes the permutation and
-    those buffers, not a shuffled trace. Its timestamps and sizes are
-    built from the same runs, as new arrays that hold no view of the
-    input, only when something reads them.
+    (PacketTrace.gaps, made on first use; blocksize_sweep makes them
+    before its first shuffle) into two buffers, with the cumsum carried
+    across runs: a replication makes the order and those buffers, not a
+    shuffled trace. Its timestamps and sizes are gathered by the same
+    runs straight into new arrays that hold no view of the input, only
+    when something reads them.
 
     The gaps are finite and nonnegative, so the timestamps are
     nondecreasing from the first, which is >= 0, and finite unless a
@@ -282,7 +312,11 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
         raise ValueError("block_size must be >= 1")
     n = len(trace)
     b = min(block_size, n)  # every B >= n is one block
-    shuffled = _BlockShuffled(trace, b, as_generator(seed).permutation(-(-n // b)))
+    k = -(-n // b)
+    # the draws and the order of permutation(k), in half its bytes
+    order = np.arange(k, dtype=np.int32 if k < 2**31 else np.int64)
+    as_generator(seed).shuffle(order)
+    shuffled = _BlockShuffled(trace, b, order)
     if not trace.duration <= _STREAMED_DURATION:
         # the sum past the largest float is the error below, not a numpy warning
         with np.errstate(over="ignore"):
@@ -300,12 +334,13 @@ def blocksize_sweep(
 ) -> SweepResult:
     """Mean queue versus shuffle block size, replicated over permutations.
 
-    The unshuffled trace is simulated once at the same service rate
-    and reported as the baseline.
+    The unshuffled trace is simulated once at the same service rate,
+    on the replications' pool, and reported as the baseline.
     """
     block_sizes = sorted(int(b) for b in block_sizes)
     if not block_sizes or block_sizes[0] < 1:
         raise ValueError("block_sizes must be positive")
     b = _resolve_bandwidth(trace, bandwidth, rho)
-    result = SweepResult(x_label="block_size", baseline=packet_fifo(trace, b).mean_queue)
-    return _replicate(result, block_sizes, plan, b, lambda blk, rng: block_shuffle(trace, blk, rng))
+    trace.gaps  # made here, once, not in the pool's threads: see _replicate
+    return _replicate(SweepResult(x_label="block_size"), block_sizes, plan, b,
+                      lambda blk, rng: block_shuffle(trace, blk, rng), baseline=trace)

@@ -308,23 +308,27 @@ def _fifo_slices(trace: PacketTrace, bandwidth: float, departures=None):
     """
     n = len(trace)
     s_buf = np.empty(min(n, _CHUNK))
+    # the scans' inputs: an accumulate whose output is its own input holds
+    # the GIL (numpy 2.4), so each scan writes to another buffer, and two
+    # threads' kernels run side by side
+    x_buf = np.empty_like(s_buf)
     d_buf = np.empty_like(s_buf) if departures is None else None
     # the carries; adding the first s_last, 0.0, changes no bit, as s > 0
     s_last, run_max, lo = 0.0, -math.inf, 0
     for a, sizes in trace._slices(_CHUNK):
         hi = lo + len(a)
         with np.errstate(over="ignore"):
-            s = np.divide(sizes, bandwidth, out=s_buf[: hi - lo])
-            s[0] += s_last
-            np.cumsum(s, out=s)
+            x = np.divide(sizes, bandwidth, out=x_buf[: hi - lo])
+            x[0] += s_last
+            s = np.cumsum(x, out=s_buf[: hi - lo])
             d = d_buf[: hi - lo] if departures is None else departures[lo:hi]
-            d[0] = a[0] - s_last
-            np.subtract(a[1:], s[:-1], out=d[1:])
-            d[0] = np.fmax(run_max, d[0])
+            x[0] = a[0] - s_last
+            np.subtract(a[1:], s[:-1], out=x[1:])
+            x[0] = np.fmax(run_max, x[0])
             # a is finite and S finite or +inf, so a - S is never nan, and
             # fmax, the faster scan, differs from maximum at most in the sign
             # of a zero, which d += S erases
-            np.fmax.accumulate(d, out=d)
+            np.fmax.accumulate(x, out=d)
             s_last, run_max = s[-1], d[-1]
             d += s
         yield lo, a, d, s

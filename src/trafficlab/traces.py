@@ -80,31 +80,46 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn, items):
+def _in_order(fn, items, ahead: int = 2):
     """fn(item) for each of the items, yielded in their order.
 
-    With more than one item and more than one usable CPU, the calls run
-    on a pool of _workers() threads, made when the iteration starts and
-    shut down when it ends. The text kernels spend most of their time in
-    numpy loops that release the GIL, so the threads can share the cores.
-    At most 2 * _workers() calls are submitted and not yet yielded, so
+    The items are read one at a time in the calling thread, each just
+    before its call is submitted, so an iterator that makes its items
+    (as experiments._replicate's makes replication traces) makes them
+    all in the caller. With more than one usable CPU, and unless items
+    has a length below 2, the calls run on a pool of _workers() threads,
+    made when the iteration starts and shut down when it ends. The text
+    kernels and the queue kernel spend most of their time in numpy loops
+    that release the GIL, so the threads can share the cores. At most
+    ahead * _workers() calls are submitted and not yet yielded, so
     however slowly the caller consumes, no more results than that wait
-    in memory. An exception from fn comes out at its item, after every
-    result before it was yielded; calls not yet started are cancelled.
+    in memory, and no more than one item besides them has been read.
+    An exception from fn comes out at its item, after every result
+    before it was yielded, and so does one raised while reading an
+    item; calls not yet started are cancelled.
     """
     workers = _workers()
-    if workers < 2 or len(items) < 2:
+    if workers < 2 or (hasattr(items, "__len__") and len(items) < 2):
         yield from map(fn, items)
         return
     # not imported with the module, as cli's Decimal is not: module-level
     # imports shift the heap that trace_pipeline_1m's set-up peaks in
     from concurrent.futures import ThreadPoolExecutor
 
+    items = iter(items)
     pool = ThreadPoolExecutor(workers)
     pending = deque()
     try:
-        for item in items:
-            if len(pending) == 2 * workers:
+        while True:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except Exception:
+                while pending:
+                    yield pending.popleft().result()
+                raise
+            if len(pending) == ahead * workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, item))
         while pending:

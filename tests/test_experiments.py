@@ -1,12 +1,16 @@
 import io
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
-from trafficlab.experiments import aggregate_replications
+from trafficlab import experiments, traces
+from trafficlab.experiments import SweepResult, aggregate_replications
 from trafficlab.queue_sim import packet_fifo
 from trafficlab.rng import substream
 
@@ -176,6 +180,17 @@ class TestBlockShuffle:
             assert not np.shares_memory(got, tr.sizes)
         assert (tr.timestamps.tobytes(), tr.sizes.tobytes()) == before
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 160001, 1605703])
+    @pytest.mark.parametrize("seed", [0, 7001, 2**63 + 5])
+    def test_the_int32_order_is_the_permutation(self, k, seed):
+        # k packets in blocks of 1: an order of k blocks, drawn as int32
+        trace = tl.PacketTrace(np.arange(k, dtype=np.float64), np.ones(k, dtype=np.int64))
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        order = tl.block_shuffle(trace, 1, drawn)._order
+        assert order.dtype == np.int32
+        assert np.array_equal(order, reference.permutation(k))
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
     def test_shuffle_rounding_past_the_largest_float_is_rejected(self):
         tr = tl.PacketTrace(np.array([0.0, 3e307, np.finfo(float).max]), np.array([1, 1, 1]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite timestamp"):
@@ -183,15 +198,16 @@ class TestBlockShuffle:
 
 
 class FixedOrder(np.random.Generator):
-    """A generator whose permutation is the given block order."""
+    """A generator whose shuffle of block_shuffle's block indices leaves
+    them in the given order."""
 
     def __init__(self, order):
         super().__init__(np.random.PCG64(0))
         self.order = order
 
-    def permutation(self, k):
-        assert k == len(self.order)
-        return self.order.copy()
+    def shuffle(self, x):
+        assert np.array_equal(np.sort(x), np.sort(self.order))
+        x[:] = self.order
 
 
 # 150001 packets: B = 2 leaves a short block of 1 packet, and B = 65535,
@@ -306,7 +322,7 @@ class TestAllocationBudget:
         assert "gaps" in vars(trace)  # the first replication left the gaps with the trace
         kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
         # the shuffled trace's float64 timestamps and int64 sizes, 8N bytes
-        # each; the int64 permutation of ceil(N / block) blocks; and the
+        # each; the int32 order of ceil(N / block) blocks; and the
         # kernel's peak. The gaps, computed again, would add 8N bytes
         budget = 2 * 8 * self.N + 8 * -(-self.N // block) + kernel + self.SMALL
         assert peak_bytes(lambda: replicate(1)) <= budget
@@ -321,12 +337,42 @@ class TestAllocationBudget:
 
         replicate(0)  # leaves the gaps with the trace
         kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
-        # the int64 permutation of ceil(N / block) blocks, the kernel's peak,
-        # and the run buffers: one float64 and one int64 run of 2**16
-        # packets. No N-length array: the shuffled columns would add 16N bytes
-        runs = 2 * 8 * 2**16
-        budget = 8 * -(-self.N // block) + kernel + runs + self.SMALL
+        # the int32 order of ceil(N / block) blocks, the kernel's peak, and
+        # the run buffers: float64 runs of 2**16 gaps and timestamps and an
+        # int64 run of sizes, and the intp copy of a run's block indices
+        # that take makes. No N-length array: the shuffled columns would
+        # add 16N bytes
+        runs = 3 * 8 * 2**16 + 8 * (2**16 // block)
+        budget = 4 * -(-self.N // block) + kernel + runs + self.SMALL
         assert peak_bytes(lambda: replicate(1)) <= budget
+
+    def test_a_pooled_block_sweep_holds_the_gaps_and_one_order_per_thread_and_one_more(self, monkeypatch):
+        trace = tl.generate_poisson(1000.0, 500, self.N, substream(23))
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
+        kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
+        assert "gaps" not in vars(trace)
+        # the baseline and 7 replications run in pairs, each pair's kernels
+        # side by side, while the calling thread makes every trace it may
+        together = threading.Barrier(2, timeout=30)
+
+        def paired(*args):
+            together.wait()
+            return packet_fifo(*args)
+
+        monkeypatch.setattr(experiments, "packet_fifo", paired)
+        plan = tl.ReplicationPlan(master_seed=4, replications=7)
+        with pool_of(2):
+            peak = peak_bytes(lambda: tl.blocksize_sweep(trace, [1], plan, bandwidth=bandwidth))
+        # the gaps, made once in the calling thread, 8N bytes; at most
+        # 2 + 1 int32 orders of N blocks, 4N bytes each, made there too;
+        # and each of the 2 threads' kernel peak, its run buffers (float64
+        # runs of 2**16 gaps and timestamps, an int64 run of sizes) and the
+        # intp copy of a run's 2**16 block indices that take makes. One
+        # more order, 4N bytes, or one more N-length array would exceed
+        # the budget
+        runs = 4 * 8 * 2**16
+        budget = 8 * self.N + 3 * 4 * self.N + 2 * (kernel + runs) + self.SMALL
+        assert peak <= budget
 
     @pytest.mark.parametrize("x_max", [None, 1000.0])
     def test_a_prefix_mean_replication_holds_two_cycle_arrays(self, x_max):
@@ -433,6 +479,119 @@ class TestBlocksizeSweep:
             tl.blocksize_sweep(tr, [], plan, rho=0.5)
         with pytest.raises(ValueError):
             tl.blocksize_sweep(tr, [0, 10], plan, rho=0.5)
+
+
+def pool_of(workers):
+    """Make _in_order's pool this many threads, whatever the machine has."""
+    return mock.patch.object(traces, "_workers", lambda: workers)
+
+
+POOL = max(2, traces._workers())
+
+
+def sweep_csv(sweep) -> str:
+    fh = io.StringIO()
+    sweep.write_csv(fh)
+    return fh.getvalue()
+
+
+class TestPooledReplications:
+    """A sweep serves its replications on _in_order's pool: the bytes of a
+    one-thread run, each trace made in the calling thread, an error at its
+    replication, and no thread left behind."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return tl.generate_poisson(1000.0, 500, 3001, substream(41))
+
+    @staticmethod
+    def one_thread_and_pooled(run):
+        """run() on one thread and on a pool of POOL threads; each leaves
+        as many threads running as there were before it."""
+        before = threading.active_count()
+        with pool_of(1):
+            serial = run()
+        assert threading.active_count() == before
+        with pool_of(POOL):
+            pooled = run()
+        assert threading.active_count() == before
+        return serial, pooled
+
+    # B = 1, a short last block of 5 packets, B = n and B > n, then all four
+    @pytest.mark.parametrize("blocks", [[1], [7], [3001, 10**6], [1, 7, 3001, 10**6]])
+    def test_block_sweeps_keep_their_bytes(self, trace, blocks):
+        plan = tl.ReplicationPlan(master_seed=5, replications=5)
+        serial, pooled = self.one_thread_and_pooled(lambda: tl.blocksize_sweep(trace, blocks, plan, rho=0.95))
+        assert sweep_csv(pooled) == sweep_csv(serial)
+        assert pooled.baseline == packet_fifo(trace, tl.bandwidth_for_utilization(trace, 0.95)).mean_queue
+
+    def test_window_sweeps_keep_their_bytes(self, trace):
+        plan = tl.ReplicationPlan(master_seed=6, replications=5)
+        serial, pooled = self.one_thread_and_pooled(lambda: tl.sample_size_sweep(trace, [10, 500, 3001], plan, rho=0.9))
+        assert sweep_csv(pooled) == sweep_csv(serial)
+
+    def test_synthetic_sweeps_keep_their_bytes(self):
+        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 0.05), n_cycles=64,
+                                lambda_target=0.5, off_model="theorem_reordered")
+        src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
+        plan = tl.ReplicationPlan(master_seed=7, replications=5)
+        serial, pooled = self.one_thread_and_pooled(lambda: tl.sample_size_sweep(src, [50, 150, 1000], plan))
+        assert sweep_csv(pooled) == sweep_csv(serial)
+
+    def test_more_threads_than_cores_and_short_switches_keep_the_bytes(self, trace):
+        plan = tl.ReplicationPlan(master_seed=8, replications=5)
+
+        def run():
+            return sweep_csv(tl.blocksize_sweep(trace, [1, 7, 3001], plan, rho=0.95))
+
+        with pool_of(1):
+            serial = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pool_of(2 * POOL + 1):
+                pooled = [run() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == [serial] * 3
+
+    def test_traces_are_made_here_and_served_on_the_pool(self, trace, monkeypatch):
+        made, served = [], []
+        shuffle, fifo = experiments.block_shuffle, experiments.packet_fifo
+
+        def recorded_shuffle(*args):
+            made.append(threading.get_ident())
+            return shuffle(*args)
+
+        def recorded_fifo(*args):
+            served.append(threading.get_ident())
+            return fifo(*args)
+
+        monkeypatch.setattr(experiments, "block_shuffle", recorded_shuffle)
+        monkeypatch.setattr(experiments, "packet_fifo", recorded_fifo)
+        with pool_of(POOL):
+            tl.blocksize_sweep(trace, [1, 10], tl.ReplicationPlan(master_seed=2, replications=5), rho=0.9)
+        here = threading.get_ident()
+        assert made == [here] * 10
+        assert len(served) == 11 and here not in served
+
+    def test_a_failing_replication_raises_at_its_point(self, trace):
+        # 2**62-byte packets at 1e-290 bytes/s take longer than the largest
+        # float, so the seventh replication, the second of x = 2, fails
+        huge = tl.PacketTrace(np.array([0.0, 1.0]), np.array([2**62, 2**62]))
+        plan = tl.ReplicationPlan(master_seed=3, replications=5)
+
+        def run():
+            calls = iter(range(100))
+            result = SweepResult(x_label="x")
+            with pytest.raises(ValueError, match="is too small") as info:
+                experiments._replicate(result, [1, 2, 3], plan, 1e-290,
+                                       lambda x, rng: huge if next(calls) == 6 else trace)
+            return str(info.value), sweep_csv(result)
+
+        serial, pooled = self.one_thread_and_pooled(run)
+        assert pooled == serial
+        assert serial[1].count("\n") == 2  # the header and the point of x = 1
 
 
 class TestSweepCsv:
