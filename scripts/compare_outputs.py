@@ -160,6 +160,13 @@ COMMANDS = [
     # tail index 1.05: the widest-range area sums, over several chunks
     ("diverge_heavy", ["cli", "diverge", "--alpha", "1.05", "--m", "2", "--lambda", "0.5",
                        "--sizes", "1000,300000", "--reps", "2", "--seed", "6", "--out-prefix", "diverge_heavy"]),
+    # capped prefixes of one cycle, one 65536-cycle run, into a second run
+    # and past it, over 5 replications: more than the replication pool
+    # takes at once on a machine of up to 3 cores, so its means come back
+    # in order over several submissions
+    ("diverge_pooled", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--xmax", "1000",
+                        "--sizes", "1,65536,65537,200001", "--reps", "5", "--seed", "8",
+                        "--out-prefix", "diverge_pooled"]),
     ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                     "--seed", "1", "--out", "divergence"]),
     ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",

@@ -166,18 +166,30 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
     1 - substream(master_seed, i).random(max(sizes)), builds
     reorder_nonoverlap(bursts, m, lam) and takes the mean queue of every
     prefix of the sorted distinct sizes from one prefix_mean_queue call.
-    A replication holds at most two max(sizes)-length arrays at a time:
-    the uniforms and the bursts, then the bursts and the silences.
+
+    The calling thread makes each replication's process as _in_order's
+    pool takes it: the uniforms, the bursts drawn into the uniforms' own
+    buffer, and the process, which keeps the bursts and computes their
+    silences a run at a time in the queue kernel. A replication so holds
+    one max(sizes)-length array. The worker threads run only
+    prefix_mean_queue, and its means come back in replication order, so
+    the points hold the bits a serial loop gives. At most _workers() + 1
+    replications' bursts exist at once, made here for the reason
+    _replicate gives. An error in making a replication comes out at it.
     """
     sizes = sorted({int(n) for n in sizes})
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive cycle counts")
+
+    def reordered(i):
+        u = _open_uniform(substream(plan.master_seed, i), sizes[-1])
+        return reorder_nonoverlap(sample_heavy_tail(tail, u, out=u), m, lam)
+
+    made = (reordered(i) for i in range(plan.replications))
     per_size = {n: [] for n in sizes}
-    for i in range(plan.replications):
-        bursts = sample_heavy_tail(tail, _open_uniform(substream(plan.master_seed, i), sizes[-1]))
-        for n, mean_queue in prefix_mean_queue(reorder_nonoverlap(bursts, m, lam), sizes):
+    for means in _in_order(lambda process: prefix_mean_queue(process, sizes), made, ahead=1):
+        for n, mean_queue in means:
             per_size[n].append(mean_queue)
-        del bursts  # before the next replication draws
     points = [SweepPoint(float(n), *aggregate_replications(means), tuple(means)) for n, means in per_size.items()]
     return SweepResult(x_label="cycles", points=points)
 

@@ -189,41 +189,47 @@ def _fsum(x) -> float:
 
 
 def _fluid_slices(process: FluidOnOffProcess):
-    """The cycle levels of process, one slice of at most _CHUNK cycles at
-    a time, each scan carried from slice to slice in scalars.
+    """The cycle levels of process, one run of process._slices(_CHUNK),
+    at most _CHUNK cycles, at a time, each scan carried from run to run
+    in scalars.
 
-    Yields (lo, before, q_peak, drain, q_end) for the cycles from lo on:
-    the level the slice starts at, and each cycle's peak level, drain
-    time and end level. The arrays are buffers reused by the next slice.
+    Yields (on, off, before, q_peak, drain, q_end) for the next cycles:
+    their on and off lengths, the level the run starts at, and each
+    cycle's peak level, drain time and end level. The levels are buffers
+    reused by the next run, and so are the silences of a process that
+    computes them a run at a time (reorder_nonoverlap's), whose fourth
+    buffer this loop then holds.
     """
-    on, off, m = process.on_lengths, process.off_lengths, process.m
-    n = len(on)
-    rise, w, q_end = (np.empty(min(n, _CHUNK)) for _ in range(3))
+    m = process.m
+    rise, w, q_end = (np.empty(min(process.n_cycles, _CHUNK)) for _ in range(3))
     # the carries; adding the first w_last, 0.0, changes no bit of w, which
     # is never -0.0
     w_last, w_min, level = 0.0, math.inf, 0.0
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        r = np.multiply(on[lo:hi], m - 1.0, out=rise[: hi - lo])
+    for on, off in process._slices(_CHUNK):
+        k = len(on)
+        r = np.multiply(on, m - 1.0, out=rise[:k])
         # queue level at cycle ends follows q_i = max(0, q_{i-1} + rise_i - off_i);
         # w is a cumsum of finite values, so it holds no nan and no -0.0, and
-        # fmin, the faster scan, gives the bits of minimum
-        wk = np.subtract(r, off[lo:hi], out=w[: hi - lo])
-        wk[0] += w_last
-        np.cumsum(wk, out=wk)
-        qe = np.fmin.accumulate(wk, out=q_end[: hi - lo])
-        np.fmin(qe, w_min, out=qe)  # the running minimum carried in
-        w_last, w_min = wk[-1], qe[-1]
-        np.minimum(qe, 0.0, out=qe)
-        np.subtract(wk, qe, out=qe)
+        # fmin, the faster scan, gives the bits of minimum. Each scan writes
+        # to another buffer than its input: an accumulate whose output is its
+        # own input holds the GIL (numpy 2.4), so two threads' kernels could
+        # not run side by side
+        x = np.subtract(r, off, out=w[:k])
+        x[0] += w_last
+        wk = np.cumsum(x, out=q_end[:k])
+        low = np.fmin.accumulate(wk, out=x)
+        np.fmin(low, w_min, out=low)  # the running minimum carried in
+        w_last, w_min = wk[-1], low[-1]
+        np.minimum(low, 0.0, out=low)
+        qe = np.subtract(wk, low, out=wk)
         # a cycle starts at the level the previous one ended at, the first
-        # at 0; w becomes the peaks q_start + rise
-        qp = wk
+        # at 0; the running minimum's buffer becomes the peaks q_start + rise
+        qp = low
         qp[0] = level + r[0]
         np.add(qe[:-1], r[1:], out=qp[1:])
-        drain = np.minimum(off[lo:hi], qp, out=r)  # time the queue stays positive while off
+        drain = np.minimum(off, qp, out=r)  # time the queue stays positive while off
         before, level = level, qe[-1]
-        yield lo, before, qp, drain, qe
+        yield on, off, before, qp, drain, qe
 
 
 def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
@@ -234,35 +240,37 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     off areas of the cycles are each summed exactly and rounded once,
     so summing adds no rounding beyond that of each cycle's terms.
 
-    One loop (_fluid_slices) runs over slices of at most _CHUNK cycles,
+    One loop (_fluid_slices) runs over runs of at most _CHUNK cycles,
     which the exact sums need to be at most 2**16, and carries only
     scalars across: the cumulative rise minus off w, its running
-    minimum, and the previous cycle's end level. Each slice's on, off and
+    minimum, and the previous cycle's end level. Each run's on, off and
     area terms are extracted as they are made (_extract), into one list
     per sum that math.fsum rounds once. The run keeps only the process;
     stats and path come from a second pass of the same loop, which also
-    sums the drain times.
+    sums the drain times. A process of reorder_nonoverlap is read a run
+    at a time, its silences computed into a buffer, so neither pass
+    builds its off_lengths: the mean holds five buffers of at most
+    _CHUNK cycles and no array as long as the process.
     """
-    on, off = process.on_lengths, process.off_lengths
-    size = min(len(on), _CHUNK)
-    buf, q = np.empty(size), np.empty(size)
+    size = min(process.n_cycles, _CHUNK)
+    buf = np.empty(size)
     on_sum, off_sum, on_area, off_area = [], [], [], []
-    for lo, before, q_peak, drain, q_end in _fluid_slices(process):
-        hi = lo + len(q_peak)
+    for on, off, before, q_peak, drain, q_end in _fluid_slices(process):
         # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
         # drain * (q_peak - 0.5 * drain)
-        x = buf[: hi - lo]
+        x = buf[: len(on)]
         x[0] = before + q_peak[0]
         np.add(q_end[:-1], q_peak[1:], out=x[1:])
         x *= 0.5
-        x *= on[lo:hi]
+        x *= on
+        q = q_end  # read: from here on the end levels' buffer is _extract's scratch
         _extract(x, on_area, q, x)
         np.multiply(drain, 0.5, out=x)
         np.subtract(q_peak, x, out=x)
         x *= drain
         _extract(x, off_area, q, x)
-        _extract(on[lo:hi], on_sum, q, x)
-        _extract(off[lo:hi], off_sum, q, x)
+        _extract(on, on_sum, q, x)
+        _extract(off, off_sum, q, x)
     on_total = math.fsum(on_sum)
     horizon = on_total + math.fsum(off_sum)
     area = math.fsum(on_area) + math.fsum(off_area)
@@ -272,19 +280,19 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
         buf, q = np.empty(size), np.empty(size)
         times, levels = [np.zeros(1)], [np.zeros(1)]
         peak, end = -math.inf, 0.0
-        for lo, _, q_peak, drain, q_end in _fluid_slices(process):
-            hi = lo + len(q_peak)
+        for on, off, _, q_peak, drain, q_end in _fluid_slices(process):
+            k = len(on)
             _extract(drain, drained, q, buf)
             peak = max(peak, float(q_peak.max()))
-            cycle_ends = np.add(on[lo:hi], off[lo:hi], out=buf[: hi - lo])
+            cycle_ends = np.add(on, off, out=buf[:k])
             cycle_ends[0] += end
             np.cumsum(cycle_ends, out=cycle_ends)
             end = cycle_ends[-1]
-            on_ends = cycle_ends - off[lo:hi]
+            on_ends = cycle_ends - off
             # breakpoints: peak at on-end, zero where the drain finishes early,
             # and the level at the cycle end
-            keep = np.ones((hi - lo, 3), dtype=bool)
-            keep[:, 1] = q_peak <= off[lo:hi]
+            keep = np.ones((k, 3), dtype=bool)
+            keep[:, 1] = q_peak <= off
             keep = keep.ravel()
             times.append(np.stack([on_ends, on_ends + drain, cycle_ends], axis=1).ravel()[keep])
             levels.append(np.stack([q_peak, q_peak - drain, q_end], axis=1).ravel()[keep])

@@ -11,6 +11,7 @@ single burst can push the mean queue above a chosen bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,16 +120,51 @@ class FluidOnOffProcess:
     def prefix(self, n_cycles: int) -> "FluidOnOffProcess":
         if not 1 <= n_cycles <= self.n_cycles:
             raise ValueError("prefix length out of range")
-        return self._derived(self.on_lengths[:n_cycles], self.off_lengths[:n_cycles], self.m)
+        return self._head(n_cycles)
 
-    @classmethod
-    def _derived(cls, on_lengths: np.ndarray, off_lengths: np.ndarray, m: float) -> "FluidOnOffProcess":
-        """A process of frozen float64 arrays that already hold every
-        invariant __post_init__ checks, as slices of a checked process
-        do: nothing is checked again."""
-        process = cls.__new__(cls)
-        process.on_lengths, process.off_lengths, process.m = on_lengths, off_lengths, m
-        return process
+    def _head(self, n_cycles: int) -> "FluidOnOffProcess":
+        """The first n_cycles cycles, as slices of the frozen arrays, which
+        already hold every invariant __post_init__ checks: nothing is
+        checked again."""
+        head = FluidOnOffProcess.__new__(FluidOnOffProcess)
+        head.on_lengths, head.off_lengths, head.m = self.on_lengths[:n_cycles], self.off_lengths[:n_cycles], self.m
+        return head
+
+    def _slices(self, size: int):
+        """(on, off) lengths of the cycles in order, at most size cycles
+        at a time: read-only views of the arrays here. reorder_nonoverlap's
+        process computes each run's silences into a buffer that the next
+        run reuses; a caller reads each run before it takes the next."""
+        on, off = self.on_lengths, self.off_lengths
+        for lo in range(0, len(on), size):
+            yield on[lo : lo + size], off[lo : lo + size]
+
+
+class _Reordered(FluidOnOffProcess):
+    """The process of reorder_nonoverlap: the frozen bursts and the ratio
+    m/lam - 1 of each silence to its burst. A silence is computed where
+    it is read, as the product on * ratio that an eager silence array
+    holds, so its bits are the same: a run at a time in _slices, and
+    the whole off_lengths array, frozen, only when something reads it."""
+
+    def __init__(self, on_lengths: np.ndarray, ratio: float, m: float):
+        self.on_lengths, self._ratio, self.m = on_lengths, ratio, m
+
+    @cached_property
+    def off_lengths(self) -> np.ndarray:
+        off = self.on_lengths * self._ratio
+        off.setflags(write=False)
+        return off
+
+    def _head(self, n_cycles: int) -> "FluidOnOffProcess":
+        return _Reordered(self.on_lengths[:n_cycles], self._ratio, self.m)
+
+    def _slices(self, size: int):
+        on, ratio = self.on_lengths, self._ratio
+        buf = np.empty(min(len(on), size))
+        for lo in range(0, len(on), size):
+            x = on[lo : lo + size]
+            yield x, np.multiply(x, ratio, out=buf[: len(x)])
 
 
 @dataclass(frozen=True)
@@ -165,18 +201,25 @@ class GeneratorSpec:
             raise ValueError("lambda_target must lie in (0, 1)")
 
 
-def sample_heavy_tail(spec: HeavyTailSpec, u):
+def sample_heavy_tail(spec: HeavyTailSpec, u, *, out: np.ndarray | None = None):
     """Inverse-transform sample x_min * u**(-1/tail_index) for u in (0, 1].
 
     u may be a scalar or an array; the result matches. u=1 maps to
     x_min and u -> 0 walks out the tail. Samples are capped at x_max
     when the spec has one. The result is one new array (0-d for scalar
-    u), scaled and capped in place; u is never written.
+    u), scaled and capped in place; u is never written. Given out, a
+    float64 array of u's shape, as in numpy's ufuncs, the samples are
+    written there instead and out is returned: out may be u itself, as
+    experiments.prefix_mean_sweep draws its bursts into the buffer of
+    their uniforms. Each step is the same elementwise operation either
+    way, so the bits are too.
     """
     u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr <= 0) or np.any(u_arr > 1):
+    # the extremes of u, found without an array of u's length; fmin and
+    # fmax skip nan, which passes, as it passes u <= 0 and u > 1
+    if np.fmin.reduce(u_arr, axis=None, initial=np.inf) <= 0 or np.fmax.reduce(u_arr, axis=None, initial=-np.inf) > 1:
         raise ValueError("u must lie in (0, 1]")
-    x = np.power(u_arr, -1.0 / spec.tail_index, out=np.empty(u_arr.shape))
+    x = np.power(u_arr, -1.0 / spec.tail_index, out=np.empty(u_arr.shape) if out is None else out)
     x *= spec.x_min  # the same product as x_min * x
     if spec.x_max is not None:
         np.minimum(x, spec.x_max, out=x)
@@ -212,12 +255,34 @@ def reorder_nonoverlap(on_lengths, m: float, lam: float) -> FluidOnOffProcess:
     Every queue excursion then drains completely inside its own cycle,
     and over whole cycles the arrival rate is exactly lam: work m*X
     arrives in elapsed time X*m/lam.
+
+    The process keeps the bursts, frozen, and the ratio m/lam - 1, not
+    a silence array: the queue kernels compute the silences a run at a
+    time (FluidOnOffProcess._slices), and off_lengths is built on first
+    read, with the bits of on * (m/lam - 1). It is checked as
+    FluidOnOffProcess(on, on * (m/lam - 1), m) is, with the same errors.
+    The ratio is positive, so the silences are all finite exactly when
+    those of the shortest and the longest burst are.
     """
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
     on = np.asarray(on_lengths, dtype=np.float64)
-    off = on * (m / lam - 1.0)
-    return FluidOnOffProcess(on, off, m)
+    ratio = m / lam - 1.0
+    if not m > 1:
+        raise ValueError(_M_RULE)
+    if on.ndim != 1:
+        raise ValueError("on_lengths and off_lengths must be 1-d and equal length")
+    if len(on) == 0:
+        raise ValueError("process needs at least one cycle")
+    shortest, longest = on.min(), on.max()
+    # a silence past the largest float is the error below, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.isfinite(shortest * ratio) and np.isfinite(longest * ratio)):
+            raise ValueError("non-finite cycle length")
+    if not shortest > 0:  # no burst is nan here
+        raise ValueError("on_lengths must be positive")
+    on.setflags(write=False)
+    return _Reordered(on, ratio, m)
 
 
 def _bounded_offs(on: np.ndarray, m: float, q: float) -> np.ndarray:

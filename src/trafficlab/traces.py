@@ -85,7 +85,8 @@ def _in_order(fn, items, ahead: int = 2):
 
     The items are read one at a time in the calling thread, each just
     before its call is submitted, so an iterator that makes its items
-    (as experiments._replicate's makes replication traces) makes them
+    (as experiments._replicate's makes replication traces, and
+    experiments.prefix_mean_sweep's its reordered processes) makes them
     all in the caller. With more than one usable CPU, and unless items
     has a length below 2, the calls run on a pool of _workers() threads,
     made when the iteration starts and shut down when it ends. The text

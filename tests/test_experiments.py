@@ -374,20 +374,48 @@ class TestAllocationBudget:
         budget = 8 * self.N + 3 * 4 * self.N + 2 * (kernel + runs) + self.SMALL
         assert peak <= budget
 
+    def _prefix_kernel(self, tail):
+        """The peak of prefix_mean_queue on replication 0's process, made
+        outside the measurement: one thread's share of a sweep's peak."""
+        u = 1.0 - substream(3, 0).random(self.N)
+        process = tl.reorder_nonoverlap(tl.sample_heavy_tail(tail, u, out=u), 2.0, 0.5)
+        return peak_bytes(lambda: tl.prefix_mean_queue(process, [self.N]))
+
     @pytest.mark.parametrize("x_max", [None, 1000.0])
-    def test_a_prefix_mean_replication_holds_two_cycle_arrays(self, x_max):
+    def test_one_thread_prefix_sweep_holds_one_array(self, x_max):
         tail = tl.HeavyTailSpec(1.5, 1.0, x_max)
+        kernel = self._prefix_kernel(tail)
         plan = tl.ReplicationPlan(master_seed=3, replications=2)
-        bursts = tl.sample_heavy_tail(tail, 1.0 - substream(3, 0).random(self.N))  # replication 0's
-        process = tl.reorder_nonoverlap(bursts, 2.0, 0.5)
-        kernel = peak_bytes(lambda: tl.prefix_mean_queue(process, [self.N]))
-        del bursts, process
-        # a replication holds two N-length float64 arrays at a time: the
-        # uniforms and the bursts drawn from them, then the bursts and the
-        # silences while the kernel runs; the second replication must not
-        # hold the first's bursts
-        budget = 2 * 8 * self.N + kernel + self.SMALL
-        assert peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan)) <= budget
+        # a replication holds one N-length float64 array: the uniforms,
+        # into which the bursts are drawn, and which the process keeps
+        # while the kernel computes the silences a run at a time. The
+        # second replication must not hold the first's bursts
+        budget = 8 * self.N + kernel + self.SMALL
+        with pool_of(1):
+            assert peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan)) <= budget
+
+    @pytest.mark.parametrize("x_max", [None, 1000.0])
+    def test_pooled_prefix_sweep_holds_n_plus_1_arrays(self, x_max, monkeypatch):
+        tail = tl.HeavyTailSpec(1.5, 1.0, x_max)
+        kernel = self._prefix_kernel(tail)
+        # 6 replications run in pairs, each pair's kernels side by side,
+        # while the calling thread makes every process it may
+        together = threading.Barrier(2, timeout=30)
+        prefix_mean_queue = experiments.prefix_mean_queue
+
+        def paired(*args):
+            together.wait()
+            return prefix_mean_queue(*args)
+
+        monkeypatch.setattr(experiments, "prefix_mean_queue", paired)
+        plan = tl.ReplicationPlan(master_seed=3, replications=6)
+        with pool_of(2):
+            peak = peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan))
+        # at most 2 + 1 replications' bursts, 8N bytes each, made in the
+        # calling thread, and each of the 2 threads' kernel peak. One more
+        # N-length array would exceed the budget
+        budget = 3 * 8 * self.N + 2 * kernel + self.SMALL
+        assert peak <= budget
 
 
 class TestSampleSizeSweep:
@@ -592,6 +620,92 @@ class TestPooledReplications:
         serial, pooled = self.one_thread_and_pooled(run)
         assert pooled == serial
         assert serial[1].count("\n") == 2  # the header and the point of x = 1
+
+
+class TestPooledPrefixMeans:
+    """prefix_mean_sweep serves its replications on _in_order's pool as the
+    sweeps above do: the bits of a one-thread run, each process made in the
+    calling thread, an error at its replication, and no thread left behind."""
+
+    TAIL = tl.HeavyTailSpec(1.5, 1.0)
+    # one cycle, one 2**16-cycle run, into a second run, and past it
+    SIZES = [1, 2**16, 2**16 + 1, 70_000]
+
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    @pytest.mark.parametrize("x_max", [None, 100.0])
+    def test_pooled_sweeps_keep_the_one_thread_bits(self, reps, x_max):
+        tail = tl.HeavyTailSpec(1.5, 1.0, x_max)
+        plan = tl.ReplicationPlan(master_seed=9, replications=reps)
+        before = threading.active_count()
+        runs = []
+        interval = sys.getswitchinterval()
+        for workers in (1, 2, 5):
+            # more threads than cores, switching as often as they can
+            sys.setswitchinterval(1e-6 if workers == 5 else interval)
+            try:
+                with pool_of(workers):
+                    runs.append(tl.prefix_mean_sweep(tail, 2.0, 0.5, self.SIZES, plan))
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == before
+        serial, *pooled = runs
+        assert all(sweep_csv(p) == sweep_csv(serial) for p in pooled)
+        # and each replication is the library route, one call at a time
+        for i in range(reps):
+            bursts = tl.sample_heavy_tail(tail, 1.0 - substream(9, i).random(self.SIZES[-1]))
+            want = tl.prefix_mean_queue(tl.reorder_nonoverlap(bursts, 2.0, 0.5), self.SIZES)
+            assert [(int(p.x), p.rep_means[i]) for p in serial.points] == want
+
+    def test_bursts_are_made_here_and_served_on_the_pool(self, monkeypatch):
+        made, served = [], []
+        sample, prefix_means = experiments.sample_heavy_tail, experiments.prefix_mean_queue
+
+        def recorded_sample(*args, **kwargs):
+            made.append(threading.get_ident())
+            return sample(*args, **kwargs)
+
+        def recorded_prefix_means(*args):
+            served.append(threading.get_ident())
+            return prefix_means(*args)
+
+        monkeypatch.setattr(experiments, "sample_heavy_tail", recorded_sample)
+        monkeypatch.setattr(experiments, "prefix_mean_queue", recorded_prefix_means)
+        with pool_of(POOL):
+            tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=5))
+        here = threading.get_ident()
+        assert made == [here] * 5
+        assert len(served) == 5 and here not in served
+
+    def test_a_replication_that_cannot_be_made_raises_at_it(self, monkeypatch):
+        # the fourth replication's last burst is 1e308, whose silence, three
+        # times as long, overflows, so reorder_nonoverlap refuses it
+        sample, prefix_means = experiments.sample_heavy_tail, experiments.prefix_mean_queue
+        drawn, served = [], []
+
+        def huge_fourth(tail, u, **kwargs):
+            x = sample(tail, u, **kwargs)
+            drawn.append(len(x))
+            if len(drawn) == 4:
+                x[-1] = 1e308
+            return x
+
+        def recorded_prefix_means(*args):
+            served.append(args[0].n_cycles)
+            return prefix_means(*args)
+
+        monkeypatch.setattr(experiments, "sample_heavy_tail", huge_fourth)
+        monkeypatch.setattr(experiments, "prefix_mean_queue", recorded_prefix_means)
+        before = threading.active_count()
+        outcomes = []
+        for workers in (1, 2, 5):
+            drawn.clear()
+            served.clear()
+            with pool_of(workers), pytest.raises(ValueError, match="non-finite cycle length"):
+                tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=7))
+            assert threading.active_count() == before
+            outcomes.append((len(drawn), len(served)))
+        # four replications drawn, the three before the failing one served
+        assert outcomes == [(4, 3)] * 3
 
 
 class TestSweepCsv:

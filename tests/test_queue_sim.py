@@ -578,6 +578,36 @@ class TestPrefixMeanQueue:
             prefix_mean_queue(proc, sizes)
 
 
+class TestReorderedRuns:
+    """reorder_nonoverlap's process computes its silences a run at a time;
+    fluid_queue gives it the bits of the eager process of the same
+    silences, within one run, across runs and on every prefix."""
+
+    @pytest.mark.parametrize("n", [1, 2**16, 2**16 + 1, 200_001])
+    def test_lazy_silences_give_the_eager_bits(self, n):
+        m, lam = 2.0, 0.5
+        on = tl.sample_heavy_tail(tl.HeavyTailSpec(1.5, 1.0), 1.0 - np.random.default_rng(n).random(n))
+        eager = tl.FluidOnOffProcess(on, on * (m / lam - 1.0), m)
+        lazy = tl.reorder_nonoverlap(on, m, lam)
+        cuts = sorted({k for k in (1, 2, 2**16 - 1, 2**16, 2**16 + 1, n - 1, n) if 1 <= k <= n})
+        for k in cuts:
+            runs = [tl.fluid_queue(p.prefix(k) if k < n else p) for p in (eager, lazy)]
+            got, want = runs[1], runs[0]
+            assert [bits(x) for x in (got.mean_queue, got.area, got.horizon)] == \
+                [bits(x) for x in (want.mean_queue, want.area, want.horizon)]
+            assert got.stats == want.stats
+            for a, b in ((got.path.times, want.path.times), (got.path.levels, want.path.levels)):
+                assert a.tobytes() == b.tobytes()
+        assert "off_lengths" not in vars(lazy)  # no pass built the silences
+
+    def test_prefix_means_are_those_of_the_eager_process(self):
+        on = tl.sample_heavy_tail(tl.HeavyTailSpec(1.5, 1.0, 1000.0), 1.0 - np.random.default_rng(3).random(70_000))
+        sizes = [1, 100, 2**16, 2**16 + 1, 70_000]
+        eager = tl.FluidOnOffProcess(on, on * 3.0, 2.0)
+        got = prefix_mean_queue(tl.reorder_nonoverlap(on, 2.0, 0.5), sizes)
+        assert [(k, bits(x)) for k, x in got] == [(k, bits(x)) for k, x in prefix_mean_queue(eager, sizes)]
+
+
 class TestQueueRun:
     @given(
         values=st.lists(

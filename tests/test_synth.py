@@ -102,6 +102,28 @@ class TestSampleHeavyTail:
         assert abs(x.mean() - 2.9367544467966322) / 2.9367544467966322 < 0.02
         assert abs((x**2).mean() - 123.49110640673517) / 123.49110640673517 < 0.15
 
+    @pytest.mark.parametrize("x_max", [None, 1000.0])
+    def test_u_is_never_written(self, x_max):
+        # acceptance 4 draws its capped and uncapped tails from one u
+        u = 1.0 - substream(4).random(1000)
+        kept = u.copy()
+        tl.sample_heavy_tail(tl.HeavyTailSpec(1.5, 1.0, x_max), u)
+        assert u.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("x_max", [None, 1000.0])
+    def test_drawing_into_u_gives_the_bits_of_a_new_array(self, x_max):
+        spec = tl.HeavyTailSpec(1.5, 1.0, x_max)
+        u = 1.0 - substream(5).random(100_000)
+        want = tl.sample_heavy_tail(spec, u)
+        got = tl.sample_heavy_tail(spec, u, out=u)
+        assert got is u and got.tobytes() == want.tobytes()
+
+    def test_u_outside_the_interval_is_rejected_before_out_is_written(self):
+        u = np.array([0.5, 0.0])
+        with pytest.raises(ValueError, match="u must lie in"):
+            tl.sample_heavy_tail(tl.HeavyTailSpec(1.5, 1.0), u, out=u)
+        assert u.tolist() == [0.5, 0.0]
+
 
 class TestGeneratorSpec:
     def test_off_model_names(self):
@@ -271,6 +293,85 @@ class TestReorderNonOverlap:
     def test_rate_is_exactly_lambda(self, lengths, m, lam):
         p = tl.reorder_nonoverlap(np.array(lengths), m, lam)
         assert p.arrival_rate == pytest.approx(lam, rel=1e-9)
+
+    @given(
+        lengths=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40),
+        m=st.floats(1.0, 1e6, exclude_min=True),
+        lam=st.floats(1e-6, 1.0, exclude_max=True),
+        data=st.data(),
+    )
+    def test_silences_are_built_on_read_with_the_eager_bits(self, lengths, m, lam, data):
+        on = np.array(lengths)
+        with np.errstate(over="ignore"):
+            off = on * (m / lam - 1.0)
+        if not np.isfinite(off).all():
+            return  # the error tests below cover these
+        p = tl.reorder_nonoverlap(on, m, lam)
+        assert "off_lengths" not in vars(p)
+        n = data.draw(st.integers(1, len(on)))
+        head = p.prefix(n)
+        assert head.on_lengths.tobytes() == on[:n].tobytes()
+        assert "off_lengths" not in vars(head)
+        for got, want in ((p, off), (head, off[:n])):
+            assert got.off_lengths.tobytes() == want.tobytes()
+            assert not got.off_lengths.flags.writeable
+        assert not p.on_lengths.flags.writeable and p.m == m
+
+
+def eager_and_lazy_error(on, m, lam) -> str:
+    """The message of the ValueError that reorder_nonoverlap(on, m, lam)
+    raises, which must be the one FluidOnOffProcess raises given the
+    silences on * (m/lam - 1) as an array."""
+    on = np.asarray(on, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as eager:
+            tl.FluidOnOffProcess(on.copy(), on * (m / lam - 1.0), m)
+        with pytest.raises(ValueError) as lazy:
+            tl.reorder_nonoverlap(on, m, lam)
+    assert str(lazy.value) == str(eager.value)
+    return str(lazy.value)
+
+
+class TestReorderedErrors:
+    """reorder_nonoverlap keeps no silence array, and fails as the eager
+    process of its silences fails, message for message."""
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, float("nan"), -np.inf])
+    def test_on_rate_rule(self, m):
+        assert eager_and_lazy_error([1.0, 2.0], m, 0.5) == "m must exceed 1, otherwise no queue can form"
+
+    @pytest.mark.parametrize("on", [[1.0, 0.0, 2.0], [-1.0], [3.0, -0.0], [2.0, -5.0, 1.0]])
+    def test_positive_bursts_rule(self, on):
+        assert eager_and_lazy_error(on, 2.0, 0.5) == "on_lengths must be positive"
+
+    @pytest.mark.parametrize("on, m, lam", [
+        ([1.0, 1e308], 2.0, 0.5),  # a burst whose silence overflows
+        ([1.0, 2.0], 1e308, 0.5),  # m/lam is itself inf
+        ([1.0, 2.0], np.inf, 0.5),
+        ([1.0, np.inf], 2.0, 0.5),
+        ([np.nan, 1.0], 2.0, 0.5),
+        ([1.0, -1e308], 2.0, 0.5),  # the shortest burst's silence overflows
+        ([0.0, 1.0], 1e308, 0.5),  # 0 * inf
+    ])
+    def test_non_finite_silences(self, on, m, lam):
+        assert eager_and_lazy_error(on, m, lam) == "non-finite cycle length"
+
+    @pytest.mark.parametrize("on", [[], [[1.0, 2.0]], 1.0])
+    def test_shape_rules(self, on):
+        assert eager_and_lazy_error(on, 2.0, 0.5) in (
+            "process needs at least one cycle", "on_lengths and off_lengths must be 1-d and equal length")
+
+    @pytest.mark.parametrize("n", [0, -1, 4, 10**6])
+    def test_prefix_range(self, n):
+        on = np.array([1.0, 2.0, 3.0])
+        eager = tl.FluidOnOffProcess(on.copy(), on * (2.0 / 0.5 - 1.0), 2.0)
+        lazy = tl.reorder_nonoverlap(on, 2.0, 0.5)
+        messages = []
+        for p in (eager, lazy, lazy.prefix(3)):
+            with pytest.raises(ValueError) as info:
+                p.prefix(n)
+            messages.append(str(info.value))
+        assert messages == ["prefix length out of range"] * 3
 
 
 class TestBoundedQueueProcess:
