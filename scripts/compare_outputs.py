@@ -136,6 +136,10 @@ COMMANDS = [
                            "-o", "queue_kernel.csv"]),
     ("queue_out_of_domain", ["cli", "queue", "huge.txt", "--bandwidth", "1e-280", "--path-out", "huge_path.csv",
                              "-o", "queue_huge.csv"]),
+    # the same trace at load 0.5: in the second slice the sojourns and the
+    # service times span 50 binades, so their exact sums take a second
+    # level before the plain sum
+    ("queue_huge_rho", ["cli", "queue", "huge.txt", "--rho", "0.5", "-o", "queue_huge_rho.csv"]),
     ("summarize_kernel_long", ["cli", "summarize", "kernel_long.txt", "-o", "summary_kernel_long.csv"]),
     ("queue_kernel_long_path", ["cli", "queue", "kernel_long.txt", "--rho", "0.7",
                                 "--path-out", "kernel_long_path.csv", "-o", "queue_kernel_long.csv"]),

@@ -769,22 +769,28 @@ class TestFsumRoutes:
 
     def test_fsum_route_one_level(self):
         # |x| < 1 sits in [2**-1, 2**0), so sigma = 2**17, and the first level
-        # takes every multiple of 2**-35 whole: one level sum per chunk
+        # takes every multiple of 2**-35 whole: one level sum per chunk. The
+        # first chunk's smallest magnitude, 1.1e-5, is 16 binades under the
+        # top, so the plain sum of its all-zero remainder follows; the
+        # second's, 3.6e-7, is 21 binades under, so its all-zero remainder
+        # ends it
         x = np.random.default_rng(7).integers(-(2**35), 2**35, self.N) * 2.0**-35
         got, lengths = fsum_spied(x)
-        assert lengths == [2]
+        assert lengths == [3]
         assert got.hex() == rational_sum(x).hex()
 
     def test_fsum_route_several_levels(self):
         # 2**-36 is half a unit of the first level for a top of 0.75, a tie
-        # that rounds to even and leaves it to the second level
-        assert fsum_spied(np.array([0.75, 2.0**-36])) == (0.75 + 2.0**-36, [2])
-        # 120 binades of scale and 53 bits of precision: 5 or 6 levels of
-        # 36 bits per chunk
+        # that rounds to even and leaves it to the second level; 36 binades
+        # apart, the plain sum (of zeros) follows the second level
+        assert fsum_spied(np.array([0.75, 2.0**-36])) == (0.75 + 2.0**-36, [3])
+        # 120 binades of scale and 53 bits of precision: each chunk's smallest
+        # magnitude sits 129 or 134 binades under its top, past 20 + 3 * 36,
+        # so the plain sum follows the fifth level
         rng = np.random.default_rng(8)
         x = rng.standard_normal(self.N) * 2.0 ** rng.integers(-120, 1, self.N)
         got, lengths = fsum_spied(x)
-        assert len(lengths) == 1 and 2 * 5 <= lengths[0] <= 2 * 6
+        assert lengths == [2 * (5 + 1)]
         assert got.hex() == rational_sum(x).hex()
 
     def test_fsum_route_under_the_sigma_floor(self):
@@ -798,3 +804,75 @@ class TestFsumRoutes:
         assert lengths == [2 + len(x)]
         assert got.hex() == rational_sum(x).hex()
 
+
+def extracted(p):
+    """The terms _extract appends for the slice p, which it leaves as it is."""
+    parts = []
+    queue_sim._extract(p, parts, np.empty(len(p)), np.empty(len(p)))
+    return parts
+
+
+def near_top_slice(width, signed=False):
+    """2**16 terms: the top binade is [0.5, 1), and the smallest magnitude,
+    the first term, lies in [2**-(width+1), 2**-width), `width` binades
+    under it. Each term of the top binade sits just under half a unit of
+    the first level (2**-35) above a multiple of it, so it leaves that
+    level 2**-36 - 2**-53; the smallest term leaves 2**-36 less its own
+    ulp. Their total is just under 2**-20 and needs every bit down to that
+    ulp: just under 2**53 ulps at width 20, and 2**54 at width 21. signed
+    negates every other term but the first; a negated term leaves 2**-53,
+    so the total then passes 2**52 ulps at width 20 and 2**53 at width 21."""
+    k = np.random.default_rng(width).integers(2**33, 2**34 - 1, 2**16)
+    x = 0.5 + k * 2.0**-35 + (2.0**-36 - 2.0**-53)
+    x[0] = 2.0 ** -(width + 1) + 2.0**-36 - 2.0 ** -(width + 53)
+    if signed:
+        x[1::2] *= -1.0
+    return x
+
+
+class TestFsumPlainExit:
+    """The plain sum that ends a slice once every partial sum is a whole
+    number of at most 2**53 units, the ulp of the slice's smallest
+    magnitude: its boundary on full 2**16-term slices, and the route of
+    each kind of slice, each against math.fsum, the rational sum, and the
+    exact total of the terms _extract appends."""
+
+    @staticmethod
+    def check(x, lengths):
+        assert fsum_spied(x) == (math.fsum(x.tolist()), lengths)
+        assert _fsum(x).hex() == rational_sum(x).hex()
+        assert sum(map(Fraction, extracted(x))) == sum(map(Fraction, x.tolist()))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_20_binades_take_the_plain_sum_after_one_level(self, signed):
+        # sigma falls from 2**17 to 2**-19 = 2**54 ulps of 2**-73: one level
+        # sum, then the plain sum of remainders just under 2**53 ulps
+        self.check(near_top_slice(20, signed), [2])
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_21_binades_take_a_second_level(self, signed):
+        # 2**-19 is 2**55 ulps of 2**-74, and the remainders' total, past
+        # 2**53 ulps, would round: a second level comes first
+        self.check(near_top_slice(21, signed), [3])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_runs_the_levels_to_an_all_zero_remainder(self, zero):
+        # no ulp, no plain sum: the smallest term's last bit needs a third level
+        x = near_top_slice(20)
+        x[1] = zero
+        self.check(x, [3])
+
+    def test_a_subnormal_minimum_takes_the_plain_sum_under_the_sigma_floor(self):
+        # a top in [2**-1006, 2**-1005) starts at sigma = 2**-988; the next,
+        # 2**-1024, is under the floor of 2**-1000 but within 2**54 ulps of
+        # the smallest subnormal, 2**-1074
+        x = near_top_slice(20) * 2.0**-1005
+        x[0] = 3 * 2.0**-1074
+        self.check(x, [2])
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    def test_inf_or_nan_keeps_the_raw_terms(self, special):
+        x = near_top_slice(20)
+        x[5] = special
+        got, lengths = fsum_spied(x)
+        assert (got.hex(), lengths) == (math.fsum(x.tolist()).hex(), [len(x)])
