@@ -86,6 +86,11 @@ COMMANDS = [
                   "--n", "150000", "--seed", "8", "-o", "long.csv"]),
     ("shuffle_long", ["cli", "shuffle", "long.csv", "--block-size", "1000", "--seed", "9",
                       "-o", "long_shuffled.csv"]),
+    # blocks longer than one 65536-packet run, with a short last block of
+    # 18926 packets: the written columns are copied from runs that cut
+    # blocks in two
+    ("shuffle_long_runs", ["cli", "shuffle", "long.csv", "--block-size", "65537", "--seed", "19",
+                           "-o", "long_runs_shuffled.csv"]),
     ("queue_long_path", ["cli", "queue", "long.csv", "--rho", "0.9", "--path-out", "long_path.csv",
                          "-o", "queue_long.csv"]),
     # near-critical load: busy periods run across the 65536-packet slices of

@@ -13,7 +13,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .queue_sim import packet_fifo, prefix_mean_queue
+from .queue_sim import _CHUNK, packet_fifo, prefix_mean_queue
 from .rng import as_generator, substream
 from .synth import HeavyTailSpec, SyntheticSource, _open_uniform, reorder_nonoverlap, sample_heavy_tail
 from .traces import PacketTrace, _in_order, bandwidth_for_utilization, window, write_rows
@@ -200,8 +200,8 @@ _STREAMED_DURATION = float(np.finfo(np.float64).max) / 2
 
 class _BlockShuffled(PacketTrace):
     """The blocks of b packets of source in the order `order`; see
-    block_shuffle. The columns are built and frozen on first read, by
-    the runs of _slices gathered straight into them."""
+    block_shuffle. The columns are built and frozen on first read,
+    copied from the runs of _slices."""
 
     def __init__(self, source: PacketTrace, b: int, order: np.ndarray):
         self._source, self._b, self._order = source, b, order
@@ -211,22 +211,22 @@ class _BlockShuffled(PacketTrace):
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        columns = np.empty(len(self)), np.empty(len(self), np.int64)
-        # runs of 2**16 blocks: take copies a run's int32 block indices to
-        # intp, so at B = 1 a whole-column run would copy 8n bytes
-        for _ in self._slices(self._b << 16, columns):
-            pass
-        for x in columns:
+        ts, sz = np.empty(len(self)), np.empty(len(self), np.int64)
+        lo = 0
+        for t, z in self._slices(_CHUNK):
+            hi = lo + len(t)
+            ts[lo:hi], sz[lo:hi] = t, z
+            lo = hi
+        for x in (ts, sz):
             x.setflags(write=False)
-        return columns
+        return ts, sz
 
     timestamps = property(lambda self: self._columns[0])
     sizes = property(lambda self: self._columns[1])
 
-    def _slices(self, size: int, columns=None):
+    def _slices(self, size: int):
         """The runs of PacketTrace._slices, gathered into two buffers that
-        the next run reuses, or, given full-length (timestamps, sizes)
-        columns, straight into their places there."""
+        the next run reuses."""
         gaps, sizes = self._source.gaps, self._source.sizes
         n, b, order = len(sizes), self._b, self._order
         full = n // b
@@ -255,16 +255,14 @@ class _BlockShuffled(PacketTrace):
             yield from spans(full * b, n)
             yield from runs(order[k + 1 :])
 
-        into = columns is not None
-        ts, sz = columns if into else (np.empty(min(n, size)), np.empty(min(n, size), np.int64))
+        ts, sz = np.empty(min(n, size)), np.empty(min(n, size), np.int64)
         # the gaps go to a buffer of their own, as a cumsum into its own
-        # input holds the GIL (see queue_sim._fifo_slices); the columns are
-        # built in one thread, so there they are summed in place
-        gs = ts if into else np.empty_like(ts)
-        carry, lo = 0.0, 0  # lo: where the run goes, always 0 in the buffers
+        # input holds the GIL (see queue_sim._fifo_slices)
+        gs = np.empty_like(ts)
+        carry = 0.0
         for part in parts():
             m = part.stop - part.start if isinstance(part, slice) else len(part) * b
-            t, z, g = ts[lo : lo + m], sz[lo : lo + m], gs[lo : lo + m]
+            t, z, g = ts[:m], sz[:m], gs[:m]
             if isinstance(part, slice):
                 g[:], z[:] = gaps[part], sizes[part]
             else:
@@ -277,8 +275,6 @@ class _BlockShuffled(PacketTrace):
             np.cumsum(g, out=t)
             carry = t[-1]
             yield t, z
-            if into:
-                lo += m
 
 
 def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
@@ -300,9 +296,9 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     (PacketTrace.gaps, made on first use; blocksize_sweep makes them
     before its first shuffle) into two buffers, with the cumsum carried
     across runs: a replication makes the order and those buffers, not a
-    shuffled trace. Its timestamps and sizes are gathered by the same
-    runs straight into new arrays that hold no view of the input, only
-    when something reads them.
+    shuffled trace. Its timestamps and sizes are copied from the same
+    runs into new arrays that hold no view of the input, only when
+    something reads them.
 
     The gaps are finite and nonnegative, so the timestamps are
     nondecreasing from the first, which is >= 0, and finite unless a

@@ -125,18 +125,21 @@ def _extract(p, parts: list, q, r) -> None:
     left once that sum is exact, or, where the domain of _fsum ends, the
     terms still left as they stand. _fsum gives the bounds.
 
-    p holds at most 2**16 terms (an empty p appends 0.0); q and r are
-    scratch at least as long, and r may be p itself, which is then
-    overwritten.
+    p holds at most 2**16 terms (an empty p, or one of zeros, appends
+    its plain sum 0.0 and nothing else); q and r are scratch at least as
+    long, and r may be p itself, which is then overwritten.
     """
     q, r = q[: len(p)], r[: len(p)]
+    a = p
     low, top = float(p.min(initial=np.inf)), float(p.max(initial=0.0))
     if low < 0.0:  # only a signed slice needs its magnitudes
         a = np.abs(p, out=q)
         low, top = float(a.min()), float(a.max())
-    # every term is a whole number of units, the ulp of the smallest
-    # magnitude; a minimum of 0, inf or nan leaves no unit and no plain sum
-    unit = ldexp(1.0, max(frexp(low)[1] - 53, -1074)) if 0.0 < low < np.inf else 0.0
+    if low == 0.0:  # zeros add nothing: the smallest nonzero magnitude sets the unit
+        low = float(np.min(a, where=a > 0.0, initial=np.inf))
+    # every term is a whole number of units, the ulp of the smallest nonzero
+    # magnitude; a slice with none, all zeros or empty, takes the plain sum at once
+    unit = ldexp(1.0, max(frexp(low)[1] - 53, -1074)) if low < np.inf else np.inf
     plain = unit * 2.0**54  # at or under this sigma, p.sum() is exact
     # a top past the limit (inf and nan too) is found before p is written,
     # and leaves every term of p raw
@@ -152,8 +155,6 @@ def _extract(p, parts: list, q, r) -> None:
         p = np.subtract(p, q, out=r)  # exact
         parts.append(float(q.sum()))
         sigma *= 2.0**-36
-        if sigma > plain and not p.any():
-            return
     parts += p.tolist()
 
 
@@ -175,24 +176,23 @@ def _fsum(x) -> float:
     at a time as they compute them (_extract), with the same result.
 
     The same bound ends a slice with one plain sum. Let u be the ulp of
-    the slice's smallest magnitude, at least 2**-1074. Every term is a
-    whole number of u, and so is every remainder: sigma is, and
-    fl(sigma + p) rounds at a unit of at least u or not at all. At the
-    top of each level |p| <= sigma * 2**-17, so every partial sum of p
-    is at most sigma / 2 in size; once sigma <= 2**54 * u, that is at
+    the slice's smallest nonzero magnitude, at least 2**-1074; a slice
+    of zeros has none and takes the plain sum at once. Every term is a
+    whole number of u, a zero too, and so is every remainder: sigma is,
+    and fl(sigma + p) rounds at a unit of at least u or not at all. At
+    the top of each level |p| <= sigma * 2**-17, so every partial sum of
+    p is at most sigma / 2 in size; once sigma <= 2**54 * u, that is at
     most 2**53 u, a whole number of u that float64 holds exactly, so
     p.sum() adds without rounding in any order and ends the slice. The
     first level never ends this way, and each level lowers sigma by 36
-    bits: with the top in binade e and the smallest magnitude in binade
-    e - k, the plain sum follows the first level when k <= 20 and the
-    second when k <= 56. Until then, a remainder that is all zero ends
-    the slice. A slice holding a zero has no u and runs the levels until
-    the remainder is all zero.
+    bits: with the top in binade e and the smallest nonzero magnitude in
+    binade e - k, the plain sum follows the first level when k <= 20 and
+    the second when k <= 56.
 
     The domain: every |p| < 2**977, so sigma <= 2**994 and neither
     sigma + p nor any sum overflows; and a level runs only at sigma at
     or above 2**-1000, so sigma + p is never subnormal. The plain sum
-    needs no such floor, and a slice whose smallest magnitude is
+    needs no such floor, and a slice whose smallest nonzero magnitude is
     subnormal takes it once sigma <= 2**-1020. The floor ends every
     slice within 56 levels. A slice whose top is outside the domain
     (inf, nan or a value at or above 2**977) keeps its raw terms, and a
@@ -201,8 +201,9 @@ def _fsum(x) -> float:
     traffic measured, one divergence_fluid benchmark operation (seed
     501) made 336 extractions: 280 took the plain sum after one level
     and 56 after two. The 292 of a sweep_blocks_onoff operation all took
-    it after one level. The packet rebuild's idle gaps hold zeros, so
-    they run the levels to an all-zero remainder.
+    it after one level. Of the 16 idle-gap slices of the packet rebuild
+    in a trace_pipeline_1m operation (seed 501), which hold zeros, 13
+    took the plain sum after one level and 3, all zero, took it at once.
 
     Since every step is exact, the list of level sums, plain sums and
     kept terms has the exact total of x, and math.fsum rounds that
@@ -337,45 +338,40 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     return QueueRun(area, horizon, rebuild)
 
 
-def _fifo_slices(trace: PacketTrace, bandwidth: float, departures=None):
+def _fifo_slices(trace: PacketTrace, bandwidth: float):
     """Departure times of trace served at bandwidth, one run of
     trace._slices(_CHUNK), at most _CHUNK packets, at a time.
 
     d_i = S_i + max_{j<=i}(a_j - S_{j-1}) with S the service prefix sum
     and S_0 = 0; the scan carries S and the running max across slices,
-    so where the trace cuts its runs changes no bit. Yields (lo, a, d, s)
-    for the packets from lo on: their arrivals a, their departures d and
-    a buffer s of the same length that the caller may overwrite. d is
-    the slice of departures when that full-length array is given, and a
-    buffer reused by the next slice otherwise.
+    so where the trace cuts its runs changes no bit. Yields (a, d, s)
+    for the run's packets: their arrivals a, their departures d and a
+    buffer s of the same length that the caller may overwrite. d and s
+    are buffers reused by the next run.
     """
-    n = len(trace)
-    s_buf = np.empty(min(n, _CHUNK))
+    s_buf = np.empty(min(len(trace), _CHUNK))
     # the scans' inputs: an accumulate whose output is its own input holds
     # the GIL (numpy 2.4), so each scan writes to another buffer, and two
     # threads' kernels run side by side
-    x_buf = np.empty_like(s_buf)
-    d_buf = np.empty_like(s_buf) if departures is None else None
+    x_buf, d_buf = np.empty_like(s_buf), np.empty_like(s_buf)
     # the carries; adding the first s_last, 0.0, changes no bit, as s > 0
-    s_last, run_max, lo = 0.0, -math.inf, 0
+    s_last, run_max = 0.0, -math.inf
     for a, sizes in trace._slices(_CHUNK):
-        hi = lo + len(a)
+        k = len(a)
         with np.errstate(over="ignore"):
-            x = np.divide(sizes, bandwidth, out=x_buf[: hi - lo])
+            x = np.divide(sizes, bandwidth, out=x_buf[:k])
             x[0] += s_last
-            s = np.cumsum(x, out=s_buf[: hi - lo])
-            d = d_buf[: hi - lo] if departures is None else departures[lo:hi]
+            s = np.cumsum(x, out=s_buf[:k])
             x[0] = a[0] - s_last
             np.subtract(a[1:], s[:-1], out=x[1:])
             x[0] = np.fmax(run_max, x[0])
             # a is finite and S finite or +inf, so a - S is never nan, and
             # fmax, the faster scan, differs from maximum at most in the sign
             # of a zero, which d += S erases
-            np.fmax.accumulate(x, out=d)
+            d = np.fmax.accumulate(x, out=d_buf[:k])
             s_last, run_max = s[-1], d[-1]
             d += s
-        yield lo, a, d, s
-        lo = hi
+        yield a, d, s
 
 
 def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
@@ -407,7 +403,7 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     n = len(trace)
     size = min(n, _CHUNK)
     sojourns, q = [], np.empty(size)
-    for _, a, d, s in _fifo_slices(trace, bandwidth):
+    for a, d, s in _fifo_slices(trace, bandwidth):
         _extract(np.subtract(d, a, out=s), sojourns, q, s)
     horizon = float(d[-1])
     try:
@@ -419,14 +415,17 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
 
     def rebuild():
         a, d_all, service, idle, q = trace.timestamps, np.empty(n), [], [], np.empty(size)
-        for lo, _, d, s in _fifo_slices(trace, bandwidth, d_all):
+        lo = 0
+        for _, d, s in _fifo_slices(trace, bandwidth):
             hi = lo + len(d)
+            d_all[lo:hi] = d
             _extract(np.divide(trace.sizes[lo:hi], bandwidth, out=s), service, q, s)
             # the queue is empty before the first arrival and wherever an
             # arrival finds every earlier packet gone
             j = max(lo, 1)
             gaps = np.subtract(a[j:hi], d_all[j - 1 : hi - 1], out=s[: hi - j])
             _extract(np.maximum(gaps, 0.0, out=gaps), idle, q, gaps)
+            lo = hi
         # a and d are each sorted, so a stable sort of the departures
         # followed by the arrivals merges two runs, and at a tie it keeps
         # the departure first: the level never counts a packet that has

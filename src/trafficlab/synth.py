@@ -85,20 +85,9 @@ class FluidOnOffProcess:
     m: float
 
     def __post_init__(self):
-        if not self.m > 1:
-            raise ValueError(_M_RULE)
         on = np.asarray(self.on_lengths, dtype=np.float64)
         off = np.asarray(self.off_lengths, dtype=np.float64)
-        if on.ndim != 1 or off.ndim != 1 or len(on) != len(off):
-            raise ValueError("on_lengths and off_lengths must be 1-d and equal length")
-        if len(on) == 0:
-            raise ValueError("process needs at least one cycle")
-        if not (np.all(np.isfinite(on)) and np.all(np.isfinite(off))):
-            raise ValueError("non-finite cycle length")
-        if np.any(on <= 0):
-            raise ValueError("on_lengths must be positive")
-        if np.any(off < 0):
-            raise ValueError("off_lengths must be nonnegative")
+        _check_cycles(self.m, on.shape, off.shape, _extremes(on), _extremes(off))
         on.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "on_lengths", on)
@@ -138,6 +127,29 @@ class FluidOnOffProcess:
         on, off = self.on_lengths, self.off_lengths
         for lo in range(0, len(on), size):
             yield on[lo : lo + size], off[lo : lo + size]
+
+
+def _extremes(x: np.ndarray) -> tuple[float, float]:
+    """The smallest and the largest value of x, nan if x holds one."""
+    return x.min(initial=np.inf), x.max(initial=-np.inf)
+
+
+def _check_cycles(m: float, on_shape: tuple, off_shape: tuple, on_range: tuple, off_range: tuple) -> None:
+    """Raise the ValueError of the first rule of FluidOnOffProcess, in its
+    order, that a process of rate m breaks whose bursts and silences have
+    these shapes and these (smallest, largest) values."""
+    if not m > 1:
+        raise ValueError(_M_RULE)
+    if len(on_shape) != 1 or on_shape != off_shape:
+        raise ValueError("on_lengths and off_lengths must be 1-d and equal length")
+    if on_shape == (0,):
+        raise ValueError("process needs at least one cycle")
+    if not np.isfinite([*on_range, *off_range]).all():
+        raise ValueError("non-finite cycle length")
+    if not on_range[0] > 0:
+        raise ValueError("on_lengths must be positive")
+    if off_range[0] < 0:
+        raise ValueError("off_lengths must be nonnegative")
 
 
 class _Reordered(FluidOnOffProcess):
@@ -260,27 +272,18 @@ def reorder_nonoverlap(on_lengths, m: float, lam: float) -> FluidOnOffProcess:
     a silence array: the queue kernels compute the silences a run at a
     time (FluidOnOffProcess._slices), and off_lengths is built on first
     read, with the bits of on * (m/lam - 1). It is checked as
-    FluidOnOffProcess(on, on * (m/lam - 1), m) is, with the same errors.
-    The ratio is positive, so the silences are all finite exactly when
-    those of the shortest and the longest burst are.
+    FluidOnOffProcess(on, on * (m/lam - 1), m) is, with the same errors:
+    the ratio is positive when m > 1, so the silences' extremes are
+    those of the shortest and the longest burst times the ratio.
     """
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
     on = np.asarray(on_lengths, dtype=np.float64)
     ratio = m / lam - 1.0
-    if not m > 1:
-        raise ValueError(_M_RULE)
-    if on.ndim != 1:
-        raise ValueError("on_lengths and off_lengths must be 1-d and equal length")
-    if len(on) == 0:
-        raise ValueError("process needs at least one cycle")
-    shortest, longest = on.min(), on.max()
-    # a silence past the largest float is the error below, not a numpy warning
+    shortest, longest = _extremes(on)
+    # a silence past the largest float is the check's error, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (np.isfinite(shortest * ratio) and np.isfinite(longest * ratio)):
-            raise ValueError("non-finite cycle length")
-    if not shortest > 0:  # no burst is nan here
-        raise ValueError("on_lengths must be positive")
+        _check_cycles(m, on.shape, on.shape, (shortest, longest), (shortest * ratio, longest * ratio))
     on.setflags(write=False)
     return _Reordered(on, ratio, m)
 

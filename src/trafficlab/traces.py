@@ -250,6 +250,32 @@ class TraceFormatError(ValueError):
         super().__init__(message)
 
 
+def _broken_rule(ts: np.ndarray, sz: np.ndarray) -> str | None:
+    """The first rule of a trace that float64 timestamps ts and sizes sz
+    break, as PacketTrace's error message, or None if they hold a trace.
+    sz is read as given, so a size past int64 is refused before any cast."""
+    # integer input, as from packetize or a parser, skips the check
+    if sz.dtype.kind not in "iu" and np.any(sz != np.floor(sz)):
+        return "packet sizes must be whole bytes"
+    if ts.ndim != 1 or sz.ndim != 1 or len(ts) != len(sz):
+        return "timestamps and sizes must be 1-d and equal length"
+    if len(ts) == 0:
+        return "empty trace"
+    if not np.isfinite(ts).all():
+        return "non-finite timestamp"
+    if ts[0] < 0:
+        return "negative timestamp"
+    if not (ts[1:] >= ts[:-1]).all():
+        return "timestamps must be nondecreasing"
+    if sz.min() < 1:
+        return "packet sizes must be >= 1 byte"
+    # compared as a Python number, exactly, whatever the dtype: numpy would
+    # compare a float size with float(_MAX_SIZE), which rounds up to 2**63
+    if np.asarray(sz.max()).item() > _MAX_SIZE:
+        return f"packet sizes must be <= {_MAX_SIZE} bytes"
+    return None
+
+
 @dataclass(eq=False)
 class PacketTrace:
     """Ordered packet arrivals.
@@ -265,22 +291,9 @@ class PacketTrace:
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.float64)
         sz = np.asarray(self.sizes)
-        # integer input, as from packetize or a shuffle, skips the check
-        if sz.dtype.kind not in "iu" and np.any(sz != np.floor(sz)):
-            raise ValueError("packet sizes must be whole bytes")
+        if (rule := _broken_rule(ts, sz)) is not None:
+            raise ValueError(rule)
         sz = np.asarray(sz, dtype=np.int64)
-        if ts.ndim != 1 or sz.ndim != 1 or len(ts) != len(sz):
-            raise ValueError("timestamps and sizes must be 1-d and equal length")
-        if len(ts) == 0:
-            raise ValueError("empty trace")
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("non-finite timestamp")
-        if ts[0] < 0:
-            raise ValueError("negative timestamp")
-        if not (ts[1:] >= ts[:-1]).all():
-            raise ValueError("timestamps must be nondecreasing")
-        if np.any(sz < 1):
-            raise ValueError("packet sizes must be >= 1 byte")
         ts.setflags(write=False)
         sz.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -391,21 +404,6 @@ def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts, dtype=np.float64), np.array(sz, dtype=np.int64)
 
 
-def _checked(ts: np.ndarray, sz: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns, if they hold a trace _parse_lines accepts: at least
-    one record, finite nonnegative nondecreasing timestamps and sizes
-    of at least 1 byte. None otherwise."""
-    if not (
-        len(ts)
-        and np.isfinite(ts).all()
-        and ts[0] >= 0
-        and (ts[1:] >= ts[:-1]).all()
-        and (sz >= 1).all()
-    ):
-        return None
-    return ts, sz
-
-
 def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The columns _parse_lines would return, computed from the bytes.
 
@@ -414,7 +412,8 @@ def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarra
     ends and a single-byte separator: ``,`` for CSV, a space or a tab
     otherwise. The last line end may be missing. That is what
     save_trace and a Bellcore-style ``%.6f bytes`` file hold. Anything
-    else, and any trace _checked refuses, gives None.
+    else, and any columns that break a rule of a trace (_broken_rule),
+    gives None.
 
     A timestamp of at most 16 digits whose digits m are below 2**53 is
     m / 10**f, f the count of fractional digits: m and 10**f are exact
@@ -444,7 +443,8 @@ def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarra
     if not blocks or None in blocks:
         return None
     ts_blocks, sz_blocks = zip(*blocks)
-    return _checked(np.concatenate(ts_blocks), np.concatenate(sz_blocks))
+    ts, sz = np.concatenate(ts_blocks), np.concatenate(sz_blocks)
+    return None if _broken_rule(ts, sz) else (ts, sz)
 
 
 def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:

@@ -772,11 +772,11 @@ class TestFsumRoutes:
         # takes every multiple of 2**-35 whole: one level sum per chunk. The
         # first chunk's smallest magnitude, 1.1e-5, is 16 binades under the
         # top, so the plain sum of its all-zero remainder follows; the
-        # second's, 3.6e-7, is 21 binades under, so its all-zero remainder
-        # ends it
+        # second's, 3.6e-7, is 21 binades under, so a second level, of its
+        # all-zero remainder, comes before the plain sum
         x = np.random.default_rng(7).integers(-(2**35), 2**35, self.N) * 2.0**-35
         got, lengths = fsum_spied(x)
-        assert lengths == [3]
+        assert lengths == [5]
         assert got.hex() == rational_sum(x).hex()
 
     def test_fsum_route_several_levels(self):
@@ -856,11 +856,38 @@ class TestFsumPlainExit:
         self.check(near_top_slice(21, signed), [3])
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
-    def test_a_zero_runs_the_levels_to_an_all_zero_remainder(self, zero):
-        # no ulp, no plain sum: the smallest term's last bit needs a third level
+    def test_a_zero_takes_the_plain_sum_after_one_level(self, zero):
+        # zeros add nothing: the unit is the ulp of the smallest nonzero
+        # magnitude, 20 binades under the top
         x = near_top_slice(20)
         x[1] = zero
+        self.check(x, [2])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_an_all_zero_slice_takes_the_plain_sum_at_once(self, zero):
+        self.check(np.full(2**16, zero), [1])
+
+    def test_zeros_among_positives_20_binades_wide_take_one_level(self):
+        # every third term zero, as the packet rebuild's idle gaps hold them
+        x = near_top_slice(20)
+        x[1::3] = 0.0
+        self.check(x, [2])
+
+    def test_a_signed_slice_holding_a_zero_takes_its_unit_from_the_magnitudes(self):
+        # the smallest magnitude, negated, sits 21 binades under the top, and
+        # the smallest positive term in the top binade: a second level comes
+        # before the plain sum
+        x = near_top_slice(21, signed=True)
+        x[0] = -x[0]
+        x[1] = 0.0
         self.check(x, [3])
+
+    def test_a_zero_beside_a_subnormal_minimum_takes_the_plain_sum_under_the_sigma_floor(self):
+        # as below: the unit is the smallest subnormal, not the zero's
+        x = near_top_slice(20) * 2.0**-1005
+        x[0] = 3 * 2.0**-1074
+        x[1] = 0.0
+        self.check(x, [2])
 
     def test_a_subnormal_minimum_takes_the_plain_sum_under_the_sigma_floor(self):
         # a top in [2**-1006, 2**-1005) starts at sigma = 2**-988; the next,

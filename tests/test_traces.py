@@ -77,6 +77,27 @@ class TestPacketTrace:
         assert tr.sizes.dtype == np.int64
         assert tr.sizes.tolist() == [10, 1000]
 
+    # a numpy cast warning, as from casting a size past int64, fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sizes", [
+        np.array([10.0, 1e19]),
+        np.array([10.0, np.inf]),
+        np.array([10.0, 2.0**63]),  # float(2**63 - 1) rounds to it
+        np.array([10.0, 2.0**63], dtype=np.float32),
+        np.array([10, 2**63], dtype=np.uint64),
+    ])
+    def test_size_past_int64_is_refused_before_the_cast(self, sizes):
+        with pytest.raises(ValueError, match=r"^packet sizes must be <= 9223372036854775807 bytes$"):
+            make([0.0, 1.0], sizes)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sizes", [
+        np.array([10.0, 2.0**63 - 1024]),  # the largest float under 2**63
+        np.array([10, 2**63 - 1], dtype=np.uint64),
+    ])
+    def test_largest_int64_sizes_are_kept(self, sizes):
+        assert make([0.0, 1.0], sizes).sizes.tolist() == [10, int(sizes[1])]
+
     def test_arrays_are_frozen(self):
         tr = make([0.0, 1.0], [10, 10])
         with pytest.raises(ValueError):
