@@ -1,91 +1,16 @@
 """trafficlab: bursty traffic synthesis, exact FIFO queueing, and the
 estimators and shuffling experiments used to probe long-range burst
-structure."""
+structure. The package re-exports each module's ``__all__``."""
 
 __version__ = "0.1.0"
 
-from .estimators import (
-    CountSeries,
-    HurstEstimate,
-    TailFit,
-    bin_counts,
-    fit_tail_index,
-    hurst_aggregated_variance,
-)
-from .experiments import (
-    ReplicationPlan,
-    SweepPoint,
-    SweepResult,
-    aggregate_replications,
-    block_shuffle,
-    blocksize_sweep,
-    prefix_mean_sweep,
-    sample_size_sweep,
-)
-from .queue_sim import QueuePath, QueueRun, QueueStats, fluid_queue, packet_fifo, prefix_mean_queue
-from .rng import substream
-from .synth import (
-    FluidOnOffProcess,
-    GeneratorSpec,
-    HeavyTailSpec,
-    PacketizeReport,
-    SyntheticSource,
-    generate_onoff,
-    generate_poisson,
-    packetize,
-    reorder_nonoverlap,
-    sample_heavy_tail,
-)
-from .traces import (
-    PacketTrace,
-    TraceFormatError,
-    TraceSummary,
-    bandwidth_for_utilization,
-    load_trace,
-    save_trace,
-    summarize,
-    window,
-)
+from . import estimators, experiments, queue_sim, rng, synth, traces
+from .estimators import *
+from .experiments import *
+from .queue_sim import *
+from .rng import *
+from .synth import *
+from .traces import *
 
-__all__ = [
-    "__version__",
-    "CountSeries",
-    "HurstEstimate",
-    "TailFit",
-    "bin_counts",
-    "fit_tail_index",
-    "hurst_aggregated_variance",
-    "ReplicationPlan",
-    "SweepPoint",
-    "SweepResult",
-    "aggregate_replications",
-    "block_shuffle",
-    "blocksize_sweep",
-    "prefix_mean_sweep",
-    "sample_size_sweep",
-    "QueuePath",
-    "QueueRun",
-    "QueueStats",
-    "fluid_queue",
-    "packet_fifo",
-    "prefix_mean_queue",
-    "substream",
-    "FluidOnOffProcess",
-    "GeneratorSpec",
-    "HeavyTailSpec",
-    "PacketizeReport",
-    "SyntheticSource",
-    "generate_onoff",
-    "generate_poisson",
-    "packetize",
-    "reorder_nonoverlap",
-    "sample_heavy_tail",
-    "PacketTrace",
-    "TraceFormatError",
-    "TraceSummary",
-    "bandwidth_for_utilization",
-    "load_trace",
-    "save_trace",
-    "summarize",
-    "window",
-]
+__all__ = ["__version__"]
+__all__ += [name for mod in (estimators, experiments, queue_sim, rng, synth, traces) for name in mod.__all__]

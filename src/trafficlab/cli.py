@@ -120,7 +120,7 @@ def _int_list(text: str) -> list[int]:
     """The comma-separated integers, each read exactly as a Decimal (``1e4``,
     ``10.0``, ``+5``, ``1_000``). Over 4300 digits is refused: Python will not
     print such an int, and ``1e999999999`` would take gigabytes to build."""
-    # not imported with the module: that shifted the heap, and trace_pipeline_1m peaked 7 MiB higher (2-core VM)
+    # imported on first use: decimal takes about 1.5 ms to import (2-core VM), which only the list flags need
     from decimal import Decimal, InvalidOperation
     parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
@@ -150,7 +150,7 @@ def _int_from(low: int):
 def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     """The generator flags other than the on/off group's."""
     p.add_argument("--model", choices=("onoff", "poisson"), required=required)
-    p.add_argument("--cycles", type=_int_from(1), help="number of on/off cycles")
+    p.add_argument("--cycles", type=_int_from(1), help="number of on/off cycles (sweep-samples ignores it)")
     p.add_argument("--packet-size", type=int, default=1000, help="bytes per packet")
     p.add_argument(
         "--rate",

@@ -13,10 +13,8 @@ __all__ = [
     "HurstEstimate",
     "TailFit",
     "bin_counts",
-    "default_levels",
     "hurst_aggregated_variance",
     "fit_tail_index",
-    "empirical_ccdf",
 ]
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "as_generator"]
+__all__ = ["substream"]
 
 
 def as_generator(seed: "int | np.random.Generator") -> np.random.Generator:

@@ -323,6 +323,14 @@ def _emit(on, off, m, packet_size, server_rate, t0):
     return times, counts, float(t0 + cycle_len.sum())
 
 
+def _check_emission(packet_size: int, server_rate: float) -> None:
+    """The packet size and server rate checks of packetize and SyntheticSource."""
+    if packet_size < 1:
+        raise ValueError("packet_size must be >= 1 byte")
+    if not 0 < server_rate < np.inf:
+        raise ValueError("server_rate must be positive and finite")
+
+
 def packetize(
     process: FluidOnOffProcess, packet_size: int, server_rate: float
 ) -> tuple[PacketTrace, PacketizeReport]:
@@ -334,10 +342,7 @@ def packetize(
     shorter than one spacing emit nothing; they are counted in the
     report rather than treated as errors.
     """
-    if packet_size < 1:
-        raise ValueError("packet_size must be >= 1 byte")
-    if not 0 < server_rate < np.inf:
-        raise ValueError("server_rate must be positive and finite")
+    _check_emission(packet_size, server_rate)
     times, counts, _ = _emit(
         process.on_lengths, process.off_lengths, process.m, packet_size, server_rate, 0.0
     )
@@ -383,10 +388,7 @@ class SyntheticSource:
 
     def __post_init__(self):
         # trace(n_packets=...) never calls packetize, so check here too
-        if self.packet_size < 1:
-            raise ValueError("packet_size must be >= 1 byte")
-        if not 0 < self.server_rate < np.inf:
-            raise ValueError("server_rate must be positive and finite")
+        _check_emission(self.packet_size, self.server_rate)
 
     def trace(self, rng, n_packets: int | None = None) -> PacketTrace:
         """Fresh trace from `rng`; exactly n_packets when given, else one

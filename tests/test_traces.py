@@ -98,6 +98,44 @@ class TestPacketTrace:
     def test_largest_int64_sizes_are_kept(self, sizes):
         assert make([0.0, 1.0], sizes).sizes.tolist() == [10, int(sizes[1])]
 
+    # numpy's own errors and cast warnings fail these tests
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sizes", [
+        ["5"],
+        [b"5"],
+        [1 + 0j],
+        np.array(["2020-01-01"], dtype="datetime64[D]"),
+        np.array([5], dtype="timedelta64[s]"),
+        [None],
+        np.array(["5"], dtype=object),
+    ], ids=repr)
+    def test_a_size_that_is_not_a_real_number_is_not_whole_bytes(self, sizes):
+        with pytest.raises(ValueError, match=r"^packet sizes must be whole bytes$"):
+            tl.PacketTrace([0.0], sizes)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("timestamps", [
+        np.array(["2020-01-01"], dtype="datetime64[D]"),  # numpy would read 18262.0
+        np.array([5], dtype="timedelta64[s]"),
+        [1 + 0j],
+        np.array([1 + 0j], dtype=np.complex64),
+        np.array([0, 1 + 0j, 2**70], dtype=object),
+        ["0.5"],
+        [b"0.5"],
+    ], ids=repr)
+    def test_timestamps_that_are_not_real_numbers_are_refused(self, timestamps):
+        with pytest.raises(ValueError, match=r"^timestamps must be real numbers$"):
+            tl.PacketTrace(timestamps, [1] * len(timestamps))
+
+    @pytest.mark.filterwarnings("error")
+    def test_python_ints_and_booleans_are_read_as_numbers(self):
+        with pytest.raises(ValueError, match=r"^packet sizes must be <= 9223372036854775807 bytes$"):
+            tl.PacketTrace([0.0, 1.0], [1, 2**70])
+        tr = tl.PacketTrace([0, 2**70], [2**62, 1])
+        assert tr.timestamps.tolist() == [0.0, 2.0**70] and tr.sizes.tolist() == [2**62, 1]
+        tr = tl.PacketTrace([False, True], [True, True])
+        assert tr.timestamps.tolist() == [0.0, 1.0] and tr.sizes.tolist() == [1, 1]
+
     def test_arrays_are_frozen(self):
         tr = make([0.0, 1.0], [10, 10])
         with pytest.raises(ValueError):
