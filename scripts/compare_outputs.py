@@ -185,20 +185,36 @@ COMMANDS = [
 ]
 
 
-def run_commands(tree: Path, outdir: Path) -> None:
-    """Run every command with tree's package, writing into outdir."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+def write_inputs(outdir: Path) -> None:
+    """The input files that COMMANDS read besides the traces they generate."""
     (outdir / "text.txt").write_text(TEXT_TRACE)
     (outdir / "kernel.txt").write_bytes(KERNEL_TRACE.encode())
     (outdir / "kernel_long.txt").write_bytes(KERNEL_LONG_TRACE.encode())
     (outdir / "huge.txt").write_text(HUGE_TRACE)
     (outdir / "mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
+
+
+def run_commands(tree: Path, outdir: Path) -> None:
+    """Run every command with tree's package, writing into outdir."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    write_inputs(outdir)
     for name, (head, *rest) in COMMANDS:
         prog = ["-m", "trafficlab.cli"] if head == "cli" else [str(tree / "scripts" / head)]
         proc = subprocess.run([sys.executable, *prog, *rest], cwd=outdir, env=env,
                               capture_output=True, text=True)
         (outdir / f"{name}.log").write_text(
             f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+
+
+def export(rev: str, tree: Path) -> str:
+    """Write the files of git revision rev into the directory tree, and
+    return rev's full commit id."""
+    sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", sha],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return sha
 
 
 def differences(left: Path, right: Path) -> tuple[int, list[str]]:
@@ -220,16 +236,12 @@ def main(argv=None) -> int:
     ap.add_argument("rev", help="git revision to compare the checkout against")
     args = ap.parse_args(argv)
 
-    sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{args.rev}^{{commit}}"],
-                         check=True, capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
         tree, left, right = tmp / "tree", tmp / "revision", tmp / "checkout"
         for d in (tree, left, right):
             d.mkdir()
-        archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", sha],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        sha = export(args.rev, tree)
         run_commands(tree, left)
         run_commands(REPO, right)
         count, diffs = differences(left, right)

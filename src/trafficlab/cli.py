@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
@@ -65,7 +66,7 @@ class RunManifest:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with _open_text(path) as fh:
             json.dump({**self._body(), "digest": self.digest()}, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
 
@@ -82,27 +83,34 @@ def _strict_json(value):
     return value
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
+def _load(path: str) -> tuple[PacketTrace, dict]:
+    """The trace at path, from one read of the file, and the manifest's
+    inputs: path and the SHA-256 of the bytes parsed."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        data = fh.read()
+    # BytesIO shares data, and load_trace's one read() returns it uncopied
+    return load_trace(io.BytesIO(data)), {path: hashlib.sha256(data).hexdigest()}
+
+
+def _open_text(path: str):
+    """path opened to write text in UTF-8 with LF line ends, as save_trace
+    writes, so that every output of a command is encoded alike whatever
+    the locale."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 @contextmanager
-def _manifest(args: argparse.Namespace, *outputs: str | None, **derived):
+def _manifest(args: argparse.Namespace, *outputs: str | None, inputs: dict, **derived):
     """Yield the ``manifest: <digest>`` comment that heads each output, then
-    write the manifest of args, the derived values and the outputs (None
-    skipped) to <out-prefix>.manifest.json given --out-prefix, else beside the first output."""
+    write the manifest of args, the inputs (as _load gives them), the derived
+    values and the outputs (None skipped) to <out-prefix>.manifest.json
+    given --out-prefix, else beside the first output."""
     outputs = [path for path in outputs if path]
     params = {
         key: list(value) if isinstance(value, (list, tuple)) else value
         for key, value in {**vars(args), **derived}.items()
         if key not in ("func", "subcommand")
     }
-    trace = getattr(args, "trace", None)
-    inputs = {trace: _sha256_file(trace)} if trace else {}
     manifest = RunManifest(subcommand=args.subcommand, parameters=params, inputs=inputs, outputs=outputs)
     yield f"manifest: {manifest.digest()}"
     manifest.write(getattr(args, "out_prefix", outputs[0]) + ".manifest.json")
@@ -112,7 +120,7 @@ def _write_row_csv(path: str, comment: str, row: dict) -> None:
     """One-row CSV of column -> value; floats and bools are written as float reprs, anything
     else as text, so an int such as a byte total keeps every digit."""
     cells = [[float(v)] if isinstance(v, (bool, float, np.floating)) else [v] for v in row.values()]
-    with open(path, "w") as fh:
+    with _open_text(path) as fh:
         write_rows(fh, ",".join(["%s"] * len(row)), cells, (comment, ",".join(row)))
 
 
@@ -162,18 +170,19 @@ def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--n", type=_int_from(1), default=None, help="packet count for --model poisson")
 
 
-def _source(args) -> PacketTrace | SyntheticSource:
-    """The --trace file, or the generator flags as a Poisson trace or an on/off recipe."""
+def _source(args) -> tuple[PacketTrace | SyntheticSource, dict]:
+    """The --trace file, or the generator flags as a Poisson trace or an
+    on/off recipe; and the manifest's inputs, as _load gives them."""
     if args.trace and args.model:
         raise ValueError("give either --trace or --model, not both")
     if args.trace:
-        return load_trace(args.trace)
+        return _load(args.trace)
     if not args.model:
         raise ValueError("give a --trace file or generator flags with --model")
     if args.model == "poisson":
         if args.n is None or args.rate is None:
             raise ValueError("poisson model needs --rate and --n")
-        return generate_poisson(args.rate, args.packet_size, args.n, substream(args.seed))
+        return generate_poisson(args.rate, args.packet_size, args.n, substream(args.seed)), {}
     for name in ("alpha", "m", "cycles", "rate"):
         if getattr(args, name) is None:
             raise ValueError(f"onoff model needs --{name}")
@@ -189,11 +198,12 @@ def _source(args) -> PacketTrace | SyntheticSource:
         )
     except MissingLambdaError:
         raise ValueError("onoff model needs --lambda") from None
-    return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate)
+    return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate), {}
 
 
 def cmd_gen(args) -> int:
-    trace = source = _source(args)
+    source, inputs = _source(args)
+    trace = source
     if isinstance(source, SyntheticSource):
         process = generate_onoff(source.spec, substream(args.seed))
         trace, report = packetize(process, source.packet_size, source.server_rate)
@@ -203,7 +213,7 @@ def cmd_gen(args) -> int:
                 "were too short to emit a packet",
                 file=sys.stderr,
             )
-    with _manifest(args, args.output) as comment:
+    with _manifest(args, args.output, inputs=inputs) as comment:
         save_trace(trace, args.output, comments=(comment,))
     print(f"wrote {trace.packet_count} packets to {args.output}")
     return 0
@@ -215,32 +225,33 @@ def _summary_row(trace: PacketTrace) -> dict:
 
 
 def cmd_summarize(args) -> int:
-    row = _summary_row(load_trace(args.trace))
-    if args.output:
-        with _manifest(args, args.output) as comment:
-            _write_row_csv(args.output, comment, row)
-    else:
+    if not args.output:  # no manifest, so the input is not hashed
+        row = _summary_row(load_trace(args.trace))
         print(",".join(row))
         print(",".join(str(v) for v in row.values()))
+        return 0
+    trace, inputs = _load(args.trace)
+    with _manifest(args, args.output, inputs=inputs) as comment:
+        _write_row_csv(args.output, comment, _summary_row(trace))
     return 0
 
 
 def cmd_queue(args) -> int:
-    trace = load_trace(args.trace)
+    trace, inputs = _load(args.trace)
     bandwidth = _resolve_bandwidth(trace, args.bandwidth, args.rho)
     run = packet_fifo(trace, bandwidth)
-    with _manifest(args, args.output, args.path_out, derived_bandwidth=bandwidth) as comment:
+    with _manifest(args, args.output, args.path_out, inputs=inputs, derived_bandwidth=bandwidth) as comment:
         _write_row_csv(args.output, comment, asdict(run.stats))
         if args.path_out:
-            with open(args.path_out, "w") as fh:
+            with open(args.path_out, "wb") as fh:
                 run.path.write_csv(fh, comments=(comment,))
     return 0
 
 
 def cmd_shuffle(args) -> int:
-    trace = load_trace(args.trace)
+    trace, inputs = _load(args.trace)
     shuffled = block_shuffle(trace, args.block_size, substream(args.seed))
-    with _manifest(args, args.output) as comment:
+    with _manifest(args, args.output, inputs=inputs) as comment:
         save_trace(shuffled, args.output, comments=(comment,))
     return 0
 
@@ -251,7 +262,7 @@ def _write_gnuplot(out_prefix: str, comment: str, logscale: str, xlabel: str, yl
     lines = [f"# {comment}", 'set datafile separator ","', f"set logscale {logscale}", f'set xlabel "{xlabel}"',
              f'set ylabel "{ylabel}"', "set terminal pngcairo size 900,600", f'set output "{out_prefix}.png"',
              *settings, "plot " + ", ".join(plots)]
-    with open(out_prefix + ".gp", "w") as fh:
+    with _open_text(out_prefix + ".gp") as fh:
         fh.writelines(line + "\n" for line in lines)
 
 
@@ -265,32 +276,32 @@ def _write_sweep(out_prefix: str, comment: str, sweep) -> None:
     if sweep.baseline is not None:
         settings = (f"baseline = {float(sweep.baseline)!r}",)
         plots.append('baseline with lines dashtype 2 title "unshuffled"')
-    with open(csv_path, "w") as fh:
+    with _open_text(csv_path) as fh:
         sweep.write_csv(fh, comments=(comment,))
     _write_gnuplot(out_prefix, comment, "x", SWEEP_XLABELS[sweep.x_label], "mean queue (packets)", plots, settings)
 
 
-def _sweep(args, run_sweep, source, xs) -> int:
+def _sweep(args, run_sweep, source, inputs: dict, xs) -> int:
     """Run the sweep over xs with the sweep flags; write its CSV and gnuplot script."""
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
     sweep = run_sweep(source, xs, plan, bandwidth=args.bandwidth, rho=args.rho)
     paths = (args.out_prefix + ".csv", args.out_prefix + ".gp")
-    with _manifest(args, *paths) as comment:
+    with _manifest(args, *paths, inputs=inputs) as comment:
         _write_sweep(args.out_prefix, comment, sweep)
     print(f"wrote {', '.join(paths)}")
     return 0
 
 
 def cmd_sweep_samples(args) -> int:
-    return _sweep(args, sample_size_sweep, _source(args), args.sizes)
+    return _sweep(args, sample_size_sweep, *_source(args), args.sizes)
 
 
 def cmd_sweep_blocks(args) -> int:
-    source = _source(args)
+    source, inputs = _source(args)
     if isinstance(source, SyntheticSource):
         # materialize one trace; replications then vary only the permutation
         source = source.trace(substream(args.seed))
-    return _sweep(args, blocksize_sweep, source, args.blocks)
+    return _sweep(args, blocksize_sweep, source, inputs, args.blocks)
 
 
 def cmd_diverge(args) -> int:
@@ -304,12 +315,12 @@ def cmd_diverge(args) -> int:
     stats = [(float(np.median(p.rep_means)), p.mean, p.std) for p in sweep.points]
     csv_path = args.out_prefix + ".csv"
     gp_path = args.out_prefix + ".gp"
-    with _manifest(args, csv_path, gp_path) as comment:
+    with _manifest(args, csv_path, gp_path, inputs={}) as comment:
         comments = (comment, f"prefix mean queue, {args.reps} replications, alpha={args.alpha:g}, x_max={args.xmax}",
                     "cycles,median,mean,std," + ",".join(f"rep_{i + 1}" for i in range(args.reps)))
         # cycles, median, mean, std, then one column per replication
         columns = (sizes, *zip(*stats), *zip(*(p.rep_means for p in sweep.points)))
-        with open(csv_path, "w") as fh:
+        with _open_text(csv_path) as fh:
             write_rows(fh, ",".join(["%r"] * len(columns)), columns, comments)
         _write_gnuplot(args.out_prefix, comment, "xy", "cycles simulated", "mean queue",
                        [f'"{csv_path}" using 1:2 with linespoints title "median"',
@@ -337,8 +348,9 @@ def _hurst_row(trace: PacketTrace, bin_width: float | None = None, unit: str = "
 
 
 def cmd_hurst(args) -> int:
-    row, width = _hurst_row(load_trace(args.trace), args.bin_width, args.unit, args.levels, ": give --bin-width")
-    with _manifest(args, args.output, derived_bin_width=width) as comment:
+    trace, inputs = _load(args.trace)
+    row, width = _hurst_row(trace, args.bin_width, args.unit, args.levels, ": give --bin-width")
+    with _manifest(args, args.output, inputs=inputs, derived_bin_width=width) as comment:
         _write_row_csv(args.output, comment, row)
     print(f"H = {row['H']:.4f} (r2 {row['fit_r2']:.4f})")
     return 0
@@ -347,7 +359,7 @@ def cmd_hurst(args) -> int:
 def cmd_report(args) -> int:
     """summarize, hurst, sweep-samples and sweep-blocks on the first million packets of one
     load, all computed before anything is written, under one manifest."""
-    trace = load_trace(args.trace)
+    trace, inputs = _load(args.trace)
     n = min(SAMPLE_LADDER[-1], trace.packet_count)  # the top of the ladder, 10^6, caps the analysis
     if n < trace.packet_count:
         trace = window(trace, 0, n)
@@ -360,7 +372,7 @@ def cmd_report(args) -> int:
     prefix = args.out_prefix
     paths = [f"{prefix}.{name}" for name in ("summary.csv", "hurst.csv", "samples.csv", "samples.gp",
                                              "blocks.csv", "blocks.gp")]
-    with _manifest(args, *paths, derived_bin_width=width, derived_packets=n) as comment:
+    with _manifest(args, *paths, inputs=inputs, derived_bin_width=width, derived_packets=n) as comment:
         _write_row_csv(paths[0], comment, summary)
         _write_row_csv(paths[1], comment, hurst)
         for name, sweep in sweeps.items():
@@ -370,7 +382,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_tailfit(args) -> int:
-    trace = load_trace(args.trace)
+    trace, inputs = _load(args.trace)
     if args.field == "gaps":
         samples = trace.gaps[1:]
         samples = samples[samples > 0]
@@ -388,12 +400,12 @@ def cmd_tailfit(args) -> int:
         why = "all samples are equal" if samples.min() == samples.max() else "set --lo and --hi"
         raise ValueError(f"fit_range [{lo:g}, {hi:g}] is empty, with default {' and '.join(defaults)}: {why}")
     fit = fit_tail_index(samples, (lo, hi))
-    with _manifest(args, args.output, args.ccdf_out, derived_fit_range=fit.fit_range) as comment:
+    with _manifest(args, args.output, args.ccdf_out, inputs=inputs, derived_fit_range=fit.fit_range) as comment:
         row = {"alpha_hat": fit.alpha_hat, "fit_lo": lo, "fit_hi": hi, "fit_r2": fit.fit_r2}
         _write_row_csv(args.output, comment, row)
         if args.ccdf_out:
             xs, cc = empirical_ccdf(samples)
-            with open(args.ccdf_out, "w") as fh:
+            with _open_text(args.ccdf_out) as fh:
                 write_rows(fh, "%r,%r", (xs, cc), (comment, "x,ccdf"))
     print(f"alpha_hat = {fit.alpha_hat:.4f} over [{lo:g}, {hi:g}] (r2 {fit.fit_r2:.4f})")
     return 0

@@ -13,6 +13,7 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from typing import BinaryIO
 
 import numpy as np
 
@@ -43,6 +44,8 @@ _FIELDS = re.compile(f"({re.escape(_FIXED)}|%d)")
 _SCALE = 10**TIMESTAMP_DIGITS
 _FIXED_LIMIT = 2.0**53 / _SCALE
 _SPLIT = 2.0**27 + 1  # Veltkamp's constant for float64
+# the fraction digits of a whole number, broadcast down each fraction row
+_NO_FRACTION = np.zeros(1, np.uint64)
 
 # the bytes a header comment may hold and still take the byte kernel
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
@@ -67,9 +70,6 @@ _FIELD_DIGITS = 16
 _SIZE_DIGITS = len(str(_MAX_SIZE))
 _POW10 = np.array([10**k for k in range(_FIELD_DIGITS + 1)], np.uint64)
 _POW10_FLOAT = _POW10.astype(np.float64)  # exact: 10**k = 5**k * 2**k, 5**k < 2**53
-# _TOP[w] keeps the top w bytes of a little-endian word: the last w of
-# the 8 characters it was loaded from
-_TOP = np.array([((1 << 8 * w) - 1) << (64 - 8 * w) for w in range(9)], np.uint64)
 _ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
 
 
@@ -131,7 +131,7 @@ def _in_order(fn, items, ahead: int = 2):
 
 def write_rows(fh, fmt: str, columns, comments=()) -> None:
     """Write each comment as a ``# `` line, then one ``fmt % row`` line per
-    row of the parallel columns.
+    row of the parallel columns, to a text file or a binary one.
 
     The text is exactly that of ``fmt % row`` with each cell a Python
     scalar, so ``%r`` prints a float's repr and never a numpy wrapper.
@@ -145,13 +145,20 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
     Python ``%``. tests/test_traces.py::TestVectorizedWriter checks the
     two byte for byte.
 
+    A buffered binary file (an io.BufferedIOBase, as open(path, "wb")
+    and io.BytesIO are) is written in UTF-8: the bytes numpy laid out
+    are handed to it as they are, and the comments and the Python ``%``
+    chunks are encoded. Any other file is given text, with numpy's
+    bytes decoded.
+
     The chunks are formatted on _in_order's pool and written in order
     from the calling thread, so at most 2 * _workers() chunks are
     formatted, or being formatted, ahead of the one being written,
     whatever the row count or the speed of fh. An exception from a
     chunk comes out after every chunk before it was written.
     """
-    fh.writelines(f"# {c}\n" for c in comments)
+    binary = isinstance(fh, io.BufferedIOBase)
+    fh.writelines(f"# {c}\n".encode() if binary else f"# {c}\n" for c in comments)
     line = fmt + "\n"
     parts = _FIELDS.split(line)
     literals, fields = parts[::2], parts[1::2]
@@ -159,13 +166,14 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
 
     def format_chunk(lo):
         chunk = [np.asarray(c[lo : lo + _WRITE_CHUNK]) for c in columns]
-        text = _format_rows(literals, fields, chunk) if numpy_layout else None
-        if text is None:
+        rows = _format_rows(literals, fields, chunk) if numpy_layout else None
+        if rows is None:
             text = "".join(line % row for row in zip(*(c.tolist() for c in chunk)))
-        return text
+            return text.encode() if binary else text
+        return rows if binary else str(rows, "utf-8")
 
-    for text in _in_order(format_chunk, range(0, len(columns[0]), _WRITE_CHUNK)):
-        fh.write(text)
+    for piece in _in_order(format_chunk, range(0, len(columns[0]), _WRITE_CHUNK)):
+        fh.write(piece)
 
 
 def _fixed_point(x: np.ndarray) -> np.ndarray:
@@ -196,15 +204,18 @@ def _put_digits(rows: np.ndarray, v: np.ndarray) -> None:
         v = q
 
 
-def _format_rows(literals, fields, columns) -> str | None:
-    """The text Python ``%`` gives for these rows, or None when a cell is
-    outside the domain write_rows states.
+def _format_rows(literals, fields, columns) -> np.ndarray | None:
+    """The UTF-8 bytes Python ``%`` gives for these rows, as a uint8
+    array, or None when a cell is outside the domain write_rows states.
 
     The rows are laid out in a buffer with one row per character and one
     column per table row. Integer digits are padded to the widest in the
     chunk with NUL bytes, which the literals never hold, and the padding
     is deleted from the joined bytes. Both steps are numpy copies, which
     release the GIL, so chunks format side by side on _in_order's pool.
+    A ``%.9f`` column whose cells are all whole numbers, as a step
+    QueuePath's levels are, is laid out as integer digits followed by
+    ``.000000000``, without the rounding of _fixed_point.
     """
     whole, fractions = [], []
     for spec, col in zip(fields, columns):
@@ -213,13 +224,17 @@ def _format_rows(literals, fields, columns) -> str | None:
                 return None
             whole.append(col)
             fractions.append(None)
+            continue
+        if col.dtype != np.float64 or not (col < _FIXED_LIMIT).all() or np.signbit(col).any():
+            return None
+        ip = col.astype(np.uint64)
+        if (ip == col).all():
+            fractions.append(_NO_FRACTION)
         else:
-            if col.dtype != np.float64 or not (col < _FIXED_LIMIT).all() or np.signbit(col).any():
-                return None
             fixed = _fixed_point(col)
             ip = fixed // _SCALE
-            whole.append(ip)
             fractions.append(fixed - ip * _SCALE)
+        whole.append(ip)
     widths = [len(str(v.max())) for v in whole]
     points = sum(1 + TIMESTAMP_DIGITS for f in fractions if f is not None)
     buf = np.empty((sum(map(len, literals)) + sum(widths) + points, len(columns[0])), np.uint8)
@@ -237,7 +252,7 @@ def _format_rows(literals, fields, columns) -> str | None:
             at += 1 + TIMESTAMP_DIGITS
     buf[at:] = np.frombuffer(literals[-1].encode(), np.uint8)[:, None]
     text = np.ascontiguousarray(buf.T).reshape(-1)
-    return text[text != 0].tobytes().decode()
+    return text[text != 0]
 
 
 class TraceFormatError(ValueError):
@@ -456,71 +471,119 @@ def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarra
 
 
 def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The records of buf[_PAD:], whole lines of canonical records, or None."""
+    """The records of buf[_PAD:], whole lines of canonical records, or None.
+
+    Every line holds exactly three bytes that are not digits (four with
+    CRLF): the point, the separator and the line end. Their offsets are
+    kept as one int32 (3, n) copy, (4, n) with CRLF, a contiguous row per
+    mark, and every field is read from the 8-byte words that end at its last digit
+    (_eight_digits). A field whose width is the same on every line of
+    the block, such as the fraction of a ``%.6f`` or ``%.9f`` column,
+    is read with a scalar mask and a scalar power of ten. The float()
+    scan for timestamps that the one division may not round as float()
+    does runs only when the block's widest integer part and widest
+    fraction add up to more than 15 digits: below that, every
+    timestamp's digits are below 10**15 < 2**53.
+    """
     crlf = buf.find(b"\r") >= 0
     if not buf.endswith(b"\n"):
         buf += b"\r\n" if crlf else b"\n"
     text = np.frombuffer(buf, np.uint8)[_PAD:]
-    # every line holds exactly three bytes that are not digits (four
-    # with CRLF): the point, the separator and the line end
-    marks = np.flatnonzero((text - np.uint8(ord("0"))) > 9)
+    flat = np.flatnonzero((text - np.uint8(ord("0"))) > 9)
     per_line = 4 if crlf else 3
-    if len(marks) % per_line:
+    if len(flat) % per_line:
         return None
-    marks = marks.reshape(-1, per_line)
-    point, sep, end = marks[:, 0], marks[:, 1], marks[:, 2]
+    nd = text[flat]
+    sep_byte = nd[1::per_line]
+    ok = (nd[::per_line] == ord(".")).all() and (nd[per_line - 1 :: per_line] == ord("\n")).all()
+    ok = ok and ((sep_byte == ord(",")) if comma else (sep_byte == ord(" ")) | (sep_byte == ord("\t"))).all()
+    if not ok or crlf and not (nd[2::4] == ord("\r")).all():
+        return None
+    # offsets of text; a block is cut after about _BLOCK bytes, so int32
+    # holds them unless one line is gigabytes long
+    marks = flat.reshape(-1, per_line).T.astype(np.int32 if len(text) < 2**31 else np.int64, order="C")
+    point, sep, end, last = marks[0], marks[1], marks[2], marks[-1]
     line_start = np.empty_like(point)
     line_start[0] = 0
-    line_start[1:] = marks[:-1, -1] + 1
-    sep_byte = text[sep]
-    ok = (text[point] == ord(".")) & (text[marks[:, -1]] == ord("\n"))
-    ok &= (sep_byte == ord(",")) if comma else (sep_byte == ord(" ")) | (sep_byte == ord("\t"))
-    if crlf:
-        ok &= (text[end] == ord("\r")) & (marks[:, 3] == end + 1)
-    int_digits, frac_digits, size_digits = point - line_start, sep - point - 1, end - sep - 1
-    ok &= (int_digits > 0) & (frac_digits > 0) & (size_digits > 0) & (size_digits <= _SIZE_DIGITS)
-    if not ok.all():
+    np.add(last[:-1], 1, out=line_start[1:])
+    if crlf and not (last - end == 1).all():
+        return None
+    int_digits, frac_digits, size_digits = point - line_start, sep - point, end - sep
+    frac_digits -= 1
+    size_digits -= 1
+    ints, fracs, sizes = _Widths(int_digits), _Widths(frac_digits), _Widths(size_digits)
+    if min(ints.low, fracs.low, sizes.low) < 1 or sizes.high > _SIZE_DIGITS:
         return None
 
-    # word i holds bytes i..i+7 of buf
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
-    mantissa = _digits(words, point + _PAD, int_digits)
-    scale = np.minimum(frac_digits, _FIELD_DIGITS)
+    # words[0][i] holds the 8 bytes of text before offset i, words[1][i]
+    # the 8 before those
+    words = [np.ndarray((len(buf) - 15,), "<u8", buf, offset, (1,)) for offset in (_PAD - 8, _PAD - 16)]
+    mantissa = _digits(words, point, ints)
+    scale = min(fracs.high, _FIELD_DIGITS) if fracs.uniform else np.minimum(frac_digits, _FIELD_DIGITS)
     mantissa *= _POW10[scale]
-    mantissa += _digits(words, sep + _PAD, frac_digits)
+    mantissa += _digits(words, sep, fracs)
     ts = mantissa.astype(np.float64)
     ts /= _POW10_FLOAT[scale]
-    for i in np.flatnonzero((int_digits + frac_digits > _FIELD_DIGITS) | (mantissa >= 2**53)).tolist():
-        ts[i] = float(buf[line_start[i] + _PAD : sep[i] + _PAD])
-    sz = _digits(words, end + _PAD, size_digits).astype(np.int64)
-    for i in np.flatnonzero(size_digits > _FIELD_DIGITS).tolist():
-        size = int(buf[sep[i] + _PAD + 1 : end[i] + _PAD])
-        if size > _MAX_SIZE:
-            return None
-        sz[i] = size
+    if ints.high + fracs.high > 15:
+        for i in np.flatnonzero((int_digits + frac_digits > _FIELD_DIGITS) | (mantissa >= 2**53)).tolist():
+            ts[i] = float(buf[line_start[i] + _PAD : sep[i] + _PAD])
+    sz = _digits(words, end, sizes).view(np.int64)  # below 10**16
+    if sizes.high > _FIELD_DIGITS:
+        for i in np.flatnonzero(size_digits > _FIELD_DIGITS).tolist():
+            size = int(buf[sep[i] + _PAD + 1 : end[i] + _PAD])
+            if size > _MAX_SIZE:
+                return None
+            sz[i] = size
     return ts, sz
 
 
-def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The values of the digit fields ending before buffer offsets ends,
+class _Widths:
+    """The digit counts of one field on every line of a block, with their
+    least and greatest; uniform when every line has the same count."""
+
+    def __init__(self, widths: np.ndarray):
+        self.widths = widths
+        self.low, self.high = int(widths.min()), int(widths.max())
+        self.uniform = self.low == self.high
+
+
+def _digits(words, ends: np.ndarray, field: _Widths) -> np.ndarray:
+    """The values of the digit fields ending before text offsets ends,
     exact for widths up to _FIELD_DIGITS, as uint64."""
-    value = _eight_digits(words[ends - 8], np.minimum(widths, 8))
-    if widths.max() > 8:
-        value += _eight_digits(words[ends - 16], np.clip(widths - 8, 0, 8)) * np.uint64(10**8)
+    widths = field.high if field.uniform else field.widths
+    if field.high <= 8:
+        return _eight_digits(words[0][ends], widths)
+    value = _eight_digits(words[0][ends], np.minimum(widths, 8))
+    value += _eight_digits(words[1][ends], np.clip(widths - 8, 0, 8)) * np.uint64(10**8)
     return value
 
 
-def _eight_digits(words: np.ndarray, widths: np.ndarray) -> np.ndarray:
+def _eight_digits(words: np.ndarray, widths: int | np.ndarray) -> np.ndarray:
     """The value of the last `widths` ASCII digits of each word, folded
     pairwise in the word (Lemire 2021, "Number parsing at a gigabyte per
-    second"); the bytes before them count as zeros."""
-    keep = _TOP[widths]
-    v = (words & keep) - (_ZEROS & keep)
-    v = v * np.uint64(10) + (v >> np.uint64(8))  # digit pairs, in bytes 0, 2, 4, 6
-    pairs = np.uint64(0x000000FF000000FF)
-    hundreds = (v & pairs) * np.uint64(100 + (1000000 << 32))
-    ones = ((v >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))
-    return (hundreds + ones) >> np.uint64(32)
+    second"); the bytes before them count as zeros.
+
+    XOR with eight "0" turns each digit into its value, and the bytes
+    before the digits are cleared: by one scalar mask when widths is one
+    number, else by a shift down and back up.
+    """
+    v = words ^ _ZEROS
+    if np.ndim(widths) == 0:
+        w = int(widths)
+        v &= ((1 << 8 * w) - 1) << (64 - 8 * w)
+    else:
+        shift = (64 - 8 * widths).astype(np.uint64)
+        v >>= shift
+        v <<= shift
+    v *= 10 * 256 + 1  # pairs of digits, in bytes 0, 2, 4 and 6 after the shift
+    v >>= 8
+    v &= 0x00FF00FF00FF00FF
+    v *= 100 * 65536 + 1  # groups of four digits, in bytes 0-1 and 4-5
+    v >>= 16
+    v &= 0x0000FFFF0000FFFF
+    v *= 10000 * 2**32 + 1  # all eight digits, in bytes 4-7
+    v >>= 32
+    return v
 
 
 def _comma_separated(lines) -> bool:
@@ -537,17 +600,26 @@ def _text_lines(data: bytes):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
 
 
-def load_trace(path: str | os.PathLike) -> PacketTrace:
+def load_trace(source: str | os.PathLike | BinaryIO) -> PacketTrace:
     """Read a trace file of comma separated ``timestamp,bytes`` or
     whitespace separated ``timestamp bytes`` records; a comma in the
     first record line means CSV.
+
+    source is a path, or a binary file open for reading, which is read
+    to its end in one read() call and left open. Either way the bytes
+    are read once: the records are parsed from those bytes by the byte
+    kernel (_parse_canonical) when they have its canonical shape, and
+    else by the line parser, which names the first bad line.
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped; any other line must hold exactly a timestamp and a plain
     integer size. Timestamps are rebased to start at zero.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
     comma = _comma_separated(_text_lines(data))
     ts, sz = _parse_canonical(data, comma=comma) or _parse_lines(_text_lines(data).readlines(), comma=comma)
     del data
@@ -558,11 +630,12 @@ def load_trace(path: str | os.PathLike) -> PacketTrace:
 
 
 def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:
-    """Write ``timestamp,bytes`` CSV with 9 fractional digits on timestamps.
+    """Write ``timestamp,bytes`` CSV with 9 fractional digits on timestamps,
+    in UTF-8 with LF line ends.
 
     comments are emitted first, one per line, prefixed with ``# ``.
     """
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         write_rows(fh, f"{_FIXED},%d", (trace.timestamps, trace.sizes), comments)
 
 

@@ -697,6 +697,52 @@ class TestManifest:
         for name in outputs:
             assert first_line(tmp_path / name) == f"# manifest: {digest}"
 
+    @pytest.mark.parametrize("subcommand", ["summarize", "queue", "hurst", "tailfit", "shuffle", "report",
+                                            "sweep-blocks"])
+    def test_the_input_is_read_once_and_its_digest_names_those_bytes(self, poisson_file, tmp_path, monkeypatch,
+                                                                      subcommand):
+        monkeypatch.chdir(tmp_path)
+        argv, _, manifest_path, _ = WRITERS[subcommand]
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert run(subcommand, *[poisson_file if a is TRACE else a for a in argv]) == 0
+        monkeypatch.setattr("builtins.open", real_open)
+        assert opened.count(str(poisson_file)) == 1
+
+        written = (tmp_path / manifest_path).read_bytes()
+        body = json.loads(written)
+        inputs = {str(poisson_file): hashlib.sha256(poisson_file.read_bytes()).hexdigest()}
+        assert body["inputs"] == inputs
+        # the bytes of a manifest written with a separate hash of the file
+        want = cli.RunManifest(subcommand=body["subcommand"], parameters=body["parameters"], inputs=inputs,
+                               outputs=body["outputs"])
+        want.write(tmp_path / "want.json")
+        assert written == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("subcommand", sorted(WRITERS))
+    def test_every_output_is_utf8_with_lf_line_ends(self, poisson_file, tmp_path, monkeypatch, subcommand):
+        monkeypatch.chdir(tmp_path)
+        argv, outputs, manifest_path, _ = WRITERS[subcommand]
+        written = {}
+        real_open = open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written[str(file)] = mode if "b" in mode else (mode, kwargs.get("encoding"), kwargs.get("newline"))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        assert run(subcommand, *[poisson_file if a is TRACE else a for a in argv]) == 0
+        monkeypatch.setattr("builtins.open", real_open)
+        assert set(written) == {*outputs, manifest_path}
+        assert set(written.values()) <= {"wb", ("w", "utf-8", "\n")}
+
     def test_digest_covers_parameters(self):
         a = cli.RunManifest(subcommand="gen", parameters={"seed": 1})
         b = cli.RunManifest(subcommand="gen", parameters={"seed": 2})
@@ -797,13 +843,14 @@ class TestReport:
     def test_loads_the_trace_once(self, standin_file, tmp_path, monkeypatch):
         loads = []
 
-        def counting_load(path):
-            loads.append(path)
-            return tl.load_trace(path)
+        def counting_load(source):
+            loads.append(source)
+            return tl.load_trace(source)
 
         monkeypatch.setattr(cli, "load_trace", counting_load)
         assert run("report", standin_file, "--reps", "2", "--seed", "0", "--out-prefix", tmp_path / "r") == 0
-        assert loads == [str(standin_file)]
+        assert len(loads) == 1
+        assert loads[0].getvalue() == standin_file.read_bytes()
 
     def test_analyses_the_first_packets_up_to_the_ladder_top(self, standin_file, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "SAMPLE_LADDER", (10_000, 20_000))

@@ -527,6 +527,87 @@ class TestVectorizedLoader:
             assert not a.flags.writeable
 
 
+def assert_kernel_reads(lines, comma=False, newline="\n"):
+    """The byte kernel reads the lines bit for bit as the line parser does."""
+    data = (newline.join(lines) + newline).encode()
+    got = traces._parse_canonical(data, comma=comma)
+    want = traces._parse_lines(traces._text_lines(data).readlines(), comma=comma)
+    assert got is not None
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelBoundaries:
+    """The byte kernel at the edges of its shortcuts: fields of one width
+    on every line of a block (a scalar mask and power of ten), the
+    float() scan that runs only past 15 timestamp digits, fraction and
+    size widths either side of one 8-byte word, and separators."""
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["1.500000 100", "2.250000 200", "3.125000 300"],
+            ["1.500000 100", "22.250000 200", "333.125000 300"],
+            ["1.5 100", "2.25 200", "3.125000000 300"],
+            ["1.5 1", "2.5 22", "3.5 4444"],
+            ["1.5 1", "22.25 22", "333.125000000 4444"],
+            ["123456789.123456 123456789012", "123456789.654321 987654321098"],
+            ["1.5 123456789012", "12345.25 1", "1234567890.125 12345678901"],
+        ],
+        ids=["uniform", "mixed_ints", "mixed_fractions", "mixed_sizes", "all_mixed", "uniform_wide", "mixed_wide"],
+    )
+    def test_uniform_and_mixed_field_widths(self, lines):
+        assert_kernel_reads(lines)
+
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            ["123456789.012345"],
+            ["999999999.999999", "12345678901234.5"],
+            ["900719925474099.5"],
+            ["90071992547409.93"],
+            ["123456789.012345", "900719925474099.5"],
+            ["1.123456", "1234567890.1"],
+            ["1.0000000000000001"],
+            ["12345678.123456789", "12345678.987654321"],
+        ],
+        ids=["15", "15_wide_int", "16_past_2**53", "16_past_2**53_two_places", "15_and_16",
+             "16_across_lines", "17", "17_uniform"],
+    )
+    def test_timestamp_digit_counts(self, stamps):
+        # 16 digits may reach 2**53, where m / 10**f is not float()'s value:
+        # 900719925474099.5 and 90071992547409.93 are two such
+        assert_kernel_reads([f"{t} 100" for t in stamps])
+
+    @pytest.mark.parametrize("digits", [6, 9])
+    def test_fixed_fractions(self, digits):
+        rng = np.random.default_rng(digits)
+        ts = np.sort(rng.uniform(0, 5000, 3000))
+        assert_kernel_reads([f"{t:.{digits}f} {s}" for t, s in zip(ts, rng.integers(1, 10**6, len(ts)))])
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ["12345678"], ["123456789"], ["1234567890123456"], ["12345678901234567"],
+            ["123456789012345678"], ["9223372036854775807"],
+            ["12345678", "123456789", "1234567890123456", "12345678901234567", "9223372036854775807", "7"],
+        ],
+        ids=["8", "9", "16", "17", "18", "19", "mixed"],
+    )
+    def test_size_digit_counts(self, sizes):
+        assert_kernel_reads([f"{0.5 * i:.6f} {s}" for i, s in enumerate(sizes)])
+
+    @pytest.mark.parametrize(
+        "sep, newline, comma",
+        [("\t", "\n", False), ("\t", "\r\n", False), (" ", "\r\n", False), (",", "\r\n", True)],
+    )
+    def test_separators_and_line_ends(self, sep, newline, comma):
+        lines = [f"{0.25 * i:.9f}{sep}{100 + i}" for i in range(50)]
+        if not comma:
+            lines[7] = lines[7].replace(sep, " " if sep == "\t" else "\t")
+        assert_kernel_reads(lines, comma=comma, newline=newline)
+
+
 def python_rows(fmt, columns):
     """The reference: Python % on each row of Python scalars."""
     line = fmt + "\n"
@@ -593,7 +674,7 @@ class TestVectorizedWriter:
         columns = [np.array([value]), np.array([2**63 - 1])]
         want = f"{text},9223372036854775807\n"
         assert python_rows("%.9f,%d", columns) == want
-        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%d"], columns) == want
+        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%d"], columns).tobytes().decode() == want
         assert written_rows("%.9f,%d", columns) == want
 
     @pytest.mark.parametrize("value", [-0.0, float("nan"), float("inf"), -float("inf"), -1e-12, FIXED_LIMIT])
@@ -628,6 +709,46 @@ class TestVectorizedWriter:
         sz = np.concatenate([[1], np.geomspace(1, 2**62, 60).astype(np.int64)])
         for fmt, columns in (("%.9f,%d", (ts, sz)), ("%.9f,%.9f", (ts, ts[::-1]))):
             assert_same_text(written_rows(fmt, columns), python_rows(fmt, columns))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0], [9007199.0], [0.0, 3.0, 9007199.0, 42.0], [0.0, 1.0, 2.5, 9007199.0, np.nextafter(FIXED_LIMIT, 0)]],
+        ids=["zero", "largest_whole", "whole", "whole_and_fractional"],
+    )
+    def test_whole_number_chunks(self, values):
+        # 9007199 is the largest whole number below 2**53 / 10**9
+        columns = [np.array(values), np.arange(len(values))]
+        want = python_rows("%.9f,%d", columns)
+        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%d"], columns).tobytes().decode() == want
+        assert written_rows("%.9f,%d", columns) == want
+
+    @pytest.mark.parametrize("special", [-0.0, float("nan"), float("inf")])
+    def test_a_whole_number_chunk_with_a_special_value_falls_back(self, special):
+        columns = [np.array([1.0, special, 2.0]), np.array([1.0, 2.0, 3.0])]
+        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%.9f"], columns) is None
+        assert written_rows("%.9f,%.9f", columns) == python_rows("%.9f,%.9f", columns)
+
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    def test_a_python_chunk_between_numpy_chunks_keeps_file_order(self, mode, tmp_path, monkeypatch):
+        monkeypatch.setattr(traces, "_WRITE_CHUNK", 3)
+        x = np.array([0.5, 1.0, 2.0, 3.0, -0.0, 4.0, 5.25, 6.0, 7.0])  # -0.0 sends the second chunk to Python %
+        columns = (x, np.arange(1, 10))
+        assert traces._format_rows(["", ",", "\n"], ["%.9f", "%d"], [c[3:6] for c in columns]) is None
+        path = tmp_path / "rows.csv"
+        with open(path, mode) as fh:
+            traces.write_rows(fh, "%.9f,%d", columns, ("manifest: abc",))
+        assert path.read_bytes() == ("# manifest: abc\n" + python_rows("%.9f,%d", columns)).encode()
+
+    @pytest.mark.parametrize("sink", [io.StringIO, io.BytesIO])
+    def test_step_queue_path_in_a_text_and_a_binary_sink(self, sink):
+        trace = tl.generate_poisson(200.0, 100, 3000, tl.substream(4))
+        path = tl.packet_fifo(trace, 25000.0).path
+        assert np.all(path.levels == np.round(path.levels))
+        fh = sink()
+        path.write_csv(fh, comments=("manifest: abc",))
+        want = "# manifest: abc\n# time,level\n" + python_rows("%.9f,%.9f", (path.times, path.levels))
+        got = fh.getvalue()
+        assert_same_text(got if sink is io.StringIO else got.decode(), want)
 
     def test_saved_trace_bytes(self, tmp_path):
         tr = tl.generate_poisson(200.0, 100, 3000, tl.substream(4))
