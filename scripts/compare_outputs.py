@@ -6,22 +6,27 @@ checkout, and report every output file that differs between the two.
 
 REV (any git revision, such as HEAD or a commit id) is exported with
 `git archive` into a temporary directory; the checkout is used as it
-stands, uncommitted edits included. Each side runs the same commands
-from its own empty temporary output directory, with relative file
-names, so manifests and gnuplot files name the same paths. Every
-command's exit status, stdout and stderr are kept beside its outputs
-and compared as well. Nothing is written inside the repository: the
+stands, uncommitted edits included. Each side runs run_commands, the
+runner tests/test_golden.py also uses, in one fresh interpreter on that
+side's package and scripts, from its own empty temporary output
+directory, with relative file names, so manifests and gnuplot files
+name the same paths. Every command's exit status, stdout and stderr
+are kept beside its outputs, and the two sides' files are compared by
+their SHA-256 digests. Nothing is written inside the repository: the
 temporary directories are removed at exit and no bytecode is cached.
 
 Exit status is 0 when both sides wrote the same files byte for byte,
 and 1 otherwise.
 """
 import argparse
-import filecmp
+import hashlib
+import io
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -185,25 +190,34 @@ COMMANDS = [
 ]
 
 
-def write_inputs(outdir: Path) -> None:
-    """The input files that COMMANDS read besides the traces they generate."""
-    (outdir / "text.txt").write_text(TEXT_TRACE)
-    (outdir / "kernel.txt").write_bytes(KERNEL_TRACE.encode())
-    (outdir / "kernel_long.txt").write_bytes(KERNEL_LONG_TRACE.encode())
-    (outdir / "huge.txt").write_text(HUGE_TRACE)
-    (outdir / "mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
+def run_commands(scripts: Path) -> None:
+    """Write the input files that COMMANDS read besides the traces they
+    generate, then run every command in-process, in the working
+    directory: cli.main, or the main of the script of that name under
+    scripts. Each command's exit status, stdout and stderr go to
+    <name>.log beside its outputs."""
+    from trafficlab import cli
+
+    Path("text.txt").write_text(TEXT_TRACE)
+    Path("kernel.txt").write_bytes(KERNEL_TRACE.encode())
+    Path("kernel_long.txt").write_bytes(KERNEL_LONG_TRACE.encode())
+    Path("huge.txt").write_text(HUGE_TRACE)
+    Path("mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
+    for name, (head, *argv) in COMMANDS:
+        run = cli.main if head == "cli" else runpy.run_path(str(scripts / head))["main"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = run(argv)
+            except SystemExit as exc:  # argparse
+                status = exc.code
+        Path(f"{name}.log").write_text(f"exit {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
-def run_commands(tree: Path, outdir: Path) -> None:
-    """Run every command with tree's package, writing into outdir."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    write_inputs(outdir)
-    for name, (head, *rest) in COMMANDS:
-        prog = ["-m", "trafficlab.cli"] if head == "cli" else [str(tree / "scripts" / head)]
-        proc = subprocess.run([sys.executable, *prog, *rest], cwd=outdir, env=env,
-                              capture_output=True, text=True)
-        (outdir / f"{name}.log").write_text(
-            f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+def digests(outdir: Path) -> dict[str, str]:
+    """The SHA-256 of each file under outdir, keyed by its relative path."""
+    return {str(p.relative_to(outdir)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
 
 
 def export(rev: str, tree: Path) -> str:
@@ -217,18 +231,13 @@ def export(rev: str, tree: Path) -> str:
     return sha
 
 
-def differences(left: Path, right: Path) -> tuple[int, list[str]]:
-    """Files compared, and a line for each file that is missing on one side or differs."""
-    names = {p.relative_to(left) for p in left.rglob("*") if p.is_file()}
-    names |= {p.relative_to(right) for p in right.rglob("*") if p.is_file()}
-    out = []
-    for name in sorted(names):
-        a, b = left / name, right / name
-        if not a.is_file() or not b.is_file():
-            out.append(f"only in {'checkout' if b.is_file() else 'revision'}: {name}")
-        elif not filecmp.cmp(a, b, shallow=False):
-            out.append(f"differs: {name}")
-    return len(names), out
+def differences(left: dict[str, str], right: dict[str, str]) -> tuple[int, list[str]]:
+    """Files compared, and a line for each file that is missing on one
+    side or differs, given the digests of the revision and the checkout."""
+    names = sorted(left.keys() | right.keys())
+    return len(names), [f"differs: {name}" if name in left and name in right
+                        else f"only in {'checkout' if name in right else 'revision'}: {name}"
+                        for name in names if left.get(name) != right.get(name)]
 
 
 def main(argv=None) -> int:
@@ -242,9 +251,14 @@ def main(argv=None) -> int:
         for d in (tree, left, right):
             d.mkdir()
         sha = export(args.rev, tree)
-        run_commands(tree, left)
-        run_commands(REPO, right)
-        count, diffs = differences(left, right)
+        # each side in a fresh interpreter on its own package, with this
+        # file's run_commands running that side's scripts
+        code = "import sys, pathlib, compare_outputs; compare_outputs.run_commands(pathlib.Path(sys.argv[1]))"
+        for side, outdir in ((tree, left), (REPO, right)):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(side / "src"), str(REPO / "scripts")]),
+                   "PYTHONDONTWRITEBYTECODE": "1"}
+            subprocess.run([sys.executable, "-c", code, str(side / "scripts")], cwd=outdir, env=env, check=True)
+        count, diffs = differences(digests(left), digests(right))
     for line in diffs:
         print(line)
     print(f"{len(COMMANDS)} commands, {count} files compared against {sha[:12]}: {len(diffs)} differ")

@@ -66,9 +66,9 @@ class RunManifest:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def write(self, path: str) -> None:
-        with _open_text(path) as fh:
-            json.dump({**self._body(), "digest": self.digest()}, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+        text = json.dumps({**self._body(), "digest": self.digest()}, sort_keys=True, indent=2, allow_nan=False)
+        with open(path, "wb") as fh:
+            fh.write(f"{text}\n".encode())
 
 
 def _strict_json(value):
@@ -92,11 +92,11 @@ def _load(path: str) -> tuple[PacketTrace, dict]:
     return load_trace(io.BytesIO(data)), {path: hashlib.sha256(data).hexdigest()}
 
 
-def _open_text(path: str):
-    """path opened to write text in UTF-8 with LF line ends, as save_trace
-    writes, so that every output of a command is encoded alike whatever
-    the locale."""
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write(path: str, fmt: str, columns, comments: tuple[str, ...]) -> None:
+    """path opened in binary and written by write_rows, so that every
+    output of a command is UTF-8 with LF line ends whatever the locale."""
+    with open(path, "wb") as fh:
+        write_rows(fh, fmt, columns, comments)
 
 
 @contextmanager
@@ -120,8 +120,7 @@ def _write_row_csv(path: str, comment: str, row: dict) -> None:
     """One-row CSV of column -> value; floats and bools are written as float reprs, anything
     else as text, so an int such as a byte total keeps every digit."""
     cells = [[float(v)] if isinstance(v, (bool, float, np.floating)) else [v] for v in row.values()]
-    with _open_text(path) as fh:
-        write_rows(fh, ",".join(["%s"] * len(row)), cells, (comment, ",".join(row)))
+    _write(path, ",".join(["%s"] * len(row)), cells, (comment, ",".join(row)))
 
 
 def _int_list(text: str) -> list[int]:
@@ -259,11 +258,10 @@ def cmd_shuffle(args) -> int:
 def _write_gnuplot(out_prefix: str, comment: str, logscale: str, xlabel: str, ylabel: str, plots: list[str],
                    settings: tuple[str, ...] = ()) -> None:
     """<out_prefix>.gp, drawing plots into <out_prefix>.png; settings come right before the plot line."""
-    lines = [f"# {comment}", 'set datafile separator ","', f"set logscale {logscale}", f'set xlabel "{xlabel}"',
+    lines = ['set datafile separator ","', f"set logscale {logscale}", f'set xlabel "{xlabel}"',
              f'set ylabel "{ylabel}"', "set terminal pngcairo size 900,600", f'set output "{out_prefix}.png"',
              *settings, "plot " + ", ".join(plots)]
-    with _open_text(out_prefix + ".gp") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    _write(out_prefix + ".gp", "%s", [lines], (comment,))
 
 
 SWEEP_XLABELS = {"sample_size": "sample size (packets)", "block_size": "shuffle block size (packets)"}
@@ -276,7 +274,7 @@ def _write_sweep(out_prefix: str, comment: str, sweep) -> None:
     if sweep.baseline is not None:
         settings = (f"baseline = {float(sweep.baseline)!r}",)
         plots.append('baseline with lines dashtype 2 title "unshuffled"')
-    with _open_text(csv_path) as fh:
+    with open(csv_path, "wb") as fh:
         sweep.write_csv(fh, comments=(comment,))
     _write_gnuplot(out_prefix, comment, "x", SWEEP_XLABELS[sweep.x_label], "mean queue (packets)", plots, settings)
 
@@ -320,8 +318,7 @@ def cmd_diverge(args) -> int:
                     "cycles,median,mean,std," + ",".join(f"rep_{i + 1}" for i in range(args.reps)))
         # cycles, median, mean, std, then one column per replication
         columns = (sizes, *zip(*stats), *zip(*(p.rep_means for p in sweep.points)))
-        with _open_text(csv_path) as fh:
-            write_rows(fh, ",".join(["%r"] * len(columns)), columns, comments)
+        _write(csv_path, ",".join(["%r"] * len(columns)), columns, comments)
         _write_gnuplot(args.out_prefix, comment, "xy", "cycles simulated", "mean queue",
                        [f'"{csv_path}" using 1:2 with linespoints title "median"',
                         f'"{csv_path}" using 1:3:4 with yerrorlines title "mean +/- std"'])
@@ -405,8 +402,7 @@ def cmd_tailfit(args) -> int:
         _write_row_csv(args.output, comment, row)
         if args.ccdf_out:
             xs, cc = empirical_ccdf(samples)
-            with _open_text(args.ccdf_out) as fh:
-                write_rows(fh, "%r,%r", (xs, cc), (comment, "x,ccdf"))
+            _write(args.ccdf_out, "%r,%r", (xs, cc), (comment, "x,ccdf"))
     print(f"alpha_hat = {fit.alpha_hat:.4f} over [{lo:g}, {hi:g}] (r2 {fit.fit_r2:.4f})")
     return 0
 

@@ -131,7 +131,7 @@ def _in_order(fn, items, ahead: int = 2):
 
 def write_rows(fh, fmt: str, columns, comments=()) -> None:
     """Write each comment as a ``# `` line, then one ``fmt % row`` line per
-    row of the parallel columns, to a text file or a binary one.
+    row of the parallel columns, to the binary file fh in UTF-8.
 
     The text is exactly that of ``fmt % row`` with each cell a Python
     scalar, so ``%r`` prints a float's repr and never a numpy wrapper.
@@ -145,11 +145,9 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
     Python ``%``. tests/test_traces.py::TestVectorizedWriter checks the
     two byte for byte.
 
-    A buffered binary file (an io.BufferedIOBase, as open(path, "wb")
-    and io.BytesIO are) is written in UTF-8: the bytes numpy laid out
+    fh is a file opened "wb" or an io.BytesIO: the bytes numpy laid out
     are handed to it as they are, and the comments and the Python ``%``
-    chunks are encoded. Any other file is given text, with numpy's
-    bytes decoded.
+    chunks are encoded.
 
     The chunks are formatted on _in_order's pool and written in order
     from the calling thread, so at most 2 * _workers() chunks are
@@ -157,8 +155,7 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
     whatever the row count or the speed of fh. An exception from a
     chunk comes out after every chunk before it was written.
     """
-    binary = isinstance(fh, io.BufferedIOBase)
-    fh.writelines(f"# {c}\n".encode() if binary else f"# {c}\n" for c in comments)
+    fh.writelines(f"# {c}\n".encode() for c in comments)
     line = fmt + "\n"
     parts = _FIELDS.split(line)
     literals, fields = parts[::2], parts[1::2]
@@ -168,9 +165,8 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
         chunk = [np.asarray(c[lo : lo + _WRITE_CHUNK]) for c in columns]
         rows = _format_rows(literals, fields, chunk) if numpy_layout else None
         if rows is None:
-            text = "".join(line % row for row in zip(*(c.tolist() for c in chunk)))
-            return text.encode() if binary else text
-        return rows if binary else str(rows, "utf-8")
+            return "".join(line % row for row in zip(*(c.tolist() for c in chunk))).encode()
+        return rows
 
     for piece in _in_order(format_chunk, range(0, len(columns[0]), _WRITE_CHUNK)):
         fh.write(piece)

@@ -734,14 +734,14 @@ class TestManifest:
 
         def recording_open(file, mode="r", *args, **kwargs):
             if "w" in mode:
-                written[str(file)] = mode if "b" in mode else (mode, kwargs.get("encoding"), kwargs.get("newline"))
+                written[str(file)] = mode
             return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr("builtins.open", recording_open)
         assert run(subcommand, *[poisson_file if a is TRACE else a for a in argv]) == 0
         monkeypatch.setattr("builtins.open", real_open)
         assert set(written) == {*outputs, manifest_path}
-        assert set(written.values()) <= {"wb", ("w", "utf-8", "\n")}
+        assert set(written.values()) == {"wb"}
 
     def test_digest_covers_parameters(self):
         a = cli.RunManifest(subcommand="gen", parameters={"seed": 1})

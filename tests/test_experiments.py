@@ -518,9 +518,9 @@ POOL = max(2, traces._workers())
 
 
 def sweep_csv(sweep) -> str:
-    fh = io.StringIO()
+    fh = io.BytesIO()
     sweep.write_csv(fh)
-    return fh.getvalue()
+    return fh.getvalue().decode()
 
 
 class TestPooledReplications:
@@ -715,9 +715,9 @@ class TestSweepCsv:
             tl.SweepPoint(10.0, 4.0, 1.0, (3.0, 5.0)),
         ]
         sweep = tl.SweepResult(x_label="block_size", points=points, baseline=6.25)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         sweep.write_csv(buf, comments=("manifest: deadbeef",))
-        lines = buf.getvalue().splitlines()
+        lines = buf.getvalue().decode().splitlines()
         assert lines[0] == "# manifest: deadbeef"
         assert lines[1] == "# block_size,mean,std,rep_1,rep_2"
         assert lines[2] == "# baseline_mean_queue: 6.25"
@@ -726,17 +726,17 @@ class TestSweepCsv:
 
     def test_baseline_line_omitted_without_baseline(self):
         sweep = tl.SweepResult(x_label="sample_size", points=[tl.SweepPoint(1.0, 2.0, 0.0, (2.0,))])
-        buf = io.StringIO()
+        buf = io.BytesIO()
         sweep.write_csv(buf)
-        assert "baseline" not in buf.getvalue()
+        assert "baseline" not in buf.getvalue().decode()
 
     def test_rows_parse_back_to_the_points(self):
         tr = tl.generate_poisson(200.0, 100, 300, substream(7))
         plan = tl.ReplicationPlan(master_seed=8, replications=2)
         sweep = tl.blocksize_sweep(tr, [10, 50], plan, rho=0.5)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         sweep.write_csv(buf)
-        rows = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
+        rows = [l for l in buf.getvalue().decode().splitlines() if not l.startswith("#")]
         for row, point in zip(rows, sweep.points):
             x, mean, std, *reps = (float(v) for v in row.split(","))
             assert (x, mean, std) == (point.x, point.mean, point.std)

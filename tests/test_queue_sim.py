@@ -531,9 +531,9 @@ class TestQueuePath:
         import io
 
         path = tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0).path
-        buf = io.StringIO()
+        buf = io.BytesIO()
         path.write_csv(buf, comments=("demo",))
-        lines = buf.getvalue().splitlines()
+        lines = buf.getvalue().decode().splitlines()
         assert lines[0] == "# demo"
         assert lines[1] == "# time,level"
         assert len(lines) == 2 + len(path.times)
