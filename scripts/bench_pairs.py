@@ -14,10 +14,16 @@ runs first in even pairs and the checkout in odd ones.
 The file holds every pair and, per workload and side, the median and
 quartiles of each end-to-end metric, the pairs each side won on it
 (ties count for neither), the runs that were correct, the operations
-attempted and failed, and the `env` block run.py printed. The host's
-speed moves by up to 2x between sessions, so only pairs from one
-session compare. --report prints the summary table of a written file,
-recomputed from its pairs alone.
+attempted and failed, and the `env` block run.py printed. After its
+pairs, each workload runs once more per side with `--trace 1` and seed
+S+N, for N pairs; the file keeps that run's correct, attempted and
+failed counts and its `*.calls` metrics, which run.py checks against
+the workload's `expected_calls`. Its self times are left out: the
+tracer's span stack is shared between threads, so the self times of
+spans run on a pool mix. The host's speed moves by up to 2x between
+sessions, so only pairs from one session compare. --report prints the
+summary table of a written file, recomputed from its pairs alone, and
+whether the two sides' traced runs made the same calls.
 """
 import argparse
 import json
@@ -49,6 +55,12 @@ def parse_run(stdout: str) -> dict:
     }
 
 
+def traced_run(run: dict) -> dict:
+    """A --trace 1 run, as parsed by parse_run, kept as its counts and its *.calls metrics."""
+    return {**{key: run[key] for key in ("correct", "attempted", "failed")},
+            "calls": {name: v for name, v in run["metrics"].items() if name.endswith(".calls")}}
+
+
 def _spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
@@ -73,9 +85,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return {"pairs": len(pairs), "metrics": metrics, "counts": counts}
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode not in (0, 1) or not proc.stdout.strip():
         raise SystemExit(f"run.py failed in {tree} ({workload}, seed {seed}):\n{proc.stderr}")
@@ -99,6 +111,14 @@ def report(bench: dict) -> str:
         lines.append(f"| {workload} | correct runs, ops attempted/failed | "
                      + " | ".join(f"{counts[s]['correct']}, {counts[s]['attempted']}/{counts[s]['failed']}"
                                   for s in SIDES) + " | | |")
+        traced = entry.get("traced")
+        if traced:
+            a, b = traced["rev"]["calls"], traced["checkout"]["calls"]
+            differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+            lines.append(f"| {workload} | traced run (seed {traced['seed']}): correct, ops attempted/failed | "
+                         + " | ".join(f"{traced[s]['correct']}, {traced[s]['attempted']}/{traced[s]['failed']}"
+                                      for s in SIDES)
+                         + f" | | calls {'differ: ' + ', '.join(differ) if differ else 'equal'} |")
     return "\n".join(lines)
 
 
@@ -131,7 +151,8 @@ def main(argv=None) -> int:
             "rev": {"name": args.rev, "sha": export(args.rev, tree)},
             "checkout": {"sha": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain"))},
             "settings": {"seconds": seconds, "pairs": args.pairs, "first_seed": args.first_seed,
-                         "command": "perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0"},
+                         "command": "perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0",
+                         "traced_command": "perfbench/run.py --workload W --seed S+PAIRS --seconds SECONDS --trace 1"},
             "workloads": {},
         }
         trees = {"rev": tree, "checkout": REPO}
@@ -146,7 +167,10 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} cpu_s {pair[side]['metrics']['cpu_s']:.3f}" for side in SIDES), file=sys.stderr)
-            bench["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            seed = args.first_seed + args.pairs
+            traced = {"seed": seed, **{side: traced_run(_run(trees[side], workload, seed, seconds, trace=1))
+                                       for side in SIDES}}
+            bench["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better), "traced": traced}
     (REPO / args.out).write_text(json.dumps(bench, indent=1) + "\n")
     print(report(bench))
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -135,21 +135,23 @@ def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float,
     replication i of the j-th x. A baseline trace is served first, and
     its mean queue set as result.baseline.
 
-    The traces are served on traces._in_order's pool, one packet_fifo
-    call per thread, and their means come back in replication order, so
-    the points hold the bits a serial loop gives. Each trace is made in
-    the calling thread as the pool takes it, and at most _workers() + 1
-    exist at once. Arrays that a worker thread allocates and frees can
-    stay with that thread's malloc arena, so the arrays a replication
-    keeps, its trace among them, are made here; block shuffles read the
-    gaps blocksize_sweep made before the first. An error in a
-    replication comes out at it, after the points before it.
+    The replications run on traces._in_order's pool: each worker thread
+    makes a replication's trace from its key (x, i, j) and serves it,
+    and the means come back in replication order, so the points hold
+    the bits a serial loop gives. At most _workers() traces besides the
+    baseline exist at once. An error in a replication comes out at it,
+    after the points before it.
     """
     reps = plan.replications
-    made = (make_trace(x, substream(plan.master_seed, i, j)) for j, x in enumerate(xs) for i in range(reps))
-    if baseline is not None:
-        made = chain([baseline], made)
-    means = _in_order(lambda trace: packet_fifo(trace, bandwidth).mean_queue, made, ahead=1)
+    keys = [(x, i, j) for j, x in enumerate(xs) for i in range(reps)]
+
+    def mean_queue(key):
+        if key is None:
+            return packet_fifo(baseline, bandwidth).mean_queue
+        x, i, j = key
+        return packet_fifo(make_trace(x, substream(plan.master_seed, i, j)), bandwidth).mean_queue
+
+    means = _in_order(mean_queue, keys if baseline is None else [None, *keys], ahead=1)
     if baseline is not None:
         result.baseline = next(means)
     for x in xs:
@@ -167,27 +169,25 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
     reorder_nonoverlap(bursts, m, lam) and takes the mean queue of every
     prefix of the sorted distinct sizes from one prefix_mean_queue call.
 
-    The calling thread makes each replication's process as _in_order's
-    pool takes it: the uniforms, the bursts drawn into the uniforms' own
-    buffer, and the process, which keeps the bursts and computes their
-    silences a run at a time in the queue kernel. A replication so holds
-    one max(sizes)-length array. The worker threads run only
-    prefix_mean_queue, and its means come back in replication order, so
-    the points hold the bits a serial loop gives. At most _workers() + 1
-    replications' bursts exist at once, made here for the reason
-    _replicate gives. An error in making a replication comes out at it.
+    The replications run on traces._in_order's pool: each worker thread
+    draws a replication's uniforms, draws the bursts into the uniforms'
+    own buffer, builds the process, which keeps the bursts and computes
+    their silences a run at a time in the queue kernel, and runs
+    prefix_mean_queue. A replication so holds one max(sizes)-length
+    array, and at most _workers() exist at once. The means come back in
+    replication order, so the points hold the bits a serial loop gives,
+    and an error in a replication comes out at it.
     """
     sizes = sorted({int(n) for n in sizes})
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive cycle counts")
 
-    def reordered(i):
+    def prefix_means(i):
         u = _open_uniform(substream(plan.master_seed, i), sizes[-1])
-        return reorder_nonoverlap(sample_heavy_tail(tail, u, out=u), m, lam)
+        return prefix_mean_queue(reorder_nonoverlap(sample_heavy_tail(tail, u, out=u), m, lam), sizes)
 
-    made = (reordered(i) for i in range(plan.replications))
     per_size = {n: [] for n in sizes}
-    for means in _in_order(lambda process: prefix_mean_queue(process, sizes), made, ahead=1):
+    for means in _in_order(prefix_means, range(plan.replications), ahead=1):
         for n, mean_queue in means:
             per_size[n].append(mean_queue)
     points = [SweepPoint(float(n), *aggregate_replications(means), tuple(means)) for n, means in per_size.items()]
@@ -349,6 +349,8 @@ def blocksize_sweep(
     if not block_sizes or block_sizes[0] < 1:
         raise ValueError("block_sizes must be positive")
     b = _resolve_bandwidth(trace, bandwidth, rho)
-    trace.gaps  # made here, once, not in the pool's threads: see _replicate
+    # made here, once: gaps made by a worker thread stay in its malloc
+    # arena, which raised sweep_blocks_onoff's peak from 97 to 121 MiB (README)
+    trace.gaps
     return _replicate(SweepResult(x_label="block_size"), block_sizes, plan, b,
                       lambda blk, rng: block_shuffle(trace, blk, rng), baseline=trace)

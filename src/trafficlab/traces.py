@@ -81,45 +81,30 @@ def _workers() -> int:
 
 
 def _in_order(fn, items, ahead: int = 2):
-    """fn(item) for each of the items, yielded in their order.
+    """fn(item) for each item of the sized sequence items, yielded in order.
 
-    The items are read one at a time in the calling thread, each just
-    before its call is submitted, so an iterator that makes its items
-    (as experiments._replicate's makes replication traces, and
-    experiments.prefix_mean_sweep's its reordered processes) makes them
-    all in the caller. With more than one usable CPU, and unless items
-    has a length below 2, the calls run on a pool of _workers() threads,
-    made when the iteration starts and shut down when it ends. The text
-    kernels and the queue kernel spend most of their time in numpy loops
-    that release the GIL, so the threads can share the cores. At most
-    ahead * _workers() calls are submitted and not yet yielded, so
-    however slowly the caller consumes, no more results than that wait
-    in memory, and no more than one item besides them has been read.
-    An exception from fn comes out at its item, after every result
-    before it was yielded, and so does one raised while reading an
-    item; calls not yet started are cancelled.
+    With more than one usable CPU and at least two items, the calls run
+    on a pool of _workers() threads, made when the iteration starts and
+    shut down when it ends. The text kernels and the queue kernels spend
+    most of their time in numpy loops that release the GIL, so the
+    threads can share the cores. At most ahead * _workers() calls are
+    submitted and not yet yielded, so however slowly the caller
+    consumes, no more results than that wait in memory. An exception
+    from fn comes out at its item, after every result before it was
+    yielded; calls not yet started are cancelled.
     """
     workers = _workers()
-    if workers < 2 or (hasattr(items, "__len__") and len(items) < 2):
+    if workers < 2 or len(items) < 2:
         yield from map(fn, items)
         return
     # imported on first use: concurrent.futures takes about 7 ms to import
     # (2-core VM, Python 3.11), which a command that never pools need not pay
     from concurrent.futures import ThreadPoolExecutor
 
-    items = iter(items)
     pool = ThreadPoolExecutor(workers)
     pending = deque()
     try:
-        while True:
-            try:
-                item = next(items)
-            except StopIteration:
-                break
-            except Exception:
-                while pending:
-                    yield pending.popleft().result()
-                raise
+        for item in items:
             if len(pending) == ahead * workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, item))

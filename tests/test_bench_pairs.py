@@ -25,6 +25,19 @@ def run_output(wall, items, cpu, peak, setup, attempted=10, failed=0):
     return json.dumps(record) + "\n" + json.dumps(result) + "\n"
 
 
+def traced_output(load_calls, failed=0):
+    """The two JSON lines of a --trace 1 run: per-layer metrics, calls among them."""
+    record = {"perfbench": {"workload": "trace_pipeline_1m", "seed": 11, "seconds": 12.0, "trace": 1,
+                            "size": "full", "env": ENV, "numpy": "2.4.6", "setup_s": [1.0] * 5,
+                            "op_walls": [1.0] * 8, "failures": []}}
+    metrics = {"cli.main.calls": (5.0, "count"), "cli.main.self_s": (0.01, "s"),
+               "traces.load_trace.calls": (load_calls, "count"), "traces.load_trace.self_s": (0.3, "s"),
+               "traces.load_trace.lines": (5e6, "lines"), "harness.traced_ops": (4.0, "count")}
+    result = {"correct": failed == 0, "attempted": 8, "failed": failed,
+              "metrics": {name: {"value": v, "unit": unit} for name, (v, unit) in metrics.items()}}
+    return json.dumps(record) + "\n" + json.dumps(result) + "\n"
+
+
 REV = run_output(1.0, 8e6, 1.4, 210.0, 1.0)
 CHECKOUT = run_output(0.85, 9.4e6, 1.2, 210.0, 1.1, attempted=12)
 
@@ -63,6 +76,44 @@ def test_medians_and_quartiles_over_pairs_and_the_report_from_the_file_alone():
              "workloads": {"trace_pipeline_1m": {"pairs": pairs, "summary": summary}}}
     table = bench_pairs.report(json.loads(json.dumps(bench)))
     assert "| trace_pipeline_1m | cpu_s | 3 [2, 4] | 1 [1, 1] | 0.333 | 4/5 |" in table.splitlines()
+
+
+def test_a_traced_run_keeps_its_counts_and_calls_only():
+    run = bench_pairs.traced_run(bench_pairs.parse_run(traced_output(5.0)))
+    assert run == {"correct": True, "attempted": 8, "failed": 0,
+                   "calls": {"cli.main.calls": 5.0, "traces.load_trace.calls": 5.0}}
+
+
+def test_each_workload_ends_with_one_traced_run_per_side_and_the_report_compares_their_calls(tmp_path, monkeypatch):
+    runs = []
+
+    def canned_run(tree, workload, seed, seconds, trace=0):
+        runs.append((tree == bench_pairs.REPO, workload, seed, trace))
+        if trace:
+            return bench_pairs.parse_run(traced_output(5.0 if tree == bench_pairs.REPO else 6.0, failed=1))
+        return bench_pairs.parse_run(REV)
+
+    monkeypatch.setattr(bench_pairs, "_run", canned_run)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, tree: "1" * 40)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", "--out", str(out), "--pairs", "2", "--first-seed", "7"]) == 0
+    bench = json.loads(out.read_text())
+    workloads = list(bench["workloads"])
+    # per workload: two pairs at seeds 7 and 8, then one traced run per side at seed 9
+    assert runs == [(checkout, w, seed, trace) for w in workloads
+                    for checkout, seed, trace in ((False, 7, 0), (True, 7, 0), (True, 8, 0), (False, 8, 0),
+                                                  (False, 9, 1), (True, 9, 1))]
+    traced = bench["workloads"][workloads[0]]["traced"]
+    assert traced["seed"] == 9 and traced["checkout"]["failed"] == 1
+    assert traced["rev"]["calls"] == {"cli.main.calls": 5.0, "traces.load_trace.calls": 6.0}
+    table = bench_pairs.report(bench).splitlines()
+    assert (f"| {workloads[0]} | traced run (seed 9): correct, ops attempted/failed | False, 8/1 | False, 8/1 | | "
+            "calls differ: traces.load_trace.calls |") in table
+    for side in bench_pairs.SIDES:
+        traced[side]["calls"]["traces.load_trace.calls"] = 5.0
+    assert bench_pairs.report(bench).splitlines().count(
+        f"| {workloads[0]} | traced run (seed 9): correct, ops attempted/failed | False, 8/1 | False, 8/1 | | "
+        "calls equal |") == 1
 
 
 @pytest.mark.parametrize("argv", [[], ["HEAD"]])

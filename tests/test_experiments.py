@@ -346,13 +346,13 @@ class TestAllocationBudget:
         budget = 4 * -(-self.N // block) + kernel + runs + self.SMALL
         assert peak_bytes(lambda: replicate(1)) <= budget
 
-    def test_a_pooled_block_sweep_holds_the_gaps_and_one_order_per_thread_and_one_more(self, monkeypatch):
+    def test_a_pooled_block_sweep_holds_the_gaps_and_one_order_per_thread(self, monkeypatch):
         trace = tl.generate_poisson(1000.0, 500, self.N, substream(23))
         bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
         kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
         assert "gaps" not in vars(trace)
         # the baseline and 7 replications run in pairs, each pair's kernels
-        # side by side, while the calling thread makes every trace it may
+        # side by side, each replication's order drawn in its own thread
         together = threading.Barrier(2, timeout=30)
 
         def paired(*args):
@@ -363,16 +363,39 @@ class TestAllocationBudget:
         plan = tl.ReplicationPlan(master_seed=4, replications=7)
         with pool_of(2):
             peak = peak_bytes(lambda: tl.blocksize_sweep(trace, [1], plan, bandwidth=bandwidth))
-        # the gaps, made once in the calling thread, 8N bytes; at most
-        # 2 + 1 int32 orders of N blocks, 4N bytes each, made there too;
-        # and each of the 2 threads' kernel peak, its run buffers (float64
-        # runs of 2**16 gaps and timestamps, an int64 run of sizes) and the
-        # intp copy of a run's 2**16 block indices that take makes. One
-        # more order, 4N bytes, or one more N-length array would exceed
-        # the budget
+        # the gaps, made once in the calling thread, 8N bytes; and each of
+        # the 2 threads' int32 order of N blocks, 4N bytes, its kernel
+        # peak, its run buffers (float64 runs of 2**16 gaps and timestamps,
+        # an int64 run of sizes) and the intp copy of a run's 2**16 block
+        # indices that take makes. One more order, 4N bytes, or one more
+        # N-length array would exceed the budget
         runs = 4 * 8 * 2**16
-        budget = 8 * self.N + 3 * 4 * self.N + 2 * (kernel + runs) + self.SMALL
+        budget = 8 * self.N + 2 * (4 * self.N + kernel + runs) + self.SMALL
         assert peak <= budget
+
+    def test_a_pooled_synthetic_sweep_holds_a_trace_per_thread(self, monkeypatch):
+        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=64,
+                                lambda_target=0.5, off_model="theorem_reordered")
+        src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
+        plan = tl.ReplicationPlan(master_seed=4, replications=3 * POOL)
+        # each replication alone: its trace of N packets, 16N bytes, the
+        # pieces it is cut from, and the kernel's peak
+        alone = max(peak_bytes(lambda: packet_fifo(src.trace(substream(4, i, 0), n_packets=self.N),
+                                                   src.server_rate).mean_queue)
+                    for i in range(plan.replications))
+        # the replications run POOL at a time, their kernels side by side
+        together = threading.Barrier(POOL, timeout=30)
+
+        def side_by_side(*args):
+            together.wait()
+            return packet_fifo(*args)
+
+        monkeypatch.setattr(experiments, "packet_fifo", side_by_side)
+        with pool_of(POOL):
+            peak = peak_bytes(lambda: tl.sample_size_sweep(src, [self.N], plan))
+        # at most POOL replications at once, each within its peak alone.
+        # One more trace, 16N bytes, would exceed the budget
+        assert peak <= POOL * alone + self.SMALL
 
     def _prefix_kernel(self, tail):
         """The peak of prefix_mean_queue on replication 0's process, made
@@ -395,11 +418,11 @@ class TestAllocationBudget:
             assert peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan)) <= budget
 
     @pytest.mark.parametrize("x_max", [None, 1000.0])
-    def test_pooled_prefix_sweep_holds_n_plus_1_arrays(self, x_max, monkeypatch):
+    def test_pooled_prefix_sweep_holds_n_arrays(self, x_max, monkeypatch):
         tail = tl.HeavyTailSpec(1.5, 1.0, x_max)
         kernel = self._prefix_kernel(tail)
         # 6 replications run in pairs, each pair's kernels side by side,
-        # while the calling thread makes every process it may
+        # each replication's bursts drawn in its own thread
         together = threading.Barrier(2, timeout=30)
         prefix_mean_queue = experiments.prefix_mean_queue
 
@@ -411,10 +434,9 @@ class TestAllocationBudget:
         plan = tl.ReplicationPlan(master_seed=3, replications=6)
         with pool_of(2):
             peak = peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan))
-        # at most 2 + 1 replications' bursts, 8N bytes each, made in the
-        # calling thread, and each of the 2 threads' kernel peak. One more
-        # N-length array would exceed the budget
-        budget = 3 * 8 * self.N + 2 * kernel + self.SMALL
+        # each of the 2 threads' replication: its bursts, 8N bytes, and its
+        # kernel peak. One more N-length array would exceed the budget
+        budget = 2 * (8 * self.N + kernel) + self.SMALL
         assert peak <= budget
 
 
@@ -524,9 +546,9 @@ def sweep_csv(sweep) -> str:
 
 
 class TestPooledReplications:
-    """A sweep serves its replications on _in_order's pool: the bytes of a
-    one-thread run, each trace made in the calling thread, an error at its
-    replication, and no thread left behind."""
+    """A sweep runs its replications on _in_order's pool: the bytes of a
+    one-thread run, each trace made and served in one worker thread, an
+    error at its replication, and no thread left behind."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -583,49 +605,59 @@ class TestPooledReplications:
             sys.setswitchinterval(interval)
         assert pooled == [serial] * 3
 
-    def test_traces_are_made_here_and_served_on_the_pool(self, trace, monkeypatch):
+    def test_each_trace_is_made_and_served_in_one_thread(self, trace, monkeypatch):
         made, served = [], []
         shuffle, fifo = experiments.block_shuffle, experiments.packet_fifo
 
         def recorded_shuffle(*args):
-            made.append(threading.get_ident())
-            return shuffle(*args)
+            shuffled = shuffle(*args)
+            made.append((threading.get_ident(), shuffled))
+            return shuffled
 
-        def recorded_fifo(*args):
-            served.append(threading.get_ident())
-            return fifo(*args)
+        def recorded_fifo(served_trace, *args):
+            served.append((threading.get_ident(), served_trace))
+            return fifo(served_trace, *args)
 
         monkeypatch.setattr(experiments, "block_shuffle", recorded_shuffle)
         monkeypatch.setattr(experiments, "packet_fifo", recorded_fifo)
         with pool_of(POOL):
             tl.blocksize_sweep(trace, [1, 10], tl.ReplicationPlan(master_seed=2, replications=5), rho=0.9)
         here = threading.get_ident()
-        assert made == [here] * 10
-        assert len(served) == 11 and here not in served
+        assert len(made) == 10 and len(served) == 11
+        # each shuffle is served once, in the thread that made it, and the
+        # baseline once, all off the calling thread
+        for thread, shuffled in made:
+            assert [t for t, s in served if s is shuffled] == [thread]
+        assert sum(s is trace for _, s in served) == 1
+        assert here not in {t for t, _ in made + served}
 
     def test_a_failing_replication_raises_at_its_point(self, trace):
         # 2**62-byte packets at 1e-290 bytes/s take longer than the largest
         # float, so the seventh replication, the second of x = 2, fails
         huge = tl.PacketTrace(np.array([0.0, 1.0]), np.array([2**62, 2**62]))
         plan = tl.ReplicationPlan(master_seed=3, replications=5)
+        seventh = substream(3, 1, 1).bit_generator.state
 
-        def run():
-            calls = iter(range(100))
+        def make_trace(x, rng):
+            return huge if rng.bit_generator.state == seventh else trace
+
+        before = threading.active_count()
+        runs = []
+        for workers in (1, 2, 5):
             result = SweepResult(x_label="x")
-            with pytest.raises(ValueError, match="is too small") as info:
-                experiments._replicate(result, [1, 2, 3], plan, 1e-290,
-                                       lambda x, rng: huge if next(calls) == 6 else trace)
-            return str(info.value), sweep_csv(result)
-
-        serial, pooled = self.one_thread_and_pooled(run)
-        assert pooled == serial
-        assert serial[1].count("\n") == 2  # the header and the point of x = 1
+            with pool_of(workers), pytest.raises(ValueError, match="is too small") as info:
+                experiments._replicate(result, [1, 2, 3], plan, 1e-290, make_trace)
+            assert threading.active_count() == before
+            runs.append((str(info.value), sweep_csv(result)))
+        assert runs == [runs[0]] * 3
+        assert runs[0][1].count("\n") == 2  # the header and the point of x = 1
 
 
 class TestPooledPrefixMeans:
-    """prefix_mean_sweep serves its replications on _in_order's pool as the
-    sweeps above do: the bits of a one-thread run, each process made in the
-    calling thread, an error at its replication, and no thread left behind."""
+    """prefix_mean_sweep runs its replications on _in_order's pool as the
+    sweeps above do: the bits of a one-thread run, each process made and
+    served in one worker thread, an error at its replication, and no
+    thread left behind."""
 
     TAIL = tl.HeavyTailSpec(1.5, 1.0)
     # one cycle, one 2**16-cycle run, into a second run, and past it
@@ -656,56 +688,66 @@ class TestPooledPrefixMeans:
             want = tl.prefix_mean_queue(tl.reorder_nonoverlap(bursts, 2.0, 0.5), self.SIZES)
             assert [(int(p.x), p.rep_means[i]) for p in serial.points] == want
 
-    def test_bursts_are_made_here_and_served_on_the_pool(self, monkeypatch):
-        made, served = [], []
+    def test_each_replication_is_made_and_served_in_one_thread(self, monkeypatch):
+        drawn, served = [], []
         sample, prefix_means = experiments.sample_heavy_tail, experiments.prefix_mean_queue
 
         def recorded_sample(*args, **kwargs):
-            made.append(threading.get_ident())
-            return sample(*args, **kwargs)
+            bursts = sample(*args, **kwargs)
+            drawn.append((threading.get_ident(), bursts))
+            return bursts
 
-        def recorded_prefix_means(*args):
-            served.append(threading.get_ident())
-            return prefix_means(*args)
+        def recorded_prefix_means(process, sizes):
+            served.append((threading.get_ident(), process))
+            return prefix_means(process, sizes)
 
         monkeypatch.setattr(experiments, "sample_heavy_tail", recorded_sample)
         monkeypatch.setattr(experiments, "prefix_mean_queue", recorded_prefix_means)
         with pool_of(POOL):
             tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=5))
         here = threading.get_ident()
-        assert made == [here] * 5
-        assert len(served) == 5 and here not in served
+        assert len(drawn) == 5 and len(served) == 5
+        # each replication's process, holding its bursts, is served in the
+        # thread that drew them, off the calling thread
+        for thread, bursts in drawn:
+            assert [t for t, p in served if np.shares_memory(p.on_lengths, bursts)] == [thread]
+        assert here not in {t for t, _ in drawn + served}
 
     def test_a_replication_that_cannot_be_made_raises_at_it(self, monkeypatch):
         # the fourth replication's last burst is 1e308, whose silence, three
-        # times as long, overflows, so reorder_nonoverlap refuses it
+        # times as long, overflows, so reorder_nonoverlap refuses it. Each
+        # replication is known by its first uniform, from its substream
+        first = [1.0 - substream(2, i).random() for i in range(7)]
         sample, prefix_means = experiments.sample_heavy_tail, experiments.prefix_mean_queue
-        drawn, served = [], []
+        index_of, served = {}, []
 
         def huge_fourth(tail, u, **kwargs):
+            i = first.index(u[0])
             x = sample(tail, u, **kwargs)
-            drawn.append(len(x))
-            if len(drawn) == 4:
+            index_of[x[0]] = i
+            if i == 3:
                 x[-1] = 1e308
             return x
 
-        def recorded_prefix_means(*args):
-            served.append(args[0].n_cycles)
-            return prefix_means(*args)
+        def recorded_prefix_means(process, sizes):
+            served.append(index_of[process.on_lengths[0]])
+            return prefix_means(process, sizes)
 
         monkeypatch.setattr(experiments, "sample_heavy_tail", huge_fourth)
         monkeypatch.setattr(experiments, "prefix_mean_queue", recorded_prefix_means)
         before = threading.active_count()
-        outcomes = []
         for workers in (1, 2, 5):
-            drawn.clear()
+            index_of.clear()
             served.clear()
             with pool_of(workers), pytest.raises(ValueError, match="non-finite cycle length"):
                 tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=7))
             assert threading.active_count() == before
-            outcomes.append((len(drawn), len(served)))
-        # four replications drawn, the three before the failing one served
-        assert outcomes == [(4, 3)] * 3
+            # the three before the failing one drawn and served, the fourth
+            # drawn and not served; later ones may have run beside them
+            drawn = sorted(index_of.values())
+            assert drawn[:4] == [0, 1, 2, 3] and sorted(served)[:3] == [0, 1, 2] and 3 not in served
+            if workers == 1:
+                assert (drawn, served) == ([0, 1, 2, 3], [0, 1, 2])
 
 
 class TestSweepCsv:

@@ -808,46 +808,21 @@ class TestPool:
         assert info.value is err
         assert fh.getvalue().decode() == python_rows("%.9f,%d", (ts[:28], sz[:28]))
 
-    def test_an_item_that_fails_to_be_read_raises_at_its_place(self):
-        err = RuntimeError("the fifth item")
-
-        def items():
-            yield from range(4)
-            raise err
-
-        got = []
-        with pytest.raises(RuntimeError) as info:
-            for value in traces._in_order(lambda i: i * i, items()):
-                got.append(value)
-        assert info.value is err and got == [0, 1, 4, 9]
-
-        def second_fails(i):
-            if i == 1:
-                time.sleep(0.2)  # the fifth read fails first
-                raise ValueError("the second call")
-            return i
-
-        got.clear()
-        with pytest.raises(ValueError, match="the second call"):
-            for value in traces._in_order(second_fails, items()):
-                got.append(value)
-        assert got == [0]
-
     def test_ahead_bounds_the_items_read_and_not_yielded(self, pool_size):
-        read = []
+        for ahead in (1, 3):
+            started = []
 
-        def items():
-            for i in range(50):
-                read.append(i)
-                yield i
+            def call(i):
+                started.append(i)
+                return -i
 
-        before = threading.active_count()
-        for k, value in enumerate(traces._in_order(lambda i: -i, items(), ahead=1)):
-            assert value == -k
-            # the item yielded, the pool_size ones submitted after it, and one read
-            assert len(read) - k <= pool_size + 1
-            time.sleep(0.001)
-        assert len(read) == 50 and threading.active_count() == before
+            before = threading.active_count()
+            for k, value in enumerate(traces._in_order(call, range(50), ahead=ahead)):
+                assert value == -k
+                # the call yielded and at most ahead * pool_size - 1 after it
+                assert len(started) - k <= ahead * pool_size
+                time.sleep(0.001)
+            assert sorted(started) == list(range(50)) and threading.active_count() == before
 
     def test_a_failing_block_raises_out_of_load_trace(self, tmp_path, monkeypatch):
         monkeypatch.setattr(traces, "_BLOCK", 256)
