@@ -21,9 +21,13 @@ failed counts and its `*.calls` metrics, which run.py checks against
 the workload's `expected_calls`. Its self times are left out: the
 tracer's span stack is shared between threads, so the self times of
 spans run on a pool mix. The host's speed moves by up to 2x between
-sessions, so only pairs from one session compare. --report prints the
-summary table of a written file, recomputed from its pairs alone, and
-whether the two sides' traced runs made the same calls.
+sessions, so only pairs from one session compare. The host also has
+windows in which two threads run no faster than one, so before each
+pair a short calibration (calibrate) times two threads against one on
+a numpy loop that releases the GIL, and the file keeps the ratio with
+the pair. --report prints the summary table of a written file,
+recomputed from its pairs alone, whether the two sides' traced runs
+made the same calls, and the pairs run in such a window.
 """
 import argparse
 import json
@@ -31,7 +35,11 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
+
+import numpy as np
 
 from compare_outputs import export
 
@@ -39,6 +47,45 @@ REPO = Path(__file__).resolve().parent.parent
 SIDES = ("rev", "checkout")
 NOTE = ("Pairs ran back to back in one session, alternating which side ran first. The host's speed "
         "moves by up to 2x between sessions, so compare only pairs within this file.")
+
+
+# np.sin over 2**16 floats releases the GIL for about 0.7 ms a call (2-core
+# VM, numpy 2.4.6), so one loop of these calls takes about 14 ms
+_CALIBRATION_CALLS = 20
+# a calibration ratio above this flags its pair: on two free cores two
+# threads took 0.49-0.56 of the time of one thread doing both loops, and
+# in the slow windows 0.8-1.1
+SLOW_WINDOW = 0.75
+
+
+def calibrate() -> float:
+    """Wall time of two threads each running the calibration loop side by
+    side, over that of one thread running both loops in a row, the best
+    of three tries each: about 0.5 when the host runs two threads at
+    once, about 1 in a window where it runs them no faster than one."""
+    x = np.linspace(0.0, 1.0, 2**16)
+    outs = [np.empty_like(x) for _ in range(2)]
+
+    def loop(out):
+        for _ in range(_CALIBRATION_CALLS):
+            np.sin(x, out=out)
+
+    def one_thread():
+        start = time.perf_counter()
+        loop(outs[0])
+        loop(outs[0])
+        return time.perf_counter() - start
+
+    def two_threads():
+        threads = [threading.Thread(target=loop, args=(out,)) for out in outs]
+        start = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return time.perf_counter() - start
+
+    return min(two_threads() for _ in range(3)) / min(one_thread() for _ in range(3))
 
 
 def parse_run(stdout: str) -> dict:
@@ -111,6 +158,12 @@ def report(bench: dict) -> str:
         lines.append(f"| {workload} | correct runs, ops attempted/failed | "
                      + " | ".join(f"{counts[s]['correct']}, {counts[s]['attempted']}/{counts[s]['failed']}"
                                   for s in SIDES) + " | | |")
+        ratios = {p["seed"]: p["calibration"] for p in entry["pairs"] if "calibration" in p}
+        if ratios:
+            slow = ", ".join(str(seed) for seed, ratio in ratios.items() if ratio > SLOW_WINDOW)
+            lines.append(f"| {workload} | two threads' time over one's before each pair | "
+                         f"min {min(ratios.values()):.2f} | max {max(ratios.values()):.2f} | | "
+                         + (f"above {SLOW_WINDOW} at seeds {slow} |" if slow else f"none above {SLOW_WINDOW} |"))
         traced = entry.get("traced")
         if traced:
             a, b = traced["rev"]["calls"], traced["checkout"]["calls"]
@@ -152,7 +205,10 @@ def main(argv=None) -> int:
             "checkout": {"sha": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain"))},
             "settings": {"seconds": seconds, "pairs": args.pairs, "first_seed": args.first_seed,
                          "command": "perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0",
-                         "traced_command": "perfbench/run.py --workload W --seed S+PAIRS --seconds SECONDS --trace 1"},
+                         "traced_command": "perfbench/run.py --workload W --seed S+PAIRS --seconds SECONDS --trace 1",
+                         "calibration": f"before each pair, two threads' wall time over one's on {_CALIBRATION_CALLS} "
+                                        f"np.sin calls over 2**16 floats per thread, best of 3; above {SLOW_WINDOW} "
+                                        "the pair ran in a window where two threads ran no faster than one"},
             "workloads": {},
         }
         trees = {"rev": tree, "checkout": REPO}
@@ -161,11 +217,11 @@ def main(argv=None) -> int:
             for k in range(args.pairs):
                 seed = args.first_seed + k
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0]}
+                pair = {"seed": seed, "first": order[0], "calibration": calibrate()}
                 for side in order:
                     pair[side] = _run(trees[side], workload, seed, seconds)
                 pairs.append(pair)
-                print(f"{workload} seed {seed}: " + ", ".join(
+                print(f"{workload} seed {seed}: calibration {pair['calibration']:.2f}, " + ", ".join(
                     f"{side} cpu_s {pair[side]['metrics']['cpu_s']:.3f}" for side in SIDES), file=sys.stderr)
             seed = args.first_seed + args.pairs
             traced = {"seed": seed, **{side: traced_run(_run(trees[side], workload, seed, seconds, trace=1))

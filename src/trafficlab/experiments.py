@@ -15,7 +15,8 @@ import numpy as np
 
 from .queue_sim import _CHUNK, packet_fifo, prefix_mean_queue
 from .rng import as_generator, substream
-from .synth import HeavyTailSpec, SyntheticSource, _open_uniform, reorder_nonoverlap, sample_heavy_tail
+from .synth import (HeavyTailSpec, SyntheticSource, _equal_sizes, _open_uniform, reorder_nonoverlap,
+                    sample_heavy_tail)
 from .traces import PacketTrace, _in_order, bandwidth_for_utilization, window, write_rows
 
 __all__ = [
@@ -198,10 +199,18 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
 _STREAMED_DURATION = float(np.finfo(np.float64).max) / 2
 
 
+def _one_size(sizes: np.ndarray) -> bool:
+    """Whether a size column is stored once, as a column of stride 0, such
+    as synth's equal sizes: then every packet has its size, and any run
+    of it is a slice of it."""
+    return not sizes.strides[0]
+
+
 class _BlockShuffled(PacketTrace):
     """The blocks of b packets of source in the order `order`; see
-    block_shuffle. The columns are built and frozen on first read,
-    copied from the runs of _slices."""
+    block_shuffle. The columns are built and frozen on first read, copied
+    from the runs of _slices; sizes that the source stores once stay
+    stored once, in a column of their own."""
 
     def __init__(self, source: PacketTrace, b: int, order: np.ndarray):
         self._source, self._b, self._order = source, b, order
@@ -211,11 +220,16 @@ class _BlockShuffled(PacketTrace):
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        ts, sz = np.empty(len(self)), np.empty(len(self), np.int64)
+        sizes, n = self._source.sizes, len(self)
+        one_size = _one_size(sizes)
+        ts = np.empty(n)
+        sz = _equal_sizes(sizes[0], n) if one_size else np.empty(n, np.int64)
         lo = 0
         for t, z in self._slices(_CHUNK):
             hi = lo + len(t)
-            ts[lo:hi], sz[lo:hi] = t, z
+            ts[lo:hi] = t
+            if not one_size:
+                sz[lo:hi] = z
             lo = hi
         for x in (ts, sz):
             x.setflags(write=False)
@@ -225,12 +239,19 @@ class _BlockShuffled(PacketTrace):
     sizes = property(lambda self: self._columns[1])
 
     def _slices(self, size: int):
-        """The runs of PacketTrace._slices, gathered into two buffers that
-        the next run reuses."""
-        gaps, sizes = self._source.gaps, self._source.sizes
-        n, b, order = len(sizes), self._b, self._order
+        """The runs of PacketTrace._slices. A run's source timestamps are
+        gathered by whole blocks into a buffer, its gaps computed from
+        them as ts[i] - ts[i-1], the bits of PacketTrace.gaps, with 0.0
+        for the trace's first packet, and its timestamps summed from the
+        gaps into the same buffer. Its sizes are gathered into another
+        buffer, or read as a slice when the source stores them once
+        (np.take would first copy such a column whole). The buffers are
+        reused by the next run."""
+        ts, sizes = self._source.timestamps, self._source.sizes
+        n, b, order = len(ts), self._b, self._order
         full = n // b
-        rows = [x[: full * b].reshape(full, b) for x in (gaps, sizes)]
+        one_size = _one_size(sizes)
+        ts_rows, size_rows = (x[: full * b].reshape(full, b) for x in (ts, sizes))
         per = size // b  # whole blocks per run, when a block fits in one
         # the short last block, input block `full`, sits at position k
         k = int(np.argmax(order == full)) if n % b else full
@@ -255,24 +276,46 @@ class _BlockShuffled(PacketTrace):
             yield from spans(full * b, n)
             yield from runs(order[k + 1 :])
 
-        ts, sz = np.empty(min(n, size)), np.empty(min(n, size), np.int64)
-        # the gaps go to a buffer of their own, as a cumsum into its own
-        # input holds the GIL (see queue_sim._fifo_slices)
-        gs = np.empty_like(ts)
+        ts_buf, gs = np.empty(min(n, size)), np.empty(min(n, size))
+        sz = None if one_size else np.empty(min(n, size), np.int64)
+        # a run's block indices and then the packet before each block, in
+        # intp: their product with b may not fit the order's int32, and
+        # take copies indices of any other dtype
+        index = np.empty(min(per, full), np.intp)
         carry = 0.0
         for part in parts():
-            m = part.stop - part.start if isinstance(part, slice) else len(part) * b
-            t, z, g = ts[:m], sz[:m], gs[:m]
             if isinstance(part, slice):
-                g[:], z[:] = gaps[part], sizes[part]
+                m = part.stop - part.start
+                g = gs[:m]
+                np.subtract(ts[part.start + 1 : part.stop], ts[part.start : part.stop - 1], out=g[1:])
+                g[0] = ts[part.start] - ts[part.start - 1] if part.start else 0.0
+                z = sizes[part]
             else:
-                for src, dst in zip(rows, (g, z)):
-                    # mode="clip" lets take write into out directly; every index is in range
-                    np.take(src, part, axis=0, out=dst.reshape(-1, b), mode="clip")
+                m = len(part) * b
+                t, g, starts = ts_buf[:m], gs[:m], index[: len(part)]
+                np.copyto(starts, part)
+                # mode="clip" lets take write into out directly; every index is in range
+                np.take(ts_rows, starts, axis=0, out=t.reshape(-1, b), mode="clip")
+                if one_size:
+                    z = sizes[:m]
+                else:
+                    z = sz[:m]
+                    np.take(size_rows, starts, axis=0, out=z.reshape(-1, b), mode="clip")
+                np.subtract(t[1:], t[:-1], out=g[1:])
+                # a block's first gap reaches back to the packet before it in
+                # the source; clip takes packet 0 for packet -1, so the
+                # trace's first packet gets ts[0] - ts[0] = 0.0
+                starts *= b
+                starts -= 1
+                heads = g[::b]
+                np.take(ts, starts, out=heads, mode="clip")
+                np.subtract(t[::b], heads, out=heads)
             # one cumsum over the whole permuted gaps, carried from run to
-            # run; the first carry, 0.0, changes no bit of a gap
+            # run; the first carry, 0.0, changes no bit of a gap. It writes
+            # to a buffer other than its input, as a cumsum into its own
+            # input holds the GIL (see queue_sim._fifo_slices)
             g[0] += carry
-            np.cumsum(g, out=t)
+            t = np.cumsum(g, out=ts_buf[:m])
             carry = t[-1]
             yield t, z
 
@@ -291,14 +334,17 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     The order of the k blocks is drawn by shuffling arange(k) in place,
     as int32 when k < 2**31: the same draws as permutation(k), so the
     same order and the same generator state after, in half the bytes.
-    packet_fifo reads the result in runs of at most 2**16 packets, each
-    gathered by whole blocks from the trace's own gaps and sizes
-    (PacketTrace.gaps, made on first use; blocksize_sweep makes them
-    before its first shuffle) into two buffers, with the cumsum carried
-    across runs: a replication makes the order and those buffers, not a
-    shuffled trace. Its timestamps and sizes are copied from the same
+    packet_fifo reads the result in runs of at most 2**16 packets
+    (_BlockShuffled._slices). A run gathers whole blocks of the trace's
+    timestamps into a buffer and computes their gaps, the bits of
+    PacketTrace.gaps, from them, with the cumsum carried across runs;
+    its sizes are gathered into a second buffer, or, when the trace
+    stores one size once (a zero-stride column, as packetize's and
+    generate_poisson's traces do), read as a slice. A replication so
+    makes the order and those buffers, and no array as long as the
+    trace. The result's timestamps and sizes are copied from the same
     runs into new arrays that hold no view of the input, only when
-    something reads them.
+    something reads them; sizes stored once stay stored once.
 
     The gaps are finite and nonnegative, so the timestamps are
     nondecreasing from the first, which is >= 0, and finite unless a
@@ -349,8 +395,5 @@ def blocksize_sweep(
     if not block_sizes or block_sizes[0] < 1:
         raise ValueError("block_sizes must be positive")
     b = _resolve_bandwidth(trace, bandwidth, rho)
-    # made here, once: gaps made by a worker thread stay in its malloc
-    # arena, which raised sweep_blocks_onoff's peak from 97 to 121 MiB (README)
-    trace.gaps
     return _replicate(SweepResult(x_label="block_size"), block_sizes, plan, b,
                       lambda blk, rng: block_shuffle(trace, blk, rng), baseline=trace)

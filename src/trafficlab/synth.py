@@ -302,25 +302,65 @@ class PacketizeReport:
     silent_on_periods: int  # on periods too short to emit a packet
 
 
+# packets are emitted in groups of at most this many cycles and, within
+# a group, pieces of at most this many packets
+_GROUP = 1 << 16
+
+
 def _emit(on, off, m, packet_size, server_rate, t0):
-    """Packet timestamps for one run of cycles; returns (times, counts, end_time).
+    """Packet timestamps for one run of cycles starting at t0; returns
+    (times, silent), silent the count of on periods that emit no packet.
 
     Packet j of a cycle starting at s leaves at s + j * spacing. The
-    times are built in one array: the indices j are whole numbers, exact
-    in float64, then scaled by spacing and shifted by s in place.
+    times are written into one array: its indices, whole numbers exact
+    in float64, less the index of the cycle's first packet, then scaled
+    by spacing and shifted by s in place. The array is filled by groups
+    of at most _GROUP cycles, each cut into pieces of at most _GROUP
+    packets, a piece possibly cutting a cycle; a cycle's start is the
+    running sum of the lengths before it, carried from group to group.
+    So each packet's time comes from the same elementwise operations on
+    the same operands as over the whole run at once, and packetizing
+    holds the times and the temporaries of one group and one piece,
+    however many cycles there are and packets a cycle emits.
     """
     rate_bytes = m * server_rate  # on-period send rate
     spacing = packet_size / rate_bytes
-    counts = np.floor(on * rate_bytes / packet_size).astype(np.int64)
-    cycle_len = on + off
-    starts = t0 + np.concatenate(([0.0], np.cumsum(cycle_len)[:-1]))
-    total = int(counts.sum())
-    before = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    times = np.arange(total, dtype=np.float64)
-    times -= np.repeat(before, counts)
-    times *= spacing
-    times += np.repeat(starts, counts)
-    return times, counts, float(t0 + cycle_len.sum())
+    groups = range(0, len(on), _GROUP)
+
+    def counts(lo):
+        x = on[lo : lo + _GROUP] * rate_bytes
+        x /= packet_size
+        return np.floor(x, out=x).astype(np.int64)
+
+    # each group's counts are computed twice, here to size the times, so
+    # that no array as long as the run of cycles is kept
+    times = np.arange(sum(int(counts(lo).sum()) for lo in groups), dtype=np.float64)
+    at, elapsed, silent = 0, 0.0, 0
+    for lo in groups:
+        count = counts(lo)
+        silent += len(count) - np.count_nonzero(count)
+        ends = np.cumsum(count)  # the group's packets up to each cycle's last
+        length = on[lo : lo + _GROUP] + off[lo : lo + _GROUP]
+        length[0] += elapsed  # the first carry, 0.0, changes no bit
+        total = np.cumsum(length)
+        starts = np.empty_like(total)
+        starts[0], starts[1:] = elapsed, total[:-1]
+        np.add(t0, starts, out=starts)
+        elapsed = total[-1]
+        for q0 in range(0, int(ends[-1]), _GROUP):
+            q1 = min(q0 + _GROUP, int(ends[-1]))
+            # the cycles that emit packets q0 to q1 - 1 of the group, and
+            # how many each emits among them
+            i0, i1 = np.searchsorted(ends, q0, "right"), np.searchsorted(ends, q1 - 1, "right") + 1
+            first = ends[i0:i1] - count[i0:i1]
+            emitted = np.minimum(ends[i0:i1], q1) - np.maximum(first, q0)
+            piece = times[at + q0 : at + q1]
+            first += at
+            piece -= np.repeat(first, emitted)
+            piece *= spacing
+            piece += np.repeat(starts[i0:i1], emitted)
+        at += int(ends[-1])
+    return times, silent
 
 
 def _check_emission(packet_size: int, server_rate: float) -> None:
@@ -329,6 +369,13 @@ def _check_emission(packet_size: int, server_rate: float) -> None:
         raise ValueError("packet_size must be >= 1 byte")
     if not 0 < server_rate < np.inf:
         raise ValueError("server_rate must be positive and finite")
+
+
+def _equal_sizes(packet_size: int, n: int) -> np.ndarray:
+    """n sizes of packet_size bytes, stored once: a read-only int64 column
+    of stride 0, which every reader of PacketTrace.sizes takes as it takes
+    np.full(n, packet_size)."""
+    return np.broadcast_to(np.int64(packet_size), n)
 
 
 def packetize(
@@ -341,19 +388,17 @@ def packetize(
     floor(on * m * server_rate / packet_size) of them fit. On periods
     shorter than one spacing emit nothing; they are counted in the
     report rather than treated as errors.
+
+    The trace holds one packet-length array, its timestamps, which _emit
+    fills a bounded piece at a time; its sizes are one zero-stride
+    column (_equal_sizes).
     """
     _check_emission(packet_size, server_rate)
-    times, counts, _ = _emit(
-        process.on_lengths, process.off_lengths, process.m, packet_size, server_rate, 0.0
-    )
-    report = PacketizeReport(
-        cycles=process.n_cycles,
-        silent_on_periods=int(np.count_nonzero(counts == 0)),
-    )
+    times, silent = _emit(process.on_lengths, process.off_lengths, process.m, packet_size, server_rate, 0.0)
+    report = PacketizeReport(cycles=process.n_cycles, silent_on_periods=int(silent))
     if len(times) == 0:
         raise ValueError("no packets emitted; every on period is shorter than one packet spacing")
-    sizes = np.full(len(times), packet_size, dtype=np.int64)
-    return PacketTrace(times, sizes), report
+    return PacketTrace(times, _equal_sizes(packet_size, len(times))), report
 
 
 def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace:
@@ -369,8 +414,7 @@ def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace
     ts = rng.exponential(1.0 / rate, n)
     np.cumsum(ts, out=ts)
     ts -= ts[0]
-    sizes = np.full(n, packet_size, dtype=np.int64)
-    return PacketTrace(ts, sizes)
+    return PacketTrace(ts, _equal_sizes(packet_size, n))
 
 
 @dataclass(frozen=True)
@@ -392,7 +436,8 @@ class SyntheticSource:
 
     def trace(self, rng, n_packets: int | None = None) -> PacketTrace:
         """Fresh trace from `rng`; exactly n_packets when given, else one
-        full run of spec.n_cycles cycles."""
+        full run of spec.n_cycles cycles. Its sizes are one zero-stride
+        column, as packetize's are."""
         rng = as_generator(rng)
         if n_packets is None:
             trace, _ = packetize(generate_onoff(self.spec, rng), self.packet_size, self.server_rate)
@@ -414,9 +459,9 @@ class SyntheticSource:
             chunk = int(np.clip((n_packets - have) / max(per_cycle, 1e-12), 256, 1 << 20))
             on = sample_heavy_tail(self.spec.tail, _open_uniform(rng, chunk))
             off = _off_lengths(self.spec, on, rng)
-            times, _, t0 = _emit(on, off, self.spec.m, self.packet_size, self.server_rate, t0)
+            times, _ = _emit(on, off, self.spec.m, self.packet_size, self.server_rate, t0)
+            t0 = float(t0 + (on + off).sum())
             pieces.append(times)
             have += len(times)
         ts = np.concatenate(pieces)[:n_packets]
-        sizes = np.full(n_packets, self.packet_size, dtype=np.int64)
-        return PacketTrace(ts, sizes)
+        return PacketTrace(ts, _equal_sizes(self.packet_size, n_packets))

@@ -12,7 +12,6 @@ import re
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
 from typing import BinaryIO
 
 import numpy as np
@@ -284,6 +283,12 @@ class PacketTrace:
     timestamps are nondecreasing (equal values mean batched arrivals)
     and sizes are whole positive bytes. Arrays are frozen after
     construction; derive new traces instead of mutating.
+
+    sizes may be a read-only int64 column of stride 0, as synth stores
+    equal sizes (np.broadcast_to): one value, read as n. numpy's
+    arithmetic, reductions, slices, boolean masks and copies take it as
+    they take np.full(n, size), with the same bits; np.take would first
+    copy it whole, so a gather reads such a column as a slice.
     """
 
     timestamps: np.ndarray
@@ -328,11 +333,13 @@ class PacketTrace:
         for lo in range(0, len(ts), size):
             yield ts[lo : lo + size], sz[lo : lo + size]
 
-    @cached_property
+    @property
     def gaps(self) -> np.ndarray:
         """Interarrival gaps ts[i] - ts[i-1], with a leading 0.0: one per
-        packet. Computed on first use and kept with the trace, read-only;
-        the timestamps are frozen, so the gaps never go stale."""
+        packet, read-only. Computed on each read and never kept, so a
+        trace holds no column besides its timestamps and sizes; a block
+        shuffle computes the same bits from the timestamps a run at a
+        time."""
         ts = self.timestamps
         gaps = np.empty(len(ts))
         gaps[0] = 0.0

@@ -95,6 +95,7 @@ def test_each_workload_ends_with_one_traced_run_per_side_and_the_report_compares
 
     monkeypatch.setattr(bench_pairs, "_run", canned_run)
     monkeypatch.setattr(bench_pairs, "export", lambda rev, tree: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "calibrate", lambda: 0.5)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["HEAD", "--out", str(out), "--pairs", "2", "--first-seed", "7"]) == 0
     bench = json.loads(out.read_text())
@@ -114,6 +115,32 @@ def test_each_workload_ends_with_one_traced_run_per_side_and_the_report_compares
     assert bench_pairs.report(bench).splitlines().count(
         f"| {workloads[0]} | traced run (seed 9): correct, ops attempted/failed | False, 8/1 | False, 8/1 | | "
         "calls equal |") == 1
+
+
+def test_each_pair_keeps_the_calibration_before_it_and_the_report_flags_slow_windows(tmp_path, monkeypatch):
+    ratios = iter([0.52, 0.97, 0.55, 0.5, 0.76, 0.49])
+    monkeypatch.setattr(bench_pairs, "calibrate", lambda: next(ratios))
+    monkeypatch.setattr(bench_pairs, "_run", lambda tree, workload, seed, seconds, trace=0: bench_pairs.parse_run(REV))
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, tree: "1" * 40)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", "--out", str(out), "--pairs", "2", "--first-seed", "3"]) == 0
+    bench = json.loads(out.read_text())
+    workloads = list(bench["workloads"])
+    assert len(workloads) == 3
+    # one calibration per pair, in the order the pairs ran
+    assert [p["calibration"] for w in workloads for p in bench["workloads"][w]["pairs"]] == [
+        0.52, 0.97, 0.55, 0.5, 0.76, 0.49]
+    table = bench_pairs.report(bench).splitlines()
+    row = "| {} | two threads' time over one's before each pair | min {} | max {} | | {} |"
+    assert row.format(workloads[0], "0.52", "0.97", "above 0.75 at seeds 4") in table
+    assert row.format(workloads[1], "0.50", "0.55", "none above 0.75") in table
+    assert row.format(workloads[2], "0.49", "0.76", "above 0.75 at seeds 3") in table
+
+
+def test_the_calibration_is_a_ratio_of_two_timings():
+    ratio = bench_pairs.calibrate()
+    # two threads take at least about half, and far less than ten times, one thread's time
+    assert 0.3 < ratio < 10
 
 
 @pytest.mark.parametrize("argv", [[], ["HEAD"]])

@@ -287,6 +287,57 @@ class TestLazyShuffle:
         assert run.path.times.tobytes() == stored.path.times.tobytes()
 
 
+class TestSizesStoredOnce:
+    """A trace whose sizes are one zero-stride column, as packetize and
+    generate_poisson store them, gives the bits and bytes of its twin
+    with np.full sizes wherever the sizes are read."""
+
+    N = 1003  # blocks of 7 and of 100 leave a short last block
+
+    @pytest.fixture(scope="class")
+    def twins(self):
+        ts = tl.generate_poisson(1000.0, 1500, self.N, substream(41)).timestamps
+        once = tl.PacketTrace(ts, np.broadcast_to(np.int64(1500), self.N))
+        full = tl.PacketTrace(ts, np.full(self.N, 1500))
+        assert once.sizes.strides == (0,) and full.sizes.strides == (8,)
+        return once, full
+
+    @pytest.mark.parametrize("block", [1, 7, 100, N])
+    @pytest.mark.parametrize("run", [50, 2**16])
+    def test_block_shuffle_runs_and_columns(self, twins, block, run):
+        once, full = (tl.block_shuffle(trace, block, substream(42)) for trace in twins)
+        # runs of 50 packets take 50, 7 or no whole blocks at a time, and
+        # cut blocks of 100 and of N into spans
+        for (t1, z1), (t2, z2) in zip(once._slices(run), full._slices(run), strict=True):
+            assert t1.tobytes() == t2.tobytes() and z1.tobytes() == z2.tobytes()
+        for got, want in ((once.timestamps, full.timestamps), (once.sizes, full.sizes)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert once.sizes.strides == (0,) and not once.sizes.flags.writeable
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_packet_fifo_mean_stats_and_path(self, twins, block):
+        bandwidth = tl.bandwidth_for_utilization(twins[1], 0.9)
+        once, full = (packet_fifo(trace if block is None else tl.block_shuffle(trace, block, substream(43)),
+                                  bandwidth) for trace in twins)
+        assert once.mean_queue.hex() == full.mean_queue.hex()
+        assert once.stats == full.stats
+        for got, want in ((once.path.times, full.path.times), (once.path.levels, full.path.levels)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_save_bin_window_and_summaries(self, twins, tmp_path):
+        once, full = twins
+        for name, trace in (("once", once), ("full", full)):
+            tl.save_trace(trace, tmp_path / f"{name}.csv", comments=("equal sizes",))
+        assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+        width = once.duration / 64
+        assert (tl.bin_counts(once, width, unit="bytes").counts.tobytes()
+                == tl.bin_counts(full, width, unit="bytes").counts.tobytes())
+        got, want = tl.window(once, 100, 500), tl.window(full, 100, 500)
+        assert got.timestamps.tobytes() == want.timestamps.tobytes() and got.sizes.tobytes() == want.sizes.tobytes()
+        assert tl.summarize(once) == tl.summarize(full)
+        assert once.total_bytes == full.total_bytes == 1500 * self.N
+
+
 def peak_bytes(run) -> int:
     """The peak memory traced while run() runs; numpy reports its array
     buffers to tracemalloc, so the peak counts them."""
@@ -310,21 +361,37 @@ class TestAllocationBudget:
     N = 2**19
     SMALL = MiB // 2  # the N-byte boolean checks and small temporaries
 
+    @staticmethod
+    def runs(block):
+        """The run buffers of a shuffle of a trace whose sizes are stored
+        once (_BlockShuffled._slices): float64 runs of 2**16 timestamps and
+        gaps, and the intp indices of a run's 2**16 // block blocks. With
+        block > 1 take also buffers its strided output, the packets before
+        the blocks, as long as those indices."""
+        return 2 * 8 * 2**16 + 8 * (2**16 // block) * (2 if block > 1 else 1)
+
+    def replication_budget(self, trace, block, bandwidth):
+        """What a shuffled replication's mean queue may hold: the int32
+        order of ceil(n / block) blocks, the run buffers and the kernel's
+        peak, which packet_fifo on the trace itself measures."""
+        kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
+        return 4 * -(-len(trace) // block) + self.runs(block) + kernel
+
     @pytest.mark.parametrize("block", [1, 100])
     def test_a_shuffled_replication_allocates_its_outputs_and_permutation(self, block):
         trace = tl.generate_poisson(1000.0, 500, self.N, substream(21))
         bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
 
         def replicate(seed):
-            return packet_fifo(tl.block_shuffle(trace, block, substream(seed)), bandwidth).mean_queue
+            shuffled = tl.block_shuffle(trace, block, substream(seed))
+            packet_fifo(shuffled, bandwidth).mean_queue
+            return shuffled.timestamps, shuffled.sizes
 
         replicate(0)
-        assert "gaps" in vars(trace)  # the first replication left the gaps with the trace
-        kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
-        # the shuffled trace's float64 timestamps and int64 sizes, 8N bytes
-        # each; the int32 order of ceil(N / block) blocks; and the
-        # kernel's peak. The gaps, computed again, would add 8N bytes
-        budget = 2 * 8 * self.N + 8 * -(-self.N // block) + kernel + self.SMALL
+        # the replication's mean, and then its columns: float64 timestamps,
+        # 8N bytes, and the sizes stored once, as the trace stores them. An
+        # int64 size column, or the trace's gaps, would add 8N bytes
+        budget = 8 * self.N + self.replication_budget(trace, block, bandwidth) + self.SMALL
         assert peak_bytes(lambda: replicate(1)) <= budget
 
     @pytest.mark.parametrize("block", [1, 100])
@@ -335,22 +402,33 @@ class TestAllocationBudget:
         def replicate(seed):
             return packet_fifo(tl.block_shuffle(trace, block, substream(seed)), bandwidth).mean_queue
 
-        replicate(0)  # leaves the gaps with the trace
-        kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
-        # the int32 order of ceil(N / block) blocks, the kernel's peak, and
-        # the run buffers: float64 runs of 2**16 gaps and timestamps and an
-        # int64 run of sizes, and the intp copy of a run's block indices
-        # that take makes. No N-length array: the shuffled columns would
-        # add 16N bytes
-        runs = 3 * 8 * 2**16 + 8 * (2**16 // block)
-        budget = 4 * -(-self.N // block) + kernel + runs + self.SMALL
+        replicate(0)
+        # no N-length array: the shuffled timestamps or the gaps would add 8N bytes
+        budget = self.replication_budget(trace, block, bandwidth) + self.SMALL
         assert peak_bytes(lambda: replicate(1)) <= budget
 
-    def test_a_pooled_block_sweep_holds_the_gaps_and_one_order_per_thread(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_a_shuffled_replication_of_a_packetized_trace_makes_no_n_length_array(self, block):
+        # N packets of 1000 bytes, 8 per on period, in 2**16 cycles
+        spacing = 1000 / (2.0 * 1e6)
+        process = tl.FluidOnOffProcess(np.full(self.N // 8, 8.5 * spacing), np.full(self.N // 8, 0.01), 2.0)
+        trace, _ = tl.packetize(process, 1000, 1e6)
+        assert len(trace) == self.N and trace.sizes.strides == (0,)
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
+
+        def replicate(seed):
+            return packet_fifo(tl.block_shuffle(trace, block, substream(seed)), bandwidth).mean_queue
+
+        replicate(0)
+        # the sizes are read as slices of the one stored size: gathered,
+        # take would first copy the column whole, 8N bytes
+        budget = self.replication_budget(trace, block, bandwidth) + self.SMALL
+        assert peak_bytes(lambda: replicate(1)) <= budget
+
+    def test_a_pooled_block_sweep_holds_one_order_per_thread(self, monkeypatch):
         trace = tl.generate_poisson(1000.0, 500, self.N, substream(23))
         bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
         kernel = peak_bytes(lambda: packet_fifo(trace, bandwidth).mean_queue)
-        assert "gaps" not in vars(trace)
         # the baseline and 7 replications run in pairs, each pair's kernels
         # side by side, each replication's order drawn in its own thread
         together = threading.Barrier(2, timeout=30)
@@ -363,14 +441,10 @@ class TestAllocationBudget:
         plan = tl.ReplicationPlan(master_seed=4, replications=7)
         with pool_of(2):
             peak = peak_bytes(lambda: tl.blocksize_sweep(trace, [1], plan, bandwidth=bandwidth))
-        # the gaps, made once in the calling thread, 8N bytes; and each of
-        # the 2 threads' int32 order of N blocks, 4N bytes, its kernel
-        # peak, its run buffers (float64 runs of 2**16 gaps and timestamps,
-        # an int64 run of sizes) and the intp copy of a run's 2**16 block
-        # indices that take makes. One more order, 4N bytes, or one more
-        # N-length array would exceed the budget
-        runs = 4 * 8 * 2**16
-        budget = 8 * self.N + 2 * (4 * self.N + kernel + runs) + self.SMALL
+        # each of the 2 threads' int32 order of N blocks, 4N bytes, its
+        # kernel peak and its run buffers. One more order, 4N bytes, or one
+        # more N-length array, such as the trace's gaps, would exceed the budget
+        budget = 2 * (4 * self.N + kernel + self.runs(1)) + self.SMALL
         assert peak <= budget
 
     def test_a_pooled_synthetic_sweep_holds_a_trace_per_thread(self, monkeypatch):
@@ -378,8 +452,9 @@ class TestAllocationBudget:
                                 lambda_target=0.5, off_model="theorem_reordered")
         src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
         plan = tl.ReplicationPlan(master_seed=4, replications=3 * POOL)
-        # each replication alone: its trace of N packets, 16N bytes, the
-        # pieces it is cut from, and the kernel's peak
+        # each replication alone: its trace of N packets, 8N bytes of
+        # timestamps and its sizes stored once, the pieces it is cut from,
+        # and the kernel's peak
         alone = max(peak_bytes(lambda: packet_fifo(src.trace(substream(4, i, 0), n_packets=self.N),
                                                    src.server_rate).mean_queue)
                     for i in range(plan.replications))
@@ -394,7 +469,7 @@ class TestAllocationBudget:
         with pool_of(POOL):
             peak = peak_bytes(lambda: tl.sample_size_sweep(src, [self.N], plan))
         # at most POOL replications at once, each within its peak alone.
-        # One more trace, 16N bytes, would exceed the budget
+        # One more trace, 8N bytes, would exceed the budget
         assert peak <= POOL * alone + self.SMALL
 
     def _prefix_kernel(self, tail):

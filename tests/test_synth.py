@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import trafficlab as tl
+from trafficlab import synth
 from trafficlab.rng import substream
 from trafficlab.synth import OFF_MODELS, _bounded_offs
 
@@ -424,6 +427,8 @@ class TestPacketize:
         trace, report = tl.packetize(proc, 50, 100.0)
         assert np.allclose(trace.timestamps, [0.0, 0.25, 0.5, 0.75])
         assert np.all(trace.sizes == 50)
+        # the equal sizes are stored once
+        assert trace.sizes.strides == (0,) and not trace.sizes.flags.writeable
         assert report == tl.PacketizeReport(cycles=1, silent_on_periods=0)
 
     def test_short_on_periods_are_counted_not_fatal(self):
@@ -463,12 +468,82 @@ class TestPacketize:
         assert inside.all()
 
 
+def whole_run_emit(on, off, m, packet_size, server_rate, t0):
+    """Reference for synth._emit: every cycle's packets at once, from
+    full-length repeats of each cycle's first index and start."""
+    rate_bytes = m * server_rate
+    counts = np.floor(on * rate_bytes / packet_size).astype(np.int64)
+    starts = t0 + np.concatenate(([0.0], np.cumsum(on + off)[:-1]))
+    times = np.arange(int(counts.sum()), dtype=np.float64)
+    times -= np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+    times *= packet_size / rate_bytes
+    times += np.repeat(starts, counts)
+    return times, int(np.count_nonzero(counts == 0))
+
+
+def peak_bytes(run) -> int:
+    """The peak memory traced while run() runs, numpy's array buffers included."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 2**20
+
+
+class TestEmit:
+    """_emit fills its times a bounded group of cycles and piece of packets
+    at a time, with the bits of the whole run at once."""
+
+    # 100-byte packets at m * server_rate = 2e4 bytes/s leave every 5 ms
+    SPACING = 100 / 2e4
+
+    def process(self, packets_per_cycle, seed):
+        """Random cycles whose on periods emit 0 to packets_per_cycle - 1 packets."""
+        rng = np.random.default_rng(seed)
+        on = (rng.integers(0, packets_per_cycle, 3 * 2**16 + 5) + rng.random(3 * 2**16 + 5)) * self.SPACING
+        return np.maximum(on, 1e-6), rng.exponential(0.05, len(on))
+
+    @pytest.mark.parametrize("case", ["short cycles", "one long on period", "long on periods"])
+    @pytest.mark.parametrize("t0", [0.0, 1234.5678])
+    def test_bits_of_the_whole_run(self, case, t0):
+        if case == "short cycles":  # several groups of 2**16 cycles, cut into pieces
+            on, off = self.process(4, 1)
+        elif case == "one long on period":  # 5 * 2**16 + 3 packets among silent cycles
+            on, off = self.process(1, 2)
+            on[70_000] = (5 * 2**16 + 3.5) * self.SPACING
+        else:  # each on period cut by pieces
+            on, off = np.array([3.3e5, 0.2, 7.1e5]) * self.SPACING, np.array([1.0, 0.0, 2.0])
+        got, silent = synth._emit(on, off, 2.0, 100, 1e4, t0)
+        want, want_silent = whole_run_emit(on, off, 2.0, 100, 1e4, t0)
+        assert got.tobytes() == want.tobytes() and silent == want_silent
+
+    def test_packetize_holds_its_timestamps_and_one_group(self):
+        n = 2**21
+        many = tl.FluidOnOffProcess(np.full(n // 8, 8.5 * self.SPACING), np.full(n // 8, 0.05), 2.0)
+        one = tl.FluidOnOffProcess(np.array([(n + 0.5) * self.SPACING]), np.array([1.0]), 2.0)
+        # a group's cycles: their counts, ends, lengths, running sums and
+        # starts, 8 bytes each for 2**16 cycles; and a piece's repeat of
+        # 2**16 packets
+        group = 5 * 8 * 2**16 + 8 * 2**16
+        for process in (many, one):
+            assert tl.packetize(process, 100, 1e4)[0].packet_count == n
+            # the float64 timestamps, 8n bytes, PacketTrace's n-byte boolean
+            # checks, the group and half a MiB of small temporaries. A
+            # full-length repeat would add 8n bytes
+            assert peak_bytes(lambda: tl.packetize(process, 100, 1e4)) <= 8 * n + n + group + MiB // 2
+
+
 class TestGeneratePoisson:
     def test_shape_and_rebase(self):
         tr = tl.generate_poisson(100.0, 1000, 50, substream(2))
         assert tr.packet_count == 50
         assert tr.timestamps[0] == 0.0
         assert np.all(tr.sizes == 1000)
+        assert tr.sizes.strides == (0,) and not tr.sizes.flags.writeable
 
     def test_realized_rate(self):
         tr = tl.generate_poisson(100.0, 1000, 100_000, substream(4))
@@ -517,6 +592,7 @@ class TestSyntheticSource:
         src = self._source()
         tr = src.trace(substream(9), n_packets=777)
         assert tr.packet_count == 777
+        assert tr.sizes.strides == (0,) and np.all(tr.sizes == 100)
 
     def test_requested_count_is_deterministic(self):
         src = self._source()
