@@ -60,11 +60,23 @@ KERNEL_LONG_TRACE = "# seconds\tbytes\r\n" + "".join(
 # from it on pass 2**977, so that slice's terms reach math.fsum raw
 HUGE_TRACE = "".join(f"{0.001 * i:.3f} {10**18 if i == 66000 else 500 + i % 1000}\n" for i in range(70000))
 
+# a whitespace-separated trace that only the line parser reads: a blank
+# line and a comment after the first record, whole-number and exponent
+# timestamps, and two spaces between the fields
+LOOSE_TRACE = "0 1500\n\n# a comment between records\n" + "".join(
+    f"{i // 8} {40 + 37 * i % 1460}\n" if i % 8 == 0 else f"{i / 8:e}  {40 + 37 * i % 1460}\n"
+    for i in range(1, 400))
+
+# a canonical CSV trace whose last record has no line end
+UNTERMINATED_TRACE = "# seconds,bytes\n" + "\n".join(
+    f"{0.0021 * i + 0.0004 * (i % 5):.9f},{64 + 97 * i % 1455}" for i in range(500))
+
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
-# and from text.txt, kernel.txt, kernel_long.txt, huge.txt and
-# mixed.txt: TEXT_TRACE, KERNEL_TRACE, KERNEL_LONG_TRACE, HUGE_TRACE and
-# a CSV trace whose third record is whitespace separated
+# and from text.txt, kernel.txt, kernel_long.txt, huge.txt, loose.txt,
+# unterminated.csv and mixed.txt: TEXT_TRACE, KERNEL_TRACE,
+# KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE, UNTERMINATED_TRACE and a
+# CSV trace whose third record is whitespace separated
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -73,6 +85,9 @@ COMMANDS = [
     ("gen_bounded", ["cli", "gen", *ONOFF, "--off-model", "bounded", "--q", "2", "--cycles", "300",
                      "--seed", "11", "-o", "bounded.csv"]),
     ("gen_capped", ["cli", "gen", *CAPPED, "--cycles", "300", "--seed", "7", "-o", "capped.csv"]),
+    # silences proportional to their bursts; every off model is in the gate
+    ("gen_reordered", ["cli", "gen", *ONOFF, "--off-model", "reordered", "--cycles", "300",
+                       "--seed", "21", "-o", "reordered.csv"]),
     ("summarize", ["cli", "summarize", "onoff.csv", "-o", "summary.csv"]),
     ("summarize_stdout", ["cli", "summarize", "poisson.csv"]),
     ("summarize_text", ["cli", "summarize", "text.txt", "-o", "summary_text.csv"]),
@@ -131,6 +146,16 @@ COMMANDS = [
     # thread and served on the replication pool
     ("sweep_samples_gen_reps", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000,10000",
                                 "--reps", "4", "--seed", "18", "--out-prefix", "samples_gen_reps"]),
+    # windows of a generated Poisson trace, whose sizes are stored once,
+    # one of them longer than a 65536-packet run
+    ("sweep_samples_poisson", ["cli", "sweep-samples", "--model", "poisson", "--rate", "200",
+                               "--packet-size", "500", "--n", "100000", "--sizes", "100,1000,70000",
+                               "--reps", "2", "--seed", "22", "--rho", "0.6", "--out-prefix", "samples_poisson"]),
+    # shuffles of a generated Poisson trace, its sizes stored once, with
+    # blocks shorter than a 65536-packet run and one longer
+    ("sweep_blocks_poisson", ["cli", "sweep-blocks", "--model", "poisson", "--rate", "200",
+                              "--packet-size", "500", "--n", "100000", "--blocks", "7,4096,70000",
+                              "--reps", "2", "--seed", "23", "--rho", "0.6", "--out-prefix", "blocks_poisson"]),
     ("sweep_blocks_trace", ["cli", "sweep-blocks", "--trace", "onoff.csv", "--blocks", "1,10,100",
                             "--reps", "3", "--seed", "2", "--rho", "0.6", "--out-prefix", "blocks_trace"]),
     ("sweep_blocks_gen", ["cli", "sweep-blocks", *ONOFF, "--cycles", "300", "--blocks", "1,10,100",
@@ -141,6 +166,11 @@ COMMANDS = [
     ("tailfit", ["cli", "tailfit", "onoff.csv", "--ccdf-out", "ccdf.csv", "-o", "tailfit.csv"]),
     ("tailfit_sizes", ["cli", "tailfit", "text.txt", "--field", "sizes", "--lo", "100", "--hi", "1400",
                        "-o", "tailfit_sizes.csv"]),
+    ("summarize_loose", ["cli", "summarize", "loose.txt", "-o", "summary_loose.csv"]),
+    ("queue_loose_path", ["cli", "queue", "loose.txt", "--rho", "0.7", "--path-out", "loose_path.csv",
+                          "-o", "queue_loose.csv"]),
+    ("queue_unterminated_path", ["cli", "queue", "unterminated.csv", "--rho", "0.7",
+                                 "--path-out", "unterminated_path.csv", "-o", "queue_unterminated.csv"]),
     ("summarize_kernel", ["cli", "summarize", "kernel.txt", "-o", "summary_kernel.csv"]),
     ("queue_kernel_path", ["cli", "queue", "kernel.txt", "--rho", "0.7", "--path-out", "kernel_path.csv",
                            "-o", "queue_kernel.csv"]),
@@ -202,6 +232,8 @@ def run_commands(scripts: Path) -> None:
     Path("kernel.txt").write_bytes(KERNEL_TRACE.encode())
     Path("kernel_long.txt").write_bytes(KERNEL_LONG_TRACE.encode())
     Path("huge.txt").write_text(HUGE_TRACE)
+    Path("loose.txt").write_text(LOOSE_TRACE)
+    Path("unterminated.csv").write_text(UNTERMINATED_TRACE)
     Path("mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
     for name, (head, *argv) in COMMANDS:
         run = cli.main if head == "cli" else runpy.run_path(str(scripts / head))["main"]

@@ -15,9 +15,9 @@ import numpy as np
 
 from .queue_sim import _CHUNK, packet_fifo, prefix_mean_queue
 from .rng import as_generator, substream
-from .synth import (HeavyTailSpec, SyntheticSource, _equal_sizes, _open_uniform, reorder_nonoverlap,
-                    sample_heavy_tail)
-from .traces import PacketTrace, _in_order, bandwidth_for_utilization, window, write_rows
+from .synth import HeavyTailSpec, SyntheticSource, _open_uniform, reorder_nonoverlap, sample_heavy_tail
+from .traces import (PacketTrace, _equal_sizes, _in_order, _one_size, bandwidth_for_utilization, window,
+                     write_rows)
 
 __all__ = [
     "ReplicationPlan",
@@ -197,13 +197,6 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
 
 # the largest source duration whose shuffles stream: see block_shuffle
 _STREAMED_DURATION = float(np.finfo(np.float64).max) / 2
-
-
-def _one_size(sizes: np.ndarray) -> bool:
-    """Whether a size column is stored once, as a column of stride 0, such
-    as synth's equal sizes: then every packet has its size, and any run
-    of it is a slice of it."""
-    return not sizes.strides[0]
 
 
 class _BlockShuffled(PacketTrace):

@@ -10,13 +10,13 @@ single burst can push the mean queue above a chosen bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .rng import as_generator
-from .traces import PacketTrace
+from .traces import PacketTrace, _equal_sizes
 
 __all__ = [
     "HeavyTailSpec",
@@ -244,20 +244,18 @@ def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.subtract(1.0, u, out=u)
 
 
-def _off_lengths(spec: GeneratorSpec, on: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if spec.off_model == "iid_matched_mean":
-        mean_off = spec.tail.mean * (spec.m / spec.lambda_target - 1.0)
-        return rng.exponential(mean_off, len(on))
-    if spec.off_model == "theorem_reordered":
-        return on * (spec.m / spec.lambda_target - 1.0)
-    return _bounded_offs(on, spec.m, spec.q)
-
-
 def generate_onoff(spec: GeneratorSpec, seed) -> FluidOnOffProcess:
-    """Draw spec.n_cycles on/off cycles from a seed or Generator."""
+    """Draw spec.n_cycles on/off cycles from a seed or Generator: the only
+    code that draws a packet trace's cycles. theorem_reordered gives
+    reorder_nonoverlap's process of the bursts, which holds its silence rule."""
     rng = as_generator(seed)
     on = sample_heavy_tail(spec.tail, _open_uniform(rng, spec.n_cycles))
-    off = _off_lengths(spec, on, rng)
+    if spec.off_model == "theorem_reordered":
+        return reorder_nonoverlap(on, spec.m, spec.lambda_target)
+    if spec.off_model == "iid_matched_mean":
+        off = rng.exponential(spec.tail.mean * (spec.m / spec.lambda_target - 1.0), len(on))
+    else:
+        off = _bounded_offs(on, spec.m, spec.q)
     return FluidOnOffProcess(on, off, spec.m)
 
 
@@ -307,37 +305,32 @@ class PacketizeReport:
 _GROUP = 1 << 16
 
 
-def _emit(on, off, m, packet_size, server_rate, t0):
-    """Packet timestamps for one run of cycles starting at t0; returns
-    (times, silent), silent the count of on periods that emit no packet.
+def _counts(on, rate_bytes, packet_size):
+    """floor(on * rate_bytes / packet_size): the packets each on period emits."""
+    x = on * rate_bytes
+    x /= packet_size
+    return np.floor(x, out=x).astype(np.int64)
 
-    Packet j of a cycle starting at s leaves at s + j * spacing. The
-    times are written into one array: its indices, whole numbers exact
-    in float64, less the index of the cycle's first packet, then scaled
-    by spacing and shifted by s in place. The array is filled by groups
-    of at most _GROUP cycles, each cut into pieces of at most _GROUP
-    packets, a piece possibly cutting a cycle; a cycle's start is the
-    running sum of the lengths before it, carried from group to group.
-    So each packet's time comes from the same elementwise operations on
-    the same operands as over the whole run at once, and packetizing
-    holds the times and the temporaries of one group and one piece,
-    however many cycles there are and packets a cycle emits.
+
+def _emit(on, off, rate_bytes, packet_size, t0, times):
+    """Write the timestamps of the packets that one run of cycles from t0
+    sends at rate_bytes into the caller's array times, in order, until
+    either runs out; return (packets, silent): all the packets the
+    cycles emit, held or not, and the on periods that emit none.
+
+    Packet j of a cycle starting at s leaves at s + j * spacing: j, a
+    whole number exact in float64, is written in place, scaled by
+    spacing and shifted by s. Cycles are taken in groups of at most
+    _GROUP, their packets written in pieces of at most _GROUP, a piece
+    possibly cutting a cycle; a cycle's start is the running sum of the
+    lengths before it, carried from group to group. So each time has the
+    bits of the whole run at once, and emitting holds the temporaries of
+    one group and one piece, however many cycles and packets there are.
     """
-    rate_bytes = m * server_rate  # on-period send rate
     spacing = packet_size / rate_bytes
-    groups = range(0, len(on), _GROUP)
-
-    def counts(lo):
-        x = on[lo : lo + _GROUP] * rate_bytes
-        x /= packet_size
-        return np.floor(x, out=x).astype(np.int64)
-
-    # each group's counts are computed twice, here to size the times, so
-    # that no array as long as the run of cycles is kept
-    times = np.arange(sum(int(counts(lo).sum()) for lo in groups), dtype=np.float64)
     at, elapsed, silent = 0, 0.0, 0
-    for lo in groups:
-        count = counts(lo)
+    for lo in range(0, len(on), _GROUP):
+        count = _counts(on[lo : lo + _GROUP], rate_bytes, packet_size)
         silent += len(count) - np.count_nonzero(count)
         ends = np.cumsum(count)  # the group's packets up to each cycle's last
         length = on[lo : lo + _GROUP] + off[lo : lo + _GROUP]
@@ -347,20 +340,21 @@ def _emit(on, off, m, packet_size, server_rate, t0):
         starts[0], starts[1:] = elapsed, total[:-1]
         np.add(t0, starts, out=starts)
         elapsed = total[-1]
-        for q0 in range(0, int(ends[-1]), _GROUP):
-            q1 = min(q0 + _GROUP, int(ends[-1]))
+        stop = min(int(ends[-1]), len(times) - at)  # the group's packets that times holds
+        for q0 in range(0, stop, _GROUP):
+            q1 = min(q0 + _GROUP, stop)
             # the cycles that emit packets q0 to q1 - 1 of the group, and
             # how many each emits among them
             i0, i1 = np.searchsorted(ends, q0, "right"), np.searchsorted(ends, q1 - 1, "right") + 1
             first = ends[i0:i1] - count[i0:i1]
             emitted = np.minimum(ends[i0:i1], q1) - np.maximum(first, q0)
             piece = times[at + q0 : at + q1]
-            first += at
+            piece[...] = np.arange(q0, q1)
             piece -= np.repeat(first, emitted)
             piece *= spacing
             piece += np.repeat(starts[i0:i1], emitted)
         at += int(ends[-1])
-    return times, silent
+    return at, silent
 
 
 def _check_emission(packet_size: int, server_rate: float) -> None:
@@ -369,13 +363,6 @@ def _check_emission(packet_size: int, server_rate: float) -> None:
         raise ValueError("packet_size must be >= 1 byte")
     if not 0 < server_rate < np.inf:
         raise ValueError("server_rate must be positive and finite")
-
-
-def _equal_sizes(packet_size: int, n: int) -> np.ndarray:
-    """n sizes of packet_size bytes, stored once: a read-only int64 column
-    of stride 0, which every reader of PacketTrace.sizes takes as it takes
-    np.full(n, packet_size)."""
-    return np.broadcast_to(np.int64(packet_size), n)
 
 
 def packetize(
@@ -389,15 +376,18 @@ def packetize(
     shorter than one spacing emit nothing; they are counted in the
     report rather than treated as errors.
 
-    The trace holds one packet-length array, its timestamps, which _emit
-    fills a bounded piece at a time; its sizes are one zero-stride
-    column (_equal_sizes).
+    The trace holds one packet-length array, its timestamps, sized from
+    the on periods' packet counts a group of _GROUP cycles at a time and
+    filled by _emit; its sizes are stored once (traces._equal_sizes).
     """
     _check_emission(packet_size, server_rate)
-    times, silent = _emit(process.on_lengths, process.off_lengths, process.m, packet_size, server_rate, 0.0)
-    report = PacketizeReport(cycles=process.n_cycles, silent_on_periods=int(silent))
+    on, rate_bytes = process.on_lengths, process.m * server_rate
+    times = np.empty(sum(int(_counts(on[lo : lo + _GROUP], rate_bytes, packet_size).sum())
+                         for lo in range(0, len(on), _GROUP)))
     if len(times) == 0:
         raise ValueError("no packets emitted; every on period is shorter than one packet spacing")
+    _, silent = _emit(on, process.off_lengths, rate_bytes, packet_size, 0.0, times)
+    report = PacketizeReport(cycles=process.n_cycles, silent_on_periods=int(silent))
     return PacketTrace(times, _equal_sizes(packet_size, len(times))), report
 
 
@@ -436,17 +426,19 @@ class SyntheticSource:
 
     def trace(self, rng, n_packets: int | None = None) -> PacketTrace:
         """Fresh trace from `rng`; exactly n_packets when given, else one
-        full run of spec.n_cycles cycles. Its sizes are one zero-stride
-        column, as packetize's are."""
+        full run of spec.n_cycles cycles. Its sizes are stored once, as
+        packetize's are. Given n_packets, _emit fills one array of exactly
+        that many timestamps from chunks of cycles drawn by generate_onoff,
+        each starting where the last ended; the packets that do not fit
+        are never written.
+        """
         rng = as_generator(rng)
         if n_packets is None:
             trace, _ = packetize(generate_onoff(self.spec, rng), self.packet_size, self.server_rate)
             return trace
         if n_packets < 1:
             raise ValueError("n_packets must be >= 1")
-        pieces: list[np.ndarray] = []
-        have = 0
-        t0 = 0.0
+        times, have, t0 = np.empty(n_packets), 0, 0.0
         # a cycle yields about mean_on * m * rate / size packets; chunk by
         # what is still owed, not by n_cycles, so small requests on long
         # recipes stay small
@@ -457,11 +449,8 @@ class SyntheticSource:
             if rounds > 1000 and have == 0:
                 raise ValueError("packetization produced no packets; check packet_size vs on periods")
             chunk = int(np.clip((n_packets - have) / max(per_cycle, 1e-12), 256, 1 << 20))
-            on = sample_heavy_tail(self.spec.tail, _open_uniform(rng, chunk))
-            off = _off_lengths(self.spec, on, rng)
-            times, _ = _emit(on, off, self.spec.m, self.packet_size, self.server_rate, t0)
+            process = generate_onoff(replace(self.spec, n_cycles=chunk), rng)
+            on, off = process.on_lengths, process.off_lengths
+            have += _emit(on, off, self.spec.m * self.server_rate, self.packet_size, t0, times[have:])[0]
             t0 = float(t0 + (on + off).sum())
-            pieces.append(times)
-            have += len(times)
-        ts = np.concatenate(pieces)[:n_packets]
-        return PacketTrace(ts, _equal_sizes(self.packet_size, n_packets))
+        return PacketTrace(times, _equal_sizes(self.packet_size, n_packets))

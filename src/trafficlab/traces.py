@@ -276,6 +276,19 @@ def _broken_rule(ts: np.ndarray, sz: np.ndarray) -> str | None:
     return None
 
 
+def _equal_sizes(packet_size: int, n: int) -> np.ndarray:
+    """n sizes of packet_size bytes, stored once: a read-only int64 column
+    of stride 0, which every reader of PacketTrace.sizes takes as it takes
+    np.full(n, packet_size). synth's traces store their sizes so."""
+    return np.broadcast_to(np.int64(packet_size), n)
+
+
+def _one_size(sizes: np.ndarray) -> bool:
+    """Whether a size column is stored once (stride 0): then any run of it
+    is a slice of it."""
+    return not sizes.strides[0]
+
+
 @dataclass(eq=False)
 class PacketTrace:
     """Ordered packet arrivals.
@@ -284,11 +297,12 @@ class PacketTrace:
     and sizes are whole positive bytes. Arrays are frozen after
     construction; derive new traces instead of mutating.
 
-    sizes may be a read-only int64 column of stride 0, as synth stores
-    equal sizes (np.broadcast_to): one value, read as n. numpy's
-    arithmetic, reductions, slices, boolean masks and copies take it as
-    they take np.full(n, size), with the same bits; np.take would first
-    copy it whole, so a gather reads such a column as a slice.
+    sizes may be stored once (_equal_sizes), as synth stores equal
+    sizes: a read-only int64 column of stride 0, one value read as n.
+    numpy's arithmetic, reductions, slices, boolean masks and copies
+    take it as they take np.full(n, size), with the same bits; np.take
+    would first copy it whole, so a gather reads such a column as a
+    slice, and a window or a block shuffle keeps it stored once.
     """
 
     timestamps: np.ndarray
@@ -654,7 +668,8 @@ def bandwidth_for_utilization(trace: PacketTrace, rho: float) -> float:
 
 
 def window(trace: PacketTrace, start_index: int, count: int) -> PacketTrace:
-    """Contiguous sub-trace of `count` packets, rebased to start at 0."""
+    """Contiguous sub-trace of `count` packets, rebased to start at 0: a
+    copy, but for sizes stored once, which stay so, as a slice."""
     n = trace.packet_count
     if count < 1:
         raise ValueError("window must contain at least one packet")
@@ -662,5 +677,7 @@ def window(trace: PacketTrace, start_index: int, count: int) -> PacketTrace:
         raise ValueError(f"window [{start_index}, {start_index + count}) outside trace of {n}")
     ts = trace.timestamps[start_index : start_index + count].copy()
     ts -= ts[0]
-    sz = trace.sizes[start_index : start_index + count].copy()
+    sz = trace.sizes[start_index : start_index + count]
+    if not _one_size(sz):
+        sz = sz.copy()
     return PacketTrace._derived(ts, sz)

@@ -337,6 +337,15 @@ class TestSizesStoredOnce:
         assert tl.summarize(once) == tl.summarize(full)
         assert once.total_bytes == full.total_bytes == 1500 * self.N
 
+    def test_a_window_keeps_them_stored_once(self):
+        trace = tl.generate_poisson(100.0, 500, 10**6, substream(44))
+        got = tl.window(trace, 1234, 500_000)
+        assert got.sizes.strides == (0,) and not got.sizes.flags.writeable and got.sizes[0] == 500
+        assert got.timestamps.tobytes() == (trace.timestamps[1234:501_234] - trace.timestamps[1234]).tobytes()
+        # the window's 500,000 timestamps and a few small objects; copied
+        # sizes would add 8 bytes a packet
+        assert peak_bytes(lambda: tl.window(trace, 1234, 500_000)) <= 8 * 500_000 + MiB // 8
+
 
 def peak_bytes(run) -> int:
     """The peak memory traced while run() runs; numpy reports its array

@@ -10,6 +10,7 @@ alter an output, write the file again and list the changed lines:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
+import argparse
 import sys
 from pathlib import Path
 
@@ -19,6 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 import compare_outputs  # noqa: E402
+
+from trafficlab import cli  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.sha256")
 
@@ -43,6 +46,18 @@ def test_every_command_has_a_golden_log_and_differences_names_each_change():
     assert [name for name, _ in compare_outputs.COMMANDS if f"{name}.log" not in want] == []
     left, right = {"a.csv": "1", "b.csv": "2", "c.csv": "3"}, {"a.csv": "1", "b.csv": "9"}
     assert compare_outputs.differences(left, right) == (3, ["differs: b.csv", "only in revision: c.csv"])
+
+
+def test_every_generator_route_is_in_the_gate():
+    # gen with each off model, and each sweep with each generator model
+    parser = cli.build_parser()
+    runs = [parser.parse_args(argv) for _, (head, *argv) in compare_outputs.COMMANDS
+            if head == "cli" and argv[0] in ("gen", "sweep-samples", "sweep-blocks")]
+    assert {a.off_model for a in runs if a.subcommand == "gen" and a.model == "onoff"} == set(cli.OFF_MODEL_FLAGS)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("sweep-samples", "sweep-blocks"):
+        models = next(a.choices for a in subparsers.choices[name]._actions if a.dest == "model")
+        assert {a.model for a in runs if a.subcommand == name} >= set(models)
 
 
 def test_every_output_has_its_golden_digest(tmp_path, monkeypatch):

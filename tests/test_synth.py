@@ -438,8 +438,10 @@ class TestPacketize:
         assert trace.packet_count == 4
 
     def test_all_silent_is_an_error(self):
-        proc = tl.FluidOnOffProcess(np.array([0.01]), np.array([1.0]), 2.0)
-        with pytest.raises(ValueError):
+        # on periods of 0.01 and 0.2 s at 200 bytes/s send 2 and 40 bytes,
+        # short of one 50-byte packet
+        proc = tl.FluidOnOffProcess(np.array([0.01, 0.2]), np.array([1.0, 0.5]), 2.0)
+        with pytest.raises(ValueError, match="no packets emitted; every on period is shorter than one packet spacing"):
             tl.packetize(proc, 50, 100.0)
 
     def test_parameter_validation(self):
@@ -517,9 +519,20 @@ class TestEmit:
             on[70_000] = (5 * 2**16 + 3.5) * self.SPACING
         else:  # each on period cut by pieces
             on, off = np.array([3.3e5, 0.2, 7.1e5]) * self.SPACING, np.array([1.0, 0.0, 2.0])
-        got, silent = synth._emit(on, off, 2.0, 100, 1e4, t0)
         want, want_silent = whole_run_emit(on, off, 2.0, 100, 1e4, t0)
-        assert got.tobytes() == want.tobytes() and silent == want_silent
+        got = np.empty(len(want))
+        assert synth._emit(on, off, 2e4, 100, t0, got) == (len(want), want_silent)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("room", [0, 1, 2**16 - 1, 2**16 + 7, 3 * 2**16 + 11])
+    def test_stops_when_its_array_is_full(self, room):
+        # a by-count trace's last chunk: the packets past the array's end
+        # are counted but never written, and the rest keep their bits
+        on, off = self.process(6, 3)
+        want, want_silent = whole_run_emit(on, off, 2.0, 100, 1e4, 99.5)
+        got = np.full(room + 1, -1.0)
+        assert synth._emit(on, off, 2e4, 100, 99.5, got[:room]) == (len(want), want_silent)
+        assert got[:room].tobytes() == want[:room].tobytes() and got[room] == -1.0
 
     def test_packetize_holds_its_timestamps_and_one_group(self):
         n = 2**21
@@ -603,3 +616,30 @@ class TestSyntheticSource:
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):
             self._source().trace(substream(0), n_packets=0)
+
+    def test_a_count_that_no_cycle_can_reach_is_refused(self):
+        # on periods of at most 2 microseconds send at most 4 bytes at
+        # 2e6 bytes/s, short of one 1000-byte packet
+        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1e-6, 2e-6), n_cycles=10, lambda_target=0.5)
+        source = tl.SyntheticSource(spec=spec, packet_size=1000, server_rate=1e6)
+        with pytest.raises(ValueError, match="packetization produced no packets; check packet_size vs on periods"):
+            source.trace(substream(0), n_packets=1)
+
+    def test_a_counted_trace_holds_its_timestamps_and_one_chunk(self):
+        # the recipe of the sweep_blocks_onoff benchmark: a cycle emits
+        # about 0.1 s * 2e6 bytes/s / 1000 bytes = 200 packets
+        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.2, 1 / 60), n_cycles=8000, lambda_target=0.5)
+        source = tl.SyntheticSource(spec=spec, packet_size=1000, server_rate=1e6)
+        n = 10**6
+        ts = source.trace(substream(1), n_packets=n).timestamps
+        # one array of exactly n timestamps, not a view of a longer one
+        assert ts.base is None and ts.flags.owndata and ts.nbytes == 8 * n
+        chunk = n // 200  # the first and longest chunk of cycles
+        # the timestamps, PacketTrace's n-byte boolean checks, a chunk's
+        # bursts, uniforms, silences and lengths, and _emit's counts, ends,
+        # lengths, running sums and starts of its cycles, 8 bytes each a
+        # cycle; a piece's temporary of 2**16 packets, and half a MiB of
+        # small temporaries
+        bound = 8 * n + n + 8 * 8 * chunk + 8 * 2**16 + MiB // 2
+        for seed in (1, 2, 3):
+            assert peak_bytes(lambda: source.trace(substream(seed), n_packets=n)) <= bound
