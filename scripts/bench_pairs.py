@@ -14,9 +14,11 @@ runs first in even pairs and the checkout in odd ones.
 The file holds every pair and, per workload and side, the median and
 quartiles of each end-to-end metric, the pairs each side won on it
 (ties count for neither), the runs that were correct, the operations
-attempted and failed, and the `env` block run.py printed. After its
-pairs, each workload runs once more per side with `--trace 1` and seed
-S+N, for N pairs; the file keeps that run's correct, attempted and
+attempted and failed, and the `env` block run.py printed. A run whose
+every operation failed timed an early exit, not the workload: it is
+left out of the medians and of the wins of its pair, and its seed is
+listed apart. After its pairs, each workload runs once more per side
+with `--trace 1` and seed S+N, for N pairs; the file keeps that run's correct, attempted and
 failed counts and its `*.calls` metrics, which run.py checks against
 the workload's `expected_calls`. Its self times are left out: the
 tracer's span stack is shared between threads, so the self times of
@@ -109,27 +111,40 @@ def traced_run(run: dict) -> dict:
 
 
 def _spread(values: list[float]) -> dict:
+    if not values:
+        return dict.fromkeys(("median", "q1", "q3"))
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _all_failed(run: dict) -> bool:
+    """Whether no operation of the run succeeded."""
+    return run["failed"] >= run["attempted"]
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per side: median and quartiles of each metric, with the pairs the
-    side won on it; and the correct runs, attempted and failed operations.
-    better maps each metric to "lower" or "higher"."""
+    """Per side: median and quartiles of each metric over the runs with a
+    successful operation (None where there is none), with the pairs the
+    side won on it among the pairs where both sides had one; the seeds of
+    the runs left out, whose every operation failed; and the correct
+    runs, attempted and failed operations of every run. better maps each
+    metric to "lower" or "higher"."""
+    failed = {side: [p["seed"] for p in pairs if _all_failed(p[side])] for side in SIDES}
+    compared = [p for p in pairs if not any(_all_failed(p[side]) for side in SIDES)]
     metrics = {}
     for name, direction in better.items():
-        values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+        values = {side: [p[side]["metrics"][name] for p in pairs if not _all_failed(p[side])] for side in SIDES}
         sign = 1 if direction == "lower" else -1
         wins = {side: 0 for side in SIDES}
-        for a, b in zip(values["rev"], values["checkout"]):
+        for a, b in ((p["rev"]["metrics"][name], p["checkout"]["metrics"][name]) for p in compared):
             if a != b:
                 wins["rev" if sign * (a - b) < 0 else "checkout"] += 1
         metrics[name] = {"better": direction,
                          **{side: {**_spread(values[side]), "won": wins[side]} for side in SIDES}}
     counts = {side: {key: sum(int(p[side][key]) for p in pairs) for key in ("correct", "attempted", "failed")}
               for side in SIDES}
-    return {"pairs": len(pairs), "metrics": metrics, "counts": counts}
+    return {"pairs": len(pairs), "compared": len(compared), "metrics": metrics, "counts": counts,
+            "failed_runs": failed}
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -151,13 +166,18 @@ def report(bench: dict) -> str:
         summary = summarize(entry["pairs"], {k: v["better"] for k, v in entry["summary"]["metrics"].items()})
         for name, m in summary["metrics"].items():
             a, b = m["rev"], m["checkout"]
-            lines.append(f"| {workload} | {name} | {a['median']:.4g} [{a['q1']:.4g}, {a['q3']:.4g}] | "
-                         f"{b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] | {b['median'] / a['median']:.3f} | "
-                         f"{b['won']}/{summary['pairs']} |")
+            cells = ["no run" if x["median"] is None else f"{x['median']:.4g} [{x['q1']:.4g}, {x['q3']:.4g}]"
+                     for x in (a, b)]
+            ratio = "" if None in (a["median"], b["median"]) else f"{b['median'] / a['median']:.3f}"
+            lines.append(f"| {workload} | {name} | {cells[0]} | {cells[1]} | {ratio} | "
+                         f"{b['won']}/{summary['compared']} |")
         counts = summary["counts"]
         lines.append(f"| {workload} | correct runs, ops attempted/failed | "
                      + " | ".join(f"{counts[s]['correct']}, {counts[s]['attempted']}/{counts[s]['failed']}"
                                   for s in SIDES) + " | | |")
+        lines.append(f"| {workload} | runs whose every op failed, left out of medians and wins | "
+                     + " | ".join(f"seeds {', '.join(map(str, seeds))}" if seeds else "none"
+                                  for seeds in (summary["failed_runs"][s] for s in SIDES)) + " | | |")
         ratios = {p["seed"]: p["calibration"] for p in entry["pairs"] if "calibration" in p}
         if ratios:
             slow = ", ".join(str(seed) for seed, ratio in ratios.items() if ratio > SLOW_WINDOW)

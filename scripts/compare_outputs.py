@@ -67,6 +67,12 @@ LOOSE_TRACE = "0 1500\n\n# a comment between records\n" + "".join(
     f"{i // 8} {40 + 37 * i % 1460}\n" if i % 8 == 0 else f"{i / 8:e}  {40 + 37 * i % 1460}\n"
     for i in range(1, 400))
 
+# 70000 packets of 1000 bytes in batches of 3 at equal timestamps 0.75 s
+# apart: at 4000 bytes/s each service takes exactly 0.25 s, so each
+# batch's last departure ties with the next batch's arrivals, and as
+# 65536 is not a multiple of 3, a batch straddles each 65536-packet cut
+TIES_TRACE = "".join(f"{0.75 * (i // 3):.2f} 1000\n" for i in range(70000))
+
 # a canonical CSV trace whose last record has no line end
 UNTERMINATED_TRACE = "# seconds,bytes\n" + "\n".join(
     f"{0.0021 * i + 0.0004 * (i % 5):.9f},{64 + 97 * i % 1455}" for i in range(500))
@@ -74,9 +80,10 @@ UNTERMINATED_TRACE = "# seconds,bytes\n" + "\n".join(
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
 # and from text.txt, kernel.txt, kernel_long.txt, huge.txt, loose.txt,
-# unterminated.csv and mixed.txt: TEXT_TRACE, KERNEL_TRACE,
-# KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE, UNTERMINATED_TRACE and a
-# CSV trace whose third record is whitespace separated
+# ties.txt, unterminated.csv and mixed.txt: TEXT_TRACE, KERNEL_TRACE,
+# KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE, TIES_TRACE,
+# UNTERMINATED_TRACE and a CSV trace whose third record is whitespace
+# separated
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -171,6 +178,10 @@ COMMANDS = [
                           "-o", "queue_loose.csv"]),
     ("queue_unterminated_path", ["cli", "queue", "unterminated.csv", "--rho", "0.7",
                                  "--path-out", "unterminated_path.csv", "-o", "queue_unterminated.csv"]),
+    # departures that tie with arrivals, a departure first at each tie,
+    # and one busy period across both slices of the path's merge
+    ("queue_ties_path", ["cli", "queue", "ties.txt", "--bandwidth", "4000", "--path-out", "ties_path.csv",
+                         "-o", "queue_ties.csv"]),
     ("summarize_kernel", ["cli", "summarize", "kernel.txt", "-o", "summary_kernel.csv"]),
     ("queue_kernel_path", ["cli", "queue", "kernel.txt", "--rho", "0.7", "--path-out", "kernel_path.csv",
                            "-o", "queue_kernel.csv"]),
@@ -233,6 +244,7 @@ def run_commands(scripts: Path) -> None:
     Path("kernel_long.txt").write_bytes(KERNEL_LONG_TRACE.encode())
     Path("huge.txt").write_text(HUGE_TRACE)
     Path("loose.txt").write_text(LOOSE_TRACE)
+    Path("ties.txt").write_text(TIES_TRACE)
     Path("unterminated.csv").write_text(UNTERMINATED_TRACE)
     Path("mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
     for name, (head, *argv) in COMMANDS:

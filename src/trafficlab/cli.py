@@ -240,10 +240,10 @@ def cmd_queue(args) -> int:
     bandwidth = _resolve_bandwidth(trace, args.bandwidth, args.rho)
     run = packet_fifo(trace, bandwidth)
     with _manifest(args, args.output, args.path_out, inputs=inputs, derived_bandwidth=bandwidth) as comment:
-        _write_row_csv(args.output, comment, asdict(run.stats))
-        if args.path_out:
+        if args.path_out:  # read first, the path's pass also makes the stats
             with open(args.path_out, "wb") as fh:
                 run.path.write_csv(fh, comments=(comment,))
+        _write_row_csv(args.output, comment, asdict(run.stats))
     return 0
 
 

@@ -78,6 +78,37 @@ def test_medians_and_quartiles_over_pairs_and_the_report_from_the_file_alone():
     assert "| trace_pipeline_1m | cpu_s | 3 [2, 4] | 1 [1, 1] | 0.333 | 4/5 |" in table.splitlines()
 
 
+def test_a_run_whose_every_operation_failed_is_left_out_and_named():
+    # seed 2's checkout run exited early: every operation failed, and its
+    # wall time is the exit's, not the workload's
+    walls = {1: (1.0, 0.9), 2: (1.1, 0.3), 3: (1.2, 1.0), 4: (0.8, 0.95)}
+    pairs = [{"seed": seed, "first": "rev", "rev": bench_pairs.parse_run(run_output(a, 1.0, a, 200.0, 1.0)),
+              "checkout": bench_pairs.parse_run(run_output(b, 1.0, b, 200.0, 1.0, attempted=6,
+                                                           failed=6 if seed == 2 else 0))}
+             for seed, (a, b) in walls.items()]
+    summary = bench_pairs.summarize(pairs, BETTER)
+    assert (summary["pairs"], summary["compared"]) == (4, 3)
+    assert summary["failed_runs"] == {"rev": [], "checkout": [2]}
+    wall = summary["metrics"]["wall_s"]
+    assert wall["checkout"] == {"median": 0.95, "q1": 0.925, "q3": 0.975, "won": 2}
+    assert wall["rev"] == {"median": 1.05, "q1": 0.95, "q3": 1.125, "won": 1}
+    assert summary["counts"]["checkout"] == {"correct": 3, "attempted": 24, "failed": 6}
+    bench = {"rev": {"sha": "1" * 40}, "checkout": {"sha": "2" * 40, "dirty": False},
+             "workloads": {"trace_pipeline_1m": {"pairs": pairs, "summary": summary}}}
+    table = bench_pairs.report(json.loads(json.dumps(bench))).splitlines()
+    assert "| trace_pipeline_1m | wall_s | 1.05 [0.95, 1.125] | 0.95 [0.925, 0.975] | 0.905 | 2/3 |" in table
+    assert ("| trace_pipeline_1m | runs whose every op failed, left out of medians and wins | none | seeds 2 "
+            "| | |") in table
+    # a side with no successful run has no median
+    for p in pairs:
+        p["checkout"]["failed"] = p["checkout"]["attempted"]
+    summary = bench_pairs.summarize(pairs, BETTER)
+    assert summary["compared"] == 0
+    assert summary["metrics"]["wall_s"]["checkout"] == {"median": None, "q1": None, "q3": None, "won": 0}
+    bench["workloads"]["trace_pipeline_1m"]["pairs"] = pairs
+    assert "| trace_pipeline_1m | wall_s | 1.05 [0.95, 1.125] | no run |  | 0/0 |" in bench_pairs.report(bench)
+
+
 def test_a_traced_run_keeps_its_counts_and_calls_only():
     run = bench_pairs.traced_run(bench_pairs.parse_run(traced_output(5.0)))
     assert run == {"correct": True, "attempted": 8, "failed": 0,

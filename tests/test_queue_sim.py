@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trafficlab as tl
 from trafficlab import queue_sim
@@ -77,6 +77,24 @@ def lexsort_path(ts, sizes, bandwidth):
         float(levels.max()),
         empty,
     )
+
+
+def argsort_merge(ts, sizes, bandwidth):
+    """The path merged over the whole trace at once, as packet_fifo once
+    built it: a stable argsort of all n departures followed by all n
+    arrivals, so a departure comes first at a tie, and the cumsum of the
+    +1/-1 steps, behind the origin (0, 0). Departures use packet_fifo's
+    own formula, so only the merge is under test."""
+    service = sizes / bandwidth
+    s_prefix = np.cumsum(service)
+    d = s_prefix + np.maximum.accumulate(ts - np.concatenate(([0.0], s_prefix[:-1])))
+    n = len(ts)
+    times = np.concatenate([d, ts])
+    order = np.argsort(times, kind="stable")
+    path_times, path_levels = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    np.take(times, order, out=path_times[1:])
+    np.cumsum(np.where(order >= n, 1.0, -1.0), out=path_levels[1:])
+    return path_times, path_levels
 
 
 def lindley_sojourns(ts, sizes, bandwidth):
@@ -717,8 +735,9 @@ class TestQueueRun:
     @pytest.mark.parametrize("kernel", ["packet_fifo", "fluid_queue"])
     def test_the_mean_streams_and_the_run_keeps_only_its_input(self, kernel, monkeypatch):
         # 16 slices of 4096 terms: the slice buffers together stay under one
-        # n-length array, and only the rebuild for stats and path, made once,
-        # makes n-length arrays
+        # n-length array. stats alone is one more pass of the loop, which
+        # keeps no path and stays under one n-length array too; path is one
+        # pass that also makes stats
         monkeypatch.setattr(queue_sim, "_CHUNK", 4096)
         n = 16 * 4096
         rng = np.random.default_rng(15)
@@ -731,20 +750,74 @@ class TestQueueRun:
         passes = []
         slices = getattr(queue_sim, loop)
         monkeypatch.setattr(queue_sim, loop, lambda *args: passes.append(args) or slices(*args))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            run = make_run()
-            kept, peak = (x - before for x in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
+
+        def traced(read):
+            """read()'s result, and the bytes it kept and its peak above them."""
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                got = read()
+                return (got, *(x - before for x in tracemalloc.get_traced_memory()))
+            finally:
+                tracemalloc.stop()
+
         array = 8 * n
+        run, kept, peak = traced(make_run)
         assert peak < array
         assert kept < array / 16
         assert len(passes) == 1
-        assert run.stats.mean_queue == run.mean_queue
-        assert len(run.path.times) > n
-        assert len(passes) == 2
+        stats, _, peak = traced(lambda: run.stats)
+        assert peak < array
+        assert stats.mean_queue == run.mean_queue
+        assert len(passes) == 2 and "path" not in vars(run)
+        both = make_run()
+        assert len(both.path.times) > n
+        assert both.stats == stats
+        assert len(passes) == 4
+
+
+class TestSliceMerge:
+    """packet_fifo merges each slice's arrivals with the departures up to
+    its last arrival; argsort_merge merges the whole trace at once."""
+
+    # gaps and service times in whole quarter seconds at 1000 bytes/s, so
+    # departures land exactly on arrivals; a zero gap makes a batch
+    @given(pairs=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=1, max_size=60),
+           chunk=st.sampled_from((1, 2, 3, 7)))
+    @example(pairs=[(3, 5)], chunk=1)  # a single packet
+    @example(pairs=[(0, 1)] * 3 + [(3, 1)] * 3 + [(3, 1)] * 3, chunk=2)  # batches, each tied with the last departure
+    @example(pairs=[(0, 8)] + [(1, 8)] * 30, chunk=3)  # one busy period across every slice
+    @example(pairs=[(4, 1), (0, 2), (0, 1), (1, 8), (0, 8), (8, 4), (4, 4)], chunk=2)
+    def test_the_slice_merge_is_the_whole_trace_merge(self, pairs, chunk):
+        ts = np.cumsum([g / 4.0 for g, _ in pairs])
+        sizes = np.array([250 * k for _, k in pairs])
+        times, levels = argsort_merge(ts, sizes, 1000.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(queue_sim, "_CHUNK", chunk)
+            run = tl.packet_fifo(tl.PacketTrace(ts, sizes), 1000.0)
+            path, stats = run.path, run.stats  # one pass for both
+            alone = tl.packet_fifo(tl.PacketTrace(ts, sizes), 1000.0).stats  # a pass that keeps no path
+        assert path.times.tobytes() == times.tobytes()
+        assert path.levels.tobytes() == levels.tobytes()
+        assert bits(stats.peak_queue) == bits(alone.peak_queue) == bits(levels.max())
+        assert stats == alone
+
+    @pytest.mark.parametrize("read, mib", [("stats", 24), ("path", 56)])
+    def test_a_rebuild_of_a_million_packets_stays_under_its_bound(self, read, mib):
+        # stats alone keeps no path: under three 10**6-float arrays. path
+        # holds its 2n+1 times and levels, and stats comes from its pass.
+        # The whole-trace merge peaked at 87.3 MiB for either
+        trace = tl.generate_poisson(1000.0, 1000, 10**6, np.random.default_rng(32))
+        run = tl.packet_fifo(trace, 2e6)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            getattr(run, read)
+            assert "stats" in vars(run) and ("path" in vars(run)) == (read == "path")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
 
 class TestFsumRoutes:
