@@ -7,6 +7,7 @@ bit-for-bit reproducible and independent of execution order.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -387,6 +388,8 @@ def blocksize_sweep(
     block_sizes = sorted(int(b) for b in block_sizes)
     if not block_sizes or block_sizes[0] < 1:
         raise ValueError("block_sizes must be positive")
+    if block_sizes[-1] > sys.float_info.max:  # the sweep's x column is float(block size)
+        raise ValueError(f"block size {block_sizes[-1]} is past the largest float")
     b = _resolve_bandwidth(trace, bandwidth, rho)
     return _replicate(SweepResult(x_label="block_size"), block_sizes, plan, b,
                       lambda blk, rng: block_shuffle(trace, blk, rng), baseline=trace)

@@ -30,11 +30,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QueueStats:
-    """Summary of one queue run.
+    """Summary of one packet queue run.
 
     mean_queue is area/horizon. utilization is busy time over the
-    horizon, where the packet server is busy while any packet is in
-    the system and the fluid server while work is arriving or queued.
+    horizon, where the server is busy while any packet is in the system.
     """
 
     mean_queue: float
@@ -47,24 +46,19 @@ class QueueStats:
 
 @dataclass(eq=False)
 class QueuePath:
-    """Queue level breakpoints, enough to reconstruct Q_t exactly.
-
-    interpolation is "linear" for fluid runs (level ramps between
-    breakpoints) and "step" for packet runs (level holds until the
-    next breakpoint). The path always starts at (0, 0).
+    """Queue level breakpoints of a packet run, enough to reconstruct Q_t
+    exactly: the level holds from each breakpoint until the next. The
+    path always starts at (0, 0).
     """
 
     times: np.ndarray
     levels: np.ndarray
-    interpolation: str
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
         q = np.asarray(self.levels, dtype=np.float64)
         if t.shape != q.shape or t.ndim != 1:
             raise ValueError("times and levels must be 1-d and equal length")
-        if self.interpolation not in ("linear", "step"):
-            raise ValueError("interpolation must be 'linear' or 'step'")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "levels", q)
 
@@ -77,8 +71,8 @@ class QueueRun:
     """One queue run.
 
     mean_queue, area and horizon come from the kernel's one pass over
-    its input, and the run keeps nothing else but that input (a trace
-    and bandwidth, or a process). stats (a QueueStats) and path (a
+    its input. A fluid run keeps nothing else. A packet run keeps its
+    trace and bandwidth, and its stats (a QueueStats) and path (a
     QueuePath) come from a rebuild, a second pass of the same slice
     loop that makes the statistics as it goes and writes the path only
     when path is read. That pass fills stats too, while stats read first
@@ -86,13 +80,16 @@ class QueueRun:
     and one that wants both reads path first.
     """
 
-    def __init__(self, area: float, horizon: float, rebuild):
+    def __init__(self, area: float, horizon: float, rebuild=None):
         self.area = area
         self.horizon = horizon
         self.mean_queue = area / horizon
-        self._rebuild = rebuild  # keep_path -> (peak, busy time, empty time, path or None)
+        self._rebuild = rebuild  # keep_path -> (peak, busy time, empty time, path or None); None: a fluid run
 
     def _read(self, keep_path: bool):
+        if self._rebuild is None:
+            raise AttributeError("stats and path belong to packet runs: a fluid run keeps only "
+                                 "mean_queue, area and horizon")
         peak, busy, empty, path = self._rebuild(keep_path)
         stats = QueueStats(mean_queue=self.mean_queue, peak_queue=peak, horizon=self.horizon,
                            utilization=busy / self.horizon, empty_fraction=empty / self.horizon, area=self.area)
@@ -276,15 +273,14 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     scalars across: the cumulative rise minus off w, its running
     minimum, and the previous cycle's end level. Each run's on, off and
     area terms are extracted as they are made (_extract), into one list
-    per sum that math.fsum rounds once. The run keeps only the process;
-    stats and path come from a second pass of the same loop, which also
-    sums the drain times; only path lists breakpoints. A process of
-    reorder_nonoverlap is read a run at a time, its silences computed
-    into a buffer, so neither pass builds its off_lengths: the mean
-    holds five _CHUNK-cycle buffers and no array as long as the process.
+    per sum that math.fsum rounds once. The run keeps only its
+    mean_queue, area and horizon: reading its stats or path is an
+    AttributeError. A process of reorder_nonoverlap is read a run at a
+    time, its silences computed into a buffer, so the pass builds no
+    off_lengths: it holds five _CHUNK-cycle buffers and no array as long
+    as the process.
     """
-    size = min(process.n_cycles, _CHUNK)
-    buf = np.empty(size)
+    buf = np.empty(min(process.n_cycles, _CHUNK))
     on_sum, off_sum, on_area, off_area = [], [], [], []
     for on, off, before, q_peak, drain, q_end in _fluid_slices(process):
         # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
@@ -302,37 +298,9 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
         _extract(x, off_area, q, x)
         _extract(on, on_sum, q, x)
         _extract(off, off_sum, q, x)
-    on_total = math.fsum(on_sum)
-    horizon = on_total + math.fsum(off_sum)
+    horizon = math.fsum(on_sum) + math.fsum(off_sum)
     area = math.fsum(on_area) + math.fsum(off_area)
-
-    def rebuild(keep_path: bool):
-        drained = []
-        buf, q = np.empty(size), np.empty(size)
-        times, levels = [np.zeros(1)], [np.zeros(1)]
-        peak, end = -math.inf, 0.0
-        for on, off, _, q_peak, drain, q_end in _fluid_slices(process):
-            _extract(drain, drained, q, buf)
-            peak = max(peak, float(q_peak.max()))
-            if keep_path:
-                k = len(on)
-                cycle_ends = np.add(on, off, out=buf[:k])
-                cycle_ends[0] += end
-                np.cumsum(cycle_ends, out=cycle_ends)
-                end = cycle_ends[-1]
-                on_ends = cycle_ends - off
-                # breakpoints: peak at on-end, zero where the drain finishes
-                # early, and the level at the cycle end
-                keep = np.ones((k, 3), dtype=bool)
-                keep[:, 1] = q_peak <= off
-                keep = keep.ravel()
-                times.append(np.stack([on_ends, on_ends + drain, cycle_ends], axis=1).ravel()[keep])
-                levels.append(np.stack([q_peak, q_peak - drain, q_end], axis=1).ravel()[keep])
-        busy = on_total + math.fsum(drained)
-        path = QueuePath(np.concatenate(times), np.concatenate(levels), "linear") if keep_path else None
-        return peak, busy, horizon - busy, path
-
-    return QueueRun(area, horizon, rebuild)
+    return QueueRun(area, horizon)
 
 
 def _fifo_slices(trace: PacketTrace, bandwidth: float):
@@ -415,7 +383,7 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
 
     def rebuild(keep_path: bool):
         service, idle, q = [], [], np.empty(size)
-        path = QueuePath(np.zeros(2 * n + 1), np.zeros(2 * n + 1), "step") if keep_path else None
+        path = QueuePath(np.zeros(2 * n + 1), np.zeros(2 * n + 1)) if keep_path else None
         pending, d_last, level, peak, lo, at = np.empty(0), math.inf, 0.0, 0.0, 0, 1
         for a, d, s in _fifo_slices(trace, bandwidth):
             hi = lo + len(d)

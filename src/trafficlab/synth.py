@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .rng import as_generator
-from .traces import PacketTrace, _equal_sizes
+from .traces import _MAX_SIZE, PacketTrace, _equal_sizes
 
 __all__ = [
     "HeavyTailSpec",
@@ -96,15 +96,6 @@ class FluidOnOffProcess:
     @property
     def n_cycles(self) -> int:
         return len(self.on_lengths)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.on_lengths.sum() + self.off_lengths.sum())
-
-    @property
-    def arrival_rate(self) -> float:
-        """Long-run work arrival rate m * on_time / elapsed_time."""
-        return float(self.m * self.on_lengths.sum() / self.horizon)
 
     def prefix(self, n_cycles: int) -> "FluidOnOffProcess":
         if not 1 <= n_cycles <= self.n_cycles:
@@ -357,10 +348,17 @@ def _emit(on, off, rate_bytes, packet_size, t0, times):
     return at, silent
 
 
-def _check_emission(packet_size: int, server_rate: float) -> None:
-    """The packet size and server rate checks of packetize and SyntheticSource."""
+def _check_packet_size(packet_size: int) -> None:
+    """The packet size rule of every generator: from 1 byte to the largest size a PacketTrace holds."""
     if packet_size < 1:
         raise ValueError("packet_size must be >= 1 byte")
+    if packet_size > _MAX_SIZE:
+        raise ValueError(f"packet_size must be <= {_MAX_SIZE} bytes")
+
+
+def _check_emission(packet_size: int, server_rate: float) -> None:
+    """The packet size and server rate checks of packetize and SyntheticSource."""
+    _check_packet_size(packet_size)
     if not 0 < server_rate < np.inf:
         raise ValueError("server_rate must be positive and finite")
 
@@ -398,8 +396,7 @@ def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace
         raise ValueError("rate must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if packet_size < 1:
-        raise ValueError("packet_size must be >= 1 byte")
+    _check_packet_size(packet_size)
     rng = as_generator(seed)
     ts = rng.exponential(1.0 / rate, n)
     np.cumsum(ts, out=ts)

@@ -193,7 +193,7 @@ def _format_rows(literals, fields, columns) -> np.ndarray | None:
     chunk with NUL bytes, which the literals never hold, and the padding
     is deleted from the joined bytes. Both steps are numpy copies, which
     release the GIL, so chunks format side by side on _in_order's pool.
-    A ``%.9f`` column whose cells are all whole numbers, as a step
+    A ``%.9f`` column whose cells are all whole numbers, as a
     QueuePath's levels are, is laid out as integer digits followed by
     ``.000000000``, without the rounding of _fixed_point.
     """

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import trafficlab as tl
-from trafficlab import cli
+from trafficlab import cli, experiments
 from trafficlab.rng import substream
 
 
@@ -128,6 +128,15 @@ class TestGen:
     def test_bounded_model_needs_q(self, tmp_path, capsys):
         assert run(*BOUNDED, "--seed", "12", "-o", tmp_path / "b.csv") == 1
         assert "queue bound q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [("--model", "poisson", "--rate", "100", "--n", "10"), ONOFF],
+                             ids=["poisson", "onoff"])
+    def test_packet_size_past_int64_is_refused(self, tmp_path, capsys, model):
+        # later flags override the packet size in ONOFF
+        rc = run("gen", *model, "--packet-size", "99999999999999999999", "--seed", "1", "-o", tmp_path / "p.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: packet_size must be <= 9223372036854775807 bytes\n"
+        assert list(tmp_path.iterdir()) == []
         assert not (tmp_path / "b.csv").exists()
 
 
@@ -362,6 +371,16 @@ class TestSweeps:
         last = [l for l in text.splitlines() if not l.startswith("#")][-1].split(",")
         assert float(last[0]) == 1e20
         assert float(last[1]) == baseline and float(last[2]) == 0.0
+
+    def test_block_past_the_largest_float_is_refused_before_any_replication(self, poisson_file, tmp_path, capsys,
+                                                                             monkeypatch):
+        simulated = []
+        monkeypatch.setattr(experiments, "packet_fifo", lambda *args: simulated.append(args))
+        rc = run("sweep-blocks", "--trace", poisson_file, "--blocks", "1,1e400", "--reps", "1",
+                 "--seed", "1", "--rho", "0.5", "--out-prefix", tmp_path / "b")
+        assert (rc, simulated) == (1, [])
+        assert capsys.readouterr().err == f"error: block size {10**400} is past the largest float\n"
+        assert not (tmp_path / "b.csv").exists()
 
     def test_bandwidth_too_small_for_a_finite_horizon_named(self, poisson_file, tmp_path, capsys):
         with warnings.catch_warnings():

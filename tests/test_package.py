@@ -3,7 +3,9 @@ name in one list. The names themselves are not pinned here: that would
 be a second list to keep in step."""
 import importlib
 import pkgutil
+import re
 from collections import Counter
+from pathlib import Path
 
 import trafficlab as tl
 
@@ -37,3 +39,11 @@ def test_a_star_import_binds_exactly_the_list():
     exec("from trafficlab import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(tl.__all__)
+
+
+def test_the_readme_python_example_runs():
+    # a name the example uses and the package no longer has fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -44,12 +44,6 @@ def fluid(on, off, m):
     return tl.FluidOnOffProcess(np.asarray(on, float), np.asarray(off, float), m)
 
 
-def trapezoid_integral(path):
-    dt = np.diff(path.times)
-    avg = 0.5 * (path.levels[:-1] + path.levels[1:])
-    return float(np.sum(dt * avg))
-
-
 def step_integral(path):
     dt = np.diff(path.times)
     return float(np.sum(dt * path.levels[:-1]))
@@ -112,12 +106,12 @@ def lindley_sojourns(ts, sizes, bandwidth):
 
 
 def fluid_recursion(on, off, m):
-    """Mean, area, busy time and peak of the fluid queue, one cycle at a
-    time: q = max(0, q + (m-1) on - off), with each cycle's area a
-    trapezoid while on and a trapezoid or triangle while off, summed by
-    math.fsum over Python floats."""
+    """Mean, area and peak of the fluid queue, one cycle at a time:
+    q = max(0, q + (m-1) on - off), with each cycle's area a trapezoid
+    while on and a trapezoid or triangle while off, summed by math.fsum
+    over Python floats."""
     q = peak = 0.0
-    areas, busy = [], []
+    areas = []
     for x, y in zip(on, off):
         top = q + (m - 1.0) * x
         areas.append(0.5 * (q + top) * x)
@@ -125,11 +119,10 @@ def fluid_recursion(on, off, m):
         # still queued at the cycle end: a trapezoid over the whole off
         # period; drained: a triangle lasting `top` seconds
         areas.append(0.5 * (top + q) * y if q > 0.0 else 0.5 * top * top)
-        busy += [x, y if q > 0.0 else top]
         peak = max(peak, top)
     horizon = math.fsum(on) + math.fsum(off)
     area = math.fsum(areas)
-    return area / horizon, area, math.fsum(busy), peak
+    return area / horizon, area, peak
 
 
 def fluid_level_bound(on, off, m, peak):
@@ -138,22 +131,14 @@ def fluid_level_bound(on, off, m, peak):
 
     S bounds every partial sum either side accumulates, and summing k
     terms one at a time errs by at most (k-1)(eps/2) S. The kernel's
-    cycle-end levels subtract two such cumulative values, its path times
-    are a third, the recursion accumulates a fourth, and the products
-    per cycle add a few eps of the peak. Over 6000 seeded processes of
-    up to 600 cycles (dyadic, heavy-tailed and near-critical) the
-    largest error seen was 0.08 of this bound for the stats and 0.05
-    for the prefix means."""
+    cycle-end levels subtract two such cumulative values, the recursion
+    accumulates a third, and the products per cycle add a few eps of
+    the peak. Over 6000 seeded processes of up to 600 cycles (dyadic,
+    heavy-tailed and near-critical) the largest error of the mean, of
+    the area over the horizon and of a prefix mean against the
+    recursion stopped at the prefix was 0.03 of this bound."""
     s = math.fsum([(m - 1.0) * x + y for x, y in zip(on, off)])
     return 4 * len(on) * np.finfo(float).eps * (s + peak)
-
-
-def integral_to(path, t_end):
-    """Integral of a linear-interpolation path from 0 to t_end."""
-    k = np.searchsorted(path.times, t_end, side="right")
-    t = np.append(path.times[:k], t_end)
-    q = np.append(path.levels[:k], np.interp(t_end, path.times, path.levels))
-    return math.fsum((0.5 * (q[:-1] + q[1:]) * np.diff(t)).tolist())
 
 
 def bits(x):
@@ -179,8 +164,7 @@ def fifo_formulas(ts, sizes, bandwidth):
 
 def fluid_formulas(on, off, m):
     """fluid_queue's figures written out with a new array for every
-    intermediate and the path built one cycle at a time: (area, horizon,
-    stats fields, path times, path levels)."""
+    intermediate: (area, horizon)."""
     rise = (m - 1.0) * on
     w = np.cumsum(rise - off)
     q_end = w - np.minimum(np.minimum.accumulate(w), 0.0)
@@ -189,32 +173,24 @@ def fluid_formulas(on, off, m):
     drain = np.minimum(off, q_peak)
     area_on = 0.5 * (q_start + q_peak) * on
     area_off = drain * (q_peak - 0.5 * drain)
-    on_total = math.fsum(on.tolist())
-    horizon = on_total + math.fsum(off.tolist())
+    horizon = math.fsum(on.tolist()) + math.fsum(off.tolist())
     area = math.fsum(area_on.tolist()) + math.fsum(area_off.tolist())
-    busy = on_total + math.fsum(drain.tolist())
-    times, levels, end = [0.0], [0.0], 0.0
-    for x, y, peak, dr, q in zip(on, off, q_peak, drain, q_end):
-        end = end + (x + y)
-        times.append(end - y)
-        levels.append(peak)
-        if peak <= y:  # drained before the cycle ends
-            times.append(end - y + dr)
-            levels.append(peak - dr)
-        times.append(end)
-        levels.append(q)
-    stats = (area / horizon, float(q_peak.max()), horizon, busy / horizon, (horizon - busy) / horizon, area)
-    return area, horizon, stats, np.array(times), np.array(levels)
+    return area, horizon
 
 
 def assert_run_is(run, formulas):
-    area, horizon, stats, times, levels = formulas
-    assert (bits(run.area), bits(run.horizon), bits(run.mean_queue)) == (bits(area), bits(horizon), bits(stats[0]))
-    got = run.stats
-    fields = (got.mean_queue, got.peak_queue, got.horizon, got.utilization, got.empty_fraction, got.area)
-    assert [bits(x) for x in fields] == [bits(x) for x in stats]
-    assert run.path.times.tobytes() == times.tobytes()
-    assert run.path.levels.tobytes() == levels.tobytes()
+    """run's figures are those of formulas, bit for bit: the mean, area
+    and horizon, and for a packet run its stats and path too."""
+    area, horizon, *packet = formulas
+    figures = (bits(run.area), bits(run.horizon), bits(run.mean_queue))
+    assert figures == (bits(area), bits(horizon), bits(area / horizon))
+    if packet:
+        stats, times, levels = packet
+        got = run.stats
+        fields = (got.mean_queue, got.peak_queue, got.horizon, got.utilization, got.empty_fraction, got.area)
+        assert [bits(x) for x in fields] == [bits(x) for x in stats]
+        assert run.path.times.tobytes() == times.tobytes()
+        assert run.path.levels.tobytes() == levels.tobytes()
 
 
 # slice lengths for the kernels' loops: at 1, 2, 3 and 7 packets or cycles
@@ -224,7 +200,7 @@ SLICES = (1, 2, 3, 7, None)
 
 def assert_runs_are(make_run, formulas):
     """assert_run_is for make_run() with the kernels' slice length set to
-    each of SLICES, stats and path read under it too."""
+    each of SLICES, a packet run's stats and path read under it too."""
     for chunk in SLICES:
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
@@ -232,10 +208,8 @@ def assert_runs_are(make_run, formulas):
             assert_run_is(make_run(), formulas)
 
 
-# strictly positive on lengths and nonnegative off lengths, dyadic so
-# horizons accumulate exactly
+# strictly positive on lengths, dyadic so horizons accumulate exactly
 on_lists = st.lists(st.integers(1, 512).map(lambda k: k / 64.0), min_size=1, max_size=50)
-off_lists = st.lists(st.integers(0, 512).map(lambda k: k / 64.0), min_size=1, max_size=50)
 # cycle lengths that round: off periods are often empty, so busy
 # periods run over many cycles and levels accumulate
 cycles = st.lists(
@@ -255,69 +229,37 @@ class TestFluidQueue:
         # X=3, m=2: rises to 3 over the on period, drains in 3 of the 5
         # off seconds; area is the m(m-1)X^2/2 triangle
         run = tl.fluid_queue(fluid([3.0], [5.0], 2.0))
-        stats, path = run.stats, run.path
-        assert stats.area == pytest.approx(9.0, rel=1e-12)
-        assert stats.peak_queue == pytest.approx(3.0)
-        assert stats.horizon == pytest.approx(8.0)
-        assert stats.mean_queue == pytest.approx(9.0 / 8.0, rel=1e-12)
-        assert stats.utilization == pytest.approx(6.0 / 8.0)
-        assert stats.empty_fraction == pytest.approx(2.0 / 8.0)
-        assert list(zip(path.times, path.levels)) == [(0, 0), (3, 3), (6, 0), (8, 0)]
+        assert run.area == pytest.approx(9.0, rel=1e-12)
+        assert run.horizon == pytest.approx(8.0)
+        assert run.mean_queue == pytest.approx(9.0 / 8.0, rel=1e-12)
 
     def test_carryover_between_cycles(self):
         # first off too short to drain: 3 - 2 = 1 carries into cycle 2
         run = tl.fluid_queue(fluid([3.0, 1.0], [2.0, 10.0], 2.0))
-        stats, path = run.stats, run.path
-        assert stats.area == pytest.approx(12.0, rel=1e-12)
-        assert stats.mean_queue == pytest.approx(0.75, rel=1e-12)
-        assert stats.peak_queue == pytest.approx(3.0)
-        assert stats.utilization == pytest.approx(0.5)
-        expected_path = [(0, 0), (3, 3), (5, 1), (6, 2), (8, 0), (16, 0)]
-        assert list(zip(path.times, path.levels)) == expected_path
+        assert run.area == pytest.approx(12.0, rel=1e-12)
+        assert run.mean_queue == pytest.approx(0.75, rel=1e-12)
 
     def test_reordered_process_mean(self):
         # on = [1/2, 5/4, 2], m=2, lam=1/2; exact rational mean is 31/80
         proc = tl.reorder_nonoverlap(np.array([0.5, 1.25, 2.0]), 2.0, 0.5)
-        stats = tl.fluid_queue(proc).stats
-        assert stats.mean_queue == pytest.approx(0.3875, rel=1e-12)
-
-    @given(on=on_lists, off=off_lists, m=st.floats(1.05, 8.0))
-    def test_path_integral_matches_area(self, on, off, m):
-        k = min(len(on), len(off))
-        run = tl.fluid_queue(fluid(on[:k], off[:k], m))
-        stats, path = run.stats, run.path
-        assert path.times[0] == 0.0 and path.levels[0] == 0.0
-        assert np.all(path.levels >= 0.0)
-        assert np.all(np.diff(path.times) >= 0.0)
-        assert trapezoid_integral(path) == pytest.approx(stats.area, rel=1e-9, abs=1e-12)
-        assert stats.mean_queue * stats.horizon == pytest.approx(stats.area, rel=1e-12)
-
-    @given(on=on_lists, off=off_lists, m=st.floats(1.05, 8.0))
-    def test_busy_and_empty_partition_the_horizon(self, on, off, m):
-        k = min(len(on), len(off))
-        stats = tl.fluid_queue(fluid(on[:k], off[:k], m)).stats
-        assert 0.0 <= stats.utilization <= 1.0 + 1e-12
-        assert stats.utilization + stats.empty_fraction == pytest.approx(1.0, rel=1e-9)
+        assert tl.fluid_queue(proc).mean_queue == pytest.approx(0.3875, rel=1e-12)
 
     @given(on=on_lists, m=st.floats(1.05, 8.0), lam=st.floats(0.1, 0.9))
     def test_reordered_identity_is_exact(self, on, m, lam):
         x = np.array(on)
-        stats = tl.fluid_queue(tl.reorder_nonoverlap(x, m, lam)).stats
+        run = tl.fluid_queue(tl.reorder_nonoverlap(x, m, lam))
         want = lam * (m - 1.0) * float(np.sum(x * x)) / (2.0 * float(np.sum(x)))
-        assert stats.mean_queue == pytest.approx(want, rel=1e-9)
-
+        assert run.mean_queue == pytest.approx(want, rel=1e-9)
 
     @given(pairs=cycles, m=st.floats(1.05, 8.0))
     def test_stats_match_the_cycle_recursion(self, pairs, m):
         on, off = [x for x, _ in pairs], [y for _, y in pairs]
-        stats = tl.fluid_queue(fluid(on, off, m)).stats
-        mean, area, busy, peak = fluid_recursion(on, off, m)
+        run = tl.fluid_queue(fluid(on, off, m))
+        mean, area, peak = fluid_recursion(on, off, m)
         bound = fluid_level_bound(on, off, m, peak)
-        assert stats.horizon == math.fsum(on) + math.fsum(off)
-        assert abs(stats.mean_queue - mean) <= bound
-        assert abs(stats.area - area) <= bound * stats.horizon
-        assert abs(stats.utilization * stats.horizon - busy) <= bound + np.finfo(float).eps * stats.horizon
-        assert abs(stats.peak_queue - peak) <= bound
+        assert run.horizon == math.fsum(on) + math.fsum(off)
+        assert abs(run.mean_queue - mean) <= bound
+        assert abs(run.area - area) <= bound * run.horizon
 
     @given(pairs=cycles, m=ms)
     @settings(max_examples=200)
@@ -558,31 +500,28 @@ class TestQueuePath:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tl.QueuePath(np.array([0.0, 1.0]), np.array([0.0]), "step")
+            tl.QueuePath(np.array([0.0, 1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            tl.QueuePath(np.array([0.0]), np.array([0.0]), "cubic")
+            tl.QueuePath(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestPrefixMeanQueue:
     def test_fluid_route_matches_prefix_simulation(self):
         proc = tl.reorder_nonoverlap(np.array([1.0, 2.0, 3.0, 4.0]), 2.0, 0.5)
         out = prefix_mean_queue(proc, [1, 3])
-        stats1 = tl.fluid_queue(proc.prefix(1)).stats
-        stats3 = tl.fluid_queue(proc.prefix(3)).stats
-        assert out == [(1, stats1.mean_queue), (3, stats3.mean_queue)]
+        assert out == [(1, tl.fluid_queue(proc.prefix(1)).mean_queue), (3, tl.fluid_queue(proc.prefix(3)).mean_queue)]
 
     @given(pairs=cycles, m=st.floats(1.05, 8.0), cuts=st.lists(st.integers(1, 60), min_size=1, max_size=4))
     def test_fluid_prefix_is_the_truncated_full_run(self, pairs, m, cuts):
         # a prefix simulated from empty is the full run up to the prefix's
-        # horizon; the tolerance is fluid_level_bound of the full process
+        # horizon: the cycle recursion, which runs forward, stopped there;
+        # the tolerance is fluid_level_bound of the full process
         on, off = [x for x, _ in pairs], [y for _, y in pairs]
         proc = fluid(on, off, m)
-        full = tl.fluid_queue(proc)
-        bound = fluid_level_bound(on, off, m, full.stats.peak_queue)
+        bound = fluid_level_bound(on, off, m, fluid_recursion(on, off, m)[2])
         sizes = sorted({min(c, len(on)) for c in cuts})
         for n, mean in prefix_mean_queue(proc, sizes):
-            horizon = math.fsum(on[:n]) + math.fsum(off[:n])
-            assert abs(mean - integral_to(full.path, horizon) / horizon) <= bound
+            assert abs(mean - fluid_recursion(on[:n], off[:n], m)[0]) <= bound
 
     def test_decreasing_sizes_rejected(self):
         proc = tl.reorder_nonoverlap(np.array([1.0, 2.0]), 2.0, 0.5)
@@ -613,9 +552,6 @@ class TestReorderedRuns:
             got, want = runs[1], runs[0]
             assert [bits(x) for x in (got.mean_queue, got.area, got.horizon)] == \
                 [bits(x) for x in (want.mean_queue, want.area, want.horizon)]
-            assert got.stats == want.stats
-            for a, b in ((got.path.times, want.path.times), (got.path.levels, want.path.levels)):
-                assert a.tobytes() == b.tobytes()
         assert "off_lengths" not in vars(lazy)  # no pass built the silences
 
     def test_prefix_means_are_those_of_the_eager_process(self):
@@ -714,30 +650,28 @@ class TestQueueRun:
         assert (run.mean_queue, run.area, run.horizon) == (
             run.stats.mean_queue, run.stats.area, run.stats.horizon)
 
-    @given(pairs=cycles, m=st.floats(1.05, 8.0))
-    def test_fluid_mean_is_the_stats_mean(self, pairs, m):
-        run = tl.fluid_queue(fluid([x for x, _ in pairs], [y for _, y in pairs], m))
-        assert (run.mean_queue, run.area, run.horizon) == (
-            run.stats.mean_queue, run.stats.area, run.stats.horizon)
-
     @pytest.mark.parametrize("m", [2.0])
     def test_reading_the_mean_builds_neither_stats_nor_path(self, m):
-        runs = [
-            tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0),
-            tl.fluid_queue(fluid([3.0, 1.0], [2.0, 10.0], m)),
-        ]
-        for run in runs:
-            assert run.mean_queue >= 0.0
-            assert "stats" not in vars(run) and "path" not in vars(run)
-            assert run.path is run.path
-            assert run.stats is run.stats
+        run = tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0)
+        assert run.mean_queue >= 0.0
+        assert "stats" not in vars(run) and "path" not in vars(run)
+        assert run.path is run.path
+        assert run.stats is run.stats
+        # a fluid run has neither to build
+        run = tl.fluid_queue(fluid([3.0, 1.0], [2.0, 10.0], m))
+        assert run.mean_queue >= 0.0
+        for name in ("stats", "path"):
+            with pytest.raises(AttributeError, match="^stats and path belong to packet runs: a fluid run keeps "
+                                                     "only mean_queue, area and horizon$"):
+                getattr(run, name)
+        assert not hasattr(run, "stats") and not hasattr(run, "path")
 
     @pytest.mark.parametrize("kernel", ["packet_fifo", "fluid_queue"])
     def test_the_mean_streams_and_the_run_keeps_only_its_input(self, kernel, monkeypatch):
         # 16 slices of 4096 terms: the slice buffers together stay under one
-        # n-length array. stats alone is one more pass of the loop, which
-        # keeps no path and stays under one n-length array too; path is one
-        # pass that also makes stats
+        # n-length array. A packet run's stats alone is one more pass of the
+        # loop, which keeps no path and stays under one n-length array too;
+        # path is one pass that also makes stats. A fluid run has neither
         monkeypatch.setattr(queue_sim, "_CHUNK", 4096)
         n = 16 * 4096
         rng = np.random.default_rng(15)
@@ -766,6 +700,11 @@ class TestQueueRun:
         assert peak < array
         assert kept < array / 16
         assert len(passes) == 1
+        if kernel == "fluid_queue":
+            with pytest.raises(AttributeError):
+                run.stats
+            assert len(passes) == 1
+            return
         stats, _, peak = traced(lambda: run.stats)
         assert peak < array
         assert stats.mean_queue == run.mean_queue
