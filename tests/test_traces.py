@@ -697,14 +697,22 @@ class TestVectorizedWriter:
         columns = [np.array([0.5, 1.0]), np.array([0, 2**64 - 1], dtype=np.uint64)]
         assert written_rows("%.9f,%d", columns) == "0.500000000,0\n1.000000000,18446744073709551615\n"
 
+    def test_fluid_queue_path(self):
+        # a path with the fractional levels a fluid queue passes through:
+        # heavy-tailed breakpoint times beside non-integer levels
+        rng = tl.substream(9)
+        path = tl.QueuePath(np.cumsum(rng.pareto(1.3, 2000) + 0.01), 0.7 * rng.pareto(1.3, 2000))
+        assert np.any(path.levels != np.round(path.levels))
+        fh = io.BytesIO()
+        path.write_csv(fh, comments=("manifest: abc",))
+        want = "# manifest: abc\n# time,level\n" + python_rows("%.9f,%.9f", (path.times, path.levels))
+        assert_same_text(fh.getvalue().decode(), want)
+
     def test_widths_change_across_chunk_boundaries(self, monkeypatch):
         monkeypatch.setattr(traces, "_WRITE_CHUNK", 7)
         ts = np.concatenate([[0.0], np.geomspace(1e-3, 9e6, 60)])
         sz = np.concatenate([[1], np.geomspace(1, 2**62, 60).astype(np.int64)])
-        # 2000 rows of heavy-tailed times beside fractional levels
-        rng = tl.substream(9)
-        times, levels = np.cumsum(rng.pareto(1.3, 2000) + 0.01), 0.7 * rng.pareto(1.3, 2000)
-        for fmt, columns in (("%.9f,%d", (ts, sz)), ("%.9f,%.9f", (ts, ts[::-1])), ("%.9f,%.9f", (times, levels))):
+        for fmt, columns in (("%.9f,%d", (ts, sz)), ("%.9f,%.9f", (ts, ts[::-1]))):
             assert_same_text(written_rows(fmt, columns), python_rows(fmt, columns))
 
     @pytest.mark.parametrize(
