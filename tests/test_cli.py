@@ -128,6 +128,7 @@ class TestGen:
     def test_bounded_model_needs_q(self, tmp_path, capsys):
         assert run(*BOUNDED, "--seed", "12", "-o", tmp_path / "b.csv") == 1
         assert "queue bound q" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("model", [("--model", "poisson", "--rate", "100", "--n", "10"), ONOFF],
                              ids=["poisson", "onoff"])
@@ -137,7 +138,6 @@ class TestGen:
         assert rc == 1
         assert capsys.readouterr().err == "error: packet_size must be <= 9223372036854775807 bytes\n"
         assert list(tmp_path.iterdir()) == []
-        assert not (tmp_path / "b.csv").exists()
 
 
 class TestSummarize:
