@@ -490,10 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args: argparse.Namespace) -> int:
-    """Run the parsed command; a ValueError or OSError is printed as ``error: ...`` and gives 1."""
+    """Run the parsed command; ValueError, OSError, MemoryError and OverflowError print ``error: ...`` and give 1."""
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,8 @@ from itertools import islice
 import numpy as np
 
 from .queue_sim import _CHUNK, packet_fifo, prefix_mean_queue
-from .rng import as_generator, substream
-from .synth import HeavyTailSpec, SyntheticSource, _open_uniform, reorder_nonoverlap, sample_heavy_tail
+from .rng import substream
+from .synth import GeneratorSpec, HeavyTailSpec, SyntheticSource, generate_onoff
 from .traces import (PacketTrace, _equal_sizes, _in_order, _one_size, bandwidth_for_utilization, window,
                      write_rows)
 
@@ -137,23 +137,24 @@ def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float,
     replication i of the j-th x. A baseline trace is served first, and
     its mean queue set as result.baseline.
 
-    The replications run on traces._in_order's pool: each worker thread
-    makes a replication's trace from its key (x, i, j) and serves it,
-    and the means come back in replication order, so the points hold
-    the bits a serial loop gives. At most _workers() traces besides the
-    baseline exist at once. An error in a replication comes out at it,
-    after the points before it.
+    The replications run on traces._in_order's pool over the task
+    indices k of a range, -1 for the baseline: each worker thread takes
+    (j, i) = divmod(k, replications), makes that replication's trace
+    and serves it, so no list of the tasks is built. The means come
+    back in replication order, so the points hold the bits a serial
+    loop gives. At most _workers() traces besides the baseline exist at
+    once. An error in a replication comes out at it, after the points
+    before it.
     """
     reps = plan.replications
-    keys = [(x, i, j) for j, x in enumerate(xs) for i in range(reps)]
 
-    def mean_queue(key):
-        if key is None:
+    def mean_queue(k):
+        if k < 0:
             return packet_fifo(baseline, bandwidth).mean_queue
-        x, i, j = key
-        return packet_fifo(make_trace(x, substream(plan.master_seed, i, j)), bandwidth).mean_queue
+        j, i = divmod(k, reps)
+        return packet_fifo(make_trace(xs[j], substream(plan.master_seed, i, j)), bandwidth).mean_queue
 
-    means = _in_order(mean_queue, keys if baseline is None else [None, *keys], ahead=1)
+    means = _in_order(mean_queue, range(0 if baseline is None else -1, len(xs) * reps), ahead=1)
     if baseline is not None:
         result.baseline = next(means)
     for x in xs:
@@ -166,14 +167,14 @@ def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float,
 def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: ReplicationPlan) -> SweepResult:
     """Mean queue of the reordered fluid on/off model over growing prefixes, replicated.
 
-    Replication i draws max(sizes) burst lengths from
-    1 - substream(master_seed, i).random(max(sizes)), builds
-    reorder_nonoverlap(bursts, m, lam) and takes the mean queue of every
+    Replication i draws generate_onoff(spec, substream(master_seed, i))
+    of one theorem_reordered spec of max(sizes) cycles, whose process is
+    reorder_nonoverlap of the bursts, and takes the mean queue of every
     prefix of the sorted distinct sizes from one prefix_mean_queue call.
+    The spec is built, and so m and lam checked, before any replication.
 
     The replications run on traces._in_order's pool: each worker thread
-    draws a replication's uniforms, draws the bursts into the uniforms'
-    own buffer, builds the process, which keeps the bursts and computes
+    draws a replication's process, which keeps the bursts and computes
     their silences a run at a time in the queue kernel, and runs
     prefix_mean_queue. A replication so holds one max(sizes)-length
     array, and at most _workers() exist at once. The means come back in
@@ -183,10 +184,12 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
     sizes = sorted({int(n) for n in sizes})
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive cycle counts")
+    if sizes[-1] > sys.maxsize:
+        raise ValueError(f"size {sizes[-1]} is past the largest array length")
+    spec = GeneratorSpec(m, tail, sizes[-1], lam, "theorem_reordered")
 
     def prefix_means(i):
-        u = _open_uniform(substream(plan.master_seed, i), sizes[-1])
-        return prefix_mean_queue(reorder_nonoverlap(sample_heavy_tail(tail, u, out=u), m, lam), sizes)
+        return prefix_mean_queue(generate_onoff(spec, substream(plan.master_seed, i)), sizes)
 
     per_size = {n: [] for n in sizes}
     for means in _in_order(prefix_means, range(plan.replications), ahead=1):
@@ -314,19 +317,19 @@ class _BlockShuffled(PacketTrace):
             yield t, z
 
 
-def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
+def block_shuffle(trace: PacketTrace, block_size: int, rng: np.random.Generator) -> PacketTrace:
     """Permute the trace in blocks of block_size packets.
 
     The trace is viewed as (gap, size) pairs, the first gap taken as 0.
     Blocks of block_size consecutive pairs (last block possibly short)
-    are reordered by a seeded uniform permutation and timestamps are
-    rebuilt by accumulating the permuted gaps. Structure inside a
-    block survives; structure across blocks is destroyed. Sizes and
-    gaps themselves are only moved, never changed.
+    are reordered by a uniform permutation drawn from rng, and
+    timestamps are rebuilt by accumulating the permuted gaps. Structure
+    inside a block survives; structure across blocks is destroyed.
+    Sizes and gaps themselves are only moved, never changed.
 
     The result holds only the trace, the block order and the block size.
-    The order of the k blocks is drawn by shuffling arange(k) in place,
-    as int32 when k < 2**31: the same draws as permutation(k), so the
+    The order of the k blocks is rng.shuffle of arange(k), in place, as
+    int32 when k < 2**31: the same draws as permutation(k), so the
     same order and the same generator state after, in half the bytes.
     packet_fifo reads the result in runs of at most 2**16 packets
     (_BlockShuffled._slices). A run gathers whole blocks of the trace's
@@ -363,7 +366,7 @@ def block_shuffle(trace: PacketTrace, block_size: int, seed) -> PacketTrace:
     k = -(-n // b)
     # the draws and the order of permutation(k), in half its bytes
     order = np.arange(k, dtype=np.int32 if k < 2**31 else np.int64)
-    as_generator(seed).shuffle(order)
+    rng.shuffle(order)
     shuffled = _BlockShuffled(trace, b, order)
     if not trace.duration <= _STREAMED_DURATION:
         # the sum past the largest float is the error below, not a numpy warning

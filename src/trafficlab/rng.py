@@ -1,22 +1,16 @@
 """Seeded random streams.
 
-All randomness in this package flows through numpy's PCG64 via
-``default_rng``. Replicated runs derive independent substreams from a
-master seed with :func:`substream`, so results do not depend on the
-order in which replications execute.
+All randomness in this package flows through numpy's PCG64. Only
+:func:`substream` makes a Generator, and every randomized function
+takes the ``np.random.Generator`` it is given. Replicated runs derive
+independent substreams from a master seed and replication indices, so
+results do not depend on the order in which replications execute.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["substream"]
-
-
-def as_generator(seed: "int | np.random.Generator") -> np.random.Generator:
-    """Pass Generators through, wrap integer seeds."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def substream(master_seed: int, *indices: int) -> np.random.Generator:

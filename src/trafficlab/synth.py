@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import as_generator
 from .traces import _MAX_SIZE, PacketTrace, _equal_sizes
 
 __all__ = [
@@ -213,9 +212,9 @@ def sample_heavy_tail(spec: HeavyTailSpec, u, *, out: np.ndarray | None = None):
     u), scaled and capped in place; u is never written. Given out, a
     float64 array of u's shape, as in numpy's ufuncs, the samples are
     written there instead and out is returned: out may be u itself, as
-    experiments.prefix_mean_sweep draws its bursts into the buffer of
-    their uniforms. Each step is the same elementwise operation either
-    way, so the bits are too.
+    generate_onoff draws its bursts into the buffer of their uniforms.
+    Each step is the same elementwise operation either way, so the bits
+    are too.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     # the extremes of u, found without an array of u's length; fmin and
@@ -229,18 +228,14 @@ def sample_heavy_tail(spec: HeavyTailSpec, u, *, out: np.ndarray | None = None):
     return float(x) if x.ndim == 0 else x
 
 
-def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
-    """1 - rng.random(n): n uniforms on (0, 1], never 0, made in one array."""
-    u = rng.random(n)
-    return np.subtract(1.0, u, out=u)
-
-
-def generate_onoff(spec: GeneratorSpec, seed) -> FluidOnOffProcess:
-    """Draw spec.n_cycles on/off cycles from a seed or Generator: the only
-    code that draws a packet trace's cycles. theorem_reordered gives
-    reorder_nonoverlap's process of the bursts, which holds its silence rule."""
-    rng = as_generator(seed)
-    on = sample_heavy_tail(spec.tail, _open_uniform(rng, spec.n_cycles))
+def generate_onoff(spec: GeneratorSpec, rng: np.random.Generator) -> FluidOnOffProcess:
+    """Draw spec.n_cycles on/off cycles from rng: the only code that draws
+    on/off cycles, for packet traces and fluid sweeps alike. The bursts,
+    sample_heavy_tail of 1 - rng.random(n), are drawn into the uniforms'
+    buffer. theorem_reordered gives reorder_nonoverlap's process of the
+    bursts, which holds its silence rule."""
+    u = rng.random(spec.n_cycles)
+    on = sample_heavy_tail(spec.tail, np.subtract(1.0, u, out=u), out=u)
     if spec.off_model == "theorem_reordered":
         return reorder_nonoverlap(on, spec.m, spec.lambda_target)
     if spec.off_model == "iid_matched_mean":
@@ -389,15 +384,14 @@ def packetize(
     return PacketTrace(times, _equal_sizes(packet_size, len(times))), report
 
 
-def generate_poisson(rate: float, packet_size: int, n: int, seed) -> PacketTrace:
-    """n equal-size packets with exponential inter-arrivals (mean 1/rate),
-    rebased so the first packet arrives at t=0."""
+def generate_poisson(rate: float, packet_size: int, n: int, rng: np.random.Generator) -> PacketTrace:
+    """n equal-size packets with exponential inter-arrivals (mean 1/rate)
+    drawn from rng, rebased so the first packet arrives at t=0."""
     if not 0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_packet_size(packet_size)
-    rng = as_generator(seed)
     ts = rng.exponential(1.0 / rate, n)
     np.cumsum(ts, out=ts)
     ts -= ts[0]
@@ -421,7 +415,7 @@ class SyntheticSource:
         # trace(n_packets=...) never calls packetize, so check here too
         _check_emission(self.packet_size, self.server_rate)
 
-    def trace(self, rng, n_packets: int | None = None) -> PacketTrace:
+    def trace(self, rng: np.random.Generator, n_packets: int | None = None) -> PacketTrace:
         """Fresh trace from `rng`; exactly n_packets when given, else one
         full run of spec.n_cycles cycles. Its sizes are stored once, as
         packetize's are. Given n_packets, _emit fills one array of exactly
@@ -429,7 +423,6 @@ class SyntheticSource:
         each starting where the last ended; the packets that do not fit
         are never written.
         """
-        rng = as_generator(rng)
         if n_packets is None:
             trace, _ = packetize(generate_onoff(self.spec, rng), self.packet_size, self.server_rate)
             return trace

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -138,6 +139,15 @@ class TestGen:
         assert rc == 1
         assert capsys.readouterr().err == "error: packet_size must be <= 9223372036854775807 bytes\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_on_periods_too_short_for_a_packet_are_noted(self, tmp_path, capsys):
+        # a packet takes 0.5 ms at 2e6 bytes/s, and most bursts from 0.1 ms are shorter
+        out = tmp_path / "t.csv"
+        rc = run("gen", "--model", "onoff", "--alpha", "1.5", "--xmin", "0.0001", "--m", "2", "--lambda", "0.5",
+                 "--packet-size", "1000", "--rate", "1e6", "--cycles", "50", "--seed", "1", "-o", out)
+        assert rc == 0
+        assert capsys.readouterr().err == "note: 44 of 50 on periods were too short to emit a packet\n"
+        assert tl.load_trace(out).packet_count == 8
 
 
 class TestSummarize:
@@ -417,6 +427,12 @@ class TestSweeps:
         assert rc == 1
         assert "not both" in capsys.readouterr().err
 
+    def test_neither_trace_nor_model_is_named(self, tmp_path, capsys):
+        rc = run("sweep-samples", "--sizes", "10", "--seed", "0", "--out-prefix", tmp_path / "x")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: give a --trace file or generator flags with --model\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestIntegerLists:
     @pytest.mark.parametrize("argv, bad", [
@@ -430,6 +446,15 @@ class TestIntegerLists:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(argv)
         assert f"'{bad}'" in capsys.readouterr().err
+
+    def test_text_that_is_no_number_is_refused_with_the_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("sweep-samples", "--sizes", "abc", "--seed", "0", "--out-prefix", tmp_path / "x")
+        assert exit_.value.code == 2
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert capsys.readouterr().err == subparsers.choices["sweep-samples"].format_usage() + (
+            "trafficlab sweep-samples: error: argument --sizes: expected a comma-separated integer list, got 'abc'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_integral_forms_accepted(self):
         args = cli.build_parser().parse_args(
@@ -553,6 +578,53 @@ class TestDiverge:
         assert not (tmp_path / "d.csv").exists()
 
 
+# 10**15 float64 values: 7.11 PiB, which no test allocates
+HUGE = 10**15
+OUT_OF_MEMORY = f"Unable to allocate 7.11 PiB for an array with shape ({HUGE},) and data type float64"
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError(OUT_OF_MEMORY)
+
+
+class TestCountsPastMemory:
+    """A count too large to allocate or to index ends in one error line,
+    not a traceback, and no output."""
+
+    DIVERGE_ONE = ("diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--seed", "1")
+
+    def test_size_past_the_largest_array_is_named_before_any_replication(self, tmp_path, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(experiments, "generate_onoff", lambda *args: drawn.append(args))
+        rc = run(*self.DIVERGE_ONE, "--sizes", "1,1e400", "--reps", "1", "--out-prefix", tmp_path / "d")
+        assert (rc, drawn) == (1, [])
+        assert capsys.readouterr().err == f"error: size {10**400} is past the largest array length\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replications_past_the_largest_index(self, tmp_path, capsys):
+        rc = run(*self.DIVERGE_ONE, "--sizes", "1,10", "--reps", 10**20, "--out-prefix", tmp_path / "d")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: Python int too large to convert to C ssize_t\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("owner, name, argv", [
+        (experiments, "generate_onoff", [*DIVERGE_ONE, "--sizes", f"1,{HUGE}", "--reps", "1", "--out-prefix", "d"]),
+        (cli, "generate_poisson", ["gen", "--model", "poisson", "--rate", "100", "--n", HUGE, "--seed", "1",
+                                   "-o", "g.csv"]),
+        (cli, "generate_poisson", ["sweep-samples", "--model", "poisson", "--rate", "100", "--n", HUGE,
+                                   "--sizes", "10", "--reps", "1", "--seed", "1", "--rho", "0.5", "--out-prefix", "s"]),
+        (tl.SyntheticSource, "trace", ["sweep-samples", *ONOFF, "--sizes", HUGE, "--reps", "1", "--seed", "1",
+                                       "--out-prefix", "s"]),
+    ], ids=["diverge", "gen", "sweep-samples-poisson", "sweep-samples-onoff"])
+    def test_an_array_too_large_to_allocate_is_one_error_line(self, tmp_path, capsys, monkeypatch, owner, name,
+                                                              argv):
+        monkeypatch.setattr(owner, name, out_of_memory)
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {OUT_OF_MEMORY}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestHurstCommand:
     def test_writes_estimate(self, tmp_path, capsys):
         trace_path = tmp_path / "p.csv"
@@ -647,6 +719,14 @@ class TestTailfitCommand:
         )
         assert rc == 1
         assert "all samples are equal" in capsys.readouterr().err
+
+    def test_one_timestamp_leaves_no_gap_to_fit(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        tl.save_trace(tl.PacketTrace(np.full(5, 2.0), np.full(5, 100)), trace)
+        rc = run("tailfit", trace, "-o", tmp_path / "f.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no usable samples in the trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
     def test_collapsed_default_range_names_its_cause(self, poisson_file, tmp_path, capsys):
         # no range was given, so the error names the default edges and why

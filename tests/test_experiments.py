@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
-from trafficlab import experiments, traces
+from trafficlab import experiments, synth, traces
 from trafficlab.experiments import SweepResult, aggregate_replications
 from trafficlab.queue_sim import packet_fifo
 from trafficlab.rng import substream
@@ -61,7 +61,7 @@ class TestBlockShuffle:
         tr = make([0.0, 1.0, 3.0, 6.0], [10, 20, 30, 40])
         swapped = None
         for seed in range(20):
-            out = tl.block_shuffle(tr, 2, seed)
+            out = tl.block_shuffle(tr, 2, np.random.default_rng(seed))
             if out.sizes[0] == 30:
                 swapped = out
                 break
@@ -125,7 +125,7 @@ class TestBlockShuffle:
         ts = np.cumsum(gaps) - gaps[0]
         sizes = np.array([s for _, s in pairs])
         tr = tl.PacketTrace(ts, sizes)
-        out = tl.block_shuffle(tr, block, seed)
+        out = tl.block_shuffle(tr, block, np.random.default_rng(seed))
         assert out.packet_count == tr.packet_count
         assert out.total_bytes == tr.total_bytes
         assert np.all(np.diff(out.timestamps) >= 0.0)
@@ -147,7 +147,7 @@ class TestBlockShuffle:
         sz = data.draw(st.lists(st.integers(1, 2**62), min_size=n, max_size=n))
         tr = tl.PacketTrace(np.cumsum(gaps), sz)
         start = data.draw(st.integers(0, n - 1))
-        for out in (tl.block_shuffle(tr, block, seed), tl.window(tr, start, n - start)):
+        for out in (tl.block_shuffle(tr, block, np.random.default_rng(seed)), tl.window(tr, start, n - start)):
             checked = tl.PacketTrace(out.timestamps.copy(), out.sizes.copy())
             for got, want in ((out.timestamps, checked.timestamps), (out.sizes, checked.sizes)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -165,7 +165,7 @@ class TestBlockShuffle:
         order = np.random.default_rng(seed).permutation(4)
         perm = np.concatenate([np.arange(i * block, min(n, (i + 1) * block)) for i in order])
         gaps = np.concatenate(([0.0], np.diff(tr.timestamps)))
-        out = tl.block_shuffle(tr, block, seed)
+        out = tl.block_shuffle(tr, block, np.random.default_rng(seed))
         assert out.sizes[position * block] == n
         assert out.sizes.tobytes() == sizes[perm].tobytes()
         assert out.timestamps.tobytes() == np.cumsum(gaps[perm]).tobytes()
@@ -194,7 +194,7 @@ class TestBlockShuffle:
     def test_shuffle_rounding_past_the_largest_float_is_rejected(self):
         tr = tl.PacketTrace(np.array([0.0, 3e307, np.finfo(float).max]), np.array([1, 1, 1]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite timestamp"):
-            tl.block_shuffle(tr, 1, 0)
+            tl.block_shuffle(tr, 1, substream(0))
 
 
 class FixedOrder(np.random.Generator):
@@ -260,7 +260,7 @@ class TestLazyShuffle:
     def test_a_duration_up_to_half_the_largest_float_streams(self):
         half = float(np.finfo(float).max) / 2
         tr = tl.PacketTrace(np.array([0.0, half / 2, half]), np.array([1, 2, 3]))
-        out = tl.block_shuffle(tr, 1, 0)
+        out = tl.block_shuffle(tr, 1, substream(0))
         assert "_columns" not in vars(out)
         assert np.isfinite(out.timestamps).all() and out.timestamps[-1] == half
 
@@ -455,6 +455,25 @@ class TestAllocationBudget:
         # more N-length array, such as the trace's gaps, would exceed the budget
         budget = 2 * (4 * self.N + kernel + self.runs(1)) + self.SMALL
         assert peak <= budget
+
+    def test_a_block_sweep_lists_no_replications(self, monkeypatch):
+        # 3 block sizes of 10**5 replications each: a list of their
+        # 3 * 10**5 keys, made before the first replication, would take
+        # about 33 MiB. The first simulation fails at once
+        def refuse(*args):
+            raise RuntimeError("not served")
+
+        monkeypatch.setattr(experiments, "packet_fifo", refuse)
+        trace = make([0.0, 1.0, 2.0], [100, 100, 100])
+        plan = tl.ReplicationPlan(master_seed=5, replications=10**5)
+
+        def sweep():
+            with pytest.raises(RuntimeError, match="not served"):
+                tl.blocksize_sweep(trace, [1, 2, 3], plan, bandwidth=1e3)
+
+        for workers in (1, POOL):
+            with pool_of(workers):
+                assert peak_bytes(sweep) < MiB
 
     def test_a_pooled_synthetic_sweep_holds_a_trace_per_thread(self, monkeypatch):
         spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=64,
@@ -774,7 +793,7 @@ class TestPooledPrefixMeans:
 
     def test_each_replication_is_made_and_served_in_one_thread(self, monkeypatch):
         drawn, served = [], []
-        sample, prefix_means = experiments.sample_heavy_tail, experiments.prefix_mean_queue
+        sample, prefix_means = synth.sample_heavy_tail, experiments.prefix_mean_queue
 
         def recorded_sample(*args, **kwargs):
             bursts = sample(*args, **kwargs)
@@ -785,7 +804,7 @@ class TestPooledPrefixMeans:
             served.append((threading.get_ident(), process))
             return prefix_means(process, sizes)
 
-        monkeypatch.setattr(experiments, "sample_heavy_tail", recorded_sample)
+        monkeypatch.setattr(synth, "sample_heavy_tail", recorded_sample)
         monkeypatch.setattr(experiments, "prefix_mean_queue", recorded_prefix_means)
         with pool_of(POOL):
             tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=5))
@@ -802,7 +821,7 @@ class TestPooledPrefixMeans:
         # times as long, overflows, so reorder_nonoverlap refuses it. Each
         # replication is known by its first uniform, from its substream
         first = [1.0 - substream(2, i).random() for i in range(7)]
-        sample, prefix_means = experiments.sample_heavy_tail, experiments.prefix_mean_queue
+        sample, prefix_means = synth.sample_heavy_tail, experiments.prefix_mean_queue
         index_of, served = {}, []
 
         def huge_fourth(tail, u, **kwargs):
@@ -817,7 +836,7 @@ class TestPooledPrefixMeans:
             served.append(index_of[process.on_lengths[0]])
             return prefix_means(process, sizes)
 
-        monkeypatch.setattr(experiments, "sample_heavy_tail", huge_fourth)
+        monkeypatch.setattr(synth, "sample_heavy_tail", huge_fourth)
         monkeypatch.setattr(experiments, "prefix_mean_queue", recorded_prefix_means)
         before = threading.active_count()
         for workers in (1, 2, 5):

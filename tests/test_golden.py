@@ -60,6 +60,12 @@ def test_every_generator_route_is_in_the_gate():
         assert {a.model for a in runs if a.subcommand == name} >= set(models)
 
 
+def test_every_subcommand_is_in_the_gate():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    gated = {argv[0] for _, (head, *argv) in compare_outputs.COMMANDS if head == "cli"}
+    assert sorted(set(subparsers.choices) - gated) == []
+
+
 def test_every_output_has_its_golden_digest(tmp_path, monkeypatch):
     key, want = read_golden()
     if key != build_key():

@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from trafficlab.rng import as_generator, substream
+from trafficlab.rng import substream
 
 
 def test_substream_is_deterministic():
@@ -43,12 +46,37 @@ def test_negative_master_seed_rejected():
         substream(-1)
 
 
-def test_as_generator_passes_generators_through():
-    g = np.random.default_rng(0)
-    assert as_generator(g) is g
+MAKERS = {"default_rng", "SeedSequence", "RandomState"}
 
 
-def test_as_generator_wraps_plain_seeds():
-    a = as_generator(5).random(4)
-    b = np.random.default_rng(5).random(4)
-    assert np.array_equal(a, b)
+def maker_references(path):
+    """(enclosing function, line) of each reference in the module at path
+    to numpy's default_rng, SeedSequence or RandomState, or import of one."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        named = (node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name)
+                 else None)
+        imported = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+        if named in MAKERS or MAKERS & set(imported):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_substream_makes_a_generator():
+    sources = (Path(__file__).resolve().parent.parent / "src" / "trafficlab").glob("*.py")
+    assert {where for path in sources for where, _ in maker_references(path)} == {"rng.substream"}
+
+
+def test_the_route_check_sees_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\nfrom numpy.random import SeedSequence\n"
+                    "def f(seed):\n    return np.random.default_rng(seed)\n"
+                    "class C:\n    def g(self):\n        return numpy.random.RandomState(0)\n")
+    assert maker_references(path) == [("m", 2), ("m.f", 4), ("m.C.g", 7)]

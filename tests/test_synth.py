@@ -569,16 +569,16 @@ class TestGeneratePoisson:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            tl.generate_poisson(0.0, 100, 10, 1)
+            tl.generate_poisson(0.0, 100, 10, substream(1))
         with pytest.raises(ValueError):
-            tl.generate_poisson(10.0, 100, 0, 1)
+            tl.generate_poisson(10.0, 100, 0, substream(1))
         with pytest.raises(ValueError):
-            tl.generate_poisson(10.0, 0, 10, 1)
+            tl.generate_poisson(10.0, 0, 10, substream(1))
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf])
     def test_non_finite_rate_rejected_by_name(self, rate):
         with pytest.raises(ValueError, match="rate must be positive and finite"):
-            tl.generate_poisson(rate, 100, 10, 1)
+            tl.generate_poisson(rate, 100, 10, substream(1))
 
 
 class TestSyntheticSource:

@@ -174,7 +174,7 @@ class TestGaps:
             "PacketTrace": lambda: base,
             "load_trace": lambda: traces.load_trace(path),
             "window": lambda: window(base, 1, 3),
-            "block_shuffle": lambda: tl.block_shuffle(base, 2, 0),
+            "block_shuffle": lambda: tl.block_shuffle(base, 2, tl.substream(0)),
         }[build]()
         assert "gaps" not in vars(tr)
         want = np.concatenate(([0.0], np.diff(tr.timestamps)))
@@ -493,6 +493,8 @@ class TestVectorizedLoader:
             ("0. 100\n", False),
             ("0.5 \n", False),
             ("0.5 100\r\n0.6 100\n", False),
+            # four marks a line, the third a CR, but not the one before the LF
+            pytest.param("0.5 100\r\n0.6 10\r0\n", False, id="CR inside a line"),
             ("0.5 100\r", False),
             ("0.5 100\n# note\n0.6 100\n", False),
             ("0.5,100\n", False),
