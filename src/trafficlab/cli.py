@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import sys
@@ -83,13 +82,28 @@ def _strict_json(value):
     return value
 
 
+class _Hashed:
+    """A binary file whose reads also feed one SHA-256."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def read(self, size: int) -> bytes:
+        data = self.fh.read(size)
+        self.sha256.update(data)
+        return data
+
+
 def _load(path: str) -> tuple[PacketTrace, dict]:
     """The trace at path, from one read of the file, and the manifest's
     inputs: path and the SHA-256 of the bytes parsed."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    # BytesIO shares data, and load_trace's one read() returns it uncopied
-    return load_trace(io.BytesIO(data)), {path: hashlib.sha256(data).hexdigest()}
+        # hashed piece by piece as load_trace reads, on this thread, while
+        # the pool parses the pieces before
+        source = _Hashed(fh)
+        trace = load_trace(source)
+    return trace, {path: source.sha256.hexdigest()}
 
 
 def _write(path: str, fmt: str, columns, comments: tuple[str, ...]) -> None:
@@ -142,12 +156,15 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
-def _int_from(low: int):
-    """An argparse type for an integer of at least low; argparse names the flag in the error."""
+def _int_from(low: int, high: int | None = None):
+    """An argparse type for an integer of at least low, and at most high if given; argparse names
+    the flag in the error."""
 
     def parse(text: str) -> int:
         if (value := int(text)) < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # a non-integer still reads "invalid int value"
@@ -423,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_int_from(0), required=True)
     replicated = argparse.ArgumentParser(add_help=False, parents=[seed])
-    replicated.add_argument("--reps", type=_int_from(1), default=10)
+    # replications are numbered by index, and an index stops at sys.maxsize
+    replicated.add_argument("--reps", type=_int_from(1, sys.maxsize), default=10)
     replicated.add_argument("--out-prefix", required=True)
     onoff = argparse.ArgumentParser(add_help=False)
     onoff.add_argument("--alpha", type=float, help="tail index of on-period lengths, in (1,2)")

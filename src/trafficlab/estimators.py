@@ -160,16 +160,22 @@ def empirical_ccdf(samples) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sample values with P[X > x] estimated by counting.
 
     The largest value (survival 0) is dropped so both coordinates stay
-    loggable.
+    loggable. NaNs count as one value above every number, as np.unique
+    folds them, so they are dropped and every number survives to them.
+
+    One pass over the sorted samples finds the last index i of each run
+    of equal values, and n - 1 - i samples lie above it. A run holding
+    both 0.0 and -0.0 gives the sign of its last sample.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(x)
     if n == 0:
         raise ValueError("no samples")
-    vals = np.unique(x)
-    greater = n - np.searchsorted(x, vals, side="right")
-    keep = greater > 0
-    return vals[keep], greater[keep] / n
+    numbers = x[: np.searchsorted(x, np.nan)] if np.isnan(x[-1]) else x  # NaNs sort last
+    last = np.flatnonzero(numbers[1:] != numbers[:-1])
+    if 0 < len(numbers) < n:  # the largest number has the NaNs above it
+        last = np.append(last, len(numbers) - 1)
+    return x[last], (n - 1 - last) / n
 
 
 def fit_tail_index(samples, fit_range: tuple[float, float]) -> TailFit:

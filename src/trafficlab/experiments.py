@@ -44,6 +44,8 @@ class ReplicationPlan:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.replications > sys.maxsize:  # replication i is an index
+            raise ValueError(f"replications must be <= {sys.maxsize}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
 

@@ -10,8 +10,9 @@ import io
 import os
 import re
 from collections import deque
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import BinaryIO
 
 import numpy as np
@@ -50,9 +51,10 @@ _NO_FRACTION = np.zeros(1, np.uint64)
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 _MAX_SIZE = int(np.iinfo(np.int64).max)
 
-# the byte kernel reads the records in blocks of about this many bytes,
-# cut after a line end, so its per-line temporaries stay in cache and the
-# blocks spread over _in_order's pool. Loading a 1M-line file on two
+# a trace file is read this many bytes at a time, and the byte kernel
+# parses each read, cut after its last line end, as one block, so its
+# per-line temporaries stay in cache and the blocks spread over
+# _in_order's pool while the next is read. Loading a 1M-line file on two
 # threads (2-core VM), 512 KiB blocks tied this size, 2 MiB ones were
 # 4-14% slower, 256 KiB 9-19% and 128 KiB 40-60%; one pass over the
 # whole file, on one thread, took about 1.7 times as long and peaked
@@ -61,6 +63,7 @@ _BLOCK = 1 << 20
 # bytes put before each block, so the word ending at any field end
 # starts inside the buffer
 _PAD = 16
+_PADDING = b"\0" * _PAD
 # a field of more digits, or a timestamp of more digits in all, is
 # read by Python; so is a timestamp whose digits reach 2**53
 _FIELD_DIGITS = 16
@@ -80,21 +83,25 @@ def _workers() -> int:
 
 
 def _in_order(fn, items, ahead: int = 2):
-    """fn(item) for each item of the sized sequence items, yielded in order.
+    """fn(item) for each item of the iterable items, yielded in order.
 
     With more than one usable CPU and at least two items, the calls run
     on a pool of _workers() threads, made when the iteration starts and
     shut down when it ends. The text kernels and the queue kernels spend
     most of their time in numpy loops that release the GIL, so the
-    threads can share the cores. At most ahead * _workers() calls are
-    submitted and not yet yielded, so however slowly the caller
-    consumes, no more results than that wait in memory. An exception
-    from fn comes out at its item, after every result before it was
-    yielded; calls not yet started are cancelled.
+    threads can share the cores. items is drawn lazily, on the calling
+    thread: the next item is taken while the calls before it run, and
+    at most ahead * _workers() calls are submitted and not yet yielded,
+    so however slowly the caller consumes, no more results than that
+    wait in memory, and at most one item more has been taken. An
+    exception from fn comes out at its item, after every result before
+    it was yielded; calls not yet started are cancelled.
     """
     workers = _workers()
-    if workers < 2 or len(items) < 2:
-        yield from map(fn, items)
+    items = iter(items)
+    first = list(islice(items, 2))
+    if workers < 2 or len(first) < 2:
+        yield from map(fn, chain(first, items))
         return
     # imported on first use: concurrent.futures takes about 7 ms to import
     # (2-core VM, Python 3.11), which a command that never pools need not pay
@@ -103,7 +110,7 @@ def _in_order(fn, items, ahead: int = 2):
     pool = ThreadPoolExecutor(workers)
     pending = deque()
     try:
-        for item in items:
+        for item in chain(first, items):
             if len(pending) == ahead * workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, item))
@@ -429,8 +436,80 @@ def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts, dtype=np.float64), np.array(sz, dtype=np.int64)
 
 
-def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns _parse_lines would return, computed from the bytes.
+class _Reader:
+    """A binary file read _BLOCK bytes at a time, cut after line ends.
+
+    Every byte read stays here until the byte kernel has parsed every
+    block, so the line parser can take the whole file after the kernel
+    gives up at any block, without a second read.
+    """
+
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        self.kept = []  # the bytes of each piece yielded, in file order
+        self.carry = []  # the bytes read after the last line end
+
+    def _pieces(self):
+        """The bytes read up to the last line end in each read, or up to
+        the end of the file, each after _PAD NUL bytes; a line cut by a
+        read goes into the next piece."""
+        while chunk := self.fh.read(_BLOCK):
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:
+                self.carry.append(chunk)
+                continue
+            piece = b"".join((_PADDING, *self.carry, memoryview(chunk)[:cut]))
+            self.carry = [chunk[cut:]]
+            self.kept.append(memoryview(piece)[_PAD:])
+            yield piece
+        if any(self.carry):
+            piece = b"".join((_PADDING, *self.carry))
+            self.carry = []
+            self.kept.append(memoryview(piece)[_PAD:])
+            yield piece
+
+    def blocks(self):
+        """(block, comma) for each piece of record lines after the leading
+        ``#`` lines, block being the lines after _PAD NUL bytes and comma
+        whether the first record line makes the file CSV. Nothing more
+        once a ``#`` line holds a byte other than printable ASCII and
+        tabs, or a CR that does not end its line: a lone CR ends a line
+        of text, so it would cut a comment in two."""
+        comma = None
+        for piece in self._pieces():
+            if comma is None:
+                start = _PAD
+                while piece.startswith(b"#", start):
+                    start = piece.find(b"\n", start) + 1 or len(piece)
+                header = piece[_PAD:start]
+                if header.translate(None, _PLAIN_BYTES) or header.count(b"\r") != header.count(b"\r\n"):
+                    return
+                if start == len(piece):
+                    continue
+                if start > _PAD:
+                    piece = b"".join((_PADDING, memoryview(piece)[start:]))
+                line_end = piece.find(b"\n", _PAD) + 1 or len(piece)
+                comma = _comma_separated(_text_lines(piece[_PAD:line_end]))
+            yield piece, comma
+
+    def text(self) -> bytes:
+        """Every byte read, then the rest of the file."""
+        rest = iter(lambda: self.fh.read(_BLOCK), b"")
+        data = b"".join([*self.kept, *self.carry, *rest])
+        self.kept, self.carry = [], []
+        return data
+
+
+def _parse_checked(item) -> tuple[np.ndarray, np.ndarray] | None:
+    """_parse_block's columns of one (block, comma) pair, or None when it
+    gives none or they break a rule of a trace (_broken_rule)."""
+    columns = _parse_block(*item)
+    return None if columns is None or _broken_rule(*columns) else columns
+
+
+def _parse_canonical(reader: _Reader) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns _parse_lines would return for the file, computed from
+    its bytes by the byte kernel as they are read, or None.
 
     Reads only the canonical shape: leading ``#`` lines of printable
     ASCII and tabs, then records ``D+.D+<sep>D+`` with LF or CRLF line
@@ -438,7 +517,13 @@ def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarra
     otherwise. The last line end may be missing. That is what
     save_trace and a Bellcore-style ``%.6f bytes`` file hold. Anything
     else, and any columns that break a rule of a trace (_broken_rule),
-    gives None.
+    gives None, at the first block that holds it: no later block is
+    read here.
+
+    Each block is parsed and checked on _in_order's pool while the
+    calling thread reads the next; here only the timestamps that meet
+    at a block boundary are compared. Once every block is in, the bytes
+    read are dropped before the blocks are joined.
 
     A timestamp of at most 16 digits whose digits m are below 2**53 is
     m / 10**f, f the count of fractional digits: m and 10**f are exact
@@ -446,30 +531,17 @@ def _parse_canonical(data: bytes, *, comma: bool) -> tuple[np.ndarray, np.ndarra
     (Clinger 1990). Other timestamps, and sizes of 17 to 19 digits, are
     read by float() and int() on their bytes; a longer size gives None.
     """
-    n = len(data)
-    start = 0
-    while data.startswith(b"#", start):
-        start = data.find(b"\n", start) + 1 or n
-    header = data[:start]
-    # a lone CR ends a line of text, so it would cut a comment in two
-    if header.translate(None, _PLAIN_BYTES) or header.count(b"\r") != header.count(b"\r\n"):
+    ts_blocks, sz_blocks = [], []
+    with closing(_in_order(_parse_checked, reader.blocks())) as parsed:
+        for columns in parsed:
+            if columns is None or ts_blocks and columns[0][0] < ts_blocks[-1][-1]:
+                return None
+            ts_blocks.append(columns[0])
+            sz_blocks.append(columns[1])
+    if not ts_blocks:
         return None
-    spans = []
-    while start < n:
-        cut = data.find(b"\n", start + _BLOCK - 1) + 1 or n
-        spans.append((start, cut))
-        start = cut
-
-    def parse(span):
-        start, cut = span
-        return _parse_block(b"\0" * _PAD + memoryview(data)[start:cut], comma)
-
-    blocks = list(_in_order(parse, spans))
-    if not blocks or None in blocks:
-        return None
-    ts_blocks, sz_blocks = zip(*blocks)
-    ts, sz = np.concatenate(ts_blocks), np.concatenate(sz_blocks)
-    return None if _broken_rule(ts, sz) else (ts, sz)
+    reader.kept.clear()
+    return np.concatenate(ts_blocks), np.concatenate(sz_blocks)
 
 
 def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
@@ -608,27 +680,36 @@ def load_trace(source: str | os.PathLike | BinaryIO) -> PacketTrace:
     first record line means CSV.
 
     source is a path, or a binary file open for reading, which is read
-    to its end in one read() call and left open. Either way the bytes
-    are read once: the records are parsed from those bytes by the byte
-    kernel (_parse_canonical) when they have its canonical shape, and
-    else by the line parser, which names the first bad line.
+    to its end, by read(n) calls of _BLOCK bytes, and left open. Either
+    way each byte is read once: the records are parsed by the byte
+    kernel (_parse_canonical) as the blocks come in when they have its
+    canonical shape, and else by the line parser, which names the first
+    bad line, over every byte read and the rest of the file.
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped; any other line must hold exactly a timestamp and a plain
     integer size. Timestamps are rebased to start at zero.
     """
     if hasattr(source, "read"):
-        data = source.read()
+        ts, sz = _read_columns(source)
     else:
         with open(source, "rb") as fh:
-            data = fh.read()
-    comma = _comma_separated(_text_lines(data))
-    ts, sz = _parse_canonical(data, comma=comma) or _parse_lines(_text_lines(data).readlines(), comma=comma)
-    del data
+            ts, sz = _read_columns(fh)
     ts -= ts[0]  # rebase so the trace starts at t=0
     # both parsers checked what __post_init__ would, and rebasing a
     # finite nondecreasing column keeps it so
     return PacketTrace._derived(ts, sz)
+
+
+def _read_columns(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
+    """The checked columns of the trace file fh, read to its end."""
+    reader = _Reader(fh)
+    columns = _parse_canonical(reader)
+    if columns is None:
+        data = reader.text()
+        comma = _comma_separated(_text_lines(data))
+        columns = _parse_lines(_text_lines(data).readlines(), comma=comma)
+    return columns
 
 
 def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:

@@ -601,11 +601,22 @@ class TestCountsPastMemory:
         assert capsys.readouterr().err == f"error: size {10**400} is past the largest array length\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_replications_past_the_largest_index(self, tmp_path, capsys):
-        rc = run(*self.DIVERGE_ONE, "--sizes", "1,10", "--reps", 10**20, "--out-prefix", tmp_path / "d")
-        assert rc == 1
-        assert capsys.readouterr().err == "error: Python int too large to convert to C ssize_t\n"
-        assert list(tmp_path.iterdir()) == []
+    def test_replications_past_the_largest_index(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        tl.save_trace(tl.generate_poisson(100.0, 100, 50, substream(1)), "t.csv")
+        loads = []
+        monkeypatch.setattr(cli, "load_trace", loads.append)
+        for argv in ([*self.DIVERGE_ONE, "--sizes", "1,10"],
+                     ["sweep-samples", "--model", "poisson", "--rate", "100", "--n", "100", "--sizes", "10",
+                      "--seed", "1", "--rho", "0.5"],
+                     ["sweep-blocks", "--trace", "t.csv", "--blocks", "1,10", "--seed", "1", "--rho", "0.5"],
+                     ["report", "t.csv", "--seed", "1"]):
+            with pytest.raises(SystemExit) as exit_:
+                run(*argv, "--reps", 10**20, "--out-prefix", "o")
+            assert exit_.value.code == 2 and loads == []
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert err == f"trafficlab {argv[0]}: error: argument --reps: must be <= {sys.maxsize}, got {10**20}"
+            assert os.listdir() == ["t.csv"]
 
     @pytest.mark.parametrize("owner, name, argv", [
         (experiments, "generate_onoff", [*DIVERGE_ONE, "--sizes", f"1,{HUGE}", "--reps", "1", "--out-prefix", "d"]),
@@ -943,13 +954,22 @@ class TestReport:
         loads = []
 
         def counting_load(source):
-            loads.append(source)
-            return tl.load_trace(source)
+            pieces = []
+            loads.append(pieces)
+
+            class Recorded:
+                def read(self, size):
+                    pieces.append(source.read(size))
+                    return pieces[-1]
+
+            return tl.load_trace(Recorded())
 
         monkeypatch.setattr(cli, "load_trace", counting_load)
         assert run("report", standin_file, "--reps", "2", "--seed", "0", "--out-prefix", tmp_path / "r") == 0
-        assert len(loads) == 1
-        assert loads[0].getvalue() == standin_file.read_bytes()
+        data = standin_file.read_bytes()
+        assert len(loads) == 1 and b"".join(loads[0]) == data
+        inputs = json.loads((tmp_path / "r.manifest.json").read_text())["inputs"]
+        assert inputs == {str(standin_file): hashlib.sha256(data).hexdigest()}
 
     def test_analyses_the_first_packets_up_to_the_ladder_top(self, standin_file, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "SAMPLE_LADDER", (10_000, 20_000))

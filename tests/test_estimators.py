@@ -155,6 +155,46 @@ class TestEmpiricalCcdf:
             assert xs.max() < max(samples)
 
 
+    @staticmethod
+    def unique_then_search(samples):
+        """The reference: np.unique of the sorted samples, and the count of
+        samples above each value by a binary search."""
+        x = np.sort(np.asarray(samples, dtype=np.float64))
+        vals = np.unique(x)
+        greater = len(x) - np.searchsorted(x, vals, side="right")
+        keep = greater > 0
+        return vals[keep], greater[keep] / len(x)
+
+    @pytest.mark.parametrize("samples", [
+        [3.0, 1.0, 3.0, 2.0, 1.0, 3.0],
+        [7.5] * 5,
+        [2.0],
+        [np.nan],
+        [np.nan, np.nan],
+        [np.nan, 1.0, np.nan, 2.0, 2.0],
+        [np.inf, -np.inf, np.inf, 1.0],
+        [-np.inf, np.nan, np.inf],
+        [-0.0, -0.0, 1.0],
+        [5e-324, 0.0, 1.7976931348623157e308],
+    ], ids=["ties", "one_value", "one_sample", "nan", "nans", "nans_and_ties", "infinities", "inf_and_nan",
+            "negative_zero", "extremes"])
+    def test_bits_of_unique_then_search(self, samples):
+        got, want = empirical_ccdf(samples), self.unique_then_search(samples)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @given(samples=st.lists(st.sampled_from([-2.0, -0.0, 1.0, 1.5, 1e300, np.inf, -np.inf, np.nan])
+                            | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=300))
+    def test_matches_unique_then_search(self, samples):
+        got, want = empirical_ccdf(samples), self.unique_then_search(samples)
+        # equal values, and the same bits but for the sign of a zero
+        # when a run holds both 0.0 and -0.0: np.unique's own sort picks
+        # which one it keeps
+        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+        if len({np.signbit(v) for v in samples if v == 0}) < 2:
+            assert got[0].tobytes() == want[0].tobytes()
+
+
 class TestFitTailIndex:
     def test_deterministic_quantile_grid(self):
         n = 100_000

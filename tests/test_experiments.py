@@ -52,6 +52,11 @@ class TestReplicationPlan:
         with pytest.raises(ValueError):
             tl.ReplicationPlan(master_seed=-1)
 
+    def test_replications_past_the_largest_index(self):
+        assert tl.ReplicationPlan(master_seed=0, replications=sys.maxsize).replications == sys.maxsize
+        with pytest.raises(ValueError, match=f"replications must be <= {sys.maxsize}"):
+            tl.ReplicationPlan(master_seed=0, replications=sys.maxsize + 1)
+
 
 class TestBlockShuffle:
     def test_two_block_swap(self):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import threading
 import time
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
-from trafficlab import traces
+from trafficlab import cli, traces
 from trafficlab.traces import TraceFormatError, window
 
 from test_experiments import MiB, peak_bytes
@@ -313,6 +314,12 @@ def line_parser_outcome(path):
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
 
 
+def kernel(data, comma):
+    """The byte kernel's columns for the bytes, read as CSV or not, or None."""
+    with mock.patch.object(traces, "_comma_separated", lambda lines: comma):
+        return traces._parse_canonical(traces._Reader(io.BytesIO(data)))
+
+
 def loader_outcome(path):
     try:
         tr = tl.load_trace(path)
@@ -429,7 +436,7 @@ class TestVectorizedLoader:
     )
     def test_what_numpy_reads_differently_goes_to_the_line_parser(self, text, tmp_path):
         data = text.encode("utf-8")
-        assert traces._parse_canonical(data, comma=False) is None
+        assert kernel(data, comma=False) is None
         p = tmp_path / "t.txt"
         p.write_bytes(data)
         assert loader_outcome(p) == line_parser_outcome(p)
@@ -470,7 +477,7 @@ class TestVectorizedLoader:
         path = tmp_path_factory.getbasetemp() / "kernel.txt"
         path.write_bytes(data)
         with mock.patch.object(traces, "_BLOCK", block):
-            got = traces._parse_canonical(data, comma=comma)
+            got = kernel(data, comma=comma)
             loaded = loader_outcome(path)
         if want is None:
             assert got is None
@@ -512,7 +519,7 @@ class TestVectorizedLoader:
     )
     def test_byte_kernel_refuses_what_it_does_not_read(self, text, comma, tmp_path):
         data = text.encode("utf-8")
-        assert traces._parse_canonical(data, comma=comma) is None
+        assert kernel(data, comma=comma) is None
         p = tmp_path / "t.txt"
         p.write_bytes(data)
         assert loader_outcome(p) == line_parser_outcome(p)
@@ -536,7 +543,7 @@ class TestVectorizedLoader:
 def assert_kernel_reads(lines, comma=False, newline="\n"):
     """The byte kernel reads the lines bit for bit as the line parser does."""
     data = (newline.join(lines) + newline).encode()
-    got = traces._parse_canonical(data, comma=comma)
+    got = kernel(data, comma=comma)
     want = traces._parse_lines(traces._text_lines(data).readlines(), comma=comma)
     assert got is not None
     for a, b in zip(got, want):
@@ -901,6 +908,121 @@ class TestPool:
         # the parent every chunk waited, 200 * 86 KiB of text
         assert ahead == [2 * pool_size]
         assert one < MiB and peak <= (2 * pool_size + 1) * one + MiB // 2
+
+
+class ShortReads:
+    """A binary file whose read(n) returns at most 7 bytes."""
+
+    def __init__(self, data):
+        self.fh = io.BytesIO(data)
+
+    def read(self, size):
+        return self.fh.read(min(size, 7))
+
+
+def hashed_load(source):
+    """load_trace of source through the CLI's hashing reader: the outcome,
+    as loader_outcome gives it, and the SHA-256 of the bytes read."""
+    hashed = cli._Hashed(source)
+    try:
+        tr = tl.load_trace(hashed)
+        outcome = "ok", tr.timestamps.tobytes(), tr.sizes.tobytes()
+    except ValueError as exc:
+        outcome = type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return outcome, hashed.sha256.hexdigest()
+
+
+class TestStreamedLoad:
+    """load_trace reads _BLOCK bytes at a time and parses each read, cut
+    after its last line end, while the next is read: every byte is read
+    and hashed once, and the result is the line parser's wherever the
+    reads fall."""
+
+    @staticmethod
+    def check(tmp_path, data, block, monkeypatch, canonical):
+        """The file's trace and errors are the line parser's, and the CLI
+        hashes exactly its bytes; canonical files never reach the line
+        parser."""
+        p = tmp_path / "t.txt"
+        p.write_bytes(data)
+        want = line_parser_outcome(p), hashlib.sha256(data).hexdigest()
+        monkeypatch.setattr(traces, "_BLOCK", block)
+        if canonical:
+            monkeypatch.setattr(traces, "_parse_lines", mock.Mock(side_effect=AssertionError("line parser")))
+        with open(p, "rb") as fh:
+            assert hashed_load(fh) == want
+        assert hashed_load(ShortReads(data)) == want
+        if want[0][0] == "ok":
+            trace, inputs = cli._load(str(p))
+            assert (trace.timestamps.tobytes(), trace.sizes.tobytes()) == want[0][1:]
+            assert inputs == {str(p): want[1]}
+
+    LINES = b"# seconds bytes\n0.500000 100\r\n1.250000 2000\r\n2.125000 30\r\n"
+
+    @pytest.mark.parametrize("cut", [
+        LINES.index(b"1.25") + 3,  # inside a record
+        LINES.index(b"2000\r") + 5,  # between CR and LF
+        LINES.index(b"bytes"),  # inside the header line
+    ], ids=["record", "crlf", "header"])
+    def test_a_line_split_across_reads(self, tmp_path, monkeypatch, cut):
+        self.check(tmp_path, self.LINES, cut, monkeypatch, canonical=True)
+
+    def test_a_header_longer_than_one_read(self, tmp_path, monkeypatch):
+        data = b"# " + b"h" * 40 + b"\n#\t" + b"x" * 25 + b"\n0.5,100\n0.75,200\n"
+        self.check(tmp_path, data, 8, monkeypatch, canonical=True)
+
+    def test_no_last_line_end(self, tmp_path, monkeypatch):
+        # one line a read, the last without its line end
+        data = b"\n".join(b"%d.125000 %d" % (i, 100 + i) for i in range(40))
+        self.check(tmp_path, data, 16, monkeypatch, canonical=True)
+
+    @pytest.mark.parametrize("data", [b"# seconds bytes\n# no records\n", b""], ids=["header_only", "empty"])
+    def test_no_records(self, tmp_path, monkeypatch, data):
+        self.check(tmp_path, data, 8, monkeypatch, canonical=False)
+        with pytest.raises(TraceFormatError, match="^no packet records found$"):
+            tl.load_trace(io.BytesIO(data))
+
+    def test_a_timestamp_that_decreases_at_a_block_boundary(self, tmp_path, monkeypatch):
+        first = b"# s b\n0.500000 100\n2.000000 100\n"
+        data = first + b"1.000000 100\n3.000000 100\n"
+        blocks = []
+        parse_block = traces._parse_block
+
+        def recorded(buf, comma):
+            columns = parse_block(buf, comma)
+            blocks.append(columns[0].tolist())
+            return columns
+
+        monkeypatch.setattr(traces, "_parse_block", recorded)
+        self.check(tmp_path, data, len(first), monkeypatch, canonical=False)
+        # each block is in order alone: only the boundary breaks the rule
+        assert [2.0, 1.0] not in blocks and [0.5, 2.0] in blocks and [1.0, 3.0] in blocks
+        with pytest.raises(TraceFormatError) as info:
+            tl.load_trace(io.BytesIO(data))
+        assert info.value.line == 4 and str(info.value) == "line 4: timestamp 1.0 decreases from 2.0"
+
+    @pytest.mark.parametrize("at", [0, 399], ids=["first_block", "last_block"])
+    def test_a_line_the_kernel_does_not_read(self, tmp_path, monkeypatch, pool_size, at):
+        lines = [b"%d.250000 %d\n" % (i, 100 + i) for i in range(400)]
+        lines[at] = b"%d.5  1_000\n" % at
+        data = b"".join(lines)
+        blocks = []
+        parse_block = traces._parse_block
+
+        def recorded(buf, comma):
+            blocks.append(b"  1_000\n" in bytes(buf))
+            return parse_block(buf, comma)
+
+        monkeypatch.setattr(traces, "_parse_block", recorded)
+        # reads of 64 bytes cut lines, so a partial line is held whenever
+        # the kernel gives up
+        self.check(tmp_path, data, 64, monkeypatch, canonical=False)
+        blocks.clear()
+        assert tl.load_trace(io.BytesIO(data)).sizes.tolist()[at] == 1000
+        if at:
+            assert len(blocks) > 3 and blocks == [False] * (len(blocks) - 1) + [True]
+        else:  # no block is parsed past the window of the one that gave up
+            assert blocks[0] and len(blocks) <= 2 * pool_size
 
 
 class TestSummary:
