@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .synth import (
     generate_poisson,
     packetize,
 )
-from .traces import PacketTrace, load_trace, save_trace, summarize, window, write_rows
+from .traces import PacketTrace, load_trace, save_trace, window, write_rows
 
 OFF_MODEL_FLAGS = {
     "iid": "iid_matched_mean",
@@ -44,30 +44,6 @@ OFF_MODEL_FLAGS = {
 # report's sweeps, trimmed to the packets it analyses
 SAMPLE_LADDER = (10_000, 31_623, 100_000, 316_228, 1_000_000)
 BLOCK_LADDER = (1, 10, 100, 1000, 10_000)
-
-
-@dataclass
-class RunManifest:
-    """Reproduction record for one command invocation; the digest covers every field."""
-
-    subcommand: str
-    parameters: dict
-    inputs: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    tool: str = "trafficlab"
-    version: str = __version__
-
-    def _body(self) -> dict:
-        return _strict_json(asdict(self))
-
-    def digest(self) -> str:
-        blob = json.dumps(self._body(), sort_keys=True, separators=(",", ":"), allow_nan=False)
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def write(self, path: str) -> None:
-        text = json.dumps({**self._body(), "digest": self.digest()}, sort_keys=True, indent=2, allow_nan=False)
-        with open(path, "wb") as fh:
-            fh.write(f"{text}\n".encode())
 
 
 def _strict_json(value):
@@ -116,18 +92,27 @@ def _write(path: str, fmt: str, columns, comments: tuple[str, ...]) -> None:
 @contextmanager
 def _manifest(args: argparse.Namespace, *outputs: str | None, inputs: dict, **derived):
     """Yield the ``manifest: <digest>`` comment that heads each output, then
-    write the manifest of args, the inputs (as _load gives them), the derived
-    values and the outputs (None skipped) to <out-prefix>.manifest.json
-    given --out-prefix, else beside the first output."""
+    write the manifest to <out-prefix>.manifest.json given --out-prefix,
+    else beside the first output.
+
+    The manifest is a strict JSON object of the subcommand, its parameters
+    (args and the derived values), the inputs (as _load gives them), the
+    outputs (None skipped), the tool and its version, and the digest: the
+    SHA-256 of that object without it, in sorted compact JSON."""
     outputs = [path for path in outputs if path]
     params = {
         key: list(value) if isinstance(value, (list, tuple)) else value
         for key, value in {**vars(args), **derived}.items()
         if key not in ("func", "subcommand")
     }
-    manifest = RunManifest(subcommand=args.subcommand, parameters=params, inputs=inputs, outputs=outputs)
-    yield f"manifest: {manifest.digest()}"
-    manifest.write(getattr(args, "out_prefix", outputs[0]) + ".manifest.json")
+    body = _strict_json({"subcommand": args.subcommand, "parameters": params, "inputs": inputs, "outputs": outputs,
+                         "tool": "trafficlab", "version": __version__})
+    blob = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    yield f"manifest: {digest}"
+    text = json.dumps({**body, "digest": digest}, sort_keys=True, indent=2, allow_nan=False)
+    with open(getattr(args, "out_prefix", outputs[0]) + ".manifest.json", "wb") as fh:
+        fh.write(f"{text}\n".encode())
 
 
 def _write_row_csv(path: str, comment: str, row: dict) -> None:
@@ -222,13 +207,9 @@ def cmd_gen(args) -> int:
     trace = source
     if isinstance(source, SyntheticSource):
         process = generate_onoff(source.spec, substream(args.seed))
-        trace, report = packetize(process, source.packet_size, source.server_rate)
-        if report.silent_on_periods:
-            print(
-                f"note: {report.silent_on_periods} of {report.cycles} on periods "
-                "were too short to emit a packet",
-                file=sys.stderr,
-            )
+        trace, silent = packetize(process, source.packet_size, source.server_rate)
+        if silent:
+            print(f"note: {silent} of {process.n_cycles} on periods were too short to emit a packet", file=sys.stderr)
     with _manifest(args, args.output, inputs=inputs) as comment:
         save_trace(trace, args.output, comments=(comment,))
     print(f"wrote {trace.packet_count} packets to {args.output}")
@@ -236,8 +217,11 @@ def cmd_gen(args) -> int:
 
 
 def _summary_row(trace: PacketTrace) -> dict:
-    s = summarize(trace)
-    return {**asdict(s), "mean_rate": "" if s.mean_rate is None else s.mean_rate}
+    """packet_count, duration, the exact total_bytes, and the mean_rate in
+    bytes/s, empty for a zero-duration trace."""
+    duration, total = trace.duration, trace.total_bytes
+    return {"packet_count": trace.packet_count, "duration": duration, "total_bytes": total,
+            "mean_rate": total / duration if duration > 0 else ""}
 
 
 def cmd_summarize(args) -> int:

@@ -1,4 +1,4 @@
-"""Burstiness statistics: count series, variance-scaling Hurst estimates,
+"""Burstiness statistics: binned counts, variance-scaling Hurst estimates,
 and log-log tail-index fits."""
 from __future__ import annotations
 
@@ -9,37 +9,12 @@ import numpy as np
 from .traces import PacketTrace
 
 __all__ = [
-    "CountSeries",
     "HurstEstimate",
     "TailFit",
     "bin_counts",
     "hurst_aggregated_variance",
     "fit_tail_index",
 ]
-
-
-@dataclass(eq=False)
-class CountSeries:
-    """Traffic volume per fixed-width time bin."""
-
-    bin_width: float
-    counts: np.ndarray
-    unit: str  # "packets" or "bytes"
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.ndim != 1 or len(c) == 0:
-            raise ValueError("counts must be a nonempty 1-d array")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        if self.unit not in ("packets", "bytes"):
-            raise ValueError("unit must be 'packets' or 'bytes'")
-        object.__setattr__(self, "counts", c)
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -64,8 +39,10 @@ class TailFit:
 _MAX_BINS = 1 << 28  # 2 GiB of int64 counts
 
 
-def bin_counts(trace: PacketTrace, bin_width: float, unit: str = "packets") -> CountSeries:
-    """Aggregate the trace into complete bins of bin_width seconds.
+def bin_counts(trace: PacketTrace, bin_width: float, unit: str = "packets") -> np.ndarray:
+    """The traffic in each complete bin of bin_width seconds: packets as
+    int64 counts, or bytes as the float64 sums of np.bincount, which
+    stay exact up to 2**53 and, unlike int64, never wrap.
 
     Bin k covers [k*w, (k+1)*w) from the first arrival; the trailing
     partial bin is dropped. When the trace span is an exact multiple
@@ -89,12 +66,10 @@ def bin_counts(trace: PacketTrace, bin_width: float, unit: str = "packets") -> C
         idx = np.where(rel == duration, n_bins - 1, idx)
     mask = idx < n_bins
     if unit == "packets":
-        counts = np.bincount(idx[mask], minlength=n_bins)
-    elif unit == "bytes":
-        counts = np.bincount(idx[mask], weights=trace.sizes[mask], minlength=n_bins).astype(np.int64)
-    else:
-        raise ValueError("unit must be 'packets' or 'bytes'")
-    return CountSeries(bin_width=bin_width, counts=counts, unit=unit)
+        return np.bincount(idx[mask], minlength=n_bins)
+    if unit == "bytes":
+        return np.bincount(idx[mask], weights=trace.sizes[mask], minlength=n_bins)
+    raise ValueError("unit must be 'packets' or 'bytes'")
 
 
 def default_levels(n: int) -> list[int]:
@@ -121,16 +96,19 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def hurst_aggregated_variance(series: CountSeries, levels=None) -> HurstEstimate:
+def hurst_aggregated_variance(counts, levels=None) -> HurstEstimate:
     """Hurst exponent from how block-mean variance shrinks with block size.
 
-    At aggregation level a the series is cut into length-a blocks and
-    each block replaced by its mean. For short-memory series the
-    variance of those means falls like 1/a; long memory flattens the
-    decay. The fitted slope of log variance against log a gives
-    H = 1 + slope/2.
+    counts is a 1-d array of traffic per bin, such as bin_counts gives;
+    any other shape is refused. At aggregation level a the series is
+    cut into length-a blocks and each block replaced by its mean. For
+    short-memory series the variance of those means falls like 1/a;
+    long memory flattens the decay. The fitted slope of log variance
+    against log a gives H = 1 + slope/2.
     """
-    x = np.asarray(series.counts, dtype=np.float64)
+    x = np.asarray(counts, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"counts must be a 1-d array, got shape {x.shape}")
     n = len(x)
     if levels is None:
         levels = default_levels(n)

@@ -278,28 +278,36 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     AttributeError. A process of reorder_nonoverlap is read a run at a
     time, its silences computed into a buffer, so the pass builds no
     off_lengths: it holds five _CHUNK-cycle buffers and no array as long
-    as the process.
+    as the process. Cycles so long that the horizon or the area is not a
+    finite float are a ValueError, as in packet_fifo.
     """
     buf = np.empty(min(process.n_cycles, _CHUNK))
     on_sum, off_sum, on_area, off_area = [], [], [], []
-    for on, off, before, q_peak, drain, q_end in _fluid_slices(process):
-        # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
-        # drain * (q_peak - 0.5 * drain)
-        x = buf[: len(on)]
-        x[0] = before + q_peak[0]
-        np.add(q_end[:-1], q_peak[1:], out=x[1:])
-        x *= 0.5
-        x *= on
-        q = q_end  # read: from here on the end levels' buffer is _extract's scratch
-        _extract(x, on_area, q, x)
-        np.multiply(drain, 0.5, out=x)
-        np.subtract(q_peak, x, out=x)
-        x *= drain
-        _extract(x, off_area, q, x)
-        _extract(on, on_sum, q, x)
-        _extract(off, off_sum, q, x)
-    horizon = math.fsum(on_sum) + math.fsum(off_sum)
-    area = math.fsum(on_area) + math.fsum(off_area)
+    # a level or an area past the largest float is the error below, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for on, off, before, q_peak, drain, q_end in _fluid_slices(process):
+            # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
+            # drain * (q_peak - 0.5 * drain)
+            x = buf[: len(on)]
+            x[0] = before + q_peak[0]
+            np.add(q_end[:-1], q_peak[1:], out=x[1:])
+            x *= 0.5
+            x *= on
+            q = q_end  # read: from here on the end levels' buffer is _extract's scratch
+            _extract(x, on_area, q, x)
+            np.multiply(drain, 0.5, out=x)
+            np.subtract(q_peak, x, out=x)
+            x *= drain
+            _extract(x, off_area, q, x)
+            _extract(on, on_sum, q, x)
+            _extract(off, off_sum, q, x)
+    try:
+        horizon = math.fsum(on_sum) + math.fsum(off_sum)
+        area = math.fsum(on_area) + math.fsum(off_area)
+    except OverflowError:  # math.fsum found a total past the largest float
+        horizon = area = math.inf
+    if not (math.isfinite(horizon) and math.isfinite(area)):
+        raise ValueError("the cycles are too long: the horizon or the queue area is not a finite float")
     return QueueRun(area, horizon)
 
 
@@ -309,10 +317,11 @@ def _fifo_slices(trace: PacketTrace, bandwidth: float):
 
     d_i = S_i + max_{j<=i}(a_j - S_{j-1}) with S the service prefix sum
     and S_0 = 0; the scan carries S and the running max across slices,
-    so where the trace cuts its runs changes no bit. Yields (a, d, s)
-    for the run's packets: their arrivals a, their departures d and a
-    buffer s of the same length that the caller may overwrite. d and s
-    are buffers reused by the next run.
+    so where the trace cuts its runs changes no bit. Yields (a, sizes,
+    d, s) for the run's packets: their arrivals and sizes as the run
+    gives them, their departures d and a buffer s of the same length
+    that the caller may overwrite. d and s are buffers reused by the
+    next run, as the run's own may be (a block shuffle's).
     """
     s_buf = np.empty(min(len(trace), _CHUNK))
     # the scans' inputs: an accumulate whose output is its own input holds
@@ -336,7 +345,7 @@ def _fifo_slices(trace: PacketTrace, bandwidth: float):
             d = np.fmax.accumulate(x, out=d_buf[:k])
             s_last, run_max = s[-1], d[-1]
             d += s
-        yield a, d, s
+        yield a, sizes, d, s
 
 
 def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
@@ -354,12 +363,13 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     made (_extract), into a list that math.fsum rounds once, raw terms
     of a slice past the domain of _fsum included. The list holds the
     exact total of nonnegative terms however the runs are cut, so the
-    cuts change no bit. The mean reads no column of a trace that builds
-    them on demand (a block shuffle's). The run keeps only the trace and
-    bandwidth; stats and path come from a second pass of the same loop,
-    which sums the service times and idle gaps and merges each run's
-    arrivals with the departures up to its last arrival, carrying the
-    level and its peak; only path writes the 2n+1 points. The merge's
+    cuts change no bit. The run keeps only the trace and bandwidth;
+    stats and path come from a second pass of the same loop, which sums
+    the service times and idle gaps and merges each run's arrivals with
+    the departures up to its last arrival, carrying the level and its
+    peak; only path writes the 2n+1 points, the departures after the
+    last arrival included. Neither pass reads a column of a trace that
+    builds them on demand (a block shuffle's), only its runs. The merge's
     arrays are as long as the run plus the departures pending, at most
     the queue's peak: on acceptance 6's alpha = 1.2 trace (1,600,541
     packets, peak 127,999 at load 0.5) stats peaks at 9.8 MiB under
@@ -371,7 +381,7 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     n = len(trace)
     size = min(n, _CHUNK)
     sojourns, q = [], np.empty(size)
-    for a, d, s in _fifo_slices(trace, bandwidth):
+    for a, _, d, s in _fifo_slices(trace, bandwidth):
         _extract(np.subtract(d, a, out=s), sojourns, q, s)
     horizon = float(d[-1])
     try:
@@ -384,23 +394,22 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     def rebuild(keep_path: bool):
         service, idle, q = [], [], np.empty(size)
         path = QueuePath(np.zeros(2 * n + 1), np.zeros(2 * n + 1)) if keep_path else None
-        pending, d_last, level, peak, lo, at = np.empty(0), math.inf, 0.0, 0.0, 0, 1
-        for a, d, s in _fifo_slices(trace, bandwidth):
-            hi = lo + len(d)
-            _extract(np.divide(trace.sizes[lo:hi], bandwidth, out=s), service, q, s)
-            # the queue is empty before the first arrival and wherever an
-            # arrival finds every earlier packet gone; the first packet's
-            # gap, a[0] - inf, adds a zero
+        pending, d_last, level, peak, first, at = np.empty(0), math.inf, 0.0, 0.0, None, 1
+        for a, sizes, d, s in _fifo_slices(trace, bandwidth):
+            if first is None:  # the queue is empty until the first arrival
+                first = float(a[0])
+            _extract(np.divide(sizes, bandwidth, out=s), service, q, s)
+            # and wherever an arrival finds every earlier packet gone; the
+            # first packet's gap, a[0] - inf, adds a zero
             s[0] = a[0] - d_last
             np.subtract(a[1:], d[:-1], out=s[1:])
             _extract(np.maximum(s, 0.0, out=s), idle, q, s)
-            # the departures up to the run's last arrival (after the last
-            # run, all of them) and its arrivals are each sorted, so a stable
-            # sort of the departures followed by the arrivals merges them, and
-            # at a tie it keeps the departure first: the level never counts a
-            # packet that has already left
+            # the departures up to the run's last arrival and its arrivals
+            # are each sorted, so a stable sort of the departures followed by
+            # the arrivals merges them, and at a tie it keeps the departure
+            # first: the level never counts a packet that has already left
             dep = np.concatenate([pending, d])
-            k = int(np.searchsorted(dep, a[-1] if hi < n else math.inf, side="right"))
+            k = int(np.searchsorted(dep, a[-1], side="right"))
             t = np.concatenate([dep[:k], a])
             order = np.argsort(t, kind="stable")
             step = np.where(order >= k, 1.0, -1.0)
@@ -409,9 +418,12 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
             if keep_path:  # at: 1 + the arrivals and departures merged so far
                 np.take(t, order, out=path.times[at : at + len(t)])
                 path.levels[at : at + len(t)] = step
-            level, peak, pending, d_last, lo, at = step[-1], max(peak, step.max()), dep[k:], d[-1], hi, at + len(t)
+            level, peak, pending, d_last, at = step[-1], max(peak, step.max()), dep[k:], d[-1], at + len(t)
+        if keep_path:  # the departures after the last arrival, one step down each
+            path.times[at:] = pending
+            path.levels[at:] = level - np.arange(1.0, len(pending) + 1.0)
         busy = min(math.fsum(service), horizon)  # min() guards cumsum/fsum rounding skew
-        return float(peak), busy, math.fsum(idle) + float(trace.timestamps[0]), path
+        return float(peak), busy, math.fsum(idle) + first, path
 
     return QueueRun(area, horizon, rebuild)
 

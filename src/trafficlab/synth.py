@@ -21,7 +21,6 @@ __all__ = [
     "HeavyTailSpec",
     "FluidOnOffProcess",
     "GeneratorSpec",
-    "PacketizeReport",
     "SyntheticSource",
     "sample_heavy_tail",
     "generate_onoff",
@@ -280,22 +279,27 @@ def _bounded_offs(on: np.ndarray, m: float, q: float) -> np.ndarray:
     return np.maximum((m - 1.0) * on, (m - 1.0) * m * on * on / (2.0 * q) - on)
 
 
-@dataclass(frozen=True)
-class PacketizeReport:
-    cycles: int
-    silent_on_periods: int  # on periods too short to emit a packet
-
-
 # packets are emitted in groups of at most this many cycles and, within
 # a group, pieces of at most this many packets
 _GROUP = 1 << 16
 
 
 def _counts(on, rate_bytes, packet_size):
-    """floor(on * rate_bytes / packet_size): the packets each on period emits."""
-    x = on * rate_bytes
+    """floor(on * rate_bytes / packet_size): the packets each on period
+    of a group emits, as int64.
+
+    A group whose float total reaches 2**62 (inf and nan too) is refused:
+    the float sum of nonnegative counts errs by far less than a factor
+    of 2, so below it every count, and the group's total that _emit's
+    cumsum and packetize's sizing reach, fits in int64."""
+    with np.errstate(over="ignore"):  # a product past the largest float is the error below
+        x = on * rate_bytes
     x /= packet_size
-    return np.floor(x, out=x).astype(np.int64)
+    np.floor(x, out=x)
+    if not (total := float(x.sum())) < 2.0**62:
+        raise ValueError(f"too many packets: on periods of up to {float(on.max()):g} s at {rate_bytes:g} bytes/s "
+                         f"emit {total:.4g} packets of {packet_size} bytes, more than 2**62 in one group of cycles")
+    return x.astype(np.int64)
 
 
 def _emit(on, off, rate_bytes, packet_size, t0, times):
@@ -358,16 +362,16 @@ def _check_emission(packet_size: int, server_rate: float) -> None:
         raise ValueError("server_rate must be positive and finite")
 
 
-def packetize(
-    process: FluidOnOffProcess, packet_size: int, server_rate: float
-) -> tuple[PacketTrace, PacketizeReport]:
-    """Turn the fluid process into equal-size packets.
+def packetize(process: FluidOnOffProcess, packet_size: int, server_rate: float) -> tuple[PacketTrace, int]:
+    """Turn the fluid process into equal-size packets: (trace,
+    silent_on_periods).
 
     During each on period packets of packet_size bytes leave every
     packet_size/(m*server_rate) seconds starting at the period start;
     floor(on * m * server_rate / packet_size) of them fit. On periods
-    shorter than one spacing emit nothing; they are counted in the
-    report rather than treated as errors.
+    shorter than one spacing emit nothing; they are counted in
+    silent_on_periods rather than treated as errors. A process that
+    emits too many packets for int64 to count is a ValueError.
 
     The trace holds one packet-length array, its timestamps, sized from
     the on periods' packet counts a group of _GROUP cycles at a time and
@@ -380,8 +384,7 @@ def packetize(
     if len(times) == 0:
         raise ValueError("no packets emitted; every on period is shorter than one packet spacing")
     _, silent = _emit(on, process.off_lengths, rate_bytes, packet_size, 0.0, times)
-    report = PacketizeReport(cycles=process.n_cycles, silent_on_periods=int(silent))
-    return PacketTrace(times, _equal_sizes(packet_size, len(times))), report
+    return PacketTrace(times, _equal_sizes(packet_size, len(times))), int(silent)
 
 
 def generate_poisson(rate: float, packet_size: int, n: int, rng: np.random.Generator) -> PacketTrace:

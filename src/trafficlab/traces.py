@@ -19,11 +19,9 @@ import numpy as np
 
 __all__ = [
     "PacketTrace",
-    "TraceSummary",
     "TraceFormatError",
     "load_trace",
     "save_trace",
-    "summarize",
     "bandwidth_for_utilization",
     "window",
 ]
@@ -386,14 +384,6 @@ class PacketTrace:
         return sum(sizes.tolist())
 
 
-@dataclass(frozen=True)
-class TraceSummary:
-    packet_count: int
-    duration: float
-    total_bytes: int
-    mean_rate: float | None  # bytes/second; None for zero-duration traces
-
-
 def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and sizes of the records, checked one line at a time.
 
@@ -720,18 +710,6 @@ def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str,
     """
     with open(path, "wb") as fh:
         write_rows(fh, f"{_FIXED},%d", (trace.timestamps, trace.sizes), comments)
-
-
-def summarize(trace: PacketTrace) -> TraceSummary:
-    dur = trace.duration
-    total = trace.total_bytes
-    rate = total / dur if dur > 0 else None
-    return TraceSummary(
-        packet_count=trace.packet_count,
-        duration=dur,
-        total_bytes=total,
-        mean_rate=rate,
-    )
 
 
 def bandwidth_for_utilization(trace: PacketTrace, rho: float) -> float:

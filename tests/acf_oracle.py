@@ -3,12 +3,10 @@ acceptance 5 uses to show that block shuffling leaves no correlation
 across blocks."""
 import numpy as np
 
-from trafficlab import CountSeries
-
 
 def lag_autocorrelation(series, lag: int) -> float:
     """Pearson correlation between the series and itself lag steps later."""
-    x = np.asarray(series.counts if isinstance(series, CountSeries) else series, dtype=np.float64)
+    x = np.asarray(series, dtype=np.float64)
     if not 1 <= lag < len(x):
         raise ValueError("lag must lie in [1, len(series))")
     a = x[:-lag]
@@ -27,7 +25,7 @@ def bartlett_stderr(series, lag: int, short_memory_upto: int) -> float:
     Uses Bartlett's large-sample variance, which inflates the plain
     1/sqrt(n) by the estimated short-lag correlations.
     """
-    x = np.asarray(series.counts if isinstance(series, CountSeries) else series, dtype=np.float64)
+    x = np.asarray(series, dtype=np.float64)
     n = len(x) - lag
     if n < 2:
         raise ValueError("series too short")

@@ -163,10 +163,10 @@ class TestSummarize:
         out = tmp_path / "summary.csv"
         assert run("summarize", poisson_file, "-o", out) == 0
         row = data_row(out)
-        s = tl.summarize(tl.load_trace(poisson_file))
-        assert int(float(row[0])) == s.packet_count
-        assert float(row[1]) == pytest.approx(s.duration)
-        assert float(row[3]) == pytest.approx(s.mean_rate)
+        trace = tl.load_trace(poisson_file)
+        assert int(float(row[0])) == trace.packet_count
+        assert float(row[1]) == pytest.approx(trace.duration)
+        assert float(row[3]) == pytest.approx(trace.total_bytes / trace.duration)
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert run("summarize", tmp_path / "nope.csv") == 1
@@ -636,6 +636,45 @@ class TestCountsPastMemory:
         assert list(tmp_path.iterdir()) == []
 
 
+# on periods of at least 1e16 s at 2e6 bytes/s: more than 2**64 packets of 1000 bytes each
+TOO_MANY_PACKETS = ("--model", "onoff", "--alpha", "1.5", "--xmin", "1e16", "--m", "2", "--lambda", "0.5",
+                    "--rate", "1e6", "--cycles", "10", "--seed", "1")
+
+
+class TestOverflowingInputs:
+    """Figures past the largest float or int64 end in one error line that
+    names the cause, with no numpy warning and no output; byte counts past
+    int64 are simply counted."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["diverge", "--alpha", "1.01", "--m", "2", "--lambda", "0.5", "--xmin", "1e300", "--sizes", "1000",
+          "--reps", "1", "--seed", "1", "--out-prefix", "d"], "error: the cycles are too long: "),
+        (["diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--xmin", "1e200", "--sizes", "1000",
+          "--reps", "2", "--seed", "1", "--out-prefix", "d"], "error: the cycles are too long: "),
+        (["gen", *TOO_MANY_PACKETS, "-o", "x.csv"], "error: too many packets: "),
+        (["sweep-samples", *TOO_MANY_PACKETS, "--sizes", "100", "--reps", "1", "--out-prefix", "s"],
+         "error: too many packets: "),
+        (["hurst", "big.csv", "--unit", "bytes", "-o", "h.csv"], None),
+    ], ids=["diverge-inf-area", "diverge-nan-std", "gen", "sweep-samples-onoff", "hurst-bytes"])
+    def test_overflowing_inputs_fail_cleanly(self, tmp_path, capsys, monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        if error is None:
+            # the default 4096 bins hold 3 packets of 2**62 to 2**63 bytes each, more than 2**63
+            n = 3 * 4096 + 1
+            sizes = np.random.default_rng(0).integers(2**62, 2**63 - 1, n)
+            tl.save_trace(tl.PacketTrace(np.arange(n, dtype=float), sizes), "big.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(*argv)
+        err = capsys.readouterr().err
+        if error is None:
+            assert (rc, err) == (0, "")
+            return
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith(error)
+        assert os.listdir() == []
+
+
 class TestHurstCommand:
     def test_writes_estimate(self, tmp_path, capsys):
         trace_path = tmp_path / "p.csv"
@@ -793,6 +832,26 @@ WRITERS = {
 }
 
 
+def manifest_digest(body: dict) -> str:
+    """The oracle of a manifest's digest: the SHA-256 of its body, less the
+    digest, as sorted compact JSON."""
+    return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def manifest_text(body: dict) -> bytes:
+    """The bytes of a manifest file holding body and its digest."""
+    return (json.dumps({**body, "digest": manifest_digest(body)}, sort_keys=True, indent=2) + "\n").encode()
+
+
+def write_manifest(tmp_path, name: str, **params) -> tuple[str, dict]:
+    """The comment cli._manifest yields for a run of subcommand x with
+    these parameters, and the manifest it writes to <name>.manifest.json."""
+    args = argparse.Namespace(subcommand="x", func=None, out_prefix=str(tmp_path / name), **params)
+    with cli._manifest(args, str(tmp_path / f"{name}.csv"), inputs={}) as comment:
+        pass
+    return comment, json.loads((tmp_path / f"{name}.manifest.json").read_text())
+
+
 class TestManifest:
     @pytest.mark.parametrize("subcommand", sorted(WRITERS))
     def test_every_output_names_its_manifest(self, poisson_file, tmp_path, monkeypatch, subcommand):
@@ -801,7 +860,9 @@ class TestManifest:
         assert run(subcommand, *[poisson_file if a is TRACE else a for a in argv]) == 0
         body = json.loads((tmp_path / manifest_path).read_text())
         digest = body.pop("digest")
-        assert cli.RunManifest(**body).digest() == digest
+        assert manifest_digest(body) == digest
+        assert set(body) == {"subcommand", "parameters", "inputs", "outputs", "tool", "version"}
+        assert (body["subcommand"], body["tool"], body["version"]) == (subcommand, "trafficlab", tl.__version__)
         assert body["outputs"] == outputs
         assert set(body["parameters"]) == keys
         for name in outputs:
@@ -830,10 +891,8 @@ class TestManifest:
         inputs = {str(poisson_file): hashlib.sha256(poisson_file.read_bytes()).hexdigest()}
         assert body["inputs"] == inputs
         # the bytes of a manifest written with a separate hash of the file
-        want = cli.RunManifest(subcommand=body["subcommand"], parameters=body["parameters"], inputs=inputs,
-                               outputs=body["outputs"])
-        want.write(tmp_path / "want.json")
-        assert written == (tmp_path / "want.json").read_bytes()
+        del body["digest"]
+        assert written == manifest_text({**body, "inputs": inputs})
 
     @pytest.mark.parametrize("subcommand", sorted(WRITERS))
     def test_every_output_is_utf8_with_lf_line_ends(self, poisson_file, tmp_path, monkeypatch, subcommand):
@@ -853,11 +912,13 @@ class TestManifest:
         assert set(written) == {*outputs, manifest_path}
         assert set(written.values()) == {"wb"}
 
-    def test_digest_covers_parameters(self):
-        a = cli.RunManifest(subcommand="gen", parameters={"seed": 1})
-        b = cli.RunManifest(subcommand="gen", parameters={"seed": 2})
-        assert a.digest() != b.digest()
-        assert a.digest() == cli.RunManifest(subcommand="gen", parameters={"seed": 1}).digest()
+    def test_digest_covers_parameters(self, tmp_path):
+        a, _ = write_manifest(tmp_path, "a", seed=1)
+        b, _ = write_manifest(tmp_path, "b", seed=2)
+        assert a != b
+        # another out_prefix and output, so the same seed gives another digest
+        assert a != write_manifest(tmp_path, "c", seed=1)[0]
+        assert a == write_manifest(tmp_path, "a", seed=1)[0]
 
     def test_inputs_are_keyed_by_the_path_as_typed(self, poisson_file, tmp_path, monkeypatch):
         # parameters record the typed path, so inputs use it as the key;
@@ -873,11 +934,12 @@ class TestManifest:
         assert digests[0] == digests[1] == hashlib.sha256(poisson_file.read_bytes()).hexdigest()
 
     def test_written_digest_matches_recomputation(self, tmp_path):
-        m = cli.RunManifest(subcommand="queue", parameters={"rho": 0.5}, outputs=["q.csv"])
-        path = tmp_path / "m.json"
-        m.write(path)
-        body = json.loads(path.read_text())
-        assert body["digest"] == m.digest()
+        comment, body = write_manifest(tmp_path, "q", rho=0.5, levels=(1, 2))
+        digest = body.pop("digest")
+        assert comment == f"manifest: {digest}"
+        assert digest == manifest_digest(body)
+        assert body["parameters"] == {"rho": 0.5, "levels": [1, 2], "out_prefix": str(tmp_path / "q")}
+        assert (tmp_path / "q.manifest.json").read_bytes() == manifest_text(body)
 
     @pytest.mark.parametrize(
         "argv, manifest_path, inf_keys",
@@ -898,13 +960,14 @@ class TestManifest:
         body = json.loads((tmp_path / manifest_path).read_text(), parse_constant=reject)
         assert {key for key, v in body["parameters"].items() if v == "inf"} == inf_keys
         digest = body.pop("digest")
-        assert cli.RunManifest(**body).digest() == digest
+        assert manifest_digest(body) == digest
         assert first_line(tmp_path / argv[-1]) == f"# manifest: {digest}"
 
-    def test_non_finite_floats_are_spelled_as_strings(self):
-        m = cli.RunManifest(subcommand="x", parameters={"a": [math.inf, -math.inf, math.nan, 1.5], "b": None})
-        same = cli.RunManifest(subcommand="x", parameters={"a": ["inf", "-inf", "nan", 1.5], "b": None})
-        assert m.digest() == same.digest()
+    def test_non_finite_floats_are_spelled_as_strings(self, tmp_path):
+        comment, body = write_manifest(tmp_path, "m", a=[math.inf, -math.inf, math.nan, 1.5], b=None)
+        same, _ = write_manifest(tmp_path, "m", a=["inf", "-inf", "nan", 1.5], b=None)
+        assert comment == same
+        assert body["parameters"]["a"] == ["inf", "-inf", "nan", 1.5]
 
 
 @pytest.fixture(scope="module")

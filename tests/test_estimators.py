@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,22 +19,28 @@ class TestBinCounts:
     def test_trailing_partial_bin_is_dropped(self):
         # packets at 0, 0.5, 1.5 with w=1: bin [0,1) holds two, the
         # packet at 1.5 sits in the incomplete second bin
-        cs = tl.bin_counts(make([0.0, 0.5, 1.5], [100, 200, 400]), 1.0)
-        assert np.array_equal(cs.counts, [2])
+        assert np.array_equal(tl.bin_counts(make([0.0, 0.5, 1.5], [100, 200, 400]), 1.0), [2])
 
     def test_packets_and_bytes_units(self):
         tr = make([0.0, 0.5, 1.5, 2.5], [100, 200, 400, 100])
-        assert np.array_equal(tl.bin_counts(tr, 1.0).counts, [2, 1])
-        assert np.array_equal(tl.bin_counts(tr, 1.0, unit="bytes").counts, [300, 400])
+        packets, octets = tl.bin_counts(tr, 1.0), tl.bin_counts(tr, 1.0, unit="bytes")
+        assert np.array_equal(packets, [2, 1]) and packets.dtype == np.int64
+        # bytes are bincount's float64 sums
+        assert np.array_equal(octets, [300, 400]) and octets.dtype == np.float64
+
+    def test_byte_counts_past_int64_do_not_wrap(self):
+        # each bin holds three packets of 2**62 bytes, 1.5 * 2**63, which an
+        # int64 count would wrap negative
+        tr = make([0.0, 0.1, 0.2, 1.0, 1.1, 1.2, 2.5], [2**62] * 7)
+        assert tl.bin_counts(tr, 1.0, unit="bytes").tolist() == [3 * 2.0**62, 3 * 2.0**62]
 
     def test_exact_multiple_keeps_the_last_packet(self):
-        cs = tl.bin_counts(make([0.0, 1.0, 2.0], [1, 1, 1]), 1.0)
-        assert np.array_equal(cs.counts, [1, 2])
+        assert np.array_equal(tl.bin_counts(make([0.0, 1.0, 2.0], [1, 1, 1]), 1.0), [1, 2])
 
     def test_bins_anchor_at_first_arrival(self):
         a = tl.bin_counts(make([0.0, 0.5, 1.5, 2.5], [1, 1, 1, 1]), 1.0)
         b = tl.bin_counts(make([10.0, 10.5, 11.5, 12.5], [1, 1, 1, 1]), 1.0)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
 
     def test_span_shorter_than_one_bin_rejected(self):
         with pytest.raises(ValueError):
@@ -59,26 +67,11 @@ class TestBinCounts:
         if ts[-1] <= width:
             return
         tr = tl.PacketTrace(ts, np.full(len(ts), 10))
-        cs = tl.bin_counts(tr, width)
-        assert cs.counts.sum() <= tr.packet_count
+        counts = tl.bin_counts(tr, width)
+        assert counts.sum() <= tr.packet_count
         # only the trailing partial bin may be lost
-        kept_span = len(cs.counts) * width
-        assert np.sum(ts < kept_span) <= cs.counts.sum() + np.sum(ts == kept_span)
-
-
-class TestCountSeries:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tl.CountSeries(1.0, np.array([]), "packets")
-        with pytest.raises(ValueError):
-            tl.CountSeries(1.0, np.array([-1]), "packets")
-        with pytest.raises(ValueError):
-            tl.CountSeries(0.0, np.array([1]), "packets")
-        with pytest.raises(ValueError):
-            tl.CountSeries(1.0, np.array([1]), "cells")
-
-    def test_len(self):
-        assert len(tl.CountSeries(1.0, np.arange(5), "packets")) == 5
+        kept_span = len(counts) * width
+        assert np.sum(ts < kept_span) <= counts.sum() + np.sum(ts == kept_span)
 
 
 class TestDefaultLevels:
@@ -91,42 +84,48 @@ class TestDefaultLevels:
 class TestHurst:
     def test_iid_counts_show_no_memory(self):
         counts = np.random.default_rng(42).poisson(10, 100_000)
-        est = tl.hurst_aggregated_variance(tl.CountSeries(1.0, counts, "packets"))
+        est = tl.hurst_aggregated_variance(counts)
         assert abs(est.H - 0.5) < 0.05
         assert not est.clipped
         assert est.H == pytest.approx(1.0 + est.slope / 2.0)
 
     def test_scaling_the_series_leaves_h_unchanged(self):
         counts = np.random.default_rng(3).poisson(5, 2048).astype(float)
-        base = tl.hurst_aggregated_variance(tl.CountSeries(1.0, counts, "packets"))
+        base = tl.hurst_aggregated_variance(counts)
         for c in (0.001, 7.0, 1000.0):
-            est = tl.hurst_aggregated_variance(tl.CountSeries(1.0, c * counts, "packets"))
+            est = tl.hurst_aggregated_variance(c * counts)
             assert est.H == pytest.approx(base.H, rel=1e-9)
 
     def test_estimate_outside_unit_interval_is_clipped(self):
         # block means of a quadratic ramp get more variable with level,
         # pushing the raw estimate past 1
         counts = (np.arange(4096, dtype=float)) ** 2
-        est = tl.hurst_aggregated_variance(tl.CountSeries(1.0, counts, "packets"))
+        est = tl.hurst_aggregated_variance(counts)
         assert est.clipped
         assert est.H == 1.0
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError):
-            tl.hurst_aggregated_variance(tl.CountSeries(1.0, np.full(4096, 7), "packets"))
+            tl.hurst_aggregated_variance(np.full(4096, 7))
 
     def test_too_few_levels_rejected(self):
-        cs = tl.CountSeries(1.0, np.random.default_rng(0).poisson(5, 4096), "packets")
+        cs = np.random.default_rng(0).poisson(5, 4096)
         with pytest.raises(ValueError):
             tl.hurst_aggregated_variance(cs, levels=[1, 2, 4])
 
     def test_series_too_short_for_levels_rejected(self):
-        cs = tl.CountSeries(1.0, np.random.default_rng(0).poisson(5, 64), "packets")
+        cs = np.random.default_rng(0).poisson(5, 64)
         with pytest.raises(ValueError):
             tl.hurst_aggregated_variance(cs, levels=[1, 2, 4, 16])
 
+    @pytest.mark.parametrize("shape", [(), (64, 64)])
+    def test_counts_must_be_1d(self, shape):
+        counts = np.random.default_rng(0).poisson(5, shape)
+        with pytest.raises(ValueError, match=f"counts must be a 1-d array, got shape {re.escape(str(shape))}"):
+            tl.hurst_aggregated_variance(counts)
+
     def test_level_one_required_to_be_positive(self):
-        cs = tl.CountSeries(1.0, np.random.default_rng(0).poisson(5, 4096), "packets")
+        cs = np.random.default_rng(0).poisson(5, 4096)
         with pytest.raises(ValueError):
             tl.hurst_aggregated_variance(cs, levels=[0, 1, 2, 4])
 
@@ -244,10 +243,6 @@ class TestAutocorrelation:
     def test_alternating_series_anticorrelates(self):
         x = np.array([1.0, -1.0] * 8)
         assert lag_autocorrelation(x, 1) == pytest.approx(-1.0)
-
-    def test_accepts_count_series(self):
-        cs = tl.CountSeries(1.0, np.array([1, 2, 3, 4]), "packets")
-        assert lag_autocorrelation(cs, 1) == pytest.approx(1.0)
 
     def test_lag_bounds(self):
         x = np.array([1.0, 2.0, 3.0])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
-from trafficlab import experiments, synth, traces
+from trafficlab import cli, experiments, synth, traces
 from trafficlab.experiments import SweepResult, aggregate_replications
 from trafficlab.queue_sim import packet_fifo
 from trafficlab.rng import substream
@@ -291,6 +291,21 @@ class TestLazyShuffle:
         assert run.stats == stored.stats
         assert run.path.times.tobytes() == stored.path.times.tobytes()
 
+    @pytest.mark.parametrize("first", ["stats", "path"])
+    @pytest.mark.parametrize("block, where", [(1, None), (100, "first"), (65537, "middle"), (SHUFFLE_N - 1, "last")])
+    def test_stats_and_path_build_no_columns(self, trace, block, where, first):
+        # stats read first and path after make two rebuilds; path first makes one
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.95)
+        out, _ = self.shuffled(trace, block, where)
+        run = packet_fifo(out, bandwidth)
+        getattr(run, first)
+        stats, path = run.stats, run.path
+        assert "_columns" not in vars(out)
+        stored = packet_fifo(tl.PacketTrace(out.timestamps, out.sizes), bandwidth)
+        assert stats == stored.stats
+        assert path.times.tobytes() == stored.path.times.tobytes()
+        assert path.levels.tobytes() == stored.path.levels.tobytes()
+
 
 class TestSizesStoredOnce:
     """A trace whose sizes are one zero-stride column, as packetize and
@@ -335,11 +350,11 @@ class TestSizesStoredOnce:
             tl.save_trace(trace, tmp_path / f"{name}.csv", comments=("equal sizes",))
         assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
         width = once.duration / 64
-        assert (tl.bin_counts(once, width, unit="bytes").counts.tobytes()
-                == tl.bin_counts(full, width, unit="bytes").counts.tobytes())
+        assert (tl.bin_counts(once, width, unit="bytes").tobytes()
+                == tl.bin_counts(full, width, unit="bytes").tobytes())
         got, want = tl.window(once, 100, 500), tl.window(full, 100, 500)
         assert got.timestamps.tobytes() == want.timestamps.tobytes() and got.sizes.tobytes() == want.sizes.tobytes()
-        assert tl.summarize(once) == tl.summarize(full)
+        assert cli._summary_row(once) == cli._summary_row(full)
         assert once.total_bytes == full.total_bytes == 1500 * self.N
 
     def test_a_window_keeps_them_stored_once(self):

@@ -282,12 +282,31 @@ class TestFluidQueue:
         # in slices of 1 to 3 cycles the third cycle's length of 2**977 sits
         # in a later slice than the first: that slice is outside the domain
         # and keeps its raw terms beside the first slice's level sums. A long
-        # on period makes its on area inf; a long off period keeps every
-        # figure finite
+        # off period keeps every figure finite; a long on period makes its
+        # on area inf, which is refused, with no numpy warning
         on, off = np.array([1.0, 2.0, 0.5, 3.0]), np.array([1.0, 0.5, 1.0, 4.0])
         (on if long_period == "on" else off)[2] = FSUM_LIMIT
-        with np.errstate(over="ignore"):
+        if long_period == "off":
             assert_runs_are(lambda: tl.fluid_queue(fluid(on, off, 2.0)), fluid_formulas(on, off, 2.0))
+            return
+        for chunk in SLICES:
+            with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+                warnings.simplefilter("error")
+                if chunk is not None:
+                    mp.setattr(queue_sim, "_CHUNK", chunk)
+                with pytest.raises(ValueError, match="^the cycles are too long: the horizon or the queue area"):
+                    tl.fluid_queue(fluid(on, off, 2.0))
+
+    @pytest.mark.parametrize("on, off", [
+        ([1e300] * 3, [1e300] * 3),  # areas of 1e600
+        ([1e308] * 3, [1e308] * 3),  # a horizon of 6e308, past the largest float in math.fsum
+        ([1e308, 1.0], [1e308, 1e308]),  # a rise past the largest float: inf levels
+    ])
+    def test_a_non_finite_horizon_or_area_is_refused_without_a_warning(self, on, off):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the cycles are too long"):
+                tl.fluid_queue(fluid(np.array(on), np.array(off), 3.0))
 
     def test_a_slice_under_the_sigma_floor_keeps_its_remainder_not_the_overwritten_terms(self):
         # the on areas are extracted in place; in slices of 2 cycles or
