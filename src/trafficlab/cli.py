@@ -22,7 +22,7 @@ from . import __version__
 from .estimators import bin_counts, empirical_ccdf, fit_tail_index, hurst_aggregated_variance
 from .experiments import ReplicationPlan, _resolve_bandwidth, block_shuffle, blocksize_sweep
 from .experiments import prefix_mean_sweep, sample_size_sweep
-from .queue_sim import packet_fifo
+from .queue_sim import packet_stats
 from .rng import substream
 from .synth import (
     GeneratorSpec,
@@ -239,12 +239,12 @@ def cmd_summarize(args) -> int:
 def cmd_queue(args) -> int:
     trace, inputs = _load(args.trace)
     bandwidth = _resolve_bandwidth(trace, args.bandwidth, args.rho)
-    run = packet_fifo(trace, bandwidth)
+    stats, path = packet_stats(trace, bandwidth, keep_path=bool(args.path_out))
     with _manifest(args, args.output, args.path_out, inputs=inputs, derived_bandwidth=bandwidth) as comment:
-        if args.path_out:  # read first, the path's pass also makes the stats
+        if args.path_out:
             with open(args.path_out, "wb") as fh:
-                run.path.write_csv(fh, comments=(comment,))
-        _write_row_csv(args.output, comment, asdict(run.stats))
+                path.write_csv(fh, comments=(comment,))
+        _write_row_csv(args.output, comment, asdict(stats))
     return 0
 
 

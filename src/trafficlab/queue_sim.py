@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from math import frexp, ldexp
 
 import numpy as np
@@ -24,6 +23,7 @@ __all__ = [
     "QueueRun",
     "fluid_queue",
     "packet_fifo",
+    "packet_stats",
     "prefix_mean_queue",
 ]
 
@@ -67,41 +67,14 @@ class QueuePath:
         write_rows(fh, f"{fixed},{fixed}", (self.times, self.levels), (*comments, "time,level"))
 
 
+@dataclass(frozen=True)
 class QueueRun:
-    """One queue run.
+    """The mean of one queue run, from its kernel's one pass over its
+    input: mean_queue is area/horizon."""
 
-    mean_queue, area and horizon come from the kernel's one pass over
-    its input. A fluid run keeps nothing else. A packet run keeps its
-    trace and bandwidth, and its stats (a QueueStats) and path (a
-    QueuePath) come from a rebuild, a second pass of the same slice
-    loop that makes the statistics as it goes and writes the path only
-    when path is read. That pass fills stats too, while stats read first
-    keeps no path, so a caller that reads only the mean pays for neither
-    and one that wants both reads path first.
-    """
-
-    def __init__(self, area: float, horizon: float, rebuild=None):
-        self.area = area
-        self.horizon = horizon
-        self.mean_queue = area / horizon
-        self._rebuild = rebuild  # keep_path -> (peak, busy time, empty time, path or None); None: a fluid run
-
-    def _read(self, keep_path: bool):
-        if self._rebuild is None:
-            raise AttributeError("stats and path belong to packet runs: a fluid run keeps only "
-                                 "mean_queue, area and horizon")
-        peak, busy, empty, path = self._rebuild(keep_path)
-        stats = QueueStats(mean_queue=self.mean_queue, peak_queue=peak, horizon=self.horizon,
-                           utilization=busy / self.horizon, empty_fraction=empty / self.horizon, area=self.area)
-        return vars(self).setdefault("stats", stats), path
-
-    @cached_property
-    def stats(self) -> QueueStats:
-        return self._read(False)[0]
-
-    @cached_property
-    def path(self) -> QueuePath:
-        return self._read(True)[1]
+    mean_queue: float
+    area: float
+    horizon: float
 
 
 # the slice length of the kernels and of _fsum (at most 2**16, which the
@@ -193,7 +166,7 @@ def _fsum(x) -> float:
     traffic measured, one divergence_fluid benchmark operation (seed
     501) made 336 extractions: 280 took the plain sum after one level
     and 56 after two. The 292 of a sweep_blocks_onoff operation all took
-    it after one level. Of the 16 idle-gap slices of the packet rebuild
+    it after one level. Of the 16 idle-gap slices of packet_stats' pass
     in a trace_pipeline_1m operation (seed 501), which hold zeros, 13
     took the plain sum after one level and 3, all zero, took it at once.
 
@@ -273,13 +246,12 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     scalars across: the cumulative rise minus off w, its running
     minimum, and the previous cycle's end level. Each run's on, off and
     area terms are extracted as they are made (_extract), into one list
-    per sum that math.fsum rounds once. The run keeps only its
-    mean_queue, area and horizon: reading its stats or path is an
-    AttributeError. A process of reorder_nonoverlap is read a run at a
-    time, its silences computed into a buffer, so the pass builds no
-    off_lengths: it holds five _CHUNK-cycle buffers and no array as long
-    as the process. Cycles so long that the horizon or the area is not a
-    finite float are a ValueError, as in packet_fifo.
+    per sum that math.fsum rounds once. A process of reorder_nonoverlap
+    is read a run at a time, its silences computed into a buffer, so
+    the pass builds no off_lengths: it holds five _CHUNK-cycle buffers
+    and no array as long as the process. Cycles so long that the horizon
+    or the area is not a finite float are a ValueError, as in
+    packet_fifo.
     """
     buf = np.empty(min(process.n_cycles, _CHUNK))
     on_sum, off_sum, on_area, off_area = [], [], [], []
@@ -308,7 +280,7 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
         horizon = area = math.inf
     if not (math.isfinite(horizon) and math.isfinite(area)):
         raise ValueError("the cycles are too long: the horizon or the queue area is not a finite float")
-    return QueueRun(area, horizon)
+    return QueueRun(area / horizon, area, horizon)
 
 
 def _fifo_slices(trace: PacketTrace, bandwidth: float):
@@ -363,24 +335,14 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
     made (_extract), into a list that math.fsum rounds once, raw terms
     of a slice past the domain of _fsum included. The list holds the
     exact total of nonnegative terms however the runs are cut, so the
-    cuts change no bit. The run keeps only the trace and bandwidth;
-    stats and path come from a second pass of the same loop, which sums
-    the service times and idle gaps and merges each run's arrivals with
-    the departures up to its last arrival, carrying the level and its
-    peak; only path writes the 2n+1 points, the departures after the
-    last arrival included. Neither pass reads a column of a trace that
-    builds them on demand (a block shuffle's), only its runs. The merge's
-    arrays are as long as the run plus the departures pending, at most
-    the queue's peak: on acceptance 6's alpha = 1.2 trace (1,600,541
-    packets, peak 127,999 at load 0.5) stats peaks at 9.8 MiB under
-    tracemalloc. A bandwidth so small that the horizon or the sojourn
-    total is not a finite float is a ValueError.
+    cuts change no bit. The pass reads no column of a trace that builds
+    them on demand (a block shuffle's), only its runs. A bandwidth so
+    small that the horizon or the sojourn total is not a finite float
+    is a ValueError.
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
-    n = len(trace)
-    size = min(n, _CHUNK)
-    sojourns, q = [], np.empty(size)
+    sojourns, q = [], np.empty(min(len(trace), _CHUNK))
     for a, _, d, s in _fifo_slices(trace, bandwidth):
         _extract(np.subtract(d, a, out=s), sojourns, q, s)
     horizon = float(d[-1])
@@ -390,42 +352,61 @@ def packet_fifo(trace: PacketTrace, bandwidth: float) -> QueueRun:
         area = math.inf
     if not (math.isfinite(horizon) and math.isfinite(area)):
         raise ValueError(f"bandwidth {float(bandwidth)!r} is too small: the horizon or sojourn total is not finite")
+    return QueueRun(area / horizon, area, horizon)
 
-    def rebuild(keep_path: bool):
-        service, idle, q = [], [], np.empty(size)
-        path = QueuePath(np.zeros(2 * n + 1), np.zeros(2 * n + 1)) if keep_path else None
-        pending, d_last, level, peak, first, at = np.empty(0), math.inf, 0.0, 0.0, None, 1
-        for a, sizes, d, s in _fifo_slices(trace, bandwidth):
-            if first is None:  # the queue is empty until the first arrival
-                first = float(a[0])
-            _extract(np.divide(sizes, bandwidth, out=s), service, q, s)
-            # and wherever an arrival finds every earlier packet gone; the
-            # first packet's gap, a[0] - inf, adds a zero
-            s[0] = a[0] - d_last
-            np.subtract(a[1:], d[:-1], out=s[1:])
-            _extract(np.maximum(s, 0.0, out=s), idle, q, s)
-            # the departures up to the run's last arrival and its arrivals
-            # are each sorted, so a stable sort of the departures followed by
-            # the arrivals merges them, and at a tie it keeps the departure
-            # first: the level never counts a packet that has already left
-            dep = np.concatenate([pending, d])
-            k = int(np.searchsorted(dep, a[-1], side="right"))
-            t = np.concatenate([dep[:k], a])
-            order = np.argsort(t, kind="stable")
-            step = np.where(order >= k, 1.0, -1.0)
-            step[0] += level  # the levels are whole numbers, so the carried sum is exact
-            np.cumsum(step, out=step)
-            if keep_path:  # at: 1 + the arrivals and departures merged so far
-                np.take(t, order, out=path.times[at : at + len(t)])
-                path.levels[at : at + len(t)] = step
-            level, peak, pending, d_last, at = step[-1], max(peak, step.max()), dep[k:], d[-1], at + len(t)
-        if keep_path:  # the departures after the last arrival, one step down each
-            path.times[at:] = pending
-            path.levels[at:] = level - np.arange(1.0, len(pending) + 1.0)
-        busy = min(math.fsum(service), horizon)  # min() guards cumsum/fsum rounding skew
-        return float(peak), busy, math.fsum(idle) + first, path
 
-    return QueueRun(area, horizon, rebuild)
+def packet_stats(trace: PacketTrace, bandwidth: float, keep_path: bool = False) -> tuple[QueueStats, QueuePath | None]:
+    """The QueueStats of packet_fifo(trace, bandwidth), and its QueuePath
+    when keep_path is true (None otherwise).
+
+    packet_fifo makes the mean, area and horizon; then a second pass of
+    its slice loop sums the service times and idle gaps and merges each
+    run's arrivals with the departures up to its last arrival, carrying
+    the level and its peak. Only keep_path writes the 2n+1 points, the
+    departures after the last arrival included. Neither pass reads a
+    column of a trace that builds them on demand (a block shuffle's),
+    only its runs. The merge's arrays are as long as the run plus the
+    departures pending, at most the queue's peak: on acceptance 6's
+    alpha = 1.2 trace (1,600,541 packets, peak 127,999 at load 0.5) the
+    stats alone peak at 9.8 MiB under tracemalloc.
+    """
+    run = packet_fifo(trace, bandwidth)
+    n = len(trace)
+    service, idle, q = [], [], np.empty(min(n, _CHUNK))
+    path = QueuePath(np.zeros(2 * n + 1), np.zeros(2 * n + 1)) if keep_path else None
+    pending, d_last, level, peak, first, at = np.empty(0), math.inf, 0.0, 0.0, None, 1
+    for a, sizes, d, s in _fifo_slices(trace, bandwidth):
+        if first is None:  # the queue is empty until the first arrival
+            first = float(a[0])
+        _extract(np.divide(sizes, bandwidth, out=s), service, q, s)
+        # and wherever an arrival finds every earlier packet gone; the
+        # first packet's gap, a[0] - inf, adds a zero
+        s[0] = a[0] - d_last
+        np.subtract(a[1:], d[:-1], out=s[1:])
+        _extract(np.maximum(s, 0.0, out=s), idle, q, s)
+        # the departures up to the run's last arrival and its arrivals
+        # are each sorted, so a stable sort of the departures followed by
+        # the arrivals merges them, and at a tie it keeps the departure
+        # first: the level never counts a packet that has already left
+        dep = np.concatenate([pending, d])
+        k = int(np.searchsorted(dep, a[-1], side="right"))
+        t = np.concatenate([dep[:k], a])
+        order = np.argsort(t, kind="stable")
+        step = np.where(order >= k, 1.0, -1.0)
+        step[0] += level  # the levels are whole numbers, so the carried sum is exact
+        np.cumsum(step, out=step)
+        if keep_path:  # at: 1 + the arrivals and departures merged so far
+            np.take(t, order, out=path.times[at : at + len(t)])
+            path.levels[at : at + len(t)] = step
+        level, peak, pending, d_last, at = step[-1], max(peak, step.max()), dep[k:], d[-1], at + len(t)
+    if keep_path:  # the departures after the last arrival, one step down each
+        path.times[at:] = pending
+        path.levels[at:] = level - np.arange(1.0, len(pending) + 1.0)
+    busy = min(math.fsum(service), run.horizon)  # min() guards cumsum/fsum rounding skew
+    empty = math.fsum(idle) + first
+    stats = QueueStats(mean_queue=run.mean_queue, peak_queue=float(peak), horizon=run.horizon,
+                       utilization=busy / run.horizon, empty_fraction=empty / run.horizon, area=run.area)
+    return stats, path
 
 
 def prefix_mean_queue(process: FluidOnOffProcess, sizes) -> list[tuple[int, float]]:

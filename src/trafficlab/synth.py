@@ -200,6 +200,9 @@ class GeneratorSpec:
             raise MissingLambdaError(f"{self.off_model} needs lambda_target")
         elif not 0 < self.lambda_target < 1:
             raise ValueError("lambda_target must lie in (0, 1)")
+        elif not float(self.m) / float(self.lambda_target) - 1.0 < np.inf:  # the silence per unit of burst
+            raise ValueError(f"the silence ratio m/lambda_target - 1 is past the largest float: "
+                             f"m {self.m!r}, lambda_target {self.lambda_target!r}")
 
 
 def sample_heavy_tail(spec: HeavyTailSpec, u, *, out: np.ndarray | None = None):
@@ -213,15 +216,22 @@ def sample_heavy_tail(spec: HeavyTailSpec, u, *, out: np.ndarray | None = None):
     written there instead and out is returned: out may be u itself, as
     generate_onoff draws its bursts into the buffer of their uniforms.
     Each step is the same elementwise operation either way, so the bits
-    are too.
+    are too. Without x_max, a largest draw, that of the smallest u, past
+    the largest float is a ValueError that names x_min; with it, such a
+    draw is capped to x_max exactly.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     # the extremes of u, found without an array of u's length; fmin and
     # fmax skip nan, which passes, as it passes u <= 0 and u > 1
-    if np.fmin.reduce(u_arr, axis=None, initial=np.inf) <= 0 or np.fmax.reduce(u_arr, axis=None, initial=-np.inf) > 1:
+    u_min = np.fmin.reduce(u_arr, axis=None, initial=np.inf)
+    if u_min <= 0 or np.fmax.reduce(u_arr, axis=None, initial=-np.inf) > 1:
         raise ValueError("u must lie in (0, 1]")
-    x = np.power(u_arr, -1.0 / spec.tail_index, out=np.empty(u_arr.shape) if out is None else out)
-    x *= spec.x_min  # the same product as x_min * x
+    with np.errstate(over="ignore"):  # an inf draw is refused here, or capped below
+        if spec.x_max is None and not spec.x_min * np.power(u_min, -1.0 / spec.tail_index) < np.inf:
+            raise ValueError(f"x_min {spec.x_min!r} is too large for tail index {spec.tail_index!r}: "
+                             f"the draw of u = {float(u_min)!r} is past the largest float; set x_max to cap it")
+        x = np.power(u_arr, -1.0 / spec.tail_index, out=np.empty(u_arr.shape) if out is None else out)
+        x *= spec.x_min  # the same product as x_min * x
     if spec.x_max is not None:
         np.minimum(x, spec.x_max, out=x)
     return float(x) if x.ndim == 0 else x

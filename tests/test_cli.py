@@ -213,7 +213,7 @@ class TestQueue:
         out = tmp_path / "q.csv"
         assert run("queue", poisson_file, "--bandwidth", "60000", "-o", out) == 0
         row = [float(v) for v in data_row(out)]
-        stats = tl.packet_fifo(tl.load_trace(poisson_file), 60000.0).stats
+        stats, _ = tl.packet_stats(tl.load_trace(poisson_file), 60000.0)
         assert row[0] == pytest.approx(stats.mean_queue, rel=1e-12)
         assert row[3] == pytest.approx(stats.utilization, rel=1e-12)
 
@@ -651,11 +651,17 @@ class TestOverflowingInputs:
           "--reps", "1", "--seed", "1", "--out-prefix", "d"], "error: the cycles are too long: "),
         (["diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--xmin", "1e200", "--sizes", "1000",
           "--reps", "2", "--seed", "1", "--out-prefix", "d"], "error: the cycles are too long: "),
+        (["diverge", "--alpha", "1.01", "--m", "2", "--lambda", "0.5", "--xmin", "1e306", "--sizes", "1000",
+          "--reps", "1", "--seed", "1", "--out-prefix", "d"], "error: x_min 1e+306 is too large for tail index 1.01: "),
+        (["diverge", "--alpha", "1.5", "--m", "1e308", "--lambda", "0.5", "--sizes", "1000",
+          "--reps", "1", "--seed", "1", "--out-prefix", "d"], "error: the silence ratio m/lambda_target - 1 is past "
+                                                             "the largest float: m 1e+308, lambda_target 0.5"),
         (["gen", *TOO_MANY_PACKETS, "-o", "x.csv"], "error: too many packets: "),
         (["sweep-samples", *TOO_MANY_PACKETS, "--sizes", "100", "--reps", "1", "--out-prefix", "s"],
          "error: too many packets: "),
         (["hurst", "big.csv", "--unit", "bytes", "-o", "h.csv"], None),
-    ], ids=["diverge-inf-area", "diverge-nan-std", "gen", "sweep-samples-onoff", "hurst-bytes"])
+    ], ids=["diverge-inf-area", "diverge-nan-std", "diverge-inf-draw", "diverge-inf-silence-ratio", "gen",
+            "sweep-samples-onoff", "hurst-bytes"])
     def test_overflowing_inputs_fail_cleanly(self, tmp_path, capsys, monkeypatch, argv, error):
         monkeypatch.chdir(tmp_path)
         if error is None:

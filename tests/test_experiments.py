@@ -282,29 +282,35 @@ class TestLazyShuffle:
     @pytest.mark.parametrize("block, where", SHUFFLE_CASES)
     def test_the_queue_run_is_the_run_of_the_stored_columns(self, trace, block, where):
         bandwidth = tl.bandwidth_for_utilization(trace, 0.95)
-        run = packet_fifo(self.shuffled(trace, block, where)[0], bandwidth)
+        shuffled = self.shuffled(trace, block, where)[0]
+        run = packet_fifo(shuffled, bandwidth)
+        stats, path = tl.packet_stats(shuffled, bandwidth, keep_path=True)
         out = self.shuffled(trace, block, where)[0]
-        stored = packet_fifo(tl.PacketTrace(out.timestamps, out.sizes), bandwidth)
-        for got, want in ((run.mean_queue, stored.mean_queue), (run.area, stored.area),
-                          (run.horizon, stored.horizon)):
+        stored = tl.PacketTrace(out.timestamps, out.sizes)
+        stored_run = packet_fifo(stored, bandwidth)
+        for got, want in ((run.mean_queue, stored_run.mean_queue), (run.area, stored_run.area),
+                          (run.horizon, stored_run.horizon)):
             assert got.hex() == want.hex()
-        assert run.stats == stored.stats
-        assert run.path.times.tobytes() == stored.path.times.tobytes()
+        stored_stats, stored_path = tl.packet_stats(stored, bandwidth, keep_path=True)
+        assert stats == stored_stats
+        assert path.times.tobytes() == stored_path.times.tobytes()
 
-    @pytest.mark.parametrize("first", ["stats", "path"])
+    @pytest.mark.parametrize("read", ["stats", "path"])
     @pytest.mark.parametrize("block, where", [(1, None), (100, "first"), (65537, "middle"), (SHUFFLE_N - 1, "last")])
-    def test_stats_and_path_build_no_columns(self, trace, block, where, first):
-        # stats read first and path after make two rebuilds; path first makes one
+    def test_stats_and_path_build_no_columns(self, trace, block, where, read):
+        # packet_stats with or without the path reads the shuffle's runs only
         bandwidth = tl.bandwidth_for_utilization(trace, 0.95)
         out, _ = self.shuffled(trace, block, where)
-        run = packet_fifo(out, bandwidth)
-        getattr(run, first)
-        stats, path = run.stats, run.path
+        keep_path = read == "path"
+        stats, path = tl.packet_stats(out, bandwidth, keep_path=keep_path)
         assert "_columns" not in vars(out)
-        stored = packet_fifo(tl.PacketTrace(out.timestamps, out.sizes), bandwidth)
-        assert stats == stored.stats
-        assert path.times.tobytes() == stored.path.times.tobytes()
-        assert path.levels.tobytes() == stored.path.levels.tobytes()
+        stored, stored_path = tl.packet_stats(tl.PacketTrace(out.timestamps, out.sizes), bandwidth, keep_path=keep_path)
+        assert stats == stored
+        if keep_path:
+            assert path.times.tobytes() == stored_path.times.tobytes()
+            assert path.levels.tobytes() == stored_path.levels.tobytes()
+        else:
+            assert path is stored_path is None
 
 
 class TestSizesStoredOnce:
@@ -337,11 +343,12 @@ class TestSizesStoredOnce:
     @pytest.mark.parametrize("block", [None, 7])
     def test_packet_fifo_mean_stats_and_path(self, twins, block):
         bandwidth = tl.bandwidth_for_utilization(twins[1], 0.9)
-        once, full = (packet_fifo(trace if block is None else tl.block_shuffle(trace, block, substream(43)),
-                                  bandwidth) for trace in twins)
-        assert once.mean_queue.hex() == full.mean_queue.hex()
-        assert once.stats == full.stats
-        for got, want in ((once.path.times, full.path.times), (once.path.levels, full.path.levels)):
+        once, full = (trace if block is None else tl.block_shuffle(trace, block, substream(43)) for trace in twins)
+        assert packet_fifo(once, bandwidth).mean_queue.hex() == packet_fifo(full, bandwidth).mean_queue.hex()
+        (once_stats, once_path), (full_stats, full_path) = (tl.packet_stats(t, bandwidth, keep_path=True)
+                                                            for t in (once, full))
+        assert once_stats == full_stats
+        for got, want in ((once_path.times, full_path.times), (once_path.levels, full_path.levels)):
             assert got.tobytes() == want.tobytes()
 
     def test_save_bin_window_and_summaries(self, twins, tmp_path):

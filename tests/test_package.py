@@ -1,6 +1,7 @@
 """The package's public names are its modules' ``__all__`` lists, each
 name in one list. The names themselves are not pinned here: that would
 be a second list to keep in step."""
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import trafficlab as tl
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = [importlib.import_module(f"trafficlab.{info.name}") for info in pkgutil.iter_modules(tl.__path__)]
 PUBLIC = [module for module in MODULES if hasattr(module, "__all__")]
 
@@ -43,7 +45,22 @@ def test_a_star_import_binds_exactly_the_list():
 
 def test_the_readme_python_example_runs():
     # a name the example uses and the package no longer has fails here
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_every_public_name_is_used_by_the_package_or_its_scripts():
+    # no public API that only the tests use: each listed name is read by
+    # a name or an attribute somewhere in src/trafficlab or scripts,
+    # outside the top-level def or class that defines it
+    used = set()
+    for path in [*(ROOT / "src" / "trafficlab").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != owner:
+                    used.add(name)
+    assert [name for module in PUBLIC for name in module.__all__ if name not in used] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -181,19 +182,24 @@ def fluid_formulas(on, off, m):
     return area, horizon
 
 
-def assert_run_is(run, formulas):
-    """run's figures are those of formulas, bit for bit: the mean, area
-    and horizon, and for a packet run its stats and path too."""
+def packet_run(trace, bandwidth):
+    """packet_fifo's run of the trace, then packet_stats' stats and path."""
+    return tl.packet_fifo(trace, bandwidth), *tl.packet_stats(trace, bandwidth, keep_path=True)
+
+
+def assert_run_is(made, formulas):
+    """The figures made are those of formulas, bit for bit: a fluid run's
+    mean, area and horizon, and for a packet_run its stats and path too."""
     area, horizon, *packet = formulas
+    run, got, path = made if packet else (made, None, None)
     figures = (bits(run.area), bits(run.horizon), bits(run.mean_queue))
     assert figures == (bits(area), bits(horizon), bits(area / horizon))
     if packet:
         stats, times, levels = packet
-        got = run.stats
         fields = (got.mean_queue, got.peak_queue, got.horizon, got.utilization, got.empty_fraction, got.area)
         assert [bits(x) for x in fields] == [bits(x) for x in stats]
-        assert run.path.times.tobytes() == times.tobytes()
-        assert run.path.levels.tobytes() == levels.tobytes()
+        assert path.times.tobytes() == times.tobytes()
+        assert path.levels.tobytes() == levels.tobytes()
 
 
 # slice lengths for the kernels' loops: at 1, 2, 3 and 7 packets or cycles
@@ -203,7 +209,7 @@ SLICES = (1, 2, 3, 7, None)
 
 def assert_runs_are(make_run, formulas):
     """assert_run_is for make_run() with the kernels' slice length set to
-    each of SLICES, a packet run's stats and path read under it too."""
+    each of SLICES, a packet run's stats and path made under it too."""
     for chunk in SLICES:
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
@@ -322,8 +328,7 @@ class TestPacketFifo:
         # two 100 B packets at t=0 and t=0.5, served at 100 B/s:
         # departures at 1 and 2, sojourns 1 and 1.5
         tr = tl.PacketTrace(np.array([0.0, 0.5]), np.array([100, 100]))
-        run = tl.packet_fifo(tr, 100.0)
-        stats, path = run.stats, run.path
+        stats, path = tl.packet_stats(tr, 100.0, keep_path=True)
         assert stats.mean_queue == pytest.approx(1.25, rel=1e-12)
         assert stats.horizon == pytest.approx(2.0)
         assert stats.utilization == pytest.approx(1.0)
@@ -333,7 +338,7 @@ class TestPacketFifo:
 
     def test_idle_gap_between_packets(self):
         tr = tl.PacketTrace(np.array([0.0, 10.0]), np.array([100, 100]))
-        stats = tl.packet_fifo(tr, 100.0).stats
+        stats, _ = tl.packet_stats(tr, 100.0)
         assert stats.horizon == pytest.approx(11.0)
         assert stats.utilization == pytest.approx(2.0 / 11.0, rel=1e-12)
         assert stats.empty_fraction == pytest.approx(9.0 / 11.0, rel=1e-12)
@@ -342,14 +347,13 @@ class TestPacketFifo:
     def test_departure_applied_before_tied_arrival(self):
         # second packet lands exactly as the first leaves; level never 2
         tr = tl.PacketTrace(np.array([0.0, 1.0]), np.array([100, 100]))
-        stats = tl.packet_fifo(tr, 100.0).stats
+        stats, _ = tl.packet_stats(tr, 100.0)
         assert stats.peak_queue == 1.0
         assert stats.utilization == pytest.approx(1.0)
 
     def test_leading_idle_counts_as_empty(self):
         tr = tl.PacketTrace(np.array([5.0, 5.5]), np.array([50, 50]))
-        run = tl.packet_fifo(tr, 100.0)
-        stats, path = run.stats, run.path
+        stats, path = tl.packet_stats(tr, 100.0, keep_path=True)
         assert path.times[0] == 0.0 and path.levels[0] == 0.0
         assert stats.empty_fraction == pytest.approx(5.0 / stats.horizon, rel=1e-12)
 
@@ -373,7 +377,7 @@ class TestPacketFifo:
         sizes = np.array([s for _, s in pairs])
         bandwidth = sizes.sum() / max(ts[-1] - ts[0], 1e-3) / rho
         trace = tl.PacketTrace(ts, sizes)
-        assert_runs_are(lambda: tl.packet_fifo(trace, bandwidth), fifo_formulas(ts, sizes, bandwidth))
+        assert_runs_are(lambda: packet_run(trace, bandwidth), fifo_formulas(ts, sizes, bandwidth))
 
     @pytest.mark.parametrize("ts", [[0.0], [3.5], [2.0, 2.0, 2.0, 2.0], [0.5, 0.5, 0.75, 9.0]],
                              ids=["at_zero", "one_packet", "batched", "batched_then_idle"])
@@ -381,7 +385,7 @@ class TestPacketFifo:
         ts = np.array(ts)
         sizes = np.arange(100, 100 + len(ts))
         for bandwidth in (1.0, 300.0, 1e9):
-            assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth),
+            assert_runs_are(lambda: packet_run(tl.PacketTrace(ts, sizes), bandwidth),
                             fifo_formulas(ts, sizes, bandwidth))
 
     def test_sojourns_past_the_limit_after_a_good_slice_keep_their_raw_terms(self):
@@ -390,21 +394,21 @@ class TestPacketFifo:
         # past it; the horizon and every sum stay finite
         ts = np.arange(5.0)
         sizes = np.array([1, 1, 1, 10**18, 1])
-        assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), 1e-280),
+        assert_runs_are(lambda: packet_run(tl.PacketTrace(ts, sizes), 1e-280),
                         fifo_formulas(ts, sizes, 1e-280))
 
     def test_sojourns_under_the_sigma_floor_keep_their_remainder_not_the_overwritten_terms(self):
         # at 1e306 bytes/s the sojourns 1e-306 and 1e-306 + 1e-288 are
         # extracted in place: two levels, then sigma falls under the floor
         ts, sizes = np.array([0.0, 0.0]), np.array([1, 10**18])
-        assert_runs_are(lambda: tl.packet_fifo(tl.PacketTrace(ts, sizes), 1e306),
+        assert_runs_are(lambda: packet_run(tl.PacketTrace(ts, sizes), 1e306),
                         fifo_formulas(ts, sizes, 1e306))
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_run_shares_no_memory_with_the_trace(self, n):
         trace = tl.PacketTrace(np.arange(n, dtype=float), np.full(n, 100))
         before = trace.timestamps.tobytes(), trace.sizes.tobytes()
-        path = tl.packet_fifo(trace, 50.0).path
+        _, path = tl.packet_stats(trace, 50.0, keep_path=True)
         for out in (path.times, path.levels):
             assert not np.shares_memory(out, trace.timestamps)
             assert not np.shares_memory(out, trace.sizes)
@@ -435,8 +439,7 @@ class TestPacketFifo:
         gaps = np.array([g for g, _ in pairs], float) / 64.0
         ts = np.cumsum(gaps) - gaps[0]
         sizes = np.array([s for _, s in pairs])
-        run = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
-        stats, path = run.stats, run.path
+        stats, path = tl.packet_stats(tl.PacketTrace(ts, sizes), bandwidth, keep_path=True)
         assert step_integral(path) == pytest.approx(stats.area, rel=1e-9)
         assert stats.mean_queue * stats.horizon == pytest.approx(stats.area, rel=1e-12)
         assert 0.0 <= stats.utilization <= 1.0
@@ -454,8 +457,7 @@ class TestPacketFifo:
         gaps = np.array([g for g, _ in pairs], float) / 64.0
         ts = np.cumsum(gaps) - gaps[0]
         sizes = np.array([s for _, s in pairs])
-        run = tl.packet_fifo(tl.PacketTrace(ts, sizes), 1000.0)
-        stats, path = run.stats, run.path
+        stats, path = tl.packet_stats(tl.PacketTrace(ts, sizes), 1000.0, keep_path=True)
         dt = np.diff(path.times)
         idle = float(np.sum(dt[path.levels[:-1] == 0.0]))
         assert idle == pytest.approx(stats.empty_fraction * stats.horizon, rel=1e-9, abs=1e-12)
@@ -473,8 +475,7 @@ class TestPacketFifo:
         # departures, so the tie rule decides most of the order
         ts = start + np.cumsum([g for g, _ in pairs]).astype(float)
         sizes = np.array([s for _, s in pairs])
-        run = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth)
-        stats, path = run.stats, run.path
+        stats, path = tl.packet_stats(tl.PacketTrace(ts, sizes), bandwidth, keep_path=True)
         times, levels, peak, empty = lexsort_path(ts, sizes, bandwidth)
         assert path.times.tobytes() == times.tobytes()
         assert path.levels.tobytes() == levels.tobytes()
@@ -500,7 +501,7 @@ class TestPacketFifo:
         ts = offset + np.cumsum(gaps)
         sizes = rng.integers(1, 1500, n)
         bandwidth = sizes.sum() / max(ts[-1] - ts[0], 1.0) / rho
-        stats = tl.packet_fifo(tl.PacketTrace(ts, sizes), bandwidth).stats
+        stats, _ = tl.packet_stats(tl.PacketTrace(ts, sizes), bandwidth)
         sojourns = lindley_sojourns(ts, sizes, bandwidth)
         horizon = ts[-1] + sojourns[-1]
         want = math.fsum(sojourns) / horizon
@@ -512,7 +513,7 @@ class TestQueuePath:
     def test_write_csv(self):
         import io
 
-        path = tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0).path
+        _, path = tl.packet_stats(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0, keep_path=True)
         buf = io.BytesIO()
         path.write_csv(buf, comments=("demo",))
         lines = buf.getvalue().decode().splitlines()
@@ -669,33 +670,41 @@ class TestQueueRun:
 
     @given(pairs=st.lists(st.tuples(st.integers(0, 256), st.integers(1, 1500)), min_size=1, max_size=60))
     def test_packet_mean_is_the_stats_mean(self, pairs):
+        # packet_stats' mean, area and horizon are packet_fifo's, bit for bit
         gaps = np.array([g for g, _ in pairs], float) / 64.0
-        run = tl.packet_fifo(tl.PacketTrace(np.cumsum(gaps), [s for _, s in pairs]), 500.0)
-        assert (run.mean_queue, run.area, run.horizon) == (
-            run.stats.mean_queue, run.stats.area, run.stats.horizon)
+        trace = tl.PacketTrace(np.cumsum(gaps), [s for _, s in pairs])
+        run = tl.packet_fifo(trace, 500.0)
+        stats, _ = tl.packet_stats(trace, 500.0)
+        assert [bits(x) for x in (run.mean_queue, run.area, run.horizon)] == \
+            [bits(x) for x in (stats.mean_queue, stats.area, stats.horizon)]
 
-    @pytest.mark.parametrize("m", [2.0])
-    def test_reading_the_mean_builds_neither_stats_nor_path(self, m):
-        run = tl.packet_fifo(tl.PacketTrace(np.array([0.0]), np.array([100])), 100.0)
-        assert run.mean_queue >= 0.0
-        assert "stats" not in vars(run) and "path" not in vars(run)
-        assert run.path is run.path
-        assert run.stats is run.stats
-        # a fluid run has neither to build
-        run = tl.fluid_queue(fluid([3.0, 1.0], [2.0, 10.0], m))
-        assert run.mean_queue >= 0.0
-        for name in ("stats", "path"):
-            with pytest.raises(AttributeError, match="^stats and path belong to packet runs: a fluid run keeps "
-                                                     "only mean_queue, area and horizon$"):
-                getattr(run, name)
-        assert not hasattr(run, "stats") and not hasattr(run, "path")
+    @pytest.mark.parametrize("keep_path", [False, True])
+    def test_packet_fifo_makes_one_pass_and_packet_stats_two(self, keep_path, monkeypatch):
+        passes = []
+        slices = queue_sim._fifo_slices
+        monkeypatch.setattr(queue_sim, "_fifo_slices", lambda *args: passes.append(args) or slices(*args))
+        trace = tl.PacketTrace(np.array([0.0, 0.5, 4.0]), np.array([100, 100, 100]))
+        tl.packet_fifo(trace, 100.0)
+        assert len(passes) == 1
+        _, path = tl.packet_stats(trace, 100.0, keep_path=keep_path)
+        assert len(passes) == 3 and (path is not None) == keep_path
+
+    def test_both_kernels_return_a_plain_record_of_three_fields(self):
+        packet = tl.packet_fifo(tl.PacketTrace(np.array([0.0, 1.0]), np.array([100, 100])), 100.0)
+        fluid_run = tl.fluid_queue(fluid([1.0, 1.0], [1.0, 1.0], 2.0))
+        for run in (packet, fluid_run):
+            assert type(run) is tl.QueueRun
+            assert [f.name for f in dataclasses.fields(run)] == ["mean_queue", "area", "horizon"]
+        assert packet == tl.QueueRun(1.0, 2.0, 2.0)
+        assert fluid_run == tl.QueueRun(0.5, 2.0, 4.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            packet.area = 0.0
 
     @pytest.mark.parametrize("kernel", ["packet_fifo", "fluid_queue"])
     def test_the_mean_streams_and_the_run_keeps_only_its_input(self, kernel, monkeypatch):
         # 16 slices of 4096 terms: the slice buffers together stay under one
-        # n-length array. A packet run's stats alone is one more pass of the
-        # loop, which keeps no path and stays under one n-length array too;
-        # path is one pass that also makes stats. A fluid run has neither
+        # n-length array. packet_stats without the path keeps none and stays
+        # under one n-length array too
         monkeypatch.setattr(queue_sim, "_CHUNK", 4096)
         n = 16 * 4096
         rng = np.random.default_rng(15)
@@ -726,14 +735,12 @@ class TestQueueRun:
         assert len(passes) == 1
         if kernel == "fluid_queue":
             return
-        stats, _, peak = traced(lambda: run.stats)
+        (stats, path), _, peak = traced(lambda: tl.packet_stats(trace, 1.2e6))
         assert peak < array
-        assert stats.mean_queue == run.mean_queue
-        assert len(passes) == 2 and "path" not in vars(run)
-        both = make_run()
-        assert len(both.path.times) > n
-        assert both.stats == stats
-        assert len(passes) == 4
+        assert stats.mean_queue == run.mean_queue and path is None
+        both, path = tl.packet_stats(trace, 1.2e6, keep_path=True)
+        assert len(path.times) > n
+        assert both == stats
 
 
 class TestSliceMerge:
@@ -754,9 +761,8 @@ class TestSliceMerge:
         times, levels = argsort_merge(ts, sizes, 1000.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(queue_sim, "_CHUNK", chunk)
-            run = tl.packet_fifo(tl.PacketTrace(ts, sizes), 1000.0)
-            path, stats = run.path, run.stats  # one pass for both
-            alone = tl.packet_fifo(tl.PacketTrace(ts, sizes), 1000.0).stats  # a pass that keeps no path
+            stats, path = tl.packet_stats(tl.PacketTrace(ts, sizes), 1000.0, keep_path=True)
+            alone, _ = tl.packet_stats(tl.PacketTrace(ts, sizes), 1000.0)  # a pass that keeps no path
         assert path.times.tobytes() == times.tobytes()
         assert path.levels.tobytes() == levels.tobytes()
         assert bits(stats.peak_queue) == bits(alone.peak_queue) == bits(levels.max())
@@ -768,12 +774,11 @@ class TestSliceMerge:
         # holds its 2n+1 times and levels, and stats comes from its pass.
         # The whole-trace merge peaked at 87.3 MiB for either
         trace = tl.generate_poisson(1000.0, 1000, 10**6, np.random.default_rng(32))
-        run = tl.packet_fifo(trace, 2e6)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            getattr(run, read)
-            assert "stats" in vars(run) and ("path" in vars(run)) == (read == "path")
+            _, path = tl.packet_stats(trace, 2e6, keep_path=read == "path")
+            assert (path is not None) == (read == "path")
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -901,7 +906,7 @@ class TestFsumPlainExit:
         self.check(np.full(2**16, zero), [1])
 
     def test_zeros_among_positives_20_binades_wide_take_one_level(self):
-        # every third term zero, as the packet rebuild's idle gaps hold them
+        # every third term zero, as packet_stats' idle gaps hold them
         x = near_top_slice(20)
         x[1::3] = 0.0
         self.check(x, [2])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,18 @@ class TestSampleHeavyTail:
         got = tl.sample_heavy_tail(spec, u, out=u)
         assert got is u and got.tobytes() == want.tobytes()
 
+    def test_a_draw_past_the_largest_float_names_x_min_unless_capped(self):
+        # u = 1e-3 draws 1e306 * 1e3**(1/1.01), past the largest float; the
+        # cap makes that draw x_max exactly. Neither warns
+        u = np.array([0.5, 1e-3, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^x_min 1e\+306 is too large for tail index 1\.01: the draw of "
+                                                 r"u = 0\.001 is past the largest float; set x_max to cap it$"):
+                tl.sample_heavy_tail(tl.HeavyTailSpec(1.01, 1e306), u)
+            x = tl.sample_heavy_tail(tl.HeavyTailSpec(1.01, 1e306, 1e307), u)
+        assert x[1] == 1e307 and x[2] == 1e306 and np.isfinite(x).all()
+
     def test_u_outside_the_interval_is_rejected_before_out_is_written(self):
         u = np.array([0.5, 0.0])
         with pytest.raises(ValueError, match="u must lie in"):
@@ -159,6 +172,15 @@ class TestGeneratorSpec:
     def test_infinite_m_rejected(self):
         with pytest.raises(ValueError, match="m must be finite"):
             tl.GeneratorSpec(m=np.inf, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, lambda_target=0.5)
+
+    @pytest.mark.parametrize("off_model", ["iid_matched_mean", "theorem_reordered"])
+    def test_a_silence_ratio_past_the_largest_float_is_named(self, off_model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the silence ratio m/lambda_target - 1 is past the largest float: "
+                                                 r"m 1e\+308, lambda_target 0\.5$"):
+                tl.GeneratorSpec(m=1e308, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, lambda_target=0.5,
+                                 off_model=off_model)
 
     def test_matched_mean_requires_lambda_in_unit_interval(self):
         with pytest.raises(ValueError):

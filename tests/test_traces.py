@@ -756,7 +756,7 @@ class TestVectorizedWriter:
     @pytest.mark.parametrize("sink", [io.BytesIO])
     def test_step_queue_path_in_a_text_and_a_binary_sink(self, sink):
         trace = tl.generate_poisson(200.0, 100, 3000, tl.substream(4))
-        path = tl.packet_fifo(trace, 25000.0).path
+        _, path = tl.packet_stats(trace, 25000.0, keep_path=True)
         assert np.all(path.levels == np.round(path.levels))
         fh = sink()
         path.write_csv(fh, comments=("manifest: abc",))
