@@ -77,13 +77,20 @@ TIES_TRACE = "".join(f"{0.75 * (i // 3):.2f} 1000\n" for i in range(70000))
 UNTERMINATED_TRACE = "# seconds,bytes\n" + "\n".join(
     f"{0.0021 * i + 0.0004 * (i % 5):.9f},{64 + 97 * i % 1455}" for i in range(500))
 
+# a Bellcore-style `%.6f bytes` trace of 300000 records, about 4.4 MiB:
+# more than four of the byte kernel's 1 MiB blocks, with a comment line
+# and a blank line in the third block, which alone goes to the line parser
+NOTED_TRACE = "# seconds bytes\n" + "".join(
+    ("# a note mid-trace\n\n" if i == 150000 else "") + f"{0.0031 * i + 0.0002 * (i % 7):.6f} {64 + 53 * i % 1455}\n"
+    for i in range(300000))
+
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
 # and from text.txt, kernel.txt, kernel_long.txt, huge.txt, loose.txt,
-# ties.txt, unterminated.csv and mixed.txt: TEXT_TRACE, KERNEL_TRACE,
-# KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE, TIES_TRACE,
-# UNTERMINATED_TRACE and a CSV trace whose third record is whitespace
-# separated
+# ties.txt, unterminated.csv, noted.txt and mixed.txt: TEXT_TRACE,
+# KERNEL_TRACE, KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE, TIES_TRACE,
+# UNTERMINATED_TRACE, NOTED_TRACE and a CSV trace whose third record is
+# whitespace separated
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -176,6 +183,8 @@ COMMANDS = [
     ("summarize_loose", ["cli", "summarize", "loose.txt", "-o", "summary_loose.csv"]),
     ("queue_loose_path", ["cli", "queue", "loose.txt", "--rho", "0.7", "--path-out", "loose_path.csv",
                           "-o", "queue_loose.csv"]),
+    ("queue_noted_path", ["cli", "queue", "noted.txt", "--rho", "0.7", "--path-out", "noted_path.csv",
+                          "-o", "queue_noted.csv"]),
     ("queue_unterminated_path", ["cli", "queue", "unterminated.csv", "--rho", "0.7",
                                  "--path-out", "unterminated_path.csv", "-o", "queue_unterminated.csv"]),
     # departures that tie with arrivals, a departure first at each tie,
@@ -246,6 +255,7 @@ def run_commands(scripts: Path) -> None:
     Path("loose.txt").write_text(LOOSE_TRACE)
     Path("ties.txt").write_text(TIES_TRACE)
     Path("unterminated.csv").write_text(UNTERMINATED_TRACE)
+    Path("noted.txt").write_text(NOTED_TRACE)
     Path("mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
     for name, (head, *argv) in COMMANDS:
         run = cli.main if head == "cli" else runpy.run_path(str(scripts / head))["main"]

@@ -242,16 +242,23 @@ def generate_onoff(spec: GeneratorSpec, rng: np.random.Generator) -> FluidOnOffP
     on/off cycles, for packet traces and fluid sweeps alike. The bursts,
     sample_heavy_tail of 1 - rng.random(n), are drawn into the uniforms'
     buffer. theorem_reordered gives reorder_nonoverlap's process of the
-    bursts, which holds its silence rule."""
+    bursts, which holds its silence rule. iid_matched_mean silences drawn
+    past the largest float are refused, naming their mean and x_min."""
     u = rng.random(spec.n_cycles)
     on = sample_heavy_tail(spec.tail, np.subtract(1.0, u, out=u), out=u)
     if spec.off_model == "theorem_reordered":
         return reorder_nonoverlap(on, spec.m, spec.lambda_target)
-    if spec.off_model == "iid_matched_mean":
-        off = rng.exponential(spec.tail.mean * (spec.m / spec.lambda_target - 1.0), len(on))
-    else:
-        off = _bounded_offs(on, spec.m, spec.q)
-    return FluidOnOffProcess(on, off, spec.m)
+    if spec.off_model == "bounded_q":
+        return FluidOnOffProcess(on, _bounded_offs(on, spec.m, spec.q), spec.m)
+    mean = spec.tail.mean * (spec.m / spec.lambda_target - 1.0)
+    off = rng.exponential(mean, len(on))
+    try:
+        return FluidOnOffProcess(on, off, spec.m)
+    except ValueError:
+        if np.isfinite(off).all():
+            raise
+        raise ValueError(f"x_min {spec.tail.x_min!r} makes the silence mean {mean!r} too large: "
+                         f"exponential silences of that mean are drawn past the largest float") from None
 
 
 def reorder_nonoverlap(on_lengths, m: float, lam: float) -> FluidOnOffProcess:
@@ -399,7 +406,8 @@ def packetize(process: FluidOnOffProcess, packet_size: int, server_rate: float) 
 
 def generate_poisson(rate: float, packet_size: int, n: int, rng: np.random.Generator) -> PacketTrace:
     """n equal-size packets with exponential inter-arrivals (mean 1/rate)
-    drawn from rng, rebased so the first packet arrives at t=0."""
+    drawn from rng, rebased so the first packet arrives at t=0. A rate
+    so small that the last arrival passes the largest float is refused."""
     if not 0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
     if n < 1:
@@ -407,6 +415,8 @@ def generate_poisson(rate: float, packet_size: int, n: int, rng: np.random.Gener
     _check_packet_size(packet_size)
     ts = rng.exponential(1.0 / rate, n)
     np.cumsum(ts, out=ts)
+    if not ts[-1] < np.inf:  # nan too: the arrivals only grow
+        raise ValueError(f"rate {rate!r} is too small for n {n}: the arrival times pass the largest float")
     ts -= ts[0]
     return PacketTrace(ts, _equal_sizes(packet_size, n))
 

@@ -384,16 +384,18 @@ class PacketTrace:
         return sum(sizes.tolist())
 
 
-def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
+def _parse_lines(lines, *, comma: bool | None, start: int = 0,
+                 prev: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and sizes of the records, checked one line at a time.
 
-    This is the only code that reports a bad trace: every
-    TraceFormatError names the first offending line.
+    lines are the lines of the file after its line `start`, and prev the
+    last timestamp before them, if any; comma tells CSV records apart
+    from text ones. This is the only code that reports a bad record:
+    every TraceFormatError names the first offending line.
     """
     ts: list[float] = []
     sz: list[int] = []
-    prev = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=start + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -421,121 +423,75 @@ def _parse_lines(lines, *, comma: bool) -> tuple[np.ndarray, np.ndarray]:
         prev = t
         ts.append(t)
         sz.append(s)
-    if not ts:
-        raise TraceFormatError("no packet records found")
     return np.array(ts, dtype=np.float64), np.array(sz, dtype=np.int64)
 
 
-class _Reader:
-    """A binary file read _BLOCK bytes at a time, cut after line ends.
+def _pieces(fh: BinaryIO):
+    """The bytes of the binary file fh, read _BLOCK bytes at a time, up
+    to the last line end in each read, or up to the end of the file,
+    each after _PAD NUL bytes; a line cut by a read goes into the next
+    piece."""
+    carry = []  # the bytes read after the last line end
+    while chunk := fh.read(_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            carry.append(chunk)
+            continue
+        yield b"".join((_PADDING, *carry, memoryview(chunk)[:cut]))
+        carry = [chunk[cut:]]
+    if any(carry):
+        yield b"".join((_PADDING, *carry))
 
-    Every byte read stays here until the byte kernel has parsed every
-    block, so the line parser can take the whole file after the kernel
-    gives up at any block, without a second read.
-    """
 
-    def __init__(self, fh: BinaryIO):
-        self.fh = fh
-        self.kept = []  # the bytes of each piece yielded, in file order
-        self.carry = []  # the bytes read after the last line end
-
-    def _pieces(self):
-        """The bytes read up to the last line end in each read, or up to
-        the end of the file, each after _PAD NUL bytes; a line cut by a
-        read goes into the next piece."""
-        while chunk := self.fh.read(_BLOCK):
-            cut = chunk.rfind(b"\n") + 1
-            if not cut:
-                self.carry.append(chunk)
-                continue
-            piece = b"".join((_PADDING, *self.carry, memoryview(chunk)[:cut]))
-            self.carry = [chunk[cut:]]
-            self.kept.append(memoryview(piece)[_PAD:])
-            yield piece
-        if any(self.carry):
-            piece = b"".join((_PADDING, *self.carry))
-            self.carry = []
-            self.kept.append(memoryview(piece)[_PAD:])
-            yield piece
-
-    def blocks(self):
-        """(block, comma) for each piece of record lines after the leading
-        ``#`` lines, block being the lines after _PAD NUL bytes and comma
-        whether the first record line makes the file CSV. Nothing more
-        once a ``#`` line holds a byte other than printable ASCII and
-        tabs, or a CR that does not end its line: a lone CR ends a line
-        of text, so it would cut a comment in two."""
-        comma = None
-        for piece in self._pieces():
-            if comma is None:
-                start = _PAD
-                while piece.startswith(b"#", start):
-                    start = piece.find(b"\n", start) + 1 or len(piece)
-                header = piece[_PAD:start]
-                if header.translate(None, _PLAIN_BYTES) or header.count(b"\r") != header.count(b"\r\n"):
-                    return
+def _blocks(fh: BinaryIO):
+    """(block, comma, skipped) for each piece of fh (_pieces): block is
+    its lines after _PAD NUL bytes, comma whether the file's first record
+    line holds a comma (None before the block that holds it), and
+    skipped the count of leading ``#`` lines of the file cut away just
+    before the block. They are cut while they hold only printable ASCII
+    and tabs, and CRs only before LFs: a lone CR ends a line of text, so
+    it would cut a comment in two. A piece whose leading ``#`` lines
+    hold any other byte keeps them, and the byte kernel refuses it."""
+    comma, skipped = None, 0
+    for piece in _pieces(fh):
+        if comma is None:
+            start = _PAD
+            while piece.startswith(b"#", start):
+                start = piece.find(b"\n", start) + 1 or len(piece)
+            header = piece[_PAD:start]
+            if not header.translate(None, _PLAIN_BYTES) and header.count(b"\r") == header.count(b"\r\n"):
+                skipped += header.count(b"\n")
                 if start == len(piece):
                     continue
                 if start > _PAD:
                     piece = b"".join((_PADDING, memoryview(piece)[start:]))
-                line_end = piece.find(b"\n", _PAD) + 1 or len(piece)
-                comma = _comma_separated(_text_lines(piece[_PAD:line_end]))
-            yield piece, comma
-
-    def text(self) -> bytes:
-        """Every byte read, then the rest of the file."""
-        rest = iter(lambda: self.fh.read(_BLOCK), b"")
-        data = b"".join([*self.kept, *self.carry, *rest])
-        self.kept, self.carry = [], []
-        return data
+            comma = _comma_separated(_text_lines(piece[_PAD:]))
+        yield piece, comma, skipped
+        skipped = 0
 
 
-def _parse_checked(item) -> tuple[np.ndarray, np.ndarray] | None:
-    """_parse_block's columns of one (block, comma) pair, or None when it
-    gives none or they break a rule of a trace (_broken_rule)."""
-    columns = _parse_block(*item)
-    return None if columns is None or _broken_rule(*columns) else columns
+def _parse_checked(item):
+    """item, a (block, comma, skipped) triple of _blocks, and _parse_block's
+    columns of it, or None when it gives none or they break a rule of a
+    trace (_broken_rule)."""
+    columns = _parse_block(*item[:2])
+    return item, None if columns is None or _broken_rule(*columns) else columns
 
 
-def _parse_canonical(reader: _Reader) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns _parse_lines would return for the file, computed from
-    its bytes by the byte kernel as they are read, or None.
+def _parse_block(buf: bytes, comma: bool | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The records of buf[_PAD:], whole lines of canonical records, or None.
 
-    Reads only the canonical shape: leading ``#`` lines of printable
-    ASCII and tabs, then records ``D+.D+<sep>D+`` with LF or CRLF line
+    The canonical shape is records ``D+.D+<sep>D+`` with LF or CRLF line
     ends and a single-byte separator: ``,`` for CSV, a space or a tab
     otherwise. The last line end may be missing. That is what
-    save_trace and a Bellcore-style ``%.6f bytes`` file hold. Anything
-    else, and any columns that break a rule of a trace (_broken_rule),
-    gives None, at the first block that holds it: no later block is
-    read here.
-
-    Each block is parsed and checked on _in_order's pool while the
-    calling thread reads the next; here only the timestamps that meet
-    at a block boundary are compared. Once every block is in, the bytes
-    read are dropped before the blocks are joined.
+    save_trace and a Bellcore-style ``%.6f bytes`` file hold; _blocks
+    has cut the leading ``#`` lines away. Any other block gives None.
 
     A timestamp of at most 16 digits whose digits m are below 2**53 is
     m / 10**f, f the count of fractional digits: m and 10**f are exact
     doubles, so the one rounded division gives the bits of float()
     (Clinger 1990). Other timestamps, and sizes of 17 to 19 digits, are
     read by float() and int() on their bytes; a longer size gives None.
-    """
-    ts_blocks, sz_blocks = [], []
-    with closing(_in_order(_parse_checked, reader.blocks())) as parsed:
-        for columns in parsed:
-            if columns is None or ts_blocks and columns[0][0] < ts_blocks[-1][-1]:
-                return None
-            ts_blocks.append(columns[0])
-            sz_blocks.append(columns[1])
-    if not ts_blocks:
-        return None
-    reader.kept.clear()
-    return np.concatenate(ts_blocks), np.concatenate(sz_blocks)
-
-
-def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The records of buf[_PAD:], whole lines of canonical records, or None.
 
     Every line holds exactly three bytes that are not digits (four with
     CRLF): the point, the separator and the line end. Their offsets are
@@ -650,10 +606,12 @@ def _eight_digits(words: np.ndarray, widths: int | np.ndarray) -> np.ndarray:
     return v
 
 
-def _comma_separated(lines) -> bool:
-    """Whether the first record line holds a comma, which makes the file CSV."""
+def _comma_separated(lines) -> bool | None:
+    """Whether the first record line holds a comma, which makes the file
+    CSV, or None when no line is a record."""
     records = (line.strip() for line in lines)
-    return "," in next((line for line in records if line and not line.startswith("#")), "")
+    first = next((line for line in records if line and not line.startswith("#")), None)
+    return None if first is None else "," in first
 
 
 def _text_lines(data: bytes):
@@ -671,10 +629,9 @@ def load_trace(source: str | os.PathLike | BinaryIO) -> PacketTrace:
 
     source is a path, or a binary file open for reading, which is read
     to its end, by read(n) calls of _BLOCK bytes, and left open. Either
-    way each byte is read once: the records are parsed by the byte
-    kernel (_parse_canonical) as the blocks come in when they have its
-    canonical shape, and else by the line parser, which names the first
-    bad line, over every byte read and the rest of the file.
+    way each byte is read once: each block of whole lines is parsed by
+    the byte kernel (_parse_block) as the blocks come in, and a block it
+    refuses by the line parser, which names the first bad line.
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped; any other line must hold exactly a timestamp and a plain
@@ -692,14 +649,36 @@ def load_trace(source: str | os.PathLike | BinaryIO) -> PacketTrace:
 
 
 def _read_columns(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
-    """The checked columns of the trace file fh, read to its end."""
-    reader = _Reader(fh)
-    columns = _parse_canonical(reader)
-    if columns is None:
-        data = reader.text()
-        comma = _comma_separated(_text_lines(data))
-        columns = _parse_lines(_text_lines(data).readlines(), comma=comma)
-    return columns
+    """The checked columns of the trace file fh, read to its end.
+
+    Each block of _blocks is parsed by the byte kernel on _in_order's
+    pool while the calling thread reads the next. A block the kernel
+    refuses, whose columns break a rule of a trace, or whose first
+    timestamp is below the last one before it goes to the line parser
+    alone, in order, on the calling thread, told the file line the block
+    starts after and the timestamp before it; so its columns are those
+    the line parser gives for the whole file, and an error names the
+    same line. A kernel block holds one record per line. No block is
+    kept once its columns are in.
+    """
+    ts_blocks, sz_blocks = [], []
+    line, prev = 0, None  # the lines and the last timestamp before the block
+    with closing(_in_order(_parse_checked, _blocks(fh))) as parsed:
+        for (block, comma, skipped), columns in parsed:
+            line += skipped
+            if columns is None or prev is not None and columns[0][0] < prev:
+                lines = _text_lines(block[_PAD:]).readlines()
+                columns = _parse_lines(lines, comma=comma, start=line, prev=prev)
+                line += len(lines)
+            else:
+                line += len(columns[0])
+            if len(columns[0]):
+                prev = float(columns[0][-1])
+                ts_blocks.append(columns[0])
+                sz_blocks.append(columns[1])
+    if not ts_blocks:
+        raise TraceFormatError("no packet records found")
+    return np.concatenate(ts_blocks), np.concatenate(sz_blocks)
 
 
 def save_trace(trace: PacketTrace, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:

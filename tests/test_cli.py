@@ -656,11 +656,20 @@ class TestOverflowingInputs:
         (["diverge", "--alpha", "1.5", "--m", "1e308", "--lambda", "0.5", "--sizes", "1000",
           "--reps", "1", "--seed", "1", "--out-prefix", "d"], "error: the silence ratio m/lambda_target - 1 is past "
                                                              "the largest float: m 1e+308, lambda_target 0.5"),
+        (["gen", "--model", "onoff", "--alpha", "1.4", "--xmin", "1e307", "--m", "2", "--lambda", "0.5",
+          "--packet-size", "1000", "--rate", "1e6", "--cycles", "100", "--seed", "1", "-o", "x.csv"],
+         "error: x_min 1e+307 makes the silence mean 1.05e+308 too large: "),
+        (["gen", "--model", "poisson", "--rate", "1e-320", "--packet-size", "100", "--n", "10", "--seed", "1",
+          "-o", "p.csv"], "error: rate 1e-320 is too small for n 10: "),
+        (["sweep-samples", "--model", "poisson", "--rate", "1e-308", "--packet-size", "100", "--n", "1000",
+          "--sizes", "10", "--reps", "1", "--seed", "1", "--out-prefix", "s"],
+         "error: rate 1e-308 is too small for n 1000: "),
         (["gen", *TOO_MANY_PACKETS, "-o", "x.csv"], "error: too many packets: "),
         (["sweep-samples", *TOO_MANY_PACKETS, "--sizes", "100", "--reps", "1", "--out-prefix", "s"],
          "error: too many packets: "),
         (["hurst", "big.csv", "--unit", "bytes", "-o", "h.csv"], None),
-    ], ids=["diverge-inf-area", "diverge-nan-std", "diverge-inf-draw", "diverge-inf-silence-ratio", "gen",
+    ], ids=["diverge-inf-area", "diverge-nan-std", "diverge-inf-draw", "diverge-inf-silence-ratio",
+            "gen-inf-silence", "gen-poisson-tiny-rate", "sweep-samples-poisson-tiny-rate", "gen",
             "sweep-samples-onoff", "hurst-bytes"])
     def test_overflowing_inputs_fail_cleanly(self, tmp_path, capsys, monkeypatch, argv, error):
         monkeypatch.chdir(tmp_path)
