@@ -8,7 +8,7 @@ bit-for-bit reproducible and independent of execution order.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -61,7 +61,7 @@ class SweepPoint:
 @dataclass(eq=False)
 class SweepResult:
     x_label: str
-    points: list[SweepPoint] = field(default_factory=list)
+    points: list[SweepPoint]
     baseline: float | None = None  # unshuffled reference, block sweeps only
 
     def write_csv(self, fh, comments: tuple[str, ...] = ()) -> None:
@@ -81,6 +81,11 @@ def aggregate_replications(values) -> tuple[float, float]:
         raise ValueError("no replication values")
     std = float(v.std(ddof=1)) if len(v) > 1 else 0.0
     return float(v.mean()), std
+
+
+def _points(xs, rep_means) -> list[SweepPoint]:
+    """One point per x from the tuple of its replication means: the fold of both replication loops."""
+    return [SweepPoint(float(x), *aggregate_replications(means), means) for x, means in zip(xs, rep_means)]
 
 
 def _resolve_bandwidth(trace: PacketTrace, bandwidth: float | None, rho: float | None) -> float:
@@ -129,24 +134,23 @@ def sample_size_sweep(
 
     else:
         raise TypeError("source must be a PacketTrace or SyntheticSource")
-    return _replicate(SweepResult(x_label="sample_size"), sizes, plan, b, make_trace)
+    return _replicate("sample_size", sizes, plan, b, make_trace)
 
 
-def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float, make_trace,
+def _replicate(x_label: str, xs, plan: ReplicationPlan, bandwidth: float, make_trace,
                baseline: PacketTrace | None = None) -> SweepResult:
-    """Append one point per x to result: the mean queue of make_trace(x, rng)
-    at bandwidth, replicated with rng = substream(master_seed, i, j) for
-    replication i of the j-th x. A baseline trace is served first, and
-    its mean queue set as result.baseline.
+    """One point per x: the mean queue of make_trace(x, rng) at bandwidth,
+    replicated with rng = substream(master_seed, i, j) for replication i
+    of the j-th x, and a baseline trace's mean queue as the baseline.
 
-    The replications run on traces._in_order's pool over the task
-    indices k of a range, -1 for the baseline: each worker thread takes
-    (j, i) = divmod(k, replications), makes that replication's trace
-    and serves it, so no list of the tasks is built. The means come
-    back in replication order, so the points hold the bits a serial
-    loop gives. At most _workers() traces besides the baseline exist at
-    once. An error in a replication comes out at it, after the points
-    before it.
+    The tasks run on traces._in_order's pool, which bounds what they
+    hold: the baseline, -1, then each (x, replication) cell k, x-major,
+    whose trace a worker thread makes and serves, with (j, i) =
+    divmod(k, replications). One task per replication, serving each x
+    in turn, made sweep-blocks 0-20% slower (6 runs, 2-core VM): fewer,
+    larger tasks leave a thread idle while the last one runs. The
+    means come back in order, so the points hold a serial loop's bits,
+    and an error in a replication comes out at it.
     """
     reps = plan.replications
 
@@ -156,14 +160,9 @@ def _replicate(result: SweepResult, xs, plan: ReplicationPlan, bandwidth: float,
         j, i = divmod(k, reps)
         return packet_fifo(make_trace(xs[j], substream(plan.master_seed, i, j)), bandwidth).mean_queue
 
-    means = _in_order(mean_queue, range(0 if baseline is None else -1, len(xs) * reps), ahead=1)
-    if baseline is not None:
-        result.baseline = next(means)
-    for x in xs:
-        rep_means = tuple(islice(means, reps))
-        mean, std = aggregate_replications(rep_means)
-        result.points.append(SweepPoint(float(x), mean, std, rep_means))
-    return result
+    means = _in_order(mean_queue, range(0 if baseline is None else -1, len(xs) * reps))
+    baseline_mean = None if baseline is None else next(means)
+    return SweepResult(x_label, _points(xs, (tuple(islice(means, reps)) for _ in xs)), baseline_mean)
 
 
 def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: ReplicationPlan) -> SweepResult:
@@ -175,13 +174,14 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
     prefix of the sorted distinct sizes from one prefix_mean_queue call.
     The spec is built, and so m and lam checked, before any replication.
 
-    The replications run on traces._in_order's pool: each worker thread
-    draws a replication's process, which keeps the bursts and computes
-    their silences a run at a time in the queue kernel, and runs
-    prefix_mean_queue. A replication so holds one max(sizes)-length
-    array, and at most _workers() exist at once. The means come back in
-    replication order, so the points hold the bits a serial loop gives,
-    and an error in a replication comes out at it.
+    The replications run on traces._in_order's pool, which bounds what
+    they hold, one task each, as perfbench pins one prefix_mean_queue
+    call per replication and one fluid_queue call per prefix. A worker
+    thread draws a replication's process, one max(sizes)-length array
+    of bursts whose silences the queue kernel computes a run at a time,
+    and runs prefix_mean_queue on it. The means come back in order, so
+    the points hold a serial loop's bits, and an error in a replication
+    comes out at it.
     """
     sizes = sorted({int(n) for n in sizes})
     if not sizes or sizes[0] < 1:
@@ -191,14 +191,9 @@ def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: Re
     spec = GeneratorSpec(m, tail, sizes[-1], lam, "theorem_reordered")
 
     def prefix_means(i):
-        return prefix_mean_queue(generate_onoff(spec, substream(plan.master_seed, i)), sizes)
+        return [q for _, q in prefix_mean_queue(generate_onoff(spec, substream(plan.master_seed, i)), sizes)]
 
-    per_size = {n: [] for n in sizes}
-    for means in _in_order(prefix_means, range(plan.replications), ahead=1):
-        for n, mean_queue in means:
-            per_size[n].append(mean_queue)
-    points = [SweepPoint(float(n), *aggregate_replications(means), tuple(means)) for n, means in per_size.items()]
-    return SweepResult(x_label="cycles", points=points)
+    return SweepResult("cycles", _points(sizes, zip(*_in_order(prefix_means, range(plan.replications)))))
 
 
 # the largest source duration whose shuffles stream: see block_shuffle
@@ -396,5 +391,5 @@ def blocksize_sweep(
     if block_sizes[-1] > sys.float_info.max:  # the sweep's x column is float(block size)
         raise ValueError(f"block size {block_sizes[-1]} is past the largest float")
     b = _resolve_bandwidth(trace, bandwidth, rho)
-    return _replicate(SweepResult(x_label="block_size"), block_sizes, plan, b,
-                      lambda blk, rng: block_shuffle(trace, blk, rng), baseline=trace)
+    return _replicate("block_size", block_sizes, plan, b, lambda blk, rng: block_shuffle(trace, blk, rng),
+                      baseline=trace)

@@ -242,21 +242,26 @@ def generate_onoff(spec: GeneratorSpec, rng: np.random.Generator) -> FluidOnOffP
     on/off cycles, for packet traces and fluid sweeps alike. The bursts,
     sample_heavy_tail of 1 - rng.random(n), are drawn into the uniforms'
     buffer. theorem_reordered gives reorder_nonoverlap's process of the
-    bursts, which holds its silence rule. iid_matched_mean silences drawn
-    past the largest float are refused, naming their mean and x_min."""
+    bursts, which holds its silence rule. Silences of the other two
+    models past the largest float are refused, naming x_min and the
+    silence mean, or q and the longest burst."""
     u = rng.random(spec.n_cycles)
     on = sample_heavy_tail(spec.tail, np.subtract(1.0, u, out=u), out=u)
     if spec.off_model == "theorem_reordered":
         return reorder_nonoverlap(on, spec.m, spec.lambda_target)
     if spec.off_model == "bounded_q":
-        return FluidOnOffProcess(on, _bounded_offs(on, spec.m, spec.q), spec.m)
-    mean = spec.tail.mean * (spec.m / spec.lambda_target - 1.0)
-    off = rng.exponential(mean, len(on))
+        off = _bounded_offs(on, spec.m, spec.q)
+    else:
+        mean = spec.tail.mean * (spec.m / spec.lambda_target - 1.0)
+        off = rng.exponential(mean, len(on))
     try:
         return FluidOnOffProcess(on, off, spec.m)
     except ValueError:
         if np.isfinite(off).all():
             raise
+        if spec.off_model == "bounded_q":
+            raise ValueError(f"q {spec.q!r} and bursts of up to {float(on.max())!r} s make "
+                             "bounded silences past the largest float") from None
         raise ValueError(f"x_min {spec.tail.x_min!r} makes the silence mean {mean!r} too large: "
                          f"exponential silences of that mean are drawn past the largest float") from None
 
@@ -293,7 +298,8 @@ def _bounded_offs(on: np.ndarray, m: float, q: float) -> np.ndarray:
     # until the burst's own triangular area, averaged over the cycle,
     # is at most q. Silences grow quadratically with their bursts, so
     # the long-run arrival rate tends to zero as bursts pile up
-    return np.maximum((m - 1.0) * on, (m - 1.0) * m * on * on / (2.0 * q) - on)
+    with np.errstate(over="ignore", invalid="ignore"):  # generate_onoff names an overflow
+        return np.maximum((m - 1.0) * on, (m - 1.0) * m * on * on / (2.0 * q) - on)
 
 
 # packets are emitted in groups of at most this many cycles and, within
@@ -372,11 +378,13 @@ def _check_packet_size(packet_size: int) -> None:
         raise ValueError(f"packet_size must be <= {_MAX_SIZE} bytes")
 
 
-def _check_emission(packet_size: int, server_rate: float) -> None:
-    """The packet size and server rate checks of packetize and SyntheticSource."""
+def _check_emission(packet_size: int, server_rate: float, m: float) -> None:
+    """The packet size, server rate and peak rate checks of packetize and SyntheticSource."""
     _check_packet_size(packet_size)
     if not 0 < server_rate < np.inf:
         raise ValueError("server_rate must be positive and finite")
+    if not float(m) * float(server_rate) < np.inf:
+        raise ValueError(f"m * server_rate is past the largest float: m {m!r}, server_rate {server_rate!r}")
 
 
 def packetize(process: FluidOnOffProcess, packet_size: int, server_rate: float) -> tuple[PacketTrace, int]:
@@ -394,7 +402,7 @@ def packetize(process: FluidOnOffProcess, packet_size: int, server_rate: float) 
     the on periods' packet counts a group of _GROUP cycles at a time and
     filled by _emit; its sizes are stored once (traces._equal_sizes).
     """
-    _check_emission(packet_size, server_rate)
+    _check_emission(packet_size, server_rate, process.m)
     on, rate_bytes = process.on_lengths, process.m * server_rate
     times = np.empty(sum(int(_counts(on[lo : lo + _GROUP], rate_bytes, packet_size).sum())
                          for lo in range(0, len(on), _GROUP)))
@@ -436,7 +444,7 @@ class SyntheticSource:
 
     def __post_init__(self):
         # trace(n_packets=...) never calls packetize, so check here too
-        _check_emission(self.packet_size, self.server_rate)
+        _check_emission(self.packet_size, self.server_rate, self.spec.m)
 
     def trace(self, rng: np.random.Generator, n_packets: int | None = None) -> PacketTrace:
         """Fresh trace from `rng`; exactly n_packets when given, else one

@@ -80,7 +80,7 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn, items, ahead: int = 2):
+def _in_order(fn, items):
     """fn(item) for each item of the iterable items, yielded in order.
 
     With more than one usable CPU and at least two items, the calls run
@@ -88,12 +88,12 @@ def _in_order(fn, items, ahead: int = 2):
     shut down when it ends. The text kernels and the queue kernels spend
     most of their time in numpy loops that release the GIL, so the
     threads can share the cores. items is drawn lazily, on the calling
-    thread: the next item is taken while the calls before it run, and
-    at most ahead * _workers() calls are submitted and not yet yielded,
-    so however slowly the caller consumes, no more results than that
-    wait in memory, and at most one item more has been taken. An
-    exception from fn comes out at its item, after every result before
-    it was yielded; calls not yet started are cancelled.
+    thread. This bounds every pooled loop's memory: at most _workers()
+    calls run at once, each holding what it makes, and at most
+    2 * _workers() are submitted and not yet yielded, so however slowly
+    the caller consumes, no more results than that wait, and at most one
+    item more has been taken. An exception from fn comes out at its
+    item, after every result before it; calls not yet started are cancelled.
     """
     workers = _workers()
     items = iter(items)
@@ -109,7 +109,7 @@ def _in_order(fn, items, ahead: int = 2):
     pending = deque()
     try:
         for item in chain(first, items):
-            if len(pending) == ahead * workers:
+            if len(pending) == 2 * workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, item))
         while pending:
@@ -139,10 +139,10 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
     chunks are encoded.
 
     The chunks are formatted on _in_order's pool and written in order
-    from the calling thread, so at most 2 * _workers() chunks are
-    formatted, or being formatted, ahead of the one being written,
-    whatever the row count or the speed of fh. An exception from a
-    chunk comes out after every chunk before it was written.
+    from the calling thread, so the chunks formatted ahead of the one
+    being written are bounded as _in_order states, whatever the row
+    count or the speed of fh. An exception from a chunk comes out after
+    every chunk before it was written.
     """
     fh.writelines(f"# {c}\n".encode() for c in comments)
     line = fmt + "\n"
@@ -652,14 +652,14 @@ def _read_columns(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     """The checked columns of the trace file fh, read to its end.
 
     Each block of _blocks is parsed by the byte kernel on _in_order's
-    pool while the calling thread reads the next. A block the kernel
-    refuses, whose columns break a rule of a trace, or whose first
-    timestamp is below the last one before it goes to the line parser
-    alone, in order, on the calling thread, told the file line the block
-    starts after and the timestamp before it; so its columns are those
-    the line parser gives for the whole file, and an error names the
-    same line. A kernel block holds one record per line. No block is
-    kept once its columns are in.
+    pool, within its bound, while the calling thread reads the next. A
+    block the kernel refuses, whose columns break a rule of a trace, or
+    whose first timestamp is below the last one before it goes to the
+    line parser alone, in order, on the calling thread, told the file
+    line the block starts after and the timestamp before it; so its
+    columns are those the line parser gives for the whole file, and an
+    error names the same line. A kernel block holds one record per line.
+    No block is kept once its columns are in.
     """
     ts_blocks, sz_blocks = [], []
     line, prev = 0, None  # the lines and the last timestamp before the block

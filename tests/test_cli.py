@@ -639,6 +639,9 @@ class TestCountsPastMemory:
 # on periods of at least 1e16 s at 2e6 bytes/s: more than 2**64 packets of 1000 bytes each
 TOO_MANY_PACKETS = ("--model", "onoff", "--alpha", "1.5", "--xmin", "1e16", "--m", "2", "--lambda", "0.5",
                     "--rate", "1e6", "--cycles", "10", "--seed", "1")
+# the bounded model's flags but --xmin, --q and --rate, which each case sets
+BOUNDED_RECIPE = ("--model", "onoff", "--alpha", "1.4", "--m", "2", "--lambda", "0.5", "--off-model", "bounded",
+                  "--packet-size", "1000", "--cycles", "100", "--seed", "1")
 
 
 class TestOverflowingInputs:
@@ -667,10 +670,21 @@ class TestOverflowingInputs:
         (["gen", *TOO_MANY_PACKETS, "-o", "x.csv"], "error: too many packets: "),
         (["sweep-samples", *TOO_MANY_PACKETS, "--sizes", "100", "--reps", "1", "--out-prefix", "s"],
          "error: too many packets: "),
+        (["gen", *BOUNDED_RECIPE, "--xmin", "1", "--q", "1e-320", "--rate", "1e6", "-o", "b.csv"],
+         "error: q 1e-320 and bursts of up to 16.795789162162876 s make bounded silences past the largest float"),
+        (["gen", *BOUNDED_RECIPE, "--xmin", "1e160", "--q", "1", "--rate", "1e-200", "-o", "b.csv"],
+         "error: q 1.0 and bursts of up to 1.6795789162162877e+161 s make bounded silences past the largest float"),
+        (["gen", "--model", "onoff", "--alpha", "1.5", "--xmin", "1", "--m", "2", "--lambda", "0.5",
+          "--packet-size", "1000", "--rate", "1e308", "--cycles", "5", "--seed", "1", "-o", "g.csv"],
+         "error: m * server_rate is past the largest float: m 2.0, server_rate 1e+308"),
+        (["sweep-blocks", "--model", "onoff", "--alpha", "1.5", "--xmin", "1", "--m", "1e300", "--lambda", "0.5",
+          "--rate", "1e10", "--cycles", "5", "--seed", "1", "--blocks", "1", "--reps", "1", "--rho", "0.5",
+          "--out-prefix", "s"], "error: m * server_rate is past the largest float: m 1e+300, server_rate 10000000000.0"),
         (["hurst", "big.csv", "--unit", "bytes", "-o", "h.csv"], None),
     ], ids=["diverge-inf-area", "diverge-nan-std", "diverge-inf-draw", "diverge-inf-silence-ratio",
             "gen-inf-silence", "gen-poisson-tiny-rate", "sweep-samples-poisson-tiny-rate", "gen",
-            "sweep-samples-onoff", "hurst-bytes"])
+            "sweep-samples-onoff", "gen-bounded-tiny-q", "gen-bounded-huge-burst", "gen-inf-peak-rate",
+            "sweep-blocks-inf-peak-rate", "hurst-bytes"])
     def test_overflowing_inputs_fail_cleanly(self, tmp_path, capsys, monkeypatch, argv, error):
         monkeypatch.chdir(tmp_path)
         if error is None:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
 from trafficlab import cli, experiments, synth, traces
-from trafficlab.experiments import SweepResult, aggregate_replications
+from trafficlab.experiments import aggregate_replications
 from trafficlab.queue_sim import packet_fifo
 from trafficlab.rng import substream
 
@@ -768,19 +768,25 @@ class TestPooledReplications:
         plan = tl.ReplicationPlan(master_seed=3, replications=5)
         seventh = substream(3, 1, 1).bit_generator.state
 
+        made = []
+
         def make_trace(x, rng):
-            return huge if rng.bit_generator.state == seventh else trace
+            made.append(rng.bit_generator.state == seventh)
+            return huge if made[-1] else trace
 
         before = threading.active_count()
-        runs = []
+        errors = []
         for workers in (1, 2, 5):
-            result = SweepResult(x_label="x")
+            made.clear()
             with pool_of(workers), pytest.raises(ValueError, match="is too small") as info:
-                experiments._replicate(result, [1, 2, 3], plan, 1e-290, make_trace)
+                experiments._replicate("x", [1, 2, 3], plan, 1e-290, make_trace)
             assert threading.active_count() == before
-            runs.append((str(info.value), sweep_csv(result)))
-        assert runs == [runs[0]] * 3
-        assert runs[0][1].count("\n") == 2  # the header and the point of x = 1
+            errors.append(str(info.value))
+            # only the seventh fails; one thread makes the six before it and stops
+            assert made.count(True) == 1 and len(made) >= 7
+            if workers == 1:
+                assert made == [False] * 6 + [True]
+        assert errors == [errors[0]] * 3
 
 
 class TestPooledPrefixMeans:

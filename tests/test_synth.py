@@ -182,6 +182,17 @@ class TestGeneratorSpec:
                 tl.GeneratorSpec(m=1e308, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, lambda_target=0.5,
                                  off_model=off_model)
 
+    @pytest.mark.parametrize("x_min, q", [(1.0, 1e-320), (1e160, 1.0)], ids=["divide", "multiply"])
+    def test_bounded_silences_past_the_largest_float_name_q_and_the_longest_burst(self, x_min, q):
+        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.4, x_min), n_cycles=100, off_model="bounded_q", q=q)
+        longest = tl.sample_heavy_tail(spec.tail, 1.0 - substream(1).random(100)).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                tl.generate_onoff(spec, substream(1))
+        assert str(info.value) == (f"q {q!r} and bursts of up to {float(longest)!r} s make bounded silences "
+                                   "past the largest float")
+
     def test_matched_mean_requires_lambda_in_unit_interval(self):
         with pytest.raises(ValueError):
             tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, lambda_target=1.0)
@@ -483,6 +494,14 @@ class TestPacketize:
         with pytest.raises(ValueError, match="server_rate must be positive and finite"):
             tl.packetize(proc, 50, server_rate)
 
+    @pytest.mark.parametrize("m, server_rate", [(2.0, 1e308), (np.float64(1e300), np.float64(1e10))])
+    def test_a_peak_rate_past_the_largest_float_names_m_and_the_rate(self, m, server_rate):
+        proc = tl.FluidOnOffProcess(np.array([1.0]), np.array([1.0]), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^m \* server_rate is past the largest float: m .*, server_rate "):
+                tl.packetize(proc, 50, server_rate)
+
     def test_packets_stay_inside_their_on_periods(self):
         spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 0.5), n_cycles=200, lambda_target=0.5)
         proc = tl.generate_onoff(spec, substream(8))
@@ -613,7 +632,7 @@ class TestSyntheticSource:
 
     @pytest.mark.parametrize("packet_size, server_rate, field", [
         (0, 10_000.0, "packet_size"), (100, 0.0, "server_rate"),
-        (100, np.nan, "server_rate"), (100, np.inf, "server_rate"),
+        (100, np.nan, "server_rate"), (100, np.inf, "server_rate"), (100, 1e308, "m \\* server_rate"),
     ])
     def test_packetization_checked_when_built(self, packet_size, server_rate, field):
         # trace(n_packets=...) never reaches packetize, so the recipe checks itself

@@ -839,20 +839,40 @@ class TestPool:
         assert fh.getvalue().decode() == python_rows("%.9f,%d", (ts[:28], sz[:28]))
 
     def test_ahead_bounds_the_items_read_and_not_yielded(self, pool_size):
-        for ahead in (1, 3):
-            started = []
+        started = []
 
-            def call(i):
-                started.append(i)
-                return -i
+        def call(i):
+            started.append(i)
+            return -i
 
-            before = threading.active_count()
-            for k, value in enumerate(traces._in_order(call, range(50), ahead=ahead)):
-                assert value == -k
-                # the call yielded and at most ahead * pool_size - 1 after it
-                assert len(started) - k <= ahead * pool_size
+        before = threading.active_count()
+        for k, value in enumerate(traces._in_order(call, range(50))):
+            assert value == -k
+            # the call yielded and at most 2 * pool_size - 1 after it
+            assert len(started) - k <= 2 * pool_size
+            time.sleep(0.001)
+        assert sorted(started) == list(range(50)) and threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_at_most_one_call_per_worker_runs_at_once(self, workers):
+        lock, running, most = threading.Lock(), [0], [0]
+
+        def call(i):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.002)  # long enough for every thread to start one
+            with lock:
+                running[0] -= 1
+            return i
+
+        with mock.patch.object(traces, "_workers", lambda: workers):
+            # the caller takes its time, so the window fills and no thread waits for a call
+            for k, value in enumerate(traces._in_order(call, range(40))):
+                assert value == k
                 time.sleep(0.001)
-            assert sorted(started) == list(range(50)) and threading.active_count() == before
+        # never more than the pool, and more than one call at once on a pool
+        assert most[0] <= workers and (most[0] > 1) == (workers > 1)
 
     def test_a_failing_block_raises_out_of_load_trace(self, tmp_path, monkeypatch):
         monkeypatch.setattr(traces, "_BLOCK", 256)
