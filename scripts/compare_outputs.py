@@ -84,13 +84,20 @@ NOTED_TRACE = "# seconds bytes\n" + "".join(
     ("# a note mid-trace\n\n" if i == 150000 else "") + f"{0.0031 * i + 0.0002 * (i % 7):.6f} {64 + 53 * i % 1455}\n"
     for i in range(300000))
 
+# a Bellcore-style `%.6f bytes` trace of 100000 records, about 1.6 MiB,
+# after leading lines that a header of printable ASCII would not hold: a
+# comment with UTF-8 bytes, a blank line, an indented comment and a
+# CRLF comment
+HEADED_TRACE = "# capture \u2014 seconds, \u00b5s\n\n  # comment\n# crlf\r\n" + "".join(
+    f"{0.0029 * i + 0.0003 * (i % 7):.6f} {64 + 71 * i % 1455}\n" for i in range(100000))
+
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
 # and from text.txt, kernel.txt, kernel_long.txt, huge.txt, loose.txt,
-# ties.txt, unterminated.csv, noted.txt and mixed.txt: TEXT_TRACE,
-# KERNEL_TRACE, KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE, TIES_TRACE,
-# UNTERMINATED_TRACE, NOTED_TRACE and a CSV trace whose third record is
-# whitespace separated
+# ties.txt, unterminated.csv, noted.txt, headed.txt and mixed.txt:
+# TEXT_TRACE, KERNEL_TRACE, KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE,
+# TIES_TRACE, UNTERMINATED_TRACE, NOTED_TRACE, HEADED_TRACE and a CSV
+# trace whose third record is whitespace separated
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -185,6 +192,9 @@ COMMANDS = [
                           "-o", "queue_loose.csv"]),
     ("queue_noted_path", ["cli", "queue", "noted.txt", "--rho", "0.7", "--path-out", "noted_path.csv",
                           "-o", "queue_noted.csv"]),
+    ("summarize_headed", ["cli", "summarize", "headed.txt", "-o", "summary_headed.csv"]),
+    ("queue_headed_path", ["cli", "queue", "headed.txt", "--rho", "0.7", "--path-out", "headed_path.csv",
+                           "-o", "queue_headed.csv"]),
     ("queue_unterminated_path", ["cli", "queue", "unterminated.csv", "--rho", "0.7",
                                  "--path-out", "unterminated_path.csv", "-o", "queue_unterminated.csv"]),
     # departures that tie with arrivals, a departure first at each tie,
@@ -256,6 +266,7 @@ def run_commands(scripts: Path) -> None:
     Path("ties.txt").write_text(TIES_TRACE)
     Path("unterminated.csv").write_text(UNTERMINATED_TRACE)
     Path("noted.txt").write_text(NOTED_TRACE)
+    Path("headed.txt").write_bytes(HEADED_TRACE.encode())
     Path("mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
     for name, (head, *argv) in COMMANDS:
         run = cli.main if head == "cli" else runpy.run_path(str(scripts / head))["main"]

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 
 import numpy as np
@@ -122,31 +122,44 @@ def _write_row_csv(path: str, comment: str, row: dict) -> None:
     _write(path, ",".join(["%s"] * len(row)), cells, (comment, ",".join(row)))
 
 
-def _int_list(text: str) -> list[int]:
-    """The comma-separated integers, each read exactly as a Decimal (``1e4``,
-    ``10.0``, ``+5``, ``1_000``). Over 4300 digits is refused: Python will not
-    print such an int, and ``1e999999999`` would take gigabytes to build."""
-    # imported on first use: decimal takes about 1.5 ms to import (2-core VM), which only the list flags need
+def _exact_int(text: str) -> int | None:
+    """The integer text names, read exactly as a Decimal (``1e4``, ``10.0``, ``+5``, ``1_000``), or
+    None for another number or one of over 4300 digits: Python will not print such an int, and
+    ``1e999999999`` would take gigabytes to build. Text that is no number is a ValueError."""
+    with suppress(ValueError):  # a plain integer, read as Decimal reads it, without decimal
+        return int(text)
+    # imported on first use: decimal takes about 1.5 ms to import (2-core VM), which a plain integer need not pay
     from decimal import Decimal, InvalidOperation
+    try:
+        v = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {text!r}") from None
+    return int(v) if v.is_finite() and v == v.to_integral_value() and v.copy_abs() < Decimal("1e4300") else None
+
+
+def _int_list(text: str) -> list[int]:
+    """The comma-separated integers, each read by _exact_int."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        values = [Decimal(part) for part in parts]
-    except InvalidOperation:
+        values = [_exact_int(part) for part in parts]
+    except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
     for part, v in zip(parts, values):
-        if not (v.is_finite() and v == v.to_integral_value() and v.copy_abs() < Decimal("1e4300")):
+        if v is None:
             raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is not an integer of at most 4300 digits")
     if any(v < 1 for v in values):  # every list flag counts packets, blocks or levels
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return [int(v) for v in values]
+    return values
 
 
 def _int_from(low: int, high: int | None = None):
-    """An argparse type for an integer of at least low, and at most high if given; argparse names
-    the flag in the error."""
+    """An argparse type for an integer of at least low, and at most high if given, read by
+    _exact_int; argparse names the flag in the error."""
 
     def parse(text: str) -> int:
-        if (value := int(text)) < low:
+        if (value := _exact_int(text)) is None:
+            raise ValueError(text)
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
@@ -160,7 +173,7 @@ def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     """The generator flags other than the on/off group's."""
     p.add_argument("--model", choices=("onoff", "poisson"), required=required)
     p.add_argument("--cycles", type=_int_from(1), help="number of on/off cycles (sweep-samples ignores it)")
-    p.add_argument("--packet-size", type=int, default=1000, help="bytes per packet")
+    p.add_argument("--packet-size", type=_int_from(1), default=1000, help="bytes per packet")
     p.add_argument(
         "--rate",
         type=float,

@@ -445,6 +445,13 @@ class SyntheticSource:
     def __post_init__(self):
         # trace(n_packets=...) never calls packetize, so check here too
         _check_emission(self.packet_size, self.server_rate, self.spec.m)
+        # the most packets a capped burst emits, by _counts' float steps,
+        # which are monotone: none means no burst emits one
+        if (x_max := self.spec.tail.x_max) is not None:
+            with np.errstate(over="ignore"):
+                most = np.float64(x_max) * (self.spec.m * self.server_rate)
+            if not np.floor(most / self.packet_size):
+                raise ValueError("no packets emitted; every on period is shorter than one packet spacing")
 
     def trace(self, rng: np.random.Generator, n_packets: int | None = None) -> PacketTrace:
         """Fresh trace from `rng`; exactly n_packets when given, else one
@@ -452,7 +459,9 @@ class SyntheticSource:
         packetize's are. Given n_packets, _emit fills one array of exactly
         that many timestamps from chunks of cycles drawn by generate_onoff,
         each starting where the last ended; the packets that do not fit
-        are never written.
+        are never written. A capped recipe that cannot emit a packet is
+        refused when built; an uncapped one whose bursts almost never
+        reach one packet spacing is refused after 1000 chunks without one.
         """
         if n_packets is None:
             trace, _ = packetize(generate_onoff(self.spec, rng), self.packet_size, self.server_rate)
@@ -467,6 +476,8 @@ class SyntheticSource:
         rounds = 0
         while have < n_packets:
             rounds += 1
+            # only an uncapped tail gets here without a packet: its bursts
+            # can reach one spacing, however rarely, so a count caps the wait
             if rounds > 1000 and have == 0:
                 raise ValueError("packetization produced no packets; check packet_size vs on periods")
             chunk = int(np.clip((n_packets - have) / max(per_cycle, 1e-12), 256, 1 << 20))

@@ -45,8 +45,6 @@ _SPLIT = 2.0**27 + 1  # Veltkamp's constant for float64
 # the fraction digits of a whole number, broadcast down each fraction row
 _NO_FRACTION = np.zeros(1, np.uint64)
 
-# the bytes a header comment may hold and still take the byte kernel
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 _MAX_SIZE = int(np.iinfo(np.int64).max)
 
 # a trace file is read this many bytes at a time, and the byte kernel
@@ -446,26 +444,26 @@ def _pieces(fh: BinaryIO):
 def _blocks(fh: BinaryIO):
     """(block, comma, skipped) for each piece of fh (_pieces): block is
     its lines after _PAD NUL bytes, comma whether the file's first record
-    line holds a comma (None before the block that holds it), and
-    skipped the count of leading ``#`` lines of the file cut away just
-    before the block. They are cut while they hold only printable ASCII
-    and tabs, and CRs only before LFs: a lone CR ends a line of text, so
-    it would cut a comment in two. A piece whose leading ``#`` lines
-    hold any other byte keeps them, and the byte kernel refuses it."""
+    line holds a comma, and skipped the count of the file's leading lines
+    cut away just before the block. Those are the lines _parse_lines
+    skips, blank or ``#`` after stripping, whatever bytes they hold; the
+    first line kept is the first record line. A piece of leading lines
+    alone gives no block."""
     comma, skipped = None, 0
     for piece in _pieces(fh):
         if comma is None:
             start = _PAD
-            while piece.startswith(b"#", start):
-                start = piece.find(b"\n", start) + 1 or len(piece)
-            header = piece[_PAD:start]
-            if not header.translate(None, _PLAIN_BYTES) and header.count(b"\r") == header.count(b"\r\n"):
-                skipped += header.count(b"\n")
-                if start == len(piece):
-                    continue
-                if start > _PAD:
-                    piece = b"".join((_PADDING, memoryview(piece)[start:]))
-            comma = _comma_separated(_text_lines(piece[_PAD:]))
+            for line in _text_lines(piece[_PAD:]):
+                record = line.strip()
+                if record and not record.startswith("#"):
+                    comma = "," in record
+                    break
+                start += len(line.encode("utf-8", "surrogateescape"))
+                skipped += 1
+            else:
+                continue
+            if start > _PAD:
+                piece = b"".join((_PADDING, memoryview(piece)[start:]))
         yield piece, comma, skipped
         skipped = 0
 
@@ -478,14 +476,15 @@ def _parse_checked(item):
     return item, None if columns is None or _broken_rule(*columns) else columns
 
 
-def _parse_block(buf: bytes, comma: bool | None) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The records of buf[_PAD:], whole lines of canonical records, or None.
 
     The canonical shape is records ``D+.D+<sep>D+`` with LF or CRLF line
     ends and a single-byte separator: ``,`` for CSV, a space or a tab
     otherwise. The last line end may be missing. That is what
-    save_trace and a Bellcore-style ``%.6f bytes`` file hold; _blocks
-    has cut the leading ``#`` lines away. Any other block gives None.
+    save_trace and a Bellcore-style ``%.6f bytes`` file hold once _blocks
+    has cut their leading blank and ``#`` lines away. Any other block
+    gives None.
 
     A timestamp of at most 16 digits whose digits m are below 2**53 is
     m / 10**f, f the count of fractional digits: m and 10**f are exact
@@ -606,20 +605,13 @@ def _eight_digits(words: np.ndarray, widths: int | np.ndarray) -> np.ndarray:
     return v
 
 
-def _comma_separated(lines) -> bool | None:
-    """Whether the first record line holds a comma, which makes the file
-    CSV, or None when no line is a record."""
-    records = (line.strip() for line in lines)
-    first = next((line for line in records if line and not line.startswith("#")), None)
-    return None if first is None else "," in first
-
-
 def _text_lines(data: bytes):
     """The lines text-mode readlines() would give for these bytes, decoded
-    as UTF-8 whatever the locale. An undecodable byte becomes a lone
-    surrogate, so a comment may hold any bytes and _parse_lines names
-    the record line that holds one."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    as UTF-8 whatever the locale, each with its own line end: LF, CRLF or
+    a lone CR. An undecodable byte becomes a lone surrogate, so a comment
+    may hold any bytes, a line encoded back with surrogateescape gives
+    its bytes, and _parse_lines names the record line that holds one."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def load_trace(source: str | os.PathLike | BinaryIO) -> PacketTrace:
@@ -629,9 +621,11 @@ def load_trace(source: str | os.PathLike | BinaryIO) -> PacketTrace:
 
     source is a path, or a binary file open for reading, which is read
     to its end, by read(n) calls of _BLOCK bytes, and left open. Either
-    way each byte is read once: each block of whole lines is parsed by
-    the byte kernel (_parse_block) as the blocks come in, and a block it
-    refuses by the line parser, which names the first bad line.
+    way each byte is read once: the file's leading blank and ``#`` lines
+    are counted and cut away, whatever bytes they hold, then each block
+    of whole lines is parsed by the byte kernel (_parse_block) as the
+    blocks come in, and a block it refuses by the line parser, which
+    names the first bad line.
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped; any other line must hold exactly a timestamp and a plain

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import trafficlab as tl
-from trafficlab import cli, experiments
+from trafficlab import cli, experiments, synth
 from trafficlab.rng import substream
 
 
@@ -409,7 +409,7 @@ class TestSweeps:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (("--packet-size", "0"), "packet_size must be >= 1 byte"),
+        (("--packet-size", "99999999999999999999"), "packet_size must be <= 9223372036854775807 bytes"),
         (("--rate", "0"), "server_rate must be positive and finite"),
     ])
     def test_onoff_sample_sweep_checks_packetization(self, tmp_path, capsys, flags, message):
@@ -419,6 +419,25 @@ class TestSweeps:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", [("gen", "-o", "s.csv"), ("sweep-samples", "--sizes", "100", "--reps", "1"),
+                                         ("sweep-blocks", "--blocks", "1", "--reps", "1")], ids=lambda c: c[0])
+    def test_a_recipe_that_cannot_emit_a_packet_is_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                                         command):
+        # bursts of at most 2e-9 s, far under one packet spacing of 0.5 s
+        def draw(*args, **kwargs):
+            raise AssertionError("cycles drawn")
+
+        monkeypatch.setattr(cli, "generate_onoff", draw)
+        monkeypatch.setattr(synth, "generate_onoff", draw)
+        monkeypatch.chdir(tmp_path)
+        rc = run(command[0], "--model", "onoff", "--alpha", "1.5", "--xmin", "1e-9", "--xmax", "2e-9", "--m", "2",
+                 "--lambda", "0.5", "--packet-size", "1000", "--rate", "1e3", "--cycles", "10", *command[1:],
+                 "--seed", "1", *(() if command[0] == "gen" else ("--out-prefix", "s")))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: no packets emitted; every on period is shorter than one packet spacing\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_and_generator_flags_conflict(self, poisson_file, tmp_path, capsys):
         rc = run("sweep-blocks", "--trace", poisson_file, "--model", "poisson",
@@ -495,6 +514,9 @@ class TestFlagBounds:
         (["hurst", "t.csv", "--levels", "0,1,2,4", "-o", "h.csv"], "--levels"),
         (["report", "t.csv", "--seed", "-1", "--out-prefix", "x"], "--seed"),
         (["report", "t.csv", "--seed", "0", "--reps", "0", "--out-prefix", "x"], "--reps"),
+        (["sweep-samples", "--sizes", "10", "--packet-size", "0", "--seed", "0", "--out-prefix", "x"],
+         "--packet-size"),
+        (["gen", "--model", "onoff", "--packet-size", "-5", "--seed", "0", "-o", "t.csv"], "--packet-size"),
     ])
     def test_out_of_range_value_names_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exit_:
@@ -503,10 +525,28 @@ class TestFlagBounds:
         low = 0 if flag == "--seed" else 1
         assert f"argument {flag}: must be >= {low}, got {argv[argv.index(flag) + 1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "--model", "onoff", "--cycles", "1e2", "--seed", "0", "-o", "t.csv"], "--cycles"),
+        (["gen", "--model", "poisson", "--n", "1e2", "--seed", "0", "-o", "t.csv"], "--n"),
+        (["sweep-blocks", "--blocks", "1", "--seed", "0", "--reps", "1e2", "--out-prefix", "x"], "--reps"),
+        (["shuffle", "t.csv", "--block-size", "2", "--seed", "1e2", "-o", "s.csv"], "--seed"),
+        (["shuffle", "t.csv", "--block-size", "1e2", "--seed", "0", "-o", "s.csv"], "--block-size"),
+        (["gen", "--model", "onoff", "--packet-size", "1e2", "--seed", "0", "-o", "t.csv"], "--packet-size"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_a_scalar_integer_is_read_as_the_lists_read_it(self, argv, flag):
+        value = getattr(cli.build_parser().parse_args(argv), flag[2:].replace("-", "_"))
+        assert type(value) is int and value == 100
+
     def test_non_integer_value_still_reads_invalid_int(self, capsys):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["sweep-blocks", "--blocks", "1", "--seed", "x", "--out-prefix", "x"])
         assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1.5", "1e4300", "1e999999999", "nan"])
+    def test_a_fraction_or_a_huge_scalar_reads_invalid_int(self, capsys, text):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["sweep-blocks", "--blocks", "1", "--seed", text, "--out-prefix", "x"])
+        assert f"argument --seed: invalid int value: '{text}'" in capsys.readouterr().err
 
 
 def rows(path):

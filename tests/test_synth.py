@@ -664,11 +664,21 @@ class TestSyntheticSource:
 
     def test_a_count_that_no_cycle_can_reach_is_refused(self):
         # on periods of at most 2 microseconds send at most 4 bytes at
-        # 2e6 bytes/s, short of one 1000-byte packet
+        # 2e6 bytes/s, short of one 1000-byte packet: refused when built,
+        # before a cycle is drawn
         spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1e-6, 2e-6), n_cycles=10, lambda_target=0.5)
-        source = tl.SyntheticSource(spec=spec, packet_size=1000, server_rate=1e6)
-        with pytest.raises(ValueError, match="packetization produced no packets; check packet_size vs on periods"):
-            source.trace(substream(0), n_packets=1)
+        with pytest.raises(ValueError, match="^no packets emitted; every on period is shorter than one packet spacing"):
+            tl.SyntheticSource(spec=spec, packet_size=1000, server_rate=1e6)
+
+    @pytest.mark.parametrize("alpha, x_min, x_max, packet_size, server_rate", [
+        (1.4, 1.0, 5.0, 1000, 1e4),  # the byte gate's CAPPED recipe
+        (1.5, 0.1, 0.5, 1000, 1e3),  # the longest burst is exactly one packet spacing
+        (1.5, 1.0, 1e300, 1000, 1e10),  # x_max * m * server_rate is past the largest float
+    ], ids=["gate", "one_spacing", "overflow"])
+    def test_a_capped_recipe_that_can_emit_a_packet_builds(self, alpha, x_min, x_max, packet_size, server_rate):
+        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(alpha, x_min, x_max), n_cycles=10, lambda_target=0.5)
+        source = tl.SyntheticSource(spec=spec, packet_size=packet_size, server_rate=server_rate)
+        assert source.trace(substream(0), n_packets=5).packet_count == 5
 
     def test_a_counted_trace_holds_its_timestamps_and_one_chunk(self):
         # the recipe of the sweep_blocks_onoff benchmark: a cycle emits

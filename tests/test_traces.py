@@ -306,7 +306,9 @@ def line_parser_outcome(path):
     try:
         with open(path, "rb") as fh:
             lines = traces._text_lines(fh.read()).readlines()
-        comma = traces._comma_separated(lines)
+        # CSV when the first line that is neither blank nor a comment holds a comma
+        records = (line.strip() for line in lines)
+        comma = "," in next((r for r in records if r and not r.startswith("#")), "")
         ts, sz = traces._parse_lines(lines, comma=comma)
         if not len(ts):
             raise TraceFormatError("no packet records found")
@@ -323,7 +325,8 @@ class KernelRefused(Exception):
 def kernel(data, comma):
     """The byte kernel's columns for the bytes, read as CSV or not, or
     None when it refuses a block or reads no record."""
-    with mock.patch.object(traces, "_comma_separated", lambda lines: comma), \
+    blocks = traces._blocks
+    with mock.patch.object(traces, "_blocks", lambda fh: ((b, comma, k) for b, _, k in blocks(fh))), \
             mock.patch.object(traces, "_parse_lines", mock.Mock(side_effect=KernelRefused)):
         try:
             return traces._read_columns(io.BytesIO(data))
@@ -446,15 +449,22 @@ class TestVectorizedLoader:
             "0.5 100 7\n",
             "0.5 5.0\n",
             "0.5 1_000\n",
-            "# caf\u00e9\n0.5 100\n",
         ],
-        ids=["inline_hash", "third_field", "float_size", "underscore_size", "non_ascii"],
+        ids=["inline_hash", "third_field", "float_size", "underscore_size"],
     )
-    def test_what_numpy_reads_differently_goes_to_the_line_parser(self, text, tmp_path):
+    def test_refused_records_reach_the_line_parser(self, text, tmp_path):
         data = text.encode("utf-8")
         assert kernel(data, comma=False) is None
         p = tmp_path / "t.txt"
         p.write_bytes(data)
+        assert loader_outcome(p) == line_parser_outcome(p)
+
+    @pytest.mark.parametrize("lines", [["# caf\u00e9", "0.5 100"], ["", "0.5 100"]], ids=["non_ascii", "blank"])
+    def test_the_kernel_reads_past_leading_lines(self, lines, tmp_path):
+        # the leading lines the line parser skips are cut away, whatever they hold
+        assert_kernel_reads(lines)
+        p = tmp_path / "t.txt"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert loader_outcome(p) == line_parser_outcome(p)
 
     def test_underscore_size_still_accepted(self, tmp_path):
@@ -507,7 +517,6 @@ class TestVectorizedLoader:
         "text, comma",
         [
             ("# a\rb\n0.5 100\n", False),
-            ("\n0.5 100\n", False),
             (" 0.5 100\n", False),
             ("0.5  100\n", False),
             ("0.5 100 \n", False),
@@ -1121,6 +1130,43 @@ class TestStreamedLoad:
             tl.load_trace(io.BytesIO(data))
         line = at + 3
         assert str(info.value) == f"line {line}: timestamp {at - 2}.25 decreases from {at - 1}.25"
+
+    # leading lines the line parser skips, each cut away before the first
+    # block, so the byte kernel reads the records after them
+    LEADING = {
+        "utf8_comment": b"# capture \xe2\x80\x94 seconds, \xc2\xb5s\n",
+        "undecodable_comment": b"# caf\xe9\n",
+        "blank": b"\n",
+        "whitespace_only": b" \t \n",
+        "indented_comment": b"  # seconds bytes\n",
+        "crlf_comment": b"# seconds bytes\r\n",
+    }
+
+    @pytest.mark.parametrize("block", [16, 64, 256])
+    @pytest.mark.parametrize("lead", LEADING)
+    def test_leading_lines_never_reach_the_line_parser(self, tmp_path, monkeypatch, block, lead):
+        self.check(tmp_path, self.LEADING[lead] + b"".join(self.RECORDS), block, monkeypatch, canonical=True)
+
+    @pytest.mark.parametrize("block", [16, 64, 256])
+    def test_a_bad_record_after_every_kind_of_leading_line(self, tmp_path, monkeypatch, block):
+        records = list(self.RECORDS)
+        records[1] = b"00001.250000 0101 # note\n"
+        data = b"".join(self.LEADING.values()) + b"".join(records)
+        self.check(tmp_path, data, block, monkeypatch, canonical=False)
+        with pytest.raises(TraceFormatError) as info:
+            tl.load_trace(io.BytesIO(data))
+        assert str(info.value) == f"line {len(self.LEADING) + 2}: expected 2 fields, got 4"
+
+    @pytest.mark.parametrize("block", [16, 64, 256])
+    def test_a_lone_cr_ends_a_leading_comment(self, tmp_path, monkeypatch, block):
+        # the record after the CR is a line of its own, as the line parser reads it
+        data = b"# a\r0.5 100\n1.0 200\n"
+        self.check(tmp_path, data, block, monkeypatch, canonical=True)
+        assert tl.load_trace(io.BytesIO(data)).sizes.tolist() == [100, 200]
+
+    def test_a_header_with_a_blank_line_longer_than_one_read(self, tmp_path, monkeypatch):
+        data = b"# " + b"h" * 40 + b"\n\n#\t" + b"x" * 25 + b"\n0.5,100\n0.75,200\n"
+        self.check(tmp_path, data, 8, monkeypatch, canonical=True)
 
     def test_a_canonical_load_keeps_no_byte_it_has_parsed(self, tmp_path, monkeypatch, pool_size):
         # 10**6 records of 22 bytes: the file is 20 MiB and its columns
