@@ -241,6 +241,16 @@ COMMANDS = [
     ("diverge_pooled", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.5", "--xmax", "1000",
                         "--sizes", "1,65536,65537,200001", "--reps", "5", "--seed", "8",
                         "--out-prefix", "diverge_pooled"]),
+    # the largest lambda below 1: each silence exceeds its burst's rise by
+    # one ulp of m in the ratio, the least the reordered model allows, over
+    # prefixes that cross a 65536-cycle run
+    ("diverge_boundary", ["cli", "diverge", "--alpha", "1.5", "--m", "2", "--lambda", "0.9999999999999999",
+                          "--sizes", "100,65537,200000", "--reps", "2", "--seed", "9",
+                          "--out-prefix", "diverge_boundary"]),
+    # tail index 1.05 capped at 1000: many bursts at the cap, over several runs
+    ("diverge_heavy_capped", ["cli", "diverge", "--alpha", "1.05", "--m", "2", "--lambda", "0.5", "--xmax", "1000",
+                              "--sizes", "1000,65537,300000", "--reps", "2", "--seed", "10",
+                              "--out-prefix", "diverge_heavy_capped"]),
     ("divergence", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",
                     "--seed", "1", "--out", "divergence"]),
     ("divergence_capped", ["divergence_experiment.py", "--sizes", "100", "1000", "10000", "--reps", "3",

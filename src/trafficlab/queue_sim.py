@@ -200,9 +200,37 @@ def _fluid_slices(process: FluidOnOffProcess):
     reused by the next run, and so are the silences of a process that
     computes them a run at a time (reorder_nonoverlap's), whose fourth
     buffer this loop then holds.
+
+    A process whose silences are each at least as long as their burst's
+    rise, as its _drains_each_cycle tells from its scalars, takes its
+    levels in closed form with the scan's bits: every run starts at 0,
+    every end level is 0, and peak = drain = rise. The lemma: with
+    r = fl(on * fl(m - 1)) and off = fl(on * ratio), ratio >= fl(m - 1)
+    and monotone rounding give off >= r, so every w = fl(r - off) is
+    <= 0 (and never -0.0). A running sum of such terms never rises, as
+    fl(a + b) <= a when b <= 0, so its running minimum is itself and at
+    most 0, and qe = wk - low is exactly 0 while wk is finite; then
+    qp = 0 + r = r and drain = min(off, r) = r. reorder_nonoverlap's
+    ratio = fl(m/lam - 1) always qualifies: lam < 1 gives fl(m/lam) >= m,
+    so fl(m/lam) - 1 >= m - 1 exactly. The one gap: the scan refuses a
+    run whose running sum passes the largest float (its levels turn nan)
+    even where the exact horizon is finite, as at lam = 1.5 * 2**-512
+    with one silence near the largest float. _drains_each_cycle bounds
+    the silences' total so that this cannot happen, and leaves a process
+    past the bound to the scan, which keeps the refusal. Every other
+    process, its silences held as an array, takes the scan.
     """
     m = process.m
-    rise, w, q_end = (np.empty(min(process.n_cycles, _CHUNK)) for _ in range(3))
+    size = min(process.n_cycles, _CHUNK)
+    if process._drains_each_cycle():
+        rise, q_end = np.empty(size), np.empty(size)
+        for on, off in process._slices(_CHUNK):
+            k = len(on)
+            r = np.multiply(on, m - 1.0, out=rise[:k])
+            q_end[:k] = 0.0  # each run: the caller may write over the last run's
+            yield on, off, 0.0, r, r, q_end[:k]
+        return
+    rise, w, q_end = (np.empty(size) for _ in range(3))
     # the carries; adding the first w_last, 0.0, changes no bit of w, which
     # is never -0.0
     w_last, w_min, level = 0.0, math.inf, 0.0
@@ -244,14 +272,17 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     One loop (_fluid_slices) runs over runs of at most _CHUNK cycles,
     which the exact sums need to be at most 2**16, and carries only
     scalars across: the cumulative rise minus off w, its running
-    minimum, and the previous cycle's end level. Each run's on, off and
-    area terms are extracted as they are made (_extract), into one list
-    per sum that math.fsum rounds once. A process of reorder_nonoverlap
-    is read a run at a time, its silences computed into a buffer, so
-    the pass builds no off_lengths: it holds five _CHUNK-cycle buffers
-    and no array as long as the process. Cycles so long that the horizon
-    or the area is not a finite float are a ValueError, as in
-    packet_fifo.
+    minimum, and the previous cycle's end level. A process whose every
+    silence lasts at least its burst's rise, as reorder_nonoverlap's does,
+    scans nothing: each of its cycles starts and ends empty, and the
+    loop gives those levels in closed form, with the same bits. Each
+    run's on, off and area terms are extracted as they are made
+    (_extract), into one list per sum that math.fsum rounds once. A
+    process of reorder_nonoverlap is read a run at a time, its silences
+    computed into a buffer, so the pass builds no off_lengths: it holds
+    four _CHUNK-cycle buffers (five where its levels are scanned) and no
+    array as long as the process. Cycles so long that the horizon or the
+    area is not a finite float are a ValueError, as in packet_fifo.
     """
     buf = np.empty(min(process.n_cycles, _CHUNK))
     on_sum, off_sum, on_area, off_area = [], [], [], []
