@@ -190,47 +190,47 @@ def _fsum(x) -> float:
 
 
 def _fluid_slices(process: FluidOnOffProcess):
-    """The cycle levels of process, one run of process._slices(_CHUNK),
-    at most _CHUNK cycles, at a time, each scan carried from run to run
-    in scalars.
+    """The cycles of process, one run of process._slices(_CHUNK), at most
+    _CHUNK cycles, at a time: yields (on, off, on_area, off_area), their
+    on and off lengths and the queue's area over each cycle's on and off
+    period. The areas are buffers that the next run reuses and the
+    caller may overwrite; so are the silences of a process that computes
+    them a run at a time (reorder_nonoverlap's).
 
-    Yields (on, off, before, q_peak, drain, q_end) for the next cycles:
-    their on and off lengths, the level the run starts at, and each
-    cycle's peak level, drain time and end level. The levels are buffers
-    reused by the next run, and so are the silences of a process that
-    computes them a run at a time (reorder_nonoverlap's), whose fourth
-    buffer this loop then holds.
-
-    A process whose silences are each at least as long as their burst's
-    rise, as its _drains_each_cycle tells from its scalars, takes its
-    levels in closed form with the scan's bits: every run starts at 0,
-    every end level is 0, and peak = drain = rise. The lemma: with
-    r = fl(on * fl(m - 1)) and off = fl(on * ratio), ratio >= fl(m - 1)
-    and monotone rounding give off >= r, so every w = fl(r - off) is
-    <= 0 (and never -0.0). A running sum of such terms never rises, as
-    fl(a + b) <= a when b <= 0, so its running minimum is itself and at
-    most 0, and qe = wk - low is exactly 0 while wk is finite; then
-    qp = 0 + r = r and drain = min(off, r) = r. reorder_nonoverlap's
-    ratio = fl(m/lam - 1) always qualifies: lam < 1 gives fl(m/lam) >= m,
-    so fl(m/lam) - 1 >= m - 1 exactly. The one gap: the scan refuses a
-    run whose running sum passes the largest float (its levels turn nan)
-    even where the exact horizon is finite, as at lam = 1.5 * 2**-512
-    with one silence near the largest float. _drains_each_cycle bounds
-    the silences' total so that this cannot happen, and leaves a process
-    past the bound to the scan, which keeps the refusal. Every other
-    process, its silences held as an array, takes the scan.
+    With q_start and q_peak the levels a cycle starts and peaks at, and
+    drain the time the queue stays positive while off, the on area is
+    (0.5 * (q_start + q_peak)) * on and the off area
+    drain * (q_peak - 0.5 * drain). The scan finds the levels, carrying
+    them from cycle to cycle. A process whose every cycle starts and ends
+    empty (its _drains_each_cycle) takes the areas in closed form instead,
+    with r = on * (m - 1): the on areas (r * 0.5) * on and the off areas
+    r * (r - r * 0.5), the same operations at q_start = 0 and
+    q_peak = drain = r. reorder_nonoverlap's process is one: lam < 1
+    gives fl(m/lam) >= m, so its ratio fl(m/lam) - 1 >= m - 1 exactly,
+    and monotone rounding gives off = fl(on * ratio) >= r. The scan
+    would find the same levels, so the same bits, wherever its running
+    sum is finite: every w = fl(r - off) is <= 0, so the running sum
+    never rises, its running minimum is itself, and qe = wk - low = 0.
+    The closed form forms no running sum, so where that sum would pass
+    the largest float and the scan's levels turn nan, it still returns
+    the run. Every other process, its silences held as an array, is
+    scanned.
     """
     m = process.m
     size = min(process.n_cycles, _CHUNK)
-    if process._drains_each_cycle():
-        rise, q_end = np.empty(size), np.empty(size)
+    if process._drains_each_cycle:
+        rise, off_area = np.empty(size), np.empty(size)
         for on, off in process._slices(_CHUNK):
             k = len(on)
             r = np.multiply(on, m - 1.0, out=rise[:k])
-            q_end[:k] = 0.0  # each run: the caller may write over the last run's
-            yield on, off, 0.0, r, r, q_end[:k]
+            y = np.multiply(r, 0.5, out=off_area[:k])
+            np.subtract(r, y, out=y)
+            y *= r
+            r *= 0.5
+            r *= on  # the rise's buffer becomes the on areas
+            yield on, off, r, y
         return
-    rise, w, q_end = (np.empty(size) for _ in range(3))
+    rise, w, q_end, on_area = (np.empty(size) for _ in range(4))
     # the carries; adding the first w_last, 0.0, changes no bit of w, which
     # is never -0.0
     w_last, w_min, level = 0.0, math.inf, 0.0
@@ -256,9 +256,17 @@ def _fluid_slices(process: FluidOnOffProcess):
         qp = low
         qp[0] = level + r[0]
         np.add(qe[:-1], r[1:], out=qp[1:])
-        drain = np.minimum(off, qp, out=r)  # time the queue stays positive while off
-        before, level = level, qe[-1]
-        yield on, off, before, qp, drain, qe
+        drain = np.minimum(off, qp, out=r)
+        x = on_area[:k]
+        x[0] = level + qp[0]
+        np.add(qe[:-1], qp[1:], out=x[1:])
+        x *= 0.5
+        x *= on
+        level = qe[-1]
+        y = np.multiply(drain, 0.5, out=qe)  # the end levels' buffer becomes the off areas
+        np.subtract(qp, y, out=y)
+        y *= drain
+        yield on, off, x, y
 
 
 def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
@@ -269,44 +277,30 @@ def fluid_queue(process: FluidOnOffProcess) -> QueueRun:
     off areas of the cycles are each summed exactly and rounded once,
     so summing adds no rounding beyond that of each cycle's terms.
 
-    One loop (_fluid_slices) runs over runs of at most _CHUNK cycles,
-    which the exact sums need to be at most 2**16, and carries only
-    scalars across: the cumulative rise minus off w, its running
-    minimum, and the previous cycle's end level. A process whose every
-    silence lasts at least its burst's rise, as reorder_nonoverlap's does,
-    scans nothing: each of its cycles starts and ends empty, and the
-    loop gives those levels in closed form, with the same bits. Each
-    run's on, off and area terms are extracted as they are made
-    (_extract), into one list per sum that math.fsum rounds once. A
-    process of reorder_nonoverlap is read a run at a time, its silences
-    computed into a buffer, so the pass builds no off_lengths: it holds
-    four _CHUNK-cycle buffers (five where its levels are scanned) and no
-    array as long as the process. Cycles so long that the horizon or the
-    area is not a finite float are a ValueError, as in packet_fifo.
+    One loop (_fluid_slices) gives the areas of runs of at most _CHUNK
+    cycles, which the exact sums need to be at most 2**16, carrying only
+    scalars across; reorder_nonoverlap's process, whose every cycle
+    starts and ends empty, takes them in closed form. Each run's on, off
+    and area terms are extracted as they are made (_extract), into one
+    list per sum that math.fsum rounds once. A process of
+    reorder_nonoverlap is read a run at a time, its silences computed
+    into a buffer, so the pass builds no off_lengths: it holds four
+    _CHUNK-cycle buffers and no array as long as the process; a scanned
+    run holds five. Cycles so long that the horizon or the area is not a
+    finite float are a ValueError, as in packet_fifo.
     """
-    buf = np.empty(min(process.n_cycles, _CHUNK))
-    on_sum, off_sum, on_area, off_area = [], [], [], []
+    q = np.empty(min(process.n_cycles, _CHUNK))
+    on_sum, off_sum, on_areas, off_areas = [], [], [], []
     # a level or an area past the largest float is the error below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for on, off, before, q_peak, drain, q_end in _fluid_slices(process):
-            # on areas (0.5 * (q_start + q_peak)) * on, then the off areas
-            # drain * (q_peak - 0.5 * drain)
-            x = buf[: len(on)]
-            x[0] = before + q_peak[0]
-            np.add(q_end[:-1], q_peak[1:], out=x[1:])
-            x *= 0.5
-            x *= on
-            q = q_end  # read: from here on the end levels' buffer is _extract's scratch
-            _extract(x, on_area, q, x)
-            np.multiply(drain, 0.5, out=x)
-            np.subtract(q_peak, x, out=x)
-            x *= drain
-            _extract(x, off_area, q, x)
-            _extract(on, on_sum, q, x)
-            _extract(off, off_sum, q, x)
+        for on, off, on_area, off_area in _fluid_slices(process):
+            _extract(on_area, on_areas, q, on_area)
+            _extract(off_area, off_areas, q, off_area)
+            _extract(on, on_sum, q, on_area)  # the extracted areas' buffers are scratch
+            _extract(off, off_sum, q, off_area)
     try:
         horizon = math.fsum(on_sum) + math.fsum(off_sum)
-        area = math.fsum(on_area) + math.fsum(off_area)
+        area = math.fsum(on_areas) + math.fsum(off_areas)
     except OverflowError:  # math.fsum found a total past the largest float
         horizon = area = math.inf
     if not (math.isfinite(horizon) and math.isfinite(area)):

@@ -81,6 +81,10 @@ class FluidOnOffProcess:
     on_lengths: np.ndarray
     off_lengths: np.ndarray
     m: float
+    # whether every cycle starts and ends empty, so that the fluid kernel
+    # takes its areas without scanning its levels (queue_sim._fluid_slices):
+    # never for silences held as an array, as only a pass over them could tell
+    _drains_each_cycle = False
 
     def __post_init__(self):
         on = np.asarray(self.on_lengths, dtype=np.float64)
@@ -117,12 +121,6 @@ class FluidOnOffProcess:
         for lo in range(0, len(on), size):
             yield on[lo : lo + size], off[lo : lo + size]
 
-    def _drains_each_cycle(self) -> bool:
-        """Whether the fluid kernel may take every cycle to start and end
-        empty without scanning its levels (queue_sim._fluid_slices). Never
-        for silences held as an array: only a pass over them could tell."""
-        return False
-
 
 def _extremes(x: np.ndarray) -> tuple[float, float]:
     """The smallest and the largest value of x, nan if x holds one."""
@@ -153,11 +151,13 @@ class _Reordered(FluidOnOffProcess):
     it is read, as the product on * ratio that an eager silence array
     holds, so its bits are the same: a run at a time in _slices, and
     the whole off_lengths array, frozen, only when something reads it.
-    longest bounds the bursts: the longest of the process this one is a
-    prefix of."""
+    Every silence is at least its burst's rise, on * (m - 1), so every
+    cycle drains within itself (queue_sim._fluid_slices)."""
 
-    def __init__(self, on_lengths: np.ndarray, ratio: float, m: float, longest: float):
-        self.on_lengths, self._ratio, self.m, self._longest = on_lengths, ratio, m, longest
+    _drains_each_cycle = True
+
+    def __init__(self, on_lengths: np.ndarray, ratio: float, m: float):
+        self.on_lengths, self._ratio, self.m = on_lengths, ratio, m
 
     @cached_property
     def off_lengths(self) -> np.ndarray:
@@ -166,7 +166,7 @@ class _Reordered(FluidOnOffProcess):
         return off
 
     def _head(self, n_cycles: int) -> "FluidOnOffProcess":
-        return _Reordered(self.on_lengths[:n_cycles], self._ratio, self.m, self._longest)
+        return _Reordered(self.on_lengths[:n_cycles], self._ratio, self.m)
 
     def _slices(self, size: int):
         on, ratio = self.on_lengths, self._ratio
@@ -174,17 +174,6 @@ class _Reordered(FluidOnOffProcess):
         for lo in range(0, len(on), size):
             x = on[lo : lo + size]
             yield x, np.multiply(x, ratio, out=buf[: len(x)])
-
-    def _drains_each_cycle(self) -> bool:
-        """True when every silence is at least its burst's rise, as a ratio
-        m/lam - 1 >= m - 1 makes it, and the level scan's running sum
-        cannot pass the largest float: its n terms are each at most a
-        silence, at most longest * ratio, and its rounding grows their
-        total by a factor under (1 + 2**-53)**n < 2, so under 2**1023 here.
-        The bound is computed in Python floats, whose products pass the
-        largest float as inf without a numpy warning."""
-        ratio = float(self._ratio)
-        return ratio >= self.m - 1.0 and len(self.on_lengths) * (self._longest * ratio) < 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,7 @@ def reorder_nonoverlap(on_lengths, m: float, lam: float) -> FluidOnOffProcess:
     with np.errstate(over="ignore", invalid="ignore"):
         _check_cycles(m, on.shape, on.shape, (shortest, longest), (shortest * ratio, longest * ratio))
     on.setflags(write=False)
-    return _Reordered(on, ratio, m, float(longest))
+    return _Reordered(on, ratio, m)
 
 
 def _bounded_offs(on: np.ndarray, m: float, q: float) -> np.ndarray:

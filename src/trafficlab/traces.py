@@ -689,14 +689,20 @@ def bandwidth_for_utilization(trace: PacketTrace, rho: float) -> float:
     """Service rate (bytes/s) that would carry the trace at load rho.
 
     Load here is offered work per unit time over the arrival span:
-    b = total_bytes / (duration * rho).
+    b = total_bytes / (duration * rho). A rho so small that b passes the
+    largest float, or that duration * rho is 0, is a ValueError naming it.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
     dur = trace.duration
     if dur <= 0:
         raise ValueError("trace duration is zero; utilization target undefined")
-    return trace.total_bytes / (dur * rho)
+    span = dur * rho  # 0 where it underflows
+    bandwidth = trace.total_bytes / span if span else np.inf
+    if not bandwidth < np.inf:
+        raise ValueError(f"rho {rho!r} is too small for this trace: the bandwidth "
+                         f"total_bytes / (duration * rho) is past the largest float")
+    return bandwidth
 
 
 def window(trace: PacketTrace, start_index: int, count: int) -> PacketTrace:

@@ -744,6 +744,24 @@ class TestOverflowingInputs:
         assert os.listdir() == []
 
 
+    @pytest.mark.parametrize("argv", [
+        ["queue", "t.txt", "-o", "q.csv"],
+        ["sweep-blocks", "--trace", "t.txt", "--blocks", "1", "--reps", "1", "--seed", "1", "--out-prefix", "s"],
+        ["report", "t.txt", "--seed", "1", "--out-prefix", "r"],
+    ], ids=["queue", "sweep-blocks", "report"])
+    @pytest.mark.parametrize("span, rho", [(1e-300, "1e-30"), (1.0, "1e-320")], ids=["span-underflows", "inf-bandwidth"])
+    def test_a_rho_too_small_for_the_trace_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv, span, rho):
+        # duration * rho underflows to 0, or total_bytes over it passes the largest float
+        monkeypatch.chdir(tmp_path)
+        Path("t.txt").write_text(f"0 100\n{span!r} 100\n{2 * span!r} 100\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(*argv, "--rho", rho)
+        assert (rc, capsys.readouterr().err) == (1, f"error: rho {float(rho)!r} is too small for this trace: the "
+                                                    "bandwidth total_bytes / (duration * rho) is past the largest float\n")
+        assert os.listdir() == ["t.txt"]
+
+
 class TestHurstCommand:
     def test_writes_estimate(self, tmp_path, capsys):
         trace_path = tmp_path / "p.csv"

@@ -582,7 +582,7 @@ class TestReorderedRuns:
         on = tl.sample_heavy_tail(tl.HeavyTailSpec(1.5, 1.0), 1.0 - np.random.default_rng(n).random(n))
         eager = tl.FluidOnOffProcess(on, on * (m / lam - 1.0), m)
         lazy = tl.reorder_nonoverlap(on, m, lam)
-        assert lazy._drains_each_cycle() and not eager._drains_each_cycle()
+        assert lazy._drains_each_cycle and not eager._drains_each_cycle
         cuts = sorted({k for k in (1, 2, 2**16 - 1, 2**16, 2**16 + 1, n - 1, n) if 1 <= k <= n})
         assert_prefix_runs_are_equal(lazy, eager, cuts)
         assert "off_lengths" not in vars(lazy)  # no pass built the silences
@@ -599,7 +599,7 @@ class TestReorderedRuns:
         u = 1.0 - np.random.default_rng(round(100 * alpha)).random(n)
         on = tl.sample_heavy_tail(tl.HeavyTailSpec(alpha, 1.0, x_max), u)
         lazy, eager = tl.reorder_nonoverlap(on, m, lam), tl.FluidOnOffProcess(on, on * (m / lam - 1.0), m)
-        assert lazy._drains_each_cycle() and not eager._drains_each_cycle()
+        assert lazy._drains_each_cycle and not eager._drains_each_cycle
         assert_prefix_runs_are_equal(lazy, eager, [1, 100, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3, n])
 
     @pytest.mark.parametrize("m", [np.nextafter(1.0, 2.0), 2.0, 3.0])
@@ -608,10 +608,10 @@ class TestReorderedRuns:
         # equals its rise, so every term of the scan's running sum is 0
         n = 2**16 + 7
         on = tl.sample_heavy_tail(tl.HeavyTailSpec(1.2, 1.0), 1.0 - np.random.default_rng(42).random(n))
-        lazy = synth._Reordered(on, m - 1.0, m, float(on.max()))
+        lazy = synth._Reordered(on, m - 1.0, m)
         eager = tl.FluidOnOffProcess(on, on * (m - 1.0), m)
         assert np.array_equal(lazy.off_lengths, on * (m - 1.0))
-        assert lazy._drains_each_cycle()
+        assert lazy._drains_each_cycle
         assert_prefix_runs_are_equal(lazy, eager, [1, 2**16, n])
 
     @given(on=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=60), m=ms,
@@ -623,24 +623,27 @@ class TestReorderedRuns:
         assert_runs_are(lambda: tl.fluid_queue(tl.reorder_nonoverlap(x, m, lam)),
                         fluid_formulas(x, x * (m / lam - 1.0), m))
 
-    def test_a_running_sum_past_the_largest_float_keeps_the_scans_refusal(self):
+    def test_a_running_sum_past_the_largest_float_refuses_only_the_scan(self):
         # one silence 48 units (ulps, 2**971) under 2**1024, then 64 of
         # just over half a unit: their exact total stays 16 units under,
         # so the horizon is finite, but each step of the scan's running sum
         # rounds up a whole unit, and the sum passes the largest float. The
-        # closed form would return a finite run; the silences' bound sends
-        # the process to the scan
+        # eager process's scan refuses the run. The closed form forms no
+        # running sum: its mean is m (m-1) sum X^2 / 2 / sum (X + O) within
+        # 7 u, u = 2**-53. The bound: m - 1 = 1/2 and the ratio 2**512 make
+        # the rises, their halves and the silences exact, so each area term
+        # rounds once; the four sums round once each, their two additions
+        # once each, and the division once: (1 + u)**4 / (1 - u)**2 < 1 + 7 u
         m, lam = 1.5, 1.5 * 2.0**-512
         assert m / lam - 1.0 == 2.0**512
         off = np.array([float(2**1024 - 48 * 2**971)] + [2.0**970 * (1.0 + 2.0**-52)] * 64)
-        lazy = tl.reorder_nonoverlap(off / 2.0**512, m, lam)
-        assert not lazy._drains_each_cycle()
-        for proc in (lazy, tl.FluidOnOffProcess(off / 2.0**512, off, m)):
-            with pytest.raises(ValueError, match="^the cycles are too long"):
-                tl.fluid_queue(proc)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(type(lazy), "_drains_each_cycle", lambda self: True)
-            assert math.isfinite(tl.fluid_queue(lazy).mean_queue)
+        on = off / 2.0**512
+        with pytest.raises(ValueError, match="^the cycles are too long"):
+            tl.fluid_queue(tl.FluidOnOffProcess(on, off, m))
+        mean = tl.fluid_queue(tl.reorder_nonoverlap(on, m, lam)).mean_queue
+        x, o = [list(map(Fraction, a.tolist())) for a in (on, off)]
+        exact = Fraction(m) * (Fraction(m) - 1) / 2 * sum(v * v for v in x) / (sum(x) + sum(o))
+        assert abs(Fraction(mean) - exact) <= 7 * Fraction(2) ** -53 * exact
 
     def test_prefix_means_are_those_of_the_eager_process(self):
         on = tl.sample_heavy_tail(tl.HeavyTailSpec(1.5, 1.0, 1000.0), 1.0 - np.random.default_rng(3).random(70_000))
@@ -648,6 +651,14 @@ class TestReorderedRuns:
         eager = tl.FluidOnOffProcess(on, on * 3.0, 2.0)
         got = prefix_mean_queue(tl.reorder_nonoverlap(on, 2.0, 0.5), sizes)
         assert [(k, bits(x)) for k, x in got] == [(k, bits(x)) for k, x in prefix_mean_queue(eager, sizes)]
+
+
+def capped_second_moment(tail):
+    """E[X^2] of sample_heavy_tail's draw of the capped tail: with
+    P[X > x] = (x_min/x)**a, x_min^2 plus the integral of 2 x P[X > x]
+    from x_min to x_max."""
+    a, x_min, x_max = tail.tail_index, tail.x_min, tail.x_max
+    return x_min**2 + 2.0 * x_min**a * (x_max ** (2.0 - a) - x_min ** (2.0 - a)) / (2.0 - a)
 
 
 def pollaczek_khinchine_mean(spec):
@@ -661,23 +672,23 @@ def pollaczek_khinchine_mean(spec):
     E[W] = nu (m-1)^2 E[X^2] / (2 (1 - rho)), rho = nu (m-1) E[X]. A cycle
     adds W X + (m-1) X^2 / 2 while on, and U/nu - (1 - e^(-nu U))/nu^2
     while off from the level U = W + (m-1) X, with E[e^(-nu U)] = 1 - rho.
-    E[X^2] of the capped draw is x_min^2 plus the integral of
-    2 x P[X > x] from x_min to x_max."""
-    a, x_min, x_max, m = spec.tail.tail_index, spec.tail.x_min, spec.tail.x_max, spec.m
-    mean = spec.tail.mean
-    square = x_min**2 + 2.0 * x_min**a * (x_max ** (2.0 - a) - x_min ** (2.0 - a)) / (2.0 - a)
+    E[X^2] is capped_second_moment(spec.tail)."""
+    m, mean, square = spec.m, spec.tail.mean, capped_second_moment(spec.tail)
     silence = mean * (m / spec.lambda_target - 1.0)
     rho = (m - 1.0) * mean / silence
     wait = (m - 1.0) ** 2 * square / (2.0 * silence * (1.0 - rho))
     return wait + (m - 1.0) * square / (2.0 * (mean + silence))
 
 
+# (alpha, x_max, m, lam) of the capped iid recipes the oracle checks, x_min = 1
+PK_RECIPES = [(1.5, 100.0, 2.0, 0.5), (1.2, 100.0, 3.0, 0.7), (1.8, 1000.0, 1.5, 0.8)]
+
+
 class TestPollaczekKhinchine:
     """An oracle of the level scan: the iid model's silences are drawn
     apart from its bursts, so its levels are always scanned."""
 
-    @pytest.mark.parametrize("alpha, x_max, m, lam", [
-        (1.5, 100.0, 2.0, 0.5), (1.2, 100.0, 3.0, 0.7), (1.8, 1000.0, 1.5, 0.8)])
+    @pytest.mark.parametrize("alpha, x_max, m, lam", PK_RECIPES)
     def test_the_capped_iid_mean_is_the_pollaczek_khinchine_mean(self, alpha, x_max, m, lam):
         # 40 seeds of 10^5 cycles. Tolerance: 4 standard errors of their
         # mean, from the spread over the seeds. Over 12 other sets of 40
@@ -688,11 +699,55 @@ class TestPollaczekKhinchine:
         means = []
         for seed in range(41000, 41040):
             process = tl.generate_onoff(spec, np.random.default_rng(seed))
-            assert not process._drains_each_cycle()
+            assert not process._drains_each_cycle
             means.append(tl.fluid_queue(process).mean_queue)
         means = np.array(means)
         error = means.std(ddof=1) / math.sqrt(len(means))
         assert abs(means.mean() - pollaczek_khinchine_mean(spec)) <= 4.0 * error
+
+    @pytest.mark.parametrize("alpha, x_max", [(a, x_max) for a, x_max, _, _ in PK_RECIPES])
+    def test_the_capped_second_moment_is_the_mean_square_of_the_draws(self, alpha, x_max):
+        # 10^7 draws, 10^6 at a time. Tolerance: 4 standard errors of the
+        # mean square, from the draws' own spread of X^2; the float sums'
+        # rounding is some 10^-13 of the mean square, far under one error
+        tail = tl.HeavyTailSpec(alpha, 1.0, x_max)
+        rng, n, square, fourth = np.random.default_rng(43), 10**7, 0.0, 0.0
+        for _ in range(n // 10**6):
+            x = tl.sample_heavy_tail(tail, 1.0 - rng.random(10**6))
+            x *= x
+            square += float(x.sum()) / n
+            x *= x
+            fourth += float(x.sum()) / n
+        error = math.sqrt((fourth - square * square) / (n - 1))
+        assert abs(square - capped_second_moment(tail)) <= 4.0 * error
+
+
+class TestBoundedModel:
+    """An exact oracle of the level scan: the bounded model's silences are
+    each at least their burst's rise, so every cycle drains within itself
+    and adds the triangle m (m-1) X^2 / 2, but the silences are held as an
+    array, so its levels are scanned."""
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_the_mean_is_the_triangles_over_the_horizon_and_at_most_q(self, alpha):
+        # 3 * 2**16 + 5 cycles, so the scan carries its sums across slices.
+        # Bound: 9 u, u = 2**-53. m - 1 = fl(m) - 1 is exact, so the rise r
+        # rounds once, r * 0.5 and r - r * 0.5 are exact, and the on area
+        # (r * 0.5) * X and the off area r * (r - r * 0.5) carry at most
+        # (1 + u)**3; since off >= r the scan's running sum never rises,
+        # so every level it finds is exactly 0. The four sums, their two
+        # additions and the division round once each: (1 + u)**6 / (1 - u)**2
+        m, q, n = 1.7, 2.0, 3 * 2**16 + 5
+        spec = tl.GeneratorSpec(m, tl.HeavyTailSpec(alpha, 1.0), n, off_model="bounded_q", q=q)
+        process = tl.generate_onoff(spec, np.random.default_rng(round(100 * alpha)))
+        assert not process._drains_each_cycle
+        mean = tl.fluid_queue(process).mean_queue
+        # bursts of at least 1 and silences of at least m - 1 are whole
+        # numbers of 2**-53, so Python integers sum them exactly
+        x, o = ([int(v) for v in (a * 2.0**53).tolist()] for a in (process.on_lengths, process.off_lengths))
+        exact = Fraction(m) * (Fraction(m) - 1) / 2 * Fraction(sum(v * v for v in x), 2**53 * (sum(x) + sum(o)))
+        assert abs(Fraction(mean) - exact) <= 9 * Fraction(2) ** -53 * exact
+        assert exact <= q and mean <= q
 
 
 class TestQueueRun:
@@ -824,7 +879,7 @@ class TestQueueRun:
             # model's the scan: both routes keep the bounds
             reordered = tl.reorder_nonoverlap(1.0 + rng.pareto(1.5, n), 2.0, 0.5)
             iid = tl.generate_onoff(tl.GeneratorSpec(2.0, tl.HeavyTailSpec(1.5, 1.0), n, 0.5), rng)
-            assert reordered._drains_each_cycle() and not iid._drains_each_cycle()
+            assert reordered._drains_each_cycle and not iid._drains_each_cycle
             makers, loop = [lambda: tl.fluid_queue(reordered), lambda: tl.fluid_queue(iid)], "_fluid_slices"
         passes = []
         slices = getattr(queue_sim, loop)

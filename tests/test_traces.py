@@ -1233,6 +1233,12 @@ class TestBandwidthForUtilization:
         with pytest.raises(ValueError):
             tl.bandwidth_for_utilization(make([0.0], [100]), 0.5)
 
+    @pytest.mark.parametrize("times, rho", [([0.0, 1e-300], 1e-30), ([0.0, 1.0], 1e-320), ([0.0, 1.0], 5e-324)])
+    def test_a_bandwidth_past_the_largest_float_names_rho(self, times, rho):
+        # duration * rho underflows to 0, or total_bytes over it passes the largest float
+        with pytest.raises(ValueError, match=f"^rho {rho!r} is too small for this trace"):
+            tl.bandwidth_for_utilization(make(times, [100, 100]), rho)
+
     @given(rho=st.floats(0.01, 1.0))
     def test_served_at_derived_rate_offered_load_is_rho(self, rho):
         # offered work per second over the span equals rho by definition
