@@ -91,13 +91,20 @@ NOTED_TRACE = "# seconds bytes\n" + "".join(
 HEADED_TRACE = "# capture \u2014 seconds, \u00b5s\n\n  # comment\n# crlf\r\n" + "".join(
     f"{0.0029 * i + 0.0003 * (i % 7):.6f} {64 + 71 * i % 1455}\n" for i in range(100000))
 
+# a Bellcore-style `%.6f bytes` trace of 100000 records with 17-digit
+# sizes, about 2.7 MiB: more than two of the byte kernel's 1 MiB blocks,
+# each of which it refuses, so the line parser reads every one; the
+# sizes sum past 2**63
+LONG_SIZES_TRACE = "".join(f"{0.0031 * i:.6f} {10**16 + 7919 * i}\n" for i in range(100000))
+
 # (name, argv): argv starts with "cli" for `python -m trafficlab.cli`
 # or with a script under scripts/; inputs come from the gen commands
 # and from text.txt, kernel.txt, kernel_long.txt, huge.txt, loose.txt,
-# ties.txt, unterminated.csv, noted.txt, headed.txt and mixed.txt:
-# TEXT_TRACE, KERNEL_TRACE, KERNEL_LONG_TRACE, HUGE_TRACE, LOOSE_TRACE,
-# TIES_TRACE, UNTERMINATED_TRACE, NOTED_TRACE, HEADED_TRACE and a CSV
-# trace whose third record is whitespace separated
+# ties.txt, unterminated.csv, noted.txt, headed.txt, long_sizes.txt and
+# mixed.txt: TEXT_TRACE, KERNEL_TRACE, KERNEL_LONG_TRACE, HUGE_TRACE,
+# LOOSE_TRACE, TIES_TRACE, UNTERMINATED_TRACE, NOTED_TRACE,
+# HEADED_TRACE, LONG_SIZES_TRACE and a CSV trace whose third record is
+# whitespace separated
 COMMANDS = [
     ("gen_onoff", ["cli", "gen", *ONOFF, "--cycles", "300", "--seed", "7", "-o", "onoff.csv"]),
     ("gen_poisson", ["cli", "gen", "--model", "poisson", "--rate", "200", "--packet-size", "500",
@@ -201,6 +208,13 @@ COMMANDS = [
     # and one busy period across both slices of the path's merge
     ("queue_ties_path", ["cli", "queue", "ties.txt", "--bandwidth", "4000", "--path-out", "ties_path.csv",
                          "-o", "queue_ties.csv"]),
+    # total_bytes past 2**63 takes the exact sum
+    ("summarize_long_sizes", ["cli", "summarize", "long_sizes.txt", "-o", "summary_long_sizes.csv"]),
+    ("queue_long_sizes_path", ["cli", "queue", "long_sizes.txt", "--rho", "0.7",
+                               "--path-out", "long_sizes_path.csv", "-o", "queue_long_sizes.csv"]),
+    # writes 17-digit %d cells
+    ("shuffle_long_sizes", ["cli", "shuffle", "long_sizes.txt", "--block-size", "100", "--seed", "3",
+                            "-o", "long_sizes_shuffled.csv"]),
     ("summarize_kernel", ["cli", "summarize", "kernel.txt", "-o", "summary_kernel.csv"]),
     ("queue_kernel_path", ["cli", "queue", "kernel.txt", "--rho", "0.7", "--path-out", "kernel_path.csv",
                            "-o", "queue_kernel.csv"]),
@@ -277,6 +291,7 @@ def run_commands(scripts: Path) -> None:
     Path("unterminated.csv").write_text(UNTERMINATED_TRACE)
     Path("noted.txt").write_text(NOTED_TRACE)
     Path("headed.txt").write_bytes(HEADED_TRACE.encode())
+    Path("long_sizes.txt").write_text(LONG_SIZES_TRACE)
     Path("mixed.txt").write_text("0.5,100\n1.0,200\n1.5 300\n")
     for name, (head, *argv) in COMMANDS:
         run = cli.main if head == "cli" else runpy.run_path(str(scripts / head))["main"]

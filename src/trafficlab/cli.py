@@ -395,7 +395,7 @@ def cmd_report(args) -> int:
 def cmd_tailfit(args) -> int:
     trace, inputs = _load(args.trace)
     if args.field == "gaps":
-        samples = trace.gaps[1:]
+        samples = np.diff(trace.timestamps)
         samples = samples[samples > 0]
     else:
         samples = trace.sizes.astype(np.float64)

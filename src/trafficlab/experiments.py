@@ -235,12 +235,11 @@ class _BlockShuffled(PacketTrace):
     def _slices(self, size: int):
         """The runs of PacketTrace._slices. A run's source timestamps are
         gathered by whole blocks into a buffer, its gaps computed from
-        them as ts[i] - ts[i-1], the bits of PacketTrace.gaps, with 0.0
-        for the trace's first packet, and its timestamps summed from the
-        gaps into the same buffer. Its sizes are gathered into another
-        buffer, or read as a slice when the source stores them once
-        (np.take would first copy such a column whole). The buffers are
-        reused by the next run."""
+        them as ts[i] - ts[i-1], with 0.0 for the trace's first packet,
+        and its timestamps summed from the gaps into the same buffer.
+        Its sizes are gathered into another buffer, or read as a slice
+        when the source stores them once (np.take would first copy such
+        a column whole). The buffers are reused by the next run."""
         ts, sizes = self._source.timestamps, self._source.sizes
         n, b, order = len(ts), self._b, self._order
         full = n // b
@@ -330,8 +329,8 @@ def block_shuffle(trace: PacketTrace, block_size: int, rng: np.random.Generator)
     same order and the same generator state after, in half the bytes.
     packet_fifo reads the result in runs of at most 2**16 packets
     (_BlockShuffled._slices). A run gathers whole blocks of the trace's
-    timestamps into a buffer and computes their gaps, the bits of
-    PacketTrace.gaps, from them, with the cumsum carried across runs;
+    timestamps into a buffer and computes their gaps ts[i] - ts[i-1]
+    from them, with the cumsum carried across runs;
     its sizes are gathered into a second buffer, or, when the trace
     stores one size once (a zero-stride column, as packetize's and
     generate_poisson's traces do), read as a slice. A replication so

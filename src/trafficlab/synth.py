@@ -250,25 +250,32 @@ def generate_onoff(spec: GeneratorSpec, rng: np.random.Generator) -> FluidOnOffP
     on/off cycles, for packet traces and fluid sweeps alike. The bursts,
     sample_heavy_tail of 1 - rng.random(n), are drawn into the uniforms'
     buffer. theorem_reordered gives reorder_nonoverlap's process of the
-    bursts, which holds its silence rule. Silences of the other two
-    models past the largest float are refused, naming x_min and the
-    silence mean, or q and the longest burst."""
+    bursts, which holds its silence rule. Silences past the largest
+    float are refused, naming the longest burst and the silence ratio
+    m/lam - 1, x_min and the silence mean, or q and the longest burst."""
     u = rng.random(spec.n_cycles)
     on = sample_heavy_tail(spec.tail, np.subtract(1.0, u, out=u), out=u)
-    if spec.off_model == "theorem_reordered":
-        return reorder_nonoverlap(on, spec.m, spec.lambda_target)
-    if spec.off_model == "bounded_q":
-        off = _bounded_offs(on, spec.m, spec.q)
-    else:
-        mean = spec.tail.mean * (spec.m / spec.lambda_target - 1.0)
-        off = rng.exponential(mean, len(on))
     try:
+        if spec.off_model == "theorem_reordered":
+            return reorder_nonoverlap(on, spec.m, spec.lambda_target)
+        if spec.off_model == "bounded_q":
+            off = _bounded_offs(on, spec.m, spec.q)
+        else:
+            mean = spec.tail.mean * (spec.m / spec.lambda_target - 1.0)
+            off = rng.exponential(mean, len(on))
         return FluidOnOffProcess(on, off, spec.m)
     except ValueError:
+        longest = float(on.max())
+        if spec.off_model == "theorem_reordered":
+            ratio = spec.m / spec.lambda_target - 1.0
+            if longest * ratio < np.inf:
+                raise
+            raise ValueError(f"bursts of up to {longest!r} s and the silence ratio m/lam - 1 = {ratio!r} "
+                             "make silences past the largest float") from None
         if np.isfinite(off).all():
             raise
         if spec.off_model == "bounded_q":
-            raise ValueError(f"q {spec.q!r} and bursts of up to {float(on.max())!r} s make "
+            raise ValueError(f"q {spec.q!r} and bursts of up to {longest!r} s make "
                              "bounded silences past the largest float") from None
         raise ValueError(f"x_min {spec.tail.x_min!r} makes the silence mean {mean!r} too large: "
                          f"exponential silences of that mean are drawn past the largest float") from None

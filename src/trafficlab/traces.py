@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 from collections import deque
 from contextlib import closing, suppress
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ _WRITE_CHUNK = 65536
 # below _FIXED_LIMIT, x * _SCALE is under 2**53, so float64 holds the
 # rounded digits as an exact integer
 _FIXED = f"%.{TIMESTAMP_DIGITS}f"
-_FIELDS = re.compile(f"({re.escape(_FIXED)}|%d)")
 _SCALE = 10**TIMESTAMP_DIGITS
 _FIXED_LIMIT = 2.0**53 / _SCALE
 _SPLIT = 2.0**27 + 1  # Veltkamp's constant for float64
@@ -60,12 +58,9 @@ _BLOCK = 1 << 20
 # starts inside the buffer
 _PAD = 16
 _PADDING = b"\0" * _PAD
-# a field of more digits, or a timestamp of more digits in all, is
-# read by Python; so is a timestamp whose digits reach 2**53
+# a timestamp of more digits in a field or in all, or whose digits reach
+# 2**53, is read by float(); a block with a longer size goes to the line parser
 _FIELD_DIGITS = 16
-# a size of more digits goes to the line parser: past int64 it is an
-# error, and int() refuses text of thousands of digits
-_SIZE_DIGITS = len(str(_MAX_SIZE))
 _POW10 = np.array([10**k for k in range(_FIELD_DIGITS + 1)], np.uint64)
 _POW10_FLOAT = _POW10.astype(np.float64)  # exact: 10**k = 5**k * 2**k, 5**k < 2**53
 _ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
@@ -122,12 +117,12 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
 
     The text is exactly that of ``fmt % row`` with each cell a Python
     scalar, so ``%r`` prints a float's repr and never a numpy wrapper.
-    A format made of ``%.9f`` (TIMESTAMP_DIGITS digits) and ``%d``
-    fields between literal text, as save_trace and
-    QueuePath.write_csv use, is laid out digit by digit with numpy, one
-    _WRITE_CHUNK of rows at a time, when every ``%.9f`` cell of the
-    chunk is a float64 in [0, 2**53 / 10**9) with the sign bit clear
-    and every ``%d`` cell is a nonnegative integer of an integer dtype.
+    A format of comma-separated ``%.9f`` (TIMESTAMP_DIGITS digits) and
+    ``%d`` fields, one per column, as save_trace and QueuePath.write_csv
+    use, is laid out digit by digit with numpy, one _WRITE_CHUNK of rows
+    at a time, when every ``%.9f`` cell of the chunk is a float64 in
+    [0, 2**53 / 10**9) with the sign bit clear and every ``%d`` cell is
+    a nonnegative integer of an integer dtype.
     Any other chunk or format, -0.0, nan and inf included, goes through
     Python ``%``. tests/test_traces.py::TestVectorizedWriter checks the
     two byte for byte.
@@ -144,13 +139,12 @@ def write_rows(fh, fmt: str, columns, comments=()) -> None:
     """
     fh.writelines(f"# {c}\n".encode() for c in comments)
     line = fmt + "\n"
-    parts = _FIELDS.split(line)
-    literals, fields = parts[::2], parts[1::2]
-    numpy_layout = len(fields) == len(columns) and not any("%" in s or "\0" in s for s in literals)
+    fields = fmt.split(",")
+    numpy_layout = len(fields) == len(columns) and all(f in (_FIXED, "%d") for f in fields)
 
     def format_chunk(lo):
         chunk = [np.asarray(c[lo : lo + _WRITE_CHUNK]) for c in columns]
-        rows = _format_rows(literals, fields, chunk) if numpy_layout else None
+        rows = _format_rows(fields, chunk) if numpy_layout else None
         if rows is None:
             return "".join(line % row for row in zip(*(c.tolist() for c in chunk))).encode()
         return rows
@@ -187,14 +181,16 @@ def _put_digits(rows: np.ndarray, v: np.ndarray) -> None:
         v = q
 
 
-def _format_rows(literals, fields, columns) -> np.ndarray | None:
-    """The UTF-8 bytes Python ``%`` gives for these rows, as a uint8
-    array, or None when a cell is outside the domain write_rows states.
+def _format_rows(fields, columns) -> np.ndarray | None:
+    """The UTF-8 bytes Python ``%`` gives for these rows in the format
+    ``",".join(fields)``, as a uint8 array, or None when a cell is
+    outside the domain write_rows states.
 
     The rows are laid out in a buffer with one row per character and one
-    column per table row. Integer digits are padded to the widest in the
-    chunk with NUL bytes, which the literals never hold, and the padding
-    is deleted from the joined bytes. Both steps are numpy copies, which
+    column per table row: each field's digits and a comma, the last comma
+    made the line end. Integer digits are padded to the widest in the
+    chunk with NUL bytes, which no field holds, and the padding is
+    deleted from the joined bytes. Both steps are numpy copies, which
     release the GIL, so chunks format side by side on _in_order's pool.
     A ``%.9f`` column whose cells are all whole numbers, as a
     QueuePath's levels are, is laid out as integer digits followed by
@@ -220,11 +216,9 @@ def _format_rows(literals, fields, columns) -> np.ndarray | None:
         whole.append(ip)
     widths = [len(str(v.max())) for v in whole]
     points = sum(1 + TIMESTAMP_DIGITS for f in fractions if f is not None)
-    buf = np.empty((sum(map(len, literals)) + sum(widths) + points, len(columns[0])), np.uint8)
+    buf = np.empty((sum(widths) + points + len(fields), len(columns[0])), np.uint8)
     at = 0
-    for lit, v, width, frac in zip(literals, whole, widths, fractions):
-        buf[at : at + len(lit)] = np.frombuffer(lit.encode(), np.uint8)[:, None]
-        at += len(lit)
+    for v, width, frac in zip(whole, widths, fractions):
         _put_digits(buf[at : at + width], v)
         for j in range(width - 1):  # a leading zero becomes NUL
             np.multiply(buf[at + j], v >= 10 ** (width - 1 - j), out=buf[at + j])
@@ -233,7 +227,9 @@ def _format_rows(literals, fields, columns) -> np.ndarray | None:
             buf[at] = ord(".")
             _put_digits(buf[at + 1 : at + 1 + TIMESTAMP_DIGITS], frac)
             at += 1 + TIMESTAMP_DIGITS
-    buf[at:] = np.frombuffer(literals[-1].encode(), np.uint8)[:, None]
+        buf[at] = ord(",")
+        at += 1
+    buf[-1] = ord("\n")
     text = np.ascontiguousarray(buf.T).reshape(-1)
     return text[text != 0]
 
@@ -349,20 +345,6 @@ class PacketTrace:
         ts, sz = self.timestamps, self.sizes
         for lo in range(0, len(ts), size):
             yield ts[lo : lo + size], sz[lo : lo + size]
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """Interarrival gaps ts[i] - ts[i-1], with a leading 0.0: one per
-        packet, read-only. Computed on each read and never kept, so a
-        trace holds no column besides its timestamps and sizes; a block
-        shuffle computes the same bits from the timestamps a run at a
-        time."""
-        ts = self.timestamps
-        gaps = np.empty(len(ts))
-        gaps[0] = 0.0
-        np.subtract(ts[1:], ts[:-1], out=gaps[1:])
-        gaps.setflags(write=False)
-        return gaps
 
     @property
     def packet_count(self) -> int:
@@ -489,8 +471,8 @@ def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | Non
     A timestamp of at most 16 digits whose digits m are below 2**53 is
     m / 10**f, f the count of fractional digits: m and 10**f are exact
     doubles, so the one rounded division gives the bits of float()
-    (Clinger 1990). Other timestamps, and sizes of 17 to 19 digits, are
-    read by float() and int() on their bytes; a longer size gives None.
+    (Clinger 1990). Other timestamps are read by float() on their bytes;
+    a block holding a size of more than 16 digits gives None.
 
     Every line holds exactly three bytes that are not digits (four with
     CRLF): the point, the separator and the line end. Their offsets are
@@ -531,7 +513,7 @@ def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | Non
     frac_digits -= 1
     size_digits -= 1
     ints, fracs, sizes = _Widths(int_digits), _Widths(frac_digits), _Widths(size_digits)
-    if min(ints.low, fracs.low, sizes.low) < 1 or sizes.high > _SIZE_DIGITS:
+    if min(ints.low, fracs.low, sizes.low) < 1 or sizes.high > _FIELD_DIGITS:
         return None
 
     # words[0][i] holds the 8 bytes of text before offset i, words[1][i]
@@ -546,14 +528,7 @@ def _parse_block(buf: bytes, comma: bool) -> tuple[np.ndarray, np.ndarray] | Non
     if ints.high + fracs.high > 15:
         for i in np.flatnonzero((int_digits + frac_digits > _FIELD_DIGITS) | (mantissa >= 2**53)).tolist():
             ts[i] = float(buf[line_start[i] + _PAD : sep[i] + _PAD])
-    sz = _digits(words, end, sizes).view(np.int64)  # below 10**16
-    if sizes.high > _FIELD_DIGITS:
-        for i in np.flatnonzero(size_digits > _FIELD_DIGITS).tolist():
-            size = int(buf[sep[i] + _PAD + 1 : end[i] + _PAD])
-            if size > _MAX_SIZE:
-                return None
-            sz[i] = size
-    return ts, sz
+    return ts, _digits(words, end, sizes).view(np.int64)  # below 10**16
 
 
 class _Widths:

@@ -684,6 +684,10 @@ BOUNDED_RECIPE = ("--model", "onoff", "--alpha", "1.4", "--m", "2", "--lambda", 
                   "--packet-size", "1000", "--cycles", "100", "--seed", "1")
 
 
+REORDERED_OVERFLOW = ("error: bursts of up to 499226469439.61847 s and the silence ratio m/lam - 1 = 2e+300 "
+                      "make silences past the largest float")
+
+
 class TestOverflowingInputs:
     """Figures past the largest float or int64 end in one error line that
     names the cause, with no numpy warning and no output; byte counts past
@@ -714,6 +718,10 @@ class TestOverflowingInputs:
          "error: q 1e-320 and bursts of up to 16.795789162162876 s make bounded silences past the largest float"),
         (["gen", *BOUNDED_RECIPE, "--xmin", "1e160", "--q", "1", "--rate", "1e-200", "-o", "b.csv"],
          "error: q 1.0 and bursts of up to 1.6795789162162877e+161 s make bounded silences past the largest float"),
+        (["gen", "--model", "onoff", "--off-model", "reordered", "--alpha", "1.01", "--xmin", "1e10", "--m", "1e300",
+          "--lambda", "0.5", "--cycles", "30", "--rate", "1e6", "--seed", "1", "-o", "g.csv"], REORDERED_OVERFLOW),
+        (["diverge", "--alpha", "1.01", "--m", "1e300", "--lambda", "0.5", "--xmin", "1e10", "--sizes", "30",
+          "--reps", "1", "--seed", "1", "--out-prefix", "d"], REORDERED_OVERFLOW),
         (["gen", "--model", "onoff", "--alpha", "1.5", "--xmin", "1", "--m", "2", "--lambda", "0.5",
           "--packet-size", "1000", "--rate", "1e308", "--cycles", "5", "--seed", "1", "-o", "g.csv"],
          "error: m * server_rate is past the largest float: m 2.0, server_rate 1e+308"),
@@ -723,7 +731,8 @@ class TestOverflowingInputs:
         (["hurst", "big.csv", "--unit", "bytes", "-o", "h.csv"], None),
     ], ids=["diverge-inf-area", "diverge-nan-std", "diverge-inf-draw", "diverge-inf-silence-ratio",
             "gen-inf-silence", "gen-poisson-tiny-rate", "sweep-samples-poisson-tiny-rate", "gen",
-            "sweep-samples-onoff", "gen-bounded-tiny-q", "gen-bounded-huge-burst", "gen-inf-peak-rate",
+            "sweep-samples-onoff", "gen-bounded-tiny-q", "gen-bounded-huge-burst", "gen-reordered-huge-ratio",
+            "diverge-reordered-huge-ratio", "gen-inf-peak-rate",
             "sweep-blocks-inf-peak-rate", "hurst-bytes"])
     def test_overflowing_inputs_fail_cleanly(self, tmp_path, capsys, monkeypatch, argv, error):
         monkeypatch.chdir(tmp_path)

@@ -875,7 +875,8 @@ class TestPooledPrefixMeans:
         for workers in (1, 2, 5):
             index_of.clear()
             served.clear()
-            with pool_of(workers), pytest.raises(ValueError, match="non-finite cycle length"):
+            with pool_of(workers), pytest.raises(ValueError, match=r"bursts of up to 1e\+308 s and the silence ratio "
+                                                                   r"m/lam - 1 = 3\.0 make silences past"):
                 tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=7))
             assert threading.active_count() == before
             # the three before the failing one drawn and served, the fourth

@@ -5,10 +5,12 @@ import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import trafficlab as tl
+from trafficlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [importlib.import_module(f"trafficlab.{info.name}") for info in pkgutil.iter_modules(tl.__path__)]
@@ -49,6 +51,23 @@ def test_the_readme_python_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_the_readme_command_lines_parse():
+    # a subcommand or flag the CLI no longer has fails here; a command
+    # runs on after a backslash at a line end
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [match[1] for match in map(re.compile(r"(?:^|&& )trafficlab (.*)").search, lines) if match]
+    assert len(commands) >= 13
+    parser, refused = cli.build_parser(), []
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command))
+        except SystemExit:
+            refused.append(command)
+    assert refused == []
 
 
 def test_every_public_name_is_used_by_the_package_or_its_scripts():

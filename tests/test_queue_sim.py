@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import re
@@ -507,6 +508,68 @@ class TestPacketFifo:
         want = math.fsum(sojourns) / horizon
         bound = 4 * np.finfo(float).eps * (horizon / (math.fsum(sojourns) / n) + n)
         assert abs(stats.mean_queue - want) <= bound * want
+
+
+class TestDyadicInputs:
+    """Inputs on which every kernel step is exact: arrivals, sizes, bursts
+    and silences of a few bits each, so every level, sum and area is a
+    float. The kernels must then give the exact values of an independent
+    recursion in Fractions, each rounded once by the final division, at
+    any slice length: 1, 2, 3 and 7 carry every level and sum across
+    many slices."""
+
+    chunks = st.sampled_from([1, 2, 3, 7, 2**16])
+
+    @given(chunk=chunks, start=st.integers(0, 255),
+           packets=st.lists(st.tuples(st.integers(0, 255), st.integers(1, 1499)), min_size=1, max_size=400))
+    @settings(max_examples=250, deadline=None)
+    def test_packet_fifo(self, chunk, start, packets):
+        # gaps of k/64 s, ties included, and sizes of 1 to 1499 bytes served
+        # at 1024 bytes/s; the first arrival may be past 0
+        a = [Fraction(start + sum(k for k, _ in packets[: i + 1]), 64) for i in range(len(packets))]
+        s = [Fraction(size, 1024) for _, size in packets]
+        d, empty = [], a[0]
+        for ai, si in zip(a, s):  # d_i = max(a_i, d_{i-1}) + s_i
+            if d:
+                empty += max(ai - d[-1], 0)
+            d.append(max([ai, *d[-1:]]) + si)
+        area, horizon = sum(di - ai for di, ai in zip(d, a)), d[-1]
+        # the level just after arrival i: i + 1 arrivals less the departures
+        # at or before it, a departure first at a tie
+        peak = max(i + 1 - bisect.bisect_right(d, ai, 0, i) for i, ai in enumerate(a))
+        trace = tl.PacketTrace(np.array([float(t) for t in a]), np.array([size for _, size in packets]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(queue_sim, "_CHUNK", chunk)
+            run = tl.packet_fifo(trace, 1024.0)
+            stats, _ = tl.packet_stats(trace, 1024.0)
+        assert (run.area, run.horizon) == (area, horizon)
+        assert run.mean_queue == stats.mean_queue == float(area / horizon)
+        assert stats.utilization == float(sum(s) / horizon)
+        assert stats.empty_fraction == float(empty / horizon)
+        assert stats.peak_queue == peak
+
+    @given(chunk=chunks, m=st.sampled_from([1.25, 1.5, 2.0, 3.0]),
+           cycles=st.lists(st.tuples(st.integers(1, 511), st.integers(0, 511)), min_size=1, max_size=400))
+    @settings(max_examples=250, deadline=None)
+    def test_fluid_queue(self, chunk, m, cycles):
+        # bursts of k/64 s and silences of j/64 s: an array-held process is
+        # scanned, its levels carried from cycle to cycle, and
+        # reorder_nonoverlap's, silences three times their bursts, takes
+        # the closed form
+        on = np.array([k for k, _ in cycles]) / 64
+        off = np.array([j for _, j in cycles]) / 64
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(queue_sim, "_CHUNK", chunk)
+            runs = [tl.fluid_queue(tl.FluidOnOffProcess(on, off, m)), tl.fluid_queue(tl.reorder_nonoverlap(on, 2, 0.5))]
+        for run, (x, y, rate) in zip(runs, [(on, off, m), (on, 3 * on, 2)]):
+            level, area = Fraction(0), Fraction(0)
+            for burst, silence in zip(map(Fraction, x.tolist()), map(Fraction, y.tolist())):
+                peak = level + burst * (Fraction(rate) - 1)
+                drain = min(silence, peak)
+                area += (level + peak) / 2 * burst + drain * (peak - drain / 2)
+                level = peak - drain
+            horizon = sum(map(Fraction, x.tolist())) + sum(map(Fraction, y.tolist()))
+            assert (run.area, run.horizon, run.mean_queue) == (area, horizon, float(area / horizon))
 
 
 class TestQueuePath:
