@@ -749,6 +749,18 @@ class TestVectorizedWriter:
             traces.write_rows(fh, "%.9f,%d", columns, ("manifest: abc",))
         assert path.read_bytes() == ("# manifest: abc\n" + python_rows("%.9f,%d", columns)).encode()
 
+    @pytest.mark.parametrize("fmt", ["%.9f %d", "%.9f,%d,", "t=%.9f,%d", "%.6f,%d", "%.9f,%r", "%.9f,,%d"])
+    def test_other_formats_take_python_format(self, fmt, monkeypatch):
+        # only comma-separated %.9f and %d fields, one per column, are laid
+        # out with numpy; literal text, another precision or conversion, or
+        # an empty field sends every chunk to Python %
+        def numpy_layout(fields, columns):
+            raise AssertionError(f"{fmt!r} was laid out with numpy")
+
+        monkeypatch.setattr(traces, "_format_rows", numpy_layout)
+        columns = (np.array([0.0, 0.5, 1290.8961958435]), np.array([1, 1500, 2**63 - 1]))
+        assert written_rows(fmt, columns) == python_rows(fmt, columns)
+
     @pytest.mark.parametrize("sink", [io.BytesIO])
     def test_step_queue_path_in_a_text_and_a_binary_sink(self, sink):
         trace = tl.generate_poisson(200.0, 100, 3000, tl.substream(4))
