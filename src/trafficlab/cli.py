@@ -25,21 +25,15 @@ from .experiments import prefix_mean_sweep, sample_size_sweep
 from .queue_sim import packet_stats
 from .rng import substream
 from .synth import (
+    OFF_MODELS,
     GeneratorSpec,
     HeavyTailSpec,
-    MissingLambdaError,
     SyntheticSource,
     generate_onoff,
     generate_poisson,
     packetize,
 )
 from .traces import PacketTrace, load_trace, save_trace, window, write_rows
-
-OFF_MODEL_FLAGS = {
-    "iid": "iid_matched_mean",
-    "reordered": "theorem_reordered",
-    "bounded": "bounded_q",
-}
 
 # report's sweeps, trimmed to the packets it analyses
 SAMPLE_LADDER = (10_000, 31_623, 100_000, 316_228, 1_000_000)
@@ -170,18 +164,19 @@ def _int_from(low: int, high: int | None = None):
 
 
 def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
-    """The generator flags other than the on/off group's."""
+    """The generator flags other than the on/off group's. A count stops at sys.maxsize, the largest array length."""
     p.add_argument("--model", choices=("onoff", "poisson"), required=required)
-    p.add_argument("--cycles", type=_int_from(1), help="number of on/off cycles (sweep-samples ignores it)")
+    p.add_argument("--cycles", type=_int_from(1, sys.maxsize),
+                   help="number of on/off cycles (sweep-samples ignores it)")
     p.add_argument("--packet-size", type=_int_from(1), default=1000, help="bytes per packet")
     p.add_argument(
         "--rate",
         type=float,
         help="onoff: server rate in bytes/s the source is scaled to; poisson: packet arrival rate in packets/s",
     )
-    p.add_argument("--off-model", choices=tuple(OFF_MODEL_FLAGS), default="iid")
+    p.add_argument("--off-model", choices=OFF_MODELS, default="iid")
     p.add_argument("--q", type=float, default=None, help="mean-queue bound for --off-model bounded")
-    p.add_argument("--n", type=_int_from(1), default=None, help="packet count for --model poisson")
+    p.add_argument("--n", type=_int_from(1, sys.maxsize), default=None, help="packet count for --model poisson")
 
 
 def _source(args) -> tuple[PacketTrace | SyntheticSource, dict]:
@@ -197,22 +192,21 @@ def _source(args) -> tuple[PacketTrace | SyntheticSource, dict]:
         if args.n is None or args.rate is None:
             raise ValueError("poisson model needs --rate and --n")
         return generate_poisson(args.rate, args.packet_size, args.n, substream(args.seed)), {}
-    for name in ("alpha", "m", "cycles", "rate"):
-        if getattr(args, name) is None:
-            raise ValueError(f"onoff model needs --{name}")
-    tail = HeavyTailSpec(tail_index=args.alpha, x_min=args.xmin, x_max=args.xmax)
-    try:
-        spec = GeneratorSpec(
-            m=args.m,
-            tail=tail,
-            n_cycles=args.cycles,
-            lambda_target=args.lam,
-            off_model=OFF_MODEL_FLAGS[args.off_model],
-            q=args.q,
-        )
-    except MissingLambdaError:
-        raise ValueError("onoff model needs --lambda") from None
+    spec = _onoff_spec(args, args.off_model, args.cycles, "cycles", "rate")
     return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate), {}
+
+
+def _onoff_spec(args, off_model: str, n_cycles: int, *needs: str) -> GeneratorSpec:
+    """The recipe of the on/off flags for off_model, one of synth.OFF_MODELS, and n_cycles
+    cycles. --alpha, --m, --lambda (but for the bounded model, which ignores it) and the
+    flags named in needs must be given: the first missing one is named. diverge has no --q."""
+    given = {"alpha": args.alpha, "m": args.m, "lambda": args.lam, **{name: getattr(args, name) for name in needs}}
+    for flag, value in given.items():
+        if value is None and not (flag == "lambda" and off_model == "bounded"):
+            raise ValueError(f"onoff model needs --{flag}")
+    tail = HeavyTailSpec(tail_index=args.alpha, x_min=args.xmin, x_max=args.xmax)
+    return GeneratorSpec(m=args.m, tail=tail, n_cycles=n_cycles, lambda_target=args.lam, off_model=off_model,
+                         q=getattr(args, "q", None))
 
 
 def cmd_gen(args) -> int:
@@ -317,12 +311,10 @@ def cmd_sweep_blocks(args) -> int:
 
 
 def cmd_diverge(args) -> int:
-    for flag, value in (("alpha", args.alpha), ("m", args.m), ("lambda", args.lam)):
-        if value is None:
-            raise ValueError(f"diverge needs --{flag}")
-    tail = HeavyTailSpec(tail_index=args.alpha, x_min=args.xmin, x_max=args.xmax)
+    # an empty --sizes draws no cycle: prefix_mean_sweep refuses it
+    spec = _onoff_spec(args, "reordered", max(args.sizes, default=1))
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
-    sweep = prefix_mean_sweep(tail, args.m, args.lam, args.sizes, plan)
+    sweep = prefix_mean_sweep(spec, args.sizes, plan)
     sizes = [int(p.x) for p in sweep.points]
     stats = [(float(np.median(p.rep_means)), p.mean, p.std) for p in sweep.points]
     csv_path = args.out_prefix + ".csv"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .queue_sim import _CHUNK, packet_fifo, prefix_mean_queue
 from .rng import substream
-from .synth import GeneratorSpec, HeavyTailSpec, SyntheticSource, generate_onoff
+from .synth import GeneratorSpec, SyntheticSource, generate_onoff
 from .traces import (PacketTrace, _equal_sizes, _in_order, _one_size, bandwidth_for_utilization, window,
                      write_rows)
 
@@ -110,7 +110,8 @@ def sample_size_sweep(
     service rate is fixed once for the sweep (explicitly or via rho on
     the full trace). For a SyntheticSource each replication generates
     a fresh trace of exactly that many packets and is served at the
-    source's own rate unless bandwidth overrides it.
+    source's own rate unless bandwidth overrides it; a size past the
+    largest array length is refused before any replication.
     """
     sizes = sorted(int(s) for s in sizes)
     if not sizes or sizes[0] < 1:
@@ -127,6 +128,8 @@ def sample_size_sweep(
     elif isinstance(source, SyntheticSource):
         if rho is not None:
             raise ValueError("rho needs a fixed trace; synthetic sweeps take bandwidth directly")
+        if sizes[-1] > sys.maxsize:
+            raise ValueError(f"sample size {sizes[-1]} is past the largest array length")
         b = bandwidth if bandwidth is not None else source.server_rate
 
         def make_trace(size, rng):
@@ -165,30 +168,29 @@ def _replicate(x_label: str, xs, plan: ReplicationPlan, bandwidth: float, make_t
     return SweepResult(x_label, _points(xs, (tuple(islice(means, reps)) for _ in xs)), baseline_mean)
 
 
-def prefix_mean_sweep(tail: HeavyTailSpec, m: float, lam: float, sizes, plan: ReplicationPlan) -> SweepResult:
-    """Mean queue of the reordered fluid on/off model over growing prefixes, replicated.
+def prefix_mean_sweep(spec: GeneratorSpec, sizes, plan: ReplicationPlan) -> SweepResult:
+    """Mean queue of the fluid on/off model of spec over growing prefixes, replicated.
 
-    Replication i draws generate_onoff(spec, substream(master_seed, i))
-    of one theorem_reordered spec of max(sizes) cycles, whose process is
-    reorder_nonoverlap of the bursts, and takes the mean queue of every
-    prefix of the sorted distinct sizes from one prefix_mean_queue call.
-    The spec is built, and so m and lam checked, before any replication.
+    Replication i draws generate_onoff(spec, substream(master_seed, i)),
+    of any off model, and takes the mean queue of every prefix of the
+    sorted distinct sizes from one prefix_mean_queue call; so each mean
+    is fluid_queue of that process's prefix. A size past spec.n_cycles
+    is refused before any replication.
 
     The replications run on traces._in_order's pool, which bounds what
     they hold, one task each, as perfbench pins one prefix_mean_queue
     call per replication and one fluid_queue call per prefix. A worker
-    thread draws a replication's process, one max(sizes)-length array
-    of bursts whose silences the queue kernel computes a run at a time,
-    and runs prefix_mean_queue on it. The means come back in order, so
-    the points hold a serial loop's bits, and an error in a replication
-    comes out at it.
+    thread draws a replication's process, for the reordered model one
+    n_cycles-length array of bursts whose silences the queue kernel
+    computes a run at a time, and runs prefix_mean_queue on it. The
+    means come back in order, so the points hold a serial loop's bits,
+    and an error in a replication comes out at it.
     """
     sizes = sorted({int(n) for n in sizes})
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive cycle counts")
-    if sizes[-1] > sys.maxsize:
-        raise ValueError(f"size {sizes[-1]} is past the largest array length")
-    spec = GeneratorSpec(m, tail, sizes[-1], lam, "theorem_reordered")
+    if sizes[-1] > spec.n_cycles:
+        raise ValueError(f"size {sizes[-1]} is past the spec's {spec.n_cycles} cycles")
 
     def prefix_means(i):
         return [q for _, q in prefix_mean_queue(generate_onoff(spec, substream(plan.master_seed, i)), sizes)]

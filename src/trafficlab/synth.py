@@ -2,14 +2,16 @@
 
 The on/off source alternates between transmitting at a fixed rate m
 (in units of the server rate) for a heavy-tailed duration and staying
-silent. Three off-period rules are provided: independent exponential
-silences matched in mean to a target load, silences proportional to
-the preceding burst (which pins the long-run load exactly and keeps
-queue excursions from overlapping), and silences stretched so that no
-single burst can push the mean queue above a chosen bound.
+silent. OFF_MODELS names the three off-period rules, by the names the
+CLI's --off-model takes: "iid", independent exponential silences
+matched in mean to a target load; "reordered", silences proportional
+to the preceding burst (which pins the long-run load exactly and keeps
+queue excursions from overlapping); and "bounded", silences stretched
+so that no single burst can push the mean queue above a chosen bound.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -29,12 +31,8 @@ __all__ = [
     "generate_poisson",
 ]
 
-OFF_MODELS = ("iid_matched_mean", "theorem_reordered", "bounded_q")
+OFF_MODELS = ("iid", "reordered", "bounded")
 _M_RULE = "m must exceed 1, otherwise no queue can form"
-
-
-class MissingLambdaError(ValueError):
-    """A GeneratorSpec whose off model reads lambda_target has none."""
 
 
 @dataclass(frozen=True)
@@ -178,18 +176,18 @@ class _Reordered(FluidOnOffProcess):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for a random on/off process.
+    """Recipe for a random on/off process, checked before any draw.
 
-    lambda_target is the intended long-run work arrival rate for the
-    matched-mean and proportional-silence models; bounded_q ignores it
-    and needs the queue bound q instead.
+    off_model is one of OFF_MODELS. lambda_target is the intended
+    long-run work arrival rate for the iid and reordered models; the
+    bounded model ignores it and needs the queue bound q instead.
     """
 
     m: float
     tail: HeavyTailSpec
     n_cycles: int
     lambda_target: float | None = None
-    off_model: str = "iid_matched_mean"
+    off_model: str = "iid"
     q: float | None = None
 
     def __post_init__(self):
@@ -199,13 +197,15 @@ class GeneratorSpec:
             raise ValueError("m must be finite")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
+        if self.n_cycles > sys.maxsize:
+            raise ValueError(f"n_cycles {self.n_cycles} is past the largest array length")
         if self.off_model not in OFF_MODELS:
             raise ValueError(f"off_model must be one of {OFF_MODELS}")
-        if self.off_model == "bounded_q":
+        if self.off_model == "bounded":
             if self.q is None or not self.q > 0:
-                raise ValueError("bounded_q needs a positive queue bound q")
+                raise ValueError("the bounded model needs a positive queue bound q")
         elif self.lambda_target is None:
-            raise MissingLambdaError(f"{self.off_model} needs lambda_target")
+            raise ValueError(f"the {self.off_model} model needs lambda_target")
         elif not 0 < self.lambda_target < 1:
             raise ValueError("lambda_target must lie in (0, 1)")
         elif not float(self.m) / float(self.lambda_target) - 1.0 < np.inf:  # the silence per unit of burst
@@ -247,18 +247,19 @@ def sample_heavy_tail(spec: HeavyTailSpec, u, *, out: np.ndarray | None = None):
 
 def generate_onoff(spec: GeneratorSpec, rng: np.random.Generator) -> FluidOnOffProcess:
     """Draw spec.n_cycles on/off cycles from rng: the only code that draws
-    on/off cycles, for packet traces and fluid sweeps alike. The bursts,
-    sample_heavy_tail of 1 - rng.random(n), are drawn into the uniforms'
-    buffer. theorem_reordered gives reorder_nonoverlap's process of the
-    bursts, which holds its silence rule. Silences past the largest
-    float are refused, naming the longest burst and the silence ratio
-    m/lam - 1, x_min and the silence mean, or q and the longest burst."""
+    on/off cycles, for packet traces and fluid sweeps alike, in each off
+    model. The bursts, sample_heavy_tail of 1 - rng.random(n), are drawn
+    into the uniforms' buffer. "reordered" gives reorder_nonoverlap's
+    process of the bursts, which holds its silence rule; the others hold
+    their silences in an array. Silences past the largest float are
+    refused, naming the longest burst and the silence ratio m/lam - 1,
+    x_min and the silence mean, or q and the longest burst."""
     u = rng.random(spec.n_cycles)
     on = sample_heavy_tail(spec.tail, np.subtract(1.0, u, out=u), out=u)
     try:
-        if spec.off_model == "theorem_reordered":
+        if spec.off_model == "reordered":
             return reorder_nonoverlap(on, spec.m, spec.lambda_target)
-        if spec.off_model == "bounded_q":
+        if spec.off_model == "bounded":
             off = _bounded_offs(on, spec.m, spec.q)
         else:
             mean = spec.tail.mean * (spec.m / spec.lambda_target - 1.0)
@@ -266,7 +267,7 @@ def generate_onoff(spec: GeneratorSpec, rng: np.random.Generator) -> FluidOnOffP
         return FluidOnOffProcess(on, off, spec.m)
     except ValueError:
         longest = float(on.max())
-        if spec.off_model == "theorem_reordered":
+        if spec.off_model == "reordered":
             ratio = spec.m / spec.lambda_target - 1.0
             if longest * ratio < np.inf:
                 raise
@@ -274,7 +275,7 @@ def generate_onoff(spec: GeneratorSpec, rng: np.random.Generator) -> FluidOnOffP
                              "make silences past the largest float") from None
         if np.isfinite(off).all():
             raise
-        if spec.off_model == "bounded_q":
+        if spec.off_model == "bounded":
             raise ValueError(f"q {spec.q!r} and bursts of up to {longest!r} s make "
                              "bounded silences past the largest float") from None
         raise ValueError(f"x_min {spec.tail.x_min!r} makes the silence mean {mean!r} too large: "

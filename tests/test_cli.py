@@ -96,7 +96,7 @@ class TestGen:
         out = tmp_path / "b.csv"
         assert run(*BOUNDED, "--q", "2", "--seed", "12", "-o", out) == 0
         spec = tl.GeneratorSpec(m=3.0, tail=tl.HeavyTailSpec(1.4, 0.05), n_cycles=60,
-                                off_model="bounded_q", q=2.0)
+                                off_model="bounded", q=2.0)
         trace, _ = tl.packetize(tl.generate_onoff(spec, substream(12)), 100, 10000.0)
         digest = json.loads((tmp_path / "b.csv.manifest.json").read_text())["digest"]
         tl.save_trace(trace, tmp_path / "lib.csv", comments=(f"manifest: {digest}",))
@@ -106,7 +106,7 @@ class TestGen:
         (("--xmin", "nan"), "x_min must be positive and finite"),
         (("--xmin", "inf"), "x_min must be positive and finite"),
         (("--xmax", "nan"), "x_max must exceed x_min"),
-        (("--off-model", "bounded", "--q", "nan"), "bounded_q needs a positive queue bound q"),
+        (("--off-model", "bounded", "--q", "nan"), "the bounded model needs a positive queue bound q"),
         (("--m", "inf"), "m must be finite"),
         (("--rate", "nan"), "server_rate must be positive and finite"),
         (("--rate", "inf"), "server_rate must be positive and finite"),
@@ -614,7 +614,7 @@ class TestDiverge:
         rc = run("diverge", "--alpha", "1.5", "--m", "2", "--sizes", "10", "--seed", "1",
                  "--out-prefix", tmp_path / "d")
         assert rc == 1
-        assert capsys.readouterr().err == "error: diverge needs --lambda\n"
+        assert capsys.readouterr().err == "error: onoff model needs --lambda\n"
         assert not (tmp_path / "d.csv").exists()
 
 
@@ -638,8 +638,40 @@ class TestCountsPastMemory:
         monkeypatch.setattr(experiments, "generate_onoff", lambda *args: drawn.append(args))
         rc = run(*self.DIVERGE_ONE, "--sizes", "1,1e400", "--reps", "1", "--out-prefix", tmp_path / "d")
         assert (rc, drawn) == (1, [])
-        assert capsys.readouterr().err == f"error: size {10**400} is past the largest array length\n"
+        assert capsys.readouterr().err == f"error: n_cycles {10**400} is past the largest array length\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_synthetic_sample_size_past_the_largest_array_is_named_before_any_replication(self, tmp_path, capsys,
+                                                                                            monkeypatch):
+        drawn = []
+        monkeypatch.setattr(tl.SyntheticSource, "trace", lambda *args, **kwargs: drawn.append(args))
+        monkeypatch.chdir(tmp_path)
+        assert run("sweep-samples", *ONOFF, "--sizes", "10,1e30", "--reps", "1", "--seed", "1", "--out-prefix", "s") == 1
+        assert drawn == []
+        assert capsys.readouterr().err == f"error: sample size {10**30} is past the largest array length\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", *ONOFF, "--cycles", "1e30", "--seed", "1", "-o", "g.csv"], "--cycles"),
+        (["sweep-blocks", *ONOFF, "--cycles", "1e30", "--blocks", "1", "--seed", "1", "--out-prefix", "s"], "--cycles"),
+        (["gen", "--model", "poisson", "--rate", "100", "--n", "1e30", "--seed", "1", "-o", "g.csv"], "--n"),
+    ], ids=["gen-cycles", "sweep-blocks-cycles", "gen-n"])
+    def test_an_array_length_past_the_largest_names_its_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # later flags override the cycles in ONOFF
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"trafficlab {argv[0]}: error: argument {flag}: must be <= {sys.maxsize}, got {10**30}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_block_past_the_largest_array_is_one_block(self, tmp_path, monkeypatch):
+        # a block size is no array length: one of 1e30 packets holds the whole trace
+        monkeypatch.chdir(tmp_path)
+        tl.save_trace(tl.generate_poisson(100.0, 100, 50, substream(1)), "t.csv")
+        assert run("sweep-blocks", "--trace", "t.csv", "--blocks", "1e30", "--reps", "2", "--seed", "1",
+                   "--rho", "0.5", "--out-prefix", "b") == 0
 
     def test_replications_past_the_largest_index(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

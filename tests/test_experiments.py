@@ -19,6 +19,11 @@ def make(ts, sizes):
     return tl.PacketTrace(np.asarray(ts, dtype=np.float64), np.asarray(sizes))
 
 
+def reordered(tail, n_cycles):
+    """The reordered recipe, m = 2 and lambda = 0.5, of the prefix sweeps here."""
+    return tl.GeneratorSpec(2.0, tail, n_cycles, 0.5, "reordered")
+
+
 def gap_vector(trace):
     """Leading gap (taken as 0 at the head) plus successive diffs.
 
@@ -504,7 +509,7 @@ class TestAllocationBudget:
 
     def test_a_pooled_synthetic_sweep_holds_a_trace_per_thread(self, monkeypatch):
         spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=64,
-                                lambda_target=0.5, off_model="theorem_reordered")
+                                lambda_target=0.5, off_model="reordered")
         src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
         plan = tl.ReplicationPlan(master_seed=4, replications=3 * POOL)
         # each replication alone: its trace of N packets, 8N bytes of
@@ -545,7 +550,7 @@ class TestAllocationBudget:
         # second replication must not hold the first's bursts
         budget = 8 * self.N + kernel + self.SMALL
         with pool_of(1):
-            assert peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan)) <= budget
+            assert peak_bytes(lambda: tl.prefix_mean_sweep(reordered(tail, self.N), [self.N], plan)) <= budget
 
     @pytest.mark.parametrize("x_max", [None, 1000.0])
     def test_pooled_prefix_sweep_holds_n_arrays(self, x_max, monkeypatch):
@@ -563,7 +568,7 @@ class TestAllocationBudget:
         monkeypatch.setattr(experiments, "prefix_mean_queue", paired)
         plan = tl.ReplicationPlan(master_seed=3, replications=6)
         with pool_of(2):
-            peak = peak_bytes(lambda: tl.prefix_mean_sweep(tail, 2.0, 0.5, [self.N], plan))
+            peak = peak_bytes(lambda: tl.prefix_mean_sweep(reordered(tail, self.N), [self.N], plan))
         # each of the 2 threads' replication: its bursts, 8N bytes, and its
         # kernel peak. One more N-length array would exceed the budget
         budget = 2 * (8 * self.N + kernel) + self.SMALL
@@ -611,7 +616,7 @@ class TestSampleSizeSweep:
     def test_synthetic_source_generates_fresh_traces(self):
         spec = tl.GeneratorSpec(
             m=2.0, tail=tl.HeavyTailSpec(1.5, 0.05), n_cycles=64,
-            lambda_target=0.5, off_model="theorem_reordered",
+            lambda_target=0.5, off_model="reordered",
         )
         src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
         plan = tl.ReplicationPlan(master_seed=3, replications=3)
@@ -622,7 +627,7 @@ class TestSampleSizeSweep:
     def test_synthetic_source_rejects_rho(self):
         spec = tl.GeneratorSpec(
             m=2.0, tail=tl.HeavyTailSpec(1.5, 0.05), n_cycles=64,
-            lambda_target=0.5, off_model="theorem_reordered",
+            lambda_target=0.5, off_model="reordered",
         )
         src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
         plan = tl.ReplicationPlan(master_seed=3, replications=2)
@@ -712,7 +717,7 @@ class TestPooledReplications:
 
     def test_synthetic_sweeps_keep_their_bytes(self):
         spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 0.05), n_cycles=64,
-                                lambda_target=0.5, off_model="theorem_reordered")
+                                lambda_target=0.5, off_model="reordered")
         src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
         plan = tl.ReplicationPlan(master_seed=7, replications=5)
         serial, pooled = self.one_thread_and_pooled(lambda: tl.sample_size_sweep(src, [50, 150, 1000], plan))
@@ -812,7 +817,7 @@ class TestPooledPrefixMeans:
             sys.setswitchinterval(1e-6 if workers == 5 else interval)
             try:
                 with pool_of(workers):
-                    runs.append(tl.prefix_mean_sweep(tail, 2.0, 0.5, self.SIZES, plan))
+                    runs.append(tl.prefix_mean_sweep(reordered(tail, self.SIZES[-1]), self.SIZES, plan))
             finally:
                 sys.setswitchinterval(interval)
             assert threading.active_count() == before
@@ -840,7 +845,7 @@ class TestPooledPrefixMeans:
         monkeypatch.setattr(synth, "sample_heavy_tail", recorded_sample)
         monkeypatch.setattr(experiments, "prefix_mean_queue", recorded_prefix_means)
         with pool_of(POOL):
-            tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=5))
+            tl.prefix_mean_sweep(reordered(self.TAIL, 1000), [10, 1000], tl.ReplicationPlan(master_seed=2, replications=5))
         here = threading.get_ident()
         assert len(drawn) == 5 and len(served) == 5
         # each replication's process, holding its bursts, is served in the
@@ -877,7 +882,8 @@ class TestPooledPrefixMeans:
             served.clear()
             with pool_of(workers), pytest.raises(ValueError, match=r"bursts of up to 1e\+308 s and the silence ratio "
                                                                    r"m/lam - 1 = 3\.0 make silences past"):
-                tl.prefix_mean_sweep(self.TAIL, 2.0, 0.5, [10, 1000], tl.ReplicationPlan(master_seed=2, replications=7))
+                tl.prefix_mean_sweep(reordered(self.TAIL, 1000), [10, 1000],
+                                     tl.ReplicationPlan(master_seed=2, replications=7))
             assert threading.active_count() == before
             # the three before the failing one drawn and served, the fourth
             # drawn and not served; later ones may have run beside them
@@ -885,6 +891,40 @@ class TestPooledPrefixMeans:
             assert drawn[:4] == [0, 1, 2, 3] and sorted(served)[:3] == [0, 1, 2] and 3 not in served
             if workers == 1:
                 assert (drawn, served) == ([0, 1, 2, 3], [0, 1, 2])
+
+
+class TestPrefixMeanSweep:
+    """prefix_mean_sweep runs the recipe it is given, of any off model."""
+
+    TAIL = tl.HeavyTailSpec(1.5, 1.0)
+    # one cycle, one 2**16-cycle run, into a second run, and past it, of a
+    # recipe one cycle longer than the longest prefix
+    SIZES = [1, 2**16, 2**16 + 1, 70_000]
+    SPECS = {"iid": tl.GeneratorSpec(2.0, TAIL, 70_001, 0.5, "iid"),
+             "reordered": tl.GeneratorSpec(2.0, TAIL, 70_001, 0.5, "reordered"),
+             "bounded": tl.GeneratorSpec(1.7, TAIL, 70_001, off_model="bounded", q=2.0)}
+
+    def test_every_library_model_is_swept(self):
+        assert tuple(self.SPECS) == synth.OFF_MODELS
+
+    @pytest.mark.parametrize("model", SPECS)
+    def test_each_prefix_mean_is_the_fluid_queue_of_the_drawn_prefix(self, model):
+        spec, plan = self.SPECS[model], tl.ReplicationPlan(master_seed=45, replications=3)
+        sweep = tl.prefix_mean_sweep(spec, self.SIZES, plan)
+        assert [p.x for p in sweep.points] == self.SIZES
+        for i in range(plan.replications):
+            process = tl.generate_onoff(spec, substream(45, i))
+            want = [tl.fluid_queue(process.prefix(n)).mean_queue for n in self.SIZES]
+            assert [p.rep_means[i] for p in sweep.points] == want
+        if model == "bounded":  # each cycle's area averages at most q over the cycle
+            assert max(max(p.rep_means) for p in sweep.points) <= spec.q
+
+    def test_a_size_past_the_recipe_is_refused_before_any_replication(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(experiments, "generate_onoff", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=r"^size 70002 is past the spec's 70001 cycles$"):
+            tl.prefix_mean_sweep(self.SPECS["iid"], [10, 70_002], tl.ReplicationPlan(master_seed=1, replications=2))
+        assert drawn == []
 
 
 class TestSweepCsv:

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 import compare_outputs  # noqa: E402
 
-from trafficlab import cli  # noqa: E402
+from trafficlab import cli, synth  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.sha256")
 
@@ -49,12 +49,15 @@ def test_every_command_has_a_golden_log_and_differences_names_each_change():
 
 
 def test_every_generator_route_is_in_the_gate():
-    # gen with each off model, and each sweep with each generator model
+    # gen with each off model of the library, and each sweep with each generator model
     parser = cli.build_parser()
     runs = [parser.parse_args(argv) for _, (head, *argv) in compare_outputs.COMMANDS
             if head == "cli" and argv[0] in ("gen", "sweep-samples", "sweep-blocks")]
-    assert {a.off_model for a in runs if a.subcommand == "gen" and a.model == "onoff"} == set(cli.OFF_MODEL_FLAGS)
+    assert {a.off_model for a in runs if a.subcommand == "gen" and a.model == "onoff"} == set(synth.OFF_MODELS)
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # --off-model takes the library's names, so a model added there reaches the line above
+    for name in ("gen", "sweep-samples", "sweep-blocks"):
+        assert next(a.choices for a in subparsers.choices[name]._actions if a.dest == "off_model") == synth.OFF_MODELS
     for name in ("sweep-samples", "sweep-blocks"):
         models = next(a.choices for a in subparsers.choices[name]._actions if a.dest == "model")
         assert {a.model for a in runs if a.subcommand == name} >= set(models)

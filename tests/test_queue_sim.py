@@ -758,7 +758,7 @@ class TestPollaczekKhinchine:
         # seeds per recipe the gap was at most 2.66 standard errors, and
         # its average over the sets, the bias of starting empty included,
         # at most 0.21
-        spec = tl.GeneratorSpec(m, tl.HeavyTailSpec(alpha, 1.0, x_max), 10**5, lam, "iid_matched_mean")
+        spec = tl.GeneratorSpec(m, tl.HeavyTailSpec(alpha, 1.0, x_max), 10**5, lam, "iid")
         means = []
         for seed in range(41000, 41040):
             process = tl.generate_onoff(spec, np.random.default_rng(seed))
@@ -801,7 +801,7 @@ class TestBoundedModel:
         # so every level it finds is exactly 0. The four sums, their two
         # additions and the division round once each: (1 + u)**6 / (1 - u)**2
         m, q, n = 1.7, 2.0, 3 * 2**16 + 5
-        spec = tl.GeneratorSpec(m, tl.HeavyTailSpec(alpha, 1.0), n, off_model="bounded_q", q=q)
+        spec = tl.GeneratorSpec(m, tl.HeavyTailSpec(alpha, 1.0), n, off_model="bounded", q=q)
         process = tl.generate_onoff(spec, np.random.default_rng(round(100 * alpha)))
         assert not process._drains_each_cycle
         mean = tl.fluid_queue(process).mean_queue

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -148,7 +149,17 @@ class TestSampleHeavyTail:
 
 class TestGeneratorSpec:
     def test_off_model_names(self):
-        assert OFF_MODELS == ("iid_matched_mean", "theorem_reordered", "bounded_q")
+        assert OFF_MODELS == ("iid", "reordered", "bounded")
+
+    @pytest.mark.parametrize("off_model", OFF_MODELS)
+    def test_cycles_past_the_largest_array_length_rejected_in_every_model(self, off_model):
+        def spec(n):
+            return tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=n, lambda_target=0.5,
+                                    off_model=off_model, q=1.0)
+
+        assert spec(sys.maxsize).n_cycles == sys.maxsize
+        with pytest.raises(ValueError, match=rf"^n_cycles {sys.maxsize + 1} is past the largest array length$"):
+            spec(sys.maxsize + 1)
 
     def test_m_at_most_one_rejected(self):
         with pytest.raises(ValueError):
@@ -163,17 +174,17 @@ class TestGeneratorSpec:
 
     def test_bounded_model_requires_q(self):
         with pytest.raises(ValueError):
-            tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, off_model="bounded_q")
+            tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, off_model="bounded")
 
     def test_nan_q_rejected(self):
         with pytest.raises(ValueError, match="queue bound q"):
-            tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, off_model="bounded_q", q=np.nan)
+            tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, off_model="bounded", q=np.nan)
 
     def test_infinite_m_rejected(self):
         with pytest.raises(ValueError, match="m must be finite"):
             tl.GeneratorSpec(m=np.inf, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=10, lambda_target=0.5)
 
-    @pytest.mark.parametrize("off_model", ["iid_matched_mean", "theorem_reordered"])
+    @pytest.mark.parametrize("off_model", ["iid", "reordered"])
     def test_a_silence_ratio_past_the_largest_float_is_named(self, off_model):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -184,7 +195,7 @@ class TestGeneratorSpec:
 
     @pytest.mark.parametrize("x_min, q", [(1.0, 1e-320), (1e160, 1.0)], ids=["divide", "multiply"])
     def test_bounded_silences_past_the_largest_float_name_q_and_the_longest_burst(self, x_min, q):
-        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.4, x_min), n_cycles=100, off_model="bounded_q", q=q)
+        spec = tl.GeneratorSpec(m=2.0, tail=tl.HeavyTailSpec(1.4, x_min), n_cycles=100, off_model="bounded", q=q)
         longest = tl.sample_heavy_tail(spec.tail, 1.0 - substream(1).random(100)).max()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -291,7 +302,7 @@ class TestGenerateOnOff:
     def test_proportional_silences_pin_the_load_exactly(self):
         spec = tl.GeneratorSpec(
             m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=1000,
-            lambda_target=0.5, off_model="theorem_reordered",
+            lambda_target=0.5, off_model="reordered",
         )
         p = tl.generate_onoff(spec, substream(5))
         assert np.allclose(p.off_lengths, p.on_lengths * (2.0 / 0.5 - 1.0), rtol=1e-12)
@@ -300,7 +311,7 @@ class TestGenerateOnOff:
     def test_generator_route_matches_direct_reordering(self):
         spec = tl.GeneratorSpec(
             m=2.0, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=100,
-            lambda_target=0.5, off_model="theorem_reordered",
+            lambda_target=0.5, off_model="reordered",
         )
         p = tl.generate_onoff(spec, substream(6))
         on = np.asarray(tl.sample_heavy_tail(spec.tail, 1.0 - substream(6).random(100)))
@@ -442,7 +453,7 @@ class TestBoundedQueueProcess:
     @given(seed=st.integers(0, 2**32 - 1), m=st.floats(1.1, 6.0), q=st.floats(0.1, 10.0))
     def test_generator_route_applies_the_rule(self, seed, m, q):
         spec = tl.GeneratorSpec(m=m, tail=tl.HeavyTailSpec(1.5, 1.0), n_cycles=40,
-                                off_model="bounded_q", q=q)
+                                off_model="bounded", q=q)
         p = tl.generate_onoff(spec, substream(seed))
         on = np.asarray(tl.sample_heavy_tail(spec.tail, 1.0 - substream(seed).random(40)))
         assert np.array_equal(p.on_lengths, on)
@@ -451,9 +462,9 @@ class TestBoundedQueueProcess:
     def test_parameter_validation(self):
         tail = tl.HeavyTailSpec(1.5, 1.0)
         with pytest.raises(ValueError):
-            tl.GeneratorSpec(m=1.0, tail=tail, n_cycles=1, off_model="bounded_q", q=1.0)
+            tl.GeneratorSpec(m=1.0, tail=tail, n_cycles=1, off_model="bounded", q=1.0)
         with pytest.raises(ValueError):
-            tl.GeneratorSpec(m=2.0, tail=tail, n_cycles=1, off_model="bounded_q", q=0.0)
+            tl.GeneratorSpec(m=2.0, tail=tail, n_cycles=1, off_model="bounded", q=0.0)
 
 
 class TestPacketize:
@@ -626,7 +637,7 @@ class TestSyntheticSource:
     def _source(self, n_cycles=100, packet_size=100, server_rate=10_000.0):
         spec = tl.GeneratorSpec(
             m=2.0, tail=tl.HeavyTailSpec(1.5, 0.05), n_cycles=n_cycles,
-            lambda_target=0.5, off_model="theorem_reordered",
+            lambda_target=0.5, off_model="reordered",
         )
         return tl.SyntheticSource(spec=spec, packet_size=packet_size, server_rate=server_rate)
 
