@@ -166,6 +166,22 @@ COMMANDS = [
                                  "--reps", "2", "--seed", "3", "--bandwidth", "2e6", "--out-prefix", "samples_bw"]),
     ("sweep_samples_gen", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000",
                            "--reps", "2", "--seed", "4", "--out-prefix", "samples_gen"]),
+    # the service-rate rule: a generated on/off source is served at
+    # --bandwidth when given, else at its --rate, and refuses --rho; a
+    # trace takes exactly one of --bandwidth and --rho
+    ("sweep_samples_gen_bandwidth", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000",
+                                     "--reps", "2", "--seed", "4", "--bandwidth", "2e6",
+                                     "--out-prefix", "samples_gen_bw"]),
+    ("sweep_samples_gen_rho", ["cli", "sweep-samples", *ONOFF, "--cycles", "200", "--sizes", "100,1000",
+                               "--reps", "2", "--seed", "4", "--rho", "0.5", "--out-prefix", "samples_gen_rho"]),
+    ("queue_no_rate", ["cli", "queue", "onoff.csv", "-o", "queue_no_rate.csv"]),
+    ("queue_both_rates", ["cli", "queue", "onoff.csv", "--bandwidth", "2e6", "--rho", "0.6",
+                          "-o", "queue_both_rates.csv"]),
+    ("sweep_blocks_no_rate", ["cli", "sweep-blocks", "--trace", "onoff.csv", "--blocks", "1,10",
+                              "--reps", "2", "--seed", "2", "--out-prefix", "blocks_no_rate"]),
+    # sweep-blocks shuffles one trace drawn from the recipe, so the rule for a trace holds
+    ("sweep_blocks_gen_no_rate", ["cli", "sweep-blocks", *ONOFF, "--cycles", "300", "--blocks", "1,10",
+                                  "--reps", "2", "--seed", "6", "--out-prefix", "blocks_gen_no_rate"]),
     # exact packet counts from capped on periods; 100000 packets take more
     # than one chunk of cycles, each starting where the one before ended
     ("sweep_samples_gen_capped", ["cli", "sweep-samples", *CAPPED, "--cycles", "200", "--sizes", "100,1000,100000",
@@ -233,6 +249,9 @@ COMMANDS = [
     # 400 packets collapse both ladders to the trace length
     ("report_long", ["cli", "report", "long.csv", "--reps", "2", "--seed", "14", "--out-prefix", "report_long"]),
     ("report_text", ["cli", "report", "text.txt", "--seed", "15", "--out-prefix", "report_text"]),
+    # one bandwidth, from --rho on the analysed packets, serves both sweeps
+    ("report_text_rho", ["cli", "report", "text.txt", "--seed", "15", "--rho", "0.8",
+                         "--out-prefix", "report_text_rho"]),
     # fails, writing nothing: evenly spaced arrivals give hurst a constant count series
     ("report_kernel_long", ["cli", "report", "kernel_long.txt", "--reps", "2", "--seed", "14",
                             "--out-prefix", "report_kernel_long"]),

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import bin_counts, empirical_ccdf, fit_tail_index, hurst_aggregated_variance
-from .experiments import ReplicationPlan, _resolve_bandwidth, block_shuffle, blocksize_sweep
-from .experiments import prefix_mean_sweep, sample_size_sweep
+from .experiments import ReplicationPlan, block_shuffle, blocksize_sweep, prefix_mean_sweep, sample_size_sweep
 from .queue_sim import packet_stats
 from .rng import substream
 from .synth import (
@@ -33,7 +32,7 @@ from .synth import (
     generate_poisson,
     packetize,
 )
-from .traces import PacketTrace, load_trace, save_trace, window, write_rows
+from .traces import PacketTrace, bandwidth_for_utilization, load_trace, save_trace, window, write_rows
 
 # report's sweeps, trimmed to the packets it analyses
 SAMPLE_LADDER = (10_000, 31_623, 100_000, 316_228, 1_000_000)
@@ -132,8 +131,10 @@ def _exact_int(text: str) -> int | None:
 
 
 def _int_list(text: str) -> list[int]:
-    """The comma-separated integers, each read by _exact_int."""
+    """The comma-separated integers, each read by _exact_int; at least one."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError("expected at least one integer")
     try:
         values = [_exact_int(part) for part in parts]
     except ValueError:
@@ -196,6 +197,19 @@ def _source(args) -> tuple[PacketTrace | SyntheticSource, dict]:
     return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate), {}
 
 
+def _bandwidth(args, source: PacketTrace | SyntheticSource) -> float:
+    """The service rate in bytes/s: exactly one of --bandwidth and --rho, the load that
+    bandwidth_for_utilization turns into a rate on the trace. A generated on/off source has no
+    fixed trace to load, so it refuses --rho and is served at its --rate unless --bandwidth is given."""
+    if isinstance(source, SyntheticSource):
+        if args.rho is not None:
+            raise ValueError("rho needs a fixed trace; synthetic sweeps take bandwidth directly")
+        return source.server_rate if args.bandwidth is None else args.bandwidth
+    if (args.bandwidth is None) == (args.rho is None):
+        raise ValueError("give exactly one of bandwidth or rho")
+    return args.bandwidth if args.rho is None else bandwidth_for_utilization(source, args.rho)
+
+
 def _onoff_spec(args, off_model: str, n_cycles: int, *needs: str) -> GeneratorSpec:
     """The recipe of the on/off flags for off_model, one of synth.OFF_MODELS, and n_cycles
     cycles. --alpha, --m, --lambda (but for the bounded model, which ignores it) and the
@@ -245,7 +259,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_queue(args) -> int:
     trace, inputs = _load(args.trace)
-    bandwidth = _resolve_bandwidth(trace, args.bandwidth, args.rho)
+    bandwidth = _bandwidth(args, trace)
     stats, path = packet_stats(trace, bandwidth, keep_path=bool(args.path_out))
     with _manifest(args, args.output, args.path_out, inputs=inputs, derived_bandwidth=bandwidth) as comment:
         if args.path_out:
@@ -290,7 +304,7 @@ def _write_sweep(out_prefix: str, comment: str, sweep) -> None:
 def _sweep(args, run_sweep, source, inputs: dict, xs) -> int:
     """Run the sweep over xs with the sweep flags; write its CSV and gnuplot script."""
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
-    sweep = run_sweep(source, xs, plan, bandwidth=args.bandwidth, rho=args.rho)
+    sweep = run_sweep(source, xs, plan, _bandwidth(args, source))
     paths = (args.out_prefix + ".csv", args.out_prefix + ".gp")
     with _manifest(args, *paths, inputs=inputs) as comment:
         _write_sweep(args.out_prefix, comment, sweep)
@@ -311,8 +325,7 @@ def cmd_sweep_blocks(args) -> int:
 
 
 def cmd_diverge(args) -> int:
-    # an empty --sizes draws no cycle: prefix_mean_sweep refuses it
-    spec = _onoff_spec(args, "reordered", max(args.sizes, default=1))
+    spec = _onoff_spec(args, "reordered", max(args.sizes))
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
     sweep = prefix_mean_sweep(spec, args.sizes, plan)
     sizes = [int(p.x) for p in sweep.points]
@@ -368,10 +381,10 @@ def cmd_report(args) -> int:
         trace = window(trace, 0, n)
     summary = _summary_row(trace)
     hurst, width = _hurst_row(trace)
+    bandwidth = bandwidth_for_utilization(trace, args.rho)
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
-    sweeps = {"samples": sample_size_sweep(trace, sorted({s for s in SAMPLE_LADDER if s < n} | {n}), plan,
-                                           rho=args.rho),
-              "blocks": blocksize_sweep(trace, [b for b in BLOCK_LADDER if b <= n], plan, rho=args.rho)}
+    sweeps = {"samples": sample_size_sweep(trace, sorted({s for s in SAMPLE_LADDER if s < n} | {n}), plan, bandwidth),
+              "blocks": blocksize_sweep(trace, [b for b in BLOCK_LADDER if b <= n], plan, bandwidth)}
     prefix = args.out_prefix
     paths = [f"{prefix}.{name}" for name in ("summary.csv", "hurst.csv", "samples.csv", "samples.gp",
                                              "blocks.csv", "blocks.gp")]

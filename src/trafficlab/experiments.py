@@ -17,8 +17,7 @@ import numpy as np
 from .queue_sim import _CHUNK, packet_fifo, prefix_mean_queue
 from .rng import substream
 from .synth import GeneratorSpec, SyntheticSource, generate_onoff
-from .traces import (PacketTrace, _equal_sizes, _in_order, _one_size, bandwidth_for_utilization, window,
-                     write_rows)
+from .traces import PacketTrace, _equal_sizes, _in_order, _one_size, window, write_rows
 
 __all__ = [
     "ReplicationPlan",
@@ -88,36 +87,21 @@ def _points(xs, rep_means) -> list[SweepPoint]:
     return [SweepPoint(float(x), *aggregate_replications(means), means) for x, means in zip(xs, rep_means)]
 
 
-def _resolve_bandwidth(trace: PacketTrace, bandwidth: float | None, rho: float | None) -> float:
-    if (bandwidth is None) == (rho is None):
-        raise ValueError("give exactly one of bandwidth or rho")
-    if bandwidth is not None:
-        return bandwidth
-    return bandwidth_for_utilization(trace, rho)
-
-
-def sample_size_sweep(
-    source,
-    sizes,
-    plan: ReplicationPlan,
-    bandwidth: float | None = None,
-    rho: float | None = None,
-) -> SweepResult:
-    """Mean queue versus sample size, replicated.
+def sample_size_sweep(source, sizes, plan: ReplicationPlan, bandwidth: float) -> SweepResult:
+    """Mean queue versus sample size, replicated, every queue served at
+    bandwidth bytes/s (bandwidth_for_utilization gives the rate of a
+    target load on a trace).
 
     For a PacketTrace source each replication simulates a contiguous
-    window of the requested size at a seeded uniform start offset; the
-    service rate is fixed once for the sweep (explicitly or via rho on
-    the full trace). For a SyntheticSource each replication generates
-    a fresh trace of exactly that many packets and is served at the
-    source's own rate unless bandwidth overrides it; a size past the
-    largest array length is refused before any replication.
+    window of the requested size at a seeded uniform start offset. For
+    a SyntheticSource each replication generates a fresh trace of
+    exactly that many packets; a size past the largest array length is
+    refused before any replication.
     """
     sizes = sorted(int(s) for s in sizes)
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive packet counts")
     if isinstance(source, PacketTrace):
-        b = _resolve_bandwidth(source, bandwidth, rho)
         n = source.packet_count
         if sizes[-1] > n:
             raise ValueError(f"sample size {sizes[-1]} exceeds trace length {n}")
@@ -126,18 +110,15 @@ def sample_size_sweep(
             return window(source, int(rng.integers(0, n - size + 1)), size)
 
     elif isinstance(source, SyntheticSource):
-        if rho is not None:
-            raise ValueError("rho needs a fixed trace; synthetic sweeps take bandwidth directly")
         if sizes[-1] > sys.maxsize:
             raise ValueError(f"sample size {sizes[-1]} is past the largest array length")
-        b = bandwidth if bandwidth is not None else source.server_rate
 
         def make_trace(size, rng):
             return source.trace(rng, n_packets=size)
 
     else:
         raise TypeError("source must be a PacketTrace or SyntheticSource")
-    return _replicate("sample_size", sizes, plan, b, make_trace)
+    return _replicate("sample_size", sizes, plan, bandwidth, make_trace)
 
 
 def _replicate(x_label: str, xs, plan: ReplicationPlan, bandwidth: float, make_trace,
@@ -374,14 +355,9 @@ def block_shuffle(trace: PacketTrace, block_size: int, rng: np.random.Generator)
     return shuffled
 
 
-def blocksize_sweep(
-    trace: PacketTrace,
-    block_sizes,
-    plan: ReplicationPlan,
-    bandwidth: float | None = None,
-    rho: float | None = None,
-) -> SweepResult:
-    """Mean queue versus shuffle block size, replicated over permutations.
+def blocksize_sweep(trace: PacketTrace, block_sizes, plan: ReplicationPlan, bandwidth: float) -> SweepResult:
+    """Mean queue versus shuffle block size, replicated over permutations,
+    every queue served at bandwidth bytes/s.
 
     The unshuffled trace is simulated once at the same service rate,
     on the replications' pool, and reported as the baseline.
@@ -391,6 +367,5 @@ def blocksize_sweep(
         raise ValueError("block_sizes must be positive")
     if block_sizes[-1] > sys.float_info.max:  # the sweep's x column is float(block size)
         raise ValueError(f"block size {block_sizes[-1]} is past the largest float")
-    b = _resolve_bandwidth(trace, bandwidth, rho)
-    return _replicate("block_size", block_sizes, plan, b, lambda blk, rng: block_shuffle(trace, blk, rng),
+    return _replicate("block_size", block_sizes, plan, bandwidth, lambda blk, rng: block_shuffle(trace, blk, rng),
                       baseline=trace)

@@ -449,9 +449,10 @@ def generate_poisson(rate: float, packet_size: int, n: int, rng: np.random.Gener
 class SyntheticSource:
     """A generator recipe plus the packetization that turns it into traces.
 
-    server_rate doubles as the natural simulation bandwidth: at that
-    service rate the packetized load approaches the recipe's
-    lambda_target.
+    server_rate, in bytes/s, is the rate the recipe's send rate m is a
+    multiple of: a queue served at it sees the packetized load approach
+    the recipe's lambda_target. sample_size_sweep serves its traces at the
+    bandwidth it is given, which need not be this rate.
     """
 
     spec: GeneratorSpec

@@ -231,14 +231,6 @@ class TestQueue:
                    "--path-out", path_out) == 0
         assert first_line(path_out).startswith("# manifest: ")
 
-    def test_rate_arguments_are_exclusive(self, poisson_file, tmp_path, capsys):
-        rc = run("queue", poisson_file, "--bandwidth", "100", "--rho", "0.5",
-                 "-o", tmp_path / "q.csv")
-        assert rc == 1
-        assert "exactly one" in capsys.readouterr().err
-        rc = run("queue", poisson_file, "-o", tmp_path / "q.csv")
-        assert rc == 1
-
     def test_zero_bandwidth_rejected(self, poisson_file, tmp_path, capsys):
         rc = run("queue", poisson_file, "--bandwidth", "0", "-o", tmp_path / "q.csv")
         assert rc == 1
@@ -453,6 +445,53 @@ class TestSweeps:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestServiceRate:
+    """cli._bandwidth: exactly one of --bandwidth and --rho, but for a generated on/off
+    source, which refuses --rho and is served at its --rate unless --bandwidth is given."""
+
+    # poisson_file is poisson.csv in the working directory
+    @pytest.mark.parametrize("rates", [(), ("--bandwidth", "60000", "--rho", "0.5")], ids=["neither", "both"])
+    @pytest.mark.parametrize("command", [
+        ("queue", "poisson.csv", "-o", "q.csv"),
+        ("sweep-samples", "--trace", "poisson.csv", "--sizes", "50", "--reps", "2", "--seed", "0", "--out-prefix", "s"),
+        ("sweep-blocks", "--trace", "poisson.csv", "--blocks", "1,10", "--reps", "2", "--seed", "0", "--out-prefix", "s"),
+    ], ids=lambda command: command[0])
+    def test_a_trace_takes_exactly_one_rate_flag(self, poisson_file, tmp_path, capsys, monkeypatch, command, rates):
+        monkeypatch.chdir(tmp_path)
+        assert run(*command, *rates) == 1
+        assert capsys.readouterr().err == "error: give exactly one of bandwidth or rho\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["poisson.csv"]
+
+    def test_a_generated_onoff_sweep_refuses_rho(self, tmp_path, capsys):
+        rc = run("sweep-samples", *ONOFF, "--sizes", "50", "--reps", "2", "--seed", "0", "--rho", "0.5",
+                 "--out-prefix", tmp_path / "s")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rho needs a fixed trace; synthetic sweeps take bandwidth directly\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_generated_onoff_sweep_is_served_at_its_rate(self, tmp_path):
+        # ONOFF's --rate is 10000 bytes/s
+        rows = []
+        for name, rate in (("default", ()), ("given", ("--bandwidth", "10000"))):
+            assert run("sweep-samples", *ONOFF, "--sizes", "50,500", "--reps", "2", "--seed", "3", *rate,
+                       "--out-prefix", tmp_path / name) == 0
+            rows.append([line for line in (tmp_path / f"{name}.csv").read_text().splitlines()
+                         if not line.startswith("#")])
+        assert len(rows[0]) == 2
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("rates, message", [
+        (("--bandwidth", "60000", "--rho", "0.5"), "give exactly one of bandwidth or rho"),
+        (("--rho", "2"), "rho must be in (0, 1]"),
+    ])
+    def test_the_rate_is_named_before_a_block_past_the_largest_float(self, poisson_file, tmp_path, capsys, rates,
+                                                                     message):
+        rc = run("sweep-blocks", "--trace", poisson_file, "--blocks", "1,1e400", "--reps", "1", "--seed", "1",
+                 *rates, "--out-prefix", tmp_path / "b")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestIntegerLists:
     @pytest.mark.parametrize("argv, bad", [
         (["sweep-blocks", "--blocks", "1.5,10", "--seed", "0", "--out-prefix", "x"], "1.5"),
@@ -474,6 +513,18 @@ class TestIntegerLists:
         assert capsys.readouterr().err == subparsers.choices["sweep-samples"].format_usage() + (
             "trafficlab sweep-samples: error: argument --sizes: expected a comma-separated integer list, got 'abc'\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep-samples", "--sizes", "", "--seed", "0", "--out-prefix", "x"], "--sizes"),
+        (["sweep-blocks", "--blocks", ",", "--seed", "0", "--out-prefix", "x"], "--blocks"),
+        (["hurst", "t.csv", "--levels", " ", "-o", "h.csv"], "--levels"),
+        (["diverge", "--sizes", " , ", "--seed", "0", "--out-prefix", "x"], "--sizes"),
+    ])
+    def test_a_list_of_no_integer_is_refused_by_name(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: expected at least one integer\n")
 
     def test_integral_forms_accepted(self):
         args = cli.build_parser().parse_args(

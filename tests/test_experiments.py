@@ -527,7 +527,7 @@ class TestAllocationBudget:
 
         monkeypatch.setattr(experiments, "packet_fifo", side_by_side)
         with pool_of(POOL):
-            peak = peak_bytes(lambda: tl.sample_size_sweep(src, [self.N], plan))
+            peak = peak_bytes(lambda: tl.sample_size_sweep(src, [self.N], plan, src.server_rate))
         # at most POOL replications at once, each within its peak alone.
         # One more trace, 8N bytes, would exceed the budget
         assert peak <= POOL * alone + self.SMALL
@@ -579,9 +579,13 @@ class TestSampleSizeSweep:
     def _trace(self):
         return tl.generate_poisson(200.0, 100, 2000, substream(0))
 
+    def _sweep(self, sizes, plan):
+        trace = self._trace()
+        return tl.sample_size_sweep(trace, sizes, plan, tl.bandwidth_for_utilization(trace, 0.5))
+
     def test_points_are_sorted_and_replicated(self):
         plan = tl.ReplicationPlan(master_seed=1, replications=4)
-        sweep = tl.sample_size_sweep(self._trace(), [500, 100], plan, rho=0.5)
+        sweep = self._sweep([500, 100], plan)
         assert [p.x for p in sweep.points] == [100.0, 500.0]
         assert all(len(p.rep_means) == 4 for p in sweep.points)
         assert sweep.baseline is None
@@ -589,13 +593,13 @@ class TestSampleSizeSweep:
 
     def test_deterministic_given_plan(self):
         plan = tl.ReplicationPlan(master_seed=1, replications=3)
-        a = tl.sample_size_sweep(self._trace(), [200, 800], plan, rho=0.5)
-        b = tl.sample_size_sweep(self._trace(), [200, 800], plan, rho=0.5)
+        a = self._sweep([200, 800], plan)
+        b = self._sweep([200, 800], plan)
         assert [p.rep_means for p in a.points] == [p.rep_means for p in b.points]
 
     def test_aggregates_match_replications(self):
         plan = tl.ReplicationPlan(master_seed=2, replications=5)
-        sweep = tl.sample_size_sweep(self._trace(), [300], plan, rho=0.5)
+        sweep = self._sweep([300], plan)
         p = sweep.points[0]
         mean, std = aggregate_replications(p.rep_means)
         assert p.mean == pytest.approx(mean)
@@ -604,14 +608,7 @@ class TestSampleSizeSweep:
     def test_size_beyond_trace_rejected(self):
         plan = tl.ReplicationPlan(master_seed=0, replications=2)
         with pytest.raises(ValueError):
-            tl.sample_size_sweep(self._trace(), [5000], plan, rho=0.5)
-
-    def test_exactly_one_rate_argument(self):
-        plan = tl.ReplicationPlan(master_seed=0, replications=2)
-        with pytest.raises(ValueError):
-            tl.sample_size_sweep(self._trace(), [100], plan)
-        with pytest.raises(ValueError):
-            tl.sample_size_sweep(self._trace(), [100], plan, bandwidth=1e4, rho=0.5)
+            self._sweep([5000], plan)
 
     def test_synthetic_source_generates_fresh_traces(self):
         spec = tl.GeneratorSpec(
@@ -620,30 +617,20 @@ class TestSampleSizeSweep:
         )
         src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
         plan = tl.ReplicationPlan(master_seed=3, replications=3)
-        sweep = tl.sample_size_sweep(src, [50, 150], plan)
+        sweep = tl.sample_size_sweep(src, [50, 150], plan, src.server_rate)
         assert [p.x for p in sweep.points] == [50.0, 150.0]
         assert all(np.isfinite(p.mean) for p in sweep.points)
 
-    def test_synthetic_source_rejects_rho(self):
-        spec = tl.GeneratorSpec(
-            m=2.0, tail=tl.HeavyTailSpec(1.5, 0.05), n_cycles=64,
-            lambda_target=0.5, off_model="reordered",
-        )
-        src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
-        plan = tl.ReplicationPlan(master_seed=3, replications=2)
-        with pytest.raises(ValueError):
-            tl.sample_size_sweep(src, [50], plan, rho=0.5)
-
     def test_unknown_source_rejected(self):
         with pytest.raises(TypeError):
-            tl.sample_size_sweep("trace.csv", [10], tl.ReplicationPlan(0, 2), rho=0.5)
+            tl.sample_size_sweep("trace.csv", [10], tl.ReplicationPlan(0, 2), 1e4)
 
 
 class TestBlocksizeSweep:
     def test_baseline_and_identity_blocksize(self):
         tr = tl.generate_poisson(200.0, 100, 400, substream(4))
         plan = tl.ReplicationPlan(master_seed=5, replications=3)
-        sweep = tl.blocksize_sweep(tr, [400], plan, rho=0.5)
+        sweep = tl.blocksize_sweep(tr, [400], plan, tl.bandwidth_for_utilization(tr, 0.5))
         # one block means the permutation is the identity, so every
         # replication reproduces the unshuffled baseline bit for bit
         assert sweep.baseline is not None
@@ -652,8 +639,8 @@ class TestBlocksizeSweep:
     def test_deterministic_given_plan(self):
         tr = tl.generate_poisson(200.0, 100, 400, substream(4))
         plan = tl.ReplicationPlan(master_seed=6, replications=3)
-        a = tl.blocksize_sweep(tr, [1, 40], plan, rho=0.5)
-        b = tl.blocksize_sweep(tr, [1, 40], plan, rho=0.5)
+        a = tl.blocksize_sweep(tr, [1, 40], plan, tl.bandwidth_for_utilization(tr, 0.5))
+        b = tl.blocksize_sweep(tr, [1, 40], plan, tl.bandwidth_for_utilization(tr, 0.5))
         assert [p.rep_means for p in a.points] == [p.rep_means for p in b.points]
         assert a.baseline == b.baseline
 
@@ -661,9 +648,9 @@ class TestBlocksizeSweep:
         tr = tl.generate_poisson(200.0, 100, 100, substream(4))
         plan = tl.ReplicationPlan(master_seed=0, replications=2)
         with pytest.raises(ValueError):
-            tl.blocksize_sweep(tr, [], plan, rho=0.5)
+            tl.blocksize_sweep(tr, [], plan, tl.bandwidth_for_utilization(tr, 0.5))
         with pytest.raises(ValueError):
-            tl.blocksize_sweep(tr, [0, 10], plan, rho=0.5)
+            tl.blocksize_sweep(tr, [0, 10], plan, tl.bandwidth_for_utilization(tr, 0.5))
 
 
 def pool_of(workers):
@@ -706,13 +693,15 @@ class TestPooledReplications:
     @pytest.mark.parametrize("blocks", [[1], [7], [3001, 10**6], [1, 7, 3001, 10**6]])
     def test_block_sweeps_keep_their_bytes(self, trace, blocks):
         plan = tl.ReplicationPlan(master_seed=5, replications=5)
-        serial, pooled = self.one_thread_and_pooled(lambda: tl.blocksize_sweep(trace, blocks, plan, rho=0.95))
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.95)
+        serial, pooled = self.one_thread_and_pooled(lambda: tl.blocksize_sweep(trace, blocks, plan, bandwidth))
         assert sweep_csv(pooled) == sweep_csv(serial)
-        assert pooled.baseline == packet_fifo(trace, tl.bandwidth_for_utilization(trace, 0.95)).mean_queue
+        assert pooled.baseline == packet_fifo(trace, bandwidth).mean_queue
 
     def test_window_sweeps_keep_their_bytes(self, trace):
         plan = tl.ReplicationPlan(master_seed=6, replications=5)
-        serial, pooled = self.one_thread_and_pooled(lambda: tl.sample_size_sweep(trace, [10, 500, 3001], plan, rho=0.9))
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.9)
+        serial, pooled = self.one_thread_and_pooled(lambda: tl.sample_size_sweep(trace, [10, 500, 3001], plan, bandwidth))
         assert sweep_csv(pooled) == sweep_csv(serial)
 
     def test_synthetic_sweeps_keep_their_bytes(self):
@@ -720,14 +709,16 @@ class TestPooledReplications:
                                 lambda_target=0.5, off_model="reordered")
         src = tl.SyntheticSource(spec=spec, packet_size=100, server_rate=10_000.0)
         plan = tl.ReplicationPlan(master_seed=7, replications=5)
-        serial, pooled = self.one_thread_and_pooled(lambda: tl.sample_size_sweep(src, [50, 150, 1000], plan))
+        serial, pooled = self.one_thread_and_pooled(
+            lambda: tl.sample_size_sweep(src, [50, 150, 1000], plan, src.server_rate))
         assert sweep_csv(pooled) == sweep_csv(serial)
 
     def test_more_threads_than_cores_and_short_switches_keep_the_bytes(self, trace):
         plan = tl.ReplicationPlan(master_seed=8, replications=5)
+        bandwidth = tl.bandwidth_for_utilization(trace, 0.95)
 
         def run():
-            return sweep_csv(tl.blocksize_sweep(trace, [1, 7, 3001], plan, rho=0.95))
+            return sweep_csv(tl.blocksize_sweep(trace, [1, 7, 3001], plan, bandwidth))
 
         with pool_of(1):
             serial = run()
@@ -756,7 +747,8 @@ class TestPooledReplications:
         monkeypatch.setattr(experiments, "block_shuffle", recorded_shuffle)
         monkeypatch.setattr(experiments, "packet_fifo", recorded_fifo)
         with pool_of(POOL):
-            tl.blocksize_sweep(trace, [1, 10], tl.ReplicationPlan(master_seed=2, replications=5), rho=0.9)
+            tl.blocksize_sweep(trace, [1, 10], tl.ReplicationPlan(master_seed=2, replications=5),
+                               tl.bandwidth_for_utilization(trace, 0.9))
         here = threading.get_ident()
         assert len(made) == 10 and len(served) == 11
         # each shuffle is served once, in the thread that made it, and the
@@ -952,7 +944,7 @@ class TestSweepCsv:
     def test_rows_parse_back_to_the_points(self):
         tr = tl.generate_poisson(200.0, 100, 300, substream(7))
         plan = tl.ReplicationPlan(master_seed=8, replications=2)
-        sweep = tl.blocksize_sweep(tr, [10, 50], plan, rho=0.5)
+        sweep = tl.blocksize_sweep(tr, [10, 50], plan, tl.bandwidth_for_utilization(tr, 0.5))
         buf = io.BytesIO()
         sweep.write_csv(buf)
         rows = [l for l in buf.getvalue().decode().splitlines() if not l.startswith("#")]

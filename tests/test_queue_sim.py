@@ -724,23 +724,53 @@ def capped_second_moment(tail):
     return x_min**2 + 2.0 * x_min**a * (x_max ** (2.0 - a) - x_min ** (2.0 - a)) / (2.0 - a)
 
 
-def pollaczek_khinchine_mean(spec):
-    """The exact time-average mean queue of spec's iid on/off fluid model
-    with capped bursts: E[W] + (m-1) E[X^2] / (2 (E[X] + 1/nu)).
+def pollaczek_khinchine_wait(spec):
+    """E[W], the mean level at the start of an on period of spec's iid on/off
+    fluid model with capped bursts.
 
     The silences are exponential of rate nu, 1/nu = E[X] (m/lam - 1), so
     the level W at the start of each on period follows the Lindley
     recursion W' = max(0, W + (m-1) X - O) of an M/G/1 queue whose
     service is (m-1) X: its mean is the Pollaczek-Khinchine
-    E[W] = nu (m-1)^2 E[X^2] / (2 (1 - rho)), rho = nu (m-1) E[X]. A cycle
-    adds W X + (m-1) X^2 / 2 while on, and U/nu - (1 - e^(-nu U))/nu^2
-    while off from the level U = W + (m-1) X, with E[e^(-nu U)] = 1 - rho.
+    E[W] = nu (m-1)^2 E[X^2] / (2 (1 - rho)), rho = nu (m-1) E[X].
     E[X^2] is capped_second_moment(spec.tail)."""
-    m, mean, square = spec.m, spec.tail.mean, capped_second_moment(spec.tail)
+    m, mean = spec.m, spec.tail.mean
     silence = mean * (m / spec.lambda_target - 1.0)
     rho = (m - 1.0) * mean / silence
-    wait = (m - 1.0) ** 2 * square / (2.0 * silence * (1.0 - rho))
-    return wait + (m - 1.0) * square / (2.0 * (mean + silence))
+    return (m - 1.0) ** 2 * capped_second_moment(spec.tail) / (2.0 * silence * (1.0 - rho))
+
+
+def pollaczek_khinchine_mean(spec):
+    """The exact time-average mean queue of spec's iid on/off fluid model
+    with capped bursts: E[W] + (m-1) E[X^2] / (2 (E[X] + 1/nu)), with W and
+    nu as in pollaczek_khinchine_wait. A cycle adds W X + (m-1) X^2 / 2
+    while on, and U/nu - (1 - e^(-nu U))/nu^2 while off from the level
+    U = W + (m-1) X, with E[e^(-nu U)] = 1 - rho."""
+    m, mean = spec.m, spec.tail.mean
+    silence = mean * (m / spec.lambda_target - 1.0)
+    return pollaczek_khinchine_wait(spec) + (m - 1.0) * capped_second_moment(spec.tail) / (2.0 * (mean + silence))
+
+
+def ladder_series_levels(spec, n, rng):
+    """n draws of W, the level at the start of an on period of spec's iid
+    on/off fluid model, by the Pollaczek-Khinchine ladder series, with no
+    package kernel: W is the sum of K draws from the integrated tail of
+    the service (m-1) X, with P(K = k) = (1 - rho)rho^k and
+    rho = lam (m-1) / (m - lam) (Asmussen, "Applied Probability and
+    Queues", 2003, ch. VIII).
+
+    The integrated tail of the Pareto X capped at x_max has the CDF
+    F(y) = y / E[X] up to x_min, and beyond it
+    F(y) = (x_min + x_min ((y/x_min)^(1-a) - 1) / (1-a)) / E[X],
+    whose value at x_max is 1. A uniform t = u E[X] past x_min so inverts
+    to y = x_min (1 - (a-1)(t - x_min)/x_min)^(1/(1-a)): one power."""
+    a, x_min, m, lam = spec.tail.tail_index, spec.tail.x_min, spec.m, spec.lambda_target
+    cap = math.inf if spec.tail.x_max is None else spec.tail.x_max
+    mean = x_min + x_min * ((cap / x_min) ** (1.0 - a) - 1.0) / (1.0 - a)
+    k = rng.geometric(1.0 - lam * (m - 1.0) / (m - lam), n) - 1  # numpy's geometric counts from 1
+    t = rng.random(int(k.sum())) * mean
+    y = np.where(t <= x_min, t, x_min * (1.0 - (a - 1.0) * (t - x_min) / x_min) ** (1.0 / (1.0 - a)))
+    return np.bincount(np.repeat(np.arange(n), k), weights=(m - 1.0) * y, minlength=n)
 
 
 # (alpha, x_max, m, lam) of the capped iid recipes the oracle checks, x_min = 1
@@ -767,6 +797,17 @@ class TestPollaczekKhinchine:
         means = np.array(means)
         error = means.std(ddof=1) / math.sqrt(len(means))
         assert abs(means.mean() - pollaczek_khinchine_mean(spec)) <= 4.0 * error
+
+    @pytest.mark.parametrize("alpha, x_max, m, lam", PK_RECIPES)
+    def test_the_ladder_series_mean_is_the_pollaczek_khinchine_wait(self, alpha, x_max, m, lam):
+        # 10^6 draws of W at seed 7. Tolerance: 4 standard errors of their
+        # mean, from the draws' own spread. Over 200 other seeds per recipe
+        # (1000-1199) the gap was at most 3.37 standard errors; its mean
+        # over the seeds was -0.08 to -0.02 and its spread 0.99 to 1.07
+        spec = tl.GeneratorSpec(m, tl.HeavyTailSpec(alpha, 1.0, x_max), 10, lam, "iid")
+        w = ladder_series_levels(spec, 10**6, np.random.default_rng(7))
+        error = w.std(ddof=1) / math.sqrt(len(w))
+        assert abs(w.mean() - pollaczek_khinchine_wait(spec)) <= 4.0 * error
 
     @pytest.mark.parametrize("alpha, x_max", [(a, x_max) for a, x_max, _, _ in PK_RECIPES])
     def test_the_capped_second_moment_is_the_mean_square_of_the_draws(self, alpha, x_max):
