@@ -93,11 +93,7 @@ def _manifest(args: argparse.Namespace, *outputs: str | None, inputs: dict, **de
     outputs (None skipped), the tool and its version, and the digest: the
     SHA-256 of that object without it, in sorted compact JSON."""
     outputs = [path for path in outputs if path]
-    params = {
-        key: list(value) if isinstance(value, (list, tuple)) else value
-        for key, value in {**vars(args), **derived}.items()
-        if key not in ("func", "subcommand")
-    }
+    params = {key: value for key, value in {**vars(args), **derived}.items() if key not in ("func", "subcommand")}
     body = _strict_json({"subcommand": args.subcommand, "parameters": params, "inputs": inputs, "outputs": outputs,
                          "tool": "trafficlab", "version": __version__})
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -205,9 +201,14 @@ def _bandwidth(args, source: PacketTrace | SyntheticSource) -> float:
         if args.rho is not None:
             raise ValueError("rho needs a fixed trace; synthetic sweeps take bandwidth directly")
         return source.server_rate if args.bandwidth is None else args.bandwidth
+    _one_rate_flag(args)
+    return args.bandwidth if args.rho is None else bandwidth_for_utilization(source, args.rho)
+
+
+def _one_rate_flag(args) -> None:
+    """Exactly one of --bandwidth and --rho, the half of _bandwidth's fixed-trace rule that reads flags alone."""
     if (args.bandwidth is None) == (args.rho is None):
         raise ValueError("give exactly one of bandwidth or rho")
-    return args.bandwidth if args.rho is None else bandwidth_for_utilization(source, args.rho)
 
 
 def _onoff_spec(args, off_model: str, n_cycles: int, *needs: str) -> GeneratorSpec:
@@ -286,18 +287,24 @@ def _write_gnuplot(out_prefix: str, comment: str, logscale: str, xlabel: str, yl
     _write(out_prefix + ".gp", "%s", [lines], (comment,))
 
 
-SWEEP_XLABELS = {"sample_size": "sample size (packets)", "block_size": "shuffle block size (packets)"}
+SWEEP_XLABELS = {"sample_size": "sample size (packets)", "block_size": "shuffle block size (packets)",
+                 "cycles": "cycles simulated"}
 
 
 def _write_sweep(out_prefix: str, comment: str, sweep) -> None:
-    """<out_prefix>.csv of the sweep and <out_prefix>.gp to draw it, each headed by comment."""
+    """<out_prefix>.csv of the sweep: its header, a block sweep's baseline and one row (x, mean, std, *rep_means)
+    per point; and <out_prefix>.gp, which plots columns 1:2:3 and the baseline. Each is headed by comment."""
     csv_path = out_prefix + ".csv"
+    k = len(sweep.points[0].rep_means) if sweep.points else 0
+    comments = (comment, f"{sweep.x_label},mean,std," + ",".join(f"rep_{i + 1}" for i in range(k)))
     plots, settings = [f'"{csv_path}" using 1:2:3 with yerrorlines title "mean +/- std"'], ()
     if sweep.baseline is not None:
-        settings = (f"baseline = {float(sweep.baseline)!r}",)
+        baseline = repr(float(sweep.baseline))
+        comments += (f"baseline_mean_queue: {baseline}",)
+        settings = (f"baseline = {baseline}",)
         plots.append('baseline with lines dashtype 2 title "unshuffled"')
-    with open(csv_path, "wb") as fh:
-        sweep.write_csv(fh, comments=(comment,))
+    rows = np.array([(p.x, p.mean, p.std, *p.rep_means) for p in sweep.points], dtype=np.float64)
+    _write(csv_path, ",".join(["%r"] * (3 + k)), rows.reshape(-1, 3 + k).T, comments)
     _write_gnuplot(out_prefix, comment, "x", SWEEP_XLABELS[sweep.x_label], "mean queue (packets)", plots, settings)
 
 
@@ -319,6 +326,7 @@ def cmd_sweep_samples(args) -> int:
 def cmd_sweep_blocks(args) -> int:
     source, inputs = _source(args)
     if isinstance(source, SyntheticSource):
+        _one_rate_flag(args)  # a fixed trace's rate rule, checked before its draw
         # materialize one trace; replications then vary only the permutation
         source = source.trace(substream(args.seed))
     return _sweep(args, blocksize_sweep, source, inputs, args.blocks)
@@ -328,21 +336,19 @@ def cmd_diverge(args) -> int:
     spec = _onoff_spec(args, "reordered", max(args.sizes))
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
     sweep = prefix_mean_sweep(spec, args.sizes, plan)
-    sizes = [int(p.x) for p in sweep.points]
-    stats = [(float(np.median(p.rep_means)), p.mean, p.std) for p in sweep.points]
+    # cycles, median, mean, std, then one column per replication
+    rows = [(int(p.x), float(np.median(p.rep_means)), p.mean, p.std, *p.rep_means) for p in sweep.points]
     csv_path = args.out_prefix + ".csv"
     gp_path = args.out_prefix + ".gp"
     with _manifest(args, csv_path, gp_path, inputs={}) as comment:
         comments = (comment, f"prefix mean queue, {args.reps} replications, alpha={args.alpha:g}, x_max={args.xmax}",
                     "cycles,median,mean,std," + ",".join(f"rep_{i + 1}" for i in range(args.reps)))
-        # cycles, median, mean, std, then one column per replication
-        columns = (sizes, *zip(*stats), *zip(*(p.rep_means for p in sweep.points)))
-        _write(csv_path, ",".join(["%r"] * len(columns)), columns, comments)
-        _write_gnuplot(args.out_prefix, comment, "xy", "cycles simulated", "mean queue",
+        _write(csv_path, ",".join(["%r"] * len(rows[0])), list(zip(*rows)), comments)
+        _write_gnuplot(args.out_prefix, comment, "xy", SWEEP_XLABELS["cycles"], "mean queue",
                        [f'"{csv_path}" using 1:2 with linespoints title "median"',
                         f'"{csv_path}" using 1:3:4 with yerrorlines title "mean +/- std"'])
     print(f"{'cycles':>10} {'median':>12} {'mean':>12} {'std':>12}")
-    for n, (median, mean, std) in zip(sizes, stats):
+    for n, median, mean, std, *_ in rows:
         print(f"{n:>10} {median:>12.4f} {mean:>12.4f} {std:>12.4f}")
     print(f"wrote {csv_path}, {gp_path}")
     return 0

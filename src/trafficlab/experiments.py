@@ -17,7 +17,7 @@ import numpy as np
 from .queue_sim import _CHUNK, packet_fifo, prefix_mean_queue
 from .rng import substream
 from .synth import GeneratorSpec, SyntheticSource, generate_onoff
-from .traces import PacketTrace, _equal_sizes, _in_order, _one_size, window, write_rows
+from .traces import PacketTrace, _equal_sizes, _in_order, _one_size, window
 
 __all__ = [
     "ReplicationPlan",
@@ -59,18 +59,11 @@ class SweepPoint:
 
 @dataclass(eq=False)
 class SweepResult:
+    """The points a sweep returns and a block sweep's unshuffled baseline; cli._write_sweep writes their table."""
+
     x_label: str
     points: list[SweepPoint]
     baseline: float | None = None  # unshuffled reference, block sweeps only
-
-    def write_csv(self, fh, comments: tuple[str, ...] = ()) -> None:
-        k = len(self.points[0].rep_means) if self.points else 0
-        reps = ",".join(f"rep_{i + 1}" for i in range(k))
-        comments = (*comments, f"{self.x_label},mean,std,{reps}")
-        if self.baseline is not None:
-            comments += (f"baseline_mean_queue: {float(self.baseline)!r}",)
-        table = np.array([(p.x, p.mean, p.std, *p.rep_means) for p in self.points], dtype=np.float64)
-        write_rows(fh, ",".join(["%r"] * (3 + k)), table.reshape(-1, 3 + k).T, comments)
 
 
 def aggregate_replications(values) -> tuple[float, float]:

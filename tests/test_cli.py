@@ -491,6 +491,55 @@ class TestServiceRate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("rates", [(), ("--bandwidth", "60000", "--rho", "0.5")], ids=["neither", "both"])
+    def test_a_generated_block_sweep_names_its_rate_flags_before_drawing(self, tmp_path, capsys, monkeypatch, rates):
+        draws = []
+
+        def counted(*args, _draw=synth.generate_onoff):
+            draws.append(args)
+            return _draw(*args)
+
+        monkeypatch.setattr(synth, "generate_onoff", counted)
+        rc = run("sweep-blocks", *ONOFF, "--blocks", "1,10", "--reps", "2", "--seed", "6", *rates,
+                 "--out-prefix", tmp_path / "b")
+        assert (rc, len(draws)) == (1, 0)
+        assert capsys.readouterr().err == "error: give exactly one of bandwidth or rho\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSweepCsv:
+    """cli._write_sweep's table: the comment, the column header, a block sweep's baseline, one row per point."""
+
+    def test_layout(self, tmp_path):
+        points = [
+            tl.SweepPoint(1.0, 2.0, 0.5, (1.5, 2.5)),
+            tl.SweepPoint(10.0, 4.0, 1.0, (3.0, 5.0)),
+        ]
+        sweep = tl.SweepResult(x_label="block_size", points=points, baseline=6.25)
+        cli._write_sweep(str(tmp_path / "s"), "manifest: deadbeef", sweep)
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == "# manifest: deadbeef"
+        assert lines[1] == "# block_size,mean,std,rep_1,rep_2"
+        assert lines[2] == "# baseline_mean_queue: 6.25"
+        assert lines[3].split(",") == ["1.0", "2.0", "0.5", "1.5", "2.5"]
+        assert len(lines) == 5
+
+    def test_baseline_line_omitted_without_baseline(self, tmp_path):
+        sweep = tl.SweepResult(x_label="sample_size", points=[tl.SweepPoint(1.0, 2.0, 0.0, (2.0,))])
+        cli._write_sweep(str(tmp_path / "s"), "manifest: -", sweep)
+        assert "baseline" not in (tmp_path / "s.csv").read_text()
+
+    def test_rows_parse_back_to_the_points(self, tmp_path):
+        tr = tl.generate_poisson(200.0, 100, 300, substream(7))
+        plan = tl.ReplicationPlan(master_seed=8, replications=2)
+        sweep = tl.blocksize_sweep(tr, [10, 50], plan, tl.bandwidth_for_utilization(tr, 0.5))
+        cli._write_sweep(str(tmp_path / "s"), "manifest: -", sweep)
+        rows = [l for l in (tmp_path / "s.csv").read_text().splitlines() if not l.startswith("#")]
+        for row, point in zip(rows, sweep.points):
+            x, mean, std, *reps = (float(v) for v in row.split(","))
+            assert (x, mean, std) == (point.x, point.mean, point.std)
+            assert tuple(reps) == point.rep_means
+
 
 class TestIntegerLists:
     @pytest.mark.parametrize("argv, bad", [
@@ -1233,3 +1282,50 @@ class TestReport:
         assert run("report", "t.csv", "--seed", "0", "--out-prefix", "r") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+class TestSweepPlot:
+    """The gnuplot script of a sweep reads its CSV: columns 1:2:3 of each row are the point's x, mean
+    and std, and the script's baseline setting is the CSV's baseline_mean_queue comment."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Each sweep the command runs, by its x label."""
+        made = {}
+
+        def recorded(run_sweep):
+            def wrapper(*args):
+                sweep = run_sweep(*args)
+                made[sweep.x_label] = sweep
+                return sweep
+
+            return wrapper
+
+        for name in ("sample_size_sweep", "blocksize_sweep"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        return made
+
+    @staticmethod
+    def assert_plot_reads_table(prefix, sweep):
+        csv = Path(f"{prefix}.csv").read_text().splitlines()
+        gp = Path(f"{prefix}.gp").read_text().splitlines()
+        assert gp[-1].startswith(f'plot "{prefix}.csv" using 1:2:3 with yerrorlines title "mean +/- std"')
+        table = [[float(c) for c in line.split(",")] for line in csv if not line.startswith("#")]
+        assert [row[:3] for row in table] == [[p.x, p.mean, p.std] for p in sweep.points]
+        baselines = [line.removeprefix("# baseline_mean_queue: ") for line in csv
+                     if line.startswith("# baseline_mean_queue: ")]
+        assert [line.removeprefix("baseline = ") for line in gp if line.startswith("baseline = ")] == baselines
+        assert [float(v) for v in baselines] == ([] if sweep.baseline is None else [sweep.baseline])
+        assert ("baseline with lines" in gp[-1]) == bool(baselines)
+
+    def test_sweep_blocks(self, poisson_file, tmp_path, made):
+        prefix = tmp_path / "b"
+        assert run("sweep-blocks", "--trace", poisson_file, "--blocks", "1,10,100", "--reps", "3", "--seed", "2",
+                   "--rho", "0.5", "--out-prefix", prefix) == 0
+        self.assert_plot_reads_table(prefix, made["block_size"])
+
+    def test_report(self, standin_file, tmp_path, monkeypatch, made):
+        monkeypatch.setattr(cli, "SAMPLE_LADDER", (10_000, 20_000))
+        assert run("report", standin_file, "--reps", "2", "--seed", "0", "--out-prefix", tmp_path / "r") == 0
+        for name, x_label in (("samples", "sample_size"), ("blocks", "block_size")):
+            self.assert_plot_reads_table(tmp_path / f"r.{name}", made[x_label])

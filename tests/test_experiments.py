@@ -1,7 +1,8 @@
-import io
 import sys
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -662,9 +663,10 @@ POOL = max(2, traces._workers())
 
 
 def sweep_csv(sweep) -> str:
-    fh = io.BytesIO()
-    sweep.write_csv(fh)
-    return fh.getvalue().decode()
+    """The CSV text cli._write_sweep writes of the sweep."""
+    with tempfile.TemporaryDirectory() as out:
+        cli._write_sweep(f"{out}/s", "manifest: -", sweep)
+        return Path(out, "s.csv").read_text(encoding="utf-8")
 
 
 class TestPooledReplications:
@@ -917,38 +919,3 @@ class TestPrefixMeanSweep:
         with pytest.raises(ValueError, match=r"^size 70002 is past the spec's 70001 cycles$"):
             tl.prefix_mean_sweep(self.SPECS["iid"], [10, 70_002], tl.ReplicationPlan(master_seed=1, replications=2))
         assert drawn == []
-
-
-class TestSweepCsv:
-    def test_layout(self):
-        points = [
-            tl.SweepPoint(1.0, 2.0, 0.5, (1.5, 2.5)),
-            tl.SweepPoint(10.0, 4.0, 1.0, (3.0, 5.0)),
-        ]
-        sweep = tl.SweepResult(x_label="block_size", points=points, baseline=6.25)
-        buf = io.BytesIO()
-        sweep.write_csv(buf, comments=("manifest: deadbeef",))
-        lines = buf.getvalue().decode().splitlines()
-        assert lines[0] == "# manifest: deadbeef"
-        assert lines[1] == "# block_size,mean,std,rep_1,rep_2"
-        assert lines[2] == "# baseline_mean_queue: 6.25"
-        assert lines[3].split(",") == ["1.0", "2.0", "0.5", "1.5", "2.5"]
-        assert len(lines) == 5
-
-    def test_baseline_line_omitted_without_baseline(self):
-        sweep = tl.SweepResult(x_label="sample_size", points=[tl.SweepPoint(1.0, 2.0, 0.0, (2.0,))])
-        buf = io.BytesIO()
-        sweep.write_csv(buf)
-        assert "baseline" not in buf.getvalue().decode()
-
-    def test_rows_parse_back_to_the_points(self):
-        tr = tl.generate_poisson(200.0, 100, 300, substream(7))
-        plan = tl.ReplicationPlan(master_seed=8, replications=2)
-        sweep = tl.blocksize_sweep(tr, [10, 50], plan, tl.bandwidth_for_utilization(tr, 0.5))
-        buf = io.BytesIO()
-        sweep.write_csv(buf)
-        rows = [l for l in buf.getvalue().decode().splitlines() if not l.startswith("#")]
-        for row, point in zip(rows, sweep.points):
-            x, mean, std, *reps = (float(v) for v in row.split(","))
-            assert (x, mean, std) == (point.x, point.mean, point.std)
-            assert tuple(reps) == point.rep_means
