@@ -29,7 +29,10 @@ pair a short calibration (calibrate) times two threads against one on
 a numpy loop that releases the GIL, and the file keeps the ratio with
 the pair. --report prints the summary table of a written file,
 recomputed from its pairs alone, whether the two sides' traced runs
-made the same calls, and the pairs run in such a window.
+made the same calls, and the pairs run in such a window. Each metric's
+row ends with two verdicts (see verdicts): whether the checkout shows a
+gain, and whether its median is within the metric's bound in the
+checkout's BENCHMARK.json.
 """
 import argparse
 import json
@@ -156,12 +159,29 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -
     return parse_run(proc.stdout)
 
 
-def report(bench: dict) -> str:
-    """A markdown table of the file's medians [quartiles] and wins, recomputed from its pairs."""
+def verdicts(m: dict, compared: int, bound: float | None) -> tuple[str, str]:
+    """Whether a metric's summary m, over compared pairs, shows a gain and is within bound: "yes" or
+    "no", or "" where a side has no median or the metric no bound. A gain is shown when the checkout
+    won at least 9 in 10 of the compared pairs and its median beats REV's by more than REV's quartile
+    spread q3 - q1, in the metric's better direction. Within bound, the checkout's median is worse than
+    REV's by at most bound times REV's median."""
+    a, b = m["rev"], m["checkout"]
+    if None in (a["median"], b["median"]):
+        return "", ""
+    gain = (a["median"] - b["median"]) * (1 if m["better"] == "lower" else -1)
+    shown = compared > 0 and b["won"] >= -(-9 * compared // 10) and gain > a["q3"] - a["q1"]
+    within = "" if bound is None else "yes" if -gain <= bound * abs(a["median"]) else "no"
+    return "yes" if shown else "no", within
+
+
+def report(bench: dict, bounds: dict[str, float]) -> str:
+    """A markdown table of the file's medians [quartiles], wins and verdicts, recomputed from its
+    pairs; bounds maps each metric to its bound, as the checkout's BENCHMARK.json gives them."""
     lines = [f"REV {bench['rev']['sha'][:12]} against the checkout at {bench['checkout']['sha'][:12]}"
              f"{' with edits' if bench['checkout']['dirty'] else ''}",
-             "", "| workload | metric | REV median [q1, q3] | checkout median [q1, q3] | ratio | checkout won |",
-             "|---|---|---|---|---|---|"]
+             "", "| workload | metric | REV median [q1, q3] | checkout median [q1, q3] | ratio | checkout won "
+             "| gain shown | within bound |",
+             "|---|---|---|---|---|---|---|---|"]
     for workload, entry in bench["workloads"].items():
         summary = summarize(entry["pairs"], {k: v["better"] for k, v in entry["summary"]["metrics"].items()})
         for name, m in summary["metrics"].items():
@@ -169,8 +189,9 @@ def report(bench: dict) -> str:
             cells = ["no run" if x["median"] is None else f"{x['median']:.4g} [{x['q1']:.4g}, {x['q3']:.4g}]"
                      for x in (a, b)]
             ratio = "" if None in (a["median"], b["median"]) else f"{b['median'] / a['median']:.3f}"
+            shown, within = verdicts(m, summary["compared"], bounds.get(name))
             lines.append(f"| {workload} | {name} | {cells[0]} | {cells[1]} | {ratio} | "
-                         f"{b['won']}/{summary['compared']} |")
+                         f"{b['won']}/{summary['compared']} | {shown} | {within} |")
         counts = summary["counts"]
         lines.append(f"| {workload} | correct runs, ops attempted/failed | "
                      + " | ".join(f"{counts[s]['correct']}, {counts[s]['attempted']}/{counts[s]['failed']}"
@@ -208,13 +229,14 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair; pair k runs seed + k")
     ap.add_argument("--report", metavar="FILE", help="print the summary of a written file and exit")
     args = ap.parse_args(argv)
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.report:
-        print(report(json.loads(Path(args.report).read_text())))
+        print(report(json.loads(Path(args.report).read_text()), bounds))
         return 0
     if not args.rev or not args.out:
         ap.error("give REV and --out, or --report FILE")
 
-    spec = json.loads((REPO / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -248,7 +270,7 @@ def main(argv=None) -> int:
                                        for side in SIDES}}
             bench["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better), "traced": traced}
     (REPO / args.out).write_text(json.dumps(bench, indent=1) + "\n")
-    print(report(bench))
+    print(report(bench, bounds))
     return 0
 
 

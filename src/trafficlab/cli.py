@@ -176,37 +176,38 @@ def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--n", type=_int_from(1, sys.maxsize), default=None, help="packet count for --model poisson")
 
 
-def _source(args) -> tuple[PacketTrace | SyntheticSource, dict]:
-    """The --trace file, or the generator flags as a Poisson trace or an
-    on/off recipe; and the manifest's inputs, as _load gives them."""
+def _source(args, rated: bool = True) -> tuple[PacketTrace | SyntheticSource, dict]:
+    """The --trace file, or the generator flags as a Poisson trace or an on/off recipe; and the manifest's
+    inputs, as _load gives them. When rated, a fixed trace's rate flags are checked before its read or draw."""
     if args.trace and args.model:
         raise ValueError("give either --trace or --model, not both")
+    if not args.trace and not args.model:
+        raise ValueError("give a --trace file or generator flags with --model")
+    if args.model == "poisson" and (args.n is None or args.rate is None):
+        raise ValueError("poisson model needs --rate and --n")
+    if rated and args.model != "onoff":
+        _one_rate_flag(args)
     if args.trace:
         return _load(args.trace)
-    if not args.model:
-        raise ValueError("give a --trace file or generator flags with --model")
     if args.model == "poisson":
-        if args.n is None or args.rate is None:
-            raise ValueError("poisson model needs --rate and --n")
         return generate_poisson(args.rate, args.packet_size, args.n, substream(args.seed)), {}
     spec = _onoff_spec(args, args.off_model, args.cycles, "cycles", "rate")
     return SyntheticSource(spec=spec, packet_size=args.packet_size, server_rate=args.rate), {}
 
 
 def _bandwidth(args, source: PacketTrace | SyntheticSource) -> float:
-    """The service rate in bytes/s: exactly one of --bandwidth and --rho, the load that
-    bandwidth_for_utilization turns into a rate on the trace. A generated on/off source has no
-    fixed trace to load, so it refuses --rho and is served at its --rate unless --bandwidth is given."""
+    """The service rate in bytes/s: --bandwidth, or --rho, the load that bandwidth_for_utilization turns into a
+    rate on the trace; _one_rate_flag let one through before the trace was read or drawn. A generated on/off
+    source has no fixed trace, so it refuses --rho and is served at its --rate unless --bandwidth is given."""
     if isinstance(source, SyntheticSource):
         if args.rho is not None:
             raise ValueError("rho needs a fixed trace; synthetic sweeps take bandwidth directly")
         return source.server_rate if args.bandwidth is None else args.bandwidth
-    _one_rate_flag(args)
     return args.bandwidth if args.rho is None else bandwidth_for_utilization(source, args.rho)
 
 
 def _one_rate_flag(args) -> None:
-    """Exactly one of --bandwidth and --rho, the half of _bandwidth's fixed-trace rule that reads flags alone."""
+    """Exactly one of --bandwidth and --rho: a fixed trace's rate rule, which reads the flags alone."""
     if (args.bandwidth is None) == (args.rho is None):
         raise ValueError("give exactly one of bandwidth or rho")
 
@@ -225,7 +226,7 @@ def _onoff_spec(args, off_model: str, n_cycles: int, *needs: str) -> GeneratorSp
 
 
 def cmd_gen(args) -> int:
-    source, inputs = _source(args)
+    source, inputs = _source(args, rated=False)
     trace = source
     if isinstance(source, SyntheticSource):
         process = generate_onoff(source.spec, substream(args.seed))
@@ -259,6 +260,7 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_queue(args) -> int:
+    _one_rate_flag(args)  # before the trace is read
     trace, inputs = _load(args.trace)
     bandwidth = _bandwidth(args, trace)
     stats, path = packet_stats(trace, bandwidth, keep_path=bool(args.path_out))
@@ -337,7 +339,7 @@ def cmd_diverge(args) -> int:
     plan = ReplicationPlan(master_seed=args.seed, replications=args.reps)
     sweep = prefix_mean_sweep(spec, args.sizes, plan)
     # cycles, median, mean, std, then one column per replication
-    rows = [(int(p.x), float(np.median(p.rep_means)), p.mean, p.std, *p.rep_means) for p in sweep.points]
+    rows = [(int(p.x), p.median, p.mean, p.std, *p.rep_means) for p in sweep.points]
     csv_path = args.out_prefix + ".csv"
     gp_path = args.out_prefix + ".gp"
     with _manifest(args, csv_path, gp_path, inputs={}) as comment:

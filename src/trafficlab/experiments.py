@@ -23,7 +23,6 @@ __all__ = [
     "ReplicationPlan",
     "SweepPoint",
     "SweepResult",
-    "aggregate_replications",
     "sample_size_sweep",
     "prefix_mean_sweep",
     "block_shuffle",
@@ -51,9 +50,13 @@ class ReplicationPlan:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """A sweep point: its x; the mean, sample std (n - 1 denominator; 0.0 for one replication) and
+    median of rep_means; and rep_means, each replication's mean queue in replication order."""
+
     x: float
     mean: float
     std: float
+    median: float
     rep_means: tuple[float, ...]
 
 
@@ -66,18 +69,14 @@ class SweepResult:
     baseline: float | None = None  # unshuffled reference, block sweeps only
 
 
-def aggregate_replications(values) -> tuple[float, float]:
-    """Mean and sample standard deviation (n-1 denominator; 0 when n=1)."""
-    v = np.asarray(list(values), dtype=np.float64)
-    if len(v) == 0:
-        raise ValueError("no replication values")
-    std = float(v.std(ddof=1)) if len(v) > 1 else 0.0
-    return float(v.mean()), std
-
-
 def _points(xs, rep_means) -> list[SweepPoint]:
-    """One point per x from the tuple of its replication means: the fold of both replication loops."""
-    return [SweepPoint(float(x), *aggregate_replications(means), means) for x, means in zip(xs, rep_means)]
+    """One point per x from the tuple of its replication means: the one place a point's summary is made."""
+    points = []
+    for x, means in zip(xs, rep_means):
+        v = np.asarray(means, dtype=np.float64)
+        std = float(v.std(ddof=1)) if len(v) > 1 else 0.0
+        points.append(SweepPoint(float(x), float(v.mean()), std, float(np.median(v)), means))
+    return points
 
 
 def sample_size_sweep(source, sizes, plan: ReplicationPlan, bandwidth: float) -> SweepResult:

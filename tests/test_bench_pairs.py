@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import bench_pairs  # noqa: E402
 
 BETTER = {"wall_s": "lower", "items_per_s": "higher", "cpu_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"}
+BOUNDS = {"wall_s": 0.25, "items_per_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.15, "setup_s": 0.25}
 ENV = {"git_sha": None, "source_sha256": "ab" * 32, "python": "3.11.7", "nproc": 2,
        "cpu_model": "Intel(R) Xeon(R) Processor", "loadavg": [0.5, 0.6, 0.7]}
 
@@ -74,8 +75,8 @@ def test_medians_and_quartiles_over_pairs_and_the_report_from_the_file_alone():
     assert summary["counts"]["rev"] == {"correct": 4, "attempted": 50, "failed": 1}
     bench = {"rev": {"sha": "1" * 40}, "checkout": {"sha": "2" * 40, "dirty": False},
              "workloads": {"trace_pipeline_1m": {"pairs": pairs, "summary": summary}}}
-    table = bench_pairs.report(json.loads(json.dumps(bench)))
-    assert "| trace_pipeline_1m | cpu_s | 3 [2, 4] | 1 [1, 1] | 0.333 | 4/5 |" in table.splitlines()
+    table = bench_pairs.report(json.loads(json.dumps(bench)), BOUNDS)
+    assert "| trace_pipeline_1m | cpu_s | 3 [2, 4] | 1 [1, 1] | 0.333 | 4/5 | no | yes |" in table.splitlines()
 
 
 def test_a_run_whose_every_operation_failed_is_left_out_and_named():
@@ -95,8 +96,8 @@ def test_a_run_whose_every_operation_failed_is_left_out_and_named():
     assert summary["counts"]["checkout"] == {"correct": 3, "attempted": 24, "failed": 6}
     bench = {"rev": {"sha": "1" * 40}, "checkout": {"sha": "2" * 40, "dirty": False},
              "workloads": {"trace_pipeline_1m": {"pairs": pairs, "summary": summary}}}
-    table = bench_pairs.report(json.loads(json.dumps(bench))).splitlines()
-    assert "| trace_pipeline_1m | wall_s | 1.05 [0.95, 1.125] | 0.95 [0.925, 0.975] | 0.905 | 2/3 |" in table
+    table = bench_pairs.report(json.loads(json.dumps(bench)), BOUNDS).splitlines()
+    assert "| trace_pipeline_1m | wall_s | 1.05 [0.95, 1.125] | 0.95 [0.925, 0.975] | 0.905 | 2/3 | no | yes |" in table
     assert ("| trace_pipeline_1m | runs whose every op failed, left out of medians and wins | none | seeds 2 "
             "| | |") in table
     # a side with no successful run has no median
@@ -106,7 +107,49 @@ def test_a_run_whose_every_operation_failed_is_left_out_and_named():
     assert summary["compared"] == 0
     assert summary["metrics"]["wall_s"]["checkout"] == {"median": None, "q1": None, "q3": None, "won": 0}
     bench["workloads"]["trace_pipeline_1m"]["pairs"] = pairs
-    assert "| trace_pipeline_1m | wall_s | 1.05 [0.95, 1.125] | no run |  | 0/0 |" in bench_pairs.report(bench)
+    assert "| trace_pipeline_1m | wall_s | 1.05 [0.95, 1.125] | no run |  | 0/0 |  |  |" in bench_pairs.report(bench, BOUNDS)
+
+
+def ten_pairs(rev_walls, checkout_walls):
+    """Ten pairs whose runs differ in wall_s alone, and the report's wall_s row of them."""
+    pairs = [{"seed": k, "first": "rev", "rev": bench_pairs.parse_run(run_output(a, 1.0, 1.0, 200.0, 1.0)),
+              "checkout": bench_pairs.parse_run(run_output(b, 1.0, 1.0, 200.0, 1.0))}
+             for k, (a, b) in enumerate(zip(rev_walls, checkout_walls, strict=True))]
+    bench = {"rev": {"sha": "1" * 40}, "checkout": {"sha": "2" * 40, "dirty": False},
+             "workloads": {"trace_pipeline_1m": {"pairs": pairs, "summary": bench_pairs.summarize(pairs, BETTER)}}}
+    return next(row for row in bench_pairs.report(bench, BOUNDS).splitlines() if "| wall_s |" in row)
+
+
+REV_WALLS = [1.0, 1.02, 0.98, 1.04, 0.96, 1.01, 0.99, 1.03, 0.97, 1.0]
+
+
+def test_a_gain_is_shown_by_nine_wins_in_ten_and_a_median_past_the_quartile_spread():
+    # the checkout is 0.9x in nine pairs and loses the tenth; REV's spread is 1.0225 - 0.9775
+    row = ten_pairs(REV_WALLS, [0.9 * w for w in REV_WALLS[:9]] + [1.1])
+    assert row.endswith("| 9/10 | yes | yes |")
+    # for a higher-is-better metric the same gain is a rise
+    m = {"better": "higher", "rev": {"median": 1.0, "q1": 0.9775, "q3": 1.0225, "won": 1},
+         "checkout": {"median": 1.1, "q1": 1.0, "q3": 1.2, "won": 9}}
+    assert bench_pairs.verdicts(m, 10, 0.25) == ("yes", "yes")
+    assert bench_pairs.verdicts({**m, "better": "lower"}, 10, 0.25) == ("no", "yes")
+
+
+def test_eight_wins_in_ten_show_no_gain_and_a_median_within_the_spread_neither():
+    row = ten_pairs(REV_WALLS, [0.9 * w for w in REV_WALLS[:8]] + [1.1, 1.1])
+    assert row.endswith("| 8/10 | no | yes |")
+    # ten wins by less than REV's quartile spread
+    row = ten_pairs(REV_WALLS, [w - 0.01 for w in REV_WALLS])
+    assert row.endswith("| 10/10 | no | yes |")
+
+
+def test_a_median_worse_by_more_than_its_bound_is_past_it():
+    assert ten_pairs(REV_WALLS, [1.3 * w for w in REV_WALLS]).endswith("| 0/10 | no | no |")
+    # worse by the bound itself, 0.25 of REV's median, is within it
+    assert ten_pairs(REV_WALLS, [1.25] * 10).endswith("| 0/10 | no | yes |")
+    m = {"better": "higher", "rev": {"median": 2.0, "q1": 2.0, "q3": 2.0, "won": 10},
+         "checkout": {"median": 1.4, "q1": 1.4, "q3": 1.4, "won": 0}}
+    assert bench_pairs.verdicts(m, 10, 0.25) == ("no", "no")
+    assert bench_pairs.verdicts(m, 10, None) == ("no", "")
 
 
 def test_a_traced_run_keeps_its_counts_and_calls_only():
@@ -138,12 +181,12 @@ def test_each_workload_ends_with_one_traced_run_per_side_and_the_report_compares
     traced = bench["workloads"][workloads[0]]["traced"]
     assert traced["seed"] == 9 and traced["checkout"]["failed"] == 1
     assert traced["rev"]["calls"] == {"cli.main.calls": 5.0, "traces.load_trace.calls": 6.0}
-    table = bench_pairs.report(bench).splitlines()
+    table = bench_pairs.report(bench, BOUNDS).splitlines()
     assert (f"| {workloads[0]} | traced run (seed 9): correct, ops attempted/failed | False, 8/1 | False, 8/1 | | "
             "calls differ: traces.load_trace.calls |") in table
     for side in bench_pairs.SIDES:
         traced[side]["calls"]["traces.load_trace.calls"] = 5.0
-    assert bench_pairs.report(bench).splitlines().count(
+    assert bench_pairs.report(bench, BOUNDS).splitlines().count(
         f"| {workloads[0]} | traced run (seed 9): correct, ops attempted/failed | False, 8/1 | False, 8/1 | | "
         "calls equal |") == 1
 
@@ -161,7 +204,7 @@ def test_each_pair_keeps_the_calibration_before_it_and_the_report_flags_slow_win
     # one calibration per pair, in the order the pairs ran
     assert [p["calibration"] for w in workloads for p in bench["workloads"][w]["pairs"]] == [
         0.52, 0.97, 0.55, 0.5, 0.76, 0.49]
-    table = bench_pairs.report(bench).splitlines()
+    table = bench_pairs.report(bench, BOUNDS).splitlines()
     row = "| {} | two threads' time over one's before each pair | min {} | max {} | | {} |"
     assert row.format(workloads[0], "0.52", "0.97", "above 0.75 at seeds 4") in table
     assert row.format(workloads[1], "0.50", "0.55", "none above 0.75") in table

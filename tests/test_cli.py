@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -33,6 +34,8 @@ def data_row(path):
 
 ONOFF = ("--model", "onoff", "--alpha", "1.4", "--xmin", "0.05", "--m", "3", "--lambda", "0.5",
          "--cycles", "60", "--rate", "10000", "--packet-size", "100")
+
+POISSON = ("--model", "poisson", "--rate", "500", "--n", "400")
 
 BOUNDED = ("gen", "--model", "onoff", "--alpha", "1.4", "--xmin", "0.05", "--m", "3",
            "--cycles", "60", "--rate", "10000", "--packet-size", "100", "--off-model", "bounded")
@@ -455,12 +458,28 @@ class TestServiceRate:
         ("queue", "poisson.csv", "-o", "q.csv"),
         ("sweep-samples", "--trace", "poisson.csv", "--sizes", "50", "--reps", "2", "--seed", "0", "--out-prefix", "s"),
         ("sweep-blocks", "--trace", "poisson.csv", "--blocks", "1,10", "--reps", "2", "--seed", "0", "--out-prefix", "s"),
-    ], ids=lambda command: command[0])
+        ("sweep-samples", *POISSON, "--sizes", "50", "--reps", "2", "--seed", "0", "--out-prefix", "s"),
+        ("sweep-blocks", *POISSON, "--blocks", "1,10", "--reps", "2", "--seed", "0", "--out-prefix", "s"),
+    ], ids=["queue", "sweep-samples", "sweep-blocks", "sweep-samples-poisson", "sweep-blocks-poisson"])
     def test_a_trace_takes_exactly_one_rate_flag(self, poisson_file, tmp_path, capsys, monkeypatch, command, rates):
+        # refused before the trace is read or drawn
+        calls = []
+        for name in ("load_trace", "generate_poisson"):
+            def counted(*args, _name=name, _f=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
         monkeypatch.chdir(tmp_path)
         assert run(*command, *rates) == 1
         assert capsys.readouterr().err == "error: give exactly one of bandwidth or rho\n"
+        assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["poisson.csv"]
+
+    def test_a_rate_error_wins_over_a_missing_trace(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("queue", "missing.csv", "-o", "q.csv") == 1
+        assert capsys.readouterr().err == "error: give exactly one of bandwidth or rho\n"
 
     def test_a_generated_onoff_sweep_refuses_rho(self, tmp_path, capsys):
         rc = run("sweep-samples", *ONOFF, "--sizes", "50", "--reps", "2", "--seed", "0", "--rho", "0.5",
@@ -512,8 +531,8 @@ class TestSweepCsv:
 
     def test_layout(self, tmp_path):
         points = [
-            tl.SweepPoint(1.0, 2.0, 0.5, (1.5, 2.5)),
-            tl.SweepPoint(10.0, 4.0, 1.0, (3.0, 5.0)),
+            tl.SweepPoint(1.0, 2.0, 0.5, 2.0, (1.5, 2.5)),
+            tl.SweepPoint(10.0, 4.0, 1.0, 4.0, (3.0, 5.0)),
         ]
         sweep = tl.SweepResult(x_label="block_size", points=points, baseline=6.25)
         cli._write_sweep(str(tmp_path / "s"), "manifest: deadbeef", sweep)
@@ -525,7 +544,7 @@ class TestSweepCsv:
         assert len(lines) == 5
 
     def test_baseline_line_omitted_without_baseline(self, tmp_path):
-        sweep = tl.SweepResult(x_label="sample_size", points=[tl.SweepPoint(1.0, 2.0, 0.0, (2.0,))])
+        sweep = tl.SweepResult(x_label="sample_size", points=[tl.SweepPoint(1.0, 2.0, 0.0, 2.0, (2.0,))])
         cli._write_sweep(str(tmp_path / "s"), "manifest: -", sweep)
         assert "baseline" not in (tmp_path / "s.csv").read_text()
 
@@ -681,11 +700,15 @@ class TestDiverge:
 
     def test_summary_columns_aggregate_the_rep_columns(self, tmp_path):
         assert run(*DIVERGE, "--sizes", "10,200,3000", "--out-prefix", tmp_path / "d") == 0
-        for row in rows(tmp_path / "d.csv"):
+        spec = tl.GeneratorSpec(2.0, tl.HeavyTailSpec(1.5, 1.0), 3000, 0.5, "reordered")
+        sweep = tl.prefix_mean_sweep(spec, self.SIZES, tl.ReplicationPlan(master_seed=4, replications=3))
+        for row, p in zip(rows(tmp_path / "d.csv"), sweep.points, strict=True):
             reps = [float(c) for c in row[4:]]
-            assert len(reps) == 3
-            assert float(row[1]) == float(np.median(reps))
-            assert (float(row[2]), float(row[3])) == tl.aggregate_replications(reps)
+            assert reps == list(p.rep_means)
+            assert (float(row[1]), float(row[2]), float(row[3])) == (p.median, p.mean, p.std)
+            assert float(row[1]) == statistics.median(reps)
+            assert float(row[2]) == pytest.approx(statistics.mean(reps), rel=1e-12)
+            assert float(row[3]) == pytest.approx(statistics.stdev(reps), rel=1e-12)
 
     def test_unsorted_sizes_give_sorted_rows(self, tmp_path):
         assert run(*DIVERGE, "--sizes", "3000,10,200", "--out-prefix", tmp_path / "u") == 0
@@ -841,7 +864,7 @@ class TestOverflowingInputs:
         (["gen", "--model", "poisson", "--rate", "1e-320", "--packet-size", "100", "--n", "10", "--seed", "1",
           "-o", "p.csv"], "error: rate 1e-320 is too small for n 10: "),
         (["sweep-samples", "--model", "poisson", "--rate", "1e-308", "--packet-size", "100", "--n", "1000",
-          "--sizes", "10", "--reps", "1", "--seed", "1", "--out-prefix", "s"],
+          "--sizes", "10", "--reps", "1", "--seed", "1", "--bandwidth", "1e5", "--out-prefix", "s"],
          "error: rate 1e-308 is too small for n 1000: "),
         (["gen", *TOO_MANY_PACKETS, "-o", "x.csv"], "error: too many packets: "),
         (["sweep-samples", *TOO_MANY_PACKETS, "--sizes", "100", "--reps", "1", "--out-prefix", "s"],

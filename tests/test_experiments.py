@@ -1,3 +1,4 @@
+import statistics
 import sys
 import tempfile
 import threading
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import trafficlab as tl
 from trafficlab import cli, experiments, synth, traces
-from trafficlab.experiments import aggregate_replications
 from trafficlab.queue_sim import packet_fifo
 from trafficlab.rng import substream
 
@@ -34,18 +34,30 @@ def gap_vector(trace):
     return np.concatenate(([trace.timestamps[0]], np.diff(trace.timestamps)))
 
 
-class TestAggregateReplications:
-    def test_mean_and_sample_std(self):
-        mean, std = aggregate_replications([2.0, 4.0])
-        assert mean == pytest.approx(3.0)
-        assert std == pytest.approx(np.sqrt(2.0))
+class TestPoints:
+    """experiments._points, the one summary of a point's replication means, against the statistics module."""
 
-    def test_single_value_has_zero_std(self):
-        assert aggregate_replications([5.0]) == (5.0, 0.0)
+    def test_mean_sample_std_and_median_of_each_point(self):
+        reps = [(2.0, 4.0), (3.0, 1.0, 7.5), (0.25, 9.0, 4.0, 1.5)]
+        points = experiments._points([10, 100, 1000], iter(reps))
+        assert [p.x for p in points] == [10.0, 100.0, 1000.0]
+        assert all(isinstance(p.x, float) for p in points)
+        for p, means in zip(points, reps):
+            assert p.rep_means == means
+            assert p.mean == pytest.approx(statistics.mean(means), rel=1e-12)
+            assert p.std == pytest.approx(statistics.stdev(means), rel=1e-12)  # the n - 1 denominator
+            assert p.median == statistics.median(means)
+        assert points[0].std == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_replications([])
+    def test_the_median_of_an_odd_and_an_even_count(self):
+        odd, even = experiments._points([1, 2], [(5.0, -1.0, 3.0, 8.0, 2.0), (5.0, -1.0, 3.0, 8.0)])
+        assert odd.median == statistics.median(odd.rep_means) == 3.0  # the middle value
+        assert even.median == statistics.median(even.rep_means) == 4.0  # the mean of the middle two
+
+    def test_one_replication_has_zero_std_and_is_its_own_median(self):
+        (p,) = experiments._points([7], [(5.5,)])
+        assert (p.x, p.mean, p.std, p.median, p.rep_means) == (7.0, 5.5, 0.0, 5.5, (5.5,))
+        assert p.mean == statistics.mean(p.rep_means) and p.median == statistics.median(p.rep_means)
 
 
 class TestReplicationPlan:
@@ -602,9 +614,9 @@ class TestSampleSizeSweep:
         plan = tl.ReplicationPlan(master_seed=2, replications=5)
         sweep = self._sweep([300], plan)
         p = sweep.points[0]
-        mean, std = aggregate_replications(p.rep_means)
-        assert p.mean == pytest.approx(mean)
-        assert p.std == pytest.approx(std)
+        assert p.mean == pytest.approx(statistics.mean(p.rep_means))
+        assert p.std == pytest.approx(statistics.stdev(p.rep_means))
+        assert p.median == statistics.median(p.rep_means)
 
     def test_size_beyond_trace_rejected(self):
         plan = tl.ReplicationPlan(master_seed=0, replications=2)
